@@ -14,12 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import TriBool, Interval
+from .intervals import TriBool, Interval, expm1_up, round_up, sum_up
 
 # one-step escape certificate for rendering: e^50 dwarfs any supported |a|
 ESCAPE_RE = 50.0
 PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
+
+# absolute slack in the disk-trap certificate: dominates the float error of
+# one step e^z + a inside a trap (|e^z| < 1, |a| <= 10: below 1e-14), of the
+# fixed-point residual evaluation (below 1e-14) and of the membership test
+# (relative 1e-15 of a radius below 11: below 1e-13)
+TRAP_SLACK = 1e-12
+# orbit steps of the asymptotic value a before polishing its limit
+TRAP_ORBIT_STEPS = 200
 
 NEWTON_TOL = 1e-10
 MULTIPLIER_TOL = 1e-6
@@ -32,8 +40,10 @@ class NoConvergenceError(ArithmeticError):
 
 def _check_param(a: complex) -> complex:
     a = complex(a)
-    if abs(a) > PARAM_CAP:
-        raise ValueError(f"parameter |a| = {abs(a):.3g} above the supported cap {PARAM_CAP}")
+    # written so that a NaN modulus fails the check too
+    if not abs(a) <= PARAM_CAP:
+        raise ValueError(f"parameter |a| = {abs(a):.3g} is not a finite value "
+                         f"within the supported cap {PARAM_CAP}")
     return a
 
 
@@ -222,6 +232,11 @@ class Viewport:
     height_px: int
 
     def __post_init__(self):
+        # the spans too: linspace over an overflowing span yields NaN pixels
+        spans = (self.re_min, self.re_max, self.im_min, self.im_max,
+                 self.re_max - self.re_min, self.im_max - self.im_min)
+        if not all(math.isfinite(v) for v in spans):
+            raise ValueError("viewport bounds and spans must be finite")
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("viewport needs at least one pixel per axis")
         if self.re_min > self.re_max or self.im_min > self.im_max:
@@ -247,32 +262,115 @@ class RenderSummary:
         }
 
 
+@dataclass(frozen=True)
+class _Trap:
+    """A forward-invariant set of e^z + a that lies below the escape line.
+
+    With ``radius`` None it is the half-plane Re z <= 0, otherwise the closed
+    disk |z - center| <= radius.  ``contains`` is the float membership test
+    whose invariance under the float step the trap certificate covers.
+    """
+    center: complex = 0j
+    radius: float | None = None
+
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        if self.radius is None:
+            return z.real <= 0.0
+        dx = z.real - self.center.real
+        dy = z.imag - self.center.imag
+        return dx * dx + dy * dy <= self.radius * self.radius
+
+
+def _basin_trap(a: complex, escape_re: float) -> tuple[_Trap, ...]:
+    """Certified forward-invariant traps of e^z + a below ``escape_re``.
+
+    Half-plane: for Re a <= -1 and escape_re >= 0, Re z <= 0 implies
+    Re(e^z + a) <= 1 + Re a <= 0.  The float step keeps it too, because
+    fl(e^x cos y) <= 1 for x <= 0 when libm exp and cos are faithful and
+    rounding is monotone.
+    Disk: every attracting cycle attracts the orbit of the asymptotic value
+    a, so the orbit of a is followed for TRAP_ORBIT_STEPS steps and its limit
+    polished by ``find_cycle`` as a period-1 point c; the largest disk
+    D(c, r) on a grid of radii whose image provably lies inside it, with
+    Re c + r below escape_re, is returned.
+    Attracting cycles of period >= 2 get no trap.
+    """
+    traps: list[_Trap] = []
+    half_plane = a.real <= -1.0 and escape_re >= 0.0
+    if half_plane:
+        traps.append(_Trap())
+    w = a
+    for _ in range(TRAP_ORBIT_STEPS):
+        if w.real > min(escape_re, 700.0):
+            return tuple(traps)
+        w = cmath.exp(w) + a
+    try:
+        center = find_cycle(a, 1, w).points[0]
+    except NoConvergenceError:
+        return tuple(traps)
+    residual = abs(cmath.exp(center) + a - center)
+    # the certificate needs e^(Re c + r) < 1 and Re c + r < escape_re
+    r_max = min(-center.real, escape_re - center.real)
+    if not r_max > 0.0:
+        return tuple(traps)
+    for k in range(63, 0, -1):
+        radius = r_max * k / 64
+        # on the disk |f'| = e^(Re z) <= e^(Re c + r), so
+        # |f(z) - c| <= e^(Re c + r) r + |f(c) - c|; TRAP_SLACK covers the float errors
+        top = sum_up(center.real, radius)
+        lipschitz = sum_up(1.0, expm1_up(top))
+        image = sum_up(sum_up(round_up(lipschitz * radius), residual), TRAP_SLACK)
+        if image < radius and sum_up(top, TRAP_SLACK) < escape_re:
+            # a disk inside the half-plane trap catches nothing new
+            if not (half_plane and top <= 0.0):
+                traps.append(_Trap(center, radius))
+            break
+    return tuple(traps)
+
+
 def escape_times(a: complex, viewport: Viewport, max_iter: int,
                  escape_re: float = ESCAPE_RE) -> np.ndarray:
     """Escape-time grid: first n with Re(f^n(z)) > escape_re, else max_iter.
 
     Rows run top-down (first row at im_max); vectorized and deterministic.
+    Only pixels still in play are iterated: a pixel leaves once it escapes,
+    turns non-finite (time n + 1) or enters a trap of ``_basin_trap``, where
+    its orbit provably never escapes, so it keeps max_iter.  Each pixel goes
+    through the same float steps as on a full-grid pass, so the times are
+    exactly those of iterating every pixel for max_iter steps.  Traps exist
+    for an attracting fixed point found from the orbit of a, and for
+    Re a <= -1 with escape_re >= 0 (this covers the parabolic a = -1); an
+    attracting cycle of period >= 2 gets no trap.
     """
     a = _check_param(a)
+    if not math.isfinite(escape_re):
+        raise ValueError("escape_re must be finite")
     re = np.linspace(viewport.re_min, viewport.re_max, viewport.width_px)
     im = np.linspace(viewport.im_max, viewport.im_min, viewport.height_px)
-    z = re[np.newaxis, :] + 1j * im[:, np.newaxis]
-    times = np.full(z.shape, max_iter, dtype=np.int32)
-    alive = np.ones(z.shape, dtype=bool)
+    z = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
+    times = np.full(z.size, max_iter, dtype=np.int32)
+    idx = np.arange(z.size)
+    traps = _basin_trap(a, escape_re)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(max_iter):
-            esc = alive & (z.real > escape_re)
-            times[esc] = n
-            alive &= ~esc
-            if not alive.any():
-                break
-            zn = np.where(alive, z, 0.0)
-            z = np.where(alive, np.exp(zn) + a, z)
-            bad = alive & ~np.isfinite(z)
-            # a non-finite iterate can only come from a huge real part
-            times[bad] = n + 1
-            alive &= ~bad
-    return times
+            drop = z.real > escape_re
+            times[idx[drop]] = n
+            for trap in traps:
+                drop |= trap.contains(z)
+            if drop.any():
+                keep = ~drop
+                z, idx = z[keep], idx[keep]
+                if not z.size:
+                    break
+            np.exp(z, out=z)
+            z += a
+            bad = ~np.isfinite(z)
+            if bad.any():
+                # a non-finite iterate can only come from a huge real part
+                times[idx[bad]] = n + 1
+                keep = ~bad
+                z, idx = z[keep], idx[keep]
+    return times.reshape(viewport.height_px, viewport.width_px)
 
 
 def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 from expbouquet.cli import main
 from expbouquet.intervals import Interval
@@ -105,6 +106,28 @@ def test_render_summary(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["escaped_pixels"] > 0 and payload["retained_pixels"] > 0
     assert (tmp_path / "escape.ppm").exists()
+
+
+def test_nan_parameter_exits_2(tmp_path, capsys):
+    assert main(["render", "--a", "nan", "--px", "4x4", "--out", str(tmp_path)]) == 2
+    assert main(["cycle", "--a", "nan", "--seed-point", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: parameter") == 2
+    assert not (tmp_path / "escape.ppm").exists()
+
+
+def test_non_finite_render_bounds_exit_2(tmp_path, capsys):
+    for extra in (["--viewport", "0,nan,0,1"], ["--viewport", "0,inf,0,1"],
+                  ["--viewport=-1e308,1e308,0,1"], ["--escape-re", "nan"],
+                  ["--escape-re", "inf"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails
+            code = main(["render", "--a", "-1", "--px", "4x4", "--out", str(tmp_path), *extra])
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert captured.out == "" and captured.err.startswith("error: "), extra
+    assert not (tmp_path / "escape.ppm").exists()
 
 
 def test_subcommand_determinism(capsys):

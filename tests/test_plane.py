@@ -1,8 +1,13 @@
 """Plane dynamics: orbits, itineraries, the outside-region predicate, cycles, rendering."""
 
+import cmath
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bisect_root
 from expbouquet import (
@@ -15,7 +20,7 @@ from expbouquet import (
     render_escape,
     strip_itinerary,
 )
-from expbouquet.plane import classify_multiplier, escape_times
+from expbouquet.plane import _basin_trap, _check_param, classify_multiplier, escape_times
 
 
 def test_orbit_fixed_point():
@@ -39,6 +44,15 @@ def test_orbit_truncates_past_guard():
 def test_param_cap():
     with pytest.raises(ValueError):
         exp_orbit(-20.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("a", [complex("nan"), complex(1.0, math.nan),
+                               complex(math.inf, 0.0)])
+def test_param_must_be_finite(a):
+    with pytest.raises(ValueError):
+        exp_orbit(a, 0.0, 1)
+    with pytest.raises(ValueError):
+        find_cycle(a, 1, 0.0)
 
 
 def test_itinerary_real_orbit_is_zero():
@@ -144,3 +158,116 @@ def test_viewport_validation():
         Viewport(1, 0, 0, 1, 5, 5)
     with pytest.raises(ValueError):
         Viewport(0, 0, 0, 1, 5, 5)
+    # non-finite bounds, and finite bounds whose span overflows
+    for bounds in ((0.0, math.nan, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0),
+                   (-math.inf, 0.0, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0),
+                   (-1e308, 1e308, 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            Viewport(*bounds, 4, 4)
+
+
+@pytest.mark.parametrize("escape_re", [math.nan, math.inf, -math.inf])
+def test_escape_times_rejects_non_finite_escape_line(escape_re):
+    with pytest.raises(ValueError):
+        escape_times(-1.0, Viewport(-2.0, 4.0, -1.0, 1.0, 4, 4), 10, escape_re)
+
+
+def reference_escape_times(a, viewport, max_iter, escape_re=50.0):
+    """The full-grid loop: every pixel stays in the array until it escapes."""
+    a = _check_param(a)
+    re = np.linspace(viewport.re_min, viewport.re_max, viewport.width_px)
+    im = np.linspace(viewport.im_max, viewport.im_min, viewport.height_px)
+    z = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+    times = np.full(z.shape, max_iter, dtype=np.int32)
+    alive = np.ones(z.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for n in range(max_iter):
+            esc = alive & (z.real > escape_re)
+            times[esc] = n
+            alive &= ~esc
+            if not alive.any():
+                break
+            zn = np.where(alive, z, 0.0)
+            z = np.where(alive, np.exp(zn) + a, z)
+            bad = alive & ~np.isfinite(z)
+            times[bad] = n + 1
+            alive &= ~bad
+    return times
+
+
+# attracting (disk; half-plane and disk), parabolic, repelling, attracting
+EQUIVALENCE_PARAMS = [-0.5 + 1j, -2.0, -1.0, 0.3 + 0.2j, -3.0]
+
+
+@pytest.mark.parametrize("max_iter", [1, 60, 200])
+@pytest.mark.parametrize("escape_re", [50.0, 1.0, 0.0, -1.0])
+@pytest.mark.parametrize("a", EQUIVALENCE_PARAMS)
+def test_escape_times_equals_the_full_grid_loop(a, escape_re, max_iter):
+    v = Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)
+    expected = reference_escape_times(a, v, max_iter, escape_re)
+    got = escape_times(a, v, max_iter, escape_re)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_escape_times_equals_the_full_grid_loop_past_overflow():
+    # above Re ~ 709.8 the step overflows and the pixel takes time n + 1
+    v = Viewport(-2.0, 800.0, -3.0, 3.0, 37, 5)
+    for a in (-2.0, 0.3 + 0.2j):
+        assert np.array_equal(escape_times(a, v, 30, 1000.0),
+                              reference_escape_times(a, v, 30, 1000.0))
+
+
+# sha256 of 64x64 tiles of the default viewport at max_iter 100, rendered by
+# the full-grid loop before the traps and the active set were introduced
+PINNED_TILES = {
+    -0.5 + 1j: "8b93212795149950e9aaf2aebc9f31b0a4ee1d6efed640bd43961b2b63a4621b",
+    -2.0: "c368fdbc673975858b0f7b92171c56bae9efbf8d084948831e631a862a2b669a",
+    -1.0: "cf69fea75a24fff1652e5b113b4c838119c3315ba61744935886a1a0f27cb5da",
+    0.3 + 0.2j: "7f848426fae7d9263ad4b62038f0ea1ce1c87cfcf92a4e60381c3e375877613a",
+}
+
+
+@pytest.mark.parametrize("a", list(PINNED_TILES))
+def test_render_matches_pinned_hash(a, tmp_path):
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 64)
+    path = tmp_path / "tile.ppm"
+    summary = render_escape(a, v, 100, str(path))
+    assert summary.content_hash == PINNED_TILES[a]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TILES[a]
+
+
+def test_basin_trap_kinds():
+    (half,) = _basin_trap(-1.0 + 0j, 50.0)         # parabolic: no disk exists
+    assert half.radius is None
+    (disk,) = _basin_trap(-0.5 + 1j, 50.0)
+    assert disk.radius > 0.4
+    assert abs(disk.center - find_cycle(-0.5 + 1j, 1, disk.center).points[0]) < 1e-12
+    (disk,) = _basin_trap(-2.0 + 0j, -1.0)         # half-plane needs escape_re >= 0
+    assert disk.center.real + disk.radius < -1.0
+    assert _basin_trap(0.3 + 0.2j, 50.0) == ()     # repelling: nothing to trap
+
+
+@settings(max_examples=60, deadline=None)
+# a few parameters on either side of the half-plane gate Re a <= -1
+@given(a=st.one_of(st.sampled_from(EQUIVALENCE_PARAMS + [-0.9, -0.95 + 0.5j, -1.5 + 2j]),
+                   st.builds(cmath.rect, st.floats(0.0, 9.999), st.floats(-math.pi, math.pi))),
+       escape_re=st.sampled_from([50.0, 1.0, 0.0, -1.0]),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+       angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=16, max_size=16),
+       depths=st.lists(st.floats(0.0, 60.0), min_size=16, max_size=16),
+       heights=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+def test_basin_traps_are_forward_invariant(a, escape_re, fracs, angles, depths, heights):
+    a = complex(a)
+    n = len(fracs)
+    for trap in _basin_trap(a, escape_re):
+        if trap.radius is None:
+            z = -np.array(depths[:n]) + 1j * np.array(heights[:n])
+        else:
+            rho = trap.radius * np.array(fracs)
+            z = trap.center + rho * np.exp(1j * np.array(angles[:n]))
+        z = z[trap.contains(z)]
+        for _ in range(500):
+            z = np.exp(z) + a
+            assert trap.contains(z).all()
+            assert (z.real <= escape_re).all()
