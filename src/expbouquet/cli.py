@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
 
 from .intervals import Interval
@@ -72,6 +74,13 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
             print(f"{key}: {value}")
 
 
+def _ensure_out_dir(cfg: RunConfig) -> None:
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:
+        raise _UsageError(f"cannot use output directory {cfg.out_dir!r}: {e}") from e
+
+
 def _interval_payload(iv: Interval) -> dict:
     return iv.to_json()
 
@@ -92,8 +101,27 @@ def _config(args) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+# argparse reads a token that starts with "-" as an option unless it is a
+# plain negative number, so values such as "-2,4,-3,3" or "-0.5+1j" would be
+# lost; such a token right after a long option is joined to it as "--opt=val"
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for tok in sys.argv[1:] if args is None else args:
+            prev = joined[-1] if joined else ""
+            if (_SIGNED_VALUE.match(tok) and prev.startswith("--") and len(prev) > 2
+                    and "=" not in prev):
+                joined[-1] = f"{prev}={tok}"
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expbouquet",
         description="Certified Cantor-bouquet model numerics and exponential plane dynamics",
     )
@@ -229,8 +257,7 @@ def _cmd_render(args, cfg: RunConfig) -> int:
         raise _UsageError(f"bad viewport: {e}") from e
     path = args.path
     if path is None:
-        import os
-
+        _ensure_out_dir(cfg)
         path = os.path.join(cfg.out_dir, "escape.ppm")
     summary = render_escape(a, viewport, args.max_iter, path, args.escape_re)
     _emit(summary.to_json(), cfg)
@@ -250,6 +277,7 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    _ensure_out_dir(cfg)
     report = run_all(cfg)
     if cfg.fmt == "json":
         print(json.dumps(report, sort_keys=True))

@@ -13,6 +13,7 @@ last carrying the blocking enclosure as evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +134,16 @@ class Interval:
     @staticmethod
     def point(v: float) -> "Interval":
         return Interval(v, v)
+
+    @staticmethod
+    def from_int(n: int) -> "Interval":
+        """Tightest enclosure of an integer; a point when the double is exact."""
+        f = float(n)
+        if f == n:  # int/float comparison is exact in Python
+            return Interval(f, f)
+        lo = f if f < n else round_down(f)
+        hi = f if f > n else round_up(f)
+        return Interval(lo, hi, False, hi == math.inf)
 
     @staticmethod
     def from_fraction(fr: Fraction) -> "Interval":
@@ -328,7 +339,13 @@ def growth_pow(x: Interval | float | int, n: int) -> Interval:
     """Interval enclosure of the n-fold growth map F^n, F(t) = e^t - 1, n >= 0."""
     iv = x if isinstance(x, Interval) else Interval.point(float(x))
     for _ in range(n):
-        iv = iv.growth()
+        nxt = iv.growth()
+        if nxt == iv:
+            # growth() depends only on endpoint values and flags (a signed zero
+            # takes the t == 0 branch), so F(nxt) is nxt bit for bit: a fixed
+            # point such as [HUGE, inf) or [0, 0] stays fixed for the rest
+            return nxt
+        iv = nxt
     return iv
 
 
@@ -341,7 +358,20 @@ def growth_inv_pow(x: Interval | float | int, k: int) -> Interval:
 
 
 def growth_net(x: Interval | float | int, e: int) -> Interval:
-    """F^e for any integer e: forward growth for e >= 0, iterated ln(1+.) below."""
+    """F^e for any integer e: forward growth for e >= 0, iterated ln(1+.) below.
+
+    Integer bases (towers F^h(c) and their inverse steps) are memoised; the
+    Interval results are frozen, so callers share them safely.
+    """
+    if type(x) is int:
+        return _int_tower(x, e)
     if e >= 0:
         return growth_pow(x, e)
     return growth_inv_pow(x, -e)
+
+
+# keyed by (int base, exponent) only: bools and floats never reach it, so
+# True and 1.0 cannot alias the entry of 1
+@functools.lru_cache(maxsize=4096)
+def _int_tower(base: int, e: int) -> Interval:
+    return growth_net(float(base), e)

@@ -63,11 +63,11 @@ class IntEntry:
     value: int
 
     def abs_interval(self) -> Interval:
-        return Interval.point(float(abs(self.value)))
+        return Interval.from_int(abs(self.value))
 
     def pot(self, k: int) -> Interval:
         """Enclosure of F^-k |value|."""
-        return growth_inv_pow(abs(self.value), k)
+        return growth_inv_pow(self.abs_interval(), k)
 
     def descend(self, w: Interval) -> Interval:
         """Enclosure of F^-1(|value| + w)."""
@@ -197,17 +197,41 @@ class CeilExp:
 Entry = IntEntry | FloorPow | CeilExp
 
 
+def _in_double_range(v, what: str):
+    """Reject a descriptor value whose enclosure cannot be built from a double."""
+    try:
+        float(v)
+    except OverflowError:
+        raise DescriptorError(f"{what} beyond double range") from None
+    return v
+
+
+def _parse_int(v, what: str) -> int:
+    try:
+        n = int(v)
+    except OverflowError:  # an infinite float
+        raise DescriptorError(f"{what} beyond double range") from None
+    return _in_double_range(n, what)
+
+
 def entry_from_json(obj) -> Entry:
     if isinstance(obj, bool):
         raise DescriptorError("prefix entries must be integers")
     if isinstance(obj, int):
-        return IntEntry(obj)
+        return IntEntry(_in_double_range(obj, "prefix integer"))
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == "floor_tower":
-            return FloorPow(int(obj["c"]), int(obj["h"]))
+            base = _parse_int(obj["c"], "floor_tower base")
+            height = _parse_int(obj["h"], "floor_tower height")
+            if base < 1 or height < 1:
+                raise DescriptorError("floor_tower needs base c >= 1 and height h >= 1")
+            return FloorPow(base, height)
         if kind == "ceil_exp":
-            return CeilExp(_parse_rational(obj["arg"]))
+            arg = _parse_rational(obj["arg"])
+            if arg < 0:
+                raise DescriptorError("ceil_exp needs a nonnegative arg")
+            return CeilExp(_in_double_range(arg, "ceil_exp arg"))
         raise DescriptorError(f"unknown prefix entry kind {kind!r}")
     raise DescriptorError(f"bad prefix entry {obj!r}")
 
@@ -223,6 +247,8 @@ def _parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DescriptorError(f"bad rational {v!r}")
         return Fraction(v)
     if isinstance(v, str):
         try:
@@ -429,16 +455,21 @@ class SymbolSeq:
             raise DescriptorError("tail must be an object with a kind")
         kind = tail_raw["kind"]
         if kind == "const":
-            tail: TailRule = ConstTail(int(tail_raw["c"]))
+            tail: TailRule = ConstTail(_parse_int(tail_raw["c"], "const c"))
         elif kind == "periodic":
             pat = tail_raw.get("pattern")
             if not isinstance(pat, list):
                 raise DescriptorError("periodic tail needs a pattern list")
-            tail = PeriodicTail(tuple(int(v) for v in pat))
+            tail = PeriodicTail(tuple(_parse_int(v, "periodic entry") for v in pat))
         elif kind == "fexp":
-            tail = ExpTowerTail(int(tail_raw["c"]), tail_raw.get("anchor"))
+            anchor = tail_raw.get("anchor")
+            tail = ExpTowerTail(_parse_int(tail_raw["c"], "fexp c"),
+                                None if anchor is None else _parse_int(anchor, "fexp anchor"))
         elif kind == "linexp":
-            tail = LinExpTail(_parse_rational(tail_raw["c"]), int(tail_raw.get("offset", 0)))
+            rate = _parse_rational(tail_raw["c"])
+            offset = _parse_int(tail_raw.get("offset", 0), "linexp offset")
+            _in_double_range(rate * offset, "linexp rate * offset")
+            tail = LinExpTail(rate, offset)
         else:
             raise DescriptorError(f"unknown tail kind {kind!r}")
         try:

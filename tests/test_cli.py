@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, schema round-trips, determinism."""
 
+import hashlib
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
-from expbouquet.cli import main
+import pytest
+
+from expbouquet.cli import build_parser, main
 from expbouquet.intervals import Interval
 from expbouquet.sequences import SymbolSeq
 
@@ -162,3 +167,98 @@ def test_verify_unattainable_tolerance_fails_honestly(tmp_path, capsys):
     assert report["passed"] is False
     failed = {s["name"] for s in report["suites"] if not s["passed"]}
     assert failed, "expected honest failures at an unattainable tolerance"
+
+
+def _readme_quick_start() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("expbouquet ")]
+
+
+def test_readme_quick_start_lines_parse():
+    lines = _readme_quick_start()
+    assert len(lines) == 8
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]
+    render_line = next(line for line in lines if line.startswith("expbouquet render "))
+    render = build_parser().parse_args(shlex.split(render_line)[1:])
+    assert render.a == "-1" and render.viewport == "-2,4,-3.14159,3.14159"
+
+
+def test_values_starting_with_minus_reach_their_option(tmp_path, capsys):
+    args = build_parser().parse_args(["cycle", "--a", "-0.5+1j", "--seed-point", "-.5-1j"])
+    assert (args.a, args.seed_point) == ("-0.5+1j", "-.5-1j")
+    code, out = run(capsys, "render", "--a", "-2", "--viewport", "-2,4,-3,3", "--px", "8x6",
+                    "--max-iter", "10", "--out", str(tmp_path))
+    assert code == 0 and json.loads(out)["escaped_pixels"] > 0
+    # a flag that takes no value still rejects one
+    assert main(["strata", CONST1, "--extend", "-2,4"]) == 2
+
+
+def test_verify_creates_a_missing_out_directory(tmp_path, capsys):
+    out_dir = tmp_path / "not" / "yet"
+    code, out = run(capsys, "verify", "--seed", "0", "--out", str(out_dir))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert (out_dir / "verify_render.ppm").exists()
+
+
+def test_unusable_out_directory_exits_2_before_any_suite(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["verify", "--out", str(blocker / "sub")],
+                 ["render", "--a", "-1", "--px", "4x4", "--out", str(blocker)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("desc", [
+    '{"prefix": [0, ' + str(10**336) + '], "tail": {"kind": "const", "c": 0}}',
+    '{"prefix": [0, {"kind": "floor_tower", "c": 0, "h": -3}], "tail": {"kind": "const", "c": 0}}',
+    '{"prefix": [0, {"kind": "floor_tower", "c": -5, "h": 2}], "tail": {"kind": "const", "c": 0}}',
+])
+def test_out_of_range_descriptors_exit_2(desc, capsys):
+    for command in ("tstar", "tmin"):
+        assert main([command, desc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad sequence descriptor: ")
+
+
+# sha256 of the stdout of each command, recorded before tower enclosures
+# were memoised; any change to these bytes is a behaviour change
+PINNED_OUTPUTS = [
+    (("witness", '{"prefix": [1], "tail": {"kind": "fexp", "c": 7}}',
+      "--alpha", "0,2,4", "--n", "5", "--count", "9"),
+     "6a8aefcd58f7913292c13d2aba794b7c892cc6e00264a3a34ac80ba78479320f"),
+    (("witness", '{"prefix": [4], "tail": {"kind": "fexp", "c": 3}}',
+      "--alpha", "0,1,2", "--n", "3", "--count", "4"),
+     "f1d3f84a89417b50c554e20a165331a8086ef374e224ce4aaeab5dc9c5d16e98"),
+    (("witness", '{"prefix": [5], "tail": {"kind": "linexp", "c": "2/1"}}',
+      "--alpha", "0,3", "--n", "4", "--count", "6"),
+     "b336595bcc7bc846972e27638dc7498f4e0e81bee81a5af7b476fa111de29415"),
+    (("witness", '{"prefix": [3], "tail": {"kind": "linexp", "c": "2/1"}}',
+      "--alpha", "0,2", "--n", "3", "--count", "5"),
+     "a31c7ddb190d21f7c06824fdf936b0a6a743f12e80876fe82cff993378eb45eb"),
+    (("strata", '{"prefix": [{"kind": "floor_tower", "c": 2, "h": 3}, -8, -2], '
+      '"tail": {"kind": "fexp", "c": 10}}', "--alpha", "5", "--extend"),
+     "f2f1da2122d92e077f73cb056af0ca97e9940cd08de3c16978ac39dd26dadee5"),
+    (("strata", '{"prefix": [{"kind": "floor_tower", "c": 6, "h": 5}], '
+      '"tail": {"kind": "fexp", "c": 3}}', "--alpha", "0,1,4", "--extend"),
+     "44623559218efdd291e5e7bc06c26a52cef5c98d98c668ae3dd3d66ee5153040"),
+    (("strata", '{"prefix": [{"kind": "floor_tower", "c": 1, "h": 3}], '
+      '"tail": {"kind": "linexp", "c": "1/3"}}', "--alpha", "", "--extend"),
+     "03d1db5802c2c393c9d13cf7b88ab02cdf5584f2d4f0a0afdd5a26f2b0356eca"),
+    (("strata", '{"prefix": [{"kind": "ceil_exp", "arg": "359/7"}], '
+      '"tail": {"kind": "linexp", "c": "2/1"}}', "--alpha", "0,3,4", "--extend"),
+     "279a852896185ff8ebf61b4543b0bc0be91d19454c7dad613e68e1edae04267e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_witness_and_extension_outputs_are_pinned(argv, digest, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -17,6 +17,7 @@ from expbouquet.intervals import (
     sum_down,
     sum_up,
 )
+from expbouquet.intervals import _int_tower
 
 finite_floats = st.floats(min_value=-1e300, max_value=1e300,
                           allow_nan=False, allow_infinity=False)
@@ -130,3 +131,77 @@ def test_fraction_interval_brackets_value():
     iv = Interval.from_fraction(fr)
     assert Fraction(iv.lo) <= fr <= Fraction(iv.hi)
     assert iv.width <= 2 * math.ulp(0.1)
+
+
+def _full_growth_loop(iv: Interval, n: int) -> Interval:
+    for _ in range(n):
+        iv = iv.growth()
+    return iv
+
+
+def _reference_net(base: int, e: int) -> Interval:
+    """Uncached F^e(base) by the plain step loop, no saturation stop."""
+    iv = Interval.point(float(base))
+    if e >= 0:
+        return _full_growth_loop(iv, e)
+    for _ in range(-e):
+        iv = iv.ln1p()
+    return iv
+
+
+@pytest.mark.parametrize("base", [*range(1, 13), 700])
+def test_memoised_tower_equals_reference_loop(base):
+    for e in range(-8, 41):
+        got, want = growth_net(base, e), _reference_net(base, e)
+        # == compares both endpoints and both open flags; repr tells -0.0 from 0.0
+        assert got == want and repr(got) == repr(want), (base, e)
+        assert growth_net(base, e) is got  # served from the cache the second time
+
+
+def test_tower_cache_is_bounded_and_keyed_by_int_bases_only():
+    assert _int_tower.cache_info().maxsize is not None
+    growth_net(1, 2)
+    before = _int_tower.cache_info()
+    # True == 1 as a dict key, so a bool must not even look the cache up
+    for x in (True, 1.0, 3.0, Interval.point(3.0)):
+        start = x if isinstance(x, Interval) else Interval.point(float(x))
+        assert growth_net(x, 2) == _full_growth_loop(start, 2)
+    assert _int_tower.cache_info() == before
+
+
+@pytest.mark.parametrize("iv", [
+    Interval(HUGE, math.inf, False, True),
+    Interval(HUGE, math.inf, True, True),
+    Interval.point(0.0),
+    Interval.point(-0.0),
+    Interval(-0.0, 0.0),
+    Interval.point(3.0),
+    Interval(1.0, 2.0, True, False),
+    Interval(-1e9, 0.0),
+    Interval(-0.5, 0.25, False, True),
+    Interval(700.0, 710.0),
+    Interval(5.0, math.inf, False, True),
+    Interval(0.0, 1.0),  # lower endpoint fixed, upper one still moving
+    Interval(HUGE, 1.7e308),
+    Interval(-2.0, math.inf, False, True),  # upper endpoint fixed, lower one moving
+])
+def test_growth_pow_saturation_stop_matches_full_loop(iv):
+    for n in (0, 1, 2, 3, 7, 40):
+        got, want = growth_pow(iv, n), _full_growth_loop(iv, n)
+        assert got == want and repr(got) == repr(want), (iv, n)
+
+
+def test_growth_pow_stops_at_the_fixed_point():
+    # a million-fold tower is saturated after a handful of steps
+    iv = growth_pow(3, 10**6)
+    assert iv == Interval(HUGE, math.inf, False, True)
+
+
+def test_from_int_encloses_integers_beyond_double_precision():
+    for v in (0, 7, 2**53, 2**53 + 1, -(2**53 + 1), 3**100, 10**300, -(10**300)):
+        iv = Interval.from_int(v)
+        assert Fraction(iv.lo) <= v <= Fraction(iv.hi), v
+        assert (iv.width == 0.0) == (float(v) == v)
+    big = 2**1024 - 2**971 + 1  # one above the largest double, rounds down to it
+    iv = Interval.from_int(big)
+    assert iv.lo < big and iv.hi == math.inf and iv.hi_open

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from expbouquet.intervals import Interval
 from expbouquet.sequences import (
     CeilExp,
     DescriptorError,
@@ -120,6 +122,59 @@ def test_descriptor_round_trip_with_symbolic_prefix():
 def test_descriptor_rejects_malformed(bad):
     with pytest.raises(DescriptorError):
         SymbolSeq.from_json(json.loads(bad))
+
+
+BEYOND_DOUBLE = 10**336
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"prefix": [0, BEYOND_DOUBLE], "tail": {"kind": "const", "c": 0}}, "prefix integer"),
+    ({"prefix": [], "tail": {"kind": "const", "c": -BEYOND_DOUBLE}}, "const c"),
+    ({"prefix": [], "tail": {"kind": "periodic", "pattern": [1, BEYOND_DOUBLE]}}, "periodic entry"),
+    ({"prefix": [], "tail": {"kind": "linexp", "c": "1/2", "offset": BEYOND_DOUBLE}},
+     "linexp offset"),
+    ({"prefix": [], "tail": {"kind": "linexp", "c": 700, "offset": 10**306}},
+     "linexp rate * offset"),
+    ({"prefix": [{"kind": "floor_tower", "c": 0, "h": -3}], "tail": {"kind": "const", "c": 0}},
+     "floor_tower needs"),
+    ({"prefix": [{"kind": "floor_tower", "c": -5, "h": 2}], "tail": {"kind": "const", "c": 0}},
+     "floor_tower needs"),
+    ({"prefix": [{"kind": "floor_tower", "c": 3, "h": 0}], "tail": {"kind": "const", "c": 0}},
+     "floor_tower needs"),
+    ({"prefix": [{"kind": "floor_tower", "c": BEYOND_DOUBLE, "h": 2}],
+      "tail": {"kind": "const", "c": 0}}, "floor_tower base"),
+    ({"prefix": [{"kind": "ceil_exp", "arg": "-3"}], "tail": {"kind": "const", "c": 0}},
+     "nonnegative"),
+    ({"prefix": [{"kind": "ceil_exp", "arg": str(BEYOND_DOUBLE)}],
+      "tail": {"kind": "const", "c": 0}}, "ceil_exp arg"),
+    # JSON 1e400 reads as an infinite float
+    ({"prefix": [], "tail": {"kind": "const", "c": math.inf}}, "const c"),
+    ({"prefix": [], "tail": {"kind": "fexp", "c": 3, "anchor": -math.inf}}, "fexp anchor"),
+    ({"prefix": [], "tail": {"kind": "linexp", "c": math.inf}}, "bad rational"),
+])
+def test_descriptor_rejects_values_outside_the_documented_range(desc, message):
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        SymbolSeq.from_json(json.loads(json.dumps(desc)))
+
+
+def test_large_values_inside_double_range_still_parse():
+    big = 10**300
+    for desc in ({"prefix": [0, big], "tail": {"kind": "const", "c": -big}},
+                 {"prefix": [{"kind": "floor_tower", "c": big, "h": 1}],
+                  "tail": {"kind": "linexp", "c": "1/2", "offset": big}}):
+        assert SymbolSeq.from_json(desc).to_json() == desc
+
+
+def test_int_entry_enclosures_round_outward():
+    for v in (2**53 + 1, -(2**53 + 1), 3**60, 10**300):
+        e = IntEntry(v)
+        iv = e.abs_interval()
+        assert Fraction(iv.lo) <= abs(v) <= Fraction(iv.hi), v
+        assert iv.lo < iv.hi
+        assert e.pot(0) == iv
+    # exactly representable values keep their point enclosures
+    assert IntEntry(-7).abs_interval() == Interval.point(7.0)
+    assert IntEntry(2**53).abs_interval() == Interval.point(float(2**53))
 
 
 def test_tail_validation():
