@@ -74,11 +74,11 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
             print(f"{key}: {value}")
 
 
-def _ensure_out_dir(cfg: RunConfig) -> None:
+def _ensure_dir(directory: str) -> None:
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError as e:
-        raise _UsageError(f"cannot use output directory {cfg.out_dir!r}: {e}") from e
+        raise _UsageError(f"cannot use output directory {directory!r}: {e}") from e
 
 
 def _interval_payload(iv: Interval) -> dict:
@@ -257,9 +257,12 @@ def _cmd_render(args, cfg: RunConfig) -> int:
         raise _UsageError(f"bad viewport: {e}") from e
     path = args.path
     if path is None:
-        _ensure_out_dir(cfg)
         path = os.path.join(cfg.out_dir, "escape.ppm")
-    summary = render_escape(a, viewport, args.max_iter, path, args.escape_re)
+    _ensure_dir(os.path.dirname(path) or os.curdir)
+    try:
+        summary = render_escape(a, viewport, args.max_iter, path, args.escape_re)
+    except OSError as e:  # e.g. the path names a directory
+        raise _UsageError(f"cannot write {path!r}: {e}") from e
     _emit(summary.to_json(), cfg)
     return EXIT_OK
 
@@ -277,7 +280,7 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    _ensure_out_dir(cfg)
+    _ensure_dir(cfg.out_dir)
     report = run_all(cfg)
     if cfg.fmt == "json":
         print(json.dumps(report, sort_keys=True))

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 # expm1 overflows just above e^709 ~ 8.2e307
 EXP_OVERFLOW_T = 709.0
+# real parts above this are not stepped: e^700 ~ 1e304 leaves headroom below overflow
+OVERFLOW_GUARD = 700.0
 # certified lower saturation: 8e307 < e^709 - 1, so growth of any t > 709 exceeds it
 HUGE = 8.0e307
 # beyond this, a +-1 floor/ceil slack propagates through one log far below 1 ulp

@@ -26,6 +26,7 @@ from enum import Enum
 
 from .intervals import (
     HUGE,
+    OVERFLOW_GUARD,
     TOWER_PIN,
     DEFAULT_TOL,
     Interval,
@@ -48,7 +49,6 @@ from .sequences import (
     SymbolSeq,
 )
 
-OVERFLOW_GUARD = 700.0
 PIN_ARG = 80.0
 EXTRA_TERMS = 8
 

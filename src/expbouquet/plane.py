@@ -14,20 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import TriBool, Interval, expm1_up, round_up, sum_up
+from .intervals import OVERFLOW_GUARD, TriBool, Interval, expm1_up, round_up, sum_up
 
 # one-step escape certificate for rendering: e^50 dwarfs any supported |a|
 ESCAPE_RE = 50.0
 PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
 
-# absolute slack in the disk-trap certificate: dominates the float error of
-# one step e^z + a inside a trap (|e^z| < 1, |a| <= 10: below 1e-14), of the
-# fixed-point residual evaluation (below 1e-14) and of the membership test
-# (relative 1e-15 of a radius below 11: below 1e-13)
+# Float errors covered by the trap-chain certificate of ``_basin_trap``, with
+# u = 2^-53 and faithful libm exp, cos and sin.  On disk j of a chain
+# |e^z| <= e^top, top = Re c_j + r_j, so
+# - one float step e^z + a is off by at most 8u (e^top + |a|), and
+# - the float residual |e^(c_j) + a - c_(j+1)| by at most 10u (e^top + |a| + |c_(j+1)|);
+# TRAP_REL_SLACK (1e-14 > 10u) times e^top + |a| + |c_(j+1)| covers both.
+# TRAP_SLACK covers the absolute rest: underflow in the membership test
+# and the rounding of the modulus.  The membership test dx*dx + dy*dy <= r*r
+# accepts only points within r (1 + 2.6u) of the centre and every point
+# within r (1 - 2.6u); TRAP_RADIUS_REL (1e-15 > 2.6u) widens the disk a
+# point may lie in and narrows the one its image must hit.
 TRAP_SLACK = 1e-12
-# orbit steps of the asymptotic value a before polishing its limit
+TRAP_REL_SLACK = 1e-14
+TRAP_RADIUS_REL = 1e-15
+# orbit steps of the asymptotic value a before polishing its limit cycle
 TRAP_ORBIT_STEPS = 200
+# longest attracting cycle that gets a trap chain, and how close f^p(w) must
+# come back to the orbit end w for p to be taken as its period
+TRAP_MAX_PERIOD = 8
+TRAP_PERIOD_TOL = 1e-6
 
 NEWTON_TOL = 1e-10
 MULTIPLIER_TOL = 1e-6
@@ -118,7 +131,7 @@ def region_stays_outside(a: complex, radius: float, z: complex,
     w = complex(z)
     ok_margin = 1e-9
     for _ in range(budget):
-        if w.real > 700.0:
+        if w.real > OVERFLOW_GUARD:
             return TriBool.yes()
         w = cmath.exp(w) + a
         if abs(w) < radius - ok_margin:
@@ -185,7 +198,7 @@ def find_cycle(a: complex, period: int, seed: complex,
         deriv = complex(1.0)
         overflow = False
         for _ in range(period):
-            if abs(w.real) > 700.0:
+            if abs(w.real) > OVERFLOW_GUARD:
                 overflow = True
                 break
             e = cmath.exp(w)
@@ -266,19 +279,86 @@ class RenderSummary:
 class _Trap:
     """A forward-invariant set of e^z + a that lies below the escape line.
 
-    With ``radius`` None it is the half-plane Re z <= 0, otherwise the closed
-    disk |z - center| <= radius.  ``contains`` is the float membership test
-    whose invariance under the float step the trap certificate covers.
+    With ``disks`` empty it is the half-plane Re z <= 0, otherwise the union
+    of the closed disks |z - c| <= r over its (c, r) pairs.  ``contains`` is
+    the float membership test whose invariance under the float step the
+    trap certificate covers.
     """
-    center: complex = 0j
-    radius: float | None = None
+    disks: tuple[tuple[complex, float], ...] = ()
 
     def contains(self, z: np.ndarray) -> np.ndarray:
-        if self.radius is None:
+        if not self.disks:
             return z.real <= 0.0
-        dx = z.real - self.center.real
-        dy = z.imag - self.center.imag
-        return dx * dx + dy * dy <= self.radius * self.radius
+        inside = None
+        for center, radius in self.disks:
+            # dx*dx + dy*dy in place: the same float operations, fewer
+            # temporaries
+            dx = z.real - center.real
+            dy = z.imag - center.imag
+            dx *= dx
+            dy *= dy
+            dx += dy
+            hit = dx <= radius * radius
+            if inside is None:
+                inside = hit
+            else:
+                inside |= hit
+        return inside
+
+
+def _cycle_of_a(a: complex, escape_re: float) -> tuple[complex, ...] | None:
+    """The cycle the orbit of a settles on, polished by ``find_cycle``.
+
+    Follows the orbit for TRAP_ORBIT_STEPS steps and takes the smallest
+    period p <= TRAP_MAX_PERIOD with |f^p(w) - w| below TRAP_PERIOD_TOL at
+    the orbit end w, else p = 1 (a slowly attracting fixed point).  None
+    when the orbit crosses the escape line or the overflow guard, or Newton
+    fails.
+    """
+    w = a
+    for _ in range(TRAP_ORBIT_STEPS):
+        if w.real > min(escape_re, OVERFLOW_GUARD):
+            return None
+        w = cmath.exp(w) + a
+    orbit = [w]
+    while len(orbit) <= TRAP_MAX_PERIOD and orbit[-1].real <= OVERFLOW_GUARD:
+        orbit.append(cmath.exp(orbit[-1]) + a)
+    period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < TRAP_PERIOD_TOL), 1)
+    try:
+        points = find_cycle(a, period, w).points
+        # an orbit spiralling slowly into a fixed point can pass for a longer
+        # cycle; Newton then lands on the fixed point, repeated
+        least = next(d for d in range(1, period + 1)
+                     if d == period or abs(points[d] - points[0]) < TRAP_PERIOD_TOL)
+        return points if least == period else find_cycle(a, least, w).points
+    except NoConvergenceError:
+        return None
+
+
+def _chain_radii(links: list[tuple[float, float, float]], r0: float,
+                 escape_re: float) -> tuple[float, ...] | None:
+    """Radii of a certified trap chain starting at r0, or None.
+
+    ``links`` holds, for each cycle point c_j, the triple Re c_j,
+    |f(c_j) - c_(j+1)| and |a| + |c_(j+1)| (indices mod p).  For z in
+    D(c_j, r_j), |f'| = e^(Re z) <= e^(Re c_j + r_j), so
+    |f(z) - c_(j+1)| <= e^(Re c_j + r_j) r_j + |f(c_j) - c_(j+1)| + slack_j
+    (see TRAP_SLACK for the float errors); that bound, in directed rounding,
+    is r_(j+1).  The chain is certified when the bound after the last disk
+    falls below r_0, every disk lies below escape_re by TRAP_SLACK and no
+    exponent passes the overflow guard.
+    """
+    radii = [r0]
+    for re_c, residual, sizes in links:
+        outer = round_up(radii[-1] * (1.0 + TRAP_RADIUS_REL))
+        top = sum_up(re_c, outer)
+        if not (top <= OVERFLOW_GUARD and sum_up(top, TRAP_SLACK) < escape_re):
+            return None
+        lipschitz = sum_up(1.0, expm1_up(top))
+        slack = sum_up(TRAP_SLACK, round_up(TRAP_REL_SLACK * sum_up(lipschitz, sizes)))
+        image = sum_up(sum_up(round_up(lipschitz * outer), residual), slack)
+        radii.append(round_up(image * (1.0 + 2.0 * TRAP_RADIUS_REL)))
+    return tuple(radii[:-1]) if radii[-1] < r0 else None
 
 
 def _basin_trap(a: complex, escape_re: float) -> tuple[_Trap, ...]:
@@ -288,42 +368,39 @@ def _basin_trap(a: complex, escape_re: float) -> tuple[_Trap, ...]:
     Re(e^z + a) <= 1 + Re a <= 0.  The float step keeps it too, because
     fl(e^x cos y) <= 1 for x <= 0 when libm exp and cos are faithful and
     rounding is monotone.
-    Disk: every attracting cycle attracts the orbit of the asymptotic value
-    a, so the orbit of a is followed for TRAP_ORBIT_STEPS steps and its limit
-    polished by ``find_cycle`` as a period-1 point c; the largest disk
-    D(c, r) on a grid of radii whose image provably lies inside it, with
-    Re c + r below escape_re, is returned.
-    Attracting cycles of period >= 2 get no trap.
+    Disk chain: every attracting cycle attracts the orbit of the asymptotic
+    value a, so the cycle of period p <= TRAP_MAX_PERIOD that the orbit of a
+    settles on is polished by ``find_cycle`` (see ``_cycle_of_a``).  Its
+    points c_0, ..., c_(p-1) are listed from the one of least real part,
+    where the cycle contracts most; r_0 runs down a grid of 63 radii below
+    min(-Re c_0, escape_re - Re c_0), and the first r_0 whose chain of disks
+    D(c_j, r_j) ``_chain_radii`` certifies is kept: each disk maps into the
+    next and the last into the first, so the union is forward-invariant.
+    A chain inside the half-plane trap catches nothing new and is dropped.
     """
     traps: list[_Trap] = []
     half_plane = a.real <= -1.0 and escape_re >= 0.0
     if half_plane:
         traps.append(_Trap())
-    w = a
-    for _ in range(TRAP_ORBIT_STEPS):
-        if w.real > min(escape_re, 700.0):
-            return tuple(traps)
-        w = cmath.exp(w) + a
-    try:
-        center = find_cycle(a, 1, w).points[0]
-    except NoConvergenceError:
+    cycle = _cycle_of_a(a, escape_re)
+    if cycle is None:
         return tuple(traps)
-    residual = abs(cmath.exp(center) + a - center)
-    # the certificate needs e^(Re c + r) < 1 and Re c + r < escape_re
-    r_max = min(-center.real, escape_re - center.real)
-    if not r_max > 0.0:
+    start = min(range(len(cycle)), key=lambda j: cycle[j].real)
+    cycle = cycle[start:] + cycle[:start]
+    r_max = min(-cycle[0].real, escape_re - cycle[0].real)
+    # each r_(j+1) is at least e^(Re c_j) r_j, and the last one TRAP_SLACK
+    # more, so no r_0 <= r_max closes a chain unless this holds (it fails
+    # for repelling and parabolic cycles)
+    contraction = -math.expm1(min(0.0, sum(c.real for c in cycle)))
+    if not (r_max > 0.0 and r_max * contraction > TRAP_SLACK):
         return tuple(traps)
+    links = [(c.real, abs(cmath.exp(c) + a - nxt), sum_up(abs(a), abs(nxt)))
+             for c, nxt in zip(cycle, cycle[1:] + cycle[:1])]
     for k in range(63, 0, -1):
-        radius = r_max * k / 64
-        # on the disk |f'| = e^(Re z) <= e^(Re c + r), so
-        # |f(z) - c| <= e^(Re c + r) r + |f(c) - c|; TRAP_SLACK covers the float errors
-        top = sum_up(center.real, radius)
-        lipschitz = sum_up(1.0, expm1_up(top))
-        image = sum_up(sum_up(round_up(lipschitz * radius), residual), TRAP_SLACK)
-        if image < radius and sum_up(top, TRAP_SLACK) < escape_re:
-            # a disk inside the half-plane trap catches nothing new
-            if not (half_plane and top <= 0.0):
-                traps.append(_Trap(center, radius))
+        radii = _chain_radii(links, r_max * k / 64, escape_re)
+        if radii is not None:
+            if not (half_plane and all(sum_up(c.real, r) <= 0.0 for c, r in zip(cycle, radii))):
+                traps.append(_Trap(tuple(zip(cycle, radii))))
             break
     return tuple(traps)
 
@@ -338,9 +415,10 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
     its orbit provably never escapes, so it keeps max_iter.  Each pixel goes
     through the same float steps as on a full-grid pass, so the times are
     exactly those of iterating every pixel for max_iter steps.  Traps exist
-    for an attracting fixed point found from the orbit of a, and for
-    Re a <= -1 with escape_re >= 0 (this covers the parabolic a = -1); an
-    attracting cycle of period >= 2 gets no trap.
+    for an attracting cycle of period up to TRAP_MAX_PERIOD that the orbit
+    of a settles on (a chain of disks around its points, one disk for a
+    fixed point), and for Re a <= -1 with escape_re >= 0 (this covers the
+    parabolic a = -1).  Longer attracting cycles get no trap.
     """
     a = _check_param(a)
     if not math.isfinite(escape_re):

@@ -207,11 +207,10 @@ def _in_double_range(v, what: str):
 
 
 def _parse_int(v, what: str) -> int:
-    try:
-        n = int(v)
-    except OverflowError:  # an infinite float
-        raise DescriptorError(f"{what} beyond double range") from None
-    return _in_double_range(n, what)
+    # int(v) would truncate a float and accept a numeric string or a bool
+    if type(v) is not int:
+        raise DescriptorError(f"{what} must be an integer, got {v!r}")
+    return _in_double_range(v, what)
 
 
 def entry_from_json(obj) -> Entry:

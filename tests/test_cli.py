@@ -214,6 +214,31 @@ def test_unusable_out_directory_exits_2_before_any_suite(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
+def test_render_creates_the_directory_of_its_path(tmp_path, capsys):
+    path = tmp_path / "not" / "yet" / "x.ppm"
+    code, out = run(capsys, "render", "--a", "-1", "--px", "4x4", "--path", str(path))
+    assert code == 0 and json.loads(out)["path"] == str(path)
+    assert path.exists()
+
+
+def test_unusable_render_path_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a file where the directory should be, and a directory where the file should be
+    for path in (blocker / "x.ppm", tmp_path):
+        code = main(["render", "--a", "-1", "--px", "4x4", "--path", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, path
+        assert captured.out == "" and captured.err.startswith("error: "), path
+
+
+def test_non_integer_descriptor_field_exits_2(capsys):
+    assert main(["tstar", '{"prefix": [], "tail": {"kind": "const", "c": 1.9}}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad sequence descriptor: const c must be an integer")
+
+
 @pytest.mark.parametrize("desc", [
     '{"prefix": [0, ' + str(10**336) + '], "tail": {"kind": "const", "c": 0}}',
     '{"prefix": [0, {"kind": "floor_tower", "c": 0, "h": -3}], "tail": {"kind": "const", "c": 0}}',

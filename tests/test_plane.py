@@ -20,7 +20,14 @@ from expbouquet import (
     render_escape,
     strip_itinerary,
 )
-from expbouquet.plane import _basin_trap, _check_param, classify_multiplier, escape_times
+from expbouquet.plane import (
+    TRAP_SLACK,
+    _basin_trap,
+    _chain_radii,
+    _check_param,
+    classify_multiplier,
+    escape_times,
+)
 
 
 def test_orbit_fixed_point():
@@ -195,19 +202,31 @@ def reference_escape_times(a, viewport, max_iter, escape_re=50.0):
     return times
 
 
-# attracting (disk; half-plane and disk), parabolic, repelling, attracting
+# attracting (disk; half-plane and disk), parabolic, super-attracting
+# 4-cycle through a (its fixed point repels), attracting
 EQUIVALENCE_PARAMS = [-0.5 + 1j, -2.0, -1.0, 0.3 + 0.2j, -3.0]
+# attracting cycles of period 2, 3, 4 and 8 (multipliers about 0.81, 0.79,
+# 1.7e-5 and 0.033), each with an escape line just above the cycle; for
+# a = 0.2-0.2i it shrinks the trap chain
+CYCLE_PARAMS = {1.6 - 2.2j: 2.0, 0.7 - 0.7j: 2.5, 0.2 - 0.2j: 4.0, 0.3 - 0.5j: 4.5}
 
 
 @pytest.mark.parametrize("max_iter", [1, 60, 200])
 @pytest.mark.parametrize("escape_re", [50.0, 1.0, 0.0, -1.0])
-@pytest.mark.parametrize("a", EQUIVALENCE_PARAMS)
+@pytest.mark.parametrize("a", EQUIVALENCE_PARAMS + list(CYCLE_PARAMS))
 def test_escape_times_equals_the_full_grid_loop(a, escape_re, max_iter):
     v = Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)
     expected = reference_escape_times(a, v, max_iter, escape_re)
     got = escape_times(a, v, max_iter, escape_re)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("a", list(CYCLE_PARAMS))
+def test_escape_times_equals_the_full_grid_loop_on_a_bounding_escape_line(a):
+    v = Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)
+    assert np.array_equal(escape_times(a, v, 200, CYCLE_PARAMS[a]),
+                          reference_escape_times(a, v, 200, CYCLE_PARAMS[a]))
 
 
 def test_escape_times_equals_the_full_grid_loop_past_overflow():
@@ -237,15 +256,49 @@ def test_render_matches_pinned_hash(a, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TILES[a]
 
 
+def test_render_matches_pinned_hash_at_max_iter_200(tmp_path):
+    # rendered before trap chains existed; the 4-cycle chain of a = 0.3+0.2i
+    # retires most pixels here
+    digest = "396cb0a1f9d9a7c7c4360b68642cfc040acf49e03664a046fef1a5c37e97a825"
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 64)
+    assert render_escape(0.3 + 0.2j, v, 200, str(tmp_path / "tile.ppm")).content_hash == digest
+
+
 def test_basin_trap_kinds():
     (half,) = _basin_trap(-1.0 + 0j, 50.0)         # parabolic: no disk exists
-    assert half.radius is None
+    assert half.disks == ()
+    # period 1: the disks found before trap chains existed, bit for bit
     (disk,) = _basin_trap(-0.5 + 1j, 50.0)
-    assert disk.radius > 0.4
-    assert abs(disk.center - find_cycle(-0.5 + 1j, 1, disk.center).points[0]) < 1e-12
+    assert disk.disks == ((-0.5156063086295142 + 1.5969344631287699j, 0.507549960057178),)
+    ((center, _),) = disk.disks
+    assert abs(center - find_cycle(-0.5 + 1j, 1, center).points[0]) < 1e-12
     (disk,) = _basin_trap(-2.0 + 0j, -1.0)         # half-plane needs escape_re >= 0
-    assert disk.center.real + disk.radius < -1.0
-    assert _basin_trap(0.3 + 0.2j, 50.0) == ()     # repelling: nothing to trap
+    assert disk.disks == ((-1.8414056604369606 + 0j, 0.8282586969926331),)
+    # the fixed point is repelling, but a lies on a super-attracting 4-cycle
+    (chain,) = _basin_trap(0.3 + 0.2j, 50.0)
+    cycle = find_cycle(0.3 + 0.2j, 4, 0.3 + 0.2j)
+    assert cycle.kind == "attracting" and abs(cycle.multiplier) < 1e-30
+    assert len(chain.disks) == 4
+    for center, _ in chain.disks:
+        assert min(abs(center - c) for c in cycle.points) < 1e-12
+    # no trap can lie below an escape line that the cycle crosses
+    assert _basin_trap(0.3 + 0.2j, 1.0) == ()
+
+
+def _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights):
+    """Points sampled in the trap stay in it and below the escape line for 500 float steps."""
+    n = len(fracs)
+    if not trap.disks:
+        z = -np.array(depths[:n]) + 1j * np.array(heights[:n])
+    else:
+        rim = np.array(fracs) * np.exp(1j * np.array(angles[:n]))
+        z = np.concatenate([center + radius * rim for center, radius in trap.disks])
+    z = z[trap.contains(z)]
+    for _ in range(500):
+        assert (z.real <= escape_re).all()
+        z = np.exp(z) + a
+        assert trap.contains(z).all()
+    assert (z.real <= escape_re).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,15 +312,27 @@ def test_basin_trap_kinds():
        heights=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
 def test_basin_traps_are_forward_invariant(a, escape_re, fracs, angles, depths, heights):
     a = complex(a)
-    n = len(fracs)
     for trap in _basin_trap(a, escape_re):
-        if trap.radius is None:
-            z = -np.array(depths[:n]) + 1j * np.array(heights[:n])
-        else:
-            rho = trap.radius * np.array(fracs)
-            z = trap.center + rho * np.exp(1j * np.array(angles[:n]))
-        z = z[trap.contains(z)]
-        for _ in range(500):
-            z = np.exp(z) + a
-            assert trap.contains(z).all()
-            assert (z.real <= escape_re).all()
+        _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights)
+
+
+@pytest.mark.parametrize("a", list(CYCLE_PARAMS))
+@pytest.mark.parametrize("bounded", [False, True])
+def test_trap_chains_are_forward_invariant(a, bounded):
+    escape_re = CYCLE_PARAMS[a] if bounded else 50.0
+    (chain,) = _basin_trap(a, escape_re)
+    assert len(chain.disks) > 1
+    # rims and interiors of every disk, 16 directions
+    fracs = [1.0, 0.999, 0.9, 0.5, 0.1, 0.0] + [1.0] * 10
+    angles = [2.0 * math.pi * k / 16 for k in range(16)]
+    _assert_invariant(chain, a, escape_re, fracs, angles, [], [])
+
+
+def test_chain_slack_grows_with_the_size_of_the_step():
+    # one float step onto a point of modulus 1e5 may be off by half an ulp
+    # of 1e5, more than the absolute TRAP_SLACK
+    assert math.ulp(1e5) / 2 > TRAP_SLACK
+    # at r = 1 the exact bound e^(Re c + r) r falls short of r by about 1e-11
+    re_c = -1.0 - 1e-11
+    assert _chain_radii([(re_c, 0.0, 1.0)], 1.0, 50.0) is not None
+    assert _chain_radii([(re_c, 0.0, 1e5)], 1.0, 50.0) is None

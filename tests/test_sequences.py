@@ -157,6 +157,44 @@ def test_descriptor_rejects_values_outside_the_documented_range(desc, message):
         SymbolSeq.from_json(json.loads(json.dumps(desc)))
 
 
+def _with_int_field(field, v):
+    """A valid descriptor with ``v`` in the named integer field."""
+    tail = {"kind": "const", "c": 0}
+    prefix = []
+    if field == "const c":
+        tail = {"kind": "const", "c": v}
+    elif field == "periodic entry":
+        tail = {"kind": "periodic", "pattern": [1, v]}
+    elif field == "fexp c":
+        tail = {"kind": "fexp", "c": v}
+    elif field == "fexp anchor":
+        tail = {"kind": "fexp", "c": 3, "anchor": v}
+    elif field == "floor_tower base":
+        prefix = [{"kind": "floor_tower", "c": v, "h": 2}]
+    elif field == "floor_tower height":
+        prefix = [{"kind": "floor_tower", "c": 2, "h": v}]
+    elif field == "linexp offset":
+        tail = {"kind": "linexp", "c": "1/2", "offset": v}
+    return {"prefix": prefix, "tail": tail}
+
+
+INT_FIELDS = ["const c", "periodic entry", "fexp c", "fexp anchor", "floor_tower base",
+              "floor_tower height", "linexp offset"]
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+@pytest.mark.parametrize("v", [1.9, 2.0, "3", True])
+def test_integer_fields_accept_only_json_integers(field, v):
+    with pytest.raises(DescriptorError, match=re.escape(f"{field} must be an integer")):
+        SymbolSeq.from_json(json.loads(json.dumps(_with_int_field(field, v))))
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_integer_fields_parse_json_integers(field):
+    desc = _with_int_field(field, -1 if field == "fexp anchor" else 2)
+    assert SymbolSeq.from_json(desc).to_json()["tail"]["kind"] == desc["tail"]["kind"]
+
+
 def test_large_values_inside_double_range_still_parse():
     big = 10**300
     for desc in ({"prefix": [0, big], "tail": {"kind": "const", "c": -big}},
