@@ -26,6 +26,8 @@ OVERFLOW_GUARD = 700.0
 HUGE = 8.0e307
 # beyond this, a +-1 floor/ceil slack propagates through one log far below 1 ulp
 TOWER_PIN = 1e30
+# growth-map arguments above this pin a +-1 slack below 1e-30 after one log
+PIN_ARG = 80.0
 
 DEFAULT_TOL = 1e-9
 TEST_MARGIN = 1e-6
@@ -149,10 +151,16 @@ class Interval:
 
     @staticmethod
     def from_fraction(fr: Fraction) -> "Interval":
+        """Tightest enclosure of a rational; a point when the double is exact."""
         f = float(fr)
-        lo = f if Fraction(f) <= fr else round_down(f)
-        hi = f if Fraction(f) >= fr else round_up(f)
-        return Interval(lo, hi)
+        p, q = f.as_integer_ratio()
+        # sign of f - fr in exact integers (both denominators are positive)
+        d = p * fr.denominator - fr.numerator * q
+        if d == 0:
+            return Interval(f, f)
+        if d < 0:
+            return Interval(f, round_up(f))
+        return Interval(round_down(f), f)
 
     # -- basic queries -----------------------------------------------------
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .intervals import (
     HUGE,
     OVERFLOW_GUARD,
+    PIN_ARG,
     TOWER_PIN,
     DEFAULT_TOL,
     Interval,
@@ -37,6 +39,8 @@ from .intervals import (
     log1p_up,
     round_down,
     round_up,
+    sum_down,
+    sum_up,
 )
 from .sequences import (
     Asymptotics,
@@ -49,7 +53,6 @@ from .sequences import (
     SymbolSeq,
 )
 
-PIN_ARG = 80.0
 EXTRA_TERMS = 8
 
 _LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
@@ -213,19 +216,20 @@ def potential_floor_from(seq: SymbolSeq, threshold: float) -> tuple[str, int | N
         anchor = tail.resolved_anchor(p)
         n = max(anchor + 1, 0)
         for _ in range(200):
-            lo = growth_net(tail.c, n - anchor).lo - 1.0
+            lo = sum_down(growth_net(tail.c, n - anchor).lo, -1.0)
             if lo > threshold:
                 return ("above", n)
             n += 1
         return ("unknown", None)
 
     if isinstance(tail, LinExpTail):
-        n = max(p - 1, 0)
-        for _ in range(400000):
-            a = Interval.from_fraction(tail.arg(n + 1))
-            if a.lo > threshold:
-                return ("above", n)
-            n += 1
+        # the lower end of the enclosure of arg(n + 1) is the greatest double
+        # <= arg(n + 1), so it exceeds threshold exactly when arg(n + 1)
+        # reaches the least double above threshold
+        start = max(p - 1, 0)
+        n = max(start, math.ceil(Fraction(round_up(threshold)) / tail.rate) - 1 - tail.offset)
+        if n - start < 400000:
+            return ("above", n)
         return ("unknown", None)
 
     if isinstance(tail, ConstTail):
@@ -395,9 +399,8 @@ def _endpoint_anchor(seq: SymbolSeq) -> tuple[int, _DescendState]:
         return level, _TowerRel(tail.c, g_level, _tower_pin_delta(a_lo))
 
     if isinstance(tail, LinExpTail):
-        n = max(p, 1)
-        while tail.arg(n) < PIN_ARG:
-            n += 1
+        # the least n >= max(p, 1) with rate * (n + offset) >= PIN_ARG
+        n = max(p, 1, math.ceil(Fraction(PIN_ARG) / tail.rate) - tail.offset)
         # w at level n-1 is rate*(n+offset) + [0, (2 + U)/e^arg], U a crude upper bound
         a = Interval.from_fraction(tail.arg(n))
         u_hi = round_up(float(tail.arg(n + 1)) + 2.0)
@@ -561,7 +564,6 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     """
     seq = x.seq
     t_iv: Interval = Interval.point(x.t)
-    cur = seq
     seen: dict = {}
     evidence = t_iv
     for n in range(budget + 1):
@@ -571,13 +573,14 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
             evidence = t_iv
             break
         if t_iv.width == 0.0:
-            key = (t_iv.lo, cur)
+            key = (t_iv.lo, seq.shift(n))
             if key in seen:
                 return Classification(Verdict.NON_ESCAPING)
             seen[key] = n
         if t_iv.lo >= 2.0:
+            cur = seq.shift(n)
             pot_n = potential(cur, 0)
-            if pot_n.hi != math.inf and t_iv.lo > pot_n.hi + 1.0:
+            if pot_n.hi != math.inf and t_iv.lo > sum_up(pot_n.hi, 1.0):
                 if cur.asymptotics is Asymptotics.BOUNDED:
                     if t_iv.lo >= _bounded_tail_escape_threshold(cur, 0):
                         return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
@@ -585,8 +588,7 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
                     return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
         evidence = t_iv
         if n < budget:
-            t_iv = t_iv.growth() - cur.entry(1).abs_interval()
-            cur = cur.shift(1)
+            t_iv = t_iv.growth() - seq.entry(n + 1).abs_interval()
 
     enc = endpoint_height_enclosure(seq, tol)
     if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:

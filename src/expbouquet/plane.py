@@ -464,8 +464,11 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
     times = escape_times(a, viewport, max_iter, escape_re)
     escaped = int((times < max_iter).sum())
     retained = int(times.size - escaped)
-    scaled = np.round(times.astype(np.float64) * (255.0 / max_iter)).astype(np.uint8)
-    rgb = np.repeat(scaled[:, :, np.newaxis], 3, axis=2)
+    # one RGB gray level per escape time, the same float steps as scaling each
+    # pixel; take() copies whole 3-byte rows, where lut[times] is twice as slow
+    levels = np.round(np.arange(max_iter + 1, dtype=np.float64) * (255.0 / max_iter))
+    lut = np.repeat(levels.astype(np.uint8)[:, np.newaxis], 3, axis=1)
+    rgb = lut.take(times, axis=0)
     header = f"P6\n{viewport.width_px} {viewport.height_px}\n255\n".encode("ascii")
     payload = header + rgb.tobytes()
     with open(path, "wb") as fh:

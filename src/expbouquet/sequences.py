@@ -11,11 +11,13 @@ cancellation, so quantities like ln-of-a-tower stay computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .intervals import (
+    OVERFLOW_GUARD,
+    PIN_ARG,
     TOWER_PIN,
     Interval,
     RigorError,
@@ -26,9 +28,6 @@ from .intervals import (
 )
 
 MAX_EXACT_INT = 2**53
-
-# growth-map arguments above this pin a +-1 slack below 1e-30 after one log
-PIN_ARG = 80.0
 
 
 class DescriptorError(ValueError):
@@ -80,6 +79,18 @@ class IntEntry:
         return self.value
 
 
+def _exact_floor(t: Interval) -> int | None:
+    """The common floor of every value in t, when it is an exact machine integer."""
+    if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
+        return int(math.floor(t.lo))
+    return None
+
+
+def _enclosure():
+    """A field computed once in ``__post_init__``, left out of ==, hash and repr."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class FloorPow:
     """Symbolic entry floor(F^height(base)) with base >= 1, height >= 1.
@@ -91,26 +102,34 @@ class FloorPow:
 
     base: int
     height: int
+    # |entry| is built on request: the potential and tower-relative nesting
+    # loops, which build most symbolic towers, never ask for it
+    _tower: Interval = _enclosure()
+    _int: int | None = _enclosure()
 
-    def tower(self, extra: int = 0) -> Interval:
-        return growth_net(self.base, self.height + extra)
+    def __post_init__(self):
+        t = growth_net(self.base, self.height)
+        object.__setattr__(self, "_tower", t)
+        object.__setattr__(self, "_int", _exact_floor(t))
+
+    def tower(self) -> Interval:
+        return self._tower
 
     def abs_interval(self) -> Interval:
-        v = self.as_int()
-        if v is not None:
-            return Interval.point(float(v))
-        t = self.tower()
+        if self._int is not None:
+            return Interval.point(float(self._int))
+        t = self._tower
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
     def pot(self, k: int) -> Interval:
-        v = self.as_int()
+        v = self._int
         if v is not None:
             return growth_inv_pow(v, k)
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
     def descend(self, w: Interval) -> Interval:
-        t = self.tower()
+        t = self._tower
         if t.lo < TOWER_PIN:
             return (self.abs_interval() + w).ln1p()
         # tower-relative step: ln(1 + floor(A) + w) = F^(h-1)(base) + ln(1 + (w - phi)/(1 + A))
@@ -123,13 +142,10 @@ class FloorPow:
         return below + corr
 
     def as_int(self) -> int | None:
-        t = self.tower()
-        if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
-            return int(math.floor(t.lo))
-        return None
+        return self._int
 
     def to_json(self):
-        v = self.as_int()
+        v = self._int
         if v is not None:
             return v
         return {"kind": "floor_tower", "c": self.base, "h": self.height}
@@ -141,54 +157,68 @@ class CeilExp:
 
     Lies in [F(arg), F(arg) + 1); through F^-k it lies in
     [F^-(k-1)(arg), F^-(k-1)(arg) + 1).
+
+    The tests arg == 0, arg <= PIN_ARG and arg <= OVERFLOW_GUARD read the upper
+    end of the arg enclosure, the least double >= arg; as every bound is a
+    double and arg >= 0, they are exact.
     """
 
     arg: Fraction
+    _arg_iv: Interval = _enclosure()
+    _grow: Interval = _enclosure()
+    _int: int | None = _enclosure()
+    _abs: Interval = _enclosure()
+
+    def __post_init__(self):
+        a = Interval.from_fraction(self.arg)
+        t = a.growth()
+        v = None
+        if a.hi == 0.0:
+            v = 0
+        elif t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
+            v = int(math.ceil(t.hi))
+        if v is not None:
+            absv = Interval.point(float(v))
+        else:
+            absv = Interval(t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf,
+                            t.lo_open, True)
+        object.__setattr__(self, "_arg_iv", a)
+        object.__setattr__(self, "_grow", t)
+        object.__setattr__(self, "_int", v)
+        object.__setattr__(self, "_abs", absv)
 
     def arg_interval(self) -> Interval:
-        return Interval.from_fraction(self.arg)
+        return self._arg_iv
 
     def abs_interval(self) -> Interval:
-        v = self.as_int()
-        if v is not None:
-            return Interval.point(float(v))
-        t = self.arg_interval().growth()
-        return Interval(t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf,
-                        t.lo_open, True)
+        return self._abs
 
     def pot(self, k: int) -> Interval:
-        v = self.as_int()
+        v = self._int
         if v is not None:
             return growth_inv_pow(v, k)
-        if self.arg <= 700:
+        if self._arg_iv.hi <= OVERFLOW_GUARD:
             # ceil(F(a)) is in [F(a), F(a) + 1); push the slack through all k
             # inverse steps, where it contracts away
-            return growth_inv_pow(self.abs_interval(), k)
-        inner = growth_inv_pow(self.arg_interval(), k - 1)
+            return growth_inv_pow(self._abs, k)
+        inner = growth_inv_pow(self._arg_iv, k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
 
     def descend(self, w: Interval) -> Interval:
-        if self.arg <= PIN_ARG:
-            return (self.abs_interval() + w).ln1p()
+        if self._arg_iv.hi <= PIN_ARG:
+            return (self._abs + w).ln1p()
         # ln(1 + ceil(F(a)) + w) = a + ln(1 + u e^-a), u in [w.lo, w.hi + 2)
-        a = self.arg_interval()
-        grow_lo = growth_net(a.lo, 1).lo
-        denom = 1.0 + grow_lo
+        denom = 1.0 + self._grow.lo
         y_lo = min(0.0, round_down(w.lo / denom))
         y_hi = max(0.0, round_up((w.hi + 2.0) / denom))
         corr = _tiny_ln1p(Interval(y_lo, y_hi))
-        return a + corr
+        return self._arg_iv + corr
 
     def as_int(self) -> int | None:
-        if self.arg == 0:
-            return 0
-        t = self.arg_interval().growth()
-        if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
-            return int(math.ceil(t.hi))
-        return None
+        return self._int
 
     def to_json(self):
-        v = self.as_int()
+        v = self._int
         if v is not None:
             return v
         return {"kind": "ceil_exp", "arg": f"{self.arg.numerator}/{self.arg.denominator}"}
@@ -325,7 +355,7 @@ class ExpTowerTail:
     def validate(self):
         if not isinstance(self.c, int) or self.c < 1:
             raise DescriptorError("fexp tail needs an integer c >= 1")
-        if self.c > 700:
+        if self.c > OVERFLOW_GUARD:
             raise DescriptorError("fexp base above the overflow guard (700)")
 
     def resolved_anchor(self, p: int) -> int:
@@ -335,9 +365,9 @@ class ExpTowerTail:
         h = n - self.resolved_anchor(p)
         if h < 1:
             raise RigorError("fexp entry below its anchor")
-        e = FloorPow(self.c, h)
-        v = e.as_int()
-        return IntEntry(v) if v is not None else e
+        # an entry that fits a machine integer is an IntEntry; no FloorPow is built
+        v = _exact_floor(growth_net(self.c, h))
+        return IntEntry(v) if v is not None else FloorPow(self.c, h)
 
     def shifted(self, p: int, k: int) -> "ExpTowerTail":
         return ExpTowerTail(self.c, self.resolved_anchor(p) - k)
@@ -362,7 +392,7 @@ class LinExpTail:
     def validate(self):
         if not isinstance(self.rate, Fraction) or self.rate <= 0:
             raise DescriptorError("linexp tail needs a positive rational rate")
-        if self.rate < Fraction(1, 10000) or self.rate > 700:
+        if self.rate < Fraction(1, 10000) or self.rate > OVERFLOW_GUARD:
             raise DescriptorError("linexp rate outside supported range [1/10000, 700]")
         if self.offset < 0:
             raise DescriptorError("linexp offset must be nonnegative")

@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .intervals import DEFAULT_TOL, Interval, TriBool, growth_net
+from .intervals import (
+    DEFAULT_TOL,
+    OVERFLOW_GUARD,
+    Interval,
+    TriBool,
+    expm1_down,
+    growth_net,
+    sum_down,
+    sum_up,
+)
 from .model import (
     BudgetExceededError,
     ModelPoint,
@@ -225,9 +234,9 @@ def _entry_abs_vs_tower(entry: Entry, cap: FloorPow) -> str:
     b = cap.tower()
     if ev is not None and b.lo >= abs(ev) + 1:
         return "entry"
-    if a.hi <= b.lo - 1.0:
+    if a.hi <= sum_down(b.lo, -1.0):
         return "entry"
-    if b.hi <= a.lo - 1.0 or (cv is not None and a.lo >= cv + 1):
+    if b.hi <= sum_down(a.lo, -1.0) or (cv is not None and a.lo >= cv + 1):
         return "cap"
     return "unknown"
 
@@ -246,6 +255,21 @@ def _strip_compare(base_c: int, base_exp: int, cap_c: int, cap_exp: int) -> str:
     if rhs.hi < lhs.lo:
         return "cap_smaller"
     return "unknown"
+
+
+def _ramp_below_cap_from(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
+    """Certify ceil(F(arg)) stays below the thinning cap from this index on.
+
+    ``a`` encloses the ramp argument arg, ``rate_hi`` bounds the rate above
+    and ``cap_below`` encloses F^(n-m-1)(cap_c).  Holds once
+    F^(n-m-1)(cap_c) >= arg + 1 and F(arg + 1) >= arg + rate + 2; both persist
+    as n grows (the tower at least squares, the ramp is linear).
+    """
+    if not (cap_below.lo >= sum_up(a.hi, 1.0) and a.lo >= 1.0):
+        return False
+    if a.lo >= OVERFLOW_GUARD:
+        return True
+    return expm1_down(sum_down(a.lo, 1.0)) >= sum_up(sum_up(a.hi, rate_hi), 2.0)
 
 
 def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
@@ -302,6 +326,7 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     # so a finite scan resolves the min entry-wise up to a certified crossover
     n = m + 1
     budget = 100000
+    rate_hi = Interval.from_fraction(tail.rate).hi
     while True:
         if n - m > budget:
             raise IncomparableTailsError("no certified crossover within budget",
@@ -322,16 +347,10 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
             n += 1
             continue
         arg = tail.arg(n)
-        # base entry ceil(F(arg)) stays below the cap for every n' >= n once
-        # F^(n-m-1)(cap_c) >= arg + 1 and e^(arg+1) >= arg + rate + 2; both
-        # persist as n grows (the tower at least squares, the ramp is linear)
-        cap_below = growth_net(cap_c, n - m - 1)
-        a = Interval.from_fraction(arg)
-        rate_hi = Interval.from_fraction(tail.rate).hi
-        if cap_below.lo >= a.hi + 1.0 and a.lo >= 1.0:
-            step_ok = math.expm1(a.lo + 1.0) >= a.hi + rate_hi + 2.0 if a.lo < 700 else True
-            if step_ok:
-                return SymbolSeq(tuple(prefix), LinExpTail(tail.rate, tail.offset))
+        # base entry ceil(F(arg)) stays below the cap for every n' >= n
+        if _ramp_below_cap_from(Interval.from_fraction(arg), rate_hi,
+                                growth_net(cap_c, n - m - 1)):
+            return SymbolSeq(tuple(prefix), LinExpTail(tail.rate, tail.offset))
         cap = FloorPow(cap_c, n - m)
         entry = tail.entry_at(p, n)
         pick = _entry_abs_vs_tower(entry, cap)

@@ -287,3 +287,44 @@ def test_witness_and_extension_outputs_are_pinned(argv, digest, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+RAMP_SLOW = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/7"}}'
+RAMP_OFFSET = ('{"prefix": [{"kind": "ceil_exp", "arg": "359/7"}, 3], '
+               '"tail": {"kind": "linexp", "c": "2/3", "offset": 5}}')
+RAMP_PINNED_PREFIX = '{"prefix": [{"kind": "ceil_exp", "arg": "801/2"}], "tail": {"kind": "linexp", "c": "5/4"}}'
+RAMP_HUGE_PREFIX = '{"prefix": [2, {"kind": "ceil_exp", "arg": "1500"}], "tail": {"kind": "linexp", "c": "3"}}'
+
+# sha256 of the stdout of linexp queries, recorded before symbolic entries
+# built their enclosures at construction and the ramp pin level and floor
+# index took closed forms
+PINNED_RAMP_OUTPUTS = [
+    (("tmin", RAMP_SLOW), "787c7762ecbc0a254301d31b2cc8d59b27071efdff9f94311c6e63c2f67d71bb"),
+    (("tmin", RAMP_OFFSET), "b80936b38cd44737bab6dd14fd11af036462d9ed6c5a64773e4d1654bc6faeb5"),
+    (("tmin", RAMP_PINNED_PREFIX),
+     "7fe6ed17f51983e6d3b70a07c9328b95488703dd27caeba3fb3e0be18611d2a1"),
+    (("tmin", RAMP_HUGE_PREFIX), "9dbe2bb29e592da2bb56fb55a30c724ed2f312568aed9d9c5e8ce58623ee6a79"),
+    (("classify", RAMP_SLOW, "--t", "1.1496040709566765"),
+     "41be11436543212f9c92b1896593a1e1dbb779e2fabd83ebdf063bd8f35878ff"),
+    (("classify", RAMP_OFFSET, "--t", "4.0"),
+     "cbefc8bfc165174e8f4962796bc6e58e549dc3b0fc45e5db1cf5700e3664a01c"),
+    (("classify", RAMP_PINNED_PREFIX, "--t", "1.9206895965808363"),
+     "dc374242d03a67da686a7932ae005fe4dc3feb64083fc6d0a6a37ded2b030716"),
+    (("classify", RAMP_HUGE_PREFIX, "--t", "2.0"),
+     "0be5f21a85154696021ed76a5050b17d92a468390488d96c4d6337887d6fb094"),
+    (("strata", RAMP_SLOW, "--alpha", "0,2", "--extend"),
+     "615b801f01fede86038b5aa618364af5119a88a259e96ea520d93c3f77fb1c67"),
+    (("strata", RAMP_OFFSET, "--alpha", "1", "--extend"),
+     "f5fc7e9a246e30ef4a53225d9b1b5571bf34c29b419d3a4bd005ce2313dc3db3"),
+    (("strata", RAMP_PINNED_PREFIX, "--alpha", "2,6", "--extend"),
+     "f36594e79577a51b2e6ccc97b303a3c6b3912a7edbb84c1855e37f1a3899b6e9"),
+    (("strata", RAMP_HUGE_PREFIX, "--alpha", "", "--extend"),
+     "6028015ae7e77f435ca771d798662056bbc0a02bbd9627199e6a6c2fff889e62"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_RAMP_OUTPUTS)
+def test_ramp_outputs_are_pinned(argv, digest, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

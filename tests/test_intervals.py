@@ -14,6 +14,8 @@ from expbouquet.intervals import (
     growth_inv_pow,
     growth_net,
     growth_pow,
+    round_down,
+    round_up,
     sum_down,
     sum_up,
 )
@@ -131,6 +133,43 @@ def test_fraction_interval_brackets_value():
     iv = Interval.from_fraction(fr)
     assert Fraction(iv.lo) <= fr <= Fraction(iv.hi)
     assert iv.width <= 2 * math.ulp(0.1)
+
+
+def _from_fraction_by_comparison(fr: Fraction) -> Interval:
+    """Reference enclosure: place the nearest double by Fraction comparisons."""
+    f = float(fr)
+    lo = f if Fraction(f) <= fr else round_down(f)
+    hi = f if Fraction(f) >= fr else round_up(f)
+    return Interval(lo, hi)
+
+
+def _midpoint_above(f: float) -> Fraction:
+    """The exact tie between f and the next double up."""
+    return (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+
+
+huge_ints = st.integers(min_value=1, max_value=10**400)
+fractions_in_double_range = st.one_of(
+    # huge numerators and denominators
+    st.builds(Fraction, st.integers(-10**400, 10**400), huge_ints).filter(
+        lambda fr: abs(fr) < 2**1023),
+    # exact doubles, ties between neighbours, and values one 2^-1100 off a tie
+    st.builds(Fraction, finite_floats),
+    st.builds(_midpoint_above, finite_floats),
+    st.builds(lambda f, s: _midpoint_above(f) + s * Fraction(1, 2**1100),
+              finite_floats, st.sampled_from([-1, 1])),
+    # ramp arguments k/q, as the linexp tails produce them
+    st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+)
+
+
+@given(fractions_in_double_range)
+@settings(max_examples=600)
+def test_from_fraction_matches_the_comparison_reference(fr):
+    iv = Interval.from_fraction(fr)
+    ref = _from_fraction_by_comparison(fr)
+    assert iv == ref and repr(iv) == repr(ref)
+    assert Fraction(iv.lo) <= fr <= Fraction(iv.hi)
 
 
 def _full_growth_loop(iv: Interval, n: int) -> Interval:

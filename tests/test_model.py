@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,9 @@ from expbouquet import (
     potential,
     potential_term,
 )
+from expbouquet.intervals import PIN_ARG, Interval, growth_net, sum_down, sum_up
+from expbouquet.model import _endpoint_anchor, potential_floor_from
+from expbouquet.sequences import IntEntry, LinExpTail, SymbolSeq
 from expbouquet.verify import dominated_pair, random_sequence
 
 LN2 = 0.6931471805599453
@@ -341,3 +345,85 @@ def test_classify_unknown_when_budget_too_small():
     result = classify(ModelPoint(h.mid + 1e-7, seq), 10)
     assert result.verdict is Verdict.UNKNOWN
     assert result.evidence is not None
+
+
+# -- ramp anchors and floors in closed form -------------------------------------
+
+ramp_tails = st.builds(LinExpTail,
+                       st.builds(Fraction, st.integers(1, 3000), st.integers(1, 300)).filter(
+                           lambda r: Fraction(1, 10000) <= r <= 700),
+                       st.integers(0, 2000))
+
+
+def _ramp_seq(tail: LinExpTail, p: int) -> SymbolSeq:
+    return SymbolSeq(tuple(IntEntry(v) for v in range(p)), tail)
+
+
+@given(ramp_tails, st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_ramp_pin_level_matches_the_scan(tail, p):
+    n = max(p, 1)
+    while tail.arg(n) < PIN_ARG:
+        n += 1
+    level, state = _endpoint_anchor(_ramp_seq(tail, p))
+    assert level == n - 1
+    assert state.lo == Interval.from_fraction(tail.arg(n)).lo
+
+
+@given(ramp_tails, st.integers(0, 40),
+       st.one_of(st.sampled_from([0.694, 2.0, 5.0, 8.0, 0.0, -0.0, -1.0]),
+                 st.floats(-5.0, 60.0),
+                 # index j: a threshold that the ramp argument at j meets exactly
+                 # or misses by one ulp either way
+                 st.tuples(st.integers(0, 300), st.sampled_from([-1.0, 0.0, 1.0]))))
+@settings(max_examples=300, deadline=None)
+def test_ramp_potential_floor_matches_the_scan(tail, p, threshold):
+    if isinstance(threshold, tuple):
+        j, direction = threshold
+        at = float(tail.arg(j))
+        threshold = math.nextafter(at, direction * math.inf) if direction else at
+    n = max(p - 1, 0)
+    for _ in range(400000):
+        if Interval.from_fraction(tail.arg(n + 1)).lo > threshold:
+            want = ("above", n)
+            break
+        n += 1
+    else:
+        want = ("unknown", None)
+    assert potential_floor_from(_ramp_seq(tail, p), threshold) == want
+
+
+def test_ramp_potential_floor_gives_up_past_the_scan_budget():
+    # rate 1/10000 reaches 50 at index 500000, beyond the 400000-index window
+    seq = _ramp_seq(LinExpTail(Fraction(1, 10000)), 0)
+    assert potential_floor_from(seq, 50.0) == ("unknown", None)
+    # arg(390000) = 39 exactly is not above 39, arg(390001) is
+    assert potential_floor_from(seq, 39.0) == ("above", 390000)
+
+
+# -- directed rounding at the certificate comparisons ---------------------------
+
+
+def test_escape_certificate_compares_against_a_directed_sum():
+    # pot.hi + 1.0 rounds down for this tail, so a height one ulp above the
+    # nearest sum is not certified above pot + 1; one more ulp is
+    c = next(c for c in range(2, 100)
+             if Fraction(potential(const_seq(c), 0).hi) + 1
+             > Fraction(potential(const_seq(c), 0).hi + 1.0))
+    pot_hi = potential(const_seq(c), 0).hi
+    t = math.nextafter(pot_hi + 1.0, math.inf)
+    assert t == sum_up(pot_hi, 1.0)
+    assert classify(ModelPoint(t, const_seq(c)), 0).verdict is Verdict.UNKNOWN
+    above = classify(ModelPoint(math.nextafter(t, math.inf), const_seq(c)), 0)
+    assert above.verdict is Verdict.ESCAPE_CERTIFIED
+
+
+def test_tower_floor_compares_a_directed_lower_bound():
+    # F^2(4) ~ 1.9e23: subtracting 1 rounds back up to F^2(4).lo, so the
+    # height-2 terms are not certified above a threshold one ulp below it
+    seq = fexp_seq(4)
+    lo = growth_net(4, 2).lo
+    threshold = math.nextafter(lo, 0.0)
+    assert lo - 1.0 == lo and sum_down(lo, -1.0) == threshold
+    assert potential_floor_from(seq, threshold) == ("above", 2)
+    assert potential_floor_from(seq, math.nextafter(threshold, 0.0)) == ("above", 1)

@@ -302,8 +302,10 @@ def _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights):
 
 
 @settings(max_examples=60, deadline=None)
-# a few parameters on either side of the half-plane gate Re a <= -1
-@given(a=st.one_of(st.sampled_from(EQUIVALENCE_PARAMS + [-0.9, -0.95 + 0.5j, -1.5 + 2j]),
+# a few parameters on either side of the half-plane gate Re a <= -1, and the
+# parameters with a trap chain (period 2 to 8)
+@given(a=st.one_of(st.sampled_from(EQUIVALENCE_PARAMS + [-0.9, -0.95 + 0.5j, -1.5 + 2j]
+                                   + list(CYCLE_PARAMS)),
                    st.builds(cmath.rect, st.floats(0.0, 9.999), st.floats(-math.pi, math.pi))),
        escape_re=st.sampled_from([50.0, 1.0, 0.0, -1.0]),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),

@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from expbouquet.intervals import Interval
+from expbouquet.intervals import (
+    PIN_ARG,
+    TOWER_PIN,
+    Interval,
+    growth_inv_pow,
+    growth_net,
+    round_down,
+    round_up,
+)
 from expbouquet.sequences import (
+    MAX_EXACT_INT,
     CeilExp,
     DescriptorError,
     ExpTowerTail,
@@ -21,6 +30,7 @@ from expbouquet.sequences import (
     fexp_seq,
     linexp_seq,
     periodic_seq,
+    _tiny_ln1p,
 )
 
 
@@ -46,6 +56,18 @@ def test_tower_entry_window():
     assert iv.lo_open and iv.hi == math.inf
     assert e.as_int() is None
     assert FloorPow(3, 1).as_int() == 19
+
+
+@pytest.mark.parametrize("seq", [
+    const_seq(3, (1, -4)),
+    periodic_seq((2, 0, 5), (7,)),
+    SymbolSeq((IntEntry(7), FloorPow(10, 3)), ExpTowerTail(3, anchor=1)),
+    SymbolSeq((CeilExp(Fraction(801, 2)), IntEntry(3)), LinExpTail(Fraction(2, 3), 5)),
+], ids=["const", "periodic", "fexp", "linexp"])
+def test_entry_after_n_steps_is_the_first_entry_of_the_shift(seq):
+    # classify steps its orbit by index, without building the shifted sequences
+    for n in range(40):
+        assert seq.entry(n + 1) == seq.shift(n).entry(1)
 
 
 def test_ramp_tail_entries():
@@ -233,3 +255,143 @@ def test_ceil_entry_window():
     assert e.as_int() is None
     assert CeilExp(Fraction(1)).as_int() == 2
     assert CeilExp(Fraction(0)).as_int() == 0
+
+
+# -- entry enclosures built at construction -----------------------------------
+#
+# Lazy references: each method recomputes from the defining fields, with the
+# Fraction comparisons on arg, as the entries did before they kept their
+# enclosures.  The eager entries must agree bit for bit.
+
+
+class _LazyCeilExp:
+    def __init__(self, arg: Fraction):
+        self.arg = arg
+
+    def arg_interval(self):
+        return Interval.from_fraction(self.arg)
+
+    def as_int(self):
+        if self.arg == 0:
+            return 0
+        t = self.arg_interval().growth()
+        if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
+            return int(math.ceil(t.hi))
+        return None
+
+    def abs_interval(self):
+        v = self.as_int()
+        if v is not None:
+            return Interval.point(float(v))
+        t = self.arg_interval().growth()
+        return Interval(t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf,
+                        t.lo_open, True)
+
+    def pot(self, k):
+        v = self.as_int()
+        if v is not None:
+            return growth_inv_pow(v, k)
+        if self.arg <= 700:
+            return growth_inv_pow(self.abs_interval(), k)
+        inner = growth_inv_pow(self.arg_interval(), k - 1)
+        return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
+
+    def descend(self, w):
+        if self.arg <= PIN_ARG:
+            return (self.abs_interval() + w).ln1p()
+        a = self.arg_interval()
+        denom = 1.0 + growth_net(a.lo, 1).lo
+        y_lo = min(0.0, round_down(w.lo / denom))
+        y_hi = max(0.0, round_up((w.hi + 2.0) / denom))
+        return a + _tiny_ln1p(Interval(y_lo, y_hi))
+
+
+class _LazyFloorPow:
+    def __init__(self, base: int, height: int):
+        self.base, self.height = base, height
+
+    def tower(self):
+        return growth_net(self.base, self.height)
+
+    def as_int(self):
+        t = self.tower()
+        if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
+            return int(math.floor(t.lo))
+        return None
+
+    def abs_interval(self):
+        v = self.as_int()
+        if v is not None:
+            return Interval.point(float(v))
+        t = self.tower()
+        return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
+
+    def pot(self, k):
+        v = self.as_int()
+        if v is not None:
+            return growth_inv_pow(v, k)
+        t = growth_net(self.base, self.height - k)
+        return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
+
+    def descend(self, w):
+        t = self.tower()
+        if t.lo < TOWER_PIN:
+            return (self.abs_interval() + w).ln1p()
+        below = growth_net(self.base, self.height - 1)
+        denom = 1.0 + t.lo
+        y_lo = min(0.0, round_down((w.lo - 1.0) / denom))
+        y_hi = max(0.0, round_up(w.hi / denom))
+        return below + _tiny_ln1p(Interval(y_lo, y_hi))
+
+
+def _just_beside(v: int) -> list[Fraction]:
+    tiny = Fraction(1, 10**30)
+    return [Fraction(v) - tiny, Fraction(v), Fraction(v) + tiny]
+
+
+CEIL_ARGS = ([Fraction(0), Fraction(1, 10**40), Fraction(1), Fraction(359, 7), Fraction(801, 2),
+              Fraction(1500), Fraction(2, 3) * 77, Fraction(10**30 + 1, 10**30)]
+             # both sides of the PIN_ARG and overflow-guard tests, and of exp overflow
+             + _just_beside(80) + _just_beside(700) + _just_beside(709) + _just_beside(710)
+             # ramp arguments k/q around the materialisation limit ln(2^53) ~ 36.7
+             + [Fraction(k, q) for q in (3, 7, 26, 383) for k in (q, 36 * q + 1, 37 * q, 81 * q)])
+WIDTHS = [Interval.point(0.0), Interval(0.5, 0.75), Interval(2.0, 3.5), Interval(0.0, 40.0)]
+
+
+def _assert_same(got, want):
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("arg", CEIL_ARGS, ids=str)
+def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
+    e, ref = CeilExp(arg), _LazyCeilExp(arg)
+    _assert_same(e.as_int(), ref.as_int())
+    _assert_same(e.arg_interval(), ref.arg_interval())
+    _assert_same(e.abs_interval(), ref.abs_interval())
+    for k in (1, 2, 3, 7):
+        _assert_same(e.pot(k), ref.pot(k))
+    for w in WIDTHS:
+        _assert_same(e.descend(w), ref.descend(w))
+
+
+@pytest.mark.parametrize("base, height", [(b, h) for b in (1, 2, 3, 7, 12, 700)
+                                          for h in (1, 2, 3, 4, 6)])
+def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
+    e, ref = FloorPow(base, height), _LazyFloorPow(base, height)
+    _assert_same(e.as_int(), ref.as_int())
+    _assert_same(e.tower(), ref.tower())
+    _assert_same(e.abs_interval(), ref.abs_interval())
+    for k in (1, 2, 3, 7):
+        _assert_same(e.pot(k), ref.pot(k))
+    for w in WIDTHS:
+        _assert_same(e.descend(w), ref.descend(w))
+
+
+def test_entry_enclosures_stay_out_of_equality_and_json():
+    a, b = CeilExp(Fraction(801, 2)), CeilExp(Fraction(801, 2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert repr(a) == "CeilExp(arg=Fraction(801, 2))"
+    assert repr(FloorPow(3, 4)) == "FloorPow(base=3, height=4)"
+    assert a.to_json() == {"kind": "ceil_exp", "arg": "801/2"}
+    assert FloorPow(3, 4).to_json() == {"kind": "floor_tower", "c": 3, "h": 4}
+    assert FloorPow(3, 1).to_json() == 19

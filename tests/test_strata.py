@@ -1,6 +1,12 @@
 """Stratum membership, extension search, and the thinning-witness pipeline."""
 
+import math
+from fractions import Fraction
+
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expbouquet import (
     AlphaIndex,
@@ -20,7 +26,9 @@ from expbouquet import (
     witness_family,
     witness_sequence,
 )
+from expbouquet.intervals import Interval
 from expbouquet.sequences import ExpTowerTail, FloorPow, IntEntry, LinExpTail
+from expbouquet.strata import _entry_abs_vs_tower, _ramp_below_cap_from
 
 
 def endpoint_of(seq) -> ModelPoint:
@@ -233,3 +241,108 @@ def test_point_distance_combines_height_and_address():
     a = endpoint_of(fexp_seq(10))
     b = ModelPoint(a.t + 0.5, a.seq)
     assert point_distance(a, b) == pytest.approx(0.5)
+
+
+# -- directed rounding in the thinning comparisons ------------------------------
+
+
+class _Symbolic:
+    """A symbolic entry (or cap) with a chosen enclosure and no exact value."""
+
+    def __init__(self, iv: Interval):
+        self.iv = iv
+
+    def as_int(self):
+        return None
+
+    def abs_interval(self):
+        return self.iv
+
+    def tower(self):
+        return self.iv
+
+
+def _assert_certified(pick: str, a: Interval, b: Interval):
+    # the min is certified only with a gap of at least one, in exact arithmetic
+    if pick == "entry":
+        assert Fraction(a.hi) <= Fraction(b.lo) - 1
+    elif pick == "cap":
+        assert Fraction(b.hi) <= Fraction(a.lo) - 1
+
+
+# x - 1.0 rounds up to x: ties to even above 2^53, and every x from 2^54 on
+ROUNDING_UP = [2.0**53 + 4, 2.0**54 + 8, 2.0**60, 1e17, 3.5e20]
+
+
+@pytest.mark.parametrize("x", ROUNDING_UP)
+def test_entry_vs_cap_needs_an_exact_gap_of_one(x):
+    assert x - 1.0 == x
+    near = Interval(x - 2.0**20, x)
+    far = Interval(x, x + 2.0**20)
+    # |entry| <= x and cap >= x: x - 1.0 == x would have certified the entry
+    assert _entry_abs_vs_tower(_Symbolic(near), _Symbolic(far)) == "unknown"
+    # and the mirror case for the cap
+    assert _entry_abs_vs_tower(_Symbolic(far), _Symbolic(near)) == "unknown"
+
+
+@given(st.floats(1.0, 1e22), st.floats(0.0, 3.0), st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+       st.booleans())
+@settings(max_examples=300)
+def test_entry_vs_cap_certificates_hold_exactly(x, gap, w_a, w_b, swap):
+    a = Interval(max(x - w_a, 0.0), x)
+    b = Interval(x + gap, x + gap + w_b)
+    if swap:
+        a, b = b, a
+    _assert_certified(_entry_abs_vs_tower(_Symbolic(a), _Symbolic(b)), a, b)
+
+
+def _ramp_step_holds(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
+    """The crossover conditions at 50 digits: cap >= arg + 1, e^(arg+1) - 1 >= arg + rate + 2."""
+    with mp.workdps(50):
+        lo, hi = mp.mpf(a.lo), mp.mpf(a.hi)
+        return (mp.mpf(cap_below.lo) >= hi + 1 and lo >= 1
+                and mp.expm1(lo + 1) >= hi + mp.mpf(rate_hi) + 2)
+
+
+def _near_ties(count: int) -> list:
+    """(arg, rate) where e^(arg+1) - 1 and arg + rate + 2 agree to a few ulps."""
+    cases = []
+    for i in range(1, 400):
+        x = 1.0 + i / 97.0
+        r = math.expm1(x + 1.0) - x - 2.0
+        for _ in range(3):
+            cases.append((x, r))
+            r = math.nextafter(r, math.inf)
+        if len(cases) >= count:
+            break
+    return cases
+
+
+def test_ramp_crossover_step_is_directed():
+    cap = Interval(1e6, 1e6)
+    misjudged = 0
+    for x, rate_hi in _near_ties(60):
+        a = Interval.point(x)
+        holds = _ramp_step_holds(a, rate_hi, cap)
+        if _ramp_below_cap_from(a, rate_hi, cap):
+            assert holds
+        misjudged += (math.expm1(x + 1.0) >= x + rate_hi + 2.0) and not holds
+    # the sample reaches cases that the comparison rounded to nearest accepts
+    assert misjudged > 0
+
+
+def test_ramp_crossover_cap_gap_is_directed():
+    a = Interval.point(1.0 + 2.0**-52)
+    assert a.hi + 1.0 == 2.0  # rounded down, a tie to even
+    assert not _ramp_below_cap_from(a, 0.5, Interval.point(2.0))
+    assert _ramp_below_cap_from(a, 0.5, Interval.point(math.nextafter(2.0, 3.0)))
+
+
+@given(st.floats(1.0, 30.0), st.floats(0.0, 1e-9), st.floats(1e-4, 700.0),
+       st.floats(0.0, 1e4))
+@settings(max_examples=300)
+def test_ramp_crossover_certificates_hold(arg, width, rate_hi, cap_lo):
+    a = Interval(arg, arg + width)
+    cap = Interval(cap_lo, cap_lo)
+    if _ramp_below_cap_from(a, rate_hi, cap):
+        assert _ramp_step_holds(a, rate_hi, cap)
