@@ -328,3 +328,69 @@ def test_ramp_outputs_are_pinned(argv, digest, capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CONST_PREFIX = '{"prefix": [3, -2], "tail": {"kind": "const", "c": 2}}'
+CONST_CEIL_PREFIX = ('{"prefix": [{"kind": "ceil_exp", "arg": "7/2"}, 0, -5], '
+                     '"tail": {"kind": "const", "c": -4}}')
+PERIODIC_PREFIX = '{"prefix": [1], "tail": {"kind": "periodic", "pattern": [2, 0, 5]}}'
+PERIODIC_LONG_PREFIX = '{"prefix": [-3, 7, 0], "tail": {"kind": "periodic", "pattern": [-1, 4]}}'
+FEXP_PREFIX = '{"prefix": [2, -1], "tail": {"kind": "fexp", "c": 4}}'
+FEXP_ANCHORED = ('{"prefix": [{"kind": "floor_tower", "c": 3, "h": 3}, 0], '
+                 '"tail": {"kind": "fexp", "c": 2, "anchor": 0}}')
+
+# sha256 of the stdout of const, periodic and fexp queries, recorded before
+# the rule-specific branches moved onto the tail classes
+PINNED_RULE_OUTPUTS = [
+    (("tstar", CONST_PREFIX, "--shift", "2"),
+     "bfa15aeee181fc5eead893b57750abbc0099e5bfd412971e3171e74c723f5902"),
+    (("tmin", CONST_PREFIX), "ea21deb0d7c5a1dd0e199f646a62067a48d8f801d603f5214235fb4f09dc00f9"),
+    (("classify", CONST_PREFIX, "--t", "1.5052414957928833"),
+     "25e7724f322e3931f953b6af2bacb881ba9035d3207f14dff42d173078b9f02a"),
+    (("strata", CONST_PREFIX, "--alpha", "0", "--extend"),
+     "3ed3cb5fe52d2ebb8e987dfde721e7f2526ff787b5636526949bad027cacb125"),
+    (("tstar", CONST_CEIL_PREFIX, "--shift", "2"),
+     "e0afb81ecb27e298269cf4db179ae7215213773d6007a306f1ae789a85e30a1f"),
+    (("tmin", CONST_CEIL_PREFIX),
+     "21a41e638f5be40727018637140906f2d892de5db90465a7bc51c9c01f080201"),
+    (("classify", CONST_CEIL_PREFIX, "--t", "2.5"),
+     "c591e66a757d87a48c60a0bdbbcd2ffaab37899b82890ad4dfc213d40b35f166"),
+    (("strata", CONST_CEIL_PREFIX, "--alpha", "0", "--extend"),
+     "59d4a939da058f58f3fe43d1443435b64b0fb640352f93e584aed9ac37910199"),
+    (("tstar", PERIODIC_PREFIX, "--shift", "2"),
+     "4d814bd2130db4f748d66ffd08347fce8d2a927a55a5cc35d4b2d242aae14ac7"),
+    (("tmin", PERIODIC_PREFIX), "9bef484d93974e5889364b8c5e0b9482bde55d1c827230d6cd0c22286675595f"),
+    (("classify", PERIODIC_PREFIX, "--t", "1.4108882468641995"),
+     "18a1d2693d4a614a271b5f2bad66a21612bd9372d8f67ec26f48490b1977cd10"),
+    (("strata", PERIODIC_PREFIX, "--alpha", "0", "--extend"),
+     "777bed0c42d8e37a0f8bbc751c9ddc4cf18c0cd51746f69bb9412518687513e3"),
+    (("tstar", PERIODIC_LONG_PREFIX, "--shift", "2"),
+     "f1f173fa292da68c54b95fb1ddfc7be287a84c3055201ce02d077c2465d85084"),
+    (("tmin", PERIODIC_LONG_PREFIX),
+     "c76fdde186ac31c2fd92ff0db8036c56cb922c5917964d7a380c15260b3c324d"),
+    (("classify", PERIODIC_LONG_PREFIX, "--t", "1.0"),
+     "660ecac28f991107a44789c4f5938d39807769d1b71c64ea466d3915fe48c8bc"),
+    (("strata", PERIODIC_LONG_PREFIX, "--alpha", "0", "--extend"),
+     "e0f89f80893cffd974fd2de84fab1ed29915ef08dd8bccab49275c441e8676fe"),
+    (("tstar", FEXP_PREFIX), "d392635cd4358f2f56b6b487473122f7c31b004417ce73bd0dfcc12ebb9c33da"),
+    (("tmin", FEXP_PREFIX), "e25ae94c5d953f525879a9b91fd555c39c023a5c6718f9412f086884d1ce7b52"),
+    (("tstar", FEXP_ANCHORED), "de2f79f286cf2dfd9f2c7345fabbd74b12d7b287d10b40d5f870833a593f04ce"),
+    (("tmin", FEXP_ANCHORED), "c8629107ed2773be2b6b8dfcd6b9de85bac0481a42f155560efb9f120a8619be"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_RULE_OUTPUTS)
+def test_rule_outputs_are_pinned(argv, digest, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full `verify --seed 0` report
+VERIFY_SEED0_SHA256 = "0492fadef12f40d2d3e821a30ca8f42d4d90b4dac2c6ed878d9de4991e147c09"
+
+
+def test_verify_seed0_report_is_pinned(tmp_path, capsys):
+    code, out = run(capsys, "verify", "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_SHA256
