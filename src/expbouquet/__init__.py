@@ -16,32 +16,23 @@ Core surfaces:
 from .intervals import Interval, RigorError, TriBool
 from .model import (
     BudgetExceededError,
-    CertifiedLarge,
     Classification,
     ModelPoint,
     NonConvergenceError,
-    NotInDomain,
-    OverflowGuardError,
-    UnsupportedTailError,
     Verdict,
     classify,
     endpoint_height,
     endpoint_height_enclosure,
     endpoint_lower_bound,
-    growth,
-    growth_inverse,
     is_escaping_endpoint_address,
-    model_step,
     potential,
     potential_term,
 )
 from .plane import (
     CycleInfo,
-    EscapeRecord,
     NoConvergenceError,
     RenderSummary,
     Viewport,
-    escape_record,
     exp_orbit,
     find_cycle,
     region_stays_outside,
@@ -53,6 +44,7 @@ from .sequences import (
     ConstTail,
     DescriptorError,
     ExpTowerTail,
+    IncomparableTailsError,
     LinExpTail,
     PeriodicTail,
     SymbolSeq,
@@ -63,7 +55,6 @@ from .sequences import (
 )
 from .strata import (
     AlphaIndex,
-    IncomparableTailsError,
     WitnessReport,
     address_distance,
     extension_index,
@@ -82,12 +73,10 @@ __all__ = [
     "AlphaIndex",
     "Asymptotics",
     "BudgetExceededError",
-    "CertifiedLarge",
     "Classification",
     "ConstTail",
     "CycleInfo",
     "DescriptorError",
-    "EscapeRecord",
     "ExpTowerTail",
     "IncomparableTailsError",
     "Interval",
@@ -95,15 +84,12 @@ __all__ = [
     "ModelPoint",
     "NoConvergenceError",
     "NonConvergenceError",
-    "NotInDomain",
-    "OverflowGuardError",
     "PeriodicTail",
     "RenderSummary",
     "RigorError",
     "RunConfig",
     "SymbolSeq",
     "TriBool",
-    "UnsupportedTailError",
     "Verdict",
     "Viewport",
     "WitnessReport",
@@ -113,18 +99,14 @@ __all__ = [
     "endpoint_height",
     "endpoint_height_enclosure",
     "endpoint_lower_bound",
-    "escape_record",
     "exp_orbit",
     "extension_index",
     "fexp_seq",
     "find_cycle",
-    "growth",
-    "growth_inverse",
     "in_stratum",
     "is_escaping_endpoint_address",
     "least_witness_depth",
     "linexp_seq",
-    "model_step",
     "periodic_seq",
     "point_distance",
     "potential",

@@ -19,12 +19,12 @@ import os
 import re
 import sys
 
-from .intervals import Interval
 from .model import (
     Classification,
     ModelPoint,
     NonConvergenceError,
     classify,
+    endpoint_height,
     endpoint_height_enclosure,
     potential,
 )
@@ -79,10 +79,6 @@ def _ensure_dir(directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
     except OSError as e:
         raise _UsageError(f"cannot use output directory {directory!r}: {e}") from e
-
-
-def _interval_payload(iv: Interval) -> dict:
-    return iv.to_json()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -185,7 +181,7 @@ def _cmd_tstar(args, cfg: RunConfig) -> int:
     if args.shift < 0:
         raise _UsageError("shift must be >= 0")
     iv = potential(seq, args.shift)
-    _emit({"tstar": _interval_payload(iv), "shift": args.shift}, cfg)
+    _emit({"tstar": iv.to_json(), "shift": args.shift}, cfg)
     return EXIT_OK
 
 
@@ -193,13 +189,11 @@ def _cmd_tmin(args, cfg: RunConfig) -> int:
     seq = _parse_seq(args.seq)
     converged = True
     try:
-        from .model import endpoint_height
-
         iv = endpoint_height(seq, cfg.tolerance)
     except NonConvergenceError as e:
         iv = e.enclosure
         converged = False
-    _emit({"tmin": _interval_payload(iv), "converged": converged}, cfg)
+    _emit({"tmin": iv.to_json(), "converged": converged}, cfg)
     return EXIT_OK if converged else EXIT_FAIL
 
 

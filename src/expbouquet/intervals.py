@@ -30,7 +30,6 @@ TOWER_PIN = 1e30
 PIN_ARG = 80.0
 
 DEFAULT_TOL = 1e-9
-TEST_MARGIN = 1e-6
 
 
 class RigorError(Exception):

@@ -1,8 +1,9 @@
 """Plane dynamics for the exponential family z -> e^z + a.
 
-Orbits, horizontal-strip itineraries, an outside-a-disk escape predicate,
-Newton search for periodic cycles with multiplier classification, and a
-deterministic escape-time renderer emitting a binary P6 pixmap.
+Orbits (and the horizontal-strip itineraries read off them), an
+outside-a-disk escape predicate, Newton search for periodic cycles with
+multiplier classification, and a deterministic escape-time renderer
+emitting a binary P6 pixmap.
 """
 
 from __future__ import annotations
@@ -81,36 +82,8 @@ def strip_itinerary(a: complex, z: complex, n: int) -> list[int]:
     Strips are centered on the lines Im = 2 pi k (nearest-integer rule).
     Entries past an escape-guard crossing are undefined and truncate the list.
     """
-    a = _check_param(a)
-    out: list[int] = []
-    w = complex(z)
-    for k in range(n):
-        if k > 0:
-            if w.real > ESCAPE_RE:
-                break
-            w = cmath.exp(w) + a
-        out.append(round(w.imag / TWO_PI))
-    return out
-
-
-@dataclass(frozen=True)
-class EscapeRecord:
-    escaped: bool
-    first_exceed: int | None
-    itinerary: list[int]
-
-
-def escape_record(a: complex, z: complex, budget: int) -> EscapeRecord:
-    """Escape-guard scan with the itinerary of the pre-escape orbit."""
-    a = _check_param(a)
-    itinerary: list[int] = []
-    w = complex(z)
-    for k in range(budget):
-        if w.real > ESCAPE_RE:
-            return EscapeRecord(True, k, itinerary)
-        itinerary.append(round(w.imag / TWO_PI))
-        w = cmath.exp(w) + a
-    return EscapeRecord(False, None, itinerary)
+    # the orbit through f^(n-1) holds at least one point, so [:n] is empty for n <= 0
+    return [round(w.imag / TWO_PI) for w in exp_orbit(a, z, n - 1)[:n]]
 
 
 def region_stays_outside(a: complex, radius: float, z: complex,

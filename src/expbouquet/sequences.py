@@ -6,6 +6,11 @@ materialized; they stay symbolic (``FloorPow``: the floor of an iterated
 growth tower, ``CeilExp``: the ceiling of one exponential of a rational) and
 every consumer works through certified enclosures with exponent
 cancellation, so quantities like ln-of-a-tower stay computable.
+
+Each tail rule also carries everything about it that the model and the
+strata need (the ``TailRule`` protocol): where a potential's explicit terms
+may stop, the eventual floor of the shifted potentials, the anchor of
+backward nesting, and the bound or thinning step of its family.
 """
 
 from __future__ import annotations
@@ -14,17 +19,23 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Protocol
 
 from .intervals import (
+    DEFAULT_TOL,
     OVERFLOW_GUARD,
     PIN_ARG,
     TOWER_PIN,
     Interval,
     RigorError,
+    expm1_down,
     growth_inv_pow,
     growth_net,
+    log1p_up,
     round_down,
     round_up,
+    sum_down,
+    sum_up,
 )
 
 MAX_EXACT_INT = 2**53
@@ -266,6 +277,72 @@ def entry_from_json(obj) -> Entry:
 
 
 # ---------------------------------------------------------------------------
+# comparisons with a thinning cap and tower-relative nesting states
+# ---------------------------------------------------------------------------
+
+
+class IncomparableTailsError(ValueError):
+    """The thinning min could not be resolved by a certified comparison."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
+def _entry_abs_vs_tower(entry: Entry, cap: FloorPow) -> str:
+    """Compare |entry| against a floor tower: 'entry', 'cap', or 'unknown'.
+
+    floor monotonicity: A <= B certifies floor(A) <= floor(B), so interval
+    separation of the underlying reals decides the min.
+    """
+    ev = entry.as_int()
+    cv = cap.as_int()
+    if ev is not None and cv is not None:
+        return "entry" if abs(ev) <= cv else "cap"
+    a = entry.abs_interval()
+    b = cap.tower()
+    if ev is not None and b.lo >= abs(ev) + 1:
+        return "entry"
+    if a.hi <= sum_down(b.lo, -1.0):
+        return "entry"
+    if b.hi <= sum_down(a.lo, -1.0) or (cv is not None and a.lo >= cv + 1):
+        return "cap"
+    return "unknown"
+
+
+def _ramp_below_cap_from(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
+    """Certify ceil(F(arg)) stays below the thinning cap from this index on.
+
+    ``a`` encloses the ramp argument arg, ``rate_hi`` bounds the rate above
+    and ``cap_below`` encloses F^(n-m-1)(cap_c).  Holds once
+    F^(n-m-1)(cap_c) >= arg + 1 and F(arg + 1) >= arg + rate + 2; both persist
+    as n grows (the tower at least squares, the ramp is linear).
+    """
+    if not (cap_below.lo >= sum_up(a.hi, 1.0) and a.lo >= 1.0):
+        return False
+    if a.lo >= OVERFLOW_GUARD:
+        return True
+    return expm1_down(sum_down(a.lo, 1.0)) >= sum_up(sum_up(a.hi, rate_hi), 2.0)
+
+
+_LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
+
+
+@dataclass(frozen=True)
+class _TowerRel:
+    """Backward-nesting state F^height(base) + delta, for astronomically large levels."""
+
+    base: int
+    height: int
+    delta: Interval
+
+
+def _tower_pin_delta(a_lo: float) -> Interval:
+    """Enclosure of the pinned offset: ln 2 - 3/(1+A) <= w - F^g(c) <= ln 2."""
+    return Interval(round_down(_LN2.lo - 3.0 / (1.0 + a_lo)), _LN2.hi)
+
+
+# ---------------------------------------------------------------------------
 # tail rules
 # ---------------------------------------------------------------------------
 
@@ -289,16 +366,75 @@ def _parse_rational(v) -> Fraction:
     raise DescriptorError(f"bad rational {v!r}")
 
 
+class TailRule(Protocol):
+    """Everything the model and the strata ask of a tail rule.
+
+    ``p`` is always the prefix length of the sequence the tail belongs to.
+    Bounded rules (constant, periodic) also give ``abs_bound``; diverging
+    rules (tower, ramp) also give ``thin``.
+    """
+
+    kind: str
+    asymptotics: Asymptotics
+
+    def validate(self, p: int) -> None:
+        """Raise DescriptorError unless the rule is well formed after p prefix entries."""
+
+    def entry_at(self, p: int, n: int) -> Entry:
+        """Entry s_n at a tail index n >= p."""
+
+    def shifted(self, p: int, k: int) -> TailRule:
+        """The rule of the k-fold shifted sequence."""
+
+    def to_json(self) -> dict:
+        """The descriptor's ``tail`` object."""
+
+    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+        """Terms closing the hull of potential(seq, shift) once term k, a tail term, is in.
+
+        None while explicit terms must go on; the terms returned (possibly
+        none) bound every later term.
+        """
+
+    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+        """Eventual behaviour of n -> potential(seq, n) against a threshold."""
+
+    def nesting_anchor(self, p: int) -> tuple[int, Interval | _TowerRel]:
+        """A backward-nesting start level and an enclosure of the height there."""
+
+
+class _BoundedTail:
+    """Constant and periodic tails: |s_n| runs through a finite pattern."""
+
+    asymptotics = Asymptotics.BOUNDED
+
+    def abs_intervals(self) -> tuple[Interval, ...]:
+        """Enclosures of |s_n| over one period, rounded outward."""
+        return tuple(Interval.from_int(abs(v)) for v in self.pattern)
+
+    def abs_bound(self) -> float:
+        """Upper bound of every |s_n| in the tail."""
+        return max(iv.hi for iv in self.abs_intervals())
+
+    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+        # after one full period of tail terms every later term repeats an
+        # entry at a larger depth, so it is smaller
+        return () if k - max(p - shift, 0) >= len(self.pattern) else None
+
+
 @dataclass(frozen=True)
-class ConstTail:
+class ConstTail(_BoundedTail):
     """s_n = c for every tail index."""
 
     c: int
 
     kind = "const"
-    asymptotics = Asymptotics.BOUNDED
 
-    def validate(self):
+    @property
+    def pattern(self) -> tuple[int, ...]:
+        return (self.c,)
+
+    def validate(self, p: int):
         if not isinstance(self.c, int):
             raise DescriptorError("const tail needs an integer c")
 
@@ -311,17 +447,53 @@ class ConstTail:
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
 
+    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+        stable = growth_inv_pow(self.abs_intervals()[0], 1)
+        n1 = max(p - 1, 0)
+        if stable.certainly_gt(threshold):
+            return ("above", n1)
+        if stable.certainly_le(threshold):
+            return ("below", n1)
+        return ("unknown", None)
+
+    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+        """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
+        a = self.abs_intervals()[0]
+        if a.hi == 0.0:
+            return p, Interval.point(0.0)
+        lo, hi = 0.0, log1p_up(a.hi) + 1.0
+
+        def h_sign(t: float) -> int:
+            iv = Interval.point(t).growth() - a - Interval.point(t)
+            if iv.certainly_gt(0.0):
+                return 1
+            if iv.certainly_lt(0.0):
+                return -1
+            return 0
+
+        if h_sign(hi) <= 0:
+            raise RigorError("constant-tail bracket failed")
+        for _ in range(160):
+            mid = 0.5 * (lo + hi)
+            s = h_sign(mid)
+            if s == 0 or mid <= lo or mid >= hi:
+                break
+            if s < 0:
+                lo = mid
+            else:
+                hi = mid
+        return p, Interval(lo, hi)
+
 
 @dataclass(frozen=True)
-class PeriodicTail:
+class PeriodicTail(_BoundedTail):
     """s_n cycles through ``pattern`` starting at the first tail index."""
 
     pattern: tuple[int, ...]
 
     kind = "periodic"
-    asymptotics = Asymptotics.BOUNDED
 
-    def validate(self):
+    def validate(self, p: int):
         if not self.pattern or not all(isinstance(v, int) for v in self.pattern):
             raise DescriptorError("periodic tail needs a nonempty integer pattern")
 
@@ -336,6 +508,39 @@ class PeriodicTail:
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}
+
+    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+        pats = self.abs_intervals()
+        L = len(pats)
+        values = []
+        for r in range(L):
+            terms = [growth_inv_pow(pats[(r + k) % L], k) for k in range(1, L + 1)]
+            values.append(Interval.sup_hull(terms))
+        if all(v.certainly_gt(threshold) for v in values):
+            return ("above", max(p, 0))
+        if any(v.certainly_le(threshold) for v in values):
+            return ("below", max(p, 0))
+        return ("unknown", None)
+
+    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+        """The pure tail's height, by contracting interval sweeps over one period."""
+        if all(v == 0 for v in self.pattern):
+            return p, Interval.point(0.0)
+        pats = self.abs_intervals()
+        L = len(pats)
+        upper = log1p_up(self.abs_bound()) + 1.0
+        w = [Interval(0.0, upper) for _ in range(L)]
+        goal = max(DEFAULT_TOL / 4.0, 4e-16 * upper)
+        for _ in range(4000):
+            for r in range(L - 1, -1, -1):
+                w[r] = (pats[(r + 1) % L] + w[(r + 1) % L]).ln1p()
+            if max(iv.width for iv in w) < goal:
+                break
+        return p, w[0]
+
+
+# explicit tail terms of a tower potential before its floor window closes the hull
+EXTRA_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -352,11 +557,13 @@ class ExpTowerTail:
     kind = "fexp"
     asymptotics = Asymptotics.DIVERGES
 
-    def validate(self):
+    def validate(self, p: int):
         if not isinstance(self.c, int) or self.c < 1:
             raise DescriptorError("fexp tail needs an integer c >= 1")
         if self.c > OVERFLOW_GUARD:
             raise DescriptorError("fexp base above the overflow guard (700)")
+        if self.resolved_anchor(p) > p - 1:
+            raise DescriptorError("fexp anchor beyond the first tail index")
 
     def resolved_anchor(self, p: int) -> int:
         return p - 1 if self.anchor is None else self.anchor
@@ -378,6 +585,55 @@ class ExpTowerTail:
             out["anchor"] = self.anchor
         return out
 
+    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+        if k - max(p - shift, 0) < EXTRA_TERMS:
+            return None
+        # all tail terms live in (F^E(c) - 1, F^E(c)], E = shift - anchor
+        net = growth_net(self.c, shift - self.resolved_anchor(p))
+        lo = max(round_down(net.lo - 1.0), 0.0)
+        return (Interval(lo, net.hi, lo > 0.0, net.hi_open),)
+
+    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+        anchor = self.resolved_anchor(p)
+        n = max(anchor + 1, 0)
+        for _ in range(200):
+            lo = sum_down(growth_net(self.c, n - anchor).lo, -1.0)
+            if lo > threshold:
+                return ("above", n)
+            n += 1
+        return ("unknown", None)
+
+    def nesting_anchor(self, p: int) -> tuple[int, _TowerRel]:
+        """The first level whose tower passes TOWER_PIN, in tower-relative form."""
+        anchor = self.resolved_anchor(p)
+        g = 1
+        while growth_net(self.c, g + 1).lo < TOWER_PIN:
+            g += 1
+        level = max(p - 1, anchor + g, 0)
+        g_level = level - anchor
+        a_lo = growth_net(self.c, g_level + 1).lo
+        if a_lo < TOWER_PIN:
+            raise RigorError("tower pin level miscomputed")
+        return level, _TowerRel(self.c, g_level, _tower_pin_delta(a_lo))
+
+    def thin(self, p: int, m: int, cap_c: int) -> tuple[tuple[Entry, ...], "ExpTowerTail"]:
+        """Entries and rule of min(|s_n|, floor(F^(n-m)(cap_c))) from index max(m + 1, p) on."""
+        anchor = self.resolved_anchor(p)
+        # both sides are towers, F^(n-anchor)(c) and F^(n-m)(cap_c), whose
+        # exponents shift in lockstep; growth is strictly increasing, so
+        # stripping the shared exponent keeps the order, and one comparison
+        # decides every index
+        common = min(m - anchor, 0)
+        base = growth_net(self.c, m - anchor - common)
+        cap = growth_net(cap_c, -common)
+        if cap.hi < base.lo:
+            return (), ExpTowerTail(cap_c, anchor=m)
+        if base.hi < cap.lo:
+            return (), ExpTowerTail(self.c, anchor=anchor)
+        raise IncomparableTailsError(
+            "tower tails incomparable after stripping",
+            {"base_c": self.c, "base_exp": m - anchor, "cap_c": cap_c})
+
 
 @dataclass(frozen=True)
 class LinExpTail:
@@ -389,7 +645,7 @@ class LinExpTail:
     kind = "linexp"
     asymptotics = Asymptotics.DIVERGES
 
-    def validate(self):
+    def validate(self, p: int):
         if not isinstance(self.rate, Fraction) or self.rate <= 0:
             raise DescriptorError("linexp tail needs a positive rational rate")
         if self.rate < Fraction(1, 10000) or self.rate > OVERFLOW_GUARD:
@@ -414,8 +670,65 @@ class LinExpTail:
             out["offset"] = self.offset
         return out
 
+    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+        # Terms satisfy F^-k ceil(F(a)) < F^-k(F(a) + 1) <= F^-(k-1)(a + 1) once
+        # a >= 0.16 (there F(a) + 1 <= F(a + 1)); the envelope W_k =
+        # F^-(k-1)(a_k + 1) decreases from k on when ln(2 + a_{k+1}) <= a_k + 1,
+        # and both conditions persist as k grows since the ramp is linear while
+        # the logarithm flattens.
+        a_k = Interval.from_fraction(self.arg(shift + k))
+        a_next = Interval.from_fraction(self.arg(shift + k + 1))
+        if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= a_k.lo + 1.0):
+            return None
+        env = growth_inv_pow(a_next + 1.0, k)
+        return (Interval(0.0, env.hi, False, True),)
 
-TailRule = ConstTail | PeriodicTail | ExpTowerTail | LinExpTail
+    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+        # the lower end of the enclosure of arg(n + 1) is the greatest double
+        # <= arg(n + 1), so it exceeds threshold exactly when arg(n + 1)
+        # reaches the least double above threshold
+        start = max(p - 1, 0)
+        n = max(start, math.ceil(Fraction(round_up(threshold)) / self.rate) - 1 - self.offset)
+        if n - start < 400000:
+            return ("above", n)
+        return ("unknown", None)
+
+    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+        """The level before the ramp argument reaches PIN_ARG."""
+        # the least n >= max(p, 1) with rate * (n + offset) >= PIN_ARG
+        n = max(p, 1, math.ceil(Fraction(PIN_ARG) / self.rate) - self.offset)
+        # w at level n-1 is rate*(n+offset) + [0, (2 + U)/e^arg], U a crude upper bound
+        a = Interval.from_fraction(self.arg(n))
+        u_hi = round_up(float(self.arg(n + 1)) + 2.0)
+        grow_lo = growth_net(a.lo, 1).lo
+        corr = round_up((2.0 + u_hi) / (1.0 + grow_lo))
+        return n - 1, Interval(a.lo, round_up(a.hi + corr))
+
+    def thin(self, p: int, m: int, cap_c: int) -> tuple[tuple[Entry, ...], "LinExpTail"]:
+        """Entries and rule of min(|s_n|, floor(F^(n-m)(cap_c))) from index max(m + 1, p) on."""
+        # the cap tower eventually dominates the single exponential, so a
+        # finite scan resolves the min entry-wise up to a certified crossover
+        entries: list[Entry] = []
+        rate_hi = Interval.from_fraction(self.rate).hi
+        n = max(m + 1, p)
+        while True:
+            if n - m > 100000:
+                raise IncomparableTailsError("no certified crossover within budget",
+                                             {"m": m, "n": n})
+            arg = self.arg(n)
+            # base entry ceil(F(arg)) stays below the cap for every n' >= n
+            if _ramp_below_cap_from(Interval.from_fraction(arg), rate_hi,
+                                    growth_net(cap_c, n - m - 1)):
+                return tuple(entries), self
+            cap = FloorPow(cap_c, n - m)
+            entry = self.entry_at(p, n)
+            pick = _entry_abs_vs_tower(entry, cap)
+            if pick == "unknown":
+                raise IncomparableTailsError(
+                    "ramp entry incomparable with the thinning cap",
+                    {"n": n, "arg": str(arg)})
+            entries.append(entry if pick == "entry" else cap)
+            n += 1
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +746,7 @@ class SymbolSeq:
     def __post_init__(self):
         norm = tuple(IntEntry(e) if isinstance(e, int) else e for e in self.prefix)
         object.__setattr__(self, "prefix", norm)
-        self.tail.validate()
-        if isinstance(self.tail, ExpTowerTail):
-            if self.tail.resolved_anchor(len(norm)) > len(norm) - 1:
-                raise DescriptorError("fexp anchor beyond the first tail index")
+        self.tail.validate(len(norm))
 
     # -- entry access --------------------------------------------------------
 

@@ -16,20 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .intervals import (
-    DEFAULT_TOL,
-    OVERFLOW_GUARD,
-    Interval,
-    TriBool,
-    expm1_down,
-    growth_net,
-    sum_down,
-    sum_up,
-)
+
+from .intervals import DEFAULT_TOL, Interval, TriBool
 from .model import (
     BudgetExceededError,
     ModelPoint,
-    UnsupportedTailError,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
@@ -37,26 +28,17 @@ from .model import (
     potential_term,
 )
 from .sequences import (
-    ConstTail,
+    Asymptotics,
     Entry,
-    ExpTowerTail,
     FloorPow,
+    IncomparableTailsError,
     IntEntry,
-    LinExpTail,
-    PeriodicTail,
     SymbolSeq,
+    _entry_abs_vs_tower,
 )
 
 
 EXTRA_CLAIM_SHIFTS = 6
-
-
-class IncomparableTailsError(ValueError):
-    """The thinning min could not be resolved by a certified comparison."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -126,13 +108,6 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _checked_tail(seq: SymbolSeq):
-    tail = seq.tail
-    if not isinstance(tail, (ConstTail, PeriodicTail, ExpTowerTail, LinExpTail)):
-        raise UnsupportedTailError(f"unsupported tail {tail!r}")
-    return tail
-
-
 def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
                           budget: int) -> TriBool:
     """Certify potential(seq, n) > threshold for every n >= start."""
@@ -164,8 +139,6 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
     decided finitely: explicit shifts up to the rule's stabilization index,
     the rest by the rule's certified tail behavior.
     """
-    _checked_tail(x.seq)
-
     escaping = is_escaping_endpoint_address(x.seq)
     if not escaping.is_true:
         return TriBool.no(escaping.evidence) if escaping.is_false else escaping
@@ -220,68 +193,16 @@ def extension_index(alpha: AlphaIndex, x: ModelPoint, n_floor: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _entry_abs_vs_tower(entry: Entry, cap: FloorPow) -> str:
-    """Compare |entry| against a floor tower: 'entry', 'cap', or 'unknown'.
-
-    floor monotonicity: A <= B certifies floor(A) <= floor(B), so interval
-    separation of the underlying reals decides the min.
-    """
-    ev = entry.as_int()
-    cv = cap.as_int()
-    if ev is not None and cv is not None:
-        return "entry" if abs(ev) <= cv else "cap"
-    a = entry.abs_interval()
-    b = cap.tower()
-    if ev is not None and b.lo >= abs(ev) + 1:
-        return "entry"
-    if a.hi <= sum_down(b.lo, -1.0):
-        return "entry"
-    if b.hi <= sum_down(a.lo, -1.0) or (cv is not None and a.lo >= cv + 1):
-        return "cap"
-    return "unknown"
-
-
-def _strip_compare(base_c: int, base_exp: int, cap_c: int, cap_exp: int) -> str:
-    """Compare F^base_exp(base_c) vs F^cap_exp(cap_c) by stripping matched growth steps.
-
-    Returns 'base_smaller', 'cap_smaller', or 'unknown'; growth is strictly
-    increasing, so stripping the shared exponent preserves the order.
-    """
-    common = min(base_exp, cap_exp)
-    lhs = growth_net(base_c, base_exp - common)
-    rhs = growth_net(cap_c, cap_exp - common)
-    if lhs.hi < rhs.lo:
-        return "base_smaller"
-    if rhs.hi < lhs.lo:
-        return "cap_smaller"
-    return "unknown"
-
-
-def _ramp_below_cap_from(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
-    """Certify ceil(F(arg)) stays below the thinning cap from this index on.
-
-    ``a`` encloses the ramp argument arg, ``rate_hi`` bounds the rate above
-    and ``cap_below`` encloses F^(n-m-1)(cap_c).  Holds once
-    F^(n-m-1)(cap_c) >= arg + 1 and F(arg + 1) >= arg + rate + 2; both persist
-    as n grows (the tower at least squares, the ramp is linear).
-    """
-    if not (cap_below.lo >= sum_up(a.hi, 1.0) and a.lo >= 1.0):
-        return False
-    if a.lo >= OVERFLOW_GUARD:
-        return True
-    return expm1_down(sum_down(a.lo, 1.0)) >= sum_up(sum_up(a.hi, rate_hi), 2.0)
-
-
 def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     """The thinned address: base entries through m, then min(|s_n|, floor(F^(n-m)(3k))).
 
-    The min is resolved entry-wise near the cut and rule-wise beyond it, by a
-    single certified comparison with matched growth applications stripped.
+    The min is resolved entry-wise through the prefix and by the tail rule's
+    ``thin`` beyond it, with single certified comparisons where matched growth
+    applications are stripped.
     """
-    tail = _checked_tail(base)
-    if not isinstance(tail, (ExpTowerTail, LinExpTail)):
+    if base.asymptotics is not Asymptotics.DIVERGES:
         raise IncomparableTailsError("witness thinning needs a diverging-tail base",
-                                     {"tail": tail.kind})
+                                     {"tail": base.tail.kind})
     if alpha.dom < 1:
         raise ValueError("witness thinning needs an index of depth >= 1")
     if m < 0:
@@ -290,79 +211,21 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     p = len(base.prefix)
 
     prefix: list[Entry] = [base.entry(n) for n in range(m + 1)]
-
-    if isinstance(tail, ExpTowerTail):
-        anchor = tail.resolved_anchor(p)
-        # per-entry resolution while still inside the base prefix
-        n = m + 1
-        while n < p:
-            cap = FloorPow(cap_c, n - m)
-            pick = _entry_abs_vs_tower(base.entry(n), cap)
-            if pick == "unknown":
-                raise IncomparableTailsError(
-                    "prefix entry incomparable with the thinning cap",
-                    {"n": n, "entry": base.entry(n).to_json(), "cap": cap.to_json()})
-            if pick == "entry":
-                e = base.entry(n)
-                v = e.as_int()
-                prefix.append(IntEntry(abs(v)) if v is not None else e)
-            else:
-                prefix.append(cap)
-            n += 1
-        # beyond the prefix both sides are towers with exponents shifting in
-        # lockstep, so one stripped comparison decides every remaining index
-        verdict = _strip_compare(tail.c, m - anchor, cap_c, 0)
-        if verdict == "unknown":
-            raise IncomparableTailsError(
-                "tower tails incomparable after stripping",
-                {"base_c": tail.c, "base_exp": m - anchor, "cap_c": cap_c})
-        if verdict == "cap_smaller":
-            new_tail = ExpTowerTail(cap_c, anchor=m)
-        else:
-            new_tail = ExpTowerTail(tail.c, anchor=anchor)
-        return SymbolSeq(tuple(prefix), new_tail)
-
-    # ramp base: the cap tower eventually dominates the single exponential,
-    # so a finite scan resolves the min entry-wise up to a certified crossover
-    n = m + 1
-    budget = 100000
-    rate_hi = Interval.from_fraction(tail.rate).hi
-    while True:
-        if n - m > budget:
-            raise IncomparableTailsError("no certified crossover within budget",
-                                         {"m": m, "n": n})
-        if n < p:
-            cap = FloorPow(cap_c, n - m)
-            pick = _entry_abs_vs_tower(base.entry(n), cap)
-            if pick == "unknown":
-                raise IncomparableTailsError(
-                    "prefix entry incomparable with the thinning cap",
-                    {"n": n, "entry": base.entry(n).to_json(), "cap": cap.to_json()})
-            if pick == "entry":
-                e = base.entry(n)
-                v = e.as_int()
-                prefix.append(IntEntry(abs(v)) if v is not None else e)
-            else:
-                prefix.append(cap)
-            n += 1
-            continue
-        arg = tail.arg(n)
-        # base entry ceil(F(arg)) stays below the cap for every n' >= n
-        if _ramp_below_cap_from(Interval.from_fraction(arg), rate_hi,
-                                growth_net(cap_c, n - m - 1)):
-            return SymbolSeq(tuple(prefix), LinExpTail(tail.rate, tail.offset))
+    for n in range(m + 1, p):
         cap = FloorPow(cap_c, n - m)
-        entry = tail.entry_at(p, n)
-        pick = _entry_abs_vs_tower(entry, cap)
-        if pick == "entry":
-            prefix.append(entry)
-        elif pick == "cap":
-            prefix.append(cap)
-        else:
+        e = base.entry(n)
+        pick = _entry_abs_vs_tower(e, cap)
+        if pick == "unknown":
             raise IncomparableTailsError(
-                "ramp entry incomparable with the thinning cap",
-                {"n": n, "arg": str(arg)})
-        n += 1
+                "prefix entry incomparable with the thinning cap",
+                {"n": n, "entry": e.to_json(), "cap": cap.to_json()})
+        if pick == "entry":
+            v = e.as_int()
+            prefix.append(IntEntry(abs(v)) if v is not None else e)
+        else:
+            prefix.append(cap)
+    entries, tail = base.tail.thin(p, m, cap_c)
+    return SymbolSeq(tuple(prefix) + entries, tail)
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float,

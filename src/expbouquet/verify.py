@@ -14,20 +14,19 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import Interval, growth_net
+from .intervals import Interval, growth_inv_pow, growth_net, sum_down
 from .model import (
     ModelPoint,
     NonConvergenceError,
     endpoint_height,
     endpoint_height_enclosure,
     endpoint_lower_bound,
-    growth_inverse,
     potential,
     potential_term,
 )
 from .plane import (
+    ESCAPE_RE,
     Viewport,
-    escape_record,
     exp_orbit,
     find_cycle,
     render_escape,
@@ -122,15 +121,21 @@ def _suite(name: str, passed: bool, **details) -> dict:
 
 
 def suite_inverse_growth_strictness(cfg: RunConfig) -> dict:
-    """Both strict inequalities of the inverse growth map, with margins."""
+    """Both strict inequalities of the inverse growth map, with certified margins.
+
+    Each margin is a lower bound from the interval enclosures:
+    F^-k(t) - F^-(k+1)(t) and F^-k(t - 1) - (F^-k(t) - 1).
+    """
     ts = [10.0 ** (x / 39.0 * 2.0) for x in range(40)]  # 40 log-spaced in [1, 100]
     min_margin_depth = math.inf
     min_margin_slide = math.inf
     for t in ts:
         for k in range(1, 21):
-            a = growth_inverse(t, k)
-            min_margin_depth = min(min_margin_depth, a - growth_inverse(t, k + 1))
-            min_margin_slide = min(min_margin_slide, growth_inverse(t - 1.0, k) - (a - 1.0))
+            a = growth_inv_pow(t, k)
+            depth = sum_down(a.lo, -a.ln1p().hi)
+            slide = sum_down(sum_down(growth_inv_pow(t - 1.0, k).lo, -a.hi), 1.0)
+            min_margin_depth = min(min_margin_depth, depth)
+            min_margin_slide = min(min_margin_slide, slide)
     passed = min_margin_depth > 1e-9 and min_margin_slide > 1e-9
     return _suite("inverse_growth_strictness", passed,
                   grid="k in [1,20] x 40 log-spaced t in [1,100]",
@@ -390,16 +395,15 @@ def suite_escape_monotonicity(cfg: RunConfig) -> dict:
     """For a = -1: positive reals increase and escape; negatives fall into the basin."""
     failures = []
     for x in (0.5, 1.0, 2.0, 3.5):
-        rec = escape_record(-1.0, x, 400)
-        orbit = exp_orbit(-1.0, x, 40)
+        # the orbit stops at its first point past the escape line
+        orbit = exp_orbit(-1.0, x, 400)
+        escaped = orbit[-1].real > ESCAPE_RE
         increasing = all(b.real > a.real for a, b in zip(orbit, orbit[1:], strict=False)
                          if b.real <= 50.0)
-        if not rec.escaped or not increasing:
+        if not escaped or not increasing:
             failures.append({"x": x, "reason": "positive ray failed to escape"})
     for x in (-3.0, -1.0, -0.25):
-        w = x
-        for _ in range(400):
-            w = math.expm1(w)
+        w = exp_orbit(-1.0, x, 400)[-1].real
         if not (-0.05 < w <= 0.0):
             failures.append({"x": x, "reason": "basin orbit missed the fixed point"})
     return _suite("escape_monotonicity", not failures, failures=failures)

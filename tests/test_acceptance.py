@@ -23,13 +23,13 @@ from expbouquet import (
     extension_index,
     fexp_seq,
     find_cycle,
-    growth_inverse,
     in_stratum,
     potential,
     potential_term,
     render_escape,
     witness_family,
 )
+from expbouquet.intervals import growth_inv_pow, sum_down
 from expbouquet.verify import dominated_pair, random_sequence
 
 TOL_ANCHOR = 1e-6
@@ -41,15 +41,19 @@ def _ok(name: str) -> None:
 
 
 def test_acceptance_inverse_growth_strict_inequalities():
-    """Both strict inequalities with margin > 1e-9 on k in [1,20] x 40 log-spaced t in [1,100]."""
+    """Both strict inequalities with margin > 1e-9 on k in [1,20] x 40 log-spaced t in [1,100].
+
+    The margins are certified lower bounds from the interval enclosures.
+    """
     ts = [10.0 ** (i / 39.0 * 2.0) for i in range(40)]
     margin_depth = math.inf
     margin_slide = math.inf
     for t in ts:
         for k in range(1, 21):
-            margin_depth = min(margin_depth, growth_inverse(t, k) - growth_inverse(t, k + 1))
+            a = growth_inv_pow(t, k)
+            margin_depth = min(margin_depth, sum_down(a.lo, -growth_inv_pow(t, k + 1).hi))
             margin_slide = min(margin_slide,
-                               growth_inverse(t - 1.0, k) - (growth_inverse(t, k) - 1.0))
+                               sum_down(sum_down(growth_inv_pow(t - 1.0, k).lo, -a.hi), 1.0))
     assert margin_depth > 1e-9, f"depth margin {margin_depth}"
     assert margin_slide > 1e-9, f"slide margin {margin_slide}"
     _ok(f"inverse-growth strictness (margins {margin_depth:.3g}, {margin_slide:.3g})")

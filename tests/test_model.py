@@ -4,17 +4,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_encloses, mp_growth_inv
+from conftest import assert_encloses, mp_growth, mp_growth_inv
 from expbouquet import (
-    CertifiedLarge,
     ModelPoint,
     NonConvergenceError,
-    NotInDomain,
-    OverflowGuardError,
     Verdict,
     classify,
     const_seq,
@@ -22,18 +20,22 @@ from expbouquet import (
     endpoint_height_enclosure,
     endpoint_lower_bound,
     fexp_seq,
-    growth,
-    growth_inverse,
     is_escaping_endpoint_address,
     linexp_seq,
-    model_step,
     periodic_seq,
     potential,
     potential_term,
 )
-from expbouquet.intervals import PIN_ARG, Interval, growth_net, sum_down, sum_up
-from expbouquet.model import _endpoint_anchor, potential_floor_from
-from expbouquet.sequences import IntEntry, LinExpTail, SymbolSeq
+from expbouquet.intervals import (
+    PIN_ARG,
+    Interval,
+    growth_inv_pow,
+    growth_net,
+    sum_down,
+    sum_up,
+)
+from expbouquet.model import potential_floor_from
+from expbouquet.sequences import ConstTail, IntEntry, LinExpTail, PeriodicTail, SymbolSeq
 from expbouquet.verify import dominated_pair, random_sequence
 
 LN2 = 0.6931471805599453
@@ -44,33 +46,35 @@ LN20 = 2.995732273553991
 # -- growth map -------------------------------------------------------------
 
 
+def _encloses_exactly(iv: Interval, value) -> bool:
+    return mp.mpf(iv.lo) <= value <= mp.mpf(iv.hi)
+
+
 def test_growth_values():
-    assert growth(0.0) == 0.0
-    assert abs(growth(math.log(2.0)) - 1.0) < 1e-15
-    assert abs(growth(3.0) - 19.085536923187668) < 1e-4
-
-
-def test_growth_guard_and_domain():
-    with pytest.raises(OverflowGuardError):
-        growth(701.0)
-    with pytest.raises(ValueError):
-        growth(-1.0)
+    assert Interval.point(0.0).growth() == Interval.point(0.0)
+    for t in (math.log(2.0), 3.0):
+        iv = Interval.point(t).growth()
+        assert _encloses_exactly(iv, mp_growth(t)) and iv.width < 1e-13
+    assert_encloses(Interval.point(3.0).growth(), 19.085536923187668)
 
 
 def test_growth_inverse_values():
-    assert growth_inverse(0.0, 1) == 0.0
-    assert abs(growth_inverse(1.0, 1) - LN2) < 1e-12
+    assert growth_inv_pow(0.0, 1) == Interval.point(0.0)
+    assert_encloses(growth_inv_pow(1.0, 1), LN2)
     # frozen from the mpmath oracle: F^-3(1) = 0.42303585716440204...
-    assert abs(growth_inverse(1.0, 3) - 0.4230358571644020) < 1e-12
-    assert abs(growth_inverse(1.0, 3) - float(mp_growth_inv(1.0, 3))) < 1e-12
+    assert_encloses(growth_inv_pow(1.0, 3), 0.4230358571644020)
+    assert _encloses_exactly(growth_inv_pow(1.0, 3), mp_growth_inv(1.0, 3))
 
 
 @given(st.integers(min_value=1, max_value=20),
        st.floats(min_value=1.0, max_value=100.0, allow_nan=False))
 @settings(max_examples=200)
 def test_growth_inverse_strict_inequalities(k, t):
-    assert growth_inverse(t, k) > growth_inverse(t, k + 1)
-    assert growth_inverse(t - 1.0, k) > growth_inverse(t, k) - 1.0
+    # certified from the interval bounds: F^-k(t) > F^-(k+1)(t) and
+    # F^-k(t - 1) > F^-k(t) - 1
+    a = growth_inv_pow(t, k)
+    assert a.lo > a.ln1p().hi
+    assert growth_inv_pow(t - 1.0, k).lo > sum_up(a.hi, -1.0)
 
 
 # -- potential terms ----------------------------------------------------------
@@ -167,7 +171,7 @@ def test_endpoint_height_prefix_override():
     enc = endpoint_height(const_seq(0, (0, 5)))
     assert_encloses(enc, LN6)
     # orbit check: F(ln 6) - 5 = 0, then fixed at 0
-    assert abs(growth(enc.mid) - 5.0) < 1e-9
+    assert abs(math.expm1(enc.mid) - 5.0) < 1e-9
 
 
 def test_endpoint_height_tower_oracle():
@@ -212,6 +216,21 @@ def test_endpoint_height_linexp_converges():
     assert enc.width < 1e-9
     pot = potential(linexp_seq(1), 0)
     assert pot.lo - 1e-9 <= enc.lo and enc.hi <= pot.hi + 1.0 + 1e-9
+
+
+def test_bounded_tails_enclose_integers_beyond_double_precision():
+    # 2^53 + 1 rounds to 2^53 as a double; every enclosure of |c| must hold it
+    big = 2**53 + 1
+    const, periodic = ConstTail(big), PeriodicTail((big, 3))
+    for tail in (const, periodic):
+        for iv, v in zip(tail.abs_intervals(), tail.pattern, strict=True):
+            assert Fraction(iv.lo) <= abs(v) <= Fraction(iv.hi)
+        assert tail.abs_bound() >= big
+    level, height = const.nesting_anchor(0)
+    with mp.workdps(60):
+        root = mp.findroot(lambda t: mp.e ** t - 1 - big - t, 37)
+    assert level == 0 and _encloses_exactly(height, root)
+    assert _encloses_exactly(endpoint_height(SymbolSeq((), const)), root)
 
 
 def test_endpoint_height_unattainable_tolerance():
@@ -262,36 +281,7 @@ def test_escaping_endpoint_examples():
     assert is_escaping_endpoint_address(periodic_seq((3, 1))).is_false
 
 
-# -- stepping and classification -------------------------------------------------
-
-
-def test_model_step_fixed_point():
-    out = model_step(ModelPoint(0.0, const_seq(0)))
-    assert isinstance(out, ModelPoint)
-    assert out.t == 0.0
-
-
-def test_model_step_to_zero():
-    out = model_step(ModelPoint(math.log(2.0), const_seq(1)))
-    assert isinstance(out, ModelPoint)
-    assert abs(out.t) < 1e-6
-
-
-def test_model_step_near_fixed_height():
-    out = model_step(ModelPoint(1.146193, const_seq(1)))
-    assert isinstance(out, ModelPoint)
-    assert abs(out.t - 1.146193) < 1e-6
-
-
-def test_model_step_not_in_domain():
-    out = model_step(ModelPoint(0.0, const_seq(5)))
-    assert isinstance(out, NotInDomain)
-
-
-def test_model_step_certified_large():
-    out = model_step(ModelPoint(699.0, const_seq(1)))
-    assert isinstance(out, CertifiedLarge)
-    assert out.t_lower > 1e300
+# -- classification ----------------------------------------------------------------
 
 
 def test_classify_fixed_point():
@@ -365,7 +355,7 @@ def test_ramp_pin_level_matches_the_scan(tail, p):
     n = max(p, 1)
     while tail.arg(n) < PIN_ARG:
         n += 1
-    level, state = _endpoint_anchor(_ramp_seq(tail, p))
+    level, state = tail.nesting_anchor(p)
     assert level == n - 1
     assert state.lo == Interval.from_fraction(tail.arg(n)).lo
 

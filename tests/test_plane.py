@@ -13,7 +13,6 @@ from conftest import bisect_root
 from expbouquet import (
     NoConvergenceError,
     Viewport,
-    escape_record,
     exp_orbit,
     find_cycle,
     region_stays_outside,
@@ -75,14 +74,6 @@ def test_itinerary_truncates_after_escape():
     # symbols for z and f(z) are defined; later iterates are not computable
     itin = strip_itinerary(-1.0, 10.0, 6)
     assert itin == [0, 0]
-
-
-def test_escape_record():
-    rec = escape_record(-1.0, 10.0, 10)
-    assert rec.escaped and rec.first_exceed == 1
-    assert len(rec.itinerary) == 1
-    rec2 = escape_record(-1.0, -0.5, 10)
-    assert not rec2.escaped and len(rec2.itinerary) == 10
 
 
 def test_region_predicate_three_answers():
@@ -338,3 +329,6 @@ def test_chain_slack_grows_with_the_size_of_the_step():
     re_c = -1.0 - 1e-11
     assert _chain_radii([(re_c, 0.0, 1.0)], 1.0, 50.0) is not None
     assert _chain_radii([(re_c, 0.0, 1e5)], 1.0, 50.0) is None
+    # a repelling link maps D(c, 0.5) onto a disk of radius e^0.6 * 0.5 > 0.5,
+    # so the chain does not close
+    assert _chain_radii([(0.1, 0.0, 1.0)], 0.5, 50.0) is None

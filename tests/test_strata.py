@@ -27,8 +27,14 @@ from expbouquet import (
     witness_sequence,
 )
 from expbouquet.intervals import Interval
-from expbouquet.sequences import ExpTowerTail, FloorPow, IntEntry, LinExpTail
-from expbouquet.strata import _entry_abs_vs_tower, _ramp_below_cap_from
+from expbouquet.sequences import (
+    ExpTowerTail,
+    FloorPow,
+    IntEntry,
+    LinExpTail,
+    _entry_abs_vs_tower,
+    _ramp_below_cap_from,
+)
 
 
 def endpoint_of(seq) -> ModelPoint:
