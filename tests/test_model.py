@@ -178,8 +178,6 @@ def test_endpoint_height_tower_oracle():
     # assumption-free oracle: nest exact floors down from level three, seeding
     # with the sandwich bracket (F^3(2) - 1, F^3(2) + 1] for the shifted
     # height; the bracket collapses to ~1e-263 because the entries are huge
-    import mpmath as mp
-
     with mp.workdps(700):
         one = mp.mpf(1)
         f = lambda t: mp.e ** t - 1
@@ -199,8 +197,6 @@ def test_endpoint_height_tower_oracle():
 def test_endpoint_height_tower_oracle_base_three():
     # same bracketing one level shallower for the base-3 tower (floors beyond
     # F^2(3) are not materializable even for mpmath at sane precision)
-    import mpmath as mp
-
     with mp.workdps(60):
         f = lambda t: mp.e ** t - 1
         f2 = f(f(mp.mpf(3)))
