@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: tstar, tmin, classify, strata, witness, render, cycle, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 2 usage or parse error, 1 verification failure or an
+answer not certified within ``--budget`` or ``--tol`` (``error: ...`` on stderr).
 Sequence descriptors are JSON objects, e.g.
 
     {"prefix": [0], "tail": {"kind": "fexp", "c": 3}}
@@ -20,6 +21,7 @@ import re
 import sys
 
 from .model import (
+    BudgetExceededError,
     Classification,
     ModelPoint,
     NonConvergenceError,
@@ -197,10 +199,15 @@ def _cmd_tmin(args, cfg: RunConfig) -> int:
     return EXIT_OK if converged else EXIT_FAIL
 
 
+def _check_height(t: float) -> float:
+    if t < 0 or not math.isfinite(t):
+        raise _UsageError("--t must be a finite nonnegative height")
+    return t
+
+
 def _cmd_classify(args, cfg: RunConfig) -> int:
     seq = _parse_seq(args.seq)
-    if args.t < 0 or not math.isfinite(args.t):
-        raise _UsageError("--t must be a finite nonnegative height")
+    _check_height(args.t)
     result: Classification = classify(ModelPoint(args.t, seq),
                                       budget=min(cfg.budget, 4096), tol=cfg.tolerance)
     _emit(result.to_json(), cfg)
@@ -210,10 +217,12 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 def _cmd_strata(args, cfg: RunConfig) -> int:
     seq = _parse_seq(args.seq)
     alpha = _parse_alpha(args.alpha)
-    t = args.t
-    if t is None:
-        t = endpoint_height_enclosure(seq, cfg.tolerance).mid
-    point = ModelPoint(max(t, 0.0), seq)
+    if args.t is not None:
+        t = _check_height(args.t)
+    else:
+        # only the computed midpoint is clamped: an enclosure may reach below 0
+        t = max(endpoint_height_enclosure(seq, cfg.tolerance).mid, 0.0)
+    point = ModelPoint(t, seq)
     member = in_stratum(alpha, point, cfg.tolerance, cfg.budget)
     payload: dict = {"alpha": alpha.to_json(), "t": point.t, "member": member.label()}
     if member.evidence is not None:
@@ -307,12 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config(args)
         return _COMMANDS[args.command](args, cfg)
-    except _UsageError as e:
+    except (_UsageError, ValueError, DescriptorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, DescriptorError) as e:
+    except (BudgetExceededError, NonConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

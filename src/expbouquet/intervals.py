@@ -37,11 +37,12 @@ class RigorError(Exception):
 
 
 def round_down(x: float) -> float:
-    return math.nextafter(x, -math.inf) if math.isfinite(x) else x
+    # nextafter leaves NaN and the infinity it steps towards as they are
+    return x if x == math.inf else math.nextafter(x, -math.inf)
 
 
 def round_up(x: float) -> float:
-    return math.nextafter(x, math.inf) if math.isfinite(x) else x
+    return x if x == -math.inf else math.nextafter(x, math.inf)
 
 
 def sum_down(a: float, b: float) -> float:
@@ -82,34 +83,20 @@ def expm1_up(t: float) -> float:
     """Certified upper bound of e^t - 1 (+inf once the double range is exceeded)."""
     if t == 0.0:
         return 0.0
-    if t == math.inf:
-        return math.inf
     try:
-        v = math.expm1(t)
+        return round_up(math.expm1(t))
     except OverflowError:
         return math.inf
-    if v == math.inf:
-        return math.inf
-    return round_up(v)
 
 
 def log1p_down(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if x == math.inf:
-        return math.inf
-    return round_down(math.log1p(x))
+    return 0.0 if x == 0.0 else round_down(math.log1p(x))
 
 
 def log1p_up(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if x == math.inf:
-        return math.inf
-    return round_up(math.log1p(x))
+    return 0.0 if x == 0.0 else round_up(math.log1p(x))
 
 
-@dataclass(frozen=True)
 class Interval:
     """Enclosure [lo, hi] of one real value, with open/closed endpoint flags.
 
@@ -117,20 +104,45 @@ class Interval:
     usual saturation case); ``hi = inf`` closed is reserved for genuinely
     infinite quantities such as the endpoint height of a hair with no finite
     minimum.
+
+    Immutable, compared and hashed by its field tuple ``bounds()``.  The
+    constructor validates; arithmetic results come through ``_unchecked``.
     """
 
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise RigorError("NaN endpoint in interval")
-        if self.lo > self.hi:
-            raise RigorError(f"inverted interval [{self.lo}, {self.hi}]")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
-            raise RigorError(f"empty interval at {self.lo}")
+    def __init__(self, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
+        if not lo < hi:  # lo < hi needs no further test whatever the flags
+            if math.isnan(lo) or math.isnan(hi):
+                raise RigorError("NaN endpoint in interval")
+            if lo > hi:
+                raise RigorError(f"inverted interval [{lo}, {hi}]")
+            if lo_open or hi_open:
+                raise RigorError(f"empty interval at {lo}")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_open(self, lo_open)
+        _set_hi_open(self, hi_open)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Interval fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def bounds(self) -> tuple[float, float, bool, bool]:
+        """The field tuple (lo, hi, lo_open, hi_open)."""
+        return (self.lo, self.hi, self.lo_open, self.hi_open)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.bounds() == other.bounds()
+
+    def __hash__(self) -> int:
+        return hash(self.bounds())
+
+    def __reduce__(self):
+        return (Interval, self.bounds())
 
     # -- constructors ------------------------------------------------------
 
@@ -186,35 +198,27 @@ class Interval:
 
     # -- arithmetic (outward rounded) ---------------------------------------
 
-    def _coerce(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(float(other))
-
     def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(sum_down(self.lo, o.lo), sum_up(self.hi, o.hi),
-                        self.lo_open or o.lo_open, self.hi_open or o.hi_open)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
+        return _unchecked(sum_down(self.lo, o.lo), sum_up(self.hi, o.hi),
+                          self.lo_open or o.lo_open, self.hi_open or o.hi_open)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(sum_down(self.lo, -o.hi), sum_up(self.hi, -o.lo),
-                        self.lo_open or o.hi_open, self.hi_open or o.lo_open)
+        o = other if isinstance(other, Interval) else Interval.point(float(other))
+        return _unchecked(sum_down(self.lo, -o.hi), sum_up(self.hi, -o.lo),
+                          self.lo_open or o.hi_open, self.hi_open or o.lo_open)
 
     def ln1p(self) -> "Interval":
         """Image under the strictly increasing map t -> ln(1 + t)."""
-        if self.lo <= -1.0:
-            raise RigorError(f"ln1p domain violation: lo = {self.lo}")
-        return Interval(log1p_down(self.lo), log1p_up(self.hi), self.lo_open, self.hi_open)
+        lo, hi = _ln1p_bounds(self.lo, self.hi)
+        return _unchecked(lo, hi, self.lo_open, self.hi_open)
 
     def growth(self) -> "Interval":
         """Image under t -> e^t - 1, saturating outside the double range."""
-        lo = expm1_down(self.lo)
-        hi = expm1_up(self.hi)
-        hi_open = self.hi_open or (hi == math.inf and self.hi != math.inf)
-        return Interval(lo, hi, self.lo_open, hi_open)
+        lo, hi, hi_open = _growth_bounds(self.lo, self.hi, self.hi_open)
+        return _unchecked(lo, hi, self.lo_open, hi_open)
 
     # -- threshold decisions -------------------------------------------------
 
@@ -276,7 +280,7 @@ class Interval:
                 lo, lo_open = t.lo, t.lo_open
         hi = max(t.hi for t in terms)
         hi_open = all(t.hi_open for t in terms if t.hi == hi)
-        return Interval(lo, hi, lo_open, hi_open)
+        return _unchecked(lo, hi, lo_open, hi_open)
 
     # -- serialization ---------------------------------------------------------
 
@@ -344,26 +348,75 @@ class TriBool:
         return {True: "true", False: "false", None: "unknown"}[self.value]
 
 
+_set_lo, _set_hi, _set_lo_open, _set_hi_open = (
+    getattr(Interval, name).__set__ for name in Interval.__slots__)
+_new = object.__new__
+
+
+def _unchecked(lo: float, hi: float, lo_open: bool, hi_open: bool) -> Interval:
+    """The unchecked constructor of operation results, used when lo < hi (no NaN, inverted or
+    empty endpoints then); a point or a saturated bound goes through the checked one."""
+    if lo < hi:
+        iv = _new(Interval)
+        _set_lo(iv, lo)
+        _set_hi(iv, hi)
+        _set_lo_open(iv, lo_open)
+        _set_hi_open(iv, hi_open)
+        return iv
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+# each directed step on endpoints has one implementation, shared by the methods
+# and the float loops; rounded outward around an increasing map, an ordered
+# pair stays ordered, so a loop validates once, where ``_unchecked`` wraps it
+def _ln1p_bounds(lo: float, hi: float) -> tuple[float, float]:
+    """Outward-rounded endpoints of ln(1 + [lo, hi]), domain-checked at every step."""
+    if lo <= -1.0:
+        raise RigorError(f"ln1p domain violation: lo = {lo}")
+    return log1p_down(lo), log1p_up(hi)
+
+
+def _growth_bounds(lo: float, hi: float, hi_open: bool) -> tuple[float, float, bool]:
+    """Outward-rounded endpoints of e^[lo, hi] - 1 and the upper flag, open once hi saturates."""
+    g_hi = expm1_up(hi)
+    return expm1_down(lo), g_hi, hi_open or (g_hi == math.inf and hi != math.inf)
+
+
+def ln1p_sum(a: Interval, w: tuple[float, float, bool, bool]) -> tuple[float, float, bool, bool]:
+    """Endpoints of ln(1 + a + w), w given by its endpoints: one backward-nesting step."""
+    lo, hi, lo_open, hi_open = w
+    lo, hi = _ln1p_bounds(sum_down(a.lo, lo), sum_up(a.hi, hi))
+    return lo, hi, a.lo_open or lo_open, a.hi_open or hi_open
+
+
+def growth_sub(t: Interval, a: Interval) -> Interval:
+    """F(t) - a, F(t) = e^t - 1, without building F(t): the model map's height step."""
+    lo, hi, hi_open = _growth_bounds(t.lo, t.hi, t.hi_open)
+    return _unchecked(sum_down(lo, -a.hi), sum_up(hi, -a.lo),
+                      t.lo_open or a.hi_open, hi_open or a.lo_open)
+
+
 def growth_pow(x: Interval | float | int, n: int) -> Interval:
     """Interval enclosure of the n-fold growth map F^n, F(t) = e^t - 1, n >= 0."""
     iv = x if isinstance(x, Interval) else Interval.point(float(x))
+    state = (iv.lo, iv.hi, iv.hi_open)
     for _ in range(n):
-        nxt = iv.growth()
-        if nxt == iv:
-            # growth() depends only on endpoint values and flags (a signed zero
-            # takes the t == 0 branch), so F(nxt) is nxt bit for bit: a fixed
-            # point such as [HUGE, inf) or [0, 0] stays fixed for the rest
-            return nxt
-        iv = nxt
-    return iv
+        state, prev = _growth_bounds(*state), state
+        if state == prev:
+            # a step depends only on endpoint values and flags (a signed zero
+            # takes the t == 0 branch), so the next is this one bit for bit: a
+            # fixed point such as [HUGE, inf) or [0, 0] stays fixed for the rest
+            break
+    return _unchecked(state[0], state[1], iv.lo_open, state[2])
 
 
 def growth_inv_pow(x: Interval | float | int, k: int) -> Interval:
     """Interval enclosure of the k-fold inverse growth map F^-k = ln(1 + .) iterated."""
     iv = x if isinstance(x, Interval) else Interval.point(float(x))
+    lo, hi = iv.lo, iv.hi
     for _ in range(k):
-        iv = iv.ln1p()
-    return iv
+        lo, hi = _ln1p_bounds(lo, hi)
+    return _unchecked(lo, hi, iv.lo_open, iv.hi_open)
 
 
 def growth_net(x: Interval | float | int, e: int) -> Interval:

@@ -31,7 +31,8 @@ from .intervals import (
     Interval,
     TriBool,
     growth_net,
-    round_down,
+    growth_sub,
+    log1p_up,
     round_up,
     sum_up,
 )
@@ -41,7 +42,7 @@ from .sequences import (
     Entry,
     FloorPow,
     SymbolSeq,
-    _tiny_ln1p,
+    _log_correction,
     _TowerRel,
 )
 
@@ -129,13 +130,14 @@ def potential_floor_from(seq: SymbolSeq, threshold: float) -> tuple[str, int | N
 # ---------------------------------------------------------------------------
 
 
-_DescendState = Interval | _TowerRel
+# a plain state is carried as its endpoints (lo, hi, lo_open, hi_open)
+_DescendState = tuple | _TowerRel
 
 
 def _materialize(state: _DescendState) -> Interval:
-    if isinstance(state, Interval):
-        return state
-    return growth_net(state.base, state.height) + state.delta
+    if isinstance(state, _TowerRel):
+        return growth_net(state.base, state.height) + state.delta
+    return Interval(*state)
 
 
 def _descend_step(entry: Entry, state: _DescendState) -> _DescendState:
@@ -148,25 +150,26 @@ def _descend_step(entry: Entry, state: _DescendState) -> _DescendState:
                 # ln(1 + floor(A) + A + delta) = F^(h-1) + ln2 + ln1p((delta - phi - 1)/(2(1+A)))
                 d = state.delta
                 denom = 2.0 * (1.0 + a.lo)
-                y_lo = min(0.0, round_down((d.lo - 2.0) / denom))
-                y_hi = max(0.0, round_up((d.hi - 1.0) / denom))
-                corr = _tiny_ln1p(Interval(y_lo, y_hi))
+                corr = _log_correction((d.lo - 2.0) / denom, (d.hi - 1.0) / denom)
                 return _TowerRel(state.base, state.height - 1, _LN2 + corr)
-        state = _materialize(state)
+        state = _materialize(state).bounds()
 
-    w = state
     if isinstance(entry, FloorPow):
         t = entry.tower()
-        if t.lo >= TOWER_PIN and w.hi / (1.0 + t.lo) <= 0.5 and w.lo >= 0.0:
+        if t.lo >= TOWER_PIN and state[1] / (1.0 + t.lo) <= 0.5 and state[0] >= 0.0:
             denom = 1.0 + t.lo
-            y_lo = min(0.0, round_down((w.lo - 1.0) / denom))
-            y_hi = max(0.0, round_up(w.hi / denom))
-            return _TowerRel(entry.base, entry.height - 1, _tiny_ln1p(Interval(y_lo, y_hi)))
-    return entry.descend(w)
+            corr = _log_correction((state[0] - 1.0) / denom, state[1] / denom)
+            return _TowerRel(entry.base, entry.height - 1, corr)
+    return entry.descend_bounds(state)
 
 
-def _descend(seq: SymbolSeq, level: int, state: _DescendState) -> Interval:
-    """Run backward nesting from the given level down to the full height t_s."""
+def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interval:
+    """Run backward nesting from the given level down to the full height t_s.
+
+    A plain state runs on its endpoint floats and is wrapped once, at the end.
+    """
+    if isinstance(state, Interval):
+        state = state.bounds()
     for j in range(level, 0, -1):
         state = _descend_step(seq.entry(j), state)
     return _materialize(state)
@@ -266,7 +269,8 @@ def _bounded_tail_escape_threshold(seq: SymbolSeq, n: int) -> float:
         a_max = max(a_max, seq.entry(j).abs_interval().hi)
     if not math.isfinite(a_max):
         return math.inf
-    return max(2.0, round_up(math.log(4.0 + 2.0 * a_max)))
+    # ln(4 + 2 a_max) = ln(1 + (3 + 2 a_max)), rounded up at the sum and at the log
+    return max(2.0, log1p_up(sum_up(3.0, 2.0 * a_max)))
 
 
 def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
@@ -322,7 +326,7 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
                     return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
         evidence = t_iv
         if n < budget:
-            t_iv = t_iv.growth() - seq.entry(n + 1).abs_interval()
+            t_iv = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
 
     enc = endpoint_height_enclosure(seq, tol)
     if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:

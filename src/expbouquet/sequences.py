@@ -31,6 +31,7 @@ from .intervals import (
     expm1_down,
     growth_inv_pow,
     growth_net,
+    ln1p_sum,
     log1p_up,
     round_down,
     round_up,
@@ -66,6 +67,12 @@ def _tiny_ln1p(y: Interval) -> Interval:
     return Interval(min(lo, hi), hi)
 
 
+def _log_correction(y_lo: float, y_hi: float) -> Interval:
+    """The tower-relative log correction ln(1 + y) of one nesting step, y between y_lo and y_hi
+    as computed (each rounded outward here), widened to hold 0."""
+    return _tiny_ln1p(Interval(min(0.0, round_down(y_lo)), max(0.0, round_up(y_hi))))
+
+
 @dataclass(frozen=True)
 class IntEntry:
     """An exact machine integer entry."""
@@ -79,9 +86,13 @@ class IntEntry:
         """Enclosure of F^-k |value|."""
         return growth_inv_pow(self.abs_interval(), k)
 
+    def descend_bounds(self, w: tuple) -> tuple:
+        """Endpoints (lo, hi, lo_open, hi_open) of F^-1(|value| + w), w given by its endpoints."""
+        return ln1p_sum(self.abs_interval(), w)
+
     def descend(self, w: Interval) -> Interval:
         """Enclosure of F^-1(|value| + w)."""
-        return (self.abs_interval() + w).ln1p()
+        return Interval(*self.descend_bounds(w.bounds()))
 
     def as_int(self) -> int | None:
         return self.value
@@ -139,18 +150,17 @@ class FloorPow:
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
-    def descend(self, w: Interval) -> Interval:
+    descend = IntEntry.descend
+
+    def descend_bounds(self, w: tuple) -> tuple:
         t = self._tower
         if t.lo < TOWER_PIN:
-            return (self.abs_interval() + w).ln1p()
+            return ln1p_sum(self.abs_interval(), w)
         # tower-relative step: ln(1 + floor(A) + w) = F^(h-1)(base) + ln(1 + (w - phi)/(1 + A))
         # with phi in [0, 1); the correction is ~1e-30, added as a rigorous tiny-log bound
-        below = growth_net(self.base, self.height - 1)
         denom = 1.0 + t.lo
-        y_lo = min(0.0, round_down((w.lo - 1.0) / denom))
-        y_hi = max(0.0, round_up(w.hi / denom))
-        corr = _tiny_ln1p(Interval(y_lo, y_hi))
-        return below + corr
+        corr = _log_correction((w[0] - 1.0) / denom, w[1] / denom)
+        return (growth_net(self.base, self.height - 1) + corr).bounds()
 
     def as_int(self) -> int | None:
         return self._int
@@ -215,15 +225,15 @@ class CeilExp:
         inner = growth_inv_pow(self._arg_iv, k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
 
-    def descend(self, w: Interval) -> Interval:
+    descend = IntEntry.descend
+
+    def descend_bounds(self, w: tuple) -> tuple:
         if self._arg_iv.hi <= PIN_ARG:
-            return (self._abs + w).ln1p()
+            return ln1p_sum(self._abs, w)
         # ln(1 + ceil(F(a)) + w) = a + ln(1 + u e^-a), u in [w.lo, w.hi + 2)
         denom = 1.0 + self._grow.lo
-        y_lo = min(0.0, round_down(w.lo / denom))
-        y_hi = max(0.0, round_up((w.hi + 2.0) / denom))
-        corr = _tiny_ln1p(Interval(y_lo, y_hi))
-        return self._arg_iv + corr
+        corr = _log_correction(w[0] / denom, (w[1] + 2.0) / denom)
+        return (self._arg_iv + corr).bounds()
 
     def as_int(self) -> int | None:
         return self._int
@@ -678,7 +688,7 @@ class LinExpTail:
         # the logarithm flattens.
         a_k = Interval.from_fraction(self.arg(shift + k))
         a_next = Interval.from_fraction(self.arg(shift + k + 1))
-        if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= a_k.lo + 1.0):
+        if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
             return None
         env = growth_inv_pow(a_next + 1.0, k)
         return (Interval(0.0, env.hi, False, True),)

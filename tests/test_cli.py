@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+from expbouquet import cli
 from expbouquet.cli import build_parser, main
 from expbouquet.intervals import Interval
+from expbouquet.model import NonConvergenceError
 from expbouquet.sequences import SymbolSeq
 
 CONST1 = '{"prefix": [], "tail": {"kind": "const", "c": 1}}'
@@ -395,3 +400,49 @@ def test_verify_seed0_report_is_pinned(tmp_path, capsys):
     code, out = run(capsys, "verify", "--seed", "0", "--out", str(tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_SHA256
+
+
+FEXP3 = '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}'
+
+
+@pytest.mark.parametrize("t", ["-5", "-1e-300", "inf", "nan"])
+def test_negative_or_non_finite_heights_exit_2(t, capsys):
+    for command in ("strata", "classify"):
+        assert main([command, FEXP3, "--t", t]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --t must be a finite nonnegative height\n"
+
+
+def test_strata_without_t_uses_the_endpoint_midpoint(capsys):
+    code, out = run(capsys, "strata", FEXP3)
+    height = Interval.from_json(json.loads(run(capsys, "tmin", FEXP3)[1])["tmin"])
+    assert code == 0 and json.loads(out)["t"] == height.mid
+
+
+RAMP_QUARTER = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/4"}}'
+
+
+@pytest.mark.parametrize("alpha", ["0", "5"])
+def test_exhausted_budget_exits_1_with_a_message(alpha, capsys):
+    assert main(["strata", RAMP_QUARTER, "--alpha", alpha, "--budget", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: explicit threshold window exceeds budget\n"
+
+
+def test_uncertified_answers_reach_no_traceback(monkeypatch, capsys):
+    proc = subprocess.run([sys.executable, "-m", "expbouquet", "strata", RAMP_QUARTER,
+                           "--alpha", "0", "--budget", "1"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def stalled(seq, shift=0):
+        raise NonConvergenceError(Interval(0.0, 1.0), "ramp envelope certification stalled")
+
+    monkeypatch.setattr(cli, "potential", stalled)
+    assert main(["tstar", CONST1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ramp envelope certification stalled\n"

@@ -1,25 +1,38 @@
 """Directed-rounding soundness of the interval layer."""
 
+import ast
+import copy
 import math
+import pickle
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expbouquet.intervals import (
     HUGE,
     Interval,
     RigorError,
+    expm1_down,
+    expm1_up,
     growth_inv_pow,
     growth_net,
     growth_pow,
+    growth_sub,
+    ln1p_sum,
+    log1p_down,
+    log1p_up,
     round_down,
     round_up,
     sum_down,
     sum_up,
 )
 from expbouquet.intervals import _int_tower
+from expbouquet.model import _descend
+from expbouquet.sequences import ConstTail, IntEntry, SymbolSeq
 
 finite_floats = st.floats(min_value=-1e300, max_value=1e300,
                           allow_nan=False, allow_infinity=False)
@@ -244,3 +257,166 @@ def test_from_int_encloses_integers_beyond_double_precision():
     big = 2**1024 - 2**971 + 1  # one above the largest double, rounds down to it
     iv = Interval.from_int(big)
     assert iv.lo < big and iv.hi == math.inf and iv.hi_open
+
+
+# -- the lean core: checked public constructor, unchecked operation results ---
+
+
+def _ref(lo, hi, lo_open, hi_open) -> Interval:
+    """The checked constructor, as every operation used it before the fast path."""
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+def _ref_add(a, b):
+    return _ref(sum_down(a.lo, b.lo), sum_up(a.hi, b.hi), a.lo_open or b.lo_open,
+                a.hi_open or b.hi_open)
+
+
+def _ref_sub(a, b):
+    return _ref(sum_down(a.lo, -b.hi), sum_up(a.hi, -b.lo), a.lo_open or b.hi_open,
+                a.hi_open or b.lo_open)
+
+
+def _ref_ln1p(a):
+    if a.lo <= -1.0:
+        raise RigorError("domain")
+    return _ref(log1p_down(a.lo), log1p_up(a.hi), a.lo_open, a.hi_open)
+
+
+def _ref_growth(a):
+    hi = expm1_up(a.hi)
+    return _ref(expm1_down(a.lo), hi, a.lo_open, a.hi_open or (hi == math.inf and a.hi != math.inf))
+
+
+def _ref_sup_hull(terms):
+    lo, lo_open = -math.inf, False
+    for t in terms:
+        if t.lo > lo or (t.lo == lo and t.lo_open):
+            lo, lo_open = t.lo, t.lo_open
+    hi = max(t.hi for t in terms)
+    return _ref(lo, hi, lo_open, all(t.hi_open for t in terms if t.hi == hi))
+
+
+def _ref_loop(step, iv, n):
+    for _ in range(n):
+        iv = step(iv)
+    return iv
+
+
+def _bits(iv: Interval):
+    return struct.pack("<dd", iv.lo, iv.hi), iv.lo_open, iv.hi_open
+
+
+def _same_as_reference(got, want):
+    """Both raise RigorError, or both give the same bits and flags, accepted by the constructor."""
+    try:
+        ref = want()
+    except RigorError:
+        with pytest.raises(RigorError):
+            got()
+        return
+    res = got()
+    assert type(res) is Interval
+    assert _bits(res) == _bits(ref), (res, ref)
+    assert _bits(Interval(*res.bounds())) == _bits(res)
+
+
+ENDPOINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, HUGE, 1.7e308, -1.7e308, 709.0, 710.0,
+                     -1.0, math.nextafter(-1.0, 0.0), -0.5, 1.0, 5e-324, -5e-324]),
+    st.floats(allow_nan=False),
+    st.floats(-1.0, -0.9),  # lo near -1: ln1p's domain edge, and below it after a step
+    st.floats(-50.0, 750.0),
+)
+
+
+@st.composite
+def valid_intervals(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return Interval(HUGE, math.inf, draw(st.booleans()), True)  # the saturated state
+    lo, hi = sorted((draw(ENDPOINTS), draw(ENDPOINTS)))
+    lo_open, hi_open = draw(st.booleans()), draw(st.booleans())
+    if lo == hi:
+        lo_open = hi_open = False
+    return Interval(lo, hi, lo_open, hi_open)
+
+
+@given(valid_intervals(), valid_intervals(), st.lists(valid_intervals(), min_size=1, max_size=4),
+       st.integers(0, 6))
+# both sums overflow to +inf under an open flag: only the checked constructor refuses it
+@example(Interval(1.7e308, 1.7e308), Interval(1.7e308, math.inf, False, True),
+         [Interval(-0.0, 0.0)], 3)
+@example(Interval.point(1.0), Interval.point(-0.0), [Interval(HUGE, math.inf, True, True)], 6)
+@settings(max_examples=600)
+def test_fast_results_match_the_checked_reference(a, b, terms, n):
+    _same_as_reference(lambda: a + b, lambda: _ref_add(a, b))
+    _same_as_reference(lambda: a - b, lambda: _ref_sub(a, b))
+    _same_as_reference(a.ln1p, lambda: _ref_ln1p(a))
+    _same_as_reference(a.growth, lambda: _ref_growth(a))
+    _same_as_reference(lambda: Interval.sup_hull(terms), lambda: _ref_sup_hull(terms))
+    _same_as_reference(lambda: growth_pow(a, n), lambda: _ref_loop(_ref_growth, a, n))
+    _same_as_reference(lambda: growth_inv_pow(a, n), lambda: _ref_loop(_ref_ln1p, a, n))
+    # classify's orbit step and one backward-nesting step of _descend
+    _same_as_reference(lambda: growth_sub(a, b), lambda: _ref_sub(_ref_growth(a), b))
+    _same_as_reference(lambda: Interval(*ln1p_sum(a, b.bounds())),
+                       lambda: _ref_ln1p(_ref_add(a, b)))
+
+
+@given(st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=12), valid_intervals())
+@settings(max_examples=300)
+def test_float_nesting_matches_the_interval_steps(values, w):
+    # model._descend runs integer entries on endpoint floats; the reference
+    # takes every step through Intervals built by the checked constructor
+    seq = SymbolSeq(tuple(IntEntry(v) for v in values), ConstTail(0))
+
+    def reference():
+        iv = w
+        for j in range(len(values), 0, -1):
+            iv = _ref_ln1p(_ref_add(Interval.from_int(abs(seq.value_at(j))), iv))
+        return iv
+
+    _same_as_reference(lambda: _descend(seq, len(values), w), reference)
+
+
+def test_intervals_refuse_attribute_writes():
+    iv = Interval(1.0, 2.0)
+    for name in ("lo", "hi", "lo_open", "hi_open", "other"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(iv, name)
+    assert iv.bounds() == (1.0, 2.0, False, False)
+
+
+@given(valid_intervals(), valid_intervals())
+@settings(max_examples=200)
+def test_eq_hash_and_repr_follow_the_field_tuple(a, b):
+    assert (a == b) == (a.bounds() == b.bounds())
+    assert (a != b) == (a.bounds() != b.bounds())
+    assert hash(a) == hash(a.bounds())
+    lb, rb = "(" if a.lo_open else "[", ")" if a.hi_open else "]"
+    assert repr(a) == f"{lb}{a.lo:.17g}, {a.hi:.17g}{rb}"
+    assert a != a.bounds() and a == Interval(*a.bounds())
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert _bits(copied) == _bits(a)
+
+
+def test_unchecked_constructor_stays_inside_the_interval_core():
+    # only the operations that prove their endpoints ordered may build unchecked
+    allowed = {"__add__", "__sub__", "ln1p", "growth", "sup_hull", "growth_sub",
+               "growth_pow", "growth_inv_pow"}
+    root = Path(__file__).resolve().parents[1]
+    users = []
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/*.py"),
+                        *root.glob("perfbench/**/*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Module)):
+                continue
+            body = fn.body if isinstance(fn, ast.Module) else [fn]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name == "_unchecked" and isinstance(node.ctx, ast.Load):
+                    users.append((path.relative_to(root).as_posix(), getattr(fn, "name", None)))
+    assert users and all(p == "src/expbouquet/intervals.py" for p, _ in users), users
+    assert {f for _, f in users if f is not None} == allowed

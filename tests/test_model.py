@@ -34,7 +34,8 @@ from expbouquet.intervals import (
     sum_down,
     sum_up,
 )
-from expbouquet.model import potential_floor_from
+from expbouquet import model, sequences
+from expbouquet.model import _bounded_tail_escape_threshold, potential_floor_from
 from expbouquet.sequences import ConstTail, IntEntry, LinExpTail, PeriodicTail, SymbolSeq
 from expbouquet.verify import dominated_pair, random_sequence
 
@@ -413,3 +414,31 @@ def test_tower_floor_compares_a_directed_lower_bound():
     assert lo - 1.0 == lo and sum_down(lo, -1.0) == threshold
     assert potential_floor_from(seq, threshold) == ("above", 2)
     assert potential_floor_from(seq, math.nextafter(threshold, 0.0)) == ("above", 1)
+
+
+def test_ramp_envelope_step_compares_against_a_directed_sum(monkeypatch):
+    # ln(2 + a_(k+1)) <= a_k + 1 holds with a margin of at least 1 - ln 2 on
+    # every ramp, so no real input reaches a tie; pin the directed sum at one:
+    # a_k + 1.0 rounds up to the tie 2 + 2^-50 while the exact sum is below it
+    a_k = 1.0 + 3 * 2.0**-52
+    tie = 2.0 + 2.0**-50
+    assert a_k + 1.0 == tie and Fraction(a_k) + 1 < tie
+    tail = LinExpTail(Fraction(a_k))  # a_k = arg(1) for shift 0 and term 1
+    monkeypatch.setattr(sequences, "log1p_up", lambda x: tie)
+    assert tail.closing_terms(0, 0, 1) is None
+    monkeypatch.setattr(sequences, "log1p_up", lambda x: sum_down(a_k, 1.0))
+    assert tail.closing_terms(0, 0, 1) is not None
+
+
+def test_bounded_escape_threshold_is_directed(monkeypatch):
+    for c in (0, 1, 7, 2**53 + 1, 2**61 + 513, 10**300):
+        seq = const_seq(c)
+        a_max = mp.mpf(seq.tail.abs_bound())
+        with mp.workdps(60):
+            assert mp.mpf(_bounded_tail_escape_threshold(seq, 0)) >= mp.log(4 + 2 * a_max), c
+    # 3 + 2 a_max is not a double for this c: it reaches the log rounded up
+    seq = const_seq(2**61 + 513)
+    seen = []
+    monkeypatch.setattr(model, "log1p_up", lambda x: seen.append(x) or 50.0)
+    assert _bounded_tail_escape_threshold(seq, 0) == 50.0
+    assert seen and Fraction(seen[0]) > 3 + 2 * Fraction(seq.tail.abs_bound())
