@@ -401,22 +401,28 @@ def test_eq_hash_and_repr_follow_the_field_tuple(a, b):
         assert _bits(copied) == _bits(a)
 
 
+def _unchecked_loads(node) -> int:
+    """References to ``_unchecked`` under node: reads and imports."""
+    return sum((isinstance(n, ast.alias) and n.name == "_unchecked")
+               or (isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+                   and getattr(n, "id", getattr(n, "attr", None)) == "_unchecked")
+               for n in ast.walk(node))
+
+
 def test_unchecked_constructor_stays_inside_the_interval_core():
     # only the operations that prove their endpoints ordered may build unchecked
     allowed = {"__add__", "__sub__", "ln1p", "growth", "sup_hull", "growth_sub",
                "growth_pow", "growth_inv_pow"}
     root = Path(__file__).resolve().parents[1]
-    users = []
+    users = {}
     for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/*.py"),
                         *root.glob("perfbench/**/*.py")]):
         tree = ast.parse(path.read_text(), str(path))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.Module)):
-                continue
-            body = fn.body if isinstance(fn, ast.Module) else [fn]
-            for node in (n for stmt in body for n in ast.walk(stmt)):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if name == "_unchecked" and isinstance(node.ctx, ast.Load):
-                    users.append((path.relative_to(root).as_posix(), getattr(fn, "name", None)))
-    assert users and all(p == "src/expbouquet/intervals.py" for p, _ in users), users
-    assert {f for _, f in users if f is not None} == allowed
+        total = _unchecked_loads(tree)
+        if total:
+            inside = {fn.name: _unchecked_loads(fn) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and _unchecked_loads(fn)}
+            # every use sits in one of those functions, none at module level
+            assert sum(inside.values()) == total, path
+            users[path.relative_to(root).as_posix()] = set(inside)
+    assert users == {"src/expbouquet/intervals.py": allowed}
