@@ -13,8 +13,6 @@ Core surfaces:
 * ``cli``       - the ``expbouquet`` command.
 """
 
-import types as _types
-
 from .intervals import Interval, RigorError, TriBool
 from .model import (
     BudgetExceededError,
@@ -71,6 +69,53 @@ from .verify import RunConfig, run_all
 
 __version__ = "0.1.0"
 
-# every public name imported above
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))
+__all__ = [
+    "AlphaIndex",
+    "Asymptotics",
+    "BudgetExceededError",
+    "Classification",
+    "ConstTail",
+    "CycleInfo",
+    "DescriptorError",
+    "ExpTowerTail",
+    "IncomparableTailsError",
+    "Interval",
+    "LinExpTail",
+    "ModelPoint",
+    "NoConvergenceError",
+    "NonConvergenceError",
+    "PeriodicTail",
+    "RenderSummary",
+    "RigorError",
+    "RunConfig",
+    "SymbolSeq",
+    "TriBool",
+    "Verdict",
+    "Viewport",
+    "WitnessReport",
+    "address_distance",
+    "classify",
+    "const_seq",
+    "endpoint_height",
+    "endpoint_height_enclosure",
+    "endpoint_lower_bound",
+    "exp_orbit",
+    "extension_index",
+    "fexp_seq",
+    "find_cycle",
+    "in_stratum",
+    "is_escaping_endpoint_address",
+    "least_witness_depth",
+    "linexp_seq",
+    "periodic_seq",
+    "point_distance",
+    "potential",
+    "potential_term",
+    "region_stays_outside",
+    "render_escape",
+    "run_all",
+    "strip_itinerary",
+    "witness_cut_index",
+    "witness_family",
+    "witness_sequence",
+]

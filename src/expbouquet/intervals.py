@@ -106,7 +106,7 @@ class Interval:
     minimum.
 
     Immutable, compared and hashed by its field tuple ``bounds()``.  The
-    constructor validates; arithmetic results come through ``_unchecked``.
+    constructor validates every result, arithmetic ones included.
     """
 
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
@@ -200,25 +200,25 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         o = other if isinstance(other, Interval) else Interval.point(float(other))
-        return _unchecked(sum_down(self.lo, o.lo), sum_up(self.hi, o.hi),
-                          self.lo_open or o.lo_open, self.hi_open or o.hi_open)
+        return Interval(sum_down(self.lo, o.lo), sum_up(self.hi, o.hi),
+                        self.lo_open or o.lo_open, self.hi_open or o.hi_open)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
         o = other if isinstance(other, Interval) else Interval.point(float(other))
-        return _unchecked(sum_down(self.lo, -o.hi), sum_up(self.hi, -o.lo),
-                          self.lo_open or o.hi_open, self.hi_open or o.lo_open)
+        return Interval(sum_down(self.lo, -o.hi), sum_up(self.hi, -o.lo),
+                        self.lo_open or o.hi_open, self.hi_open or o.lo_open)
 
     def ln1p(self) -> "Interval":
         """Image under the strictly increasing map t -> ln(1 + t)."""
         lo, hi = _ln1p_bounds(self.lo, self.hi)
-        return _unchecked(lo, hi, self.lo_open, self.hi_open)
+        return Interval(lo, hi, self.lo_open, self.hi_open)
 
     def growth(self) -> "Interval":
         """Image under t -> e^t - 1, saturating outside the double range."""
         lo, hi, hi_open = _growth_bounds(self.lo, self.hi, self.hi_open)
-        return _unchecked(lo, hi, self.lo_open, hi_open)
+        return Interval(lo, hi, self.lo_open, hi_open)
 
     # -- threshold decisions -------------------------------------------------
 
@@ -280,7 +280,7 @@ class Interval:
                 lo, lo_open = t.lo, t.lo_open
         hi = max(t.hi for t in terms)
         hi_open = all(t.hi_open for t in terms if t.hi == hi)
-        return _unchecked(lo, hi, lo_open, hi_open)
+        return Interval(lo, hi, lo_open, hi_open)
 
     # -- serialization ---------------------------------------------------------
 
@@ -350,25 +350,11 @@ class TriBool:
 
 _set_lo, _set_hi, _set_lo_open, _set_hi_open = (
     getattr(Interval, name).__set__ for name in Interval.__slots__)
-_new = object.__new__
-
-
-def _unchecked(lo: float, hi: float, lo_open: bool, hi_open: bool) -> Interval:
-    """The unchecked constructor of operation results, used when lo < hi (no NaN, inverted or
-    empty endpoints then); a point or a saturated bound goes through the checked one."""
-    if lo < hi:
-        iv = _new(Interval)
-        _set_lo(iv, lo)
-        _set_hi(iv, hi)
-        _set_lo_open(iv, lo_open)
-        _set_hi_open(iv, hi_open)
-        return iv
-    return Interval(lo, hi, lo_open, hi_open)
 
 
 # each directed step on endpoints has one implementation, shared by the methods
 # and the float loops; rounded outward around an increasing map, an ordered
-# pair stays ordered, so a loop validates once, where ``_unchecked`` wraps it
+# pair stays ordered, so a loop validates once, when its result is wrapped
 def _ln1p_bounds(lo: float, hi: float) -> tuple[float, float]:
     """Outward-rounded endpoints of ln(1 + [lo, hi]), domain-checked at every step."""
     if lo <= -1.0:
@@ -392,8 +378,8 @@ def ln1p_sum(a: Interval, w: tuple[float, float, bool, bool]) -> tuple[float, fl
 def growth_sub(t: Interval, a: Interval) -> Interval:
     """F(t) - a, F(t) = e^t - 1, without building F(t): the model map's height step."""
     lo, hi, hi_open = _growth_bounds(t.lo, t.hi, t.hi_open)
-    return _unchecked(sum_down(lo, -a.hi), sum_up(hi, -a.lo),
-                      t.lo_open or a.hi_open, hi_open or a.lo_open)
+    return Interval(sum_down(lo, -a.hi), sum_up(hi, -a.lo),
+                    t.lo_open or a.hi_open, hi_open or a.lo_open)
 
 
 def growth_pow(x: Interval | float | int, n: int) -> Interval:
@@ -407,7 +393,7 @@ def growth_pow(x: Interval | float | int, n: int) -> Interval:
             # takes the t == 0 branch), so the next is this one bit for bit: a
             # fixed point such as [HUGE, inf) or [0, 0] stays fixed for the rest
             break
-    return _unchecked(state[0], state[1], iv.lo_open, state[2])
+    return Interval(state[0], state[1], iv.lo_open, state[2])
 
 
 def growth_inv_pow(x: Interval | float | int, k: int) -> Interval:
@@ -416,7 +402,7 @@ def growth_inv_pow(x: Interval | float | int, k: int) -> Interval:
     lo, hi = iv.lo, iv.hi
     for _ in range(k):
         lo, hi = _ln1p_bounds(lo, hi)
-    return _unchecked(lo, hi, iv.lo_open, iv.hi_open)
+    return Interval(lo, hi, iv.lo_open, iv.hi_open)
 
 
 def growth_net(x: Interval | float | int, e: int) -> Interval:

@@ -90,10 +90,6 @@ class IntEntry:
         """Endpoints (lo, hi, lo_open, hi_open) of F^-1(|value| + w), w given by its endpoints."""
         return ln1p_sum(self.abs_interval(), w)
 
-    def descend(self, w: Interval) -> Interval:
-        """Enclosure of F^-1(|value| + w)."""
-        return Interval(*self.descend_bounds(w.bounds()))
-
     def as_int(self) -> int | None:
         return self.value
 
@@ -149,8 +145,6 @@ class FloorPow:
             return growth_inv_pow(v, k)
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
-
-    descend = IntEntry.descend
 
     def descend_bounds(self, w: tuple) -> tuple:
         t = self._tower
@@ -224,8 +218,6 @@ class CeilExp:
             return growth_inv_pow(self._abs, k)
         inner = growth_inv_pow(self._arg_iv, k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
-
-    descend = IntEntry.descend
 
     def descend_bounds(self, w: tuple) -> tuple:
         if self._arg_iv.hi <= PIN_ARG:

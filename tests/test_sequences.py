@@ -371,7 +371,7 @@ def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
     for w in WIDTHS:
-        _assert_same(e.descend(w), ref.descend(w))
+        _assert_same(Interval(*e.descend_bounds(w.bounds())), ref.descend(w))
 
 
 @pytest.mark.parametrize("base, height", [(b, h) for b in (1, 2, 3, 7, 12, 700)
@@ -384,7 +384,7 @@ def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
     for w in WIDTHS:
-        _assert_same(e.descend(w), ref.descend(w))
+        _assert_same(Interval(*e.descend_bounds(w.bounds())), ref.descend(w))
 
 
 def test_entry_enclosures_stay_out_of_equality_and_json():
