@@ -182,6 +182,9 @@ def _cmd_tstar(args, cfg: RunConfig) -> int:
     seq = _parse_seq(args.seq)
     if args.shift < 0:
         raise _UsageError("shift must be >= 0")
+    # the shifted descriptor must be one the parser accepts (a linexp offset
+    # within double range), so a shift beyond it exits 2 like that descriptor
+    _parse_seq(json.dumps(seq.shift(args.shift).to_json()))
     iv = potential(seq, args.shift)
     _emit({"tstar": iv.to_json(), "shift": args.shift}, cfg)
     return EXIT_OK

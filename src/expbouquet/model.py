@@ -26,25 +26,15 @@ from enum import Enum
 
 from .intervals import (
     PIN_ARG,  # noqa: F401 -- the ramp pin argument, read as model.PIN_ARG
-    TOWER_PIN,
     DEFAULT_TOL,
     Interval,
     TriBool,
-    growth_net,
     growth_sub,
     log1p_up,
     round_up,
     sum_up,
 )
-from .sequences import (
-    _LN2,
-    Asymptotics,
-    Entry,
-    FloorPow,
-    SymbolSeq,
-    _log_correction,
-    _TowerRel,
-)
+from .sequences import Asymptotics, SymbolSeq, _TowerRel
 
 
 class NonConvergenceError(ArithmeticError):
@@ -130,49 +120,17 @@ def potential_floor_from(seq: SymbolSeq, threshold: float) -> tuple[str, int | N
 # ---------------------------------------------------------------------------
 
 
-# a plain state is carried as its endpoints (lo, hi, lo_open, hi_open)
-_DescendState = tuple | _TowerRel
-
-
-def _materialize(state: _DescendState) -> Interval:
-    if isinstance(state, _TowerRel):
-        return growth_net(state.base, state.height) + state.delta
-    return Interval(*state)
-
-
-def _descend_step(entry: Entry, state: _DescendState) -> _DescendState:
-    """One backward-nesting step: new state encloses F^-1(|entry| + old)."""
-    if isinstance(state, _TowerRel):
-        if (isinstance(entry, FloorPow) and entry.base == state.base
-                and entry.height == state.height):
-            a = growth_net(state.base, state.height)
-            if a.lo >= TOWER_PIN:
-                # ln(1 + floor(A) + A + delta) = F^(h-1) + ln2 + ln1p((delta - phi - 1)/(2(1+A)))
-                d = state.delta
-                denom = 2.0 * (1.0 + a.lo)
-                corr = _log_correction((d.lo - 2.0) / denom, (d.hi - 1.0) / denom)
-                return _TowerRel(state.base, state.height - 1, _LN2 + corr)
-        state = _materialize(state).bounds()
-
-    if isinstance(entry, FloorPow):
-        t = entry.tower()
-        if t.lo >= TOWER_PIN and state[1] / (1.0 + t.lo) <= 0.5 and state[0] >= 0.0:
-            denom = 1.0 + t.lo
-            corr = _log_correction((state[0] - 1.0) / denom, state[1] / denom)
-            return _TowerRel(entry.base, entry.height - 1, corr)
-    return entry.descend_bounds(state)
-
-
 def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interval:
     """Run backward nesting from the given level down to the full height t_s.
 
-    A plain state runs on its endpoint floats and is wrapped once, at the end.
+    Each entry takes its own step (``Entry.descend``); a plain state runs on
+    its endpoint floats and is wrapped once, at the end.
     """
     if isinstance(state, Interval):
         state = state.bounds()
     for j in range(level, 0, -1):
-        state = _descend_step(seq.entry(j), state)
-    return _materialize(state)
+        state = seq.entry(j).descend(state)
+    return Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
 
 
 def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:

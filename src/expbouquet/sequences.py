@@ -73,6 +73,22 @@ def _log_correction(y_lo: float, y_hi: float) -> Interval:
     return _tiny_ln1p(Interval(min(0.0, round_down(y_lo)), max(0.0, round_up(y_hi))))
 
 
+_LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
+
+
+@dataclass(frozen=True)
+class _TowerRel:
+    """Backward-nesting state F^height(base) + delta, for astronomically large levels."""
+
+    base: int
+    height: int
+    delta: Interval
+
+    def bounds(self) -> tuple:
+        """Endpoints of the materialized state F^height(base) + delta."""
+        return (growth_net(self.base, self.height) + self.delta).bounds()
+
+
 @dataclass(frozen=True)
 class IntEntry:
     """An exact machine integer entry."""
@@ -86,9 +102,14 @@ class IntEntry:
         """Enclosure of F^-k |value|."""
         return growth_inv_pow(self.abs_interval(), k)
 
-    def descend_bounds(self, w: tuple) -> tuple:
-        """Endpoints (lo, hi, lo_open, hi_open) of F^-1(|value| + w), w given by its endpoints."""
-        return ln1p_sum(self.abs_interval(), w)
+    def descend(self, state: tuple | _TowerRel) -> tuple:
+        """One backward-nesting step: a state enclosing F^-1(|value| + w), w the given state.
+
+        A plain state is carried as its endpoints (lo, hi, lo_open, hi_open).
+        """
+        if isinstance(state, _TowerRel):
+            state = state.bounds()
+        return ln1p_sum(self.abs_interval(), state)
 
     def as_int(self) -> int | None:
         return self.value
@@ -146,14 +167,25 @@ class FloorPow:
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
-    def descend_bounds(self, w: tuple) -> tuple:
+    def descend(self, state: tuple | _TowerRel) -> tuple | _TowerRel:
         t = self._tower
+        if isinstance(state, _TowerRel):
+            if state.base == self.base and state.height == self.height and t.lo >= TOWER_PIN:
+                # ln(1 + floor(A) + A + delta) = F^(h-1) + ln2 + ln1p((delta - phi - 1)/(2(1+A)))
+                d = state.delta
+                denom = 2.0 * (1.0 + t.lo)
+                corr = _log_correction((d.lo - 2.0) / denom, (d.hi - 1.0) / denom)
+                return _TowerRel(self.base, self.height - 1, _LN2 + corr)
+            state = state.bounds()
         if t.lo < TOWER_PIN:
-            return ln1p_sum(self.abs_interval(), w)
+            return ln1p_sum(self.abs_interval(), state)
         # tower-relative step: ln(1 + floor(A) + w) = F^(h-1)(base) + ln(1 + (w - phi)/(1 + A))
-        # with phi in [0, 1); the correction is ~1e-30, added as a rigorous tiny-log bound
+        # with phi in [0, 1); the correction is ~1e-30, added as a rigorous tiny-log bound;
+        # a small nonnegative w stays tower-relative, any other is materialized
         denom = 1.0 + t.lo
-        corr = _log_correction((w[0] - 1.0) / denom, w[1] / denom)
+        corr = _log_correction((state[0] - 1.0) / denom, state[1] / denom)
+        if state[1] / denom <= 0.5 and state[0] >= 0.0:
+            return _TowerRel(self.base, self.height - 1, corr)
         return (growth_net(self.base, self.height - 1) + corr).bounds()
 
     def as_int(self) -> int | None:
@@ -219,7 +251,8 @@ class CeilExp:
         inner = growth_inv_pow(self._arg_iv, k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
 
-    def descend_bounds(self, w: tuple) -> tuple:
+    def descend(self, state: tuple | _TowerRel) -> tuple:
+        w = state.bounds() if isinstance(state, _TowerRel) else state
         if self._arg_iv.hi <= PIN_ARG:
             return ln1p_sum(self._abs, w)
         # ln(1 + ceil(F(a)) + w) = a + ln(1 + u e^-a), u in [w.lo, w.hi + 2)
@@ -325,18 +358,6 @@ def _ramp_below_cap_from(a: Interval, rate_hi: float, cap_below: Interval) -> bo
     if a.lo >= OVERFLOW_GUARD:
         return True
     return expm1_down(sum_down(a.lo, 1.0)) >= sum_up(sum_up(a.hi, rate_hi), 2.0)
-
-
-_LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
-
-
-@dataclass(frozen=True)
-class _TowerRel:
-    """Backward-nesting state F^height(base) + delta, for astronomically large levels."""
-
-    base: int
-    height: int
-    delta: Interval
 
 
 def _tower_pin_delta(a_lo: float) -> Interval:

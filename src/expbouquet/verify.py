@@ -57,8 +57,8 @@ class RunConfig:
     out_dir: str = field(default_factory=lambda: os.environ.get("EXPBOUQUET_OUT", "."))
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN fails every comparison
+            raise ValueError("tolerance must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 

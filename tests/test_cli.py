@@ -414,6 +414,28 @@ def test_negative_or_non_finite_heights_exit_2(t, capsys):
         assert captured.err == "error: --t must be a finite nonnegative height\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_non_positive_or_non_finite_tolerances_exit_2(tol, capsys):
+    # a NaN tolerance once passed every later check: strata called t = 5 a
+    # member of the 0 stratum of FEXP3, whose endpoint height is about 19.78
+    for argv in (["strata", FEXP3, "--alpha", "0", "--t", "5"], ["tmin", FEXP3]):
+        assert main(argv + ["--tol", tol]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be positive and finite\n"
+
+
+def test_shift_beyond_double_range_exits_2_like_its_shifted_descriptor(capsys):
+    ramp = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/2"}}'
+    shifted = ramp.replace('"1/2"', f'"1/2", "offset": {10**310}')
+    assert main(["tstar", ramp, "--shift", str(10**310)]) == 2
+    by_shift = capsys.readouterr()
+    assert main(["tstar", shifted]) == 2
+    assert by_shift == capsys.readouterr()
+    assert by_shift.out == ""
+    assert by_shift.err == "error: bad sequence descriptor: linexp offset beyond double range\n"
+
+
 def test_strata_without_t_uses_the_endpoint_midpoint(capsys):
     code, out = run(capsys, "strata", FEXP3)
     height = Interval.from_json(json.loads(run(capsys, "tmin", FEXP3)[1])["tmin"])

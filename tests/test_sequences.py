@@ -30,7 +30,9 @@ from expbouquet.sequences import (
     fexp_seq,
     linexp_seq,
     periodic_seq,
+    _LN2,
     _tiny_ln1p,
+    _TowerRel,
 )
 
 
@@ -362,6 +364,12 @@ def _assert_same(got, want):
     assert got == want and repr(got) == repr(want)
 
 
+def _stepped(e, state):
+    """One nesting step of entry e from an Interval or a _TowerRel, materialized."""
+    got = e.descend(state.bounds() if isinstance(state, Interval) else state)
+    return Interval(*(got.bounds() if isinstance(got, _TowerRel) else got))
+
+
 @pytest.mark.parametrize("arg", CEIL_ARGS, ids=str)
 def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
     e, ref = CeilExp(arg), _LazyCeilExp(arg)
@@ -371,7 +379,7 @@ def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
     for w in WIDTHS:
-        _assert_same(Interval(*e.descend_bounds(w.bounds())), ref.descend(w))
+        _assert_same(_stepped(e, w), ref.descend(w))
 
 
 @pytest.mark.parametrize("base, height", [(b, h) for b in (1, 2, 3, 7, 12, 700)
@@ -383,8 +391,24 @@ def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
     _assert_same(e.abs_interval(), ref.abs_interval())
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
-    for w in WIDTHS:
-        _assert_same(Interval(*e.descend_bounds(w.bounds())), ref.descend(w))
+    # the last two widths fail the guard of the step into tower-relative form
+    # (hi <= (1 + A)/2 and lo >= 0), so a tower past TOWER_PIN materializes them
+    for w in WIDTHS + [Interval(1e300, math.inf, False, True), Interval(-0.5, 0.25)]:
+        _assert_same(_stepped(e, w), ref.descend(w))
+    # a tower-relative state of another tower is stepped as its materialized bounds
+    other = _TowerRel(base + 1, height, _LN2)
+    _assert_same(_stepped(e, other), ref.descend(Interval(*other.bounds())))
+    # one of this tower takes the pin step once the tower passes TOWER_PIN, and
+    # its enclosure lies inside the reference's step of the materialized state
+    own = _TowerRel(base, height, _LN2)
+    want = ref.descend(Interval(*own.bounds()))
+    if e.tower().lo < TOWER_PIN:
+        _assert_same(_stepped(e, own), want)
+    else:
+        pinned = e.descend(own)
+        assert (pinned.base, pinned.height) == (base, height - 1)
+        got = _stepped(e, own)
+        assert want.lo <= got.lo and got.hi <= want.hi
 
 
 def test_entry_enclosures_stay_out_of_equality_and_json():
