@@ -32,6 +32,12 @@ PIN_ARG = 80.0
 DEFAULT_TOL = 1e-9
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite (NaN fails every comparison)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 class RigorError(Exception):
     """An enclosure violated a proven bound; indicates a bug, never bad input."""
 

@@ -29,6 +29,7 @@ from .intervals import (
     DEFAULT_TOL,
     Interval,
     TriBool,
+    check_tolerance,
     growth_sub,
     log1p_up,
     round_up,
@@ -97,10 +98,9 @@ def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
     diverge; for the four supported rules the divergence question is decided
     by the rule itself, so unknown never occurs here.
     """
-    pot0 = potential(seq, 0)
-    if pot0.hi == math.inf and not pot0.hi_open:
-        return TriBool.no(pot0)
-    if seq.asymptotics is Asymptotics.DIVERGES:
+    pot0 = _memoised(seq, "potential", potential)
+    unbounded = pot0.hi == math.inf and not pot0.hi_open
+    if not unbounded and seq.asymptotics is Asymptotics.DIVERGES:
         return TriBool.yes()
     return TriBool.no(pot0)
 
@@ -143,6 +143,25 @@ def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
     return _descend(seq, n, Interval.point(0.0))
 
 
+def _memoised(seq: SymbolSeq, key: str, compute) -> Interval:
+    """compute(seq), built once per sequence instance and kept in its memo."""
+    if key not in seq._memo:
+        seq._memo[key] = compute(seq)
+    return seq._memo[key]
+
+
+def _height(seq: SymbolSeq) -> Interval:
+    """The endpoint-height enclosure, however wide; [inf, inf] when there is no endpoint."""
+    pot0 = _memoised(seq, "potential", potential)
+    if pot0.hi == math.inf and not pot0.hi_open:
+        # genuinely unbounded potential: the hair has no finite endpoint
+        return Interval(math.inf, math.inf)
+    enc = _descend(seq, *seq.tail.nesting_anchor(len(seq.prefix)))
+    if pot0.is_finite:  # the sandwich t* <= t_s <= t* + 1
+        return enc.intersect(Interval(pot0.lo, round_up(pot0.hi + 1.0)))
+    return enc.intersect(Interval(pot0.lo, math.inf, pot0.lo_open, True))
+
+
 def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     """Certified enclosure of the endpoint height t_s of the hair at this address.
 
@@ -150,20 +169,12 @@ def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     seeding the nesting with a certified bound on a shifted endpoint height
     (the tail rule's ``nesting_anchor``).  The result is intersected with the sandwich
     t* <= t_s <= t* + 1.  Raises NonConvergenceError (carrying the honest
-    enclosure) when the requested tolerance is unattainable.
+    enclosure) when the requested tolerance is unattainable.  The enclosure does
+    not depend on tol: a sequence builds it once.
     """
-    pot0 = potential(seq, 0)
-    if pot0.hi == math.inf and not pot0.hi_open:
-        # genuinely unbounded potential: the hair has no finite endpoint
-        return Interval(math.inf, math.inf)
-    level, state = seq.tail.nesting_anchor(len(seq.prefix))
-    enc = _descend(seq, level, state)
-    if pot0.is_finite:
-        sandwich = Interval(pot0.lo, round_up(pot0.hi + 1.0))
-        enc = enc.intersect(sandwich)
-    else:
-        enc = enc.intersect(Interval(pot0.lo, math.inf, pot0.lo_open, True))
-    if enc.width > tol:
+    check_tolerance(tol)
+    enc = _memoised(seq, "height", _height)
+    if enc.lo != math.inf and enc.width > tol:  # no width check for [inf, inf]
         raise NonConvergenceError(enc)
     return enc
 
@@ -258,6 +269,7 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     the height must sit inside a below-tolerance enclosure of the endpoint
     height.  Everything else is reported unknown with evidence.
     """
+    check_tolerance(tol)
     seq = x.seq
     t_iv: Interval = Interval.point(x.t)
     seen: dict = {}

@@ -15,6 +15,7 @@ backward nesting, and the bound or thinning step of its family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,27 +90,34 @@ class _TowerRel:
         return (growth_net(self.base, self.height) + self.delta).bounds()
 
 
+def _enclosure():
+    """A field computed once in ``__post_init__``, left out of ==, hash and repr."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class IntEntry:
     """An exact machine integer entry."""
 
     value: int
+    _abs: Interval = _enclosure()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_abs", Interval.from_int(abs(self.value)))
 
     def abs_interval(self) -> Interval:
-        return Interval.from_int(abs(self.value))
+        return self._abs
 
     def pot(self, k: int) -> Interval:
         """Enclosure of F^-k |value|."""
-        return growth_inv_pow(self.abs_interval(), k)
+        return growth_inv_pow(self._abs, k)
 
     def descend(self, state: tuple | _TowerRel) -> tuple:
         """One backward-nesting step: a state enclosing F^-1(|value| + w), w the given state.
 
         A plain state is carried as its endpoints (lo, hi, lo_open, hi_open).
         """
-        if isinstance(state, _TowerRel):
-            state = state.bounds()
-        return ln1p_sum(self.abs_interval(), state)
+        return ln1p_sum(self._abs, state.bounds() if isinstance(state, _TowerRel) else state)
 
     def as_int(self) -> int | None:
         return self.value
@@ -123,11 +131,6 @@ def _exact_floor(t: Interval) -> int | None:
     if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
         return int(math.floor(t.lo))
     return None
-
-
-def _enclosure():
-    """A field computed once in ``__post_init__``, left out of ==, hash and repr."""
-    return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -431,13 +434,21 @@ class _BoundedTail:
 
     asymptotics = Asymptotics.BOUNDED
 
+    @functools.cached_property
+    def entries(self) -> tuple[IntEntry, ...]:
+        """The entries of one period, built once with the rule."""
+        return tuple(IntEntry(v) for v in self.pattern)
+
     def abs_intervals(self) -> tuple[Interval, ...]:
         """Enclosures of |s_n| over one period, rounded outward."""
-        return tuple(Interval.from_int(abs(v)) for v in self.pattern)
+        return tuple(e.abs_interval() for e in self.entries)
 
     def abs_bound(self) -> float:
         """Upper bound of every |s_n| in the tail."""
         return max(iv.hi for iv in self.abs_intervals())
+
+    def entry_at(self, p: int, n: int) -> Entry:
+        return self.entries[(n - p) % len(self.entries)]
 
     def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
         # after one full period of tail terms every later term repeats an
@@ -460,9 +471,6 @@ class ConstTail(_BoundedTail):
     def validate(self, p: int):
         if not isinstance(self.c, int):
             raise DescriptorError("const tail needs an integer c")
-
-    def entry_at(self, p: int, n: int) -> Entry:
-        return IntEntry(self.c)
 
     def shifted(self, p: int, k: int) -> "ConstTail":
         return self
@@ -520,9 +528,6 @@ class PeriodicTail(_BoundedTail):
         if not self.pattern or not all(isinstance(v, int) for v in self.pattern):
             raise DescriptorError("periodic tail needs a nonempty integer pattern")
 
-    def entry_at(self, p: int, n: int) -> Entry:
-        return IntEntry(self.pattern[(n - p) % len(self.pattern)])
-
     def shifted(self, p: int, k: int) -> "PeriodicTail":
         if k <= p:
             return self
@@ -566,6 +571,26 @@ class PeriodicTail(_BoundedTail):
 EXTRA_TERMS = 8
 
 
+# Tower and ramp entries, asked for again and again, are memoised; 256 hold one query's
+# working set.  Ramp keys are ints: hashing a Fraction rate costs a good share of a lookup.
+@functools.lru_cache(maxsize=256)
+def _tower_entry(c: int, h: int) -> Entry:
+    """The entry floor(F^h(c)): an IntEntry when it fits a machine integer, else a FloorPow."""
+    v = _exact_floor(growth_net(c, h))
+    return IntEntry(v) if v is not None else FloorPow(c, h)
+
+
+@functools.lru_cache(maxsize=256)
+def _ramp_entry(num: int, den: int, m: int) -> Entry:
+    """The entry ceil(F(num/den * m)): an IntEntry when it fits a machine int, else a CeilExp."""
+    try:
+        e = CeilExp(Fraction(num * m, den))
+    except OverflowError:  # a far index or shift
+        raise DescriptorError("linexp argument beyond double range") from None
+    v = e.as_int()
+    return IntEntry(v) if v is not None else e
+
+
 @dataclass(frozen=True)
 class ExpTowerTail:
     """s_n = floor(F^(n - anchor)(c)): the iterated-growth tower family.
@@ -595,9 +620,7 @@ class ExpTowerTail:
         h = n - self.resolved_anchor(p)
         if h < 1:
             raise RigorError("fexp entry below its anchor")
-        # an entry that fits a machine integer is an IntEntry; no FloorPow is built
-        v = _exact_floor(growth_net(self.c, h))
-        return IntEntry(v) if v is not None else FloorPow(self.c, h)
+        return _tower_entry(self.c, h)
 
     def shifted(self, p: int, k: int) -> "ExpTowerTail":
         return ExpTowerTail(self.c, self.resolved_anchor(p) - k)
@@ -680,9 +703,7 @@ class LinExpTail:
         return self.rate * (n + self.offset)
 
     def entry_at(self, p: int, n: int) -> Entry:
-        e = CeilExp(self.arg(n))
-        v = e.as_int()
-        return IntEntry(v) if v is not None else e
+        return _ramp_entry(self.rate.numerator, self.rate.denominator, n + self.offset)
 
     def shifted(self, p: int, k: int) -> "LinExpTail":
         return LinExpTail(self.rate, self.offset + k)
@@ -765,6 +786,8 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
+    # potential(seq, 0) and the endpoint-height enclosure, built once by model.py
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         norm = tuple(IntEntry(e) if isinstance(e, int) else e for e in self.prefix)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intervals import DEFAULT_TOL, Interval, TriBool
+from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
     ModelPoint,
@@ -139,6 +139,7 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
     decided finitely: explicit shifts up to the rule's stabilization index,
     the rest by the rule's certified tail behavior.
     """
+    check_tolerance(tol)
     escaping = is_escaping_endpoint_address(x.seq)
     if not escaping.is_true:
         return TriBool.no(escaping.evidence) if escaping.is_false else escaping
@@ -326,6 +327,7 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     (claim two).  Cut indices strictly increase, distances to the base
     strictly decrease, and heights stay below the base height.
     """
+    check_tolerance(tol)
     child = alpha.child(n_ext)
     member = in_stratum(child, base_point, tol, budget)
     if not member.is_true:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import Interval, growth_inv_pow, growth_net, sum_down
+from .intervals import Interval, check_tolerance, growth_inv_pow, growth_net, sum_down
 from .model import (
     ModelPoint,
     NonConvergenceError,
@@ -57,8 +57,7 @@ class RunConfig:
     out_dir: str = field(default_factory=lambda: os.environ.get("EXPBOUQUET_OUT", "."))
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:  # NaN fails every comparison
-            raise ValueError("tolerance must be positive and finite")
+        check_tolerance(self.tolerance)
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 

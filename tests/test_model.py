@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_encloses, mp_growth, mp_growth_inv
 from expbouquet import (
+    DescriptorError,
     ModelPoint,
     NonConvergenceError,
     Verdict,
@@ -234,6 +235,19 @@ def test_endpoint_height_unattainable_tolerance():
     with pytest.raises(NonConvergenceError) as exc:
         endpoint_height(const_seq(1), tol=1e-30)
     assert exc.value.enclosure.width > 1e-30
+    # the enclosure does not depend on tol: one memoised enclosure serves both
+    seq = const_seq(1)
+    enc = endpoint_height(seq)
+    with pytest.raises(NonConvergenceError) as again:
+        endpoint_height(seq, tol=1e-30)
+    assert again.value.enclosure == enc == exc.value.enclosure
+    assert endpoint_height(seq) == enc
+
+
+def test_potential_at_a_shift_beyond_double_range_is_a_descriptor_error():
+    # the ramp argument at such a shift has no double enclosure
+    with pytest.raises(DescriptorError, match="beyond double range"):
+        potential(linexp_seq("1/2"), 10**310)
 
 
 def test_backward_nesting_monotone():

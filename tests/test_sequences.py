@@ -95,18 +95,46 @@ def test_periodic_tail_and_rotation_under_shift():
     periodic_seq((2, 0, -3), (7,)),
     fexp_seq(3, (0, 2)),
     linexp_seq(Fraction(1, 2), (-1,)),
+    SymbolSeq((IntEntry(7), FloorPow(10, 3)), ExpTowerTail(3, anchor=0)),
+    SymbolSeq((CeilExp(Fraction(801, 2)), IntEntry(3)), LinExpTail(Fraction(2, 3), 5)),
 ])
-@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 40])
 def test_shift_commutes_with_entry_lookup(seq, k):
     shifted = seq.shift(k)
     for n in range(6):
-        a = seq.entry(n + k)
-        b = shifted.entry(n)
-        va, vb = a.as_int(), b.as_int()
-        if va is not None or vb is not None:
-            assert va == vb
-        else:
-            assert a == b
+        assert shifted.entry(n) == seq.entry(n + k)
+
+
+def _fresh_entry(seq: SymbolSeq, n: int):
+    """s_n built directly from the rule's formula, past every memo."""
+    p, tail = len(seq.prefix), seq.tail
+    if n < p:
+        return seq.prefix[n]
+    if isinstance(tail, ExpTowerTail):
+        e = FloorPow(tail.c, n - tail.resolved_anchor(p))
+    elif isinstance(tail, LinExpTail):
+        e = CeilExp(tail.rate * (n + tail.offset))
+    else:
+        return IntEntry(tail.pattern[(n - p) % len(tail.pattern)])
+    return IntEntry(e.as_int()) if e.as_int() is not None else e
+
+
+@pytest.mark.parametrize("seq", [
+    const_seq(3, (1, -4)),
+    periodic_seq((2, 0, -5), (7,)),
+    SymbolSeq((CeilExp(Fraction(801, 2)), FloorPow(10, 3)), ExpTowerTail(3, anchor=0)),
+    SymbolSeq((FloorPow(4, 2), IntEntry(-3)), LinExpTail(Fraction(2, 3), 5)),
+], ids=["const", "periodic", "fexp", "linexp"])
+def test_memoised_entries_equal_fresh_ones(seq):
+    # 300 distinct indices, up and then down, run the 256-entry memos through eviction
+    walk = list(range(300))
+    for s in (seq, seq.shift(3)):
+        for n in walk + walk[::-1]:
+            got, fresh = s.entry(n), _fresh_entry(s, n)
+            # field for field, the enclosures built at construction included
+            assert type(got) is type(fresh) and vars(got) == vars(fresh), (s, n)
+            assert got.abs_interval() == fresh.abs_interval()
+            assert got.pot(1) == fresh.pot(1) and got.pot(2) == fresh.pot(2)
 
 
 def test_shift_zero_is_identity():

@@ -13,7 +13,9 @@ from expbouquet import (
     IncomparableTailsError,
     ModelPoint,
     address_distance,
+    classify,
     const_seq,
+    endpoint_height,
     endpoint_height_enclosure,
     extension_index,
     fexp_seq,
@@ -26,6 +28,7 @@ from expbouquet import (
     witness_family,
     witness_sequence,
 )
+from expbouquet import model, strata
 from expbouquet.intervals import Interval
 from expbouquet.sequences import (
     ExpTowerTail,
@@ -123,6 +126,51 @@ def test_extension_ramp_waits_for_the_threshold():
     # the ramp potential at shift n-1 must not already certify > 2
     if n > 0:
         assert not potential(point.seq, n - 1).certainly_gt(2.0)
+
+
+def test_one_query_nests_each_sequence_once(monkeypatch):
+    # a strata --extend query: the CLI's height, then membership and extension
+    descends, pot0 = [], []
+    real_descend, real_potential = model._descend, model.potential
+
+    def counting_descend(*args):
+        descends.append(args)
+        return real_descend(*args)
+
+    def counting_potential(seq, shift=0):
+        if shift == 0:
+            pot0.append(seq)
+        return real_potential(seq, shift)
+
+    monkeypatch.setattr(model, "_descend", counting_descend)
+    monkeypatch.setattr(model, "potential", counting_potential)
+    monkeypatch.setattr(strata, "potential", counting_potential)
+    seq = fexp_seq(3)
+    point = ModelPoint(max(endpoint_height_enclosure(seq).mid, 0.0), seq)
+    assert in_stratum(AlphaIndex((0,)), point).is_true
+    assert extension_index(AlphaIndex((0,)), point, 0) >= 1
+    assert len(descends) == 1
+    assert sum(s is seq for s in pot0) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_library_entry_points_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    calls = [
+        lambda x: endpoint_height(x.seq, tol),
+        lambda x: endpoint_height_enclosure(x.seq, tol),
+        lambda x: classify(x, tol=tol),
+        lambda x: in_stratum(AlphaIndex((0,)), x, tol, 100000),
+        lambda x: extension_index(AlphaIndex(()), x, 0, tol),
+        lambda x: witness_family(x, AlphaIndex((0,)), 1, 2, tol),
+    ]
+    known = ModelPoint(5.0, fexp_seq(3))
+    endpoint_height_enclosure(known.seq)  # a filled memo must not answer either
+    for call in calls:
+        fresh = ModelPoint(5.0, fexp_seq(3))
+        for x in (fresh, known):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                call(x)
+        assert fresh.seq._memo == {}  # refused before any work
 
 
 def test_extension_requires_membership():
