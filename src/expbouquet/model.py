@@ -106,11 +106,11 @@ def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
 
 
 def potential_floor_from(seq: SymbolSeq, threshold: float) -> tuple[str, int | None]:
-    """Eventual behavior of n -> potential(seq, n) against a threshold.
+    """Eventual behavior of n -> potential(seq, n) against a threshold, for a diverging tail.
 
     Returns ("above", n1): certified potential > threshold for every n >= n1;
-    ("below", n1): certified potential <= threshold for some n in every tail
-    window past n1 (bounded rules); or ("unknown", None).
+    or ("unknown", None).  Bounded tails give no floor: only escaping
+    endpoints, whose tails diverge, ask for one.
     """
     return seq.tail.potential_floor(len(seq.prefix), threshold)
 
@@ -265,6 +265,8 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     a certifiably negative height (least such step is reported); an exactly
     repeating state (non-escaping); a height certifiably above the shifted
     potential + 1 together with a tail-rule divergence certificate (escape).
+    A non-point state that one step leaves unchanged ends the scan, as the
+    rest of the budget would repeat it.
     If the orbit stays inconclusive, the endpoint certificate is tried:
     the height must sit inside a below-tolerance enclosure of the endpoint
     height.  Everything else is reported unknown with evidence.
@@ -296,7 +298,13 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
                     return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
         evidence = t_iv
         if n < budget:
-            t_iv = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
+            step = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
+            # a step depends only on endpoint values and flags (a signed zero
+            # takes the t == 0 branch), so such a state repeats bit for bit
+            if step == t_iv and step.width != 0.0 and seq.shift(n + 1) == seq.shift(n):
+                evidence = step
+                break
+            t_iv = step
 
     enc = endpoint_height_enclosure(seq, tol)
     if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:

@@ -119,18 +119,8 @@ class IntEntry:
         """
         return ln1p_sum(self._abs, state.bounds() if isinstance(state, _TowerRel) else state)
 
-    def as_int(self) -> int | None:
-        return self.value
-
     def to_json(self):
         return self.value
-
-
-def _exact_floor(t: Interval) -> int | None:
-    """The common floor of every value in t, when it is an exact machine integer."""
-    if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
-        return int(math.floor(t.lo))
-    return None
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,8 @@ class FloorPow:
 
     Its absolute value lies in (F^height(base) - 1, F^height(base)]; through
     F^-k this becomes (F^(height-k)(base) - 1, F^(height-k)(base)] because
-    F^-k(t - 1) > F^-k(t) - 1.
+    F^-k(t - 1) > F^-k(t) - 1.  Entries come from ``_tower_entry``, which
+    gives an ``IntEntry`` instead when the value fits a machine integer.
     """
 
     base: int
@@ -147,26 +138,18 @@ class FloorPow:
     # |entry| is built on request: the potential and tower-relative nesting
     # loops, which build most symbolic towers, never ask for it
     _tower: Interval = _enclosure()
-    _int: int | None = _enclosure()
 
     def __post_init__(self):
-        t = growth_net(self.base, self.height)
-        object.__setattr__(self, "_tower", t)
-        object.__setattr__(self, "_int", _exact_floor(t))
+        object.__setattr__(self, "_tower", growth_net(self.base, self.height))
 
     def tower(self) -> Interval:
         return self._tower
 
     def abs_interval(self) -> Interval:
-        if self._int is not None:
-            return Interval.point(float(self._int))
         t = self._tower
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
     def pot(self, k: int) -> Interval:
-        v = self._int
-        if v is not None:
-            return growth_inv_pow(v, k)
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
@@ -191,13 +174,7 @@ class FloorPow:
             return _TowerRel(self.base, self.height - 1, corr)
         return (growth_net(self.base, self.height - 1) + corr).bounds()
 
-    def as_int(self) -> int | None:
-        return self._int
-
     def to_json(self):
-        v = self._int
-        if v is not None:
-            return v
         return {"kind": "floor_tower", "c": self.base, "h": self.height}
 
 
@@ -206,36 +183,26 @@ class CeilExp:
     """Symbolic entry ceil(F(arg)) for a nonnegative rational arg.
 
     Lies in [F(arg), F(arg) + 1); through F^-k it lies in
-    [F^-(k-1)(arg), F^-(k-1)(arg) + 1).
+    [F^-(k-1)(arg), F^-(k-1)(arg) + 1).  Entries come from ``_ramp_entry``,
+    which gives an ``IntEntry`` instead when the value fits a machine integer.
 
-    The tests arg == 0, arg <= PIN_ARG and arg <= OVERFLOW_GUARD read the upper
-    end of the arg enclosure, the least double >= arg; as every bound is a
+    The tests arg <= PIN_ARG and arg <= OVERFLOW_GUARD read the upper end of
+    the arg enclosure, the least double >= arg; as every bound is a
     double and arg >= 0, they are exact.
     """
 
     arg: Fraction
     _arg_iv: Interval = _enclosure()
     _grow: Interval = _enclosure()
-    _int: int | None = _enclosure()
     _abs: Interval = _enclosure()
 
     def __post_init__(self):
         a = Interval.from_fraction(self.arg)
         t = a.growth()
-        v = None
-        if a.hi == 0.0:
-            v = 0
-        elif t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
-            v = int(math.ceil(t.hi))
-        if v is not None:
-            absv = Interval.point(float(v))
-        else:
-            absv = Interval(t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf,
-                            t.lo_open, True)
         object.__setattr__(self, "_arg_iv", a)
         object.__setattr__(self, "_grow", t)
-        object.__setattr__(self, "_int", v)
-        object.__setattr__(self, "_abs", absv)
+        object.__setattr__(self, "_abs", Interval(
+            t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf, t.lo_open, True))
 
     def arg_interval(self) -> Interval:
         return self._arg_iv
@@ -244,9 +211,6 @@ class CeilExp:
         return self._abs
 
     def pot(self, k: int) -> Interval:
-        v = self._int
-        if v is not None:
-            return growth_inv_pow(v, k)
         if self._arg_iv.hi <= OVERFLOW_GUARD:
             # ceil(F(a)) is in [F(a), F(a) + 1); push the slack through all k
             # inverse steps, where it contracts away
@@ -263,17 +227,38 @@ class CeilExp:
         corr = _log_correction(w[0] / denom, (w[1] + 2.0) / denom)
         return (self._arg_iv + corr).bounds()
 
-    def as_int(self) -> int | None:
-        return self._int
-
     def to_json(self):
-        v = self._int
-        if v is not None:
-            return v
         return {"kind": "ceil_exp", "arg": f"{self.arg.numerator}/{self.arg.denominator}"}
 
 
 Entry = IntEntry | FloorPow | CeilExp
+
+
+# Every tower and ramp entry, of a tail, a parsed prefix or a thinning cap, comes from these
+# two factories; each decides from the enclosures its symbolic entry built.  Entries asked
+# for again and again are memoised; 256 hold one query's working set.  Ramp keys are ints:
+# hashing a Fraction rate costs a good share of a lookup.
+@functools.lru_cache(maxsize=256)
+def _tower_entry(c: int, h: int) -> Entry:
+    """The entry floor(F^h(c)): an IntEntry when it fits a machine integer, else a FloorPow."""
+    e = FloorPow(c, h)
+    t = e.tower()
+    if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
+        return IntEntry(math.floor(t.lo))
+    return e
+
+
+@functools.lru_cache(maxsize=256)
+def _ramp_entry(num: int, den: int, m: int) -> Entry:
+    """The entry ceil(F(num/den * m)): an IntEntry when it fits a machine int, else a CeilExp."""
+    try:
+        e = CeilExp(Fraction(num * m, den))
+    except OverflowError:  # a far index or shift
+        raise DescriptorError("linexp argument beyond double range") from None
+    t = e._grow  # [0, 0] when arg == 0
+    if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
+        return IntEntry(math.ceil(t.hi))
+    return e
 
 
 def _in_double_range(v, what: str):
@@ -292,6 +277,13 @@ def _parse_int(v, what: str) -> int:
     return _in_double_range(v, what)
 
 
+def _field(obj: dict, key: str, kind: str):
+    """obj[key], or a DescriptorError naming the missing field and the kind."""
+    if key not in obj:
+        raise DescriptorError(f"{kind} needs the field {key!r}")
+    return obj[key]
+
+
 def entry_from_json(obj) -> Entry:
     if isinstance(obj, bool):
         raise DescriptorError("prefix entries must be integers")
@@ -300,16 +292,17 @@ def entry_from_json(obj) -> Entry:
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == "floor_tower":
-            base = _parse_int(obj["c"], "floor_tower base")
-            height = _parse_int(obj["h"], "floor_tower height")
+            base = _parse_int(_field(obj, "c", kind), "floor_tower base")
+            height = _parse_int(_field(obj, "h", kind), "floor_tower height")
             if base < 1 or height < 1:
                 raise DescriptorError("floor_tower needs base c >= 1 and height h >= 1")
-            return FloorPow(base, height)
+            return _tower_entry(base, height)
         if kind == "ceil_exp":
-            arg = _parse_rational(obj["arg"])
+            arg = _parse_rational(_field(obj, "arg", kind))
             if arg < 0:
                 raise DescriptorError("ceil_exp needs a nonnegative arg")
-            return CeilExp(_in_double_range(arg, "ceil_exp arg"))
+            _in_double_range(arg, "ceil_exp arg")
+            return _ramp_entry(arg.numerator, arg.denominator, 1)
         raise DescriptorError(f"unknown prefix entry kind {kind!r}")
     raise DescriptorError(f"bad prefix entry {obj!r}")
 
@@ -327,18 +320,20 @@ class IncomparableTailsError(ValueError):
         self.diagnostics = diagnostics or {}
 
 
-def _entry_abs_vs_tower(entry: Entry, cap: FloorPow) -> str:
-    """Compare |entry| against a floor tower: 'entry', 'cap', or 'unknown'.
+def _entry_abs_vs_tower(entry: Entry, cap: tuple[int, int]) -> str:
+    """Compare |entry| against the floor tower floor(F^h(c)), cap = (c, h): 'entry', 'cap',
+    or 'unknown'.
 
     floor monotonicity: A <= B certifies floor(A) <= floor(B), so interval
     separation of the underlying reals decides the min.
     """
-    ev = entry.as_int()
-    cv = cap.as_int()
+    cap_entry = _tower_entry(*cap)
+    ev = entry.value if isinstance(entry, IntEntry) else None
+    cv = cap_entry.value if isinstance(cap_entry, IntEntry) else None
     if ev is not None and cv is not None:
         return "entry" if abs(ev) <= cv else "cap"
     a = entry.abs_interval()
-    b = cap.tower()
+    b = growth_net(*cap)
     if ev is not None and b.lo >= abs(ev) + 1:
         return "entry"
     if a.hi <= sum_down(b.lo, -1.0):
@@ -346,6 +341,17 @@ def _entry_abs_vs_tower(entry: Entry, cap: FloorPow) -> str:
     if b.hi <= sum_down(a.lo, -1.0) or (cv is not None and a.lo >= cv + 1):
         return "cap"
     return "unknown"
+
+
+def _thin_entry(entry: Entry, c: int, h: int) -> Entry | None:
+    """The thinning step min(|entry|, floor(F^h(c))) as an entry; None when no certified
+    comparison decides it."""
+    pick = _entry_abs_vs_tower(entry, (c, h))
+    if pick == "cap":
+        return _tower_entry(c, h)
+    if pick == "entry":
+        return IntEntry(abs(entry.value)) if isinstance(entry, IntEntry) else entry
+    return None
 
 
 def _ramp_below_cap_from(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
@@ -397,7 +403,9 @@ class TailRule(Protocol):
 
     ``p`` is always the prefix length of the sequence the tail belongs to.
     Bounded rules (constant, periodic) also give ``abs_bound``; diverging
-    rules (tower, ramp) also give ``thin``.
+    rules (tower, ramp) also give ``potential_floor(p, threshold)``, the
+    eventual floor of the shifted potentials against a threshold, and
+    ``thin``.  Only escaping endpoints, whose rules diverge, ask for either.
     """
 
     kind: str
@@ -421,9 +429,6 @@ class TailRule(Protocol):
         None while explicit terms must go on; the terms returned (possibly
         none) bound every later term.
         """
-
-    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
-        """Eventual behaviour of n -> potential(seq, n) against a threshold."""
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval | _TowerRel]:
         """A backward-nesting start level and an enclosure of the height there."""
@@ -478,15 +483,6 @@ class ConstTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
 
-    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
-        stable = growth_inv_pow(self.abs_intervals()[0], 1)
-        n1 = max(p - 1, 0)
-        if stable.certainly_gt(threshold):
-            return ("above", n1)
-        if stable.certainly_le(threshold):
-            return ("below", n1)
-        return ("unknown", None)
-
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
         a = self.abs_intervals()[0]
@@ -537,19 +533,6 @@ class PeriodicTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}
 
-    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
-        pats = self.abs_intervals()
-        L = len(pats)
-        values = []
-        for r in range(L):
-            terms = [growth_inv_pow(pats[(r + k) % L], k) for k in range(1, L + 1)]
-            values.append(Interval.sup_hull(terms))
-        if all(v.certainly_gt(threshold) for v in values):
-            return ("above", max(p, 0))
-        if any(v.certainly_le(threshold) for v in values):
-            return ("below", max(p, 0))
-        return ("unknown", None)
-
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         """The pure tail's height, by contracting interval sweeps over one period."""
         if all(v == 0 for v in self.pattern):
@@ -569,26 +552,6 @@ class PeriodicTail(_BoundedTail):
 
 # explicit tail terms of a tower potential before its floor window closes the hull
 EXTRA_TERMS = 8
-
-
-# Tower and ramp entries, asked for again and again, are memoised; 256 hold one query's
-# working set.  Ramp keys are ints: hashing a Fraction rate costs a good share of a lookup.
-@functools.lru_cache(maxsize=256)
-def _tower_entry(c: int, h: int) -> Entry:
-    """The entry floor(F^h(c)): an IntEntry when it fits a machine integer, else a FloorPow."""
-    v = _exact_floor(growth_net(c, h))
-    return IntEntry(v) if v is not None else FloorPow(c, h)
-
-
-@functools.lru_cache(maxsize=256)
-def _ramp_entry(num: int, den: int, m: int) -> Entry:
-    """The entry ceil(F(num/den * m)): an IntEntry when it fits a machine int, else a CeilExp."""
-    try:
-        e = CeilExp(Fraction(num * m, den))
-    except OverflowError:  # a far index or shift
-        raise DescriptorError("linexp argument beyond double range") from None
-    v = e.as_int()
-    return IntEntry(v) if v is not None else e
 
 
 @dataclass(frozen=True)
@@ -764,14 +727,12 @@ class LinExpTail:
             if _ramp_below_cap_from(Interval.from_fraction(arg), rate_hi,
                                     growth_net(cap_c, n - m - 1)):
                 return tuple(entries), self
-            cap = FloorPow(cap_c, n - m)
-            entry = self.entry_at(p, n)
-            pick = _entry_abs_vs_tower(entry, cap)
-            if pick == "unknown":
+            entry = _thin_entry(self.entry_at(p, n), cap_c, n - m)
+            if entry is None:
                 raise IncomparableTailsError(
                     "ramp entry incomparable with the thinning cap",
                     {"n": n, "arg": str(arg)})
-            entries.append(entry if pick == "entry" else cap)
+            entries.append(entry)
             n += 1
 
 
@@ -804,10 +765,9 @@ class SymbolSeq:
         return self.tail.entry_at(len(self.prefix), n)
 
     def value_at(self, n: int):
-        """Exact integer when it fits the machine range, else the symbolic entry."""
+        """The integer of an ``IntEntry``, else the symbolic entry."""
         e = self.entry(n)
-        v = e.as_int()
-        return v if v is not None else e
+        return e.value if isinstance(e, IntEntry) else e
 
     def shift(self, n: int = 1) -> "SymbolSeq":
         """Descriptor of the n-fold shifted sequence (drop the first n entries)."""
@@ -839,8 +799,9 @@ class SymbolSeq:
         if not isinstance(tail_raw, dict) or "kind" not in tail_raw:
             raise DescriptorError("tail must be an object with a kind")
         kind = tail_raw["kind"]
+        c = _field(tail_raw, "c", f"{kind} tail") if kind in ("const", "fexp", "linexp") else None
         if kind == "const":
-            tail: TailRule = ConstTail(_parse_int(tail_raw["c"], "const c"))
+            tail: TailRule = ConstTail(_parse_int(c, "const c"))
         elif kind == "periodic":
             pat = tail_raw.get("pattern")
             if not isinstance(pat, list):
@@ -848,10 +809,10 @@ class SymbolSeq:
             tail = PeriodicTail(tuple(_parse_int(v, "periodic entry") for v in pat))
         elif kind == "fexp":
             anchor = tail_raw.get("anchor")
-            tail = ExpTowerTail(_parse_int(tail_raw["c"], "fexp c"),
+            tail = ExpTowerTail(_parse_int(c, "fexp c"),
                                 None if anchor is None else _parse_int(anchor, "fexp anchor"))
         elif kind == "linexp":
-            rate = _parse_rational(tail_raw["c"])
+            rate = _parse_rational(c)
             offset = _parse_int(tail_raw.get("offset", 0), "linexp offset")
             _in_double_range(rate * offset, "linexp rate * offset")
             tail = LinExpTail(rate, offset)

@@ -30,11 +30,11 @@ from .model import (
 from .sequences import (
     Asymptotics,
     Entry,
-    FloorPow,
     IncomparableTailsError,
     IntEntry,
     SymbolSeq,
-    _entry_abs_vs_tower,
+    _thin_entry,
+    _tower_entry,
 )
 
 
@@ -110,14 +110,8 @@ class WitnessReport:
 
 def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
                           budget: int) -> TriBool:
-    """Certify potential(seq, n) > threshold for every n >= start."""
+    """Certify potential(seq, n) > threshold for every n >= start (a diverging tail)."""
     kind, n1 = potential_floor_from(seq, threshold)
-    if kind == "below" and n1 is not None:
-        probe = potential(seq, max(start, n1))
-        tri = probe.tri_gt(threshold)
-        if tri.is_false:
-            return TriBool.no(probe)
-        return TriBool.unknown(probe)
     if kind != "above" or n1 is None:
         return TriBool.unknown(None)
     if n1 - start > budget:
@@ -213,18 +207,13 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
     prefix: list[Entry] = [base.entry(n) for n in range(m + 1)]
     for n in range(m + 1, p):
-        cap = FloorPow(cap_c, n - m)
         e = base.entry(n)
-        pick = _entry_abs_vs_tower(e, cap)
-        if pick == "unknown":
+        thinned = _thin_entry(e, cap_c, n - m)
+        if thinned is None:
             raise IncomparableTailsError(
                 "prefix entry incomparable with the thinning cap",
-                {"n": n, "entry": e.to_json(), "cap": cap.to_json()})
-        if pick == "entry":
-            v = e.as_int()
-            prefix.append(IntEntry(abs(v)) if v is not None else e)
-        else:
-            prefix.append(cap)
+                {"n": n, "entry": e.to_json(), "cap": _tower_entry(cap_c, n - m).to_json()})
+        prefix.append(thinned)
     entries, tail = base.tail.thin(p, m, cap_c)
     return SymbolSeq(tuple(prefix) + entries, tail)
 
@@ -289,9 +278,8 @@ def _entry_gap(a: Entry, b: Entry) -> float:
     """min(1, |a - b|) for the product metric, certified where it matters."""
     if a == b:
         return 0.0
-    va, vb = a.as_int(), b.as_int()
-    if va is not None and vb is not None:
-        return min(1.0, float(abs(va - vb)))
+    if isinstance(a, IntEntry) and isinstance(b, IntEntry):
+        return min(1.0, float(abs(a.value - b.value)))
     diff = a.abs_interval() - b.abs_interval()
     if diff.lo >= 1.0 or diff.hi <= -1.0:
         return 1.0

@@ -244,6 +244,14 @@ def test_non_integer_descriptor_field_exits_2(capsys):
     assert captured.err.startswith("error: bad sequence descriptor: const c must be an integer")
 
 
+def test_missing_descriptor_field_exits_2_naming_it(capsys):
+    assert main(["tstar", '{"prefix": [{"kind": "floor_tower", "c": 3}], '
+                          '"tail": {"kind": "const", "c": 0}}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad sequence descriptor: floor_tower needs the field 'h'\n"
+
+
 @pytest.mark.parametrize("desc", [
     '{"prefix": [0, ' + str(10**336) + '], "tail": {"kind": "const", "c": 0}}',
     '{"prefix": [0, {"kind": "floor_tower", "c": 0, "h": -3}], "tail": {"kind": "const", "c": 0}}',

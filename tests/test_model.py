@@ -338,6 +338,42 @@ def test_classify_above_tower_endpoint_escapes():
     assert result.verdict is Verdict.ESCAPE_CERTIFIED
 
 
+# the full 4096-step scans of these endpoints (verdict and evidence), at the
+# default tolerance and at one too tight for the endpoint certificate, and the
+# orbit steps they need
+SETTLED_ORBITS = [
+    (const_seq(1), 1e-9, 60,
+     {"verdict": "endpoint", "evidence": {"lo": 1.1461932206205703, "hi": 1.1461932206205945,
+                                          "lo_open": False, "hi_open": False}}),
+    (const_seq(1), 1e-20, 60,
+     {"verdict": "unknown", "evidence": {"lo": -1.8414056604369609, "hi": "inf",
+                                         "lo_open": False, "hi_open": True}}),
+    (const_seq(5, (2, -3)), 1e-9, 60,
+     {"verdict": "endpoint", "evidence": {"lo": 1.806765875302011, "hi": 1.8067658753020117,
+                                          "lo_open": False, "hi_open": False}}),
+    (const_seq(5, (2, -3)), 1e-20, 60,
+     {"verdict": "unknown", "evidence": {"lo": -5.997515080664851, "hi": "inf",
+                                         "lo_open": False, "hi_open": True}}),
+    # the enclosure settles among the prefix's ones, but the entries change
+    # after them, so the scan goes on to the tail
+    (const_seq(100, (1,) * 70), 1e-20, 80,
+     {"verdict": "unknown", "evidence": {"lo": -101.0, "hi": "inf",
+                                         "lo_open": False, "hi_open": True}}),
+]
+
+
+@pytest.mark.parametrize("seq, tol, max_steps, want", SETTLED_ORBITS)
+def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, monkeypatch):
+    # at a constant-tail endpoint the orbit enclosure settles on a fixed
+    # [lo, inf), lo < 0; the rest of the 4096-step scan would repeat it
+    steps = []
+    step = model.growth_sub
+    monkeypatch.setattr(model, "growth_sub", lambda *a: steps.append(1) or step(*a))
+    t = endpoint_height_enclosure(seq).mid
+    assert classify(ModelPoint(t, seq), 4096, tol).to_json() == want
+    assert len(steps) <= max_steps
+
+
 def test_classify_unknown_when_budget_too_small():
     # an excess too small to certify within the budget stays unknown:
     # sound, not complete

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from expbouquet import AlphaIndex, witness_sequence
 from expbouquet.intervals import (
     PIN_ARG,
     TOWER_PIN,
@@ -31,7 +32,9 @@ from expbouquet.sequences import (
     linexp_seq,
     periodic_seq,
     _LN2,
+    _ramp_entry,
     _tiny_ln1p,
+    _tower_entry,
     _TowerRel,
 )
 
@@ -53,11 +56,11 @@ def test_tower_tail_materializes_small_heights():
 
 
 def test_tower_entry_window():
-    e = FloorPow(3, 4)
+    e = _tower_entry(3, 4)
+    assert isinstance(e, FloorPow)
     iv = e.abs_interval()
     assert iv.lo_open and iv.hi == math.inf
-    assert e.as_int() is None
-    assert FloorPow(3, 1).as_int() == 19
+    assert _tower_entry(3, 1) == IntEntry(19)
 
 
 @pytest.mark.parametrize("seq", [
@@ -106,17 +109,16 @@ def test_shift_commutes_with_entry_lookup(seq, k):
 
 
 def _fresh_entry(seq: SymbolSeq, n: int):
-    """s_n built directly from the rule's formula, past every memo."""
+    """s_n built by the factories from the rule's formula, past every memo."""
     p, tail = len(seq.prefix), seq.tail
     if n < p:
         return seq.prefix[n]
     if isinstance(tail, ExpTowerTail):
-        e = FloorPow(tail.c, n - tail.resolved_anchor(p))
-    elif isinstance(tail, LinExpTail):
-        e = CeilExp(tail.rate * (n + tail.offset))
-    else:
-        return IntEntry(tail.pattern[(n - p) % len(tail.pattern)])
-    return IntEntry(e.as_int()) if e.as_int() is not None else e
+        return _tower_entry.__wrapped__(tail.c, n - tail.resolved_anchor(p))
+    if isinstance(tail, LinExpTail):
+        return _ramp_entry.__wrapped__(tail.rate.numerator, tail.rate.denominator,
+                                       n + tail.offset)
+    return IntEntry(tail.pattern[(n - p) % len(tail.pattern)])
 
 
 @pytest.mark.parametrize("seq", [
@@ -203,6 +205,16 @@ BEYOND_DOUBLE = 10**336
     ({"prefix": [], "tail": {"kind": "const", "c": math.inf}}, "const c"),
     ({"prefix": [], "tail": {"kind": "fexp", "c": 3, "anchor": -math.inf}}, "fexp anchor"),
     ({"prefix": [], "tail": {"kind": "linexp", "c": math.inf}}, "bad rational"),
+    # a missing required field is named with its kind
+    ({"prefix": [{"kind": "floor_tower", "c": 3}], "tail": {"kind": "const", "c": 0}},
+     "floor_tower needs the field 'h'"),
+    ({"prefix": [{"kind": "floor_tower", "h": 2}], "tail": {"kind": "const", "c": 0}},
+     "floor_tower needs the field 'c'"),
+    ({"prefix": [{"kind": "ceil_exp"}], "tail": {"kind": "const", "c": 0}},
+     "ceil_exp needs the field 'arg'"),
+    ({"prefix": [], "tail": {"kind": "const"}}, "const tail needs the field 'c'"),
+    ({"prefix": [], "tail": {"kind": "fexp", "anchor": 0}}, "fexp tail needs the field 'c'"),
+    ({"prefix": [], "tail": {"kind": "linexp", "offset": 2}}, "linexp tail needs the field 'c'"),
 ])
 def test_descriptor_rejects_values_outside_the_documented_range(desc, message):
     with pytest.raises(DescriptorError, match=re.escape(message)):
@@ -279,19 +291,20 @@ def test_tail_validation():
 
 
 def test_ceil_entry_window():
-    e = CeilExp(Fraction(800))
+    e = _ramp_entry(800, 1, 1)
+    assert isinstance(e, CeilExp)
     iv = e.abs_interval()
     assert iv.hi == math.inf and iv.hi_open
-    assert e.as_int() is None
-    assert CeilExp(Fraction(1)).as_int() == 2
-    assert CeilExp(Fraction(0)).as_int() == 0
+    assert _ramp_entry(1, 1, 1) == IntEntry(2)
+    assert _ramp_entry(0, 1, 1) == IntEntry(0)
 
 
 # -- entry enclosures built at construction -----------------------------------
 #
 # Lazy references: each method recomputes from the defining fields, with the
 # Fraction comparisons on arg, as the entries did before they kept their
-# enclosures.  The eager entries must agree bit for bit.
+# enclosures and before a value that fits a machine integer became an
+# IntEntry.  The entries the factories build must agree bit for bit.
 
 
 class _LazyCeilExp:
@@ -392,6 +405,11 @@ def _assert_same(got, want):
     assert got == want and repr(got) == repr(want)
 
 
+def _int_of(e):
+    """The exact value of an IntEntry, None for a symbolic entry."""
+    return e.value if isinstance(e, IntEntry) else None
+
+
 def _stepped(e, state):
     """One nesting step of entry e from an Interval or a _TowerRel, materialized."""
     got = e.descend(state.bounds() if isinstance(state, Interval) else state)
@@ -400,9 +418,9 @@ def _stepped(e, state):
 
 @pytest.mark.parametrize("arg", CEIL_ARGS, ids=str)
 def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
-    e, ref = CeilExp(arg), _LazyCeilExp(arg)
-    _assert_same(e.as_int(), ref.as_int())
-    _assert_same(e.arg_interval(), ref.arg_interval())
+    e, ref = _ramp_entry.__wrapped__(arg.numerator, arg.denominator, 1), _LazyCeilExp(arg)
+    _assert_same(_int_of(e), ref.as_int())
+    _assert_same(CeilExp(arg).arg_interval(), ref.arg_interval())
     _assert_same(e.abs_interval(), ref.abs_interval())
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
@@ -413,9 +431,9 @@ def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
 @pytest.mark.parametrize("base, height", [(b, h) for b in (1, 2, 3, 7, 12, 700)
                                           for h in (1, 2, 3, 4, 6)])
 def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
-    e, ref = FloorPow(base, height), _LazyFloorPow(base, height)
-    _assert_same(e.as_int(), ref.as_int())
-    _assert_same(e.tower(), ref.tower())
+    e, ref = _tower_entry.__wrapped__(base, height), _LazyFloorPow(base, height)
+    _assert_same(_int_of(e), ref.as_int())
+    _assert_same(FloorPow(base, height).tower(), ref.tower())
     _assert_same(e.abs_interval(), ref.abs_interval())
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))
@@ -430,7 +448,7 @@ def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
     # its enclosure lies inside the reference's step of the materialized state
     own = _TowerRel(base, height, _LN2)
     want = ref.descend(Interval(*own.bounds()))
-    if e.tower().lo < TOWER_PIN:
+    if ref.tower().lo < TOWER_PIN:
         _assert_same(_stepped(e, own), want)
     else:
         pinned = e.descend(own)
@@ -440,10 +458,73 @@ def test_tower_entry_enclosures_match_the_lazy_reference(base, height):
 
 
 def test_entry_enclosures_stay_out_of_equality_and_json():
-    a, b = CeilExp(Fraction(801, 2)), CeilExp(Fraction(801, 2))
+    # two cache keys of one argument, 801/2 and 1602/4, build two equal entries
+    a, b = _ramp_entry(801, 2, 1), _ramp_entry(801, 4, 2)
     assert a == b and hash(a) == hash(b) and a is not b
     assert repr(a) == "CeilExp(arg=Fraction(801, 2))"
-    assert repr(FloorPow(3, 4)) == "FloorPow(base=3, height=4)"
+    assert repr(_tower_entry(3, 4)) == "FloorPow(base=3, height=4)"
     assert a.to_json() == {"kind": "ceil_exp", "arg": "801/2"}
-    assert FloorPow(3, 4).to_json() == {"kind": "floor_tower", "c": 3, "h": 4}
-    assert FloorPow(3, 1).to_json() == 19
+    assert _tower_entry(3, 4).to_json() == {"kind": "floor_tower", "c": 3, "h": 4}
+    assert _tower_entry(3, 1).to_json() == 19
+
+
+# -- one representation per entry value ----------------------------------------
+
+
+def _symbolic_entry_fits_a_machine_int(e) -> bool:
+    """Whether a FloorPow or CeilExp holds a value its enclosures pin to a machine integer."""
+    if isinstance(e, FloorPow):
+        return _LazyFloorPow(e.base, e.height).as_int() is not None
+    if isinstance(e, CeilExp):
+        return _LazyCeilExp(e.arg).as_int() is not None
+    assert isinstance(e, IntEntry)
+    return False
+
+
+PARSED_ENTRIES = ([{"kind": "floor_tower", "c": c, "h": h} for c in (1, 2, 3, 10, 36, 37, 700)
+                   for h in (1, 2, 3)]
+                  + [{"kind": "ceil_exp", "arg": f"{a.numerator}/{a.denominator}"}
+                     for a in CEIL_ARGS])
+
+
+def test_no_public_path_hands_out_a_symbolic_machine_integer():
+    parsed = SymbolSeq.from_json({"prefix": PARSED_ENTRIES, "tail": {"kind": "const", "c": 0}})
+    seqs = [parsed,
+            const_seq(3, (1, -4)),
+            periodic_seq((2, 0, -5), (7,)),
+            fexp_seq(1), fexp_seq(3, (0, 2)), fexp_seq(700),
+            SymbolSeq((), ExpTowerTail(2, anchor=-2)),
+            linexp_seq(1), linexp_seq("1/3", (5,)), linexp_seq("1/100"), linexp_seq(700),
+            SymbolSeq((), LinExpTail(Fraction(2, 7), 40))]
+    for seq in seqs:
+        for s in (seq, seq.shift(1), seq.shift(7)):
+            for n in range(401 if s is not parsed else len(PARSED_ENTRIES)):
+                assert not _symbolic_entry_fits_a_machine_int(s.entry(n)), (s, n)
+
+
+def test_small_parsed_entries_round_trip_to_the_same_json_integer():
+    desc = {"prefix": [{"kind": "floor_tower", "c": 3, "h": 1},
+                       {"kind": "floor_tower", "c": 3, "h": 2},
+                       {"kind": "ceil_exp", "arg": "1"}, {"kind": "ceil_exp", "arg": "0"},
+                       {"kind": "ceil_exp", "arg": "801/2"}],
+            "tail": {"kind": "const", "c": 0}}
+    seq = SymbolSeq.from_json(desc)
+    assert seq.prefix[:4] == (IntEntry(19), IntEntry(194421087), IntEntry(2), IntEntry(0))
+    out = seq.to_json()
+    assert out["prefix"] == [19, 194421087, 2, 0, {"kind": "ceil_exp", "arg": "801/2"}]
+    again = SymbolSeq.from_json(json.loads(json.dumps(out)))
+    assert again == seq and again.to_json() == out
+
+
+def test_thinning_caps_are_machine_integers_when_they_fit():
+    # one thinning step builds every cap, in the prefix and past it
+    bases = [fexp_seq(10), linexp_seq(3), linexp_seq("1/2"),
+             SymbolSeq.from_json({"prefix": [0, {"kind": "floor_tower", "c": 10, "h": 2}, 7,
+                                             {"kind": "ceil_exp", "arg": "801/2"}, 90, 3000],
+                                  "tail": {"kind": "linexp", "c": "3/2"}})]
+    for base in bases:
+        for alpha in (AlphaIndex((0,)), AlphaIndex((0, 1))):
+            for m in (0, 1, 3):
+                w = witness_sequence(base, alpha, m)
+                for n in range(80):
+                    assert not _symbolic_entry_fits_a_machine_int(w.entry(n)), (base, m, n)

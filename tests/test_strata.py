@@ -29,7 +29,7 @@ from expbouquet import (
     witness_sequence,
 )
 from expbouquet import model, strata
-from expbouquet.intervals import Interval
+from expbouquet.intervals import Interval, growth_net
 from expbouquet.sequences import (
     ExpTowerTail,
     FloorPow,
@@ -37,6 +37,7 @@ from expbouquet.sequences import (
     LinExpTail,
     _entry_abs_vs_tower,
     _ramp_below_cap_from,
+    _tower_entry,
 )
 
 
@@ -252,8 +253,9 @@ def test_witness_over_ramp_base():
     # ramp falls below the tower and survives
     assert w.value_at(3) == 19
     assert isinstance(w.tail, LinExpTail)
-    caps = [n for n in range(3, 12) if isinstance(w.entry(n), FloorPow)]
+    caps = [n for n in range(3, 12) if w.entry(n) != base.entry(n)]
     assert caps, "expected a capped window after the cut"
+    assert all(w.entry(n) == _tower_entry(3, n - 2) for n in caps)
 
 
 def test_witness_distance_metric():
@@ -301,53 +303,69 @@ def test_point_distance_combines_height_and_address():
 
 
 class _Symbolic:
-    """A symbolic entry (or cap) with a chosen enclosure and no exact value."""
+    """A symbolic entry with a chosen enclosure of its absolute value."""
 
     def __init__(self, iv: Interval):
         self.iv = iv
 
-    def as_int(self):
-        return None
-
     def abs_interval(self):
         return self.iv
 
-    def tower(self):
-        return self.iv
 
-
-def _assert_certified(pick: str, a: Interval, b: Interval):
-    # the min is certified only with a gap of at least one, in exact arithmetic
+def _assert_certified(pick: str, a: Interval, cap: tuple[int, int]):
+    # the min is certified only with a gap of at least one, in exact arithmetic,
+    # to the tower F^h(c) or, when the cap is a machine integer, to its value
+    b, cap_entry = growth_net(*cap), _tower_entry(*cap)
     if pick == "entry":
         assert Fraction(a.hi) <= Fraction(b.lo) - 1
     elif pick == "cap":
-        assert Fraction(b.hi) <= Fraction(a.lo) - 1
+        assert (Fraction(b.hi) <= Fraction(a.lo) - 1
+                or isinstance(cap_entry, IntEntry) and cap_entry.value + 1 <= Fraction(a.lo))
 
 
 # x - 1.0 rounds up to x: ties to even above 2^53, and every x from 2^54 on
 ROUNDING_UP = [2.0**53 + 4, 2.0**54 + 8, 2.0**60, 1e17, 3.5e20]
 
 
+def _first_cap_from(x: float) -> tuple[int, int]:
+    """The first tower cap (c, 1) whose enclosure lies at or above x."""
+    c = 1
+    while growth_net(c, 1).lo < x:
+        c += 1
+    return c, 1
+
+
 @pytest.mark.parametrize("x", ROUNDING_UP)
 def test_entry_vs_cap_needs_an_exact_gap_of_one(x):
     assert x - 1.0 == x
-    near = Interval(x - 2.0**20, x)
-    far = Interval(x, x + 2.0**20)
-    # |entry| <= x and cap >= x: x - 1.0 == x would have certified the entry
-    assert _entry_abs_vs_tower(_Symbolic(near), _Symbolic(far)) == "unknown"
+    cap = _first_cap_from(x)
+    b = growth_net(*cap)
+    assert b.lo - 1.0 == b.lo and b.hi - 1.0 == b.hi
+    near = Interval(b.lo - 2.0**20, b.lo)
+    far = Interval(b.hi, b.hi + 2.0**20)
+    # |entry| <= b.lo and the tower >= b.lo: b.lo - 1.0 == b.lo would have
+    # certified the entry
+    assert _entry_abs_vs_tower(_Symbolic(near), cap) == "unknown"
     # and the mirror case for the cap
-    assert _entry_abs_vs_tower(_Symbolic(far), _Symbolic(near)) == "unknown"
+    assert _entry_abs_vs_tower(_Symbolic(far), cap) == "unknown"
 
 
-@given(st.floats(1.0, 1e22), st.floats(0.0, 3.0), st.floats(0.0, 1e3), st.floats(0.0, 1e3),
-       st.booleans())
+# machine-integer caps, F(1) ~ 1.7 up to F(36) ~ 4.3e15, and symbolic ones
+CAPS = ([(1, 1), (3, 1), (10, 1), (3, 2), (30, 1), (36, 1), (4, 2)]
+        + [_first_cap_from(x) for x in ROUNDING_UP])
+
+
+@given(st.sampled_from(CAPS), st.floats(-3.0, 3.0), st.floats(0.0, 1e3), st.booleans())
 @settings(max_examples=300)
-def test_entry_vs_cap_certificates_hold_exactly(x, gap, w_a, w_b, swap):
-    a = Interval(max(x - w_a, 0.0), x)
-    b = Interval(x + gap, x + gap + w_b)
-    if swap:
-        a, b = b, a
-    _assert_certified(_entry_abs_vs_tower(_Symbolic(a), _Symbolic(b)), a, b)
+def test_entry_vs_cap_certificates_hold_exactly(cap, gap, width, above):
+    b = growth_net(*cap)
+    if above:  # an enclosure from gap past the tower's upper end
+        lo = max(b.hi + gap, 0.0)
+        a = Interval(lo, lo + width)
+    else:  # one up to gap below its lower end
+        hi = max(b.lo - gap, 0.0)
+        a = Interval(max(hi - width, 0.0), hi)
+    _assert_certified(_entry_abs_vs_tower(_Symbolic(a), cap), a, cap)
 
 
 def _ramp_step_holds(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
