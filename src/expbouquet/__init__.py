@@ -11,7 +11,11 @@ Core surfaces:
 * ``plane``     - companion dynamics for exp(z) + a: orbits, itineraries,
   cycles, escape-time rendering.
 * ``cli``       - the ``expbouquet`` command.
+
+Plane and ``verify`` names load on first use: numpy comes only with ``plane``.
 """
+
+import importlib
 
 from .intervals import Interval, RigorError, TriBool
 from .model import (
@@ -27,17 +31,6 @@ from .model import (
     is_escaping_endpoint_address,
     potential,
     potential_term,
-)
-from .plane import (
-    CycleInfo,
-    NoConvergenceError,
-    RenderSummary,
-    Viewport,
-    exp_orbit,
-    find_cycle,
-    region_stays_outside,
-    render_escape,
-    strip_itinerary,
 )
 from .sequences import (
     Asymptotics,
@@ -65,9 +58,23 @@ from .strata import (
     witness_family,
     witness_sequence,
 )
-from .verify import RunConfig, run_all
 
 __version__ = "0.1.0"
+
+# names whose module loads on first access (PEP 562): plane and verify need numpy
+_LAZY = {
+    **dict.fromkeys(("CycleInfo", "NoConvergenceError", "RenderSummary", "Viewport",
+                     "exp_orbit", "find_cycle", "region_stays_outside", "render_escape",
+                     "strip_itinerary"), ".plane"),
+    "RunConfig": ".cli",
+    "run_all": ".verify",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name], __name__), name)
 
 __all__ = [
     "AlphaIndex",

@@ -19,7 +19,9 @@ import math
 import os
 import re
 import sys
+from dataclasses import dataclass, field
 
+from .intervals import check_tolerance
 from .model import (
     BudgetExceededError,
     Classification,
@@ -30,10 +32,8 @@ from .model import (
     endpoint_height_enclosure,
     potential,
 )
-from .plane import NoConvergenceError, Viewport, find_cycle, render_escape
 from .sequences import DescriptorError, SymbolSeq
 from .strata import AlphaIndex, extension_index, in_stratum, witness_family
-from .verify import RunConfig, run_all
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,6 +42,22 @@ EXIT_USAGE = 2
 
 class _UsageError(Exception):
     pass
+
+
+@dataclass
+class RunConfig:
+    """Numeric defaults shared by every subcommand."""
+
+    tolerance: float = 1e-9
+    budget: int = 100000
+    seed: int = 0
+    fmt: str = "json"
+    out_dir: str = field(default_factory=lambda: os.environ.get("EXPBOUQUET_OUT", "."))
+
+    def __post_init__(self):
+        check_tolerance(self.tolerance)
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 def _parse_seq(text: str) -> SymbolSeq:
@@ -252,6 +268,7 @@ def _cmd_witness(args, cfg: RunConfig) -> int:
 
 
 def _cmd_render(args, cfg: RunConfig) -> int:
+    from .plane import Viewport, render_escape
     a = _parse_complex(args.a)
     try:
         parts = [float(v) for v in args.viewport.split(",")]
@@ -269,11 +286,14 @@ def _cmd_render(args, cfg: RunConfig) -> int:
         summary = render_escape(a, viewport, args.max_iter, path, args.escape_re)
     except OSError as e:  # e.g. the path names a directory
         raise _UsageError(f"cannot write {path!r}: {e}") from e
+    except MemoryError as e:  # a tile too large to allocate
+        raise _UsageError(f"cannot allocate a {args.px} tile: {e}") from e
     _emit(summary.to_json(), cfg)
     return EXIT_OK
 
 
 def _cmd_cycle(args, cfg: RunConfig) -> int:
+    from .plane import NoConvergenceError, find_cycle
     a = _parse_complex(args.a)
     seed = _parse_complex(args.seed_point)
     try:
@@ -286,6 +306,7 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    from .verify import run_all
     _ensure_dir(cfg.out_dir)
     report = run_all(cfg)
     if cfg.fmt == "json":

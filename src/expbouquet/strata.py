@@ -316,11 +316,13 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     strictly decrease, and heights stay below the base height.
     """
     check_tolerance(tol)
+    if count < 0:
+        raise ValueError(f"witness count must be >= 0, got {count}")
     child = alpha.child(n_ext)
     member = in_stratum(child, base_point, tol, budget)
     if not member.is_true:
         raise ValueError("witness_family requires certified membership in the child stratum")
-    if count <= 0:
+    if count == 0:
         return []
 
     base = base_point.seq

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import Interval, check_tolerance, growth_inv_pow, growth_net, sum_down
+from .cli import RunConfig
+from .intervals import Interval, growth_inv_pow, growth_net, sum_down
 from .model import (
     ModelPoint,
     NonConvergenceError,
@@ -44,22 +44,6 @@ from .sequences import (
 from .strata import AlphaIndex, extension_index, in_stratum, witness_family
 
 MARGIN = 1e-6
-
-
-@dataclass
-class RunConfig:
-    """Numeric defaults shared by every subcommand."""
-
-    tolerance: float = 1e-9
-    budget: int = 100000
-    seed: int = 0
-    fmt: str = "json"
-    out_dir: str = field(default_factory=lambda: os.environ.get("EXPBOUQUET_OUT", "."))
-
-    def __post_init__(self):
-        check_tolerance(self.tolerance)
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 # ---------------------------------------------------------------------------

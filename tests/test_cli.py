@@ -237,6 +237,26 @@ def test_unusable_render_path_exits_2(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: "), path
 
 
+def test_unallocatable_render_tile_exits_2(monkeypatch, tmp_path, capsys):
+    from expbouquet import plane
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(plane, "render_escape", too_large)
+    # a small tile, so that an unpatched render allocates nothing large
+    code = main(["render", "--a", "-1", "--px", "4x4", "--path", str(tmp_path / "x.ppm")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot allocate a 4x4 tile")
+
+
+def test_negative_witness_count_exits_2(capsys):
+    assert main(["witness", FEXP10, "--alpha", "0", "--n", "1", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: witness count must be >= 0")
+
+
 def test_non_integer_descriptor_field_exits_2(capsys):
     assert main(["tstar", '{"prefix": [], "tail": {"kind": "const", "c": 1.9}}']) == 2
     captured = capsys.readouterr()

@@ -1,0 +1,84 @@
+"""The import surface: the model path loads no numpy, and every public name resolves.
+
+The plane toolkit and the ``verify`` suites import numpy; ``import
+expbouquet`` and the model subcommands must not pay for it.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import expbouquet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("numpy", "expbouquet.plane", "expbouquet.verify")
+
+_PROBE = """
+import contextlib, io, json, sys
+import expbouquet
+loaded = {"import": [m for m in %(heavy)r if m in sys.modules]}
+from expbouquet import cli
+for argv in %(commands)r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[argv[0]] = [code, [m for m in %(heavy)r if m in sys.modules]]
+print(json.dumps(loaded))
+"""
+
+MODEL_COMMANDS = [
+    ["tstar", '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}'],
+    ["tmin", '{"prefix": [0, 5], "tail": {"kind": "const", "c": 0}}'],
+    ["classify", '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}', "--t", "2"],
+    ["strata", '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}', "--alpha", "0"],
+    ["witness", '{"prefix": [], "tail": {"kind": "fexp", "c": 10}}', "--alpha", "0",
+     "--n", "1", "--count", "1"],
+]
+
+
+def _fresh(code: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_import_and_model_commands_load_no_numpy():
+    out = _fresh(_PROBE % {"heavy": HEAVY, "commands": MODEL_COMMANDS})
+    loaded = json.loads(out.splitlines()[-1])
+    # each command exits 0 and leaves the numpy-backed modules unloaded
+    assert loaded == {"import": [], **{argv[0]: [0, []] for argv in MODEL_COMMANDS}}
+
+
+def test_plane_submodule_and_lazy_names_load_on_first_use():
+    out = _fresh("import sys, expbouquet\n"
+                 "before = 'numpy' in sys.modules\n"
+                 "from expbouquet import plane\n"
+                 "print(before, 'numpy' in sys.modules, expbouquet.Viewport is plane.Viewport)")
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_every_public_name_resolves():
+    for name in expbouquet.__all__:
+        assert getattr(expbouquet, name) is not None
+    namespace: dict = {}
+    exec("from expbouquet import *", namespace)
+    assert set(expbouquet.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        expbouquet.no_such_name
+
+
+def test_all_is_the_eager_imports_plus_the_lazy_table():
+    tree = ast.parse(Path(expbouquet.__file__).read_text())
+    eager = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    assert not eager & set(expbouquet._LAZY)
+    assert sorted(expbouquet.__all__) == sorted(eager | set(expbouquet._LAZY))
+    assert len(expbouquet.__all__) == len(set(expbouquet.__all__))

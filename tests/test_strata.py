@@ -288,6 +288,11 @@ def test_witness_family_empty_count():
     assert witness_family(base_point, AlphaIndex((0,)), 1, 0) == []
 
 
+def test_witness_family_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        witness_family(endpoint_of(fexp_seq(10)), AlphaIndex((0,)), 1, -1)
+
+
 def test_witness_family_requires_membership():
     with pytest.raises(ValueError):
         witness_family(ModelPoint(0.0, const_seq(0)), AlphaIndex((0,)), 1, 2)
