@@ -258,6 +258,14 @@ def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
     return True
 
 
+def _endpoint_certificate(x: ModelPoint, tol: float) -> Classification | None:
+    """ENDPOINT when t lies in a below-tolerance enclosure of the endpoint height."""
+    enc = endpoint_height_enclosure(x.seq, tol)
+    if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:
+        return Classification(Verdict.ENDPOINT, evidence=enc)
+    return None
+
+
 def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Classification:
     """Sound classification of a model point within an iteration budget.
 
@@ -270,15 +278,28 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     If the orbit stays inconclusive, the endpoint certificate is tried:
     the height must sit inside a below-tolerance enclosure of the endpoint
     height.  Everything else is reported unknown with evidence.
+
+    A state [lo, inf] with lo < 0 is absorbing: sum_up(inf, .) stays inf, and
+    expm1_down(lo) lies in [-1, 0), from which sum_down subtracts |s|.hi >= 0.
+    So no scan certificate can fire again (they need hi < 0, a point state or
+    lo >= 2), and the endpoint certificate is tried there; only if it fails
+    does the scan resume, for the evidence of the unknown verdict.
     """
     check_tolerance(tol)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     seq = x.seq
     t_iv: Interval = Interval.point(x.t)
     seen: dict = {}
     evidence = t_iv
+    absorbed = False
     for n in range(budget + 1):
         if t_iv.certainly_lt(0.0):
             return Classification(Verdict.NOT_IN_JULIA, first_failing_step=n, evidence=t_iv)
+        if not absorbed and t_iv.lo < 0.0 and t_iv.hi == math.inf:
+            absorbed = True
+            if (found := _endpoint_certificate(x, tol)) is not None:
+                return found
         if t_iv.lo == -math.inf and t_iv.hi == math.inf:
             evidence = t_iv
             break
@@ -306,7 +327,6 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
                 break
             t_iv = step
 
-    enc = endpoint_height_enclosure(seq, tol)
-    if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:
-        return Classification(Verdict.ENDPOINT, evidence=enc)
+    if not absorbed and (found := _endpoint_certificate(x, tol)) is not None:
+        return found
     return Classification(Verdict.UNKNOWN, evidence=evidence)

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_encloses, mp_growth, mp_growth_inv
 from expbouquet import (
+    Classification,
     DescriptorError,
     ModelPoint,
     NonConvergenceError,
@@ -32,12 +33,20 @@ from expbouquet.intervals import (
     Interval,
     growth_inv_pow,
     growth_net,
+    growth_sub,
     sum_down,
     sum_up,
 )
 from expbouquet import model, sequences
 from expbouquet.model import _bounded_tail_escape_threshold, potential_floor_from
-from expbouquet.sequences import ConstTail, IntEntry, LinExpTail, PeriodicTail, SymbolSeq
+from expbouquet.sequences import (
+    Asymptotics,
+    ConstTail,
+    IntEntry,
+    LinExpTail,
+    PeriodicTail,
+    SymbolSeq,
+)
 from expbouquet.verify import dominated_pair, random_sequence
 
 LN2 = 0.6931471805599453
@@ -359,6 +368,16 @@ SETTLED_ORBITS = [
     (const_seq(100, (1,) * 70), 1e-20, 80,
      {"verdict": "unknown", "evidence": {"lo": -101.0, "hi": "inf",
                                          "lo_open": False, "hi_open": True}}),
+    # two certify-pool queries (perfbench/reference/certify.json): the orbit
+    # enclosure reaches [lo < 0, inf] within a few steps, but a scan that runs
+    # on from there takes 2,840 and all 4,096 steps
+    (SymbolSeq.from_json({"prefix": [], "tail": {"kind": "linexp", "c": "1/4"}}), 1e-9, 40,
+     {"verdict": "endpoint", "evidence": {"lo": 1.1811288661361132, "hi": 1.181128866136114,
+                                          "lo_open": False, "hi_open": True}}),
+    (SymbolSeq.from_json({"prefix": [13, 18, -18, {"kind": "ceil_exp", "arg": "969/7"}],
+                          "tail": {"kind": "periodic", "pattern": [1, -1]}}), 1e-9, 40,
+     {"verdict": "endpoint", "evidence": {"lo": 3.180507976493693, "hi": 3.180507976493694,
+                                          "lo_open": False, "hi_open": False}}),
 ]
 
 
@@ -372,6 +391,100 @@ def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, 
     t = endpoint_height_enclosure(seq).mid
     assert classify(ModelPoint(t, seq), 4096, tol).to_json() == want
     assert len(steps) <= max_steps
+
+
+def _full_scan_classify(x: ModelPoint, budget: int, tol: float):
+    """Reference classify without the absorbing-state pause: it scans the orbit to its end."""
+    seq = x.seq
+    t_iv = Interval.point(x.t)
+    seen: dict = {}
+    evidence = t_iv
+    for n in range(budget + 1):
+        if t_iv.certainly_lt(0.0):
+            return Classification(Verdict.NOT_IN_JULIA, first_failing_step=n, evidence=t_iv)
+        if t_iv.lo == -math.inf and t_iv.hi == math.inf:
+            evidence = t_iv
+            break
+        if t_iv.width == 0.0:
+            key = (t_iv.lo, seq.shift(n))
+            if key in seen:
+                return Classification(Verdict.NON_ESCAPING)
+            seen[key] = n
+        if t_iv.lo >= 2.0:
+            cur = seq.shift(n)
+            pot_n = potential(cur, 0)
+            if pot_n.hi != math.inf and t_iv.lo > sum_up(pot_n.hi, 1.0):
+                if cur.asymptotics is Asymptotics.BOUNDED:
+                    if t_iv.lo >= _bounded_tail_escape_threshold(cur, 0):
+                        return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
+                elif model._diverging_tail_growth_certificate(cur, 0):
+                    return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
+        evidence = t_iv
+        if n < budget:
+            step = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
+            if step == t_iv and step.width != 0.0 and seq.shift(n + 1) == seq.shift(n):
+                evidence = step
+                break
+            t_iv = step
+    enc = endpoint_height_enclosure(seq, tol)
+    if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:
+        return Classification(Verdict.ENDPOINT, evidence=enc)
+    return Classification(Verdict.UNKNOWN, evidence=evidence)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).to_json()
+    except ArithmeticError as e:  # the same honest failure from both, if any
+        return type(e).__name__
+
+
+prefix_entries = st.one_of(
+    st.integers(-20, 20),
+    st.fixed_dictionaries({"kind": st.just("floor_tower"), "c": st.integers(1, 9),
+                           "h": st.integers(1, 5)}),
+    st.fixed_dictionaries({"kind": st.just("ceil_exp"),
+                           "arg": st.integers(0, 1100).map(lambda k: f"{k}/7")}),
+)
+tail_rules = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("const"), "c": st.integers(-12, 12)}),
+    st.fixed_dictionaries({"kind": st.just("periodic"),
+                           "pattern": st.lists(st.integers(-9, 9), min_size=1, max_size=5)}),
+    st.fixed_dictionaries({"kind": st.just("fexp"), "c": st.integers(1, 10)}),
+    st.fixed_dictionaries({"kind": st.just("linexp"), "c": st.sampled_from(
+        ["1/4", "1/3", "1/2", "2/3", "1", "3/2", "2", "3"])}),
+)
+
+
+@given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}),
+       st.floats(0.0, 10.0))
+# at the midpoint the enclosure settles after its pause (tol 1e-20), and it
+# straddles 0 with a finite upper end before certifying a negative height (tol 1e-9)
+@example({"prefix": [], "tail": {"kind": "const", "c": 1}}, 0.0)
+@example({"prefix": [-3], "tail": {"kind": "const", "c": 5}}, 0.0)
+@settings(max_examples=100, deadline=None)
+def test_classify_matches_the_full_orbit_scan(descriptor, t_random):
+    # heights at and around the endpoint, where orbit enclosures blow up to
+    # [lo < 0, inf]; at tol 1e-20 the endpoint certificate fails, so the
+    # scan resumes after its pause
+    seq = SymbolSeq.from_json(descriptor)
+    enc = endpoint_height_enclosure(seq)
+    for tol in (1e-9, 1e-20):
+        for t in (enc.mid, enc.lo - tol, enc.hi + tol, enc.mid - 1e-7, enc.mid + 1e-7, t_random):
+            if not (math.isfinite(t) and t >= 0.0):  # no finite endpoint there
+                continue
+            point = ModelPoint(t, seq)
+            for budget in (0, 1, 7, 64, 4096):
+                assert (_outcome(classify, point, budget, tol)
+                        == _outcome(_full_scan_classify, point, budget, tol)), (t, tol, budget)
+
+
+def test_classify_rejects_a_negative_budget():
+    point = ModelPoint(1.0, const_seq(1))
+    with pytest.raises(ValueError, match=r"budget must be >= 0, got -5"):
+        classify(point, budget=-5)
+    assert classify(point, budget=0).to_json() == {"verdict": "unknown",
+                                                   "evidence": Interval.point(1.0).to_json()}
 
 
 def test_classify_unknown_when_budget_too_small():
