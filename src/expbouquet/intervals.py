@@ -402,11 +402,16 @@ def growth_pow(x: Interval | float | int, n: int) -> Interval:
     return Interval(state[0], state[1], iv.lo_open, state[2])
 
 
-def growth_inv_pow(x: Interval | float | int, k: int) -> Interval:
-    """Interval enclosure of the k-fold inverse growth map F^-k = ln(1 + .) iterated."""
+def growth_inv_pow(x: Interval | float | int, k: int, below: float = -math.inf) -> Interval | None:
+    """Interval enclosure of the k-fold inverse growth map F^-k = ln(1 + .) iterated.
+
+    None once the running upper end is strictly below ``below`` before a step.
+    """
     iv = x if isinstance(x, Interval) else Interval.point(float(x))
     lo, hi = iv.lo, iv.hi
     for _ in range(k):
+        if hi < below:
+            return None
         lo, hi = _ln1p_bounds(lo, hi)
     return Interval(lo, hi, iv.lo_open, iv.hi_open)
 

@@ -55,12 +55,12 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def potential_term(seq: SymbolSeq, n: int, k: int) -> Interval:
-    """Certified enclosure of F^-k |s_n| (one term of a shifted potential)."""
+def potential_term(seq: SymbolSeq, n: int, k: int, below: float = -math.inf) -> Interval | None:
+    """Certified enclosure of F^-k |s_n|, or None once it falls below ``below`` (``potential``)."""
     if n < 1 or k < 1:
         raise ValueError("potential_term needs n >= 1 and k >= 1")
-    iv = seq.entry(n).pot(k)
-    if iv.lo < 0.0:
+    iv = seq.entry(n).pot(k, below)
+    if iv is not None and iv.lo < 0.0:
         iv = Interval(0.0, iv.hi, False, iv.hi_open)
     return iv
 
@@ -72,19 +72,29 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     into the tail until the tail rule's ``closing_terms`` close the hull
     (constant/periodic terms only decrease; tower terms all live in one floor
     window; ramp terms fall under a certified decreasing envelope).
+
+    An integer or ramp term (``CeilExp`` arg <= OVERFLOW_GUARD) stops its inverse
+    steps once its upper end is strictly below ``cut``, the largest lower end so
+    far, and is left out: that end is 0 or above F^-k(1) > 2^-50, where
+    log1p_up(x) <= x, so the term stays below cut and the hull keeps its ends and
+    flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
     """
     if shift < 0:
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
     terms: list[Interval] = []
+    cut = -math.inf
     k = 0
     while True:
         k += 1
         if k - prefix_terms > 200000:
             raise NonConvergenceError(Interval.sup_hull(terms),
                                       "ramp envelope certification stalled")
-        terms.append(potential_term(seq, shift + k, k))
+        term = potential_term(seq, shift + k, k, cut)
+        if term is not None:
+            terms.append(term)
+            cut = max(cut, term.lo)
         if k > prefix_terms:
             closing = seq.tail.closing_terms(p, shift, k)
             if closing is not None:

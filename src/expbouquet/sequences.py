@@ -108,9 +108,9 @@ class IntEntry:
     def abs_interval(self) -> Interval:
         return self._abs
 
-    def pot(self, k: int) -> Interval:
-        """Enclosure of F^-k |value|."""
-        return growth_inv_pow(self._abs, k)
+    def pot(self, k: int, below: float = -math.inf) -> Interval | None:
+        """Enclosure of F^-k |value|, or None once it falls below ``below``."""
+        return growth_inv_pow(self._abs, k, below)
 
     def descend(self, state: tuple | _TowerRel) -> tuple:
         """One backward-nesting step: a state enclosing F^-1(|value| + w), w the given state.
@@ -149,7 +149,7 @@ class FloorPow:
         t = self._tower
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
-    def pot(self, k: int) -> Interval:
+    def pot(self, k: int, below: float = -math.inf) -> Interval:
         t = growth_net(self.base, self.height - k)
         return Interval(round_down(t.lo - 1.0), t.hi, True, t.hi_open)
 
@@ -210,11 +210,11 @@ class CeilExp:
     def abs_interval(self) -> Interval:
         return self._abs
 
-    def pot(self, k: int) -> Interval:
+    def pot(self, k: int, below: float = -math.inf) -> Interval | None:
         if self._arg_iv.hi <= OVERFLOW_GUARD:
             # ceil(F(a)) is in [F(a), F(a) + 1); push the slack through all k
             # inverse steps, where it contracts away
-            return growth_inv_pow(self._abs, k)
+            return growth_inv_pow(self._abs, k, below)
         inner = growth_inv_pow(self._arg_iv, k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
 
@@ -236,7 +236,8 @@ Entry = IntEntry | FloorPow | CeilExp
 
 # Every tower and ramp entry, of a tail, a parsed prefix or a thinning cap, comes from these
 # two factories; each decides from the enclosures its symbolic entry built.  Entries asked
-# for again and again are memoised; 256 hold one query's working set.  Ramp keys are ints:
+# for again and again are memoised; 256 hold a nesting walk, whose entries its anchor has
+# just built (a slow ramp's potential asks for more, once each).  Ramp keys are ints:
 # hashing a Fraction rate costs a good share of a lookup.
 @functools.lru_cache(maxsize=256)
 def _tower_entry(c: int, h: int) -> Entry:
@@ -701,15 +702,28 @@ class LinExpTail:
         return ("unknown", None)
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
-        """The level before the ramp argument reaches PIN_ARG."""
-        # the least n >= max(p, 1) with rate * (n + offset) >= PIN_ARG
-        n = max(p, 1, math.ceil(Fraction(PIN_ARG) / self.rate) - self.offset)
-        # w at level n-1 is rate*(n+offset) + [0, (2 + U)/e^arg], U a crude upper bound
-        a = Interval.from_fraction(self.arg(n))
-        u_hi = round_up(float(self.arg(n + 1)) + 2.0)
-        grow_lo = growth_net(a.lo, 1).lo
-        corr = round_up((2.0 + u_hi) / (1.0 + grow_lo))
-        return n - 1, Interval(a.lo, round_up(a.hi + corr))
+        """Level n - 1 and the seed arg(n) + [0, (2 + U)/(1 + F(arg(n)).lo)) of its height.
+
+        With a = arg(n), phi = ceil(F(a)) - F(a) < 1 and ln(1 + x) <= x, the height there,
+        a + ln(1 + (phi + w_n) e^-a), is below a + (1 + U) e^-a: the upper end is open.
+        U = arg(n + 1) + 2 >= w_n at every level: w_n <= t* + 1 (the sandwich), and with
+        b = arg(n + 1) >= rate each term of t* is at most F^-(k-1)(b + (k-1) rate + ln 2),
+        which is <= b + 1 as F(x) >= x + b + 1/2 for x >= b + 1.  A step down from level j
+        shrinks widths by 1 + |s_j|.lo or more; n is the least n >= max(p, 1) at which the
+        seed's width over a, times these factors for the tail levels below n, is at most
+        2^-64 (a few dozen levels at rate 1/10000), or a >= OVERFLOW_GUARD: there F(a).lo
+        saturates, but (2 + U) e^-a <= (4 + 2a) e^-a is far below 2^-64.
+        """
+        n = max(p, 1)
+        shrink = 1.0  # upper bound of the product of slopes below level n
+        while True:
+            a = Interval.from_fraction(self.arg(n))
+            u_hi = round_up(float(self.arg(n + 1)) + 2.0)
+            corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
+            if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
+                return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
+            shrink = round_up(shrink / sum_down(1.0, self.entry_at(p, n).abs_interval().lo))
+            n += 1
 
     def thin(self, p: int, m: int, cap_c: int) -> tuple[tuple[Entry, ...], "LinExpTail"]:
         """Entries and rule of min(|s_n|, floor(F^(n-m)(cap_c))) from index max(m + 1, p) on."""

@@ -34,10 +34,11 @@ from expbouquet.intervals import (
     growth_inv_pow,
     growth_net,
     growth_sub,
+    round_up,
     sum_down,
     sum_up,
 )
-from expbouquet import model, sequences
+from expbouquet import intervals, model, sequences
 from expbouquet.model import _bounded_tail_escape_threshold, potential_floor_from
 from expbouquet.sequences import (
     Asymptotics,
@@ -509,15 +510,118 @@ def _ramp_seq(tail: LinExpTail, p: int) -> SymbolSeq:
     return SymbolSeq(tuple(IntEntry(v) for v in range(p)), tail)
 
 
-@given(ramp_tails, st.integers(0, 40))
-@settings(max_examples=300, deadline=None)
-def test_ramp_pin_level_matches_the_scan(tail, p):
-    n = max(p, 1)
-    while tail.arg(n) < PIN_ARG:
-        n += 1
-    level, state = tail.nesting_anchor(p)
-    assert level == n - 1
-    assert state.lo == Interval.from_fraction(tail.arg(n)).lo
+def _pin_anchor(tail: LinExpTail, p: int) -> tuple[int, Interval]:
+    """Reference: the anchor at the level before the ramp argument reaches PIN_ARG,
+    with the same seed formula but a closed upper end."""
+    n = max(p, 1, math.ceil(Fraction(PIN_ARG) / tail.rate) - tail.offset)
+    a = Interval.from_fraction(tail.arg(n))
+    u_hi = round_up(float(tail.arg(n + 1)) + 2.0)
+    corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
+    return n - 1, Interval(a.lo, round_up(a.hi + corr))
+
+
+def _pinned_height(descriptor: dict) -> Interval:
+    with pytest.MonkeyPatch.context() as mp_ctx:
+        mp_ctx.setattr(LinExpTail, "nesting_anchor", _pin_anchor)
+        return model._height(SymbolSeq.from_json(descriptor))
+
+
+@given(st.lists(prefix_entries, max_size=4),
+       st.builds(Fraction, st.integers(1, 30), st.integers(1, 500)).filter(lambda r: r <= 3),
+       st.one_of(st.integers(0, 40), st.integers(0, 3000)))
+@settings(max_examples=60, deadline=None)
+def test_ramp_contraction_anchor_matches_the_pin_anchor(prefix, rate, offset):
+    tail = {"kind": "linexp", "c": f"{rate.numerator}/{rate.denominator}", "offset": offset}
+    descriptor = {"prefix": prefix, "tail": tail}
+    seq = SymbolSeq.from_json(descriptor)
+    got = model._height(seq)
+    want = _pinned_height(descriptor)
+    if seq.tail.nesting_anchor(len(prefix))[0] >= max(len(prefix), 1):
+        # at least one tail step below the seed: the two walks meet
+        assert got.bounds() == want.bounds()
+    else:
+        # the seed is the whole tail walk (arg >= 49 or so at the first tail
+        # level): one directed rounding fewer, and an open upper end
+        assert _within(got, want)
+
+
+def _within(a: Interval, b: Interval) -> bool:
+    """a is the same enclosure as b or a tighter one, flags included."""
+    lo = a.lo > b.lo or (a.lo == b.lo and a.lo_open >= b.lo_open)
+    return lo and (a.hi < b.hi or (a.hi == b.hi and a.hi_open >= b.hi_open))
+
+
+def test_ramp_anchor_seed_is_open_above_the_pin_argument():
+    # arg(1) = 101 >= PIN_ARG: the seed at level 0 is the whole walk, and its
+    # upper end is open where the pin anchor's was closed
+    descriptor = {"prefix": [], "tail": {"kind": "linexp", "c": "1", "offset": 100}}
+    assert SymbolSeq.from_json(descriptor).tail.nesting_anchor(0)[0] == 0
+    got = endpoint_height(SymbolSeq.from_json(descriptor))
+    want = _pinned_height(descriptor)
+    assert not want.hi_open and got == Interval(want.lo, want.hi, want.lo_open, True)
+    assert got.lo <= 101.0 < got.hi
+
+
+def _reference_potential(seq: SymbolSeq, shift: int) -> Interval:
+    """Reference: every term with all of its inverse steps."""
+    p = len(seq.prefix)
+    prefix_terms = max(p - shift, 0)
+    terms: list[Interval] = []
+    k = 0
+    while True:
+        k += 1
+        if k - prefix_terms > 200000:
+            raise NonConvergenceError(Interval.sup_hull(terms),
+                                      "ramp envelope certification stalled")
+        terms.append(potential_term(seq, shift + k, k))
+        if k > prefix_terms:
+            closing = seq.tail.closing_terms(p, shift, k)
+            if closing is not None:
+                return Interval.sup_hull(terms + list(closing))
+
+
+def _potential_outcome(f, seq, shift):
+    try:
+        return f(seq, shift).bounds()
+    except NonConvergenceError as e:
+        return type(e).__name__, e.enclosure.bounds()
+
+
+@given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=6), "tail": st.one_of(
+           tail_rules,
+           st.fixed_dictionaries({"kind": st.just("linexp"), "c": st.sampled_from(
+               ["1/2000", "1/300", "1/40", "7/9", "40", "700"]),
+               "offset": st.integers(0, 50)}))}),
+       st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_potential_early_stop_matches_every_step(descriptor, shift):
+    seq = SymbolSeq.from_json(descriptor)
+    assert (_potential_outcome(potential, seq, shift)
+            == _potential_outcome(_reference_potential, seq, shift))
+
+
+def test_ramp_height_builds_few_entries():
+    # 18 misses; a walk from the level where the ramp argument reaches 80
+    # visits 320 levels, more than the 256-entry ramp memo holds, and misses
+    # on every one
+    sequences._ramp_entry.cache_clear()
+    endpoint_height(linexp_seq("1/4"))
+    assert sequences._ramp_entry.cache_info().misses <= 100
+
+
+def test_slow_ramp_potential_takes_linear_steps(monkeypatch):
+    # 1600-odd terms before the envelope closes: 4,802 steps, where every
+    # term stepped to its full depth takes 1,284,002
+    steps = [0]
+    ln1p_bounds = intervals._ln1p_bounds
+
+    def counted(lo, hi):
+        steps[0] += 1
+        return ln1p_bounds(lo, hi)
+
+    monkeypatch.setattr(intervals, "_ln1p_bounds", counted)
+    potential(linexp_seq("1/10000"))
+    assert steps[0] <= 6000
 
 
 @given(ramp_tails, st.integers(0, 40),
