@@ -115,14 +115,24 @@ def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
     return TriBool.no(pot0)
 
 
-def potential_floor_from(seq: SymbolSeq, threshold: float) -> tuple[str, int | None]:
-    """Eventual behavior of n -> potential(seq, n) against a threshold, for a diverging tail.
+def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
+                    budget: float = math.inf) -> int | None:
+    """Least n >= floor from which every shifted potential is certainly above threshold.
 
-    Returns ("above", n1): certified potential > threshold for every n >= n1;
-    or ("unknown", None).  Bounded tails give no floor: only escaping
-    endpoints, whose tails diverge, ask for one.
+    The tail rule certifies the shifts from its ``potential_floor`` index n1 on
+    (a diverging tail; None when it cannot); the explicit shifts below n1 are
+    scanned down to floor until one is not certainly above.  Raises
+    BudgetExceededError when more than budget explicit shifts are left.
     """
-    return seq.tail.potential_floor(len(seq.prefix), threshold)
+    _, n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
+    if n1 is None:
+        return None
+    n = max(n1, floor)
+    while n > floor and potential(seq, n - 1).certainly_gt(threshold):
+        n -= 1
+    if n1 - n > budget:
+        raise BudgetExceededError("explicit threshold window exceeds budget")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,12 @@ def _height(seq: SymbolSeq) -> Interval:
     return enc.intersect(Interval(pot0.lo, math.inf, pot0.lo_open, True))
 
 
+def endpoint_height_enclosure(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
+    """Like endpoint_height but always returns the enclosure, however wide."""
+    check_tolerance(tol)
+    return _memoised(seq, "height", _height)
+
+
 def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     """Certified enclosure of the endpoint height t_s of the hair at this address.
 
@@ -182,19 +198,10 @@ def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     enclosure) when the requested tolerance is unattainable.  The enclosure does
     not depend on tol: a sequence builds it once.
     """
-    check_tolerance(tol)
-    enc = _memoised(seq, "height", _height)
+    enc = endpoint_height_enclosure(seq, tol)
     if enc.lo != math.inf and enc.width > tol:  # no width check for [inf, inf]
         raise NonConvergenceError(enc)
     return enc
-
-
-def endpoint_height_enclosure(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
-    """Like endpoint_height but always returns the enclosure, however wide."""
-    try:
-        return endpoint_height(seq, tol)
-    except NonConvergenceError as e:
-        return e.enclosure
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +259,6 @@ def _bounded_tail_escape_threshold(seq: SymbolSeq, n: int) -> float:
     return max(2.0, log1p_up(sum_up(3.0, 2.0 * a_max)))
 
 
-def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
-    """Certify that every shifted potential from n on is at least ln 2.
-
-    Then any height exceeding the endpoint by delta grows by a factor
-    e^(height of shifted endpoint) >= 2 per step, so the excess diverges and
-    so do the heights.
-    """
-    kind, n1 = potential_floor_from(seq, 0.694)
-    if kind != "above" or n1 is None:
-        return False
-    for j in range(n, n1):
-        if not potential(seq, j).certainly_ge(0.694):
-            return False
-    return True
-
-
 def _endpoint_certificate(x: ModelPoint, tol: float) -> Classification | None:
     """ENDPOINT when t lies in a below-tolerance enclosure of the endpoint height."""
     enc = endpoint_height_enclosure(x.seq, tol)
@@ -280,14 +271,23 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     """Sound classification of a model point within an iteration budget.
 
     Certificates, in the order they can fire while scanning the orbit:
-    a certifiably negative height (least such step is reported); an exactly
-    repeating state (non-escaping); a height certifiably above the shifted
-    potential + 1 together with a tail-rule divergence certificate (escape).
-    A non-point state that one step leaves unchanged ends the scan, as the
-    rest of the budget would repeat it.
-    If the orbit stays inconclusive, the endpoint certificate is tried:
-    the height must sit inside a below-tolerance enclosure of the endpoint
-    height.  Everything else is reported unknown with evidence.
+    a certifiably negative height (least such step is reported); a repeat;
+    a height certifiably above the shifted potential + 1 together with a
+    divergence certificate (escape).  If the orbit stays inconclusive, the
+    endpoint certificate is tried: the height must sit inside a below-tolerance
+    enclosure of the endpoint height.  Everything else is reported unknown with
+    evidence, the orbit enclosure at the end of the budget.
+
+    A repeat is a state (bounds and flags) met at an earlier step m under the
+    same shifted sequence: a step depends only on these (a signed zero takes
+    the t == 0 branch), so the orbit cycles from m with period n - m.  A point
+    state is then non-escaping; any other ends the scan with the state at
+    m + (budget - m) mod (n - m), the one the full scan would end on.
+
+    A diverging tail grows from the least shift from which every shifted
+    potential is strictly above 0.694 > ln 2 (``potential_floor``, as for the
+    strata thresholds): a height exceeding the endpoint by delta then grows by
+    a factor e^(height of the shifted endpoint) >= 2 per step, so it escapes.
 
     A state [lo, inf] with lo < 0 is absorbing: sum_up(inf, .) stays inf, and
     expm1_down(lo) lies in [-1, 0), from which sum_down subtracts |s|.hi >= 0.
@@ -300,10 +300,12 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
         raise ValueError(f"budget must be >= 0, got {budget}")
     seq = x.seq
     t_iv: Interval = Interval.point(x.t)
-    seen: dict = {}
-    evidence = t_iv
+    seen: dict = {}  # state bounds -> the last step that reached them
+    trail: list[Interval] = []  # the state at each step
+    grows_from: int | None = -1  # the escape floor of a diverging tail, once asked
     absorbed = False
     for n in range(budget + 1):
+        evidence = t_iv
         if t_iv.certainly_lt(0.0):
             return Classification(Verdict.NOT_IN_JULIA, first_failing_step=n, evidence=t_iv)
         if not absorbed and t_iv.lo < 0.0 and t_iv.hi == math.inf:
@@ -311,31 +313,26 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
             if (found := _endpoint_certificate(x, tol)) is not None:
                 return found
         if t_iv.lo == -math.inf and t_iv.hi == math.inf:
-            evidence = t_iv
             break
-        if t_iv.width == 0.0:
-            key = (t_iv.lo, seq.shift(n))
-            if key in seen:
+        m = seen.get(t_iv.bounds())
+        if m is not None and seq.shift(n) == seq.shift(m):
+            if t_iv.width == 0.0:
                 return Classification(Verdict.NON_ESCAPING)
-            seen[key] = n
+            evidence = trail[m + (budget - m) % (n - m)]
+            break
+        seen[t_iv.bounds()] = n
+        trail.append(t_iv)
         if t_iv.lo >= 2.0:
-            cur = seq.shift(n)
-            pot_n = potential(cur, 0)
-            if pot_n.hi != math.inf and t_iv.lo > sum_up(pot_n.hi, 1.0):
-                if cur.asymptotics is Asymptotics.BOUNDED:
-                    if t_iv.lo >= _bounded_tail_escape_threshold(cur, 0):
-                        return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
-                elif _diverging_tail_growth_certificate(cur, 0):
-                    return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
-        evidence = t_iv
+            if seq.asymptotics is Asymptotics.BOUNDED:
+                grows = t_iv.lo >= _bounded_tail_escape_threshold(seq, n)
+            else:
+                grows_from = potential_floor(seq, 0.694) if grows_from == -1 else grows_from
+                grows = grows_from is not None and n >= grows_from
+            # sum_up(inf, 1.0) is inf: an unbounded potential certifies nothing
+            if grows and t_iv.lo > sum_up(potential(seq, n).hi, 1.0):
+                return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
         if n < budget:
-            step = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
-            # a step depends only on endpoint values and flags (a signed zero
-            # takes the t == 0 branch), so such a state repeats bit for bit
-            if step == t_iv and step.width != 0.0 and seq.shift(n + 1) == seq.shift(n):
-                evidence = step
-                break
-            t_iv = step
+            t_iv = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
 
     if not absorbed and (found := _endpoint_certificate(x, tol)) is not None:
         return found

@@ -499,8 +499,8 @@ class ConstTail(_BoundedTail):
                 return -1
             return 0
 
-        if h_sign(hi) <= 0:
-            raise RigorError("constant-tail bracket failed")
+        if h_sign(hi) <= 0:  # F(hi) saturates for |c| near the double range
+            return PeriodicTail(self.pattern).nesting_anchor(p)
         for _ in range(160):
             mid = 0.5 * (lo + hi)
             s = h_sign(mid)

@@ -24,7 +24,7 @@ from .model import (
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
-    potential_floor_from,
+    potential_floor,
     potential_term,
 )
 from .sequences import (
@@ -111,8 +111,8 @@ class WitnessReport:
 def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
                           budget: int) -> TriBool:
     """Certify potential(seq, n) > threshold for every n >= start (a diverging tail)."""
-    kind, n1 = potential_floor_from(seq, threshold)
-    if kind != "above" or n1 is None:
+    _, n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
+    if n1 is None:
         return TriBool.unknown(None)
     if n1 - start > budget:
         raise BudgetExceededError("explicit threshold window exceeds budget")
@@ -164,23 +164,10 @@ def extension_index(alpha: AlphaIndex, x: ModelPoint, n_floor: int = 0,
     # a nonempty index forces strict growth; n_floor itself stays admissible
     floor = max(alpha.entries[-1] + 1 if alpha.entries else 0, n_floor)
 
-    kind, n1 = potential_floor_from(x.seq, threshold)
-    if kind != "above" or n1 is None:
+    n = potential_floor(x.seq, threshold, floor, budget)
+    if n is None:
         raise BudgetExceededError("no certified divergence index for the child threshold")
-    # potentials are certified above the threshold from n1 on; the least valid N
-    # is just past the last certified-or-possible violation below n1
-    candidate = n1
-    n = n1 - 1
-    while n >= floor:
-        if not potential(x.seq, n).certainly_gt(threshold):
-            break
-        candidate = n
-        n -= 1
-    candidate = max(candidate, floor)
-    check = _threshold_holds_from(x.seq, candidate, threshold, budget)
-    if not check.is_true:
-        raise BudgetExceededError("could not certify the extension membership")
-    return candidate
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -496,3 +496,20 @@ def test_uncertified_answers_reach_no_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ramp envelope certification stalled\n"
+
+
+@pytest.mark.parametrize("c, code", [(10**308, 0), (-10**308, 0),
+                                     (int(1.7976931348623157e308), 1)],
+                         ids=["1e308", "-1e308", "max_double"])
+def test_huge_const_tails_answer_like_their_periodic_twin(c, code, capsys):
+    # F saturates at the upper end of the constant tail's bisection bracket;
+    # the sweep over the one-entry pattern still encloses the height (at the
+    # largest double it does not converge, and says so)
+    const = json.dumps({"prefix": [], "tail": {"kind": "const", "c": c}})
+    periodic = json.dumps({"prefix": [], "tail": {"kind": "periodic", "pattern": [c]}})
+    tmin = run(capsys, "tmin", const)
+    assert tmin == run(capsys, "tmin", periodic)
+    assert tmin[0] == code and json.loads(tmin[1])["converged"] is (code == 0)
+    strata = run(capsys, "strata", const, "--alpha", "0")
+    assert strata == run(capsys, "strata", periodic, "--alpha", "0")
+    assert strata[0] == 0 and json.loads(strata[1])["member"] == "false"

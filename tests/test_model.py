@@ -39,11 +39,10 @@ from expbouquet.intervals import (
     sum_up,
 )
 from expbouquet import intervals, model, sequences
-from expbouquet.model import _bounded_tail_escape_threshold, potential_floor_from
+from expbouquet.model import _bounded_tail_escape_threshold
 from expbouquet.sequences import (
     Asymptotics,
     ConstTail,
-    IntEntry,
     LinExpTail,
     PeriodicTail,
     SymbolSeq,
@@ -379,19 +378,50 @@ SETTLED_ORBITS = [
                           "tail": {"kind": "periodic", "pattern": [1, -1]}}), 1e-9, 40,
      {"verdict": "endpoint", "evidence": {"lo": 3.180507976493693, "hi": 3.180507976493694,
                                           "lo_open": False, "hi_open": False}}),
+    # a cycle of non-point states, one per pattern phase, under the pattern's
+    # rotations; the full scan runs all 4096 steps
+    (SymbolSeq.from_json({"prefix": [13, 18, -18],
+                          "tail": {"kind": "periodic", "pattern": [2, -3, 5]}}), 1e-20, 40,
+     {"verdict": "unknown", "evidence": {"lo": -3.9500869637059552, "hi": "inf",
+                                         "lo_open": False, "hi_open": True}}),
 ]
 
 
 @pytest.mark.parametrize("seq, tol, max_steps, want", SETTLED_ORBITS)
 def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, monkeypatch):
-    # at a constant-tail endpoint the orbit enclosure settles on a fixed
-    # [lo, inf), lo < 0; the rest of the 4096-step scan would repeat it
+    # at a bounded-tail endpoint the orbit enclosure settles on a fixed
+    # [lo, inf), lo < 0, or on a cycle of them; the rest of the 4096-step scan
+    # would repeat it
     steps = []
     step = model.growth_sub
     monkeypatch.setattr(model, "growth_sub", lambda *a: steps.append(1) or step(*a))
     t = endpoint_height_enclosure(seq).mid
     assert classify(ModelPoint(t, seq), 4096, tol).to_json() == want
     assert len(steps) <= max_steps
+
+
+def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch):
+    # the escape floor of a rate-1/10000 ramp lies near shift 6,930, so no orbit
+    # step within the budget asks for its potential (the full scan makes 131 calls)
+    calls = []
+    real_potential = model.potential
+    monkeypatch.setattr(model, "potential", lambda *a: calls.append(a) or real_potential(*a))
+    result = classify(ModelPoint(3.0, linexp_seq("1/10000")), 64)
+    assert result.to_json() == {"verdict": "unknown",
+                                "evidence": {"lo": 7.999999999999999e+307, "hi": "inf",
+                                             "lo_open": False, "hi_open": True}}
+    assert len(calls) <= 20
+
+
+def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
+    """Reference: every shifted potential from n on is at least 0.694, checked upward."""
+    kind, n1 = seq.tail.potential_floor(len(seq.prefix), 0.694)
+    if kind != "above" or n1 is None:
+        return False
+    for j in range(n, n1):
+        if not potential(seq, j).certainly_ge(0.694):
+            return False
+    return True
 
 
 def _full_scan_classify(x: ModelPoint, budget: int, tol: float):
@@ -418,7 +448,7 @@ def _full_scan_classify(x: ModelPoint, budget: int, tol: float):
                 if cur.asymptotics is Asymptotics.BOUNDED:
                     if t_iv.lo >= _bounded_tail_escape_threshold(cur, 0):
                         return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
-                elif model._diverging_tail_growth_certificate(cur, 0):
+                elif _diverging_tail_growth_certificate(cur, 0):
                     return Classification(Verdict.ESCAPE_CERTIFIED, evidence=t_iv)
         evidence = t_iv
         if n < budget:
@@ -504,10 +534,6 @@ ramp_tails = st.builds(LinExpTail,
                        st.builds(Fraction, st.integers(1, 3000), st.integers(1, 300)).filter(
                            lambda r: Fraction(1, 10000) <= r <= 700),
                        st.integers(0, 2000))
-
-
-def _ramp_seq(tail: LinExpTail, p: int) -> SymbolSeq:
-    return SymbolSeq(tuple(IntEntry(v) for v in range(p)), tail)
 
 
 def _pin_anchor(tail: LinExpTail, p: int) -> tuple[int, Interval]:
@@ -644,15 +670,15 @@ def test_ramp_potential_floor_matches_the_scan(tail, p, threshold):
         n += 1
     else:
         want = ("unknown", None)
-    assert potential_floor_from(_ramp_seq(tail, p), threshold) == want
+    assert tail.potential_floor(p, threshold) == want
 
 
 def test_ramp_potential_floor_gives_up_past_the_scan_budget():
     # rate 1/10000 reaches 50 at index 500000, beyond the 400000-index window
-    seq = _ramp_seq(LinExpTail(Fraction(1, 10000)), 0)
-    assert potential_floor_from(seq, 50.0) == ("unknown", None)
+    tail = LinExpTail(Fraction(1, 10000))
+    assert tail.potential_floor(0, 50.0) == ("unknown", None)
     # arg(390000) = 39 exactly is not above 39, arg(390001) is
-    assert potential_floor_from(seq, 39.0) == ("above", 390000)
+    assert tail.potential_floor(0, 39.0) == ("above", 390000)
 
 
 # -- directed rounding at the certificate comparisons ---------------------------
@@ -679,8 +705,8 @@ def test_tower_floor_compares_a_directed_lower_bound():
     lo = growth_net(4, 2).lo
     threshold = math.nextafter(lo, 0.0)
     assert lo - 1.0 == lo and sum_down(lo, -1.0) == threshold
-    assert potential_floor_from(seq, threshold) == ("above", 2)
-    assert potential_floor_from(seq, math.nextafter(threshold, 0.0)) == ("above", 1)
+    assert seq.tail.potential_floor(len(seq.prefix), threshold) == ("above", 2)
+    assert seq.tail.potential_floor(len(seq.prefix), math.nextafter(threshold, 0.0)) == ("above", 1)
 
 
 def test_ramp_envelope_step_compares_against_a_directed_sum(monkeypatch):
