@@ -65,20 +65,15 @@ def potential_term(seq: SymbolSeq, n: int, k: int, below: float = -math.inf) -> 
     return iv
 
 
-def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
-    """Certified enclosure of the shifted potential sup_{k>=1} F^-k |s_{shift+k}|.
+def _memoised(seq: SymbolSeq, key: tuple, compute):
+    """compute(seq), built once per sequence instance and kept in its memo under key."""
+    if key not in seq._memo:
+        seq._memo[key] = compute(seq)
+    return seq._memo[key]
 
-    Finitely determined: terms are evaluated explicitly through the prefix and
-    into the tail until the tail rule's ``closing_terms`` close the hull
-    (constant/periodic terms only decrease; tower terms all live in one floor
-    window; ramp terms fall under a certified decreasing envelope).
 
-    An integer or ramp term (``CeilExp`` arg <= OVERFLOW_GUARD) stops its inverse
-    steps once its upper end is strictly below ``cut``, the largest lower end so
-    far, and is left out: that end is 0 or above F^-k(1) > 2^-50, where
-    log1p_up(x) <= x, so the term stays below cut and the hull keeps its ends and
-    flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
-    """
+def _potential_terms(seq: SymbolSeq, shift: int):
+    """The terms whose sup hull is ``potential(seq, shift)``: explicit ones, then closing ones."""
     if shift < 0:
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
@@ -95,10 +90,40 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
         if term is not None:
             terms.append(term)
             cut = max(cut, term.lo)
-        if k > prefix_terms:
-            closing = seq.tail.closing_terms(p, shift, k)
-            if closing is not None:
-                return Interval.sup_hull(terms + list(closing))
+            yield term
+        if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k)) is not None:
+            yield from closing
+            return
+
+
+def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
+    """Certified enclosure of the shifted potential sup_{k>=1} F^-k |s_{shift+k}|.
+
+    Finitely determined: terms are evaluated explicitly through the prefix and
+    into the tail until the tail rule's ``closing_terms`` close the hull
+    (constant/periodic terms only decrease; tower terms all live in one floor
+    window; ramp terms fall under a certified decreasing envelope).  A sequence
+    builds the hull at each shift once and keeps it in its memo.
+
+    An integer or ramp term (``CeilExp`` arg <= OVERFLOW_GUARD) stops its inverse
+    steps once its upper end is strictly below ``cut``, the largest lower end so
+    far, and is left out: that end is 0 or above F^-k(1) > 2^-50, where
+    log1p_up(x) <= x, so the term stays below cut and the hull keeps its ends and
+    flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
+    """
+    return _memoised(seq, ("potential", shift),
+                     lambda s: Interval.sup_hull(list(_potential_terms(s, shift))))
+
+
+def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
+    """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
+
+    ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
+    """
+    hull = seq._memo.get(("potential", shift))
+    if hull is not None:
+        return hull.certainly_gt(r)
+    return any(t.certainly_gt(r) for t in _potential_terms(seq, shift))
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
@@ -108,7 +133,7 @@ def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
     diverge; for the four supported rules the divergence question is decided
     by the rule itself, so unknown never occurs here.
     """
-    pot0 = _memoised(seq, "potential", potential)
+    pot0 = potential(seq)
     unbounded = pot0.hi == math.inf and not pot0.hi_open
     if not unbounded and seq.asymptotics is Asymptotics.DIVERGES:
         return TriBool.yes()
@@ -128,7 +153,7 @@ def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
     if n1 is None:
         return None
     n = max(n1, floor)
-    while n > floor and potential(seq, n - 1).certainly_gt(threshold):
+    while n > floor and potential_above(seq, n - 1, threshold):
         n -= 1
     if n1 - n > budget:
         raise BudgetExceededError("explicit threshold window exceeds budget")
@@ -163,16 +188,9 @@ def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
     return _descend(seq, n, Interval.point(0.0))
 
 
-def _memoised(seq: SymbolSeq, key: str, compute) -> Interval:
-    """compute(seq), built once per sequence instance and kept in its memo."""
-    if key not in seq._memo:
-        seq._memo[key] = compute(seq)
-    return seq._memo[key]
-
-
 def _height(seq: SymbolSeq) -> Interval:
     """The endpoint-height enclosure, however wide; [inf, inf] when there is no endpoint."""
-    pot0 = _memoised(seq, "potential", potential)
+    pot0 = potential(seq)
     if pot0.hi == math.inf and not pot0.hi_open:
         # genuinely unbounded potential: the hair has no finite endpoint
         return Interval(math.inf, math.inf)
@@ -185,7 +203,7 @@ def _height(seq: SymbolSeq) -> Interval:
 def endpoint_height_enclosure(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     """Like endpoint_height but always returns the enclosure, however wide."""
     check_tolerance(tol)
-    return _memoised(seq, "height", _height)
+    return _memoised(seq, ("height",), _height)
 
 
 def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
@@ -282,7 +300,9 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     same shifted sequence: a step depends only on these (a signed zero takes
     the t == 0 branch), so the orbit cycles from m with period n - m.  A point
     state is then non-escaping; any other ends the scan with the state at
-    m + (budget - m) mod (n - m), the one the full scan would end on.
+    m + (budget - m) mod (n - m), the one the full scan would end on.  Only past
+    the prefix of a bounded tail can two shifted sequences be equal: there they
+    follow the pattern's phase, so states are keyed on their bounds and n mod its length.
 
     A diverging tail grows from the least shift from which every shifted
     potential is strictly above 0.694 > ln 2 (``potential_floor``, as for the
@@ -299,8 +319,9 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     seq = x.seq
+    period = len(seq.tail.pattern) if seq.asymptotics is Asymptotics.BOUNDED else 0
     t_iv: Interval = Interval.point(x.t)
-    seen: dict = {}  # state bounds -> the last step that reached them
+    seen: dict = {}  # (state bounds, phase) -> the step that reached them
     trail: list[Interval] = []  # the state at each step
     grows_from: int | None = -1  # the escape floor of a diverging tail, once asked
     absorbed = False
@@ -314,13 +335,14 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
                 return found
         if t_iv.lo == -math.inf and t_iv.hi == math.inf:
             break
-        m = seen.get(t_iv.bounds())
-        if m is not None and seq.shift(n) == seq.shift(m):
-            if t_iv.width == 0.0:
-                return Classification(Verdict.NON_ESCAPING)
-            evidence = trail[m + (budget - m) % (n - m)]
-            break
-        seen[t_iv.bounds()] = n
+        if period and n >= len(seq.prefix):
+            key = (t_iv.bounds(), n % period)
+            if (m := seen.get(key)) is not None:
+                if t_iv.width == 0.0:
+                    return Classification(Verdict.NON_ESCAPING)
+                evidence = trail[m + (budget - m) % (n - m)]
+                break
+            seen[key] = n
         trail.append(t_iv)
         if t_iv.lo >= 2.0:
             if seq.asymptotics is Asymptotics.BOUNDED:

@@ -403,10 +403,10 @@ class TailRule(Protocol):
     """Everything the model and the strata ask of a tail rule.
 
     ``p`` is always the prefix length of the sequence the tail belongs to.
-    Bounded rules (constant, periodic) also give ``abs_bound``; diverging
-    rules (tower, ramp) also give ``potential_floor(p, threshold)``, the
-    eventual floor of the shifted potentials against a threshold, and
-    ``thin``.  Only escaping endpoints, whose rules diverge, ask for either.
+    Bounded rules (constant, periodic) also give ``abs_bound`` and the period
+    ``pattern``; diverging rules (tower, ramp) give ``potential_floor(p,
+    threshold)``, the eventual floor of the shifted potentials against a
+    threshold, and ``thin``, asked only of escaping endpoints.
     """
 
     kind: str
@@ -761,7 +761,7 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # potential(seq, 0) and the endpoint-height enclosure, built once by model.py
+    # model.py's potential hull per shift and height, strata.py's witness depths
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -21,9 +21,11 @@ from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
     ModelPoint,
+    _memoised,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
+    potential_above,
     potential_floor,
     potential_term,
 )
@@ -117,9 +119,8 @@ def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
     if n1 - start > budget:
         raise BudgetExceededError("explicit threshold window exceeds budget")
     for n in range(start, n1):
-        tri = potential(seq, n).tri_gt(threshold)
-        if not tri.is_true:
-            return tri
+        if not potential_above(seq, n, threshold):
+            return potential(seq, n).tri_gt(threshold)
     return TriBool.yes()
 
 
@@ -207,12 +208,14 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float,
                         budget: int = 512) -> int:
-    """Least k >= 1 with a certified potential term F^-k |s_{n+k}| > threshold."""
-    for k in range(1, budget + 1):
-        if potential_term(seq, n + k, k).certainly_gt(threshold):
-            return k
-    raise BudgetExceededError(
-        f"no certified witness depth at shift {n} for threshold {threshold}")
+    """Least k >= 1 with a certified potential term F^-k |s_{n+k}| > threshold (memoised)."""
+    def least(s: SymbolSeq) -> int:
+        for k in range(1, budget + 1):
+            if potential_term(s, n + k, k).certainly_gt(threshold):
+                return k
+        raise BudgetExceededError(
+            f"no certified witness depth at shift {n} for threshold {threshold}")
+    return _memoised(seq, ("depth", n, threshold, budget), least)
 
 
 def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int,
@@ -222,13 +225,8 @@ def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int,
     Shifts below the first index entry carry no constraint; elsewhere the
     binding level is the deepest index entry at or below the shift.
     """
-    depths = []
-    for n in range(n_ext):
-        i = sum(1 for e in alpha.entries if e <= n) - 1
-        if i < 0:
-            continue
-        depths.append(least_witness_depth(base, n, alpha.threshold(i), budget))
-    return depths
+    levels = ((n, sum(1 for e in alpha.entries if e <= n) - 1) for n in range(n_ext))
+    return [least_witness_depth(base, n, alpha.threshold(i), budget) for n, i in levels if i >= 0]
 
 
 def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: int,
@@ -243,15 +241,12 @@ def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: in
     if m_span < n_ext:
         raise ValueError("span must reach at least the extension index")
     threshold = alpha.threshold(alpha.dom)
-    depths = _segment_depths(base, alpha, n_ext, budget)
-    below = max(depths) if depths else 0
+    below = max(_segment_depths(base, alpha, n_ext, budget), default=0)
     if m_span < n_ext + below:
         raise ValueError(
             f"span {m_span} below the enforced minimum {n_ext + below}")
-    m = 0
-    for n in range(n_ext, m_span + 1):
-        m = max(m, n + least_witness_depth(base, n, threshold, budget))
-    return m
+    return max(n + least_witness_depth(base, n, threshold, budget)
+               for n in range(n_ext, m_span + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     certified (claim one); the potential at the cut index is at most 3*dom,
     hence at least one below the closure bound 3*dom + 1 of the child stratum
     (claim two).  Cut indices strictly increase, distances to the base
-    strictly decrease, and heights stay below the base height.
+    strictly decrease, and heights stay below the base height.  Distances sum entry
+    gaps through index ``_DIST_HORIZON`` = 60 only: a cut index of 60 or more raises.
     """
     check_tolerance(tol)
     if count < 0:
@@ -315,8 +311,7 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     base = base_point.seq
     bound = 3.0 * alpha.dom
 
-    depths = _segment_depths(base, alpha, n_ext)
-    span = n_ext + (max(depths) if depths else 0)
+    span = n_ext + max(_segment_depths(base, alpha, n_ext), default=0)
 
     reports: list[WitnessReport] = []
     base_height = endpoint_height_enclosure(base, tol)
@@ -326,6 +321,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         m = witness_cut_index(base, alpha, n_ext, span)
         if m <= last_m:
             m = last_m + 1
+        if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks
+            raise BudgetExceededError(f"cut index {m} reaches the distance horizon {_DIST_HORIZON}")
         witness = witness_sequence(base, alpha, m)
 
         # claim two first: the thinned potential at the cut is capped by 3*dom

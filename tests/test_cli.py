@@ -257,6 +257,15 @@ def test_negative_witness_count_exits_2(capsys):
     assert captured.out == "" and captured.err.startswith("error: witness count must be >= 0")
 
 
+def test_witness_cut_at_the_distance_horizon_exits_1_naming_it(capsys):
+    # the 58th member would be cut at index 60, where the distance stops looking
+    fexp9 = '{"prefix": [], "tail": {"kind": "fexp", "c": 9}}'
+    assert main(["witness", fexp9, "--alpha", "0,1", "--n", "2", "--count", "58"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cut index 60 reaches the distance horizon 60\n"
+
+
 def test_non_integer_descriptor_field_exits_2(capsys):
     assert main(["tstar", '{"prefix": [], "tail": {"kind": "const", "c": 1.9}}']) == 2
     captured = capsys.readouterr()

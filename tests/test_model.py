@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -39,7 +40,7 @@ from expbouquet.intervals import (
     sum_up,
 )
 from expbouquet import intervals, model, sequences
-from expbouquet.model import _bounded_tail_escape_threshold
+from expbouquet.model import _bounded_tail_escape_threshold, potential_above
 from expbouquet.sequences import (
     Asymptotics,
     ConstTail,
@@ -384,6 +385,13 @@ SETTLED_ORBITS = [
                           "tail": {"kind": "periodic", "pattern": [2, -3, 5]}}), 1e-20, 40,
      {"verdict": "unknown", "evidence": {"lo": -3.9500869637059552, "hi": "inf",
                                          "lo_open": False, "hi_open": True}}),
+    # every state from step 25 on is the same [lo, inf) while the shifted
+    # sequence alternates between the pattern's two rotations, so it repeats
+    # two steps later; the full scan runs all 4096 steps
+    (SymbolSeq.from_json({"prefix": [13, 18, -18, {"kind": "ceil_exp", "arg": "969/7"}],
+                          "tail": {"kind": "periodic", "pattern": [1, -1]}}), 1e-20, 64,
+     {"verdict": "unknown", "evidence": {"lo": -1.8414056604369609, "hi": "inf",
+                                         "lo_open": True, "hi_open": True}}),
 ]
 
 
@@ -624,6 +632,44 @@ def test_potential_early_stop_matches_every_step(descriptor, shift):
     seq = SymbolSeq.from_json(descriptor)
     assert (_potential_outcome(potential, seq, shift)
             == _potential_outcome(_reference_potential, seq, shift))
+
+
+def _bits(iv: Interval) -> tuple:
+    return iv.lo.hex(), iv.hi.hex(), iv.lo_open, iv.hi_open
+
+
+@given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}),
+       st.floats(-5.0, 1e6))
+# an open lower end of the tower window, tied with r = lo
+@example({"prefix": [], "tail": {"kind": "fexp", "c": 1}}, 95.022365565026618)
+@settings(max_examples=100, deadline=None)
+def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_random):
+    seq = SymbolSeq.from_json(descriptor)
+    for shift in (6, 0, 3, 0, 1, 2, 6, 4, 5):  # memo misses, then hits
+        got = potential(seq, shift)
+        fresh = potential(SymbolSeq.from_json(descriptor), shift)
+        assert _bits(got) == _bits(fresh)
+        for r in (fresh.lo, math.nextafter(fresh.lo, -math.inf),
+                  math.nextafter(fresh.lo, math.inf), fresh.hi, r_random):
+            want = fresh.certainly_gt(r)
+            # from the terms of a sequence with no memo, then from the memo
+            assert potential_above(SymbolSeq.from_json(descriptor), shift, r) is want, r
+            assert potential_above(seq, shift, r) is want, r
+
+
+@dataclass(frozen=True)
+class _HighClosingTail(ConstTail):
+    """A constant tail whose closing term (5, 6] lies above every explicit term."""
+
+    def closing_terms(self, p, shift, k):
+        return (Interval(5.0, 6.0, True, False),)
+
+
+def test_threshold_check_reads_the_closing_terms():
+    # only the open closing term is certainly above 5, and nothing is above 6
+    seq = SymbolSeq((), _HighClosingTail(1))
+    assert potential_above(seq, 0, 5.0) and not potential_above(seq, 0, 6.0)
+    assert potential(seq, 0) == Interval(5.0, 6.0, True, False)
 
 
 def test_ramp_height_builds_few_entries():

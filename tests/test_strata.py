@@ -1,6 +1,7 @@
 """Stratum membership, extension search, and the thinning-witness pipeline."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from expbouquet import (
     AlphaIndex,
+    BudgetExceededError,
     IncomparableTailsError,
     ModelPoint,
     address_distance,
@@ -130,22 +132,22 @@ def test_extension_ramp_waits_for_the_threshold():
 
 
 def test_one_query_nests_each_sequence_once(monkeypatch):
-    # a strata --extend query: the CLI's height, then membership and extension
+    # a strata --extend query: the CLI's height, then membership and extension;
+    # potential calls may hit the memo, so count the term scans behind the hulls
     descends, pot0 = [], []
-    real_descend, real_potential = model._descend, model.potential
+    real_descend, real_terms = model._descend, model._potential_terms
 
     def counting_descend(*args):
         descends.append(args)
         return real_descend(*args)
 
-    def counting_potential(seq, shift=0):
+    def counting_terms(seq, shift):
         if shift == 0:
             pot0.append(seq)
-        return real_potential(seq, shift)
+        return real_terms(seq, shift)
 
     monkeypatch.setattr(model, "_descend", counting_descend)
-    monkeypatch.setattr(model, "potential", counting_potential)
-    monkeypatch.setattr(strata, "potential", counting_potential)
+    monkeypatch.setattr(model, "_potential_terms", counting_terms)
     seq = fexp_seq(3)
     point = ModelPoint(max(endpoint_height_enclosure(seq).mid, 0.0), seq)
     assert in_stratum(AlphaIndex((0,)), point).is_true
@@ -187,6 +189,17 @@ def test_witness_depth_is_one_for_big_towers():
     assert least_witness_depth(fexp_seq(10), 3, 5.0) == 1
 
 
+def test_a_memoised_witness_depth_answers_only_its_own_threshold():
+    # at shift 1 of a rate-2 ramp the first term certifies 2, but no term
+    # within the budget certifies 5; a failed search is not kept
+    seq = linexp_seq("2")
+    assert least_witness_depth(seq, 1, 2.0) == 1 == least_witness_depth(seq, 1, 2.0)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="shift 1 for threshold 5.0"):
+            least_witness_depth(seq, 1, 5.0)
+    assert least_witness_depth(seq, 2, 5.0) == 1
+
+
 def test_cut_index_matches_the_max_formula():
     base = fexp_seq(10)
     # all depths are 1, so m = max(n + 1 : n in [0, 3]) = 4
@@ -203,8 +216,6 @@ def test_cut_index_enforces_span_floor():
 
 
 def test_cut_index_fails_on_non_member():
-    from expbouquet import BudgetExceededError
-
     # a bounded address can never witness terms above the child threshold
     with pytest.raises(BudgetExceededError):
         witness_cut_index(const_seq(1), AlphaIndex((0,)), 0, 1, budget=64)
@@ -281,6 +292,53 @@ def test_witness_family_full_pipeline():
         assert r.claim1_margin.lo > 2.0
         assert r.claim2_bound.hi <= 3.0
         assert r.height.mid <= endpoint_height_enclosure(base_point.seq).hi + 1e-9
+
+
+def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
+    # a hull is a sup_hull under model.potential and a depth a first term under
+    # least_witness_depth, so a memo hit counts as neither; the calls that ask
+    # are kept on a stack, and the sequences alive, so ids stay unique
+    asking, keep, hulls, depths = [], [], Counter(), Counter()
+
+    def asked(real, kind, defaults=()):
+        def wrapper(seq, *args):
+            keep.append(seq)
+            asking.append((kind, id(seq), tuple(args) or defaults))
+            try:
+                return real(seq, *args)
+            finally:
+                asking.pop()
+        return wrapper
+
+    def counted(real, kind, tally, first):
+        def wrapper(*args):
+            if asking and asking[-1][0] == kind and first(*args):
+                tally[asking[-1][1:]] += 1
+            return real(*args)
+        return wrapper
+
+    pot = asked(model.potential, "potential", (0,))
+    monkeypatch.setattr(model, "potential", pot)
+    monkeypatch.setattr(strata, "potential", pot)
+    monkeypatch.setattr(strata, "least_witness_depth", asked(strata.least_witness_depth, "depth"))
+    monkeypatch.setattr(Interval, "sup_hull", staticmethod(
+        counted(Interval.sup_hull, "potential", hulls, lambda terms: True)))
+    monkeypatch.setattr(strata, "potential_term", counted(
+        strata.potential_term, "depth", depths, lambda seq, n, k, *rest: k == 1))
+    reports = witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
+    assert len(reports) == 30
+    assert hulls and max(hulls.values()) == 1
+    assert depths and max(depths.values()) == 1
+
+
+def test_witness_family_refuses_a_cut_index_at_the_distance_horizon():
+    # distances sum gaps through index 60 only: a witness cut at 60 differs
+    # from its base only past it, which would read as distance 0.0
+    base_point = endpoint_of(fexp_seq(9))
+    reports = witness_family(base_point, AlphaIndex((0, 1)), 2, 56)
+    assert reports[-1].m == 59 and reports[-1].distance_to_base > 0.0
+    with pytest.raises(BudgetExceededError, match="cut index 60 reaches the distance horizon 60"):
+        witness_family(base_point, AlphaIndex((0, 1)), 2, 57)
 
 
 def test_witness_family_empty_count():
