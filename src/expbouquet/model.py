@@ -149,7 +149,7 @@ def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
     scanned down to floor until one is not certainly above.  Raises
     BudgetExceededError when more than budget explicit shifts are left.
     """
-    _, n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
+    n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
     if n1 is None:
         return None
     n = max(n1, floor)
@@ -302,7 +302,8 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     state is then non-escaping; any other ends the scan with the state at
     m + (budget - m) mod (n - m), the one the full scan would end on.  Only past
     the prefix of a bounded tail can two shifted sequences be equal: there they
-    follow the pattern's phase, so states are keyed on their bounds and n mod its length.
+    follow the pattern's phase, so states are keyed on their bounds and n mod its least
+    period (a pattern such as [0, 0] repeats after one step, not two).
 
     A diverging tail grows from the least shift from which every shifted
     potential is strictly above 0.694 > ln 2 (``potential_floor``, as for the
@@ -319,7 +320,7 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     seq = x.seq
-    period = len(seq.tail.pattern) if seq.asymptotics is Asymptotics.BOUNDED else 0
+    period = seq.tail.period if seq.asymptotics is Asymptotics.BOUNDED else 0
     t_iv: Interval = Interval.point(x.t)
     seen: dict = {}  # (state bounds, phase) -> the step that reached them
     trail: list[Interval] = []  # the state at each step

@@ -44,6 +44,7 @@ TRAP_MAX_PERIOD = 8
 TRAP_PERIOD_TOL = 1e-6
 
 NEWTON_TOL = 1e-10
+NEWTON_STEPS = 200
 MULTIPLIER_TOL = 1e-6
 MAX_UNITY_ORDER = 12
 
@@ -61,19 +62,32 @@ def _check_param(a: complex) -> complex:
     return a
 
 
+def _orbit(a: complex, z: complex, n: int, guard: float) -> tuple[list[complex], complex]:
+    """The orbit z, f(z), ..., f^n(z) of f(z) = e^z + a and the product of e^w over it.
+
+    The one scalar loop of the plane: the orbit is cut after the first point
+    whose real part exceeds ``guard`` (at most OVERFLOW_GUARD, so e^w stays
+    finite), and the product runs over every listed point but the last, which
+    makes it the derivative of f^k at z for the k = len(orbit) - 1 steps taken.
+    """
+    pts = [z]
+    deriv = complex(1.0)
+    for _ in range(n):
+        if pts[-1].real > guard:
+            break
+        e = cmath.exp(pts[-1])
+        deriv *= e
+        pts.append(e + a)
+    return pts, deriv
+
+
 def exp_orbit(a: complex, z: complex, n: int) -> list[complex]:
     """Orbit z, f(z), ..., f^n(z) for f(z) = e^z + a.
 
     Stops early once the real part exceeds the escape guard: the last listed
     point is the first guard-exceeding iterate and later values are omitted.
     """
-    a = _check_param(a)
-    pts = [complex(z)]
-    for _ in range(n):
-        if pts[-1].real > ESCAPE_RE:
-            break
-        pts.append(cmath.exp(pts[-1]) + a)
-    return pts
+    return _orbit(_check_param(a), complex(z), n, ESCAPE_RE)[0]
 
 
 def strip_itinerary(a: complex, z: complex, n: int) -> list[int]:
@@ -101,19 +115,17 @@ def region_stays_outside(a: complex, radius: float, z: complex,
         raise ValueError("radius must be positive")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    w = complex(z)
+    orbit, _ = _orbit(a, complex(z), budget, OVERFLOW_GUARD)
     ok_margin = 1e-9
-    for _ in range(budget):
-        if w.real > OVERFLOW_GUARD:
-            return TriBool.yes()
-        w = cmath.exp(w) + a
+    for w in orbit[1:]:
         if abs(w) < radius - ok_margin:
             return TriBool.no()
         if abs(w) < radius + ok_margin:
             return TriBool.unknown(Interval.point(abs(w)))
-    if w.real > radius + abs(a) + 1.0:
+    # an orbit cut short passed the overflow guard: its last point escapes
+    if len(orbit) <= budget or orbit[-1].real > radius + abs(a) + 1.0:
         return TriBool.yes()
-    return TriBool.unknown(Interval.point(w.real))
+    return TriBool.unknown(Interval.point(orbit[-1].real))
 
 
 @dataclass(frozen=True)
@@ -132,80 +144,60 @@ class CycleInfo:
         }
 
 
-def _near_root_of_unity(mult: complex, tol: float = MULTIPLIER_TOL) -> bool:
-    for q in range(1, MAX_UNITY_ORDER + 1):
-        w = mult ** q
-        if abs(w - 1.0) <= tol * q:
-            return True
-    return False
+def _near_root_of_unity(mult: complex) -> bool:
+    return any(abs(mult ** q - 1.0) <= MULTIPLIER_TOL * q for q in range(1, MAX_UNITY_ORDER + 1))
 
 
-def classify_multiplier(mult: complex, tol: float = MULTIPLIER_TOL) -> str:
+def classify_multiplier(mult: complex) -> str:
     r = abs(mult)
-    if r < 1.0 - tol:
+    if r < 1.0 - MULTIPLIER_TOL:
         return "attracting"
-    if r > 1.0 + tol:
+    if r > 1.0 + MULTIPLIER_TOL:
         return "repelling"
-    if _near_root_of_unity(mult, tol):
+    if _near_root_of_unity(mult):
         return "parabolic"
     return "indeterminate"
 
 
-def find_cycle(a: complex, period: int, seed: complex,
-               tol: float = NEWTON_TOL, max_iter: int = 200) -> CycleInfo:
+def find_cycle(a: complex, period: int, seed: complex) -> CycleInfo:
     """Newton search for a period-``period`` cycle of e^z + a from a seed.
 
     Solves f^period(z) = z; the derivative along the orbit is the product of
     e^(z_i), which is also the cycle multiplier at convergence.  Convergence
-    means residual |f^period(z) - z| below ``tol``.
+    means residual |f^period(z) - z| below NEWTON_TOL within NEWTON_STEPS
+    steps; the iterate of least residual is reported, with the orbit and
+    derivative its step computed.
     """
     a = _check_param(a)
     if period < 1:
         raise ValueError("period must be >= 1")
     z = complex(seed)
-    best_z: complex | None = None
+    best: tuple[list[complex], complex] | None = None
     best_res = math.inf
     prev_res = math.inf
-    for _ in range(max_iter):
-        w = z
-        deriv = complex(1.0)
-        overflow = False
-        for _ in range(period):
-            if abs(w.real) > OVERFLOW_GUARD:
-                overflow = True
-                break
-            e = cmath.exp(w)
-            deriv *= e
-            w = e + a
-        if overflow:
+    for _ in range(NEWTON_STEPS):
+        orbit, deriv = _orbit(a, z, period, OVERFLOW_GUARD)
+        if len(orbit) <= period or min(w.real for w in orbit[:-1]) < -OVERFLOW_GUARD:
             raise NoConvergenceError("orbit left the computable range during Newton")
-        g = w - z
+        g = orbit[-1] - z
         res = abs(g)
         if res < best_res:
-            best_z, best_res = z, res
+            best, best_res = (orbit, deriv), res
         if res < 1e-15:
             break
         # once below tolerance, keep polishing while the residual still falls
         # fast; multiple roots converge linearly and need the extra digits for
         # a faithful multiplier
-        if res < tol and res > 0.5 * prev_res:
+        if res < NEWTON_TOL and res > 0.5 * prev_res:
             break
         prev_res = res
-        gp = deriv - 1.0
-        if gp == 0:
-            gp = complex(1e-14)
-        z = z - g / gp
+        z = z - g / (deriv - 1.0 or complex(1e-14))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise NoConvergenceError("Newton iterate left the finite plane")
-    if best_z is None or best_res >= tol:
-        raise NoConvergenceError(f"no residual < {tol} within {max_iter} Newton steps")
-    pts = [best_z]
-    for _ in range(period - 1):
-        pts.append(cmath.exp(pts[-1]) + a)
-    mult = complex(1.0)
-    for p in pts:
-        mult *= cmath.exp(p)
-    return CycleInfo(period, tuple(pts), mult, classify_multiplier(mult))
+    if best is None or best_res >= NEWTON_TOL:
+        raise NoConvergenceError(f"no residual < {NEWTON_TOL} within {NEWTON_STEPS} Newton steps")
+    orbit, mult = best
+    return CycleInfo(period, tuple(orbit[:-1]), mult, classify_multiplier(mult))
 
 
 @dataclass(frozen=True)
@@ -288,14 +280,11 @@ def _cycle_of_a(a: complex, escape_re: float) -> tuple[complex, ...] | None:
     when the orbit crosses the escape line or the overflow guard, or Newton
     fails.
     """
-    w = a
-    for _ in range(TRAP_ORBIT_STEPS):
-        if w.real > min(escape_re, OVERFLOW_GUARD):
-            return None
-        w = cmath.exp(w) + a
-    orbit = [w]
-    while len(orbit) <= TRAP_MAX_PERIOD and orbit[-1].real <= OVERFLOW_GUARD:
-        orbit.append(cmath.exp(orbit[-1]) + a)
+    orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, min(escape_re, OVERFLOW_GUARD))
+    if len(orbit) <= TRAP_ORBIT_STEPS:
+        return None
+    w = orbit[-1]
+    orbit, _ = _orbit(a, w, TRAP_MAX_PERIOD, OVERFLOW_GUARD)
     period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < TRAP_PERIOD_TOL), 1)
     try:
         points = find_cycle(a, period, w).points

@@ -403,10 +403,10 @@ class TailRule(Protocol):
     """Everything the model and the strata ask of a tail rule.
 
     ``p`` is always the prefix length of the sequence the tail belongs to.
-    Bounded rules (constant, periodic) also give ``abs_bound`` and the period
-    ``pattern``; diverging rules (tower, ramp) give ``potential_floor(p,
-    threshold)``, the eventual floor of the shifted potentials against a
-    threshold, and ``thin``, asked only of escaping endpoints.
+    Bounded rules (constant, periodic) also give ``abs_bound``, ``pattern``
+    and its least ``period``; diverging rules (tower, ramp) give
+    ``potential_floor(p, threshold)``, an index from which every shifted
+    potential is certainly above threshold (or None), and ``thin``.
     """
 
     kind: str
@@ -455,6 +455,12 @@ class _BoundedTail:
 
     def entry_at(self, p: int, n: int) -> Entry:
         return self.entries[(n - p) % len(self.entries)]
+
+    @functools.cached_property
+    def period(self) -> int:
+        """The pattern's least period: its least rotation that leaves it unchanged."""
+        pat = self.pattern
+        return next(d for d in range(1, len(pat) + 1) if pat[d:] + pat[:d] == pat)
 
     def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
         # after one full period of tail terms every later term repeats an
@@ -603,15 +609,11 @@ class ExpTowerTail:
         lo = max(round_down(net.lo - 1.0), 0.0)
         return (Interval(lo, net.hi, lo > 0.0, net.hi_open),)
 
-    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+    def potential_floor(self, p: int, threshold: float) -> int | None:
         anchor = self.resolved_anchor(p)
-        n = max(anchor + 1, 0)
-        for _ in range(200):
-            lo = sum_down(growth_net(self.c, n - anchor).lo, -1.0)
-            if lo > threshold:
-                return ("above", n)
-            n += 1
-        return ("unknown", None)
+        start = max(anchor + 1, 0)
+        return next((n for n in range(start, start + 200)
+                     if sum_down(growth_net(self.c, n - anchor).lo, -1.0) > threshold), None)
 
     def nesting_anchor(self, p: int) -> tuple[int, _TowerRel]:
         """The first level whose tower passes TOWER_PIN, in tower-relative form."""
@@ -691,15 +693,13 @@ class LinExpTail:
         env = growth_inv_pow(a_next + 1.0, k)
         return (Interval(0.0, env.hi, False, True),)
 
-    def potential_floor(self, p: int, threshold: float) -> tuple[str, int | None]:
+    def potential_floor(self, p: int, threshold: float) -> int | None:
         # the lower end of the enclosure of arg(n + 1) is the greatest double
         # <= arg(n + 1), so it exceeds threshold exactly when arg(n + 1)
         # reaches the least double above threshold
         start = max(p - 1, 0)
         n = max(start, math.ceil(Fraction(round_up(threshold)) / self.rate) - 1 - self.offset)
-        if n - start < 400000:
-            return ("above", n)
-        return ("unknown", None)
+        return n if n - start < 400000 else None
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         """Level n - 1 and the seed arg(n) + [0, (2 + U)/(1 + F(arg(n)).lo)) of its height.

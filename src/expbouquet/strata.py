@@ -81,8 +81,9 @@ class AlphaIndex:
 class WitnessReport:
     """One verified thinning witness: margins for both claims plus its distance.
 
-    ``horizon`` is the last shift whose potential was checked explicitly;
-    beyond it the tail rule's certificate covers the remaining shifts.
+    ``claim1_margin`` is the hull of least lower end among the potentials at
+    shifts m through ``horizon``; the threshold certificate of claim one
+    covers every shift from m on.
     """
 
     m: int
@@ -113,7 +114,7 @@ class WitnessReport:
 def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
                           budget: int) -> TriBool:
     """Certify potential(seq, n) > threshold for every n >= start (a diverging tail)."""
-    _, n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
+    n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
     if n1 is None:
         return TriBool.unknown(None)
     if n1 - start > budget:
@@ -208,14 +209,21 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float,
                         budget: int = 512) -> int:
-    """Least k >= 1 with a certified potential term F^-k |s_{n+k}| > threshold (memoised)."""
+    """Least k >= 1 with a certified potential term F^-k |s_{n+k}| > threshold.
+
+    Memoised per shift and threshold for every budget; a failed search keeps nothing.
+    """
+    failed = f"no certified witness depth at shift {n} for threshold {threshold}"
+
     def least(s: SymbolSeq) -> int:
         for k in range(1, budget + 1):
             if potential_term(s, n + k, k).certainly_gt(threshold):
                 return k
-        raise BudgetExceededError(
-            f"no certified witness depth at shift {n} for threshold {threshold}")
-    return _memoised(seq, ("depth", n, threshold, budget), least)
+        raise BudgetExceededError(failed)
+    depth = _memoised(seq, ("depth", n, threshold), least)
+    if depth > budget:
+        raise BudgetExceededError(failed)
+    return depth
 
 
 def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int,
@@ -290,8 +298,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
                    budget: int = 100000) -> list[WitnessReport]:
     """A verified family of thinning witnesses for the child stratum at n_ext.
 
-    Each witness is checked: every inspected shifted potential from its cut
-    index on exceeds 3*dom - 1 and membership in the parent stratum is
+    Each witness is checked: every shifted potential from its cut index on
+    exceeds 3*dom - 1 (one threshold certificate) and membership in the parent stratum is
     certified (claim one); the potential at the cut index is at most 3*dom,
     hence at least one below the closure bound 3*dom + 1 of the child stratum
     (claim two).  Cut indices strictly increase, distances to the base
@@ -330,17 +338,12 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         if not claim2.certainly_le(bound):
             raise BudgetExceededError(f"claim-two bound not certified at m={m}")
 
-        # claim one: inspected shifted potentials from m on exceed 3*dom - 1 ...
-        claim1 = None
-        for n in range(m, m + EXTRA_CLAIM_SHIFTS):
-            pot_n = potential(witness, n)
-            if not pot_n.certainly_gt(bound - 1.0):
-                raise BudgetExceededError(f"claim-one margin not certified at shift {n}")
-            if claim1 is None or pot_n.lo < claim1.lo:
-                claim1 = pot_n
-        tail_cert = _threshold_holds_from(witness, m + EXTRA_CLAIM_SHIFTS, bound - 1.0, budget)
-        if not tail_cert.is_true:
-            raise BudgetExceededError("claim-one tail certificate failed")
+        # claim one: every shifted potential from m on exceeds 3*dom - 1, one
+        # threshold certificate whose scan reads the margin's hulls from the memo ...
+        claim1 = min((potential(witness, n) for n in range(m, m + EXTRA_CLAIM_SHIFTS)),
+                     key=lambda iv: iv.lo)
+        if not _threshold_holds_from(witness, m, bound - 1.0, budget).is_true:
+            raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
 
         height = endpoint_height_enclosure(witness, tol)
         w_point = ModelPoint(max(height.mid, 0.0), witness)

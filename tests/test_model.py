@@ -1,5 +1,6 @@
 """Model operations against independent oracles and the stated invariants."""
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -423,8 +424,8 @@ def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch):
 
 def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
     """Reference: every shifted potential from n on is at least 0.694, checked upward."""
-    kind, n1 = seq.tail.potential_floor(len(seq.prefix), 0.694)
-    if kind != "above" or n1 is None:
+    n1 = seq.tail.potential_floor(len(seq.prefix), 0.694)
+    if n1 is None:
         return False
     for j in range(n, n1):
         if not potential(seq, j).certainly_ge(0.694):
@@ -501,6 +502,8 @@ tail_rules = st.one_of(
 # straddles 0 with a finite upper end before certifying a negative height (tol 1e-9)
 @example({"prefix": [], "tail": {"kind": "const", "c": 1}}, 0.0)
 @example({"prefix": [-3], "tail": {"kind": "const", "c": 5}}, 0.0)
+# the pattern [0, 0] repeats after one step: budget 1 meets the repeat
+@example({"prefix": [], "tail": {"kind": "periodic", "pattern": [0, 0]}}, 0.0)
 @settings(max_examples=100, deadline=None)
 def test_classify_matches_the_full_orbit_scan(descriptor, t_random):
     # heights at and around the endpoint, where orbit enclosures blow up to
@@ -516,6 +519,38 @@ def test_classify_matches_the_full_orbit_scan(descriptor, t_random):
             for budget in (0, 1, 7, 64, 4096):
                 assert (_outcome(classify, point, budget, tol)
                         == _outcome(_full_scan_classify, point, budget, tol)), (t, tol, budget)
+
+
+def test_classify_matches_the_full_orbit_scan_on_small_periodic_tails():
+    # every pattern of length <= 4 over {0, +-1, 2}, repeated ones such as
+    # [0, 0] and [1, -1, 1, -1] included, behind three short prefixes; budgets
+    # shorter than the pattern are where a repeat keyed on its length, not its
+    # least period, goes unseen
+    diffs = []
+    for length in range(1, 5):
+        for pattern in itertools.product((0, 1, -1, 2), repeat=length):
+            for prefix in ([], [1], [0, 2]):
+                seq = SymbolSeq.from_json({"prefix": prefix,
+                                           "tail": {"kind": "periodic", "pattern": list(pattern)}})
+                enc = endpoint_height_enclosure(seq)
+                for tol in (1e-9, 1e-20):
+                    for t in sorted({enc.mid, enc.lo - tol, enc.hi + tol, 0.0}):
+                        if t < 0.0:
+                            continue
+                        point = ModelPoint(t, seq)
+                        for budget in (0, 1, 2, 3, 5, 64):
+                            if (_outcome(classify, point, budget, tol)
+                                    != _outcome(_full_scan_classify, point, budget, tol)):
+                                diffs.append((pattern, prefix, tol, t, budget))
+    assert diffs == []
+
+
+def test_least_period_of_bounded_tails():
+    assert [PeriodicTail(p).period for p in [(0, 0), (1, -1, 1, -1), (1, -1), (2, 2, 2), (1, 1, 2)]] \
+        == [1, 2, 2, 1, 3]
+    assert const_seq(7).tail.period == 1
+    # the descriptor keeps the pattern as given
+    assert PeriodicTail((0, 0)).to_json() == {"kind": "periodic", "pattern": [0, 0]}
 
 
 def test_classify_rejects_a_negative_budget():
@@ -711,20 +746,20 @@ def test_ramp_potential_floor_matches_the_scan(tail, p, threshold):
     n = max(p - 1, 0)
     for _ in range(400000):
         if Interval.from_fraction(tail.arg(n + 1)).lo > threshold:
-            want = ("above", n)
+            want = n
             break
         n += 1
     else:
-        want = ("unknown", None)
+        want = None
     assert tail.potential_floor(p, threshold) == want
 
 
 def test_ramp_potential_floor_gives_up_past_the_scan_budget():
     # rate 1/10000 reaches 50 at index 500000, beyond the 400000-index window
     tail = LinExpTail(Fraction(1, 10000))
-    assert tail.potential_floor(0, 50.0) == ("unknown", None)
+    assert tail.potential_floor(0, 50.0) is None
     # arg(390000) = 39 exactly is not above 39, arg(390001) is
-    assert tail.potential_floor(0, 39.0) == ("above", 390000)
+    assert tail.potential_floor(0, 39.0) == 390000
 
 
 # -- directed rounding at the certificate comparisons ---------------------------
@@ -751,8 +786,8 @@ def test_tower_floor_compares_a_directed_lower_bound():
     lo = growth_net(4, 2).lo
     threshold = math.nextafter(lo, 0.0)
     assert lo - 1.0 == lo and sum_down(lo, -1.0) == threshold
-    assert seq.tail.potential_floor(len(seq.prefix), threshold) == ("above", 2)
-    assert seq.tail.potential_floor(len(seq.prefix), math.nextafter(threshold, 0.0)) == ("above", 1)
+    assert seq.tail.potential_floor(len(seq.prefix), threshold) == 2
+    assert seq.tail.potential_floor(len(seq.prefix), math.nextafter(threshold, 0.0)) == 1
 
 
 def test_ramp_envelope_step_compares_against_a_directed_sum(monkeypatch):

@@ -1,0 +1,137 @@
+"""Golden scalar outputs of the plane layer, bit for bit.
+
+``plane_golden.json`` holds exact floats (``float.hex``) of ``find_cycle``
+on the render pool's 40 cycle queries and a few more (their inputs are kept
+in the file), of ``_cycle_of_a`` for the render parameters and four
+attracting cycles of period 2 to 8, of ``region_stays_outside`` on a small
+grid (budget 1 and orbits cut at the overflow guard included) and of
+``exp_orbit`` and ``strip_itinerary`` on a few points.  A refactor of the
+scalar orbit code must keep every one of them.
+
+    PYTHONPATH=src python tests/test_plane_golden.py
+
+rewrites the file from the current code; do that only for an intended change.
+"""
+
+import cmath
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from expbouquet.plane import (
+    ESCAPE_RE,
+    NoConvergenceError,
+    _cycle_of_a,
+    exp_orbit,
+    find_cycle,
+    region_stays_outside,
+    strip_itinerary,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "plane_golden.json"
+RENDER_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "render.json"
+
+RENDER_PARAMS = [-0.5 + 1j, -2.0 + 0j, -1.0 + 0j, 0.3 + 0.2j]
+# attracting cycles of period 2, 3, 4 and 8 and the escape lines just above them
+CYCLE_PARAMS = {1.6 - 2.2j: 2.0, 0.7 - 0.7j: 2.5, 0.2 - 0.2j: 4.0, 0.3 - 0.5j: 4.5}
+EXTRA_CYCLES = [(1.0 + 0j, 1, 0.5 + 0j), (0.3 + 0.2j, 4, 0.3 + 0.2j), (-1.0 + 0j, 1, 0.1 + 0j),
+                (-2.0 + 0.3j, 1, -2.0 + 0j), (0.2 - 0.2j, 2, 0.2 - 0.2j)]
+# for a = -1, f(log(702 + 1e6 i)) lies past the overflow guard but, at radius
+# 1e6, short of the growth certificate: budget 1 ends unknown, budget 2 yes
+REGION_GRID = [(a, radius, z, budget)
+               for a in (-1.0 + 0j, -2.0 + 0j, 0.3 + 0.2j)
+               for radius in (0.5, 5.0, 1e6)
+               for z in (0j, 2 + 0j, 1 + 1j, 10 + 0j, 600 + 0j, 705 + 3j, -800 + 0j,
+                         cmath.log(702 + 1e6j))
+               for budget in (1, 2, 50)]
+ORBIT_POINTS = [(-1.0 + 0j, 0.5 + 0j, 12), (-1.0 + 0j, 10 + 0j, 5), (-2.0 + 0j, 3 - 1j, 20),
+                (0.3 + 0.2j, 0j, 40), (-0.5 + 1j, 1 + 7j, 30), (-1.0 + 0j, 0.5 - 4j * math.pi, 3),
+                (-2.0 + 0j, -800 + 0j, 4)]
+
+
+def _hex(z: complex) -> list[str]:
+    return [z.real.hex(), z.imag.hex()]
+
+
+def _cycle(a: complex, period: int, seed: complex) -> dict:
+    try:
+        info = find_cycle(a, period, seed)
+    except NoConvergenceError:
+        return {"raises": "NoConvergenceError"}
+    return {"points": [_hex(p) for p in info.points], "multiplier": _hex(info.multiplier),
+            "kind": info.kind}
+
+
+def _pool_cycles() -> list[tuple[complex, int, complex]]:
+    with open(RENDER_POOL) as fh:
+        queries = json.load(fh)["cells"]["cycle"]["queries"]
+    return [(complex(*q["a"]), q["period"], complex(*q["seed"])) for q in queries]
+
+
+def _trap_params() -> list[tuple[complex, float]]:
+    return [(a, ESCAPE_RE) for a in RENDER_PARAMS] + list(CYCLE_PARAMS.items())
+
+
+def _unhex(pair: list[str]) -> complex:
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+def record(cycles: list[tuple[complex, int, complex]]) -> dict:
+    """Every golden output of the current code, ``find_cycle`` on the given queries."""
+    traps = _trap_params()
+    region = []
+    for a, radius, z, budget in REGION_GRID:
+        tri = region_stays_outside(a, radius, z, budget)
+        ev = tri.evidence
+        region.append([tri.label(), None if ev is None else [ev.lo.hex(), ev.hi.hex()]])
+    return {
+        "find_cycle": [{"a": _hex(a), "period": period, "seed": _hex(seed),
+                        "out": _cycle(a, period, seed)} for a, period, seed in cycles],
+        "cycle_of_a": [None if (pts := _cycle_of_a(a, esc)) is None else [_hex(p) for p in pts]
+                       for a, esc in traps],
+        "region_stays_outside": region,
+        "exp_orbit": [[_hex(w) for w in exp_orbit(a, z, n)] for a, z, n in ORBIT_POINTS],
+        "strip_itinerary": [strip_itinerary(a, z, n) for a, z, n in ORBIT_POINTS],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def now(golden) -> dict:
+    return record([(_unhex(c["a"]), c["period"], _unhex(c["seed"])) for c in golden["find_cycle"]])
+
+
+@pytest.mark.parametrize("key", ["find_cycle", "cycle_of_a", "region_stays_outside",
+                                 "exp_orbit", "strip_itinerary"])
+def test_plane_scalar_outputs_match_the_golden_file(golden, now, key):
+    assert len(now[key]) == len(golden[key])
+    for i, (got, want) in enumerate(zip(now[key], golden[key])):
+        assert got == want, f"{key}[{i}]"
+
+
+def test_golden_file_covers_periods_and_failures(golden):
+    # cycles up to period 8, a failed Newton search and every pool query are in
+    assert sorted(len(pts) for pts in golden["cycle_of_a"] if pts)[-1] == 8
+    assert {"raises": "NoConvergenceError"} in [c["out"] for c in golden["find_cycle"]]
+    assert len(golden["find_cycle"]) == 40 + len(EXTRA_CYCLES)
+
+
+def test_newton_refuses_an_orbit_left_of_the_overflow_guard():
+    # refused at the first step; Newton from there would also fail, later
+    with pytest.raises(NoConvergenceError, match="left the computable range"):
+        find_cycle(0, 1, -800)
+
+
+if __name__ == "__main__":
+    # one line per output
+    lists = record(_pool_cycles() + EXTRA_CYCLES).items()
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f"{json.dumps(k)}: [\n" + ",\n".join(json.dumps(x) for x in v) + "\n]"
+        for k, v in lists) + "\n}\n")

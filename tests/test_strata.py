@@ -37,6 +37,7 @@ from expbouquet.sequences import (
     FloorPow,
     IntEntry,
     LinExpTail,
+    SymbolSeq,
     _entry_abs_vs_tower,
     _ramp_below_cap_from,
     _tower_entry,
@@ -198,6 +199,47 @@ def test_a_memoised_witness_depth_answers_only_its_own_threshold():
         with pytest.raises(BudgetExceededError, match="shift 1 for threshold 5.0"):
             least_witness_depth(seq, 1, 5.0)
     assert least_witness_depth(seq, 2, 5.0) == 1
+
+
+def test_a_witness_depth_is_searched_once_under_every_budget(monkeypatch):
+    # at shift 0 the first term is F^-1(|s_1|) = 0 and the second F^-2(1000) ~ 2.07
+    seq = SymbolSeq.from_json({"prefix": [0, 0, 1000], "tail": {"kind": "fexp", "c": 3}})
+    with pytest.raises(BudgetExceededError, match="shift 0 for threshold 1.5"):
+        least_witness_depth(seq, 0, 1.5, 1)
+    assert least_witness_depth(seq, 0, 1.5, 512) == 2
+    terms = []
+    real = strata.potential_term
+    monkeypatch.setattr(strata, "potential_term", lambda *a: terms.append(a) or real(*a))
+    assert least_witness_depth(seq, 0, 1.5, 10000) == 2
+    # a budget below the known depth raises, as a fresh search would
+    with pytest.raises(BudgetExceededError, match="shift 0 for threshold 1.5"):
+        least_witness_depth(seq, 0, 1.5, 1)
+    assert terms == []
+
+
+def test_witness_family_searches_each_depth_once_under_both_budgets(monkeypatch):
+    # _segment_depths asks below the extension index with budget 512, and
+    # witness_cut_index asks the same shifts and thresholds with 10000
+    asking, keep, searches = [], [], Counter()
+    real_depth, real_term = strata.least_witness_depth, strata.potential_term
+
+    def depth(seq, n, threshold, *budget):
+        keep.append(seq)  # alive, so ids stay unique
+        asking.append((id(seq), n, threshold))
+        try:
+            return real_depth(seq, n, threshold, *budget)
+        finally:
+            asking.pop()
+
+    def term(seq, n, k, *rest):
+        if asking and k == 1:
+            searches[asking[-1]] += 1
+        return real_term(seq, n, k, *rest)
+
+    monkeypatch.setattr(strata, "least_witness_depth", depth)
+    monkeypatch.setattr(strata, "potential_term", term)
+    witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
+    assert searches and max(searches.values()) == 1
 
 
 def test_cut_index_matches_the_max_formula():
