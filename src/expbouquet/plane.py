@@ -177,7 +177,10 @@ def find_cycle(a: complex, period: int, seed: complex) -> CycleInfo:
     prev_res = math.inf
     for _ in range(NEWTON_STEPS):
         orbit, deriv = _orbit(a, z, period, OVERFLOW_GUARD)
-        if len(orbit) <= period or min(w.real for w in orbit[:-1]) < -OVERFLOW_GUARD:
+        left = len(orbit) <= period
+        for w in orbit[:-1]:
+            left = left or w.real < -OVERFLOW_GUARD
+        if left:
             raise NoConvergenceError("orbit left the computable range during Newton")
         g = orbit[-1] - z
         res = abs(g)
@@ -404,9 +407,9 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
                     break
             np.exp(z, out=z)
             z += a
-            bad = ~np.isfinite(z)
-            if bad.any():
-                # a non-finite iterate can only come from a huge real part
+            # a non-finite iterate needs a huge real part: with the escape line at
+            # or below the overflow guard, Re z <= 700 and |a| <= 10 keep it finite
+            if escape_re > OVERFLOW_GUARD and (bad := ~np.isfinite(z)).any():
                 times[idx[bad]] = n + 1
                 keep = ~bad
                 z, idx = z[keep], idx[keep]

@@ -32,6 +32,7 @@ from .model import (
 from .sequences import (
     Asymptotics,
     Entry,
+    FloorPow,
     IncomparableTailsError,
     IntEntry,
     SymbolSeq,
@@ -270,19 +271,29 @@ def _entry_gap(a: Entry, b: Entry) -> float:
         return 0.0
     if isinstance(a, IntEntry) and isinstance(b, IntEntry):
         return min(1.0, float(abs(a.value - b.value)))
-    diff = a.abs_interval() - b.abs_interval()
-    if diff.lo >= 1.0 or diff.hi <= -1.0:
-        return 1.0
-    if diff.contains_value(0.0):
-        return 0.0 if diff.width == 0.0 else min(1.0, abs(diff.mid))
-    return min(1.0, abs(diff.mid))
+    # 1.0 for a difference certainly beyond +-1, 0.0 for the point difference [0, 0]
+    return min(1.0, abs((a.abs_interval() - b.abs_interval()).mid))
 
 
 def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -> float:
-    """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|)."""
+    """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|).
+
+    Past both prefixes, equal shifted sequences end the sum and two unequal
+    towers unbounded above (only tower tails give them there; they stay so) add
+    gap 1.0 at each later index, in order: the sum is the same bit for bit.
+    """
+    tails = max(len(a.prefix), len(b.prefix))
     total = 0.0
     for n in range(horizon + 1):
-        gap = _entry_gap(a.entry(n), b.entry(n))
+        if n == tails and a.shift(n) == b.shift(n):
+            break
+        ea, eb = a.entry(n), b.entry(n)
+        if (n >= tails and type(ea) is type(eb) is FloorPow and ea != eb
+                and ea.tower().hi == eb.tower().hi == math.inf):
+            for k in range(n, horizon + 1):
+                total += math.ldexp(1.0, -k)
+            break
+        gap = _entry_gap(ea, eb)
         if gap:
             total += math.ldexp(gap, -n)
     return total

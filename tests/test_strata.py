@@ -1,5 +1,7 @@
 """Stratum membership, extension search, and the thinning-witness pipeline."""
 
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -33,10 +35,12 @@ from expbouquet import (
 from expbouquet import model, strata
 from expbouquet.intervals import Interval, growth_net
 from expbouquet.sequences import (
+    ConstTail,
     ExpTowerTail,
     FloorPow,
     IntEntry,
     LinExpTail,
+    PeriodicTail,
     SymbolSeq,
     _entry_abs_vs_tower,
     _ramp_below_cap_from,
@@ -402,6 +406,113 @@ def test_point_distance_combines_height_and_address():
     a = endpoint_of(fexp_seq(10))
     b = ModelPoint(a.t + 0.5, a.seq)
     assert point_distance(a, b) == pytest.approx(0.5)
+
+
+def _reference_gap(a, b) -> float:
+    """The entry gap as the interval path computed it before any closed form."""
+    if a == b:
+        return 0.0
+    if isinstance(a, IntEntry) and isinstance(b, IntEntry):
+        return min(1.0, float(abs(a.value - b.value)))
+    diff = a.abs_interval() - b.abs_interval()
+    if diff.lo >= 1.0 or diff.hi <= -1.0:
+        return 1.0
+    if diff.contains_value(0.0):
+        return 0.0 if diff.width == 0.0 else min(1.0, abs(diff.mid))
+    return min(1.0, abs(diff.mid))
+
+
+def _reference_distances(a, b, horizons) -> dict:
+    """The per-index sum over every entry gap, read at each horizon."""
+    total, out = 0.0, {}
+    for n in range(max(horizons) + 1):
+        gap = _reference_gap(a.entry(n), b.entry(n))
+        if gap:
+            total += math.ldexp(gap, -n)
+        if n in horizons:
+            out[n] = total
+    return out
+
+
+def _distance_sweep_pairs() -> list:
+    """Ordered pairs over every tail rule and prefix, and witnesses against their bases."""
+    # the const and periodic tails share their first entry; the tower of c = 4
+    # comes again with its anchor written out: equal entries from a tail that
+    # does not compare equal
+    tails = [ConstTail(0), PeriodicTail((0, 3)), *(ExpTowerTail(c) for c in range(1, 11)),
+             ExpTowerTail(4, anchor=-1), LinExpTail(Fraction(1, 2)), LinExpTail(Fraction(3))]
+    prefixes = [(), (2,), (0, 5), (3, 4, 1), (1, _tower_entry(2, 4))]
+    seqs = [SymbolSeq(p, t) for t in tails for p in prefixes]
+    # the gaps are symmetric, so each unordered pair once
+    pairs = [(a, b) for i, a in enumerate(seqs) for b in seqs[i:]]
+    # a first gap 53 places before two saturated towers: the first tower term
+    # is half the last place of the sum, so the order of rounding shows
+    pairs.append(tuple(SymbolSeq((v,) + (0,) * 52, ExpTowerTail(c, anchor=51))
+                       for v, c in ((1, 9), (0, 10))))
+    for base in (SymbolSeq(p, t) for t in tails[2:] for p in prefixes[::2]):
+        for alpha in (AlphaIndex((0,)), AlphaIndex((0, 1)), AlphaIndex((0, 2, 3))):
+            for m in range(16):
+                try:
+                    w = witness_sequence(base, alpha, m)
+                except IncomparableTailsError:
+                    continue
+                pairs += [(w, base), (base, w)]
+    return pairs
+
+
+def test_address_distance_matches_the_per_index_sum():
+    # the closed forms past both prefixes (equal shifted sequences stop the
+    # sum, two unequal saturated towers add 1.0 per index) keep every bit
+    horizons = (0, 1, 5, 30, 60, 100)
+    pairs = _distance_sweep_pairs()
+    assert len(pairs) > 6000
+    for a, b in pairs:
+        ref = _reference_distances(a, b, horizons)
+        for h in horizons:
+            assert address_distance(a, b, h).hex() == ref[h].hex(), (a, b, h)
+
+
+def test_witness_distances_build_no_tower_enclosure_past_the_first_saturated_pair(monkeypatch):
+    # from the first index where both entries are unequal towers unbounded
+    # above, every gap is 1.0: no tower enclosure is built for them
+    def saturated(e):
+        return isinstance(e, FloorPow) and e.tower().hi == math.inf
+
+    # during a distance: its first saturated index and the index read last
+    state, late = {}, []
+    real_abs, real_entry = FloorPow.abs_interval, SymbolSeq.entry
+    real_distance = strata.address_distance
+
+    def abs_interval(self):
+        if state and state["n"] >= state["first"]:
+            late.append(self)
+        return real_abs(self)
+
+    def entry(self, n):
+        if state:
+            state["n"] = n
+        return real_entry(self, n)
+
+    def address_distance(a, b, *args):
+        pairs = ((n, a.entry(n), b.entry(n)) for n in range(strata._DIST_HORIZON + 1))
+        state["first"] = next((n for n, ea, eb in pairs
+                               if ea != eb and saturated(ea) and saturated(eb)), math.inf)
+        state["n"] = -1
+        try:
+            return real_distance(a, b, *args)
+        finally:
+            state.clear()
+
+    monkeypatch.setattr(FloorPow, "abs_interval", abs_interval)
+    monkeypatch.setattr(SymbolSeq, "entry", entry)
+    monkeypatch.setattr(strata, "address_distance", address_distance)
+    reports = witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
+    assert len(reports) == 30
+    assert late == []
+    # the reports are byte for byte those of the per-index sum
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a56ce2c8a34a076851ac8ad387e9e0a92b7904aafc27e3d41991dbf5d803afee")
 
 
 # -- directed rounding in the thinning comparisons ------------------------------
