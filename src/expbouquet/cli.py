@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .intervals import check_tolerance
+from .intervals import DEFAULT_TOL, check_tolerance
 from .model import (
     BudgetExceededError,
     Classification,
@@ -48,7 +48,7 @@ class _UsageError(Exception):
 class RunConfig:
     """Numeric defaults shared by every subcommand."""
 
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     budget: int = 100000
     seed: int = 0
     fmt: str = "json"
@@ -100,10 +100,10 @@ def _ensure_dir(directory: str) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="interval tolerance")
-    parser.add_argument("--budget", type=int, default=100000, help="iteration budget")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--tol", type=float, default=RunConfig.tolerance, help="interval tolerance")
+    parser.add_argument("--budget", type=int, default=RunConfig.budget, help="iteration budget")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for sampled suites")
+    parser.add_argument("--format", choices=("json", "text"), default=RunConfig.fmt)
     parser.add_argument("--out", default=None, help="output directory override")
 
 

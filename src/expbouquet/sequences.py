@@ -321,37 +321,25 @@ class IncomparableTailsError(ValueError):
         self.diagnostics = diagnostics or {}
 
 
-def _entry_abs_vs_tower(entry: Entry, cap: tuple[int, int]) -> str:
-    """Compare |entry| against the floor tower floor(F^h(c)), cap = (c, h): 'entry', 'cap',
-    or 'unknown'.
+def _thin_entry(entry: Entry, c: int, h: int) -> Entry | None:
+    """The thinning step min(|entry|, floor(F^h(c))) as an entry: the kept entry, the cap
+    entry, or None when no certified comparison decides it.
 
     floor monotonicity: A <= B certifies floor(A) <= floor(B), so interval
     separation of the underlying reals decides the min.
     """
-    cap_entry = _tower_entry(*cap)
-    ev = entry.value if isinstance(entry, IntEntry) else None
-    cv = cap_entry.value if isinstance(cap_entry, IntEntry) else None
+    cap = _tower_entry(c, h)
+    ev = abs(entry.value) if isinstance(entry, IntEntry) else None
+    cv = cap.value if isinstance(cap, IntEntry) else None
+    kept = entry if ev is None else IntEntry(ev)
     if ev is not None and cv is not None:
-        return "entry" if abs(ev) <= cv else "cap"
+        return kept if ev <= cv else cap
     a = entry.abs_interval()
-    b = growth_net(*cap)
-    if ev is not None and b.lo >= abs(ev) + 1:
-        return "entry"
-    if a.hi <= sum_down(b.lo, -1.0):
-        return "entry"
+    b = growth_net(c, h)
+    if (ev is not None and b.lo >= ev + 1) or a.hi <= sum_down(b.lo, -1.0):
+        return kept
     if b.hi <= sum_down(a.lo, -1.0) or (cv is not None and a.lo >= cv + 1):
-        return "cap"
-    return "unknown"
-
-
-def _thin_entry(entry: Entry, c: int, h: int) -> Entry | None:
-    """The thinning step min(|entry|, floor(F^h(c))) as an entry; None when no certified
-    comparison decides it."""
-    pick = _entry_abs_vs_tower(entry, (c, h))
-    if pick == "cap":
-        return _tower_entry(c, h)
-    if pick == "entry":
-        return IntEntry(abs(entry.value)) if isinstance(entry, IntEntry) else entry
+        return cap
     return None
 
 
@@ -406,7 +394,10 @@ class TailRule(Protocol):
     Bounded rules (constant, periodic) also give ``abs_bound``, ``pattern``
     and its least ``period``; diverging rules (tower, ramp) give
     ``potential_floor(p, threshold)``, an index from which every shifted
-    potential is certainly above threshold (or None), and ``thin``.
+    potential is certainly above threshold (or None), and ``thin(p, m,
+    cap_c, n)``: asked at the tail indices n = max(m + 1, p), ... in turn,
+    the rule that min(|s_n|, floor(F^(n-m)(cap_c))) follows from n on, or
+    None while entry-wise thinning must go on.
     """
 
     kind: str
@@ -628,8 +619,8 @@ class ExpTowerTail:
             raise RigorError("tower pin level miscomputed")
         return level, _TowerRel(self.c, g_level, _tower_pin_delta(a_lo))
 
-    def thin(self, p: int, m: int, cap_c: int) -> tuple[tuple[Entry, ...], "ExpTowerTail"]:
-        """Entries and rule of min(|s_n|, floor(F^(n-m)(cap_c))) from index max(m + 1, p) on."""
+    def thin(self, p: int, m: int, cap_c: int, n: int) -> "ExpTowerTail":
+        """The rule of min(|s_n|, floor(F^(n-m)(cap_c))) from the first index n asked on."""
         anchor = self.resolved_anchor(p)
         # both sides are towers, F^(n-anchor)(c) and F^(n-m)(cap_c), whose
         # exponents shift in lockstep; growth is strictly increasing, so
@@ -639,9 +630,9 @@ class ExpTowerTail:
         base = growth_net(self.c, m - anchor - common)
         cap = growth_net(cap_c, -common)
         if cap.hi < base.lo:
-            return (), ExpTowerTail(cap_c, anchor=m)
+            return ExpTowerTail(cap_c, anchor=m)
         if base.hi < cap.lo:
-            return (), ExpTowerTail(self.c, anchor=anchor)
+            return ExpTowerTail(self.c, anchor=anchor)
         raise IncomparableTailsError(
             "tower tails incomparable after stripping",
             {"base_c": self.c, "base_exp": m - anchor, "cap_c": cap_c})
@@ -725,29 +716,16 @@ class LinExpTail:
             shrink = round_up(shrink / sum_down(1.0, self.entry_at(p, n).abs_interval().lo))
             n += 1
 
-    def thin(self, p: int, m: int, cap_c: int) -> tuple[tuple[Entry, ...], "LinExpTail"]:
-        """Entries and rule of min(|s_n|, floor(F^(n-m)(cap_c))) from index max(m + 1, p) on."""
+    def thin(self, p: int, m: int, cap_c: int, n: int) -> "LinExpTail | None":
+        """This rule from index n on once ceil(F(arg)) stays below the thinning cap, else None."""
         # the cap tower eventually dominates the single exponential, so a
-        # finite scan resolves the min entry-wise up to a certified crossover
-        entries: list[Entry] = []
-        rate_hi = Interval.from_fraction(self.rate).hi
-        n = max(m + 1, p)
-        while True:
-            if n - m > 100000:
-                raise IncomparableTailsError("no certified crossover within budget",
-                                             {"m": m, "n": n})
-            arg = self.arg(n)
-            # base entry ceil(F(arg)) stays below the cap for every n' >= n
-            if _ramp_below_cap_from(Interval.from_fraction(arg), rate_hi,
-                                    growth_net(cap_c, n - m - 1)):
-                return tuple(entries), self
-            entry = _thin_entry(self.entry_at(p, n), cap_c, n - m)
-            if entry is None:
-                raise IncomparableTailsError(
-                    "ramp entry incomparable with the thinning cap",
-                    {"n": n, "arg": str(arg)})
-            entries.append(entry)
-            n += 1
+        # finite scan reaches a certified crossover
+        if n - m > 100000:
+            raise IncomparableTailsError("no certified crossover within budget", {"m": m, "n": n})
+        if _ramp_below_cap_from(Interval.from_fraction(self.arg(n)),
+                                Interval.from_fraction(self.rate).hi, growth_net(cap_c, n - m - 1)):
+            return self
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,10 @@ class AlphaIndex:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
+        object.__setattr__(self, "entries", tuple(self.entries))
+        # int(v) would truncate a float and accept a bool
+        if any(type(v) is not int for v in self.entries):
+            raise ValueError(f"stratum index entries must be integers, got {self.entries!r}")
         if any(v < 0 for v in self.entries):
             raise ValueError("stratum index entries must be naturals")
         if any(a >= b for a, b in zip(self.entries, self.entries[1:], strict=False)):
@@ -68,14 +71,10 @@ class AlphaIndex:
     def child(self, n: int) -> "AlphaIndex":
         if self.entries and n <= self.entries[-1]:
             raise ValueError("child entry must exceed the last index entry")
-        return AlphaIndex(self.entries + (int(n),))
+        return AlphaIndex(self.entries + (n,))
 
     def to_json(self) -> list[int]:
         return list(self.entries)
-
-    @staticmethod
-    def from_json(obj) -> "AlphaIndex":
-        return AlphaIndex(tuple(int(v) for v in obj))
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
     check_tolerance(tol)
     escaping = is_escaping_endpoint_address(x.seq)
     if not escaping.is_true:
-        return TriBool.no(escaping.evidence) if escaping.is_false else escaping
+        return escaping
 
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
@@ -181,9 +180,9 @@ def extension_index(alpha: AlphaIndex, x: ModelPoint, n_floor: int = 0,
 def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     """The thinned address: base entries through m, then min(|s_n|, floor(F^(n-m)(3k))).
 
-    The min is resolved entry-wise through the prefix and by the tail rule's
-    ``thin`` beyond it, with single certified comparisons where matched growth
-    applications are stripped.
+    The min is resolved entry-wise, prefix and tail entries in one loop,
+    until the tail rule's ``thin`` gives the rule the thinned sequence follows
+    from there on; each comparison is a single certified one.
     """
     if base.asymptotics is not Asymptotics.DIVERGES:
         raise IncomparableTailsError("witness thinning needs a diverging-tail base",
@@ -195,17 +194,18 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     cap_c = 3 * alpha.dom
     p = len(base.prefix)
 
-    prefix: list[Entry] = [base.entry(n) for n in range(m + 1)]
-    for n in range(m + 1, p):
+    entries: list[Entry] = [base.entry(n) for n in range(m + 1)]
+    n = m + 1
+    while n < p or (tail := base.tail.thin(p, m, cap_c, n)) is None:
         e = base.entry(n)
         thinned = _thin_entry(e, cap_c, n - m)
         if thinned is None:
             raise IncomparableTailsError(
-                "prefix entry incomparable with the thinning cap",
+                "entry incomparable with the thinning cap",
                 {"n": n, "entry": e.to_json(), "cap": _tower_entry(cap_c, n - m).to_json()})
-        prefix.append(thinned)
-    entries, tail = base.tail.thin(p, m, cap_c)
-    return SymbolSeq(tuple(prefix) + entries, tail)
+        entries.append(thinned)
+        n += 1
+    return SymbolSeq(tuple(entries), tail)
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float,
@@ -278,14 +278,14 @@ def _entry_gap(a: Entry, b: Entry) -> float:
 def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -> float:
     """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|).
 
-    Past both prefixes, equal shifted sequences end the sum and two unequal
+    Past both prefixes, equal shifted tail rules end the sum and two unequal
     towers unbounded above (only tower tails give them there; they stay so) add
     gap 1.0 at each later index, in order: the sum is the same bit for bit.
     """
     tails = max(len(a.prefix), len(b.prefix))
     total = 0.0
     for n in range(horizon + 1):
-        if n == tails and a.shift(n) == b.shift(n):
+        if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
             break
         ea, eb = a.entry(n), b.entry(n)
         if (n >= tails and type(ea) is type(eb) is FloorPow and ea != eb

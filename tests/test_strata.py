@@ -42,8 +42,8 @@ from expbouquet.sequences import (
     LinExpTail,
     PeriodicTail,
     SymbolSeq,
-    _entry_abs_vs_tower,
     _ramp_below_cap_from,
+    _thin_entry,
     _tower_entry,
 )
 
@@ -63,6 +63,12 @@ def test_alpha_index_validation():
         AlphaIndex((-1,))
     with pytest.raises(ValueError):
         AlphaIndex((2,)).child(2)
+    # entries are never truncated or coerced: (0.9, 2.5) is not (0, 2)
+    for entries in ((0.9, 2.5), (0, 2.0), (True,), (0, False), ("1",), (Fraction(3),)):
+        with pytest.raises(ValueError):
+            AlphaIndex(entries)
+    with pytest.raises(ValueError):
+        AlphaIndex((0,)).child(2.5)
 
 
 def test_alpha_threshold_ladder():
@@ -293,6 +299,27 @@ def test_witness_requires_diverging_tail_and_depth():
         witness_sequence(fexp_seq(10), AlphaIndex(()), 2)
 
 
+_TOWER_10 = {"kind": "fexp", "c": 10}
+
+
+@pytest.mark.parametrize("base, alpha, n, entry", [
+    # a prefix tower and a prefix ramp entry at index 3, each as large as its cap F^3(3)
+    ({"prefix": [0, 0, 0, {"kind": "floor_tower", "c": 3, "h": 3}], "tail": _TOWER_10},
+     (0,), 3, {"kind": "floor_tower", "c": 3, "h": 3}),
+    ({"prefix": [0, 0, 0, {"kind": "ceil_exp", "arg": "1000"}], "tail": _TOWER_10},
+     (0,), 3, {"kind": "ceil_exp", "arg": "1000/1"}),
+    # a ramp tail entry ceil(F(8400)) against the cap F^2(9), both past double range
+    ({"prefix": [], "tail": {"kind": "linexp", "c": "700", "offset": 10}},
+     (0, 1, 2), 2, {"kind": "ceil_exp", "arg": "8400/1"}),
+])
+def test_an_undecidable_entry_raises_one_error(base, alpha, n, entry):
+    message = "^entry incomparable with the thinning cap$"
+    with pytest.raises(IncomparableTailsError, match=message) as e:
+        witness_sequence(SymbolSeq.from_json(base), AlphaIndex(alpha), 0)
+    cap = {"kind": "floor_tower", "c": 3 * len(alpha), "h": n}
+    assert e.value.diagnostics == {"n": n, "entry": entry, "cap": cap}
+
+
 def test_witness_caps_the_cut_potential():
     base = fexp_seq(10)
     for alpha in (AlphaIndex((0,)), AlphaIndex((0, 1))):
@@ -472,6 +499,19 @@ def test_address_distance_matches_the_per_index_sum():
             assert address_distance(a, b, h).hex() == ref[h].hex(), (a, b, h)
 
 
+def test_equal_tails_written_differently_stop_the_distance_at_once(monkeypatch):
+    # the default anchor of an empty prefix is -1: the stop compares the
+    # shifted tail rules, whose anchors are resolved, so no gap is evaluated
+    gaps = []
+    real_gap = strata._entry_gap
+    monkeypatch.setattr(strata, "_entry_gap", lambda a, b: gaps.append(1) or real_gap(a, b))
+    a, b = SymbolSeq((), ExpTowerTail(4)), SymbolSeq((), ExpTowerTail(4, anchor=-1))
+    assert a != b
+    assert address_distance(a, b) == 0.0
+    assert address_distance(b, a) == 0.0
+    assert gaps == []
+
+
 def test_witness_distances_build_no_tower_enclosure_past_the_first_saturated_pair(monkeypatch):
     # from the first index where both entries are unequal towers unbounded
     # above, every gap is 1.0: no tower enclosure is built for them
@@ -528,6 +568,13 @@ class _Symbolic:
         return self.iv
 
 
+def _pick(a: Interval, cap: tuple[int, int]) -> str:
+    """Which side ``_thin_entry`` keeps for an entry enclosed by a: 'entry', 'cap' or 'unknown'."""
+    entry = _Symbolic(a)
+    kept = _thin_entry(entry, *cap)
+    return "unknown" if kept is None else "entry" if kept is entry else "cap"
+
+
 def _assert_certified(pick: str, a: Interval, cap: tuple[int, int]):
     # the min is certified only with a gap of at least one, in exact arithmetic,
     # to the tower F^h(c) or, when the cap is a machine integer, to its value
@@ -561,9 +608,9 @@ def test_entry_vs_cap_needs_an_exact_gap_of_one(x):
     far = Interval(b.hi, b.hi + 2.0**20)
     # |entry| <= b.lo and the tower >= b.lo: b.lo - 1.0 == b.lo would have
     # certified the entry
-    assert _entry_abs_vs_tower(_Symbolic(near), cap) == "unknown"
+    assert _pick(near, cap) == "unknown"
     # and the mirror case for the cap
-    assert _entry_abs_vs_tower(_Symbolic(far), cap) == "unknown"
+    assert _pick(far, cap) == "unknown"
 
 
 # machine-integer caps, F(1) ~ 1.7 up to F(36) ~ 4.3e15, and symbolic ones
@@ -581,7 +628,7 @@ def test_entry_vs_cap_certificates_hold_exactly(cap, gap, width, above):
     else:  # one up to gap below its lower end
         hi = max(b.lo - gap, 0.0)
         a = Interval(max(hi - width, 0.0), hi)
-    _assert_certified(_entry_abs_vs_tower(_Symbolic(a), cap), a, cap)
+    _assert_certified(_pick(a, cap), a, cap)
 
 
 def _ramp_step_holds(a: Interval, rate_hi: float, cap_below: Interval) -> bool:
