@@ -15,19 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import OVERFLOW_GUARD, TriBool, Interval, expm1_up, round_up, sum_up
+from .intervals import OVERFLOW_GUARD, TriBool, Interval, log1p_down, sum_down, sum_up
 
 # one-step escape certificate for rendering: e^50 dwarfs any supported |a|
 ESCAPE_RE = 50.0
 PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
 
-# Float errors covered by the trap-chain certificate of ``_basin_trap``, with
+# Float errors covered by the disk certificates of ``_disk_image``, with
 # u = 2^-53 and faithful libm exp, cos and sin.  On disk j of a chain
 # |e^z| <= e^top, top = Re c_j + r_j, so
 # - one float step e^z + a is off by at most 8u (e^top + |a|), and
 # - the float residual |e^(c_j) + a - c_(j+1)| by at most 10u (e^top + |a| + |c_(j+1)|);
-# TRAP_REL_SLACK (1e-14 > 10u) times e^top + |a| + |c_(j+1)| covers both.
+# TRAP_REL_SLACK (1e-14 > 10u) times e^top + |a| + |c_(j+1)| covers both, as
+# it covers the 16u of a step and of the centre fl(e^c + a) of a carried disk.
 # TRAP_SLACK covers the absolute rest: underflow in the membership test
 # and the rounding of the modulus.  The membership test dx*dx + dy*dy <= r*r
 # accepts only points within r (1 + 2.6u) of the centre and every point
@@ -42,6 +43,10 @@ TRAP_ORBIT_STEPS = 200
 # come back to the orbit end w for p to be taken as its period
 TRAP_MAX_PERIOD = 8
 TRAP_PERIOD_TOL = 1e-6
+# levels tried along the orbit of a; side and steps of the blocks carried as disks
+TRAP_LEVELS = np.arange(-16.0, 4.0625, 0.125)
+BLOCK_PX = 8
+BLOCK_STEPS = 10
 
 NEWTON_TOL = 1e-10
 NEWTON_STEPS = 200
@@ -245,19 +250,14 @@ class RenderSummary:
 
 @dataclass(frozen=True)
 class _Trap:
-    """A forward-invariant set of e^z + a that lies below the escape line.
-
-    With ``disks`` empty it is the half-plane Re z <= 0, otherwise the union
-    of the closed disks |z - c| <= r over its (c, r) pairs.  ``contains`` is
-    the float membership test whose invariance under the float step the
-    trap certificate covers.
-    """
+    """Where float orbits of e^z + a provably never cross the escape line: the
+    half-plane Re z <= ``level`` and the disks |z - c| <= r of a certified chain
+    (see ``_basin_trap``), with the float membership test ``contains``."""
+    level: float = -math.inf
     disks: tuple[tuple[complex, float], ...] = ()
 
     def contains(self, z: np.ndarray) -> np.ndarray:
-        if not self.disks:
-            return z.real <= 0.0
-        inside = None
+        inside = z.real <= self.level
         for center, radius in self.disks:
             # dx*dx + dy*dy in place: the same float operations, fewer
             # temporaries
@@ -266,11 +266,14 @@ class _Trap:
             dx *= dx
             dy *= dy
             dx += dy
-            hit = dx <= radius * radius
-            if inside is None:
-                inside = hit
-            else:
-                inside |= hit
+            inside |= dx <= radius * radius
+        return inside
+
+    def holds(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Whether each disk D(c, r) lies in the trap (TRAP_RADIUS_REL covers ``hypot``)."""
+        inside = c.real + r < self.level
+        for center, radius in self.disks:
+            inside |= np.abs(c - center) * (1.0 + TRAP_RADIUS_REL) + r < radius
         return inside
 
 
@@ -300,56 +303,79 @@ def _cycle_of_a(a: complex, escape_re: float) -> tuple[complex, ...] | None:
         return None
 
 
+def _up(x):
+    return np.nextafter(x, np.inf)  # bounds every real number that rounds to x
+
+
+def _disk_image(re_c, r, residual, sizes, escape_re):
+    """Whether D(c, r) lies below the escape line, and then a radius for its float image.
+
+    For z within r (1 + TRAP_RADIUS_REL) of c, |f'(z)| <= e^top, top = Re c + r,
+    so the float step of z lies within e^top r + residual + slack of c', where
+    ``residual`` bounds |f(c) - c'| and ``sizes`` |a| + |c'| (see TRAP_SLACK).
+    top and e^top round up (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the
+    six roundings of the image and the 1 + 2 TRAP_RADIUS_REL of the membership test.
+    """
+    outer = r * (1.0 + TRAP_RADIUS_REL)
+    top = _up(re_c + outer)
+    lipschitz = _up(1.0 + _up(np.expm1(top)))
+    image = lipschitz * outer + residual + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes)
+    below = (top <= OVERFLOW_GUARD) & (top + TRAP_SLACK < escape_re)
+    return below, _up(image * (1.0 + 4.0 * TRAP_RADIUS_REL))
+
+
 def _chain_radii(links: list[tuple[float, float, float]], r0: float,
                  escape_re: float) -> tuple[float, ...] | None:
     """Radii of a certified trap chain starting at r0, or None.
 
     ``links`` holds, for each cycle point c_j, the triple Re c_j,
-    |f(c_j) - c_(j+1)| and |a| + |c_(j+1)| (indices mod p).  For z in
-    D(c_j, r_j), |f'| = e^(Re z) <= e^(Re c_j + r_j), so
-    |f(z) - c_(j+1)| <= e^(Re c_j + r_j) r_j + |f(c_j) - c_(j+1)| + slack_j
-    (see TRAP_SLACK for the float errors); that bound, in directed rounding,
-    is r_(j+1).  The chain is certified when the bound after the last disk
-    falls below r_0, every disk lies below escape_re by TRAP_SLACK and no
-    exponent passes the overflow guard.
+    |f(c_j) - c_(j+1)| and |a| + |c_(j+1)| (indices mod p); r_(j+1) is the
+    ``_disk_image`` radius of D(c_j, r_j) about c_(j+1).  Certified when the
+    last radius falls below r_0 and every disk lies below the escape line.
     """
     radii = [r0]
     for re_c, residual, sizes in links:
-        outer = round_up(radii[-1] * (1.0 + TRAP_RADIUS_REL))
-        top = sum_up(re_c, outer)
-        if not (top <= OVERFLOW_GUARD and sum_up(top, TRAP_SLACK) < escape_re):
+        below, image = _disk_image(re_c, radii[-1], residual, sizes, escape_re)
+        if not below:
             return None
-        lipschitz = sum_up(1.0, expm1_up(top))
-        slack = sum_up(TRAP_SLACK, round_up(TRAP_REL_SLACK * sum_up(lipschitz, sizes)))
-        image = sum_up(sum_up(round_up(lipschitz * outer), residual), slack)
-        radii.append(round_up(image * (1.0 + 2.0 * TRAP_RADIUS_REL)))
+        radii.append(float(image))
     return tuple(radii[:-1]) if radii[-1] < r0 else None
 
 
-def _basin_trap(a: complex, escape_re: float) -> tuple[_Trap, ...]:
-    """Certified forward-invariant traps of e^z + a below ``escape_re``.
+def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
+                escape_re: float, steps: int) -> np.ndarray:
+    """Which disks D(c, r) carry every float orbit from them into ``trap``: each
+    is carried for at most ``steps`` steps, c <- fl(e^c + a) and r by
+    ``_disk_image`` with no residual, and lands once it lies in the trap, every
+    earlier disk having stayed below the escape line."""
+    landed = np.zeros(centers.size, dtype=bool)
+    live = np.arange(centers.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            hit = trap.holds(centers, radii)
+            landed[live[hit]] = True
+            if k == steps or hit.all():
+                break
+            nxt = np.exp(centers) + a
+            below, radii = _disk_image(centers.real, radii, 0.0, abs(a) + np.abs(nxt), escape_re)
+            go = below & ~hit
+            live, centers, radii = live[go], nxt[go], radii[go]
+    return landed
 
-    Half-plane: for Re a <= -1 and escape_re >= 0, Re z <= 0 implies
-    Re(e^z + a) <= 1 + Re a <= 0.  The float step keeps it too, because
-    fl(e^x cos y) <= 1 for x <= 0 when libm exp and cos are faithful and
-    rounding is monotone.
-    Disk chain: every attracting cycle attracts the orbit of the asymptotic
-    value a, so the cycle of period p <= TRAP_MAX_PERIOD that the orbit of a
-    settles on is polished by ``find_cycle`` (see ``_cycle_of_a``).  Its
-    points c_0, ..., c_(p-1) are listed from the one of least real part,
-    where the cycle contracts most; r_0 runs down a grid of 63 radii below
-    min(-Re c_0, escape_re - Re c_0), and the first r_0 whose chain of disks
-    D(c_j, r_j) ``_chain_radii`` certifies is kept: each disk maps into the
-    next and the last into the first, so the union is forward-invariant.
-    A chain inside the half-plane trap catches nothing new and is dropped.
+
+def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ...]:
+    """The certified disk chain of e^z + a below ``escape_re``, (c_j, r_j) pairs, or ().
+
+    Every attracting cycle attracts the orbit of the asymptotic value a, so
+    the cycle of period p <= TRAP_MAX_PERIOD that it settles on is polished
+    by ``find_cycle`` (see ``_cycle_of_a``).  Its points c_j are listed from
+    the one of least real part; r_0 runs down a grid of 63 radii below
+    min(-Re c_0, escape_re - Re c_0), and the first whose chain
+    ``_chain_radii`` certifies is kept: its union is forward-invariant.
     """
-    traps: list[_Trap] = []
-    half_plane = a.real <= -1.0 and escape_re >= 0.0
-    if half_plane:
-        traps.append(_Trap())
     cycle = _cycle_of_a(a, escape_re)
     if cycle is None:
-        return tuple(traps)
+        return ()
     start = min(range(len(cycle)), key=lambda j: cycle[j].real)
     cycle = cycle[start:] + cycle[:start]
     r_max = min(-cycle[0].real, escape_re - cycle[0].real)
@@ -358,16 +384,65 @@ def _basin_trap(a: complex, escape_re: float) -> tuple[_Trap, ...]:
     # for repelling and parabolic cycles)
     contraction = -math.expm1(min(0.0, sum(c.real for c in cycle)))
     if not (r_max > 0.0 and r_max * contraction > TRAP_SLACK):
-        return tuple(traps)
+        return ()
     links = [(c.real, abs(cmath.exp(c) + a - nxt), sum_up(abs(a), abs(nxt)))
              for c, nxt in zip(cycle, cycle[1:] + cycle[:1])]
-    for k in range(63, 0, -1):
-        radii = _chain_radii(links, r_max * k / 64, escape_re)
-        if radii is not None:
-            if not (half_plane and all(sum_up(c.real, r) <= 0.0 for c, r in zip(cycle, radii))):
-                traps.append(_Trap(tuple(zip(cycle, radii))))
-            break
-    return tuple(traps)
+    with np.errstate(over="ignore"):
+        for k in range(63, 0, -1):
+            radii = _chain_radii(links, r_max * k / 64, escape_re)
+            if radii is not None:
+                return tuple(zip(cycle, radii))
+    return ()
+
+
+def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
+    """The certified trap of e^z + a below ``escape_re``, or None.
+
+    Its disks are the chain of ``_trap_chain``.  For Re z <= its level L the
+    float step lies in D(a, rho), rho = e^L + TRAP_SLACK + TRAP_REL_SLACK
+    (e^L + 2|a|).  L is the larger of max(0, ln(-Re a) - TRAP_REL_SLACK), at
+    most escape_re, for Re a <= -1 and escape_re >= 0 (then fl(e^x cos y) <=
+    -Re a, at L = 0 as faithful exp and cos keep it <= 1, else as its 4u
+    error is below TRAP_REL_SLACK, so the step keeps real part <= 0 <= L),
+    and the largest of TRAP_LEVELS, at most escape_re, whose D(a, rho)
+    ``_disks_land`` carries into a chain disk within TRAP_MAX_PERIOD - 1
+    steps.  A chain with a disk in the half-plane is dropped, as its orbits
+    pass that disk once a period.
+    """
+    chain = _trap_chain(a, escape_re)
+    level = -math.inf
+    if a.real <= -1.0 and escape_re >= 0.0:
+        level = min(escape_re, max(0.0, sum_down(log1p_down(sum_down(-a.real, -1.0)),
+                                                 -TRAP_REL_SLACK)))
+    if chain:
+        levels = TRAP_LEVELS[TRAP_LEVELS <= escape_re]
+        e_up = _up(1.0 + _up(np.expm1(levels)))
+        rho = (e_up + TRAP_SLACK + TRAP_REL_SLACK * (e_up + 2.0 * abs(a))) * (1.0 + TRAP_RADIUS_REL)
+        landed = _disks_land(np.full(levels.size, a), rho, a, _Trap(disks=chain), escape_re,
+                             TRAP_MAX_PERIOD - 1)
+        level = max(level, float(levels[landed].max(initial=-math.inf)))
+        if any(c.real + r * (1.0 + TRAP_RADIUS_REL) < level for c, r in chain):
+            chain = ()
+    return _Trap(level, chain) if chain or level > -math.inf else None
+
+
+def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap,
+                escape_re: float) -> np.ndarray:
+    """The pixels of the grid re x im, flattened row by row, whose block lands in
+    ``trap``: each BLOCK_PX-square block (ragged at the edges) is the disk about
+    its midpoint of radius ``hypot`` of its half-widths, rounded up."""
+    axes = []
+    for axis in (re, im):
+        first = axis[::BLOCK_PX]
+        last = np.append(axis[BLOCK_PX - 1::BLOCK_PX], axis[-1])[:first.size]
+        mid = first + 0.5 * (last - first)
+        axes.append((mid, _up(np.maximum(np.abs(last - mid), np.abs(mid - first)))))
+    (cx, hx), (cy, hy) = axes
+    centers = (cx[np.newaxis, :] + 1j * cy[:, np.newaxis]).ravel()
+    radii = _up(np.hypot(hx[np.newaxis, :], hy[:, np.newaxis])).ravel()
+    landed = _disks_land(centers, radii, a, trap, escape_re, BLOCK_STEPS)
+    blocks = landed.reshape(cy.size, cx.size).repeat(BLOCK_PX, 0).repeat(BLOCK_PX, 1)
+    return blocks[:im.size, :re.size].ravel()
 
 
 def escape_times(a: complex, viewport: Viewport, max_iter: int,
@@ -375,15 +450,14 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
     """Escape-time grid: first n with Re(f^n(z)) > escape_re, else max_iter.
 
     Rows run top-down (first row at im_max); vectorized and deterministic.
-    Only pixels still in play are iterated: a pixel leaves once it escapes,
-    turns non-finite (time n + 1) or enters a trap of ``_basin_trap``, where
-    its orbit provably never escapes, so it keeps max_iter.  Each pixel goes
-    through the same float steps as on a full-grid pass, so the times are
-    exactly those of iterating every pixel for max_iter steps.  Traps exist
-    for an attracting cycle of period up to TRAP_MAX_PERIOD that the orbit
-    of a settles on (a chain of disks around its points, one disk for a
-    fixed point), and for Re a <= -1 with escape_re >= 0 (this covers the
-    parabolic a = -1).  Longer attracting cycles get no trap.
+    ``_block_pass`` carries blocks of pixels as disks, each holding the float
+    iterates of its pixels, so the pixels of a block that lands in the trap of
+    ``_basin_trap`` keep max_iter without a step.  Other pixels leave the loop
+    once they escape, turn non-finite (time n + 1) or enter the trap.  Each
+    pixel goes through the same float steps as on a full-grid pass, so the
+    times are exactly those of iterating every pixel for max_iter steps.
+    Traps exist for an attracting cycle of period up to TRAP_MAX_PERIOD that
+    the orbit of a settles on, and for Re a <= -1 with escape_re >= 0.
     """
     a = _check_param(a)
     if not math.isfinite(escape_re):
@@ -393,18 +467,21 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
     z = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
     times = np.full(z.size, max_iter, dtype=np.int32)
     idx = np.arange(z.size)
-    traps = _basin_trap(a, escape_re)
+    trap = _basin_trap(a, escape_re)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if trap is not None:
+            keep = ~_block_pass(a, re, im, trap, escape_re)
+            z, idx = z[keep], idx[keep]
         for n in range(max_iter):
+            if not z.size:
+                break
             drop = z.real > escape_re
             times[idx[drop]] = n
-            for trap in traps:
+            if trap is not None:
                 drop |= trap.contains(z)
             if drop.any():
                 keep = ~drop
                 z, idx = z[keep], idx[keep]
-                if not z.size:
-                    break
             np.exp(z, out=z)
             z += a
             # a non-finite iterate needs a huge real part: with the escape line at
@@ -435,8 +512,9 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
     lut = np.repeat(levels.astype(np.uint8)[:, np.newaxis], 3, axis=1)
     rgb = lut.take(times, axis=0)
     header = f"P6\n{viewport.width_px} {viewport.height_px}\n255\n".encode("ascii")
-    payload = header + rgb.tobytes()
+    # the file and the hash read the RGB array through its buffer: no copy
+    digest = hashlib.sha256(header)
+    digest.update(rgb)
     with open(path, "wb") as fh:
-        fh.write(payload)
-    digest = hashlib.sha256(payload).hexdigest()
-    return RenderSummary(escaped, retained, digest, path)
+        fh.writelines((header, rgb))
+    return RenderSummary(escaped, retained, digest.hexdigest(), path)

@@ -326,9 +326,11 @@ def _thin_entry(entry: Entry, c: int, h: int) -> Entry | None:
     entry, or None when no certified comparison decides it.
 
     floor monotonicity: A <= B certifies floor(A) <= floor(B), so interval
-    separation of the underlying reals decides the min.
+    separation of the underlying reals decides the min, and equal towers too.
     """
     cap = _tower_entry(c, h)
+    if isinstance(entry, FloorPow) and (entry.base, entry.height) == (c, h):
+        return cap
     ev = abs(entry.value) if isinstance(entry, IntEntry) else None
     cv = cap.value if isinstance(cap, IntEntry) else None
     kept = entry if ev is None else IntEntry(ev)
@@ -629,8 +631,8 @@ class ExpTowerTail:
         common = min(m - anchor, 0)
         base = growth_net(self.c, m - anchor - common)
         cap = growth_net(cap_c, -common)
-        if cap.hi < base.lo:
-            return ExpTowerTail(cap_c, anchor=m)
+        if cap.hi < base.lo or (self.c, m - anchor) == (cap_c, 0):
+            return ExpTowerTail(cap_c, anchor=m)  # or equal (c, exponent) pairs
         if base.hi < cap.lo:
             return ExpTowerTail(self.c, anchor=anchor)
         raise IncomparableTailsError(

@@ -20,10 +20,14 @@ from expbouquet import (
     strip_itinerary,
 )
 from expbouquet.plane import (
+    TRAP_MAX_PERIOD,
     TRAP_SLACK,
     _basin_trap,
+    _block_pass,
     _chain_radii,
     _check_param,
+    _Trap,
+    _trap_chain,
     classify_multiplier,
     escape_times,
 )
@@ -257,40 +261,71 @@ def test_render_matches_pinned_hash_at_max_iter_200(tmp_path):
 
 
 def test_basin_trap_kinds():
-    (half,) = _basin_trap(-1.0 + 0j, 50.0)         # parabolic: no disk exists
-    assert half.disks == ()
-    # period 1: the disks found before trap chains existed, bit for bit
-    (disk,) = _basin_trap(-0.5 + 1j, 50.0)
-    assert disk.disks == ((-0.5156063086295142 + 1.5969344631287699j, 0.507549960057178),)
-    ((center, _),) = disk.disks
+    trap = _basin_trap(-1.0 + 0j, 50.0)             # parabolic: no disk exists
+    assert (trap.level, trap.disks) == (0.0, ())
+    # Re a <= -1: the level is ln(-Re a) less TRAP_REL_SLACK, rounded down and
+    # capped at the escape line; the fixed point's disk lies below it
+    for a in (-2.0, -3.0, -9.9, -1.5 + 2j):
+        trap = _basin_trap(complex(a), 50.0)
+        assert trap.disks == () and len(_trap_chain(complex(a), 50.0)) == 1
+        assert math.log(-a.real) - 1e-13 < trap.level < math.log(-a.real)
+    assert _basin_trap(-2.0 + 0j, 0.5).level == 0.5
+    # period 1: the disk found before trap chains existed, bit for bit, and a
+    # level from the orbit of a, whose disk D(a, e^L) f maps into that disk
+    trap = _basin_trap(-0.5 + 1j, 50.0)
+    assert trap.disks == ((-0.5156063086295142 + 1.5969344631287699j, 0.507549960057178),)
+    assert trap.level == -0.875
+    ((center, _),) = trap.disks
     assert abs(center - find_cycle(-0.5 + 1j, 1, center).points[0]) < 1e-12
-    (disk,) = _basin_trap(-2.0 + 0j, -1.0)         # half-plane needs escape_re >= 0
-    assert disk.disks == ((-1.8414056604369606 + 0j, 0.8282586969926331),)
-    # the fixed point is repelling, but a lies on a super-attracting 4-cycle
-    (chain,) = _basin_trap(0.3 + 0.2j, 50.0)
+    # below a negative escape line only the orbit of a certifies a level, and
+    # the fixed point's disk lies below it
+    assert _trap_chain(-2.0 + 0j, -1.0) == ((-1.8414056604369606 + 0j, 0.8282586969926331),)
+    trap = _basin_trap(-2.0 + 0j, -1.0)
+    assert (trap.level, trap.disks) == (-1.0, ())
+    # the fixed point is repelling, but a lies on a super-attracting 4-cycle;
+    # its point of least real part lies far inside the half-plane, so the
+    # chain is dropped
+    chain = _trap_chain(0.3 + 0.2j, 50.0)
     cycle = find_cycle(0.3 + 0.2j, 4, 0.3 + 0.2j)
     assert cycle.kind == "attracting" and abs(cycle.multiplier) < 1e-30
-    assert len(chain.disks) == 4
-    for center, _ in chain.disks:
+    assert len(chain) == 4
+    for center, _ in chain:
         assert min(abs(center - c) for c in cycle.points) < 1e-12
+    trap = _basin_trap(0.3 + 0.2j, 50.0)
+    assert (trap.level, trap.disks) == (-2.875, ())
+    # no disk D(a, e^L) reaches this 2-cycle's chain within TRAP_MAX_PERIOD - 1
+    # steps: the chain alone
+    trap = _basin_trap(1.6 - 2.2j, 50.0)
+    assert trap.level == -math.inf and trap.disks == _trap_chain(1.6 - 2.2j, 50.0)
+    assert len(trap.disks) == 2
     # no trap can lie below an escape line that the cycle crosses
-    assert _basin_trap(0.3 + 0.2j, 1.0) == ()
+    assert _basin_trap(0.3 + 0.2j, 1.0) is None
+    assert _basin_trap(-0.9 + 0j, 50.0) is None     # no attracting cycle
 
 
-def _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights):
-    """Points sampled in the trap stay in it and below the escape line for 500 float steps."""
-    n = len(fracs)
-    if not trap.disks:
-        z = -np.array(depths[:n]) + 1j * np.array(heights[:n])
-    else:
-        rim = np.array(fracs) * np.exp(1j * np.array(angles[:n]))
-        z = np.concatenate([center + radius * rim for center, radius in trap.disks])
+def _assert_trap_returns(trap, a, escape_re, z, window, steps=500):
+    """Float orbits from the points of z that ``contains`` accepts stay below the
+    escape line for ``steps`` steps, and ``contains`` accepts each again within
+    every ``window`` steps (1: the trap maps into itself)."""
     z = z[trap.contains(z)]
-    for _ in range(500):
-        assert (z.real <= escape_re).all()
-        z = np.exp(z) + a
-        assert trap.contains(z).all()
+    since = np.zeros(z.size, dtype=int)
+    with np.errstate(under="ignore"):
+        for _ in range(steps):
+            assert (z.real <= escape_re).all()
+            z = np.exp(z) + a
+            since = np.where(trap.contains(z), 0, since + 1)
+            assert (since < window).all()
     assert (z.real <= escape_re).all()
+
+
+def _trap_samples(trap, fracs, angles, depths, heights):
+    """Points of the half-plane Re z <= level and of the rims and interiors of the disks."""
+    n = len(fracs)
+    rim = np.array(fracs) * np.exp(1j * np.array(angles[:n]))
+    parts = [center + radius * rim for center, radius in trap.disks]
+    if trap.level > -math.inf:
+        parts.append(trap.level - np.array(depths[:n]) + 1j * np.array(heights[:n]))
+    return np.concatenate(parts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,21 +340,29 @@ def _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights):
        depths=st.lists(st.floats(0.0, 60.0), min_size=16, max_size=16),
        heights=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
 def test_basin_traps_are_forward_invariant(a, escape_re, fracs, angles, depths, heights):
+    # the half-plane of a level from the orbit of a need not map into the
+    # trap: its orbits reach a chain disk within TRAP_MAX_PERIOD steps, and
+    # a dropped disk (inside the half-plane) within p more
     a = complex(a)
-    for trap in _basin_trap(a, escape_re):
-        _assert_invariant(trap, a, escape_re, fracs, angles, depths, heights)
+    trap = _basin_trap(a, escape_re)
+    if trap is not None:
+        window = TRAP_MAX_PERIOD + max(1, len(_trap_chain(a, escape_re)))
+        z = _trap_samples(trap, fracs, angles, depths, heights)
+        _assert_trap_returns(trap, a, escape_re, z, window)
 
 
 @pytest.mark.parametrize("a", list(CYCLE_PARAMS))
 @pytest.mark.parametrize("bounded", [False, True])
 def test_trap_chains_are_forward_invariant(a, bounded):
     escape_re = CYCLE_PARAMS[a] if bounded else 50.0
-    (chain,) = _basin_trap(a, escape_re)
-    assert len(chain.disks) > 1
-    # rims and interiors of every disk, 16 directions
+    chain = _trap_chain(a, escape_re)
+    assert len(chain) > 1
+    # rims and interiors of every disk, 16 directions; the union of the
+    # chain's disks maps into itself, whether or not the trap keeps them
     fracs = [1.0, 0.999, 0.9, 0.5, 0.1, 0.0] + [1.0] * 10
     angles = [2.0 * math.pi * k / 16 for k in range(16)]
-    _assert_invariant(chain, a, escape_re, fracs, angles, [], [])
+    trap = _Trap(disks=chain)
+    _assert_trap_returns(trap, a, escape_re, _trap_samples(trap, fracs, angles, [], []), 1)
 
 
 def test_chain_slack_grows_with_the_size_of_the_step():
@@ -333,3 +376,52 @@ def test_chain_slack_grows_with_the_size_of_the_step():
     # a repelling link maps D(c, 0.5) onto a disk of radius e^0.6 * 0.5 > 0.5,
     # so the chain does not close
     assert _chain_radii([(0.1, 0.0, 1.0)], 0.5, 50.0) is None
+
+
+# ragged viewports (one pixel, and sizes that are no multiple of the block
+# side), each straddling some of the levels of the parameters below: about
+# 0.69 (a = -2), 1.10 (-3), 2.29 (-9.9), -0.375 (-0.95+0.5i), -0.875
+# (-0.5+1i), -2.875 (0.3+0.2i), -3.375 (0.2-0.2i) and -7.75 (0.3-0.5i)
+SWEEP_VIEWPORTS = [Viewport(0.69, 0.69, 0.1, 0.1, 1, 1),
+                   Viewport(-3.5, 1.5, -2.0, 2.5, 7, 9),
+                   Viewport(-4.0, 3.0, -4.0, 4.0, 33, 40),
+                   Viewport(-9.0, 2.5, -3.2, 3.2, 65, 64)]
+SWEEP_PARAMS = list(CYCLE_PARAMS) + [-2.0, -3.0, -9.9, -0.5 + 1j, 0.3 + 0.2j, -0.95 + 0.5j]
+
+
+@pytest.mark.parametrize("a", SWEEP_PARAMS)
+def test_escape_times_sweep_finds_no_difference(a):
+    differences = 0
+    for v in SWEEP_VIEWPORTS:
+        for escape_re in (50.0, 5.0, 1.0, 0.0, -1.0):
+            got = escape_times(a, v, 80, escape_re)
+            differences += int((got != reference_escape_times(a, v, 80, escape_re)).sum())
+    assert differences == 0
+
+
+@pytest.mark.parametrize("a", SWEEP_PARAMS + [-1.0])
+@pytest.mark.parametrize("escape_re", [50.0, 1.0, -1.0])
+def test_block_pass_retires_only_pixels_that_never_escape(a, escape_re):
+    a = complex(a)
+    trap = _basin_trap(a, escape_re)
+    if trap is None:
+        return
+    for v in SWEEP_VIEWPORTS + [Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 64)]:
+        re = np.linspace(v.re_min, v.re_max, v.width_px)
+        im = np.linspace(v.im_max, v.im_min, v.height_px)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            retired = _block_pass(a, re, im, trap, escape_re)
+        assert retired.shape == (v.width_px * v.height_px,)
+        full = reference_escape_times(a, v, 300, escape_re).ravel()
+        assert (full[retired] == 300).all()
+
+
+def test_block_pass_retires_most_of_an_attracting_basin():
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 200, 200)
+    re = np.linspace(v.re_min, v.re_max, v.width_px)
+    im = np.linspace(v.im_max, v.im_min, v.height_px)
+    for a in (-0.5 + 1j, -2.0 + 0j):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            retired = _block_pass(a, re, im, _basin_trap(a, 50.0), 50.0)
+        retained = reference_escape_times(a, v, 100).ravel() == 100
+        assert retired.sum() > 0.5 * retained.sum()

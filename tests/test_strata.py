@@ -303,9 +303,10 @@ _TOWER_10 = {"kind": "fexp", "c": 10}
 
 
 @pytest.mark.parametrize("base, alpha, n, entry", [
-    # a prefix tower and a prefix ramp entry at index 3, each as large as its cap F^3(3)
-    ({"prefix": [0, 0, 0, {"kind": "floor_tower", "c": 3, "h": 3}], "tail": _TOWER_10},
-     (0,), 3, {"kind": "floor_tower", "c": 3, "h": 3}),
+    # a prefix tower F^3(4) and a prefix ramp entry at index 3 against the cap
+    # F^3(3), all past double range
+    ({"prefix": [0, 0, 0, {"kind": "floor_tower", "c": 4, "h": 3}], "tail": _TOWER_10},
+     (0,), 3, {"kind": "floor_tower", "c": 4, "h": 3}),
     ({"prefix": [0, 0, 0, {"kind": "ceil_exp", "arg": "1000"}], "tail": _TOWER_10},
      (0,), 3, {"kind": "ceil_exp", "arg": "1000/1"}),
     # a ramp tail entry ceil(F(8400)) against the cap F^2(9), both past double range
@@ -318,6 +319,16 @@ def test_an_undecidable_entry_raises_one_error(base, alpha, n, entry):
         witness_sequence(SymbolSeq.from_json(base), AlphaIndex(alpha), 0)
     cap = {"kind": "floor_tower", "c": 3 * len(alpha), "h": n}
     assert e.value.diagnostics == {"n": n, "entry": entry, "cap": cap}
+
+
+def test_an_entry_or_tower_equal_to_its_cap_takes_the_cap():
+    # min(x, x) = x: equal (c, exponent) pairs decide the min exactly
+    base = {"prefix": [0, 0, 0, {"kind": "floor_tower", "c": 3, "h": 3}], "tail": _TOWER_10}
+    w = witness_sequence(SymbolSeq.from_json(base), AlphaIndex((0,)), 0)
+    assert w.prefix[3] == FloorPow(3, 3)
+    w = witness_sequence(SymbolSeq.from_json({"prefix": [0, 5], "tail": {"kind": "fexp", "c": 9}}),
+                         AlphaIndex((0, 2, 5)), 1)
+    assert w.tail == ExpTowerTail(9, anchor=1)
 
 
 def test_witness_caps_the_cut_potential():

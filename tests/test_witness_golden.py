@@ -99,9 +99,15 @@ def test_golden_file_covers_every_thinning_path(golden):
                for g in cases("fexp"))
     assert any(g["witness"]["tail"]["c"] == g["base"]["tail"]["c"] != 3 * len(g["alpha"])
                for g in cases("fexp"))
-    # an undecidable prefix entry and an undecidable tower tail
+    # a prefix entry and a tower tail equal to their caps take the cap
+    def witness(base, alpha, m):
+        return next(g["witness"] for g in golden if (g["base"], g["alpha"], g["m"]) == (base, alpha, m))
+
+    assert witness(BASES[2], [0], 0)["prefix"][3] == _tower(3, 3)
+    assert witness(BASES[9], [0, 2, 5], 1)["tail"] == _fexp(9, anchor=1)
+    # an entry past double range against a different saturated cap stays undecided
     failed = [g for g in golden if g["witness"] == "incomparable"]
-    assert {len(g["base"]["prefix"]) for g in failed} >= {2, 5}
+    assert failed and all(g["base"] == BASES[2] for g in failed)
 
 
 if __name__ == "__main__":
