@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import OVERFLOW_GUARD, TriBool, Interval, log1p_down, sum_down, sum_up
+from .intervals import OVERFLOW_GUARD, TriBool, Interval, log1p_down, sum_down
 
 # one-step escape certificate for rendering: e^50 dwarfs any supported |a|
 ESCAPE_RE = 50.0
@@ -23,12 +23,11 @@ PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
 
 # Float errors covered by the disk certificates of ``_disk_image``, with
-# u = 2^-53 and faithful libm exp, cos and sin.  On disk j of a chain
-# |e^z| <= e^top, top = Re c_j + r_j, so
-# - one float step e^z + a is off by at most 8u (e^top + |a|), and
-# - the float residual |e^(c_j) + a - c_(j+1)| by at most 10u (e^top + |a| + |c_(j+1)|);
-# TRAP_REL_SLACK (1e-14 > 10u) times e^top + |a| + |c_(j+1)| covers both, as
-# it covers the 16u of a step and of the centre fl(e^c + a) of a carried disk.
+# u = 2^-53 and faithful libm exp, cos and sin.  On a disk D(c, r),
+# |e^z| <= e^top, top = Re c + r, so one float step e^z + a is off by at
+# most 8u (e^top + |a|), and so is the centre c' = fl(e^c + a) its image is
+# carried about; TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'|
+# covers both.
 # TRAP_SLACK covers the absolute rest: underflow in the membership test
 # and the rounding of the modulus.  The membership test dx*dx + dy*dy <= r*r
 # accepts only points within r (1 + 2.6u) of the centre and every point
@@ -277,76 +276,32 @@ class _Trap:
         return inside
 
 
-def _cycle_of_a(a: complex, escape_re: float) -> tuple[complex, ...] | None:
-    """The cycle the orbit of a settles on, polished by ``find_cycle``.
-
-    Follows the orbit for TRAP_ORBIT_STEPS steps and takes the smallest
-    period p <= TRAP_MAX_PERIOD with |f^p(w) - w| below TRAP_PERIOD_TOL at
-    the orbit end w, else p = 1 (a slowly attracting fixed point).  None
-    when the orbit crosses the escape line or the overflow guard, or Newton
-    fails.
-    """
-    orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, min(escape_re, OVERFLOW_GUARD))
-    if len(orbit) <= TRAP_ORBIT_STEPS:
-        return None
-    w = orbit[-1]
-    orbit, _ = _orbit(a, w, TRAP_MAX_PERIOD, OVERFLOW_GUARD)
-    period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < TRAP_PERIOD_TOL), 1)
-    try:
-        points = find_cycle(a, period, w).points
-        # an orbit spiralling slowly into a fixed point can pass for a longer
-        # cycle; Newton then lands on the fixed point, repeated
-        least = next(d for d in range(1, period + 1)
-                     if d == period or abs(points[d] - points[0]) < TRAP_PERIOD_TOL)
-        return points if least == period else find_cycle(a, least, w).points
-    except NoConvergenceError:
-        return None
-
-
 def _up(x):
     return np.nextafter(x, np.inf)  # bounds every real number that rounds to x
 
 
-def _disk_image(re_c, r, residual, sizes, escape_re):
+def _disk_image(re_c, r, sizes, escape_re):
     """Whether D(c, r) lies below the escape line, and then a radius for its float image.
 
     For z within r (1 + TRAP_RADIUS_REL) of c, |f'(z)| <= e^top, top = Re c + r,
-    so the float step of z lies within e^top r + residual + slack of c', where
-    ``residual`` bounds |f(c) - c'| and ``sizes`` |a| + |c'| (see TRAP_SLACK).
-    top and e^top round up (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the
-    six roundings of the image and the 1 + 2 TRAP_RADIUS_REL of the membership test.
+    so the float step of z lies within e^top r + slack of c' = fl(e^c + a),
+    where ``sizes`` bounds |a| + |c'| (see TRAP_SLACK).  top and e^top round up
+    (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six roundings of the
+    image and the 1 + 2 TRAP_RADIUS_REL of the membership test.
     """
     outer = r * (1.0 + TRAP_RADIUS_REL)
     top = _up(re_c + outer)
     lipschitz = _up(1.0 + _up(np.expm1(top)))
-    image = lipschitz * outer + residual + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes)
+    image = lipschitz * outer + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes)
     below = (top <= OVERFLOW_GUARD) & (top + TRAP_SLACK < escape_re)
     return below, _up(image * (1.0 + 4.0 * TRAP_RADIUS_REL))
-
-
-def _chain_radii(links: list[tuple[float, float, float]], r0: float,
-                 escape_re: float) -> tuple[float, ...] | None:
-    """Radii of a certified trap chain starting at r0, or None.
-
-    ``links`` holds, for each cycle point c_j, the triple Re c_j,
-    |f(c_j) - c_(j+1)| and |a| + |c_(j+1)| (indices mod p); r_(j+1) is the
-    ``_disk_image`` radius of D(c_j, r_j) about c_(j+1).  Certified when the
-    last radius falls below r_0 and every disk lies below the escape line.
-    """
-    radii = [r0]
-    for re_c, residual, sizes in links:
-        below, image = _disk_image(re_c, radii[-1], residual, sizes, escape_re)
-        if not below:
-            return None
-        radii.append(float(image))
-    return tuple(radii[:-1]) if radii[-1] < r0 else None
 
 
 def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
                 escape_re: float, steps: int) -> np.ndarray:
     """Which disks D(c, r) carry every float orbit from them into ``trap``: each
     is carried for at most ``steps`` steps, c <- fl(e^c + a) and r by
-    ``_disk_image`` with no residual, and lands once it lies in the trap, every
+    ``_disk_image``, and lands once it lies in the trap, every
     earlier disk having stayed below the escape line."""
     landed = np.zeros(centers.size, dtype=bool)
     live = np.arange(centers.size)
@@ -357,7 +312,7 @@ def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
             if k == steps or hit.all():
                 break
             nxt = np.exp(centers) + a
-            below, radii = _disk_image(centers.real, radii, 0.0, abs(a) + np.abs(nxt), escape_re)
+            below, radii = _disk_image(centers.real, radii, abs(a) + np.abs(nxt), escape_re)
             go = below & ~hit
             live, centers, radii = live[go], nxt[go], radii[go]
     return landed
@@ -366,33 +321,51 @@ def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
 def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ...]:
     """The certified disk chain of e^z + a below ``escape_re``, (c_j, r_j) pairs, or ().
 
-    Every attracting cycle attracts the orbit of the asymptotic value a, so
-    the cycle of period p <= TRAP_MAX_PERIOD that it settles on is polished
-    by ``find_cycle`` (see ``_cycle_of_a``).  Its points c_j are listed from
-    the one of least real part; r_0 runs down a grid of 63 radii below
-    min(-Re c_0, escape_re - Re c_0), and the first whose chain
-    ``_chain_radii`` certifies is kept: its union is forward-invariant.
+    Every attracting cycle attracts the orbit of the asymptotic value a.  The
+    orbit is followed for TRAP_ORBIT_STEPS steps (none if it crosses the
+    escape line) and the period p <= TRAP_MAX_PERIOD read off its end w: the
+    least with |f^p(w) - w| below TRAP_PERIOD_TOL, else 1 (a slowly attracting
+    fixed point).  ``find_cycle`` polishes the cycle once, and the centres
+    c_0, ..., c_p are the float orbit of its point c_0 of least real part.
+    The candidates r_0 = r_max k / 64, k = 63 .. 1, r_max = min(-Re c_0,
+    escape_re - Re c_0), are carried round the cycle together by
+    ``_disk_image``; the largest whose disks stay below the escape line and
+    whose last disk D(c_p, r_p) lies in D(c_0, r_0) is kept: the union of
+    D(c_j, r_j), j < p, is then forward-invariant.
     """
-    cycle = _cycle_of_a(a, escape_re)
-    if cycle is None:
+    orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, min(escape_re, OVERFLOW_GUARD))
+    if len(orbit) <= TRAP_ORBIT_STEPS:
         return ()
-    start = min(range(len(cycle)), key=lambda j: cycle[j].real)
-    cycle = cycle[start:] + cycle[:start]
-    r_max = min(-cycle[0].real, escape_re - cycle[0].real)
-    # each r_(j+1) is at least e^(Re c_j) r_j, and the last one TRAP_SLACK
-    # more, so no r_0 <= r_max closes a chain unless this holds (it fails
-    # for repelling and parabolic cycles)
-    contraction = -math.expm1(min(0.0, sum(c.real for c in cycle)))
-    if not (r_max > 0.0 and r_max * contraction > TRAP_SLACK):
+    w = orbit[-1]
+    orbit, _ = _orbit(a, w, TRAP_MAX_PERIOD, OVERFLOW_GUARD)
+    period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < TRAP_PERIOD_TOL), 1)
+    try:
+        points = find_cycle(a, period, w).points
+    except NoConvergenceError:
         return ()
-    links = [(c.real, abs(cmath.exp(c) + a - nxt), sum_up(abs(a), abs(nxt)))
-             for c, nxt in zip(cycle, cycle[1:] + cycle[:1])]
+    # an orbit spiralling slowly into a fixed point can pass for a longer
+    # cycle; Newton then lands on the fixed point, repeated
+    period = next(d for d in range(1, period + 1)
+                  if d == period or abs(points[d] - points[0]) < TRAP_PERIOD_TOL)
+    start = min(points[:period], key=lambda c: c.real)
+    r_max = min(-start.real, escape_re - start.real)
+    # negative candidates could pass the closing test on an expanding cycle
+    if not r_max > 0.0:
+        return ()
+    # an orbit cut at the guard ends more than r_max from c_0 and fails the close
+    centers, _ = _orbit(a, start, period, OVERFLOW_GUARD)
+    radii = [r_max * np.arange(63.0, 0.0, -1.0) / 64]
+    ok = True
     with np.errstate(over="ignore"):
-        for k in range(63, 0, -1):
-            radii = _chain_radii(links, r_max * k / 64, escape_re)
-            if radii is not None:
-                return tuple(zip(cycle, radii))
-    return ()
+        for c, nxt in zip(centers, centers[1:]):
+            below, r = _disk_image(c.real, radii[-1], abs(a) + abs(nxt), escape_re)
+            ok &= below
+            radii.append(r)
+    ok &= _Trap(disks=((start, radii[0]),)).holds(centers[-1], radii[-1])
+    if not ok.any():
+        return ()
+    k = int(ok.argmax())
+    return tuple((c, float(r[k])) for c, r in zip(centers, radii[:period]))
 
 
 def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
@@ -501,8 +474,9 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
     with non-escaping pixels at 255.  Identical parameters give bit-identical
     files; the sha256 of the file contents is reported for determinism checks.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    # escape times are int32
+    if not 1 <= max_iter <= np.iinfo(np.int32).max:
+        raise ValueError(f"max_iter must be in 1..{np.iinfo(np.int32).max}")
     times = escape_times(a, viewport, max_iter, escape_re)
     escaped = int((times < max_iter).sum())
     retained = int(times.size - escaped)

@@ -251,6 +251,15 @@ def test_unallocatable_render_tile_exits_2(monkeypatch, tmp_path, capsys):
     assert captured.err.startswith("error: cannot allocate a 4x4 tile")
 
 
+@pytest.mark.parametrize("max_iter", ["0", "2147483648", "3000000000"])
+def test_max_iter_outside_the_int32_escape_times_exits_2(max_iter, tmp_path, capsys):
+    path = tmp_path / "x.ppm"
+    code = main(["render", "--a", "-1", "--px", "4x4", "--max-iter", max_iter, "--path", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not path.exists()
+    assert captured.err.startswith("error: max_iter must be in 1..2147483647")
+
+
 def test_negative_witness_count_exits_2(capsys):
     assert main(["witness", FEXP10, "--alpha", "0", "--n", "1", "--count", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Plane dynamics: orbits, itineraries, the outside-region predicate, cycles, rendering."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 
@@ -24,8 +25,8 @@ from expbouquet.plane import (
     TRAP_SLACK,
     _basin_trap,
     _block_pass,
-    _chain_radii,
     _check_param,
+    _disk_image,
     _Trap,
     _trap_chain,
     classify_multiplier,
@@ -365,17 +366,82 @@ def test_trap_chains_are_forward_invariant(a, bounded):
     _assert_trap_returns(trap, a, escape_re, _trap_samples(trap, fracs, angles, [], []), 1)
 
 
+def _closes(re_c, r, sizes):
+    """Whether a one-link chain from D(c, r) onto c itself closes, c real."""
+    below, image = _disk_image(re_c, r, sizes, 50.0)
+    c = complex(re_c)
+    return bool(below and _Trap(disks=((c, r),)).holds(c, image))
+
+
 def test_chain_slack_grows_with_the_size_of_the_step():
     # one float step onto a point of modulus 1e5 may be off by half an ulp
     # of 1e5, more than the absolute TRAP_SLACK
     assert math.ulp(1e5) / 2 > TRAP_SLACK
     # at r = 1 the exact bound e^(Re c + r) r falls short of r by about 1e-11
     re_c = -1.0 - 1e-11
-    assert _chain_radii([(re_c, 0.0, 1.0)], 1.0, 50.0) is not None
-    assert _chain_radii([(re_c, 0.0, 1e5)], 1.0, 50.0) is None
+    assert _closes(re_c, 1.0, 1.0)
+    assert not _closes(re_c, 1.0, 1e5)
     # a repelling link maps D(c, 0.5) onto a disk of radius e^0.6 * 0.5 > 0.5,
-    # so the chain does not close
-    assert _chain_radii([(0.1, 0.0, 1.0)], 0.5, 50.0) is None
+    # so no chain through it closes
+    below, image = _disk_image(0.1, 0.5, 1.0, 50.0)
+    assert below and image > 0.5
+    assert not _closes(0.1, 0.5, 1.0)
+
+
+# the render pool's parameters, the cycles at both escape lines, and an
+# orbit spiralling into a fixed point (|multiplier| 0.93) slowly enough to
+# pass for a longer cycle: Newton lands on the fixed point, repeated
+@pytest.mark.parametrize("a, escape_re", [(a, 50.0) for a in EQUIVALENCE_PARAMS[:4]]
+                         + [(a, 50.0) for a in CYCLE_PARAMS] + list(CYCLE_PARAMS.items())
+                         + [(0.2 + 0.97j, 50.0)])
+def test_basin_trap_runs_one_newton_search(a, escape_re, monkeypatch):
+    from expbouquet import plane
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_cycle(*args)
+
+    monkeypatch.setattr(plane, "find_cycle", counted)
+    trap = _basin_trap(complex(a), escape_re)
+    assert trap is not None and len(calls) == 1
+    if a == 0.2 + 0.97j:
+        assert calls[0][1] > 1 and len(trap.disks) == 1
+
+
+def _assert_chain_certified(a, escape_re, chain):
+    """The chain's centres are a float orbit, its radii are positive, each
+    disk's ``_disk_image`` stays below the escape line and fits the next
+    radius, and the last image lies in the first disk."""
+    centers = exp_orbit(a, chain[0][0], len(chain))
+    radii = [r for _, r in chain]
+    assert [c for c, _ in chain] == centers[:-1] and min(radii) > 0.0
+    for j, (c, nxt) in enumerate(zip(centers, centers[1:])):
+        below, image = _disk_image(c.real, radii[j], abs(a) + abs(nxt), escape_re)
+        assert below and (j + 1 == len(chain) or image <= radii[j + 1])
+    assert _Trap(disks=((centers[0], radii[0]),)).holds(centers[-1], image)
+
+
+# the certificate does not trust the polish: a cycle point handed over 0.01
+# off (a closing gap of about 0.012, more than the slack of the largest
+# candidate) and a repelling fixed point right of the imaginary axis
+@pytest.mark.parametrize("a, escape_re, shift, seed", [
+    (a, 50.0, 0j, None) for a in EQUIVALENCE_PARAMS + [0.2 + 0.97j] + list(CYCLE_PARAMS)
+] + [(a, e, 0j, None) for a, e in CYCLE_PARAMS.items()] + [
+    (-0.5 + 1j, 50.0, 0.01, None), (0.3 + 0.2j, 50.0, 0j, 0.31 + 1.56j)])
+def test_trap_chains_carry_their_certificate(a, escape_re, shift, seed, monkeypatch):
+    from expbouquet import plane
+
+    def polish(a, period, w):
+        info = find_cycle(a, period, w if seed is None else seed)
+        return dataclasses.replace(info, points=tuple(p + shift for p in info.points))
+
+    monkeypatch.setattr(plane, "find_cycle", polish)
+    chain = _trap_chain(complex(a), escape_re)
+    assert (chain == ()) if seed is not None else (chain or not shift)
+    if chain:
+        _assert_chain_certified(complex(a), escape_re, chain)
 
 
 # ragged viewports (one pixel, and sizes that are no multiple of the block

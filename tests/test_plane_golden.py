@@ -2,11 +2,17 @@
 
 ``plane_golden.json`` holds exact floats (``float.hex``) of ``find_cycle``
 on the render pool's 40 cycle queries and a few more (their inputs are kept
-in the file), of ``_cycle_of_a`` for the render parameters and four
-attracting cycles of period 2 to 8, of ``region_stays_outside`` on a small
-grid (budget 1 and orbits cut at the overflow guard included) and of
-``exp_orbit`` and ``strip_itinerary`` on a few points.  A refactor of the
-scalar orbit code must keep every one of them.
+in the file), of ``region_stays_outside`` on a small grid (budget 1 and
+orbits cut at the overflow guard included) and of ``exp_orbit`` and
+``strip_itinerary`` on a few points.  A refactor of the scalar orbit code
+must keep every one of them.
+
+Its ``trap`` key holds, for 410 parameters (the render parameters, the
+attracting cycles of period 2 to 8 at the escape lines just above them, two
+more bounded escape lines and 400 seeded random |a| < 10 at escape lines 50,
+1, 0 and -1), the level and disks of ``_basin_trap`` and the centres and
+radii of ``_trap_chain``.  A refactor of the trap must keep every level and
+disk count, every centre within 1e-12 and every radius within 1e-12 of it.
 
     PYTHONPATH=src python tests/test_plane_golden.py
 
@@ -16,6 +22,7 @@ rewrites the file from the current code; do that only for an intended change.
 import cmath
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -23,7 +30,8 @@ import pytest
 from expbouquet.plane import (
     ESCAPE_RE,
     NoConvergenceError,
-    _cycle_of_a,
+    _basin_trap,
+    _trap_chain,
     exp_orbit,
     find_cycle,
     region_stays_outside,
@@ -46,6 +54,13 @@ REGION_GRID = [(a, radius, z, budget)
                for z in (0j, 2 + 0j, 1 + 1j, 10 + 0j, 600 + 0j, 705 + 3j, -800 + 0j,
                          cmath.log(702 + 1e6j))
                for budget in (1, 2, 50)]
+# escape lines bounding the cycle of a = -2 and the 4-cycle of a = 0.3+0.2i,
+# then random parameters, the escape lines taken in turn
+TRAP_CASES = ([(a, ESCAPE_RE) for a in RENDER_PARAMS] + list(CYCLE_PARAMS.items())
+              + [(-2.0 + 0j, -1.0), (0.3 + 0.2j, 1.0)])
+_rng = random.Random(1972)
+TRAP_CASES += [(cmath.rect(_rng.uniform(0.0, 9.999), _rng.uniform(-math.pi, math.pi)),
+                (50.0, 1.0, 0.0, -1.0)[i % 4]) for i in range(400)]
 ORBIT_POINTS = [(-1.0 + 0j, 0.5 + 0j, 12), (-1.0 + 0j, 10 + 0j, 5), (-2.0 + 0j, 3 - 1j, 20),
                 (0.3 + 0.2j, 0j, 40), (-0.5 + 1j, 1 + 7j, 30), (-1.0 + 0j, 0.5 - 4j * math.pi, 3),
                 (-2.0 + 0j, -800 + 0j, 4)]
@@ -70,17 +85,23 @@ def _pool_cycles() -> list[tuple[complex, int, complex]]:
     return [(complex(*q["a"]), q["period"], complex(*q["seed"])) for q in queries]
 
 
-def _trap_params() -> list[tuple[complex, float]]:
-    return [(a, ESCAPE_RE) for a in RENDER_PARAMS] + list(CYCLE_PARAMS.items())
-
-
 def _unhex(pair: list[str]) -> complex:
     return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
 
+def _disks(disks) -> list[list]:
+    return [[_hex(c), r.hex()] for c, r in disks]
+
+
+def _trap(a: complex, escape_re: float) -> dict:
+    trap = _basin_trap(a, escape_re)
+    return {"level": None if trap is None else trap.level.hex(),
+            "disks": [] if trap is None else _disks(trap.disks),
+            "chain": _disks(_trap_chain(a, escape_re))}
+
+
 def record(cycles: list[tuple[complex, int, complex]]) -> dict:
     """Every golden output of the current code, ``find_cycle`` on the given queries."""
-    traps = _trap_params()
     region = []
     for a, radius, z, budget in REGION_GRID:
         tri = region_stays_outside(a, radius, z, budget)
@@ -89,11 +110,10 @@ def record(cycles: list[tuple[complex, int, complex]]) -> dict:
     return {
         "find_cycle": [{"a": _hex(a), "period": period, "seed": _hex(seed),
                         "out": _cycle(a, period, seed)} for a, period, seed in cycles],
-        "cycle_of_a": [None if (pts := _cycle_of_a(a, esc)) is None else [_hex(p) for p in pts]
-                       for a, esc in traps],
         "region_stays_outside": region,
         "exp_orbit": [[_hex(w) for w in exp_orbit(a, z, n)] for a, z, n in ORBIT_POINTS],
         "strip_itinerary": [strip_itinerary(a, z, n) for a, z, n in ORBIT_POINTS],
+        "trap": [_trap(a, escape_re) for a, escape_re in TRAP_CASES],
     }
 
 
@@ -108,17 +128,32 @@ def now(golden) -> dict:
     return record([(_unhex(c["a"]), c["period"], _unhex(c["seed"])) for c in golden["find_cycle"]])
 
 
-@pytest.mark.parametrize("key", ["find_cycle", "cycle_of_a", "region_stays_outside",
-                                 "exp_orbit", "strip_itinerary"])
+@pytest.mark.parametrize("key", ["find_cycle", "region_stays_outside", "exp_orbit",
+                                 "strip_itinerary"])
 def test_plane_scalar_outputs_match_the_golden_file(golden, now, key):
     assert len(now[key]) == len(golden[key])
     for i, (got, want) in enumerate(zip(now[key], golden[key])):
         assert got == want, f"{key}[{i}]"
 
 
+def _assert_disks_close(got: list[list], want: list[list], where: str):
+    assert len(got) == len(want), where
+    for (c, r), (c0, r0) in zip(got, want):
+        assert abs(_unhex(c) - _unhex(c0)) <= 1e-12, where
+        assert abs(float.fromhex(r) - float.fromhex(r0)) <= 1e-12 * float.fromhex(r0), where
+
+
+def test_traps_match_the_golden_file(golden, now):
+    assert len(now["trap"]) == len(golden["trap"]) == len(TRAP_CASES)
+    for i, (got, want) in enumerate(zip(now["trap"], golden["trap"])):
+        assert got["level"] == want["level"], f"trap[{i}]"
+        _assert_disks_close(got["disks"], want["disks"], f"trap[{i}] disks")
+        _assert_disks_close(got["chain"], want["chain"], f"trap[{i}] chain")
+
+
 def test_golden_file_covers_periods_and_failures(golden):
-    # cycles up to period 8, a failed Newton search and every pool query are in
-    assert sorted(len(pts) for pts in golden["cycle_of_a"] if pts)[-1] == 8
+    # chains up to period 8, a failed Newton search and every pool query are in
+    assert max(len(t["chain"]) for t in golden["trap"]) == 8
     assert {"raises": "NoConvergenceError"} in [c["out"] for c in golden["find_cycle"]]
     assert len(golden["find_cycle"]) == 40 + len(EXTRA_CYCLES)
 
