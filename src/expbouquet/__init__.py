@@ -64,8 +64,7 @@ __version__ = "0.1.0"
 # names whose module loads on first access (PEP 562): plane and verify need numpy
 _LAZY = {
     **dict.fromkeys(("CycleInfo", "NoConvergenceError", "RenderSummary", "Viewport",
-                     "exp_orbit", "find_cycle", "region_stays_outside", "render_escape",
-                     "strip_itinerary"), ".plane"),
+                     "exp_orbit", "find_cycle", "render_escape", "strip_itinerary"), ".plane"),
     "RunConfig": ".cli",
     "run_all": ".verify",
 }
@@ -118,7 +117,6 @@ __all__ = [
     "point_distance",
     "potential",
     "potential_term",
-    "region_stays_outside",
     "render_escape",
     "run_all",
     "strip_itinerary",

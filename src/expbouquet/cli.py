@@ -63,7 +63,8 @@ class RunConfig:
 def _parse_seq(text: str) -> SymbolSeq:
     try:
         return SymbolSeq.from_json(json.loads(text))
-    except (json.JSONDecodeError, DescriptorError, ValueError, TypeError, KeyError) as e:
+    # JSON and descriptor errors are ValueErrors; RecursionError is nesting past the stack
+    except (ValueError, TypeError, KeyError, RecursionError) as e:
         raise _UsageError(f"bad sequence descriptor: {e}") from e
 
 
@@ -296,6 +297,9 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
     from .plane import NoConvergenceError, find_cycle
     a = _parse_complex(args.a)
     seed = _parse_complex(args.seed_point)
+    # each of up to 200 Newton steps walks the whole period
+    if args.period > cfg.budget:
+        raise _UsageError(f"period {args.period} exceeds the budget {cfg.budget}")
     try:
         info = find_cycle(a, args.period, seed)
     except NoConvergenceError as e:

@@ -1,9 +1,9 @@
 """Plane dynamics for the exponential family z -> e^z + a.
 
-Orbits (and the horizontal-strip itineraries read off them), an
-outside-a-disk escape predicate, Newton search for periodic cycles with
-multiplier classification, and a deterministic escape-time renderer
-emitting a binary P6 pixmap.
+Orbits (and the horizontal-strip itineraries read off them), Newton search
+for periodic cycles with multiplier classification, and a deterministic
+escape-time renderer emitting a binary P6 pixmap, whose traps carry disks
+by one certified step, ``_step``.
 """
 
 from __future__ import annotations
@@ -15,24 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import OVERFLOW_GUARD, TriBool, Interval, log1p_down, sum_down
+from .intervals import OVERFLOW_GUARD, log1p_down, sum_down
 
 # one-step escape certificate for rendering: e^50 dwarfs any supported |a|
 ESCAPE_RE = 50.0
 PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
 
-# Float errors covered by the disk certificates of ``_disk_image``, with
-# u = 2^-53 and faithful libm exp, cos and sin.  On a disk D(c, r),
-# |e^z| <= e^top, top = Re c + r, so one float step e^z + a is off by at
-# most 8u (e^top + |a|), and so is the centre c' = fl(e^c + a) its image is
-# carried about; TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'|
-# covers both.
-# TRAP_SLACK covers the absolute rest: underflow in the membership test
-# and the rounding of the modulus.  The membership test dx*dx + dy*dy <= r*r
-# accepts only points within r (1 + 2.6u) of the centre and every point
-# within r (1 - 2.6u); TRAP_RADIUS_REL (1e-15 > 2.6u) widens the disk a
-# point may lie in and narrows the one its image must hit.
+# the float-error budget of the disk step, derived on ``_image_radius``
 TRAP_SLACK = 1e-12
 TRAP_REL_SLACK = 1e-14
 TRAP_RADIUS_REL = 1e-15
@@ -86,7 +76,7 @@ def _orbit(a: complex, z: complex, n: int, guard: float) -> tuple[list[complex],
 
 
 def exp_orbit(a: complex, z: complex, n: int) -> list[complex]:
-    """Orbit z, f(z), ..., f^n(z) for f(z) = e^z + a.
+    """Float orbit z, f(z), ..., f^n(z) for f(z) = e^z + a, not certified.
 
     Stops early once the real part exceeds the escape guard: the last listed
     point is the first guard-exceeding iterate and later values are omitted.
@@ -97,39 +87,13 @@ def exp_orbit(a: complex, z: complex, n: int) -> list[complex]:
 def strip_itinerary(a: complex, z: complex, n: int) -> list[int]:
     """First n strip symbols: nearest integer to Im(f^k(z)) / 2pi, k = 0..n-1.
 
-    Strips are centered on the lines Im = 2 pi k (nearest-integer rule).
+    Strips are centered on the lines Im = 2 pi k (nearest-integer rule).  The
+    symbols are read off the float orbit of ``exp_orbit`` and are not
+    certified: a point near a strip boundary may get its neighbour's symbol.
     Entries past an escape-guard crossing are undefined and truncate the list.
     """
     # the orbit through f^(n-1) holds at least one point, so [:n] is empty for n <= 0
     return [round(w.imag / TWO_PI) for w in exp_orbit(a, z, n - 1)[:n]]
-
-
-def region_stays_outside(a: complex, radius: float, z: complex,
-                         budget: int) -> TriBool:
-    """Whether every iterate f^n(z), n >= 1, keeps modulus at least ``radius``.
-
-    Certified no when some inspected iterate dips inside; yes when every
-    inspected iterate stays outside and the last carries the growth
-    certificate Re > radius + |a| + 1 (so |f| >= e^Re - |a| stays outside);
-    unknown otherwise.  The modulus reading of the region is a documented
-    interpretation choice.
-    """
-    a = _check_param(a)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    orbit, _ = _orbit(a, complex(z), budget, OVERFLOW_GUARD)
-    ok_margin = 1e-9
-    for w in orbit[1:]:
-        if abs(w) < radius - ok_margin:
-            return TriBool.no()
-        if abs(w) < radius + ok_margin:
-            return TriBool.unknown(Interval.point(abs(w)))
-    # an orbit cut short passed the overflow guard: its last point escapes
-    if len(orbit) <= budget or orbit[-1].real > radius + abs(a) + 1.0:
-        return TriBool.yes()
-    return TriBool.unknown(Interval.point(orbit[-1].real))
 
 
 @dataclass(frozen=True)
@@ -280,29 +244,47 @@ def _up(x):
     return np.nextafter(x, np.inf)  # bounds every real number that rounds to x
 
 
-def _disk_image(re_c, r, sizes, escape_re):
-    """Whether D(c, r) lies below the escape line, and then a radius for its float image.
+def _image_radius(top, reach, sizes):
+    """e^top reach plus the float-error slack, rounded up: the image radius of
+    the disk step (reach r, see ``_step``) and of the half-plane Re z <= top
+    (reach 1, about a); ``sizes`` bounds |a| + |c'| for the image's centre c'.
 
-    For z within r (1 + TRAP_RADIUS_REL) of c, |f'(z)| <= e^top, top = Re c + r,
-    so the float step of z lies within e^top r + slack of c' = fl(e^c + a),
-    where ``sizes`` bounds |a| + |c'| (see TRAP_SLACK).  top and e^top round up
-    (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six roundings of the
-    image and the 1 + 2 TRAP_RADIUS_REL of the membership test.
+    With u = 2^-53 and faithful libm exp, cos and sin, |e^z| <= e^top, so one
+    float step e^z + a is off by at most 8u (e^top + |a|), and so is c';
+    TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'| covers both.
+    TRAP_SLACK covers the rest: underflow in the membership test and the
+    rounding of the modulus.  That test, dx*dx + dy*dy <= r*r, accepts only
+    points within r (1 + 2.6u) of the centre and every point within
+    r (1 - 2.6u); TRAP_RADIUS_REL (1e-15 > 2.6u) widens the disk a point may
+    lie in (``_step``) and narrows the one its image must hit (``_Trap.holds``).
+    e^top rounds up (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six
+    roundings of the radius.
     """
-    outer = r * (1.0 + TRAP_RADIUS_REL)
-    top = _up(re_c + outer)
     lipschitz = _up(1.0 + _up(np.expm1(top)))
-    image = lipschitz * outer + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes)
+    return _up((lipschitz * reach + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes))
+               * (1.0 + 4.0 * TRAP_RADIUS_REL))
+
+
+def _step(c, r, a: complex, escape_re: float):
+    """The one disk step of the plane: ``(c', r', below)`` for the disks D(c, r).
+
+    c' = fl(e^c + a), and D(c', r') holds the exact image e^z + a and the float
+    step fl(e^z + a) of every z that the membership test accepts in D(c, r):
+    such z lie within r (1 + TRAP_RADIUS_REL) of c, where |f'| <= e^top, top
+    rounded up.  ``below``: D(c, r) lies below the escape line and the guard.
+    """
+    nxt = np.exp(c) + a
+    outer = r * (1.0 + TRAP_RADIUS_REL)
+    top = _up(c.real + outer)
     below = (top <= OVERFLOW_GUARD) & (top + TRAP_SLACK < escape_re)
-    return below, _up(image * (1.0 + 4.0 * TRAP_RADIUS_REL))
+    return nxt, _image_radius(top, outer, abs(a) + np.abs(nxt)), below
 
 
 def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
                 escape_re: float, steps: int) -> np.ndarray:
     """Which disks D(c, r) carry every float orbit from them into ``trap``: each
-    is carried for at most ``steps`` steps, c <- fl(e^c + a) and r by
-    ``_disk_image``, and lands once it lies in the trap, every
-    earlier disk having stayed below the escape line."""
+    is carried by ``_step`` for at most ``steps`` steps, and lands once it lies
+    in the trap, every earlier disk having stayed below the escape line."""
     landed = np.zeros(centers.size, dtype=bool)
     live = np.arange(centers.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,10 +293,9 @@ def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
             landed[live[hit]] = True
             if k == steps or hit.all():
                 break
-            nxt = np.exp(centers) + a
-            below, radii = _disk_image(centers.real, radii, abs(a) + np.abs(nxt), escape_re)
+            centers, radii, below = _step(centers, radii, a, escape_re)
             go = below & ~hit
-            live, centers, radii = live[go], nxt[go], radii[go]
+            live, centers, radii = live[go], centers[go], radii[go]
     return landed
 
 
@@ -325,13 +306,13 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     orbit is followed for TRAP_ORBIT_STEPS steps (none if it crosses the
     escape line) and the period p <= TRAP_MAX_PERIOD read off its end w: the
     least with |f^p(w) - w| below TRAP_PERIOD_TOL, else 1 (a slowly attracting
-    fixed point).  ``find_cycle`` polishes the cycle once, and the centres
-    c_0, ..., c_p are the float orbit of its point c_0 of least real part.
-    The candidates r_0 = r_max k / 64, k = 63 .. 1, r_max = min(-Re c_0,
-    escape_re - Re c_0), are carried round the cycle together by
-    ``_disk_image``; the largest whose disks stay below the escape line and
-    whose last disk D(c_p, r_p) lies in D(c_0, r_0) is kept: the union of
-    D(c_j, r_j), j < p, is then forward-invariant.
+    fixed point).  ``find_cycle`` polishes the cycle once, and its point c_0
+    of least real part and the candidates r_0 = r_max k / 64, k = 63 .. 1,
+    r_max = min(-Re c_0, escape_re - Re c_0), go round the cycle together
+    through ``_step``, which gives the centres c_1, ..., c_p; the largest
+    candidate whose disks stay below the escape line and whose last disk
+    D(c_p, r_p) lies in D(c_0, r_0) is kept: the union of D(c_j, r_j), j < p,
+    is then forward-invariant.
     """
     orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, min(escape_re, OVERFLOW_GUARD))
     if len(orbit) <= TRAP_ORBIT_STEPS:
@@ -352,35 +333,33 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     # negative candidates could pass the closing test on an expanding cycle
     if not r_max > 0.0:
         return ()
-    # an orbit cut at the guard ends more than r_max from c_0 and fails the close
-    centers, _ = _orbit(a, start, period, OVERFLOW_GUARD)
-    radii = [r_max * np.arange(63.0, 0.0, -1.0) / 64]
-    ok = True
-    with np.errstate(over="ignore"):
-        for c, nxt in zip(centers, centers[1:]):
-            below, r = _disk_image(c.real, radii[-1], abs(a) + abs(nxt), escape_re)
+    c, r = start, r_max * np.arange(63.0, 0.0, -1.0) / 64
+    disks, ok = [], True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(period):
+            disks.append((complex(c), r))
+            c, r, below = _step(c, r, a, escape_re)
             ok &= below
-            radii.append(r)
-    ok &= _Trap(disks=((start, radii[0]),)).holds(centers[-1], radii[-1])
+    ok &= _Trap(disks=((start, disks[0][1]),)).holds(c, r)
     if not ok.any():
         return ()
     k = int(ok.argmax())
-    return tuple((c, float(r[k])) for c, r in zip(centers, radii[:period]))
+    return tuple((c, float(r[k])) for c, r in disks)
 
 
 def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
     """The certified trap of e^z + a below ``escape_re``, or None.
 
     Its disks are the chain of ``_trap_chain``.  For Re z <= its level L the
-    float step lies in D(a, rho), rho = e^L + TRAP_SLACK + TRAP_REL_SLACK
-    (e^L + 2|a|).  L is the larger of max(0, ln(-Re a) - TRAP_REL_SLACK), at
-    most escape_re, for Re a <= -1 and escape_re >= 0 (then fl(e^x cos y) <=
-    -Re a, at L = 0 as faithful exp and cos keep it <= 1, else as its 4u
-    error is below TRAP_REL_SLACK, so the step keeps real part <= 0 <= L),
-    and the largest of TRAP_LEVELS, at most escape_re, whose D(a, rho)
-    ``_disks_land`` carries into a chain disk within TRAP_MAX_PERIOD - 1
-    steps.  A chain with a disk in the half-plane is dropped, as its orbits
-    pass that disk once a period.
+    float step lies in D(a, rho), rho = ``_image_radius(L, 1, 2|a|)``.  L is
+    the larger of max(0, ln(-Re a) - TRAP_REL_SLACK), at most escape_re, for
+    Re a <= -1 and escape_re >= 0 (then fl(e^x cos y) <= -Re a, at L = 0 as
+    faithful exp and cos keep it <= 1, else as its 4u error is below
+    TRAP_REL_SLACK, so the step keeps real part <= 0 <= L), and the largest
+    of TRAP_LEVELS, at most escape_re, whose D(a, rho) ``_disks_land``
+    carries by ``_step`` into a chain disk within TRAP_MAX_PERIOD - 1 steps.
+    A chain with a disk in the half-plane is dropped, as its orbits pass
+    that disk once a period.
     """
     chain = _trap_chain(a, escape_re)
     level = -math.inf
@@ -389,10 +368,8 @@ def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
                                                  -TRAP_REL_SLACK)))
     if chain:
         levels = TRAP_LEVELS[TRAP_LEVELS <= escape_re]
-        e_up = _up(1.0 + _up(np.expm1(levels)))
-        rho = (e_up + TRAP_SLACK + TRAP_REL_SLACK * (e_up + 2.0 * abs(a))) * (1.0 + TRAP_RADIUS_REL)
-        landed = _disks_land(np.full(levels.size, a), rho, a, _Trap(disks=chain), escape_re,
-                             TRAP_MAX_PERIOD - 1)
+        landed = _disks_land(np.full(levels.size, a), _image_radius(levels, 1.0, 2.0 * abs(a)),
+                             a, _Trap(disks=chain), escape_re, TRAP_MAX_PERIOD - 1)
         level = max(level, float(levels[landed].max(initial=-math.inf)))
         if any(c.real + r * (1.0 + TRAP_RADIUS_REL) < level for c, r in chain):
             chain = ()
@@ -480,11 +457,13 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
     times = escape_times(a, viewport, max_iter, escape_re)
     escaped = int((times < max_iter).sum())
     retained = int(times.size - escaped)
-    # one RGB gray level per escape time, the same float steps as scaling each
-    # pixel; take() copies whole 3-byte rows, where lut[times] is twice as slow
-    levels = np.round(np.arange(max_iter + 1, dtype=np.float64) * (255.0 / max_iter))
-    lut = np.repeat(levels.astype(np.uint8)[:, np.newaxis], 3, axis=1)
-    rgb = lut.take(times, axis=0)
+    # one RGB gray level per escape time, when there are no more times than
+    # pixels, else per pixel: the same float steps either way; take() copies
+    # whole 3-byte rows, where lut[times] is twice as slow
+    table = max_iter < times.size
+    levels = np.round((np.arange(max_iter + 1) if table else times) * (255.0 / max_iter))
+    gray = np.repeat(levels.astype(np.uint8)[..., np.newaxis], 3, axis=-1)
+    rgb = gray.take(times, axis=0) if table else gray
     header = f"P6\n{viewport.width_px} {viewport.height_px}\n255\n".encode("ascii")
     # the file and the hash read the RGB array through its buffer: no copy
     digest = hashlib.sha256(header)

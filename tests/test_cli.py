@@ -49,6 +49,13 @@ def test_malformed_descriptor_exits_2(capsys):
     assert main(["tstar", '{"prefix": [], "tail": {"kind": "wat"}}']) == 2
 
 
+def test_deep_descriptor_exits_2(capsys):
+    # json.loads gives up on nesting deeper than the interpreter's stack
+    assert main(["tstar", "[" * 50000 + "]" * 50000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad sequence descriptor")
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["tstar"]) == 2
     assert main(["nonsense"]) == 2
@@ -107,6 +114,15 @@ def test_cycle_reports(capsys):
     code, out = run(capsys, "cycle", "--a", "1", "--period", "1", "--seed-point", "0.5")
     assert code == 1
     assert json.loads(out)["error"] == "no_convergence"
+
+
+@pytest.mark.parametrize("argv", [["--period", "100000000"], ["--budget", "4", "--period", "5"]])
+def test_cycle_period_above_the_budget_exits_2(argv, capsys):
+    # each Newton step walks, and lists, the whole period
+    assert main(["cycle", "--a", "0.3+0.2j", "--seed-point", "0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: period ")
+    assert "exceeds the budget" in captured.err
 
 
 def test_render_summary(tmp_path, capsys):

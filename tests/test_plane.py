@@ -1,10 +1,11 @@
-"""Plane dynamics: orbits, itineraries, the outside-region predicate, cycles, rendering."""
+"""Plane dynamics: orbits, itineraries, cycles, the disk step, traps, rendering."""
 
 import cmath
 import dataclasses
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from expbouquet import (
     Viewport,
     exp_orbit,
     find_cycle,
-    region_stays_outside,
     render_escape,
     strip_itinerary,
 )
@@ -26,7 +26,7 @@ from expbouquet.plane import (
     _basin_trap,
     _block_pass,
     _check_param,
-    _disk_image,
+    _step,
     _Trap,
     _trap_chain,
     classify_multiplier,
@@ -81,20 +81,6 @@ def test_itinerary_truncates_after_escape():
     assert itin == [0, 0]
 
 
-def test_region_predicate_three_answers():
-    assert region_stays_outside(-1.0, 5.0, 10.0, 50).is_true
-    assert region_stays_outside(-1.0, 5.0, 0.0, 50).is_false
-    tri = region_stays_outside(-1.0, 5.0, 2.0, 1)
-    assert tri.is_unknown or tri.is_true
-
-
-def test_region_predicate_validation():
-    with pytest.raises(ValueError):
-        region_stays_outside(-1.0, 0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        region_stays_outside(-1.0, 5.0, 1.0, 0)
-
-
 def test_cycle_parabolic_at_minus_one():
     info = find_cycle(-1.0, 1, 0.1)
     assert abs(info.points[0]) < 1e-5
@@ -146,6 +132,17 @@ def test_render_deterministic_and_well_formed(tmp_path):
     assert data.startswith(b"P6\n64 48\n255\n")
     assert len(data) == len(b"P6\n64 48\n255\n") + 64 * 48 * 3
     assert s1.escaped_pixels + s1.retained_pixels == 64 * 48
+
+
+def test_render_maps_each_pixel_of_a_tile_with_fewer_pixels_than_times(tmp_path):
+    # 4 pixels and 101 escape times: no gray table, the same bytes
+    v = Viewport(0.5, 3.9, 0.0, 2.0, 2, 2)
+    times = escape_times(-1.0, v, 100).ravel().tolist()
+    assert times == [100, 100, 6, 2]
+    path = tmp_path / "tile.ppm"
+    render_escape(-1.0, v, 100, str(path))
+    gray = bytes(round(n * (255.0 / 100)) for n in times for _ in range(3))
+    assert path.read_bytes() == b"P6\n2 2\n255\n" + gray
 
 
 def test_render_single_pixel_escapes(tmp_path):
@@ -366,11 +363,11 @@ def test_trap_chains_are_forward_invariant(a, bounded):
     _assert_trap_returns(trap, a, escape_re, _trap_samples(trap, fracs, angles, [], []), 1)
 
 
-def _closes(re_c, r, sizes):
-    """Whether a one-link chain from D(c, r) onto c itself closes, c real."""
-    below, image = _disk_image(re_c, r, sizes, 50.0)
-    c = complex(re_c)
-    return bool(below and _Trap(disks=((c, r),)).holds(c, image))
+def _closes(c, r):
+    """Whether a one-link chain from D(c, r) closes for the map e^z + a that
+    fixes c, a = c - e^c."""
+    nxt, image, below = _step(c, r, c - cmath.exp(c), 50.0)
+    return bool(below and _Trap(disks=((c, r),)).holds(nxt, image))
 
 
 def test_chain_slack_grows_with_the_size_of_the_step():
@@ -379,13 +376,45 @@ def test_chain_slack_grows_with_the_size_of_the_step():
     assert math.ulp(1e5) / 2 > TRAP_SLACK
     # at r = 1 the exact bound e^(Re c + r) r falls short of r by about 1e-11
     re_c = -1.0 - 1e-11
-    assert _closes(re_c, 1.0, 1.0)
-    assert not _closes(re_c, 1.0, 1e5)
+    assert _closes(complex(re_c), 1.0)
+    assert not _closes(complex(re_c, 1e5), 1.0)
     # a repelling link maps D(c, 0.5) onto a disk of radius e^0.6 * 0.5 > 0.5,
     # so no chain through it closes
-    below, image = _disk_image(0.1, 0.5, 1.0, 50.0)
+    _, image, below = _step(0.1 + 0j, 0.5, 0.1 - math.exp(0.1), 50.0)
     assert below and image > 0.5
-    assert not _closes(0.1, 0.5, 1.0)
+    assert not _closes(0.1 + 0j, 0.5)
+
+
+# disks for the step oracle: radii from a point (the membership test then
+# accepts only the centre, or, at 1e-300, whatever underflows) to a few
+# units; centres just below the escape line, 1e-9 and 0.5 under it
+STEP_RADII = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 4.0]
+STEP_FRACS = [1.0, 0.999, 0.5]
+STEP_ANGLES = [2.0 * math.pi * k / 16 for k in range(16)]
+
+
+@pytest.mark.parametrize("escape_re", [50.0, 0.0])
+@pytest.mark.parametrize("a", [0j, 10 + 0j, -10 + 0j, 7.07 - 7.07j, 2.5j, -0.5 + 1j])
+def test_step_holds_the_exact_and_the_float_image(a, escape_re):
+    # zero slack: every point the membership test accepts in D(c, r) has its
+    # exact e^z + a (50 digits) and its float np.exp(z) + a within r' of c'
+    rim = np.array([0j] + [f * cmath.exp(1j * t) for f in STEP_FRACS for t in STEP_ANGLES])
+    for r in STEP_RADII:
+        for depth in (1e-9, 0.5):
+            for im in (0.0, 2.0, -3.1):
+                c = complex(escape_re - r - depth, im)
+                nxt, image, below = _step(c, r, a, escape_re)
+                assert below
+                z = c + r * rim
+                z = z[_Trap(disks=((c, r),)).contains(z)]
+                with mp.workdps(50):
+                    bound = mp.mpf(float(image))
+                    for w, fw in zip(z, np.exp(z) + a):
+                        exact = mp.exp(mp.mpc(w.real, w.imag)) + mp.mpc(a.real, a.imag)
+                        for v in (exact, mp.mpc(fw.real, fw.imag)):
+                            assert abs(v - mp.mpc(nxt.real, nxt.imag)) <= bound, (c, r, w)
+    # a disk reaching the escape line is not below it
+    assert not _step(complex(escape_re - 1.0), 1.0, a, escape_re)[2]
 
 
 # the render pool's parameters, the cycles at both escape lines, and an
@@ -411,16 +440,17 @@ def test_basin_trap_runs_one_newton_search(a, escape_re, monkeypatch):
 
 
 def _assert_chain_certified(a, escape_re, chain):
-    """The chain's centres are a float orbit, its radii are positive, each
-    disk's ``_disk_image`` stays below the escape line and fits the next
+    """The chain's centres are the float orbit of ``_step``, its radii are
+    positive, each disk's step stays below the escape line and fits the next
     radius, and the last image lies in the first disk."""
-    centers = exp_orbit(a, chain[0][0], len(chain))
     radii = [r for _, r in chain]
-    assert [c for c, _ in chain] == centers[:-1] and min(radii) > 0.0
-    for j, (c, nxt) in enumerate(zip(centers, centers[1:])):
-        below, image = _disk_image(c.real, radii[j], abs(a) + abs(nxt), escape_re)
+    assert min(radii) > 0.0
+    nxt = chain[0][0]
+    for j, (c, r) in enumerate(chain):
+        assert c == nxt
+        nxt, image, below = _step(c, r, a, escape_re)
         assert below and (j + 1 == len(chain) or image <= radii[j + 1])
-    assert _Trap(disks=((centers[0], radii[0]),)).holds(centers[-1], image)
+    assert _Trap(disks=(chain[0],)).holds(nxt, image)
 
 
 # the certificate does not trust the polish: a cycle point handed over 0.01
