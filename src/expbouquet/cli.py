@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: tstar, tmin, classify, strata, witness, render, cycle, verify.
-Exit codes: 0 success, 2 usage or parse error, 1 verification failure or an
-answer not certified within ``--budget`` or ``--tol`` (``error: ...`` on stderr).
+Exit codes: 0 success, 2 usage or parse error, 1 verification failure, an
+answer not certified within ``--budget`` or ``--tol``, or a stdout closed
+before the report was written (``error: ...`` on stderr).
 Sequence descriptors are JSON objects, e.g.
 
     {"prefix": [0], "tail": {"kind": "fexp", "c": 3}}
@@ -343,7 +344,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg)
+        code = _COMMANDS[args.command](args, cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # a closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return EXIT_FAIL
     except (_UsageError, ValueError, DescriptorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

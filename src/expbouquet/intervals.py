@@ -75,14 +75,12 @@ def expm1_down(t: float) -> float:
     """Certified lower bound of e^t - 1, saturating at HUGE."""
     if t == 0.0:
         return 0.0
+    # the guard comes first, so expm1 never overflows: e^709 < 8.3e307, and a
+    # NaN passes the guard and comes back NaN without raising
     if t > EXP_OVERFLOW_T:
         return HUGE
-    try:
-        v = math.expm1(t)
-    except OverflowError:
-        return HUGE
     # e^t - 1 > -1 always
-    return max(round_down(v), -1.0)
+    return max(round_down(math.expm1(t)), -1.0)
 
 
 def expm1_up(t: float) -> float:
@@ -107,9 +105,8 @@ class Interval:
     """Enclosure [lo, hi] of one real value, with open/closed endpoint flags.
 
     ``hi = inf`` with ``hi_open`` means "finite but beyond double range" (the
-    usual saturation case); ``hi = inf`` closed is reserved for genuinely
-    infinite quantities such as the endpoint height of a hair with no finite
-    minimum.
+    saturation case): every potential and endpoint height is finite, so the
+    model's enclosures never carry a closed ``hi = inf``.
 
     Immutable, compared and hashed by its field tuple ``bounds()``.  The
     constructor validates every result, arithmetic ones included.

@@ -78,17 +78,12 @@ def _potential_terms(seq: SymbolSeq, shift: int):
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
-    terms: list[Interval] = []
     cut = -math.inf
     k = 0
     while True:
         k += 1
-        if k - prefix_terms > 200000:
-            raise NonConvergenceError(Interval.sup_hull(terms),
-                                      "ramp envelope certification stalled")
         term = potential_term(seq, shift + k, k, cut)
         if term is not None:
-            terms.append(term)
             cut = max(cut, term.lo)
             yield term
         if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k)) is not None:
@@ -104,6 +99,11 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     (constant/periodic terms only decrease; tower terms all live in one floor
     window; ramp terms fall under a certified decreasing envelope).  A sequence
     builds the hull at each shift once and keeps it in its memo.
+
+    Past the prefix a bounded tail closes within one pattern, a tower within
+    EXTRA_TERMS and a ramp within about 1,600 terms (rate 1/10000).  The hull
+    is finite: a term saturating to +inf gets an open upper end, kept by
+    ``sup_hull``, so every hair has a finite endpoint.
 
     An integer or ramp term (``CeilExp`` arg <= OVERFLOW_GUARD) stops its inverse
     steps once its upper end is strictly below ``cut``, the largest lower end so
@@ -127,17 +127,15 @@ def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
-    """Whether the hair of this address has a finite endpoint whose orbit heights diverge.
+    """Whether the endpoint of the hair at this address has diverging orbit heights.
 
-    Holds exactly when the potential is finite and the shifted potentials
-    diverge; for the four supported rules the divergence question is decided
-    by the rule itself, so unknown never occurs here.
+    Every hair has a finite endpoint (the potential is finite, see
+    ``potential``), so this holds exactly when the shifted potentials diverge,
+    which each of the four rules decides itself: unknown never occurs here.
     """
-    pot0 = potential(seq)
-    unbounded = pot0.hi == math.inf and not pot0.hi_open
-    if not unbounded and seq.asymptotics is Asymptotics.DIVERGES:
+    if seq.asymptotics is Asymptotics.DIVERGES:
         return TriBool.yes()
-    return TriBool.no(pot0)
+    return TriBool.no(potential(seq))
 
 
 def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
@@ -189,11 +187,8 @@ def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
 
 
 def _height(seq: SymbolSeq) -> Interval:
-    """The endpoint-height enclosure, however wide; [inf, inf] when there is no endpoint."""
+    """The endpoint-height enclosure, however wide; its upper end is open when it saturates."""
     pot0 = potential(seq)
-    if pot0.hi == math.inf and not pot0.hi_open:
-        # genuinely unbounded potential: the hair has no finite endpoint
-        return Interval(math.inf, math.inf)
     enc = _descend(seq, *seq.tail.nesting_anchor(len(seq.prefix)))
     if pot0.is_finite:  # the sandwich t* <= t_s <= t* + 1
         return enc.intersect(Interval(pot0.lo, round_up(pot0.hi + 1.0)))
@@ -217,7 +212,7 @@ def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
     not depend on tol: a sequence builds it once.
     """
     enc = endpoint_height_enclosure(seq, tol)
-    if enc.lo != math.inf and enc.width > tol:  # no width check for [inf, inf]
+    if enc.width > tol:
         raise NonConvergenceError(enc)
     return enc
 

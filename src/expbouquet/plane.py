@@ -28,10 +28,10 @@ TRAP_REL_SLACK = 1e-14
 TRAP_RADIUS_REL = 1e-15
 # orbit steps of the asymptotic value a before polishing its limit cycle
 TRAP_ORBIT_STEPS = 200
-# longest attracting cycle that gets a trap chain, and how close f^p(w) must
-# come back to the orbit end w for p to be taken as its period
+# longest attracting cycle that gets a trap chain
 TRAP_MAX_PERIOD = 8
-TRAP_PERIOD_TOL = 1e-6
+# how close f^p(w) must come back to w for p to be taken as the period of w
+PERIOD_TOL = 1e-6
 # levels tried along the orbit of a; side and steps of the blocks carried as disks
 TRAP_LEVELS = np.arange(-16.0, 4.0625, 0.125)
 BLOCK_PX = 8
@@ -134,7 +134,8 @@ def find_cycle(a: complex, period: int, seed: complex) -> CycleInfo:
     e^(z_i), which is also the cycle multiplier at convergence.  Convergence
     means residual |f^period(z) - z| below NEWTON_TOL within NEWTON_STEPS
     steps; the iterate of least residual is reported, with the orbit and
-    derivative its step computed.
+    derivative its step computed, reduced to the least period d with
+    |f^d(z) - z| below PERIOD_TOL (the multiplier then taken over d points).
     """
     a = _check_param(a)
     if period < 1:
@@ -168,7 +169,11 @@ def find_cycle(a: complex, period: int, seed: complex) -> CycleInfo:
     if best is None or best_res >= NEWTON_TOL:
         raise NoConvergenceError(f"no residual < {NEWTON_TOL} within {NEWTON_STEPS} Newton steps")
     orbit, mult = best
-    return CycleInfo(period, tuple(orbit[:-1]), mult, classify_multiplier(mult))
+    d = next(d for d in range(1, period + 1)
+             if d == period or abs(orbit[d] - orbit[0]) < PERIOD_TOL)
+    if d < period:
+        mult = _orbit(a, orbit[0], d, OVERFLOW_GUARD)[1]
+    return CycleInfo(d, tuple(orbit[:d]), mult, classify_multiplier(mult))
 
 
 @dataclass(frozen=True)
@@ -305,8 +310,9 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     Every attracting cycle attracts the orbit of the asymptotic value a.  The
     orbit is followed for TRAP_ORBIT_STEPS steps (none if it crosses the
     escape line) and the period p <= TRAP_MAX_PERIOD read off its end w: the
-    least with |f^p(w) - w| below TRAP_PERIOD_TOL, else 1 (a slowly attracting
-    fixed point).  ``find_cycle`` polishes the cycle once, and its point c_0
+    least with |f^p(w) - w| below PERIOD_TOL, else 1 (a slowly attracting
+    fixed point).  ``find_cycle`` polishes the cycle once, down to its least
+    period (a slow spiral into a fixed point passes for a cycle); its point c_0
     of least real part and the candidates r_0 = r_max k / 64, k = 63 .. 1,
     r_max = min(-Re c_0, escape_re - Re c_0), go round the cycle together
     through ``_step``, which gives the centres c_1, ..., c_p; the largest
@@ -319,16 +325,12 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
         return ()
     w = orbit[-1]
     orbit, _ = _orbit(a, w, TRAP_MAX_PERIOD, OVERFLOW_GUARD)
-    period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < TRAP_PERIOD_TOL), 1)
+    period = next((p for p in range(1, len(orbit)) if abs(orbit[p] - w) < PERIOD_TOL), 1)
     try:
-        points = find_cycle(a, period, w).points
+        cycle = find_cycle(a, period, w)
     except NoConvergenceError:
         return ()
-    # an orbit spiralling slowly into a fixed point can pass for a longer
-    # cycle; Newton then lands on the fixed point, repeated
-    period = next(d for d in range(1, period + 1)
-                  if d == period or abs(points[d] - points[0]) < TRAP_PERIOD_TOL)
-    start = min(points[:period], key=lambda c: c.real)
+    start = min(cycle.points, key=lambda c: c.real)
     r_max = min(-start.real, escape_re - start.real)
     # negative candidates could pass the closing test on an expanding cycle
     if not r_max > 0.0:
@@ -336,7 +338,7 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     c, r = start, r_max * np.arange(63.0, 0.0, -1.0) / 64
     disks, ok = [], True
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(period):
+        for _ in range(cycle.period):
             disks.append((complex(c), r))
             c, r, below = _step(c, r, a, escape_re)
             ok &= below

@@ -373,20 +373,12 @@ def _tower_pin_delta(a_lo: float) -> Interval:
 def _parse_rational(v) -> Fraction:
     if isinstance(v, bool):
         raise DescriptorError("rational expected")
-    if isinstance(v, int):
+    if not isinstance(v, (int, float, str, Fraction)):
+        raise DescriptorError(f"bad rational {v!r}")
+    try:  # a non-finite float, a malformed string or a zero denominator raises
         return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise DescriptorError(f"bad rational {v!r}")
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise DescriptorError(f"bad rational {v!r}") from e
-    if isinstance(v, Fraction):
-        return v
-    raise DescriptorError(f"bad rational {v!r}")
+    except (ArithmeticError, ValueError) as e:
+        raise DescriptorError(f"bad rational {v!r}") from e
 
 
 class TailRule(Protocol):

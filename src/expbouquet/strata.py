@@ -335,11 +335,9 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     reports: list[WitnessReport] = []
     base_height = endpoint_height_enclosure(base, tol)
     last_distance = math.inf
-    last_m = -1
     for _ in range(count):
+        # m > span (every witness depth is >= 1) and span >= the last m: m increases
         m = witness_cut_index(base, alpha, n_ext, span)
-        if m <= last_m:
-            m = last_m + 1
         if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks
             raise BudgetExceededError(f"cut index {m} reaches the distance horizon {_DIST_HORIZON}")
         witness = witness_sequence(base, alpha, m)
@@ -372,6 +370,5 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         reports.append(WitnessReport(m, witness, claim1, claim2, distance, height,
                                      m + EXTRA_CLAIM_SHIFTS - 1))
         last_distance = distance
-        last_m = m
         span = max(span + 1, m)
     return reports

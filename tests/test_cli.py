@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, schema round-trips, determinism."""
 
 import hashlib
+import io
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -523,13 +525,13 @@ def test_uncertified_answers_reach_no_traceback(monkeypatch, capsys):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def stalled(seq, shift=0):
-        raise NonConvergenceError(Interval(0.0, 1.0), "ramp envelope certification stalled")
+        raise NonConvergenceError(Interval(0.0, 1.0), "stand-in non-convergence")
 
     monkeypatch.setattr(cli, "potential", stalled)
     assert main(["tstar", CONST1]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ramp envelope certification stalled\n"
+    assert captured.err == "error: stand-in non-convergence\n"
 
 
 @pytest.mark.parametrize("c, code", [(10**308, 0), (-10**308, 0),
@@ -547,3 +549,73 @@ def test_huge_const_tails_answer_like_their_periodic_twin(c, code, capsys):
     strata = run(capsys, "strata", const, "--alpha", "0")
     assert strata == run(capsys, "strata", periodic, "--alpha", "0")
     assert strata[0] == 0 and json.loads(strata[1])["member"] == "false"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tstar", CONST1, "--budget", "0"], "budget must be >= 1"),
+    (["tstar", CONST1, "--shift", "-1"], "shift must be >= 0"),
+    (["strata", FEXP10, "--alpha", "0,a"], "bad stratum index"),
+    (["cycle", "--a", "zz", "--seed-point", "0"], "bad complex number"),
+    (["render", "--a", "-1", "--viewport", "1,2,3"], "bad viewport: need four viewport bounds"),
+])
+def test_malformed_flags_exit_2_naming_them(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
+def test_verify_text_report_marks_each_suite(tmp_path, capsys):
+    # budget 1 stops the witness and extension searches: those suites fail
+    code, out = run(capsys, "verify", "--budget", "1", "--format", "text", "--out", str(tmp_path))
+    assert code == 1
+    lines = out.splitlines()
+    assert "pass  sandwich" in lines and "FAIL  extension" in lines
+    assert lines[-1] == "overall: FAIL"
+
+
+@pytest.mark.parametrize("module", ["expbouquet", "expbouquet.cli"])
+def test_module_entry_points_exit_with_the_command_code(module, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [module, "tstar", CONST1])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        # running expbouquet.cli as __main__ once it is imported warns about the copy
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert exited.value.code == 0
+    assert Interval.from_json(json.loads(capsys.readouterr().out)["tstar"]).lo > 0.69
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the report is written: the write fails with
+    # EPIPE, and the flush at exit must not raise again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "expbouquet", "cycle", "--a", "-2",
+                               "--period", "3", "--seed-point", "-2"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stdout closed before the report was written\n"
+
+
+def test_closed_stdout_points_the_descriptor_at_devnull(tmp_path, monkeypatch, capsys):
+    # in process: the flush meets the closed pipe, and the descriptor behind
+    # stdout is then devnull, so the flush at exit writes nowhere
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["tstar", CONST1]) == 1
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == "error: stdout closed before the report was written\n"

@@ -397,3 +397,27 @@ def test_eq_hash_and_repr_follow_the_field_tuple(a, b):
     assert a != a.bounds() and a == Interval(*a.bounds())
     for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert _bits(copied) == _bits(a)
+
+
+def test_threshold_decisions_answer_all_three_ways():
+    iv = Interval(1.0, 2.0)
+    assert iv.tri_gt(0.5).is_true and iv.tri_gt(2.0).is_false
+    assert iv.tri_lt(3.0).is_true and iv.tri_lt(1.0).is_false
+    assert iv.tri_gt(1.5).is_unknown and iv.tri_lt(1.5).evidence == iv
+
+
+def test_sup_hull_of_no_terms_raises():
+    with pytest.raises(ValueError, match="no terms"):
+        Interval.sup_hull([])
+
+
+def test_json_round_trip_keeps_infinite_ends():
+    iv = Interval(-math.inf, math.inf, False, True)
+    assert Interval.from_json(iv.to_json()) == iv
+
+
+def test_expm1_down_never_reaches_an_overflow():
+    # the guard comes first: e^709 is below 8.3e307, and a NaN does not raise
+    assert expm1_down(709.0) == round_down(math.expm1(709.0)) < 8.3e307
+    assert expm1_down(math.nextafter(709.0, math.inf)) == HUGE
+    assert math.isnan(expm1_down(math.nan))

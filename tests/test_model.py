@@ -639,21 +639,11 @@ def _reference_potential(seq: SymbolSeq, shift: int) -> Interval:
     k = 0
     while True:
         k += 1
-        if k - prefix_terms > 200000:
-            raise NonConvergenceError(Interval.sup_hull(terms),
-                                      "ramp envelope certification stalled")
         terms.append(potential_term(seq, shift + k, k))
         if k > prefix_terms:
             closing = seq.tail.closing_terms(p, shift, k)
             if closing is not None:
                 return Interval.sup_hull(terms + list(closing))
-
-
-def _potential_outcome(f, seq, shift):
-    try:
-        return f(seq, shift).bounds()
-    except NonConvergenceError as e:
-        return type(e).__name__, e.enclosure.bounds()
 
 
 @given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=6), "tail": st.one_of(
@@ -665,8 +655,7 @@ def _potential_outcome(f, seq, shift):
 @settings(max_examples=150, deadline=None)
 def test_potential_early_stop_matches_every_step(descriptor, shift):
     seq = SymbolSeq.from_json(descriptor)
-    assert (_potential_outcome(potential, seq, shift)
-            == _potential_outcome(_reference_potential, seq, shift))
+    assert potential(seq, shift).bounds() == _reference_potential(seq, shift).bounds()
 
 
 def _bits(iv: Interval) -> tuple:
@@ -816,3 +805,45 @@ def test_bounded_escape_threshold_is_directed(monkeypatch):
     monkeypatch.setattr(model, "log1p_up", lambda x: seen.append(x) or 50.0)
     assert _bounded_tail_escape_threshold(seq, 0) == 50.0
     assert seen and Fraction(seen[0]) > 3 + 2 * Fraction(seq.tail.abs_bound())
+
+
+def test_public_guards_reject_negative_shifts_depths_and_heights():
+    seq = const_seq(1)
+    with pytest.raises(ValueError, match="shift"):
+        potential(seq, -1)
+    with pytest.raises(ValueError, match="n must be"):
+        endpoint_lower_bound(seq, -1)
+    with pytest.raises(ValueError, match="finite height"):
+        ModelPoint(-1.0, seq)
+
+
+def test_potential_floor_past_the_rule_window_and_over_budget():
+    # threshold 41 at rate 1/10000 needs a shift past the ramp's 400,000-shift window
+    assert model.potential_floor(linexp_seq("1/10000"), 41.0) is None
+    # rate 1, threshold 2: the rule certifies shift 2 on (arg 3 > 2), and
+    # shift 1 is above 2 explicitly (ln 8): one explicit shift, over budget 0
+    assert model.potential_floor(linexp_seq(1), 2.0) == 1
+    with pytest.raises(model.BudgetExceededError, match="exceeds budget"):
+        model.potential_floor(linexp_seq(1), 2.0, budget=0)
+
+
+def test_a_pattern_of_200001_entries_closes_on_its_own():
+    # no term cap: a bounded tail closes one pattern length past the prefix
+    assert potential(periodic_seq((1,) * 200_001)) == Interval(0.69314718055994518,
+                                                              0.6931471805599454)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"prefix": [10**308], "tail": {"kind": "const", "c": 0}},
+    {"prefix": [{"kind": "floor_tower", "c": 5, "h": 4}], "tail": {"kind": "const", "c": 1}},
+    {"prefix": [{"kind": "ceil_exp", "arg": "800"}], "tail": {"kind": "periodic",
+                                                              "pattern": [10**308, -3]}},
+    {"prefix": [], "tail": {"kind": "fexp", "c": 700}},
+    {"prefix": [5], "tail": {"kind": "linexp", "c": "700", "offset": 3}},
+])
+def test_saturated_potentials_and_heights_keep_an_open_upper_end(descriptor):
+    # every hair has a finite endpoint: a value past double range is [lo, inf)
+    seq = SymbolSeq.from_json(descriptor)
+    for iv in (potential(seq), potential(seq, 1), endpoint_height_enclosure(seq)):
+        assert iv.hi < math.inf or iv.hi_open
+    assert is_escaping_endpoint_address(seq).is_true is (seq.asymptotics is Asymptotics.DIVERGES)

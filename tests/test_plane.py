@@ -521,3 +521,21 @@ def test_block_pass_retires_most_of_an_attracting_basin():
             retired = _block_pass(a, re, im, _basin_trap(a, 50.0), 50.0)
         retained = reference_escape_times(a, v, 100).ravel() == 100
         assert retired.sum() > 0.5 * retained.sum()
+
+
+def test_find_cycle_guards():
+    with pytest.raises(ValueError, match="period"):
+        find_cycle(1.0, 0, 0.0)
+    # f'(z) - 1 = e^z - 1 is 1e-320 i at z = 1e-320 i: the Newton step overflows
+    with pytest.raises(NoConvergenceError, match="finite plane"):
+        find_cycle(1.0, 1, 1e-320j)
+
+
+@pytest.mark.parametrize("a, period, seed", [(-2.0, 3, -2.0), (-0.5 + 1j, 100_000, 0.3)])
+def test_find_cycle_reduces_a_repeated_fixed_point_to_period_one(a, period, seed):
+    # Newton lands on the attracting fixed point, repeated; its multiplier is
+    # e^z over one point, not the period-th power of it
+    info = find_cycle(a, period, seed)
+    assert info.period == 1 and len(info.points) == 1
+    assert info.multiplier == cmath.exp(info.points[0])
+    assert info.kind == "attracting" and abs(info.multiplier) > 0.1

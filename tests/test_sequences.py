@@ -20,9 +20,11 @@ from expbouquet.intervals import (
 from expbouquet.sequences import (
     MAX_EXACT_INT,
     CeilExp,
+    ConstTail,
     DescriptorError,
     ExpTowerTail,
     FloorPow,
+    IncomparableTailsError,
     IntEntry,
     LinExpTail,
     PeriodicTail,
@@ -528,3 +530,59 @@ def test_thinning_caps_are_machine_integers_when_they_fit():
                 w = witness_sequence(base, alpha, m)
                 for n in range(80):
                     assert not _symbolic_entry_fits_a_machine_int(w.entry(n)), (base, m, n)
+
+
+@pytest.mark.parametrize("c, message", [
+    (True, "rational expected"), ([1], "bad rational"), ("1/0", "bad rational"),
+    ("abc", "bad rational"), (math.inf, "bad rational"), (math.nan, "bad rational"),
+    ("1/100000", "outside supported range"),
+])
+def test_malformed_ramp_rates_are_descriptor_errors(c, message):
+    with pytest.raises(DescriptorError, match=message):
+        SymbolSeq.from_json({"prefix": [], "tail": {"kind": "linexp", "c": c}})
+
+
+def test_a_float_ramp_rate_is_read_exactly():
+    tail = {"kind": "linexp", "c": 0.25}
+    assert SymbolSeq.from_json({"prefix": [], "tail": tail}).tail.rate == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ({"prefix": [True], "tail": {"kind": "const", "c": 0}}, "prefix entries must be integers"),
+    ({"prefix": [{"kind": "wat"}], "tail": {"kind": "const", "c": 0}}, "unknown prefix entry"),
+    ({"prefix": [], "tail": {"c": 1}}, "tail must be an object with a kind"),
+    ({"prefix": [], "tail": {"kind": "periodic", "pattern": 1}}, "pattern list"),
+    ({"prefix": [], "tail": {"kind": "linexp", "c": "1", "offset": -1}}, "nonnegative"),
+])
+def test_malformed_descriptors_name_their_fault(descriptor, message):
+    with pytest.raises(DescriptorError, match=message):
+        SymbolSeq.from_json(descriptor)
+
+
+def test_sequence_guards_and_repr():
+    with pytest.raises(DescriptorError, match="integer c"):
+        SymbolSeq((), ConstTail(1.5))
+    seq = const_seq(1, (7,))
+    with pytest.raises(ValueError, match="index"):
+        seq.entry(-1)
+    with pytest.raises(ValueError, match="shift"):
+        seq.shift(-1)
+    assert repr(seq) == "SymbolSeq([7] + {'kind': 'const', 'c': 1})"
+
+
+def test_tower_thinning_cannot_order_a_cap_past_double_range():
+    # F^6(3) saturates to [HUGE, inf), and the cap 1e308 lies in it
+    with pytest.raises(IncomparableTailsError, match="after stripping"):
+        ExpTowerTail(3).thin(0, 5, int(1e308), 6)
+
+
+def test_ramp_thinning_gives_up_past_its_crossover_scan():
+    with pytest.raises(IncomparableTailsError, match="no certified crossover"):
+        LinExpTail(Fraction(1)).thin(0, 0, 3, 100_001)
+
+
+def test_a_ramp_past_the_overflow_guard_keeps_its_rule_below_the_cap():
+    # at n = 3 the argument is 2100 and the cap F^2(3) ~ 1.9e8: the ramp stays below
+    witness = witness_sequence(linexp_seq(700), AlphaIndex((0,)), 0)
+    assert witness.to_json() == {"prefix": [0, 19, 194421087],
+                                 "tail": {"kind": "linexp", "c": "700/1"}}

@@ -33,7 +33,7 @@ from expbouquet import (
     witness_sequence,
 )
 from expbouquet import model, strata
-from expbouquet.intervals import Interval, growth_net
+from expbouquet.intervals import Interval, TriBool, growth_net
 from expbouquet.sequences import (
     ConstTail,
     ExpTowerTail,
@@ -692,3 +692,53 @@ def test_ramp_crossover_certificates_hold(arg, width, rate_hi, cap_lo):
     cap = Interval(cap_lo, cap_lo)
     if _ramp_below_cap_from(a, rate_hi, cap):
         assert _ramp_step_holds(a, rate_hi, cap)
+
+
+def test_witness_cut_guards():
+    base, alpha = fexp_seq(10), AlphaIndex((0,))
+    with pytest.raises(ValueError, match="cut index"):
+        witness_sequence(base, alpha, -1)
+    # shifts 0 and 1 need a witness depth of at least 1 each: span 2 clips them
+    with pytest.raises(ValueError, match="below the enforced minimum"):
+        witness_cut_index(base, alpha, 2, 2)
+
+
+def test_a_threshold_past_the_slow_ramp_window_is_unknown_with_no_extension():
+    # rate 1/10000 from arg ~1: the rule certifies threshold 3i + 2 from shift
+    # ~(3i + 1) * 10^4, so each of 13 levels holds, but threshold 41 needs a
+    # shift past the rule's 400,000-shift window
+    seq = SymbolSeq((), LinExpTail(Fraction(1, 10000), 9999))
+    alpha = AlphaIndex(tuple(model.potential_floor(seq, 3.0 * i + 2.0) for i in range(13)))
+    point = endpoint_of(seq)
+    assert in_stratum(alpha, point).is_true
+    assert in_stratum(alpha.child(400_001), point) == TriBool.unknown(None)
+    with pytest.raises(BudgetExceededError, match="no certified divergence index"):
+        extension_index(alpha, point)
+
+
+def _only_for_witnesses(real, answer):
+    """real(seq, ...) on the base fexp_seq(10) (no prefix), answer on its witnesses."""
+    return lambda seq, *args: answer if seq.prefix else real(seq, *args)
+
+
+def _only_for_witness_points(real, answer):
+    return lambda alpha, x, *args: answer if x.seq.prefix else real(alpha, x, *args)
+
+
+# each certificate of witness_family, broken on the witnesses only
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("potential", lambda real: _only_for_witnesses(real, Interval(0.0, math.inf, False, True)),
+     "claim-two bound"),
+    ("_threshold_holds_from", lambda real: _only_for_witnesses(real, TriBool.unknown()),
+     "claim-one threshold"),
+    ("in_stratum", lambda real: _only_for_witness_points(real, TriBool.unknown()),
+     "parent-stratum membership"),
+    ("endpoint_height_enclosure", lambda real: _only_for_witnesses(real, Interval.point(1e6)),
+     "exceeds the base height"),
+    ("point_distance", lambda real: lambda x, y: 1.0, "failed to decrease"),
+])
+def test_witness_family_raises_when_a_certificate_fails(name, stand_in, message, monkeypatch):
+    point = endpoint_of(fexp_seq(10))
+    monkeypatch.setattr(strata, name, stand_in(getattr(strata, name)))
+    with pytest.raises(BudgetExceededError, match=message):
+        witness_family(point, AlphaIndex((0,)), 1, 3)

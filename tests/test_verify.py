@@ -1,0 +1,112 @@
+"""Each ``verify`` suite fails when its invariant breaks.
+
+The seeded ``verify`` run passes every suite, so its failure reports are
+never read there.  Each case here replaces a name that a suite reads inside
+``expbouquet.verify`` so that its invariant fails by far more than MARGIN,
+and checks that the suite reports ``passed: False`` with its failures.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from expbouquet import verify
+from expbouquet.cli import RunConfig
+from expbouquet.intervals import Interval, TriBool
+from expbouquet.plane import CycleInfo, NoConvergenceError, RenderSummary
+
+
+def _cycling(*values):
+    """A stand-in returning the given values in turn, forever."""
+    it = itertools.cycle(values)
+    return lambda *args, **kwargs: next(it)
+
+
+def _real_once(name, value):
+    """A stand-in calling the real ``verify.<name>`` once, then returning value."""
+    real, calls = getattr(verify, name), itertools.count()
+    return lambda *args: real(*args) if next(calls) == 0 else value
+
+
+def _reversed_witnesses(*args, **kwargs):
+    # distances and height gaps then grow along the family
+    return list(reversed(_REAL_WITNESS_FAMILY(*args, **kwargs)))
+
+
+def _raise(*args, **kwargs):
+    raise ValueError("no extension")
+
+
+def _cycle_or_raise():
+    calls = itertools.count()
+
+    def fake(a, period, seed):
+        if next(calls) == 0:
+            raise NoConvergenceError("stand-in failure")
+        return CycleInfo(1, (0j,), 5.0 + 0j, "repelling")  # |e^0| = 1, not 5
+    return fake
+
+
+def _renders():
+    hashes = itertools.count()
+    return lambda *args: RenderSummary(1, 1, str(next(hashes)), "x.ppm")
+
+
+_REAL_WITNESS_FAMILY = verify.witness_family
+
+# suite, {name in expbouquet.verify: stand-in factory}
+CASES = [
+    ("inverse_growth_strictness", {"growth_inv_pow": lambda: _cycling(Interval.point(0.0))}),
+    ("sandwich", {"endpoint_height": lambda: _cycling(Interval.point(1e6))}),
+    ("domination", {"endpoint_height_enclosure": lambda: _cycling(Interval.point(1.0),
+                                                                  Interval.point(0.0))}),
+    ("backward_nesting", {"endpoint_lower_bound": lambda: lambda seq, n: Interval.point(-n)}),
+    ("backward_nesting", {"endpoint_lower_bound": lambda: _cycling(Interval.point(1e9))}),
+    ("shift_identity", {"potential": lambda: lambda seq, n: Interval.point(float(n))}),
+    ("floor_window", {"potential_term": lambda: _cycling(Interval.point(-1.0))}),
+    ("witness_claims", {"witness_family": lambda: _reversed_witnesses}),
+    # the family is built at the real base height; then the witnesses (they
+    # have a prefix) read -1 at shift 0, which is skipped, and 100 above it,
+    # far above the base's heights and potentials
+    ("closure_bound", {
+        "potential": lambda: lambda seq, n: Interval.point(
+            -1.0 if n == 0 else 100.0 if seq.prefix else 0.0),
+        "endpoint_height_enclosure": lambda: _real_once("endpoint_height_enclosure",
+                                                        Interval.point(0.0))}),
+    # each base reads 0 at its limit, then 1e3 and 0 in turn over 13 approximations
+    ("lower_semicontinuity", {"endpoint_height_enclosure": lambda: _cycling(
+        *(Interval.point(1e3 * (i % 2)) for i in range(14)))}),
+    ("stratum_nesting", {"in_stratum": lambda: lambda alpha, *args: TriBool(alpha.dom == 1)}),
+    ("extension", {"in_stratum": lambda: lambda alpha, *args: TriBool(alpha.dom == 0)}),
+    ("extension", {"extension_index": lambda: _raise}),
+    ("plane_real_axis", {"exp_orbit": lambda: _cycling([1j]),
+                         "strip_itinerary": lambda: _cycling([1])}),
+    ("escape_monotonicity", {"exp_orbit": lambda: _cycling([complex(1.0)])}),
+    ("multiplier_consistency", {"find_cycle": _cycle_or_raise}),
+    ("renderer_determinism", {"render_escape": _renders}),
+]
+
+
+@pytest.mark.parametrize("suite, patches", CASES,
+                         ids=[f"{s}-{'-'.join(p)}" for s, p in CASES])
+def test_each_suite_fails_when_its_invariant_breaks(suite, patches, monkeypatch, tmp_path):
+    for name, make in patches.items():
+        monkeypatch.setattr(verify, name, make())
+    report = getattr(verify, f"suite_{suite}")(RunConfig(out_dir=str(tmp_path)))
+    assert report["name"] == suite
+    assert report["passed"] is False
+    if "failures" in report["details"]:
+        assert report["details"]["failures"]
+
+
+def test_every_suite_has_a_breaking_case():
+    assert {s for s, _ in CASES} == {fn.__name__.removeprefix("suite_") for fn in verify.ALL_SUITES}
+
+
+def test_sandwich_checks_only_finite_potentials(monkeypatch, tmp_path):
+    # a non-finite potential has no sandwich to check: none is counted, so too few are
+    monkeypatch.setattr(verify, "potential", lambda seq, n: Interval(0.0, math.inf, False, True))
+    report = verify.suite_sandwich(RunConfig(out_dir=str(tmp_path)))
+    assert report["passed"] is False
+    assert report["details"]["checked"] == 0 and report["details"]["failures"] == []
