@@ -219,27 +219,16 @@ class RenderSummary:
 @dataclass(frozen=True)
 class _Trap:
     """Where float orbits of e^z + a provably never cross the escape line: the
-    half-plane Re z <= ``level`` and the disks |z - c| <= r of a certified chain
-    (see ``_basin_trap``), with the float membership test ``contains``."""
+    closed half-plane Re z <= ``level`` and the open disks |z - c| < r of a
+    certified chain (see ``_basin_trap``), with one test for disks and points."""
     level: float = -math.inf
     disks: tuple[tuple[complex, float], ...] = ()
 
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        inside = z.real <= self.level
-        for center, radius in self.disks:
-            # dx*dx + dy*dy in place: the same float operations, fewer
-            # temporaries
-            dx = z.real - center.real
-            dy = z.imag - center.imag
-            dx *= dx
-            dy *= dy
-            dx += dy
-            inside |= dx <= radius * radius
-        return inside
-
     def holds(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Whether each disk D(c, r) lies in the trap (TRAP_RADIUS_REL covers ``hypot``)."""
-        inside = c.real + r < self.level
+        """Whether each disk D(c, r), a point if r = 0, lies in the trap: if
+        fl(c.real + r) <= level, so is the real part of every double in D(c, r);
+        TRAP_RADIUS_REL covers the subtraction and ``hypot`` (see ``_image_radius``)."""
+        inside = c.real + r <= self.level
         for center, radius in self.disks:
             inside |= np.abs(c - center) * (1.0 + TRAP_RADIUS_REL) + r < radius
         return inside
@@ -257,13 +246,11 @@ def _image_radius(top, reach, sizes):
     With u = 2^-53 and faithful libm exp, cos and sin, |e^z| <= e^top, so one
     float step e^z + a is off by at most 8u (e^top + |a|), and so is c';
     TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'| covers both.
-    TRAP_SLACK covers the rest: underflow in the membership test and the
-    rounding of the modulus.  That test, dx*dx + dy*dy <= r*r, accepts only
-    points within r (1 + 2.6u) of the centre and every point within
-    r (1 - 2.6u); TRAP_RADIUS_REL (1e-15 > 2.6u) widens the disk a point may
-    lie in (``_step``) and narrows the one its image must hit (``_Trap.holds``).
-    e^top rounds up (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six
-    roundings of the radius.
+    TRAP_SLACK adds an absolute margin for underflow in e^z and the rounding
+    of |c'|.  ``_Trap.holds`` accepts only disks inside a chain disk exactly
+    (TRAP_RADIUS_REL, 1e-15 > 4u, covers its subtraction and ``hypot``), so
+    the disk a point lies in needs no widening.  e^top rounds up (faithful
+    ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six roundings of the radius.
     """
     lipschitz = _up(1.0 + _up(np.expm1(top)))
     return _up((lipschitz * reach + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes))
@@ -274,15 +261,13 @@ def _step(c, r, a: complex, escape_re: float):
     """The one disk step of the plane: ``(c', r', below)`` for the disks D(c, r).
 
     c' = fl(e^c + a), and D(c', r') holds the exact image e^z + a and the float
-    step fl(e^z + a) of every z that the membership test accepts in D(c, r):
-    such z lie within r (1 + TRAP_RADIUS_REL) of c, where |f'| <= e^top, top
-    rounded up.  ``below``: D(c, r) lies below the escape line and the guard.
+    step fl(e^z + a) of every z in D(c, r), where |f'| <= e^top, top rounded
+    up.  ``below``: D(c, r) lies below the escape line and the guard.
     """
     nxt = np.exp(c) + a
-    outer = r * (1.0 + TRAP_RADIUS_REL)
-    top = _up(c.real + outer)
+    top = _up(c.real + r)
     below = (top <= OVERFLOW_GUARD) & (top + TRAP_SLACK < escape_re)
-    return nxt, _image_radius(top, outer, abs(a) + np.abs(nxt)), below
+    return nxt, _image_radius(top, r, abs(a) + np.abs(nxt)), below
 
 
 def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
@@ -373,7 +358,7 @@ def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
         landed = _disks_land(np.full(levels.size, a), _image_radius(levels, 1.0, 2.0 * abs(a)),
                              a, _Trap(disks=chain), escape_re, TRAP_MAX_PERIOD - 1)
         level = max(level, float(levels[landed].max(initial=-math.inf)))
-        if any(c.real + r * (1.0 + TRAP_RADIUS_REL) < level for c, r in chain):
+        if any(c.real + r <= level for c, r in chain):
             chain = ()
     return _Trap(level, chain) if chain or level > -math.inf else None
 
@@ -430,7 +415,7 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
             drop = z.real > escape_re
             times[idx[drop]] = n
             if trap is not None:
-                drop |= trap.contains(z)
+                drop |= trap.holds(z, 0.0)
             if drop.any():
                 keep = ~drop
                 z, idx = z[keep], idx[keep]

@@ -8,7 +8,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_root
@@ -302,16 +302,16 @@ def test_basin_trap_kinds():
 
 
 def _assert_trap_returns(trap, a, escape_re, z, window, steps=500):
-    """Float orbits from the points of z that ``contains`` accepts stay below the
-    escape line for ``steps`` steps, and ``contains`` accepts each again within
+    """Float orbits from the points of z that ``holds`` accepts stay below the
+    escape line for ``steps`` steps, and ``holds`` accepts each again within
     every ``window`` steps (1: the trap maps into itself)."""
-    z = z[trap.contains(z)]
+    z = z[trap.holds(z, 0.0)]
     since = np.zeros(z.size, dtype=int)
     with np.errstate(under="ignore"):
         for _ in range(steps):
             assert (z.real <= escape_re).all()
             z = np.exp(z) + a
-            since = np.where(trap.contains(z), 0, since + 1)
+            since = np.where(trap.holds(z, 0.0), 0, since + 1)
             assert (since < window).all()
     assert (z.real <= escape_re).all()
 
@@ -337,6 +337,10 @@ def _trap_samples(trap, fracs, angles, depths, heights):
        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=16, max_size=16),
        depths=st.lists(st.floats(0.0, 60.0), min_size=16, max_size=16),
        heights=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
+# the parabolic fixed point 0 of a = -1 lies on the closed half-plane's line
+# (level 0): -1e-300 steps onto 0.0 exactly, which the trap must hold again
+@example(a=-1.0, escape_re=50.0, fracs=[0.0], angles=[0.0] * 16, depths=[1e-300] + [0.0] * 15,
+         heights=[0.0] * 16)
 def test_basin_traps_are_forward_invariant(a, escape_re, fracs, angles, depths, heights):
     # the half-plane of a level from the orbit of a need not map into the
     # trap: its orbits reach a chain disk within TRAP_MAX_PERIOD steps, and
@@ -385,9 +389,48 @@ def test_chain_slack_grows_with_the_size_of_the_step():
     assert not _closes(0.1 + 0j, 0.5)
 
 
-# disks for the step oracle: radii from a point (the membership test then
-# accepts only the centre, or, at 1e-300, whatever underflows) to a few
-# units; centres just below the escape line, 1e-9 and 0.5 under it
+# chain disks for the membership oracle: those of the cycles of period 2 to 8,
+# a unit disk at 0 and two off the axes; 17 rims each, r (1 + k 2^-53), k = -8..8
+HOLDS_DISKS = [d for a in CYCLE_PARAMS for d in _trap_chain(a, 50.0)] + [
+    (0j, 1.0), (-1.5 + 0.25j, 0.75), (3.0 - 4.0j, 2.5)]
+HOLDS_RIMS = 1.0 + np.arange(-8.0, 9.0) * 2.0 ** -53
+
+
+def _exactly_inside(w, r, center, radius) -> bool:
+    """|w - center| + r < radius, exactly: 512 bits hold these squares of doubles."""
+    with mp.workprec(512):
+        dx = mp.mpf(w.real) - mp.mpf(center.real)
+        dy = mp.mpf(w.imag) - mp.mpf(center.imag)
+        gap = mp.mpf(radius) - mp.mpf(r)
+        return gap > 0 and dx * dx + dy * dy < gap * gap
+
+
+def test_holds_accepts_only_what_lies_inside_exactly():
+    # zero slack on the one membership test every trap certificate rests on:
+    # a point on a rim within 8 ulps of the circle is accepted only if it lies
+    # inside, and so is a disk tangent to the circle from inside
+    angles = np.exp(2j * np.pi * np.arange(480) / 480)
+    for center, radius in HOLDS_DISKS:
+        trap = _Trap(disks=((center, radius),))
+        z = (center + radius * HOLDS_RIMS[:, np.newaxis] * angles).ravel()
+        for w in z[trap.holds(z, 0.0)]:
+            assert _exactly_inside(w, 0.0, center, radius), (center, radius, w)
+        # what lies clearly inside, past the rounding of the sums, is accepted
+        assert trap.holds(center + radius * (1.0 - 2.0 ** -30) * angles, 0.0).all()
+        for f in (0.5, 0.9, 0.999):
+            c = center + radius * f * angles[::8]
+            for r in radius * (1.0 - f) * HOLDS_RIMS:
+                for w in c[trap.holds(c, r)]:
+                    assert _exactly_inside(w, r, center, radius), (center, radius, w, r)
+        # a disk is open: it does not hold itself
+        assert not trap.holds(np.array([center]), radius).any()
+    # the half-plane is closed: it holds the point on its line
+    assert _Trap(level=0.0).holds(np.array([0j]), 0.0).all()
+
+
+# disks for the step oracle: radii from a point (where the open membership
+# test accepts nothing) and 1e-300 (the sum c + r w rounds to c off the real
+# axis) to a few units; centres just below the escape line, 1e-9 and 0.5 under it
 STEP_RADII = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 4.0]
 STEP_FRACS = [1.0, 0.999, 0.5]
 STEP_ANGLES = [2.0 * math.pi * k / 16 for k in range(16)]
@@ -406,7 +449,7 @@ def test_step_holds_the_exact_and_the_float_image(a, escape_re):
                 nxt, image, below = _step(c, r, a, escape_re)
                 assert below
                 z = c + r * rim
-                z = z[_Trap(disks=((c, r),)).contains(z)]
+                z = z[_Trap(disks=((c, r),)).holds(z, 0.0)]
                 with mp.workdps(50):
                     bound = mp.mpf(float(image))
                     for w, fw in zip(z, np.exp(z) + a):
