@@ -9,6 +9,7 @@ by one certified step, ``_step``.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ PERIOD_TOL = 1e-6
 TRAP_LEVELS = np.arange(-16.0, 4.0625, 0.125)
 BLOCK_PX = 8
 BLOCK_STEPS = 10
+TRAP_MEMO_SIZE = 64  # parameters (a, escape_re) whose trap ``escape_times`` keeps
 
 NEWTON_TOL = 1e-10
 NEWTON_STEPS = 200
@@ -363,6 +365,13 @@ def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
     return _Trap(level, chain) if chain or level > -math.inf else None
 
 
+@functools.lru_cache(maxsize=TRAP_MEMO_SIZE)
+def _memo_trap(re: str, im: str, escape_re: str) -> _Trap | None:
+    """``_basin_trap`` keyed by ``float.hex``: a signed zero gets the very trap that
+    recomputing returns, though no tile depends on it (a trap is only compared)."""
+    return _basin_trap(complex(float.fromhex(re), float.fromhex(im)), float.fromhex(escape_re))
+
+
 def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap,
                 escape_re: float) -> np.ndarray:
     """The pixels of the grid re x im, flattened row by row, whose block lands in
@@ -404,7 +413,7 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
     z = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
     times = np.full(z.size, max_iter, dtype=np.int32)
     idx = np.arange(z.size)
-    trap = _basin_trap(a, escape_re)
+    trap = _memo_trap(a.real.hex(), a.imag.hex(), float(escape_re).hex())
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if trap is not None:
             keep = ~_block_pass(a, re, im, trap, escape_re)

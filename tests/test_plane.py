@@ -22,10 +22,12 @@ from expbouquet import (
 )
 from expbouquet.plane import (
     TRAP_MAX_PERIOD,
+    TRAP_MEMO_SIZE,
     TRAP_SLACK,
     _basin_trap,
     _block_pass,
     _check_param,
+    _memo_trap,
     _step,
     _Trap,
     _trap_chain,
@@ -480,6 +482,55 @@ def test_basin_trap_runs_one_newton_search(a, escape_re, monkeypatch):
     assert trap is not None and len(calls) == 1
     if a == 0.2 + 0.97j:
         assert calls[0][1] > 1 and len(trap.disks) == 1
+
+
+@pytest.fixture
+def empty_trap_memo():
+    """The trap memo, emptied before and after the test, so that a test that
+    patches ``plane`` leaves no trap behind for later tests."""
+    _memo_trap.cache_clear()
+    yield _memo_trap
+    _memo_trap.cache_clear()
+
+
+def test_tiles_of_one_parameter_run_one_newton_search(empty_trap_memo, monkeypatch):
+    from expbouquet import plane
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_cycle(*args)
+
+    monkeypatch.setattr(plane, "find_cycle", counted)
+    a = -0.5 + 1j
+    for v in (Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 64),
+              Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)):
+        assert np.array_equal(escape_times(a, v, 60), reference_escape_times(a, v, 60))
+    assert len(calls) == 1
+
+
+# Re a <= -1 and the escape line 0 give the level min(escape_re, 0.0): -0.0 at
+# escape_re = -0.0, which a key by value would hand to escape_re = 0.0
+def test_trap_memo_tells_signed_zeros_apart(empty_trap_memo):
+    params = [(a, e) for a in (complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-1.0, 0.0),
+                               complex(-1.0, -0.0), 0.3 + 0.2j) for e in (50.0, 0.0, -0.0)]
+    v = Viewport(-3.0, 3.0, -3.0, 3.0, 16, 16)
+    for a, escape_re in params:
+        assert np.array_equal(escape_times(a, v, 20, escape_re),
+                              reference_escape_times(a, v, 20, escape_re)), (a, escape_re)
+    assert empty_trap_memo.cache_info().currsize == len(params)
+    for a, escape_re in params:
+        trap = empty_trap_memo(a.real.hex(), a.imag.hex(), escape_re.hex())
+        assert repr(trap) == repr(_basin_trap(a, escape_re)), (a, escape_re)
+    assert empty_trap_memo.cache_info().hits == len(params)
+
+
+def test_trap_memo_holds_at_most_its_bound(empty_trap_memo):
+    for k in range(TRAP_MEMO_SIZE + 8):
+        escape_times(complex(-3.0, k / 64), Viewport(0.0, 0.0, 0.0, 0.0, 1, 1), 1)
+    info = empty_trap_memo.cache_info()
+    assert info.misses == TRAP_MEMO_SIZE + 8 and info.currsize == TRAP_MEMO_SIZE
 
 
 def _assert_chain_certified(a, escape_re, chain):
