@@ -354,7 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, ValueError, DescriptorError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceededError, NonConvergenceError) as e:
+    # only endpoint_height raises NonConvergenceError; its callers, tmin and verify, catch it
+    except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
 

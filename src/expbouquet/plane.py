@@ -24,7 +24,6 @@ PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
 
 # the float-error budget of the disk step, derived on ``_image_radius``
-TRAP_SLACK = 1e-12
 TRAP_REL_SLACK = 1e-14
 TRAP_RADIUS_REL = 1e-15
 # orbit steps of the asymptotic value a before polishing its limit cycle
@@ -247,15 +246,15 @@ def _image_radius(top, reach, sizes):
 
     With u = 2^-53 and faithful libm exp, cos and sin, |e^z| <= e^top, so one
     float step e^z + a is off by at most 8u (e^top + |a|), and so is c';
-    TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'| covers both.
-    TRAP_SLACK adds an absolute margin for underflow in e^z and the rounding
-    of |c'|.  ``_Trap.holds`` accepts only disks inside a chain disk exactly
-    (TRAP_RADIUS_REL, 1e-15 > 4u, covers its subtraction and ``hypot``), so
-    the disk a point lies in needs no widening.  e^top rounds up (faithful
-    ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six roundings of the radius.
+    TRAP_REL_SLACK (1e-14 > 16u) times e^top + |a| + |c'| covers both, the
+    roundings of ``sizes`` and the 2^-1074 of an e^z that underflows, as
+    ``lipschitz`` >= 2^-53.  ``_Trap.holds`` accepts only disks inside a chain
+    disk exactly (TRAP_RADIUS_REL, 1e-15 > 4u, covers its subtraction and
+    ``hypot``), so the disk a point lies in needs no widening.  e^top rounds up
+    (faithful ``expm1``); 1 + 4 TRAP_RADIUS_REL covers the six roundings.
     """
     lipschitz = _up(1.0 + _up(np.expm1(top)))
-    return _up((lipschitz * reach + TRAP_SLACK + TRAP_REL_SLACK * (lipschitz + sizes))
+    return _up((lipschitz * reach + TRAP_REL_SLACK * (lipschitz + sizes))
                * (1.0 + 4.0 * TRAP_RADIUS_REL))
 
 
@@ -268,7 +267,7 @@ def _step(c, r, a: complex, escape_re: float):
     """
     nxt = np.exp(c) + a
     top = _up(c.real + r)
-    below = (top <= OVERFLOW_GUARD) & (top + TRAP_SLACK < escape_re)
+    below = (top <= OVERFLOW_GUARD) & (top < escape_re)
     return nxt, _image_radius(top, r, abs(a) + np.abs(nxt)), below
 
 

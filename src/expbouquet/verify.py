@@ -1,9 +1,11 @@
 """Deterministic invariant suites behind the ``verify`` subcommand.
 
-Each suite returns a machine-readable record with a pass flag and the margins
-it measured.  Randomized suites draw from a seeded generator, so a fixed seed
-reproduces the report byte for byte.  Unattainable tolerances are reported as
-honest failures (the enclosure and its width), never silently widened.
+Each suite returns a machine-readable record with a pass flag and what it
+measured; the model's suites count each case, a relation between interval
+enclosures, as proved, refuted or undecided, and pass only with none refuted.
+Randomized suites draw from a seeded generator, so a fixed seed reproduces the
+report byte for byte.  Unattainable tolerances are reported as honest failures
+(the enclosure and its width), never silently widened.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .intervals import Interval, growth_inv_pow, growth_net, sum_down
 from .model import (
     ModelPoint,
     NonConvergenceError,
+    _descend,
     endpoint_height,
     endpoint_height_enclosure,
     endpoint_lower_bound,
@@ -42,8 +45,6 @@ from .sequences import (
     fexp_seq,
 )
 from .strata import AlphaIndex, extension_index, in_stratum, witness_family
-
-MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,26 @@ def _suite(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
 
+def _tally() -> dict:
+    return dict.fromkeys(("proved", "refuted", "undecided"), 0)
+
+
+def _count(tally: dict, proved: bool, refuted: bool) -> bool:
+    """Count one case as proved, refuted or undecided; True unless it is refuted."""
+    tally["proved" if proved else "refuted" if refuted else "undecided"] += 1
+    return not refuted
+
+
+def _le(tally: dict, x: Interval, y: Interval) -> bool:
+    """Count the relation x <= y: proved when x.hi <= y.lo, refuted when x.lo > y.hi."""
+    return _count(tally, x.certainly_le(y.lo), x.certainly_gt(y.hi))
+
+
+def _endpoint(seq: SymbolSeq, cfg: RunConfig) -> ModelPoint:
+    """The model point at the lower end of the certified endpoint height of seq."""
+    return ModelPoint(endpoint_height_enclosure(seq, cfg.tolerance).lo, seq)
+
+
 def suite_inverse_growth_strictness(cfg: RunConfig) -> dict:
     """Both strict inequalities of the inverse growth map, with certified margins.
 
@@ -127,190 +148,169 @@ def suite_inverse_growth_strictness(cfg: RunConfig) -> dict:
 
 
 def suite_sandwich(cfg: RunConfig, count: int = 120) -> dict:
-    """Endpoint heights sit inside [potential, potential + 1]."""
+    """Endpoint heights sit in [potential, potential + 1], before ``_height`` imposes it."""
     rng = random.Random(cfg.seed)
-    failures = []
+    tally, failures = _tally(), []
     checked = 0
-    worst = math.inf
     for i in range(count):
         seq = random_sequence(rng)
         pot = potential(seq, 0)
         if not pot.is_finite:
             continue
         checked += 1
+        enc = _descend(seq, *seq.tail.nesting_anchor(len(seq.prefix)))
+        if not (_le(tally, pot, enc) & _le(tally, enc, pot + 1.0)):
+            failures.append({"case": i, "seq": seq.to_json()})
         try:
-            height = endpoint_height(seq, cfg.tolerance)
+            endpoint_height(seq, cfg.tolerance)
         except NonConvergenceError as e:
             failures.append({"case": i, "reason": "nonconvergence",
                              "width": e.enclosure.width})
-            continue
-        lo_ok = height.lo >= pot.lo - MARGIN
-        hi_ok = height.hi <= pot.hi + 1.0 + MARGIN
-        worst = min(worst, height.lo - (pot.lo - MARGIN), (pot.hi + 1.0 + MARGIN) - height.hi)
-        if not (lo_ok and hi_ok):
-            failures.append({"case": i, "seq": seq.to_json()})
     return _suite("sandwich", checked >= 100 and not failures,
-                  checked=checked, failures=failures, worst_slack=worst)
+                  checked=checked, failures=failures, **tally)
 
 
 def suite_domination(cfg: RunConfig, count: int = 120) -> dict:
     """Coordinate-wise domination is respected by heights and potentials."""
     rng = random.Random(cfg.seed + 1)
-    failures = []
+    tally, failures = _tally(), []
     for i in range(count):
         small, big = dominated_pair(rng)
-        hs = endpoint_height_enclosure(small, cfg.tolerance)
-        hb = endpoint_height_enclosure(big, cfg.tolerance)
-        ps = potential(small, 0)
-        pb = potential(big, 0)
-        if hs.mid > hb.mid + MARGIN or ps.mid > pb.mid + MARGIN:
+        heights = _le(tally, endpoint_height_enclosure(small, cfg.tolerance),
+                      endpoint_height_enclosure(big, cfg.tolerance))
+        if not (heights & _le(tally, potential(small, 0), potential(big, 0))):
             failures.append({"case": i, "small": small.to_json(), "big": big.to_json()})
-    return _suite("domination", not failures, checked=count, failures=failures)
+    return _suite("domination", not failures, checked=count, failures=failures, **tally)
 
 
 def suite_backward_nesting(cfg: RunConfig, count: int = 40, depth: int = 12) -> dict:
     """Nesting constraints increase with depth and stay under potential + 1."""
     rng = random.Random(cfg.seed + 2)
-    failures = []
+    tally, failures = _tally(), []
     for i in range(count):
         seq = random_sequence(rng)
-        pot = potential(seq, 0)
-        prev = -math.inf
+        top = potential(seq, 0) + 1.0
+        prev = None
         for n in range(depth + 1):
             u = endpoint_lower_bound(seq, n)
-            if u.mid < prev - MARGIN:
+            if prev is not None and not _le(tally, prev, u):
                 failures.append({"case": i, "n": n, "reason": "not monotone"})
                 break
-            if pot.is_finite and u.lo > pot.hi + 1.0 + MARGIN:
+            if not _le(tally, u, top):
                 failures.append({"case": i, "n": n, "reason": "above sandwich"})
                 break
-            prev = u.mid
-    return _suite("backward_nesting", not failures, checked=count, failures=failures)
+            prev = u
+    return _suite("backward_nesting", not failures, checked=count, failures=failures, **tally)
 
 
 def suite_shift_identity(cfg: RunConfig, count: int = 60) -> dict:
     """potential(seq, n) agrees with potential(seq shifted by n, 0)."""
     rng = random.Random(cfg.seed + 3)
-    failures = []
+    tally, failures = _tally(), []
     for i in range(count):
         seq = random_sequence(rng)
         n = rng.randint(0, 5)
-        a = potential(seq, n)
-        b = potential(seq.shift(n), 0)
-        lo_gap = abs(min(a.lo, 1e12) - min(b.lo, 1e12))
-        hi_gap = abs(min(a.hi, 1e12) - min(b.hi, 1e12))
-        if lo_gap > MARGIN or hi_gap > MARGIN:
+        a, b = potential(seq, n), potential(seq.shift(n), 0)
+        # two enclosures of one value: proved when equal, refuted when disjoint
+        if not _count(tally, a == b, a.certainly_lt(b.lo) or b.certainly_lt(a.lo)):
             failures.append({"case": i, "n": n, "seq": seq.to_json()})
-    return _suite("shift_identity", not failures, checked=count, failures=failures)
+    return _suite("shift_identity", not failures, checked=count, failures=failures, **tally)
 
 
 def suite_floor_window(cfg: RunConfig, count: int = 200) -> dict:
     """Tower potential terms stay inside their floor window (F^e - 1, F^e]."""
     rng = random.Random(cfg.seed + 4)
-    failures = []
+    tally, failures = _tally(), []
     for i in range(count):
         c = rng.randint(1, 10)
-        seq = fexp_seq(c)
         k = rng.randint(1, 8)
         n = rng.randint(max(1, k - 6), k + 2)
-        term = potential_term(seq, n, k)
-        window = _floor_window(c, n + 1 - k)
-        # slack: the stated test margin plus a few ulps at the window's scale
-        lo_slack = MARGIN + 16.0 * (math.ulp(window.lo) if math.isfinite(window.lo) else 0.0)
-        hi_slack = MARGIN + 16.0 * (math.ulp(window.hi) if math.isfinite(window.hi) else 0.0)
-        lo_ok = term.lo >= window.lo - lo_slack
-        hi_ok = term.hi <= window.hi + hi_slack or (term.hi == math.inf and window.hi == math.inf)
-        if not (lo_ok and hi_ok):
+        term = potential_term(fexp_seq(c), n, k)
+        top = growth_net(c, n + 1 - k)
+        low = top - 1.0
+        above = _count(tally, term.certainly_gt(low.hi), term.certainly_le(low.lo))
+        if not (above & _le(tally, term, top)):
             failures.append({"case": i, "c": c, "n": n, "k": k})
-    return _suite("floor_window", not failures, checked=count, failures=failures)
+    return _suite("floor_window", not failures, checked=count, failures=failures, **tally)
 
 
-def _floor_window(c: int, e: int) -> Interval:
-    net = growth_net(c, e)
-    return Interval(max(net.lo - 1.0, 0.0), net.hi)
-
-
-def _demo_family(cfg: RunConfig, base_c: int, alpha: AlphaIndex, n_ext: int, count: int):
-    base = fexp_seq(base_c)
-    height = endpoint_height_enclosure(base, cfg.tolerance)
-    point = ModelPoint(height.mid, base)
+def _demo_family(cfg: RunConfig, alpha: AlphaIndex, n_ext: int, count: int):
+    point = _endpoint(fexp_seq(10), cfg)
     return point, witness_family(point, alpha, n_ext, count, cfg.tolerance, cfg.budget)
 
 
 def suite_witness_claims(cfg: RunConfig) -> dict:
     """Thinning witnesses at index depths 1, 2, 3: both claims plus convergence."""
-    cases = [
-        (10, AlphaIndex((0,)), 1),
-        (10, AlphaIndex((0, 1)), 2),
-        (10, AlphaIndex((0, 2, 4)), 5),
-    ]
-    failures = []
+    tally, failures = _tally(), []
     details = []
-    for base_c, alpha, n_ext in cases:
+    for alpha, n_ext in ((AlphaIndex((0,)), 1), (AlphaIndex((0, 1)), 2),
+                         (AlphaIndex((0, 2, 4)), 5)):
         bound = 3.0 * alpha.dom
         try:
-            point, reports = _demo_family(cfg, base_c, alpha, n_ext, 3)
+            point, reports = _demo_family(cfg, alpha, n_ext, 3)
         except Exception as e:  # honest reporting of any certification failure
             failures.append({"alpha": alpha.to_json(), "error": str(e)})
             continue
         base_height = endpoint_height_enclosure(point.seq, cfg.tolerance)
-        gaps = [abs(r.height.mid - base_height.mid) for r in reports]
-        ok = all(r.claim1_margin.lo > bound - 1.0 for r in reports)
-        ok &= all(r.claim2_bound.hi <= bound for r in reports)
-        # exclusion margin >= 1 below the child-stratum closure bound 3*dom + 1
-        ok &= all((bound + 1.0) - r.claim2_bound.hi >= 1.0 for r in reports)
-        ok &= all(b < a + cfg.tolerance for a, b in zip(gaps, gaps[1:], strict=False))
-        ok &= gaps[-1] < 1e-4
+        ok = True
+        for r in reports:
+            margin = r.claim1_margin
+            ok &= _count(tally, margin.certainly_gt(bound - 1.0), margin.certainly_le(bound - 1.0))
+            # at most 3*dom: 1 or more below the child-stratum closure bound 3*dom + 1
+            ok &= _le(tally, r.claim2_bound, Interval.point(bound))
+            ok &= _le(tally, r.height, base_height)
+        # the witness heights approach the base height from below
+        gaps = [base_height - r.height for r in reports]
+        for a, b in zip(gaps, gaps[1:], strict=False):
+            ok &= _le(tally, b, a + cfg.tolerance)
+        ok &= _le(tally, gaps[-1], Interval.point(1e-4))
         ok &= all(b.distance_to_base < a.distance_to_base
                   for a, b in zip(reports, reports[1:], strict=False))
         if not ok:
             failures.append({"alpha": alpha.to_json()})
         details.append({"alpha": alpha.to_json(),
                         "ms": [r.m for r in reports],
-                        "final_height_gap": gaps[-1] if gaps else None})
-    return _suite("witness_claims", not failures, cases=details, failures=failures)
+                        "final_height_gap": gaps[-1].to_json()})
+    return _suite("witness_claims", not failures, cases=details, failures=failures, **tally)
 
 
 def suite_closure_bound(cfg: RunConfig) -> dict:
     """Limits of threshold-exceeding families keep (almost) the threshold."""
     alpha = AlphaIndex((0,))
-    failures = []
-    point, reports = _demo_family(cfg, 10, alpha, 1, 3)
+    tally, failures = _tally(), []
+    point, reports = _demo_family(cfg, alpha, 1, 3)
     base = point.seq
     for n in range(4):
-        lows = [potential(r.witness, n).lo for r in reports]
-        r_bound = min(lows)
+        r_bound = min(potential(r.witness, n).lo for r in reports)
         if r_bound <= 0:
             continue
-        h = endpoint_height_enclosure(base.shift(n), cfg.tolerance)
-        p = potential(base, n)
-        if h.hi < r_bound - MARGIN:
+        bound = Interval.point(r_bound)
+        if not _le(tally, bound, endpoint_height_enclosure(base.shift(n), cfg.tolerance)):
             failures.append({"n": n, "reason": "height below closure bound"})
-        if p.hi < r_bound - 1.0 - MARGIN:
+        if not _le(tally, bound - 1.0, potential(base, n)):
             failures.append({"n": n, "reason": "potential below closure bound"})
-    return _suite("closure_bound", not failures, failures=failures)
+    return _suite("closure_bound", not failures, failures=failures, **tally)
 
 
 def suite_lower_semicontinuity(cfg: RunConfig) -> dict:
     """Coordinate-wise dominated approximations converge to the limit height from below."""
-    failures = []
+    tally, failures = _tally(), []
     for base in (fexp_seq(5, (2, -3)), fexp_seq(3), const_seq(4, (1, -2))):
         limit = endpoint_height_enclosure(base, cfg.tolerance)
-        prev = -math.inf
-        gaps = []
+        prev = None
         for m in range(1, 14):
             approx = SymbolSeq(tuple(base.entry(n) for n in range(m)), ConstTail(0))
             h = endpoint_height_enclosure(approx, cfg.tolerance)
-            if h.mid > limit.mid + MARGIN:
+            if not _le(tally, h, limit):
                 failures.append({"base": base.to_json(), "m": m, "reason": "above limit"})
-            if h.mid < prev - MARGIN:
+            if prev is not None and not _le(tally, prev, h):
                 failures.append({"base": base.to_json(), "m": m, "reason": "not monotone"})
-            prev = h.mid
-            gaps.append(abs(limit.mid - h.mid))
-        if gaps[-1] > MARGIN:
+            prev = h
+        gap = limit - h
+        if not _le(tally, gap, Interval.point(cfg.tolerance)):
             failures.append({"base": base.to_json(), "reason": "no convergence",
-                             "gap": gaps[-1]})
-    return _suite("lower_semicontinuity", not failures, failures=failures)
+                             "gap": gap.to_json()})
+    return _suite("lower_semicontinuity", not failures, failures=failures, **tally)
 
 
 def suite_stratum_nesting(cfg: RunConfig) -> dict:
@@ -318,9 +318,7 @@ def suite_stratum_nesting(cfg: RunConfig) -> dict:
     failures = []
     checked = 0
     for c in (3, 5, 10):
-        base = fexp_seq(c)
-        h = endpoint_height_enclosure(base, cfg.tolerance)
-        point = ModelPoint(h.mid, base)
+        point = _endpoint(fexp_seq(c), cfg)
         for alpha, n in ((AlphaIndex(()), 0), (AlphaIndex((0,)), 2), (AlphaIndex((0, 2)), 3)):
             child = alpha.child(n)
             mem_child = in_stratum(child, point, cfg.tolerance, cfg.budget)
@@ -345,8 +343,7 @@ def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
             seq = SymbolSeq(prefix, ExpTowerTail(rng.randint(3, 9)))
         else:
             seq = SymbolSeq(prefix, LinExpTail(rng.choice((Fraction(1), Fraction(2), Fraction(3)))))
-        h = endpoint_height_enclosure(seq, cfg.tolerance)
-        point = ModelPoint(h.mid, seq)
+        point = _endpoint(seq, cfg)
         alpha = AlphaIndex(())
         if not in_stratum(alpha, point, cfg.tolerance, cfg.budget).is_true:
             continue

@@ -17,7 +17,6 @@ import pytest
 from expbouquet import cli
 from expbouquet.cli import build_parser, main
 from expbouquet.intervals import Interval
-from expbouquet.model import NonConvergenceError
 from expbouquet.sequences import SymbolSeq
 
 CONST1 = '{"prefix": [], "tail": {"kind": "const", "c": 1}}'
@@ -456,8 +455,9 @@ def test_rule_outputs_are_pinned(argv, digest, capsys):
 
 
 # sha256 of the full `verify --seed 0` report; the inverse-growth strictness
-# suite reports certified lower bounds of its margins, from interval bounds
-VERIFY_SEED0_SHA256 = "dab5b5deb83f22267a96a9b31a6ebdbd54cddfee31439a82d6209ad37caf2f09"
+# suite reports certified lower bounds of its margins, from interval bounds,
+# and the model's suites how many cases each proved, refuted or left undecided
+VERIFY_SEED0_SHA256 = "b00bd9433e60b8d8eb8fe3f1accd6dfdbb32b7f0c2903a4d83975037a207e7ad"
 
 
 def test_verify_seed0_report_is_pinned(tmp_path, capsys):
@@ -517,21 +517,12 @@ def test_exhausted_budget_exits_1_with_a_message(alpha, capsys):
     assert captured.err == "error: explicit threshold window exceeds budget\n"
 
 
-def test_uncertified_answers_reach_no_traceback(monkeypatch, capsys):
+def test_uncertified_answers_reach_no_traceback():
     proc = subprocess.run([sys.executable, "-m", "expbouquet", "strata", RAMP_QUARTER,
                            "--alpha", "0", "--budget", "1"], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-    def stalled(seq, shift=0):
-        raise NonConvergenceError(Interval(0.0, 1.0), "stand-in non-convergence")
-
-    monkeypatch.setattr(cli, "potential", stalled)
-    assert main(["tstar", CONST1]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: stand-in non-convergence\n"
 
 
 @pytest.mark.parametrize("c, code", [(10**308, 0), (-10**308, 0),

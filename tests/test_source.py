@@ -1,4 +1,5 @@
-"""Source checks on ``src/expbouquet``: every module-level import is read."""
+"""Source checks on ``src/expbouquet``: every module-level import is read, and
+``verify`` reads no midpoint and no slack."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,11 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_module_level_imports_are_read(path):
     assert _unused_imports(path) == []
+
+
+def test_verify_decides_by_intervals_not_midpoints():
+    # its suites compare enclosures, never a midpoint against a slack
+    tree = ast.parse((SRC / "verify.py").read_text())
+    mids = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mid"]
+    margins = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "MARGIN"]
+    assert mids == [] and margins == []

@@ -2,8 +2,11 @@
 
 The seeded ``verify`` run passes every suite, so its failure reports are
 never read there.  Each case here replaces a name that a suite reads inside
-``expbouquet.verify`` so that its invariant fails by far more than MARGIN,
-and checks that the suite reports ``passed: False`` with its failures.
+``expbouquet.verify`` so that its invariant fails, and checks that the suite
+reports ``passed: False`` with its failures.  Most break it grossly; the near
+misses break it by 1e-7 only, a gap that certain enclosures still show: each
+suite that decides its cases by interval relations counts such a case as
+refuted, where a comparison of midpoints with a slack would let it pass.
 """
 
 import itertools
@@ -13,8 +16,10 @@ import pytest
 
 from expbouquet import verify
 from expbouquet.cli import RunConfig
-from expbouquet.intervals import Interval, TriBool
+from expbouquet.intervals import Interval, TriBool, growth_net
+from expbouquet.model import NonConvergenceError, endpoint_height_enclosure
 from expbouquet.plane import CycleInfo, NoConvergenceError, RenderSummary
+from expbouquet.sequences import fexp_seq
 
 
 def _cycling(*values):
@@ -38,6 +43,24 @@ def _raise(*args, **kwargs):
     raise ValueError("no extension")
 
 
+def _stalled(*args):
+    raise NonConvergenceError(Interval(0.0, 1.0))
+
+
+def _real_then_plus(name, delta):
+    """A stand-in returning the real ``verify.<name>`` value, then that value plus delta, in turn."""
+    real, calls = getattr(verify, name), itertools.count()
+    return lambda *args: real(*args) + delta * (next(calls) % 2)
+
+
+def _witnesses_above_base(seq, n):
+    # the closure-bound family's witnesses (they have a prefix) read 1e-7
+    # above the height of their base, fexp 10, at every shift
+    if seq.prefix:
+        return Interval.point(endpoint_height_enclosure(fexp_seq(10).shift(n)).hi + 1e-7)
+    return _REAL_POTENTIAL(seq, n)
+
+
 def _cycle_or_raise():
     calls = itertools.count()
 
@@ -54,11 +77,12 @@ def _renders():
 
 
 _REAL_WITNESS_FAMILY = verify.witness_family
+_REAL_POTENTIAL = verify.potential
 
 # suite, {name in expbouquet.verify: stand-in factory}
 CASES = [
     ("inverse_growth_strictness", {"growth_inv_pow": lambda: _cycling(Interval.point(0.0))}),
-    ("sandwich", {"endpoint_height": lambda: _cycling(Interval.point(1e6))}),
+    ("sandwich", {"endpoint_height": lambda: _stalled}),
     ("domination", {"endpoint_height_enclosure": lambda: _cycling(Interval.point(1.0),
                                                                   Interval.point(0.0))}),
     ("backward_nesting", {"endpoint_lower_bound": lambda: lambda seq, n: Interval.point(-n)}),
@@ -87,9 +111,29 @@ CASES = [
     ("renderer_determinism", {"render_escape": _renders}),
 ]
 
+# each breaks its invariant by 1e-7, below the 1e-6 slack these suites once allowed
+NEAR_MISSES = [
+    # every potential reads 1e-7 above the endpoint height
+    ("sandwich", {"potential": lambda: lambda seq, n: Interval.point(
+        endpoint_height_enclosure(seq).hi + 1e-7)}),
+    ("domination", {"endpoint_height_enclosure": lambda: _cycling(Interval.point(1.0 + 1e-7),
+                                                                  Interval.point(1.0))}),
+    ("backward_nesting", {"endpoint_lower_bound": lambda: lambda seq, n: Interval.point(-1e-7 * n)}),
+    ("shift_identity", {"potential": lambda: _real_then_plus("potential", 1e-7)}),
+    # every term reads 1e-7 above the top F^e of its window
+    ("floor_window", {"potential_term": lambda: lambda seq, n, k: growth_net(
+        seq.tail.c, n + 1 - k) + 1e-7}),
+    ("closure_bound", {"potential": lambda: _witnesses_above_base}),
+    # each base reads 1 at its limit, then 1 + 1e-7 over its 13 approximations
+    ("lower_semicontinuity", {"endpoint_height_enclosure": lambda: _cycling(
+        Interval.point(1.0), *[Interval.point(1.0 + 1e-7)] * 13)}),
+]
+CASES += NEAR_MISSES
 
-@pytest.mark.parametrize("suite, patches", CASES,
-                         ids=[f"{s}-{'-'.join(p)}" for s, p in CASES])
+
+@pytest.mark.parametrize("suite, patches", CASES, ids=[
+    f"{s}-{'-'.join(p)}" for s, p in CASES[:-len(NEAR_MISSES)]] + [
+    f"{s}-1e-7" for s, _ in NEAR_MISSES])
 def test_each_suite_fails_when_its_invariant_breaks(suite, patches, monkeypatch, tmp_path):
     for name, make in patches.items():
         monkeypatch.setattr(verify, name, make())
