@@ -101,17 +101,22 @@ def _ensure_dir(directory: str) -> None:
         raise _UsageError(f"cannot use output directory {directory!r}: {e}") from e
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=RunConfig.tolerance, help="interval tolerance")
-    parser.add_argument("--budget", type=int, default=RunConfig.budget, help="iteration budget")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for sampled suites")
+def _add_common(parser: argparse.ArgumentParser, *read: str) -> None:
+    """--format and --out, and those of --tol, --budget and --seed that the
+    subcommand reads, named in ``read``: it takes no flag that it ignores."""
+    for flag, kind, default, text in (("tol", float, RunConfig.tolerance, "interval tolerance"),
+                                      ("budget", int, RunConfig.budget, "iteration budget"),
+                                      ("seed", int, RunConfig.seed, "seed for sampled suites")):
+        if flag in read:
+            parser.add_argument(f"--{flag}", type=kind, default=default, help=text)
     parser.add_argument("--format", choices=("json", "text"), default=RunConfig.fmt)
     parser.add_argument("--out", default=None, help="output directory override")
 
 
 def _config(args) -> RunConfig:
-    kwargs = {"tolerance": args.tol, "budget": args.budget, "seed": args.seed,
-              "fmt": args.format}
+    kwargs = {"tolerance": getattr(args, "tol", RunConfig.tolerance),
+              "budget": getattr(args, "budget", RunConfig.budget),
+              "seed": getattr(args, "seed", RunConfig.seed), "fmt": args.format}
     if args.out is not None:
         kwargs["out_dir"] = args.out
     return RunConfig(**kwargs)
@@ -124,6 +129,10 @@ _SIGNED_VALUE = re.compile(r"-[\d.]")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no abbreviated flags, which would read "cycle --seed" as --seed-point
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []
         for tok in sys.argv[1:] if args is None else args:
@@ -150,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tmin", help="certified endpoint height of an address")
     p.add_argument("seq")
-    _add_common(p)
+    _add_common(p, "tol")
 
     p = sub.add_parser("classify", help="classify a model point")
     p.add_argument("seq")
     p.add_argument("--t", type=float, required=True)
-    _add_common(p)
+    _add_common(p, "tol", "budget")
 
     p = sub.add_parser("strata", help="stratum membership (and optional extension)")
     p.add_argument("seq")
@@ -165,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extend", action="store_true",
                    help="also search the least extension index")
     p.add_argument("--nfloor", type=int, default=0)
-    _add_common(p)
+    _add_common(p, "tol", "budget")
 
     p = sub.add_parser("witness", help="nowhere-density witness family")
     p.add_argument("seq", help="base sequence descriptor (JSON)")
     p.add_argument("--alpha", default="", help="parent stratum index")
     p.add_argument("--n", type=int, required=True, help="child extension index")
     p.add_argument("--count", type=int, default=3)
-    _add_common(p)
+    _add_common(p, "tol", "budget")
 
     p = sub.add_parser("render", help="escape-time image for exp(z) + a")
     p.add_argument("--a", required=True, help="parameter a (complex literal)")
@@ -180,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re_min,re_max,im_min,im_max")
     p.add_argument("--px", default="200x200", help="WIDTHxHEIGHT")
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--escape-re", type=float, default=50.0)
     p.add_argument("--path", default=None, help="output file (default out dir/escape.ppm)")
     _add_common(p)
 
@@ -188,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--period", type=int, default=1)
     p.add_argument("--seed-point", required=True, help="Newton seed (complex literal)")
-    _add_common(p)
+    _add_common(p, "budget")
 
     p = sub.add_parser("verify", help="run every invariant suite")
-    _add_common(p)
+    _add_common(p, "tol", "budget", "seed")
 
     return parser
 
@@ -285,7 +293,7 @@ def _cmd_render(args, cfg: RunConfig) -> int:
         path = os.path.join(cfg.out_dir, "escape.ppm")
     _ensure_dir(os.path.dirname(path) or os.curdir)
     try:
-        summary = render_escape(a, viewport, args.max_iter, path, args.escape_re)
+        summary = render_escape(a, viewport, args.max_iter, path)
     except OSError as e:  # e.g. the path names a directory
         raise _UsageError(f"cannot write {path!r}: {e}") from e
     except MemoryError as e:  # a tile too large to allocate

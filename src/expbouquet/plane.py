@@ -18,7 +18,8 @@ import numpy as np
 
 from .intervals import OVERFLOW_GUARD, log1p_down, sum_down
 
-# one-step escape certificate for rendering: e^50 dwarfs any supported |a|
+# the escape line of every escape time, trap and ``exp_orbit``: e^50 dwarfs
+# any supported |a|, and e^z + a stays finite for Re z at most 50
 ESCAPE_RE = 50.0
 PARAM_CAP = 10.0
 TWO_PI = 2.0 * math.pi
@@ -36,7 +37,7 @@ PERIOD_TOL = 1e-6
 TRAP_LEVELS = np.arange(-16.0, 4.0625, 0.125)
 BLOCK_PX = 8
 BLOCK_STEPS = 10
-TRAP_MEMO_SIZE = 64  # parameters (a, escape_re) whose trap ``escape_times`` keeps
+TRAP_MEMO_SIZE = 64  # parameters a whose trap ``escape_times`` keeps
 
 NEWTON_TOL = 1e-10
 NEWTON_STEPS = 200
@@ -258,21 +259,20 @@ def _image_radius(top, reach, sizes):
                * (1.0 + 4.0 * TRAP_RADIUS_REL))
 
 
-def _step(c, r, a: complex, escape_re: float):
+def _step(c, r, a: complex):
     """The one disk step of the plane: ``(c', r', below)`` for the disks D(c, r).
 
     c' = fl(e^c + a), and D(c', r') holds the exact image e^z + a and the float
     step fl(e^z + a) of every z in D(c, r), where |f'| <= e^top, top rounded
-    up.  ``below``: D(c, r) lies below the escape line and the guard.
+    up.  ``below``: D(c, r) lies below the escape line ESCAPE_RE, so e^top is finite.
     """
     nxt = np.exp(c) + a
     top = _up(c.real + r)
-    below = (top <= OVERFLOW_GUARD) & (top < escape_re)
-    return nxt, _image_radius(top, r, abs(a) + np.abs(nxt)), below
+    return nxt, _image_radius(top, r, abs(a) + np.abs(nxt)), top < ESCAPE_RE
 
 
 def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
-                escape_re: float, steps: int) -> np.ndarray:
+                steps: int) -> np.ndarray:
     """Which disks D(c, r) carry every float orbit from them into ``trap``: each
     is carried by ``_step`` for at most ``steps`` steps, and lands once it lies
     in the trap, every earlier disk having stayed below the escape line."""
@@ -284,14 +284,14 @@ def _disks_land(centers: np.ndarray, radii: np.ndarray, a: complex, trap: _Trap,
             landed[live[hit]] = True
             if k == steps or hit.all():
                 break
-            centers, radii, below = _step(centers, radii, a, escape_re)
+            centers, radii, below = _step(centers, radii, a)
             go = below & ~hit
             live, centers, radii = live[go], centers[go], radii[go]
     return landed
 
 
-def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ...]:
-    """The certified disk chain of e^z + a below ``escape_re``, (c_j, r_j) pairs, or ().
+def _trap_chain(a: complex) -> tuple[tuple[complex, float], ...]:
+    """The certified disk chain of e^z + a below the escape line, (c_j, r_j) pairs, or ().
 
     Every attracting cycle attracts the orbit of the asymptotic value a.  The
     orbit is followed for TRAP_ORBIT_STEPS steps (none if it crosses the
@@ -299,14 +299,13 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     least with |f^p(w) - w| below PERIOD_TOL, else 1 (a slowly attracting
     fixed point).  ``find_cycle`` polishes the cycle once, down to its least
     period (a slow spiral into a fixed point passes for a cycle); its point c_0
-    of least real part and the candidates r_0 = r_max k / 64, k = 63 .. 1,
-    r_max = min(-Re c_0, escape_re - Re c_0), go round the cycle together
-    through ``_step``, which gives the centres c_1, ..., c_p; the largest
-    candidate whose disks stay below the escape line and whose last disk
-    D(c_p, r_p) lies in D(c_0, r_0) is kept: the union of D(c_j, r_j), j < p,
-    is then forward-invariant.
+    of least real part and the candidates r_0 = -Re c_0 k / 64, k = 63 .. 1, go
+    round the cycle together through ``_step``, which gives the centres c_1,
+    ..., c_p; the largest candidate whose disks stay below the escape line and
+    whose last disk D(c_p, r_p) lies in D(c_0, r_0) is kept: the union of
+    D(c_j, r_j), j < p, is then forward-invariant.
     """
-    orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, min(escape_re, OVERFLOW_GUARD))
+    orbit, _ = _orbit(a, a, TRAP_ORBIT_STEPS, ESCAPE_RE)
     if len(orbit) <= TRAP_ORBIT_STEPS:
         return ()
     w = orbit[-1]
@@ -317,7 +316,7 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     except NoConvergenceError:
         return ()
     start = min(cycle.points, key=lambda c: c.real)
-    r_max = min(-start.real, escape_re - start.real)
+    r_max = -start.real
     # negative candidates could pass the closing test on an expanding cycle
     if not r_max > 0.0:
         return ()
@@ -326,7 +325,7 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cycle.period):
             disks.append((complex(c), r))
-            c, r, below = _step(c, r, a, escape_re)
+            c, r, below = _step(c, r, a)
             ok &= below
     ok &= _Trap(disks=((start, disks[0][1]),)).holds(c, r)
     if not ok.any():
@@ -335,44 +334,42 @@ def _trap_chain(a: complex, escape_re: float) -> tuple[tuple[complex, float], ..
     return tuple((c, float(r[k])) for c, r in disks)
 
 
-def _basin_trap(a: complex, escape_re: float) -> _Trap | None:
-    """The certified trap of e^z + a below ``escape_re``, or None.
+def _basin_trap(a: complex) -> _Trap | None:
+    """The certified trap of e^z + a below the escape line, or None.
 
     Its disks are the chain of ``_trap_chain``.  For Re z <= its level L the
     float step lies in D(a, rho), rho = ``_image_radius(L, 1, 2|a|)``.  L is
-    the larger of max(0, ln(-Re a) - TRAP_REL_SLACK), at most escape_re, for
-    Re a <= -1 and escape_re >= 0 (then fl(e^x cos y) <= -Re a, at L = 0 as
-    faithful exp and cos keep it <= 1, else as its 4u error is below
-    TRAP_REL_SLACK, so the step keeps real part <= 0 <= L), and the largest
-    of TRAP_LEVELS, at most escape_re, whose D(a, rho) ``_disks_land``
+    the larger of max(0, ln(-Re a) - TRAP_REL_SLACK) for Re a <= -1 (then
+    fl(e^x cos y) <= -Re a, at L = 0 as faithful exp and cos keep it <= 1,
+    else as its 4u error is below TRAP_REL_SLACK, so the step keeps real part
+    <= 0 <= L; L <= ln 10 as |a| <= PARAM_CAP), and the largest of
+    TRAP_LEVELS (all below the escape line) whose D(a, rho) ``_disks_land``
     carries by ``_step`` into a chain disk within TRAP_MAX_PERIOD - 1 steps.
     A chain with a disk in the half-plane is dropped, as its orbits pass
     that disk once a period.
     """
-    chain = _trap_chain(a, escape_re)
+    chain = _trap_chain(a)
     level = -math.inf
-    if a.real <= -1.0 and escape_re >= 0.0:
-        level = min(escape_re, max(0.0, sum_down(log1p_down(sum_down(-a.real, -1.0)),
-                                                 -TRAP_REL_SLACK)))
+    if a.real <= -1.0:
+        level = max(0.0, sum_down(log1p_down(sum_down(-a.real, -1.0)), -TRAP_REL_SLACK))
     if chain:
-        levels = TRAP_LEVELS[TRAP_LEVELS <= escape_re]
-        landed = _disks_land(np.full(levels.size, a), _image_radius(levels, 1.0, 2.0 * abs(a)),
-                             a, _Trap(disks=chain), escape_re, TRAP_MAX_PERIOD - 1)
-        level = max(level, float(levels[landed].max(initial=-math.inf)))
+        landed = _disks_land(np.full(TRAP_LEVELS.size, a),
+                             _image_radius(TRAP_LEVELS, 1.0, 2.0 * abs(a)),
+                             a, _Trap(disks=chain), TRAP_MAX_PERIOD - 1)
+        level = max(level, float(TRAP_LEVELS[landed].max(initial=-math.inf)))
         if any(c.real + r <= level for c, r in chain):
             chain = ()
     return _Trap(level, chain) if chain or level > -math.inf else None
 
 
 @functools.lru_cache(maxsize=TRAP_MEMO_SIZE)
-def _memo_trap(re: str, im: str, escape_re: str) -> _Trap | None:
+def _memo_trap(re: str, im: str) -> _Trap | None:
     """``_basin_trap`` keyed by ``float.hex``: a signed zero gets the very trap that
     recomputing returns, though no tile depends on it (a trap is only compared)."""
-    return _basin_trap(complex(float.fromhex(re), float.fromhex(im)), float.fromhex(escape_re))
+    return _basin_trap(complex(float.fromhex(re), float.fromhex(im)))
 
 
-def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap,
-                escape_re: float) -> np.ndarray:
+def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap) -> np.ndarray:
     """The pixels of the grid re x im, flattened row by row, whose block lands in
     ``trap``: each BLOCK_PX-square block (ragged at the edges) is the disk about
     its midpoint of radius ``hypot`` of its half-widths, rounded up."""
@@ -385,42 +382,40 @@ def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap,
     (cx, hx), (cy, hy) = axes
     centers = (cx[np.newaxis, :] + 1j * cy[:, np.newaxis]).ravel()
     radii = _up(np.hypot(hx[np.newaxis, :], hy[:, np.newaxis])).ravel()
-    landed = _disks_land(centers, radii, a, trap, escape_re, BLOCK_STEPS)
+    landed = _disks_land(centers, radii, a, trap, BLOCK_STEPS)
     blocks = landed.reshape(cy.size, cx.size).repeat(BLOCK_PX, 0).repeat(BLOCK_PX, 1)
     return blocks[:im.size, :re.size].ravel()
 
 
-def escape_times(a: complex, viewport: Viewport, max_iter: int,
-                 escape_re: float = ESCAPE_RE) -> np.ndarray:
-    """Escape-time grid: first n with Re(f^n(z)) > escape_re, else max_iter.
+def escape_times(a: complex, viewport: Viewport, max_iter: int) -> np.ndarray:
+    """Escape-time grid: first n with Re(f^n(z)) > ESCAPE_RE, else max_iter.
 
     Rows run top-down (first row at im_max); vectorized and deterministic.
     ``_block_pass`` carries blocks of pixels as disks, each holding the float
     iterates of its pixels, so the pixels of a block that lands in the trap of
     ``_basin_trap`` keep max_iter without a step.  Other pixels leave the loop
-    once they escape, turn non-finite (time n + 1) or enter the trap.  Each
-    pixel goes through the same float steps as on a full-grid pass, so the
-    times are exactly those of iterating every pixel for max_iter steps.
-    Traps exist for an attracting cycle of period up to TRAP_MAX_PERIOD that
-    the orbit of a settles on, and for Re a <= -1 with escape_re >= 0.
+    once they escape or enter the trap; the rest have Re z <= ESCAPE_RE and
+    |a| <= PARAM_CAP, so their next iterate is finite.  Each pixel goes
+    through the same float steps as on a full-grid pass, so the times are
+    exactly those of iterating every pixel for max_iter steps.  Traps exist
+    for an attracting cycle of period up to TRAP_MAX_PERIOD that the orbit of
+    a settles on, and for Re a <= -1.
     """
     a = _check_param(a)
-    if not math.isfinite(escape_re):
-        raise ValueError("escape_re must be finite")
     re = np.linspace(viewport.re_min, viewport.re_max, viewport.width_px)
     im = np.linspace(viewport.im_max, viewport.im_min, viewport.height_px)
     z = (re[np.newaxis, :] + 1j * im[:, np.newaxis]).ravel()
     times = np.full(z.size, max_iter, dtype=np.int32)
     idx = np.arange(z.size)
-    trap = _memo_trap(a.real.hex(), a.imag.hex(), float(escape_re).hex())
+    trap = _memo_trap(a.real.hex(), a.imag.hex())
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if trap is not None:
-            keep = ~_block_pass(a, re, im, trap, escape_re)
+            keep = ~_block_pass(a, re, im, trap)
             z, idx = z[keep], idx[keep]
         for n in range(max_iter):
             if not z.size:
                 break
-            drop = z.real > escape_re
+            drop = z.real > ESCAPE_RE
             times[idx[drop]] = n
             if trap is not None:
                 drop |= trap.holds(z, 0.0)
@@ -429,17 +424,10 @@ def escape_times(a: complex, viewport: Viewport, max_iter: int,
                 z, idx = z[keep], idx[keep]
             np.exp(z, out=z)
             z += a
-            # a non-finite iterate needs a huge real part: with the escape line at
-            # or below the overflow guard, Re z <= 700 and |a| <= 10 keep it finite
-            if escape_re > OVERFLOW_GUARD and (bad := ~np.isfinite(z)).any():
-                times[idx[bad]] = n + 1
-                keep = ~bad
-                z, idx = z[keep], idx[keep]
     return times.reshape(viewport.height_px, viewport.width_px)
 
 
-def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
-                  escape_re: float = ESCAPE_RE) -> RenderSummary:
+def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str) -> RenderSummary:
     """Write a binary P6 pixmap of escape times and return a summary.
 
     Grayscale mapping (equal RGB channels): byte = round(255 * n / max_iter),
@@ -449,7 +437,7 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str,
     # escape times are int32
     if not 1 <= max_iter <= np.iinfo(np.int32).max:
         raise ValueError(f"max_iter must be in 1..{np.iinfo(np.int32).max}")
-    times = escape_times(a, viewport, max_iter, escape_re)
+    times = escape_times(a, viewport, max_iter)
     escaped = int((times < max_iter).sum())
     retained = int(times.size - escaped)
     # one RGB gray level per escape time, when there are no more times than

@@ -62,6 +62,42 @@ def test_usage_error_exits_2(capsys):
     assert main(["nonsense"]) == 2
 
 
+# the arguments each subcommand requires, and the common flags it takes:
+# --format and --out everywhere, --tol, --budget and --seed where it reads them
+REQUIRED = {"tstar": [CONST1], "tmin": [CONST1], "classify": [CONST1, "--t", "1"],
+            "strata": [CONST1], "witness": [CONST1, "--n", "1"], "render": ["--a", "-1"],
+            "cycle": ["--a", "-2", "--seed-point", "-2"], "verify": []}
+COMMON_FLAGS = {"tstar": set(), "tmin": {"--tol"}, "classify": {"--tol", "--budget"},
+                "strata": {"--tol", "--budget"}, "witness": {"--tol", "--budget"},
+                "render": set(), "cycle": {"--budget"}, "verify": {"--tol", "--budget", "--seed"}}
+
+
+def test_each_subcommand_takes_only_the_common_flags_it_reads():
+    parser = build_parser()
+    taken = {}
+    for command, required in REQUIRED.items():
+        taken[command] = set()
+        for flag, value in (("--tol", "1e-9"), ("--budget", "5"), ("--seed", "0"),
+                            ("--format", "text"), ("--out", "x")):
+            if not parser.parse_known_args([command, *required, flag, value])[1]:
+                taken[command].add(flag)
+    assert taken == {c: flags | {"--format", "--out"} for c, flags in COMMON_FLAGS.items()}
+    assert sum(map(len, taken.values())) == 27
+
+
+# cycle's --seed is no abbreviation of its --seed-point
+@pytest.mark.parametrize("argv", [["render", "--a", "-1", "--escape-re", "50"],
+                                  ["tstar", CONST1, "--seed", "0"],
+                                  ["tstar", CONST1, "--budget", "0"],
+                                  ["cycle", "--a", "-2", "--seed-point", "-2", "--seed", "0"]])
+def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage:")
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_tmin_anchor(capsys):
     code, out = run(capsys, "tmin", '{"prefix": [0, 5], "tail": {"kind": "const", "c": 0}}')
     assert code == 0
@@ -146,8 +182,7 @@ def test_nan_parameter_exits_2(tmp_path, capsys):
 
 def test_non_finite_render_bounds_exit_2(tmp_path, capsys):
     for extra in (["--viewport", "0,nan,0,1"], ["--viewport", "0,inf,0,1"],
-                  ["--viewport=-1e308,1e308,0,1"], ["--escape-re", "nan"],
-                  ["--escape-re", "inf"]):
+                  ["--viewport=-1e308,1e308,0,1"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails
             code = main(["render", "--a", "-1", "--px", "4x4", "--out", str(tmp_path), *extra])
@@ -543,7 +578,7 @@ def test_huge_const_tails_answer_like_their_periodic_twin(c, code, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["tstar", CONST1, "--budget", "0"], "budget must be >= 1"),
+    (["classify", CONST1, "--t", "1", "--budget", "0"], "budget must be >= 1"),
     (["tstar", CONST1, "--shift", "-1"], "shift must be >= 0"),
     (["strata", FEXP10, "--alpha", "0,a"], "bad stratum index"),
     (["cycle", "--a", "zz", "--seed-point", "0"], "bad complex number"),

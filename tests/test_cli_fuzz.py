@@ -111,11 +111,10 @@ def _flag(name: str, values) -> st.SearchStrategy:
     return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, str(v)]))
 
 
-_COMMON = [
-    _flag("--tol", ["1e-9", "1e-3", "1e-20", "nan", "inf", "0", "-1", "x"]),
-    _flag("--budget", ["1", "2", "64", "0", "-1", "x"]),
-    _flag("--format", ["json", "text", "xml"]),
-]
+# --format on every subcommand; --tol and --budget on those that read them
+_TOL = _flag("--tol", ["1e-9", "1e-3", "1e-20", "nan", "inf", "0", "-1", "x"])
+_BUDGET = _flag("--budget", ["1", "2", "64", "0", "-1", "x"])
+_FORMAT = _flag("--format", ["json", "text", "xml"])
 _HEIGHTS = ["0", "0.5", "1.1461932206205825", "3", "19.78", "1e300", "-5", "-1e-300",
             "inf", "nan", "x"]
 _ALPHAS = ["", "0", "0,1", "0,2,4", "5", "1,0", "-1", "a", "0,,1"]
@@ -124,35 +123,38 @@ _COMPLEX = ["-2", "-1", "0", "0.3+0.2j", "-0.5+1j", "1.6-2.2j", "10", "11", "nan
 
 
 def _argv(command: str, positional: list, *flags) -> st.SearchStrategy:
-    return st.tuples(*positional, *flags, *_COMMON).map(
+    return st.tuples(*positional, *flags, _FORMAT).map(
         lambda parts: [command] + [tok for part in parts for tok in part])
 
 
 _seq = descriptors().map(lambda d: [d])
 _STRATEGIES = {
     "tstar": _argv("tstar", [_seq], _flag("--shift", ["0", "1", "7", "1000000", "-1", HUGE])),
-    "tmin": _argv("tmin", [_seq]),
-    "classify": _argv("classify", [_seq], st.sampled_from(_HEIGHTS).map(lambda t: ["--t", t])),
+    "tmin": _argv("tmin", [_seq], _TOL),
+    "classify": _argv("classify", [_seq], st.sampled_from(_HEIGHTS).map(lambda t: ["--t", t]),
+                      _TOL, _BUDGET),
     "strata": _argv("strata", [_seq], _flag("--alpha", _ALPHAS), _flag("--t", _HEIGHTS),
-                    st.sampled_from([[], ["--extend"]]), _flag("--nfloor", ["0", "3", "-1"])),
+                    st.sampled_from([[], ["--extend"]]), _flag("--nfloor", ["0", "3", "-1"]),
+                    _TOL, _BUDGET),
     "witness": _argv("witness", [_seq], _flag("--alpha", _ALPHAS),
                      st.sampled_from(["0", "1", "2", "3", "5", "-1", "x"]).map(
                          lambda n: ["--n", n]),
-                     _flag("--count", ["0", "1", "2", "3", "-1"])),
+                     _flag("--count", ["0", "1", "2", "3", "-1"]), _TOL, _BUDGET),
     "render": _argv("render", [], st.sampled_from(_COMPLEX).map(lambda a: ["--a", a]),
                     _flag("--viewport", ["-2,4,-3,3", "-3,-1,-1,1", "0,0,0,0", "1,-1,0,1",
                                          "-2,4,-3", "-1e308,1e308,0,1", "nan,1,0,1", "a,b,c,d"]),
                     _flag("--px", ["1x1", "4x3", "8x8", "3X5", "0x4", "4", "ax4", "-2x2",
                                    "4x4x4"]),
                     _flag("--max-iter", ["1", "20", "50", "0", "-1", "2147483648", "x"]),
+                    # a flag render does not take: a usage error
                     _flag("--escape-re", ["50", "1", "0", "-1", "800", "inf", "nan"]),
                     _flag("--path", ["tile.ppm", "sub/dir/tile.ppm", "."])),
     "cycle": _argv("cycle", [], st.sampled_from(_COMPLEX).map(lambda a: ["--a", a]),
                    _flag("--period", ["1", "2", "3", "0", "-1", "100000000", "x"]),
                    st.sampled_from(["0", "-2", "0.3", "1e-320j", "nan", "1e308", "zz"]).map(
-                       lambda z: ["--seed-point", z])),
+                       lambda z: ["--seed-point", z]), _BUDGET),
     "verify": _argv("verify", [], _flag("--seed", ["0", "1", "-1", "x"]),
-                    _flag("--out", ["verify-out", "tile-file.ppm"])),
+                    _flag("--out", ["verify-out", "tile-file.ppm"]), _TOL, _BUDGET),
 }
 
 

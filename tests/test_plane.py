@@ -21,6 +21,7 @@ from expbouquet import (
     strip_itinerary,
 )
 from expbouquet.plane import (
+    ESCAPE_RE,
     TRAP_MAX_PERIOD,
     TRAP_MEMO_SIZE,
     _basin_trap,
@@ -167,13 +168,7 @@ def test_viewport_validation():
             Viewport(*bounds, 4, 4)
 
 
-@pytest.mark.parametrize("escape_re", [math.nan, math.inf, -math.inf])
-def test_escape_times_rejects_non_finite_escape_line(escape_re):
-    with pytest.raises(ValueError):
-        escape_times(-1.0, Viewport(-2.0, 4.0, -1.0, 1.0, 4, 4), 10, escape_re)
-
-
-def reference_escape_times(a, viewport, max_iter, escape_re=50.0):
+def reference_escape_times(a, viewport, max_iter):
     """The full-grid loop: every pixel stays in the array until it escapes."""
     a = _check_param(a)
     re = np.linspace(viewport.re_min, viewport.re_max, viewport.width_px)
@@ -183,7 +178,7 @@ def reference_escape_times(a, viewport, max_iter, escape_re=50.0):
     alive = np.ones(z.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for n in range(max_iter):
-            esc = alive & (z.real > escape_re)
+            esc = alive & (z.real > ESCAPE_RE)
             times[esc] = n
             alive &= ~esc
             if not alive.any():
@@ -200,36 +195,46 @@ def reference_escape_times(a, viewport, max_iter, escape_re=50.0):
 # 4-cycle through a (its fixed point repels), attracting
 EQUIVALENCE_PARAMS = [-0.5 + 1j, -2.0, -1.0, 0.3 + 0.2j, -3.0]
 # attracting cycles of period 2, 3, 4 and 8 (multipliers about 0.81, 0.79,
-# 1.7e-5 and 0.033), each with an escape line just above the cycle; for
-# a = 0.2-0.2i it shrinks the trap chain
+# 1.7e-5 and 0.033), each with a line Re z = x just right of the cycle
 CYCLE_PARAMS = {1.6 - 2.2j: 2.0, 0.7 - 0.7j: 2.5, 0.2 - 0.2j: 4.0, 0.3 - 0.5j: 4.5}
 
 
+def _shifted(v, shift):
+    """The viewport v moved right by ``shift``."""
+    return dataclasses.replace(v, re_min=v.re_min + shift, re_max=v.re_max + shift)
+
+
 @pytest.mark.parametrize("max_iter", [1, 60, 200])
-# at 700, the overflow guard, the loop skips its non-finite pass
-@pytest.mark.parametrize("escape_re", [50.0, 1.0, 0.0, -1.0, 700.0])
+# the viewport about the traps' levels near 0, across the escape line at 50,
+# and past the overflow guard at 700, where every pixel escapes at once
+@pytest.mark.parametrize("shift", [50.0, 1.0, 0.0, -1.0, 700.0])
 @pytest.mark.parametrize("a", EQUIVALENCE_PARAMS + list(CYCLE_PARAMS))
-def test_escape_times_equals_the_full_grid_loop(a, escape_re, max_iter):
-    v = Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)
-    expected = reference_escape_times(a, v, max_iter, escape_re)
-    got = escape_times(a, v, max_iter, escape_re)
+def test_escape_times_equals_the_full_grid_loop(a, shift, max_iter):
+    v = _shifted(Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29), shift)
+    expected = reference_escape_times(a, v, max_iter)
+    got = escape_times(a, v, max_iter)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("a", list(CYCLE_PARAMS))
 def test_escape_times_equals_the_full_grid_loop_on_a_bounding_escape_line(a):
-    v = Viewport(-3.0, 4.0, -4.0, 4.0, 41, 29)
-    assert np.array_equal(escape_times(a, v, 200, CYCLE_PARAMS[a]),
-                          reference_escape_times(a, v, 200, CYCLE_PARAMS[a]))
+    # the last column lies on the escape line, which it does not cross
+    v = Viewport(-3.0, ESCAPE_RE, -4.0, 4.0, 41, 29)
+    times = escape_times(a, v, 200)
+    assert (times[:, -1] > 0).all()
+    assert np.array_equal(times, reference_escape_times(a, v, 200))
 
 
 def test_escape_times_equals_the_full_grid_loop_past_overflow():
-    # above Re ~ 709.8 the step overflows and the pixel takes time n + 1
+    # above Re ~ 709.8 a step would overflow: such pixels, like all right of
+    # the escape line, escape at time 0
     v = Viewport(-2.0, 800.0, -3.0, 3.0, 37, 5)
+    right = np.linspace(v.re_min, v.re_max, v.width_px) > ESCAPE_RE
     for a in (-2.0, 0.3 + 0.2j):
-        assert np.array_equal(escape_times(a, v, 30, 1000.0),
-                              reference_escape_times(a, v, 30, 1000.0))
+        times = escape_times(a, v, 30)
+        assert (times[:, right] == 0).all() and (times[:, ~right] > 0).all()
+        assert np.array_equal(times, reference_escape_times(a, v, 30))
 
 
 # sha256 of 64x64 tiles of the default viewport at max_iter 100, rendered by
@@ -260,49 +265,44 @@ def test_render_matches_pinned_hash_at_max_iter_200(tmp_path):
 
 
 def test_basin_trap_kinds():
-    trap = _basin_trap(-1.0 + 0j, 50.0)             # parabolic: no disk exists
+    trap = _basin_trap(-1.0 + 0j)  # parabolic: no disk exists
     assert (trap.level, trap.disks) == (0.0, ())
-    # Re a <= -1: the level is ln(-Re a) less TRAP_REL_SLACK, rounded down and
-    # capped at the escape line; the fixed point's disk lies below it
+    # Re a <= -1: the level is ln(-Re a) less TRAP_REL_SLACK, rounded down;
+    # the fixed point's disk lies below it
     for a in (-2.0, -3.0, -9.9, -1.5 + 2j):
-        trap = _basin_trap(complex(a), 50.0)
-        assert trap.disks == () and len(_trap_chain(complex(a), 50.0)) == 1
+        trap = _basin_trap(complex(a))
+        assert trap.disks == () and len(_trap_chain(complex(a))) == 1
         assert math.log(-a.real) - 1e-13 < trap.level < math.log(-a.real)
-    assert _basin_trap(-2.0 + 0j, 0.5).level == 0.5
+    # a = -2: the first candidate, 63/64 of the fixed point's distance to the
+    # imaginary axis, closes
+    assert _trap_chain(-2.0 + 0j) == ((-1.8414056604369606 + 0j, 1.812633696992633),)
     # period 1: the disk found before trap chains existed, bit for bit, and a
     # level from the orbit of a, whose disk D(a, e^L) f maps into that disk
-    trap = _basin_trap(-0.5 + 1j, 50.0)
+    trap = _basin_trap(-0.5 + 1j)
     assert trap.disks == ((-0.5156063086295142 + 1.5969344631287699j, 0.507549960057178),)
     assert trap.level == -0.875
     ((center, _),) = trap.disks
     assert abs(center - find_cycle(-0.5 + 1j, 1, center).points[0]) < 1e-12
-    # below a negative escape line only the orbit of a certifies a level, and
-    # the fixed point's disk lies below it
-    assert _trap_chain(-2.0 + 0j, -1.0) == ((-1.8414056604369606 + 0j, 0.8282586969926331),)
-    trap = _basin_trap(-2.0 + 0j, -1.0)
-    assert (trap.level, trap.disks) == (-1.0, ())
     # the fixed point is repelling, but a lies on a super-attracting 4-cycle;
     # its point of least real part lies far inside the half-plane, so the
     # chain is dropped
-    chain = _trap_chain(0.3 + 0.2j, 50.0)
+    chain = _trap_chain(0.3 + 0.2j)
     cycle = find_cycle(0.3 + 0.2j, 4, 0.3 + 0.2j)
     assert cycle.kind == "attracting" and abs(cycle.multiplier) < 1e-30
     assert len(chain) == 4
     for center, _ in chain:
         assert min(abs(center - c) for c in cycle.points) < 1e-12
-    trap = _basin_trap(0.3 + 0.2j, 50.0)
+    trap = _basin_trap(0.3 + 0.2j)
     assert (trap.level, trap.disks) == (-2.875, ())
     # no disk D(a, e^L) reaches this 2-cycle's chain within TRAP_MAX_PERIOD - 1
     # steps: the chain alone
-    trap = _basin_trap(1.6 - 2.2j, 50.0)
-    assert trap.level == -math.inf and trap.disks == _trap_chain(1.6 - 2.2j, 50.0)
+    trap = _basin_trap(1.6 - 2.2j)
+    assert trap.level == -math.inf and trap.disks == _trap_chain(1.6 - 2.2j)
     assert len(trap.disks) == 2
-    # no trap can lie below an escape line that the cycle crosses
-    assert _basin_trap(0.3 + 0.2j, 1.0) is None
-    assert _basin_trap(-0.9 + 0j, 50.0) is None     # no attracting cycle
+    assert _basin_trap(-0.9 + 0j) is None  # no attracting cycle
 
 
-def _assert_trap_returns(trap, a, escape_re, z, window, steps=500):
+def _assert_trap_returns(trap, a, z, window, steps=500):
     """Float orbits from the points of z that ``holds`` accepts stay below the
     escape line for ``steps`` steps, and ``holds`` accepts each again within
     every ``window`` steps (1: the trap maps into itself)."""
@@ -310,11 +310,11 @@ def _assert_trap_returns(trap, a, escape_re, z, window, steps=500):
     since = np.zeros(z.size, dtype=int)
     with np.errstate(under="ignore"):
         for _ in range(steps):
-            assert (z.real <= escape_re).all()
+            assert (z.real <= ESCAPE_RE).all()
             z = np.exp(z) + a
             since = np.where(trap.holds(z, 0.0), 0, since + 1)
             assert (since < window).all()
-    assert (z.real <= escape_re).all()
+    assert (z.real <= ESCAPE_RE).all()
 
 
 def _trap_samples(trap, fracs, angles, depths, heights):
@@ -333,45 +333,49 @@ def _trap_samples(trap, fracs, angles, depths, heights):
 @given(a=st.one_of(st.sampled_from(EQUIVALENCE_PARAMS + [-0.9, -0.95 + 0.5j, -1.5 + 2j]
                                    + list(CYCLE_PARAMS)),
                    st.builds(cmath.rect, st.floats(0.0, 9.999), st.floats(-math.pi, math.pi))),
-       escape_re=st.sampled_from([50.0, 1.0, 0.0, -1.0]),
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=16, max_size=16),
        depths=st.lists(st.floats(0.0, 60.0), min_size=16, max_size=16),
        heights=st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16))
 # the parabolic fixed point 0 of a = -1 lies on the closed half-plane's line
 # (level 0): -1e-300 steps onto 0.0 exactly, which the trap must hold again
-@example(a=-1.0, escape_re=50.0, fracs=[0.0], angles=[0.0] * 16, depths=[1e-300] + [0.0] * 15,
+@example(a=-1.0, fracs=[0.0], angles=[0.0] * 16, depths=[1e-300] + [0.0] * 15,
          heights=[0.0] * 16)
-def test_basin_traps_are_forward_invariant(a, escape_re, fracs, angles, depths, heights):
+def test_basin_traps_are_forward_invariant(a, fracs, angles, depths, heights):
     # the half-plane of a level from the orbit of a need not map into the
     # trap: its orbits reach a chain disk within TRAP_MAX_PERIOD steps, and
     # a dropped disk (inside the half-plane) within p more
     a = complex(a)
-    trap = _basin_trap(a, escape_re)
+    trap = _basin_trap(a)
     if trap is not None:
-        window = TRAP_MAX_PERIOD + max(1, len(_trap_chain(a, escape_re)))
+        window = TRAP_MAX_PERIOD + max(1, len(_trap_chain(a)))
         z = _trap_samples(trap, fracs, angles, depths, heights)
-        _assert_trap_returns(trap, a, escape_re, z, window)
+        _assert_trap_returns(trap, a, z, window)
 
 
 @pytest.mark.parametrize("a", list(CYCLE_PARAMS))
-@pytest.mark.parametrize("bounded", [False, True])
-def test_trap_chains_are_forward_invariant(a, bounded):
-    escape_re = CYCLE_PARAMS[a] if bounded else 50.0
-    chain = _trap_chain(a, escape_re)
+@pytest.mark.parametrize("whole_trap", [False, True])
+def test_trap_chains_are_forward_invariant(a, whole_trap):
+    chain = _trap_chain(a)
     assert len(chain) > 1
-    # rims and interiors of every disk, 16 directions; the union of the
-    # chain's disks maps into itself, whether or not the trap keeps them
+    # rims and interiors of every disk, 16 directions, and points of the
+    # half-plane down to 60 below its level; the union of the chain's disks
+    # maps into itself, whether or not the trap keeps them, and the whole
+    # trap, its level and the disks it keeps, is entered again within a window
     fracs = [1.0, 0.999, 0.9, 0.5, 0.1, 0.0] + [1.0] * 10
     angles = [2.0 * math.pi * k / 16 for k in range(16)]
-    trap = _Trap(disks=chain)
-    _assert_trap_returns(trap, a, escape_re, _trap_samples(trap, fracs, angles, [], []), 1)
+    depths = [0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 13.0, 20.0, 30.0, 40.0, 50.0,
+              55.0, 60.0]
+    heights = [3.5 * k - 26.0 for k in range(16)]
+    trap, window = (_basin_trap(a), TRAP_MAX_PERIOD + len(chain)) if whole_trap else (
+        _Trap(disks=chain), 1)
+    _assert_trap_returns(trap, a, _trap_samples(trap, fracs, angles, depths, heights), window)
 
 
 def _closes(c, r):
     """Whether a one-link chain from D(c, r) closes for the map e^z + a that
     fixes c, a = c - e^c."""
-    nxt, image, below = _step(c, r, c - cmath.exp(c), 50.0)
+    nxt, image, below = _step(c, r, c - cmath.exp(c))
     return bool(below and _Trap(disks=((c, r),)).holds(nxt, image))
 
 
@@ -384,14 +388,14 @@ def test_chain_slack_grows_with_the_size_of_the_step():
     assert not _closes(complex(re_c, 1e5), 1.0)
     # a repelling link maps D(c, 0.5) onto a disk of radius e^0.6 * 0.5 > 0.5,
     # so no chain through it closes
-    _, image, below = _step(0.1 + 0j, 0.5, 0.1 - math.exp(0.1), 50.0)
+    _, image, below = _step(0.1 + 0j, 0.5, 0.1 - math.exp(0.1))
     assert below and image > 0.5
     assert not _closes(0.1 + 0j, 0.5)
 
 
 # chain disks for the membership oracle: those of the cycles of period 2 to 8,
 # a unit disk at 0 and two off the axes; 17 rims each, r (1 + k 2^-53), k = -8..8
-HOLDS_DISKS = [d for a in CYCLE_PARAMS for d in _trap_chain(a, 50.0)] + [
+HOLDS_DISKS = [d for a in CYCLE_PARAMS for d in _trap_chain(a)] + [
     (0j, 1.0), (-1.5 + 0.25j, 0.75), (3.0 - 4.0j, 2.5)]
 HOLDS_RIMS = 1.0 + np.arange(-8.0, 9.0) * 2.0 ** -53
 
@@ -430,23 +434,24 @@ def test_holds_accepts_only_what_lies_inside_exactly():
 
 # disks for the step oracle: radii from a point (where the open membership
 # test accepts nothing) and 1e-300 (the sum c + r w rounds to c off the real
-# axis) to a few units; centres just below the escape line, 1e-9 and 0.5 under it
+# axis) to a few units; disks reaching up to 1e-9 and 0.5 under the escape line,
+# and as far under 0
 STEP_RADII = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 4.0]
 STEP_FRACS = [1.0, 0.999, 0.5]
 STEP_ANGLES = [2.0 * math.pi * k / 16 for k in range(16)]
 
 
-@pytest.mark.parametrize("escape_re", [50.0, 0.0])
+@pytest.mark.parametrize("top", [ESCAPE_RE, 0.0])
 @pytest.mark.parametrize("a", [0j, 10 + 0j, -10 + 0j, 7.07 - 7.07j, 2.5j, -0.5 + 1j])
-def test_step_holds_the_exact_and_the_float_image(a, escape_re):
+def test_step_holds_the_exact_and_the_float_image(a, top):
     # zero slack: every point the membership test accepts in D(c, r) has its
     # exact e^z + a (50 digits) and its float np.exp(z) + a within r' of c'
     rim = np.array([0j] + [f * cmath.exp(1j * t) for f in STEP_FRACS for t in STEP_ANGLES])
     for r in STEP_RADII:
         for depth in (1e-9, 0.5):
             for im in (0.0, 2.0, -3.1):
-                c = complex(escape_re - r - depth, im)
-                nxt, image, below = _step(c, r, a, escape_re)
+                c = complex(top - r - depth, im)
+                nxt, image, below = _step(c, r, a)
                 assert below
                 z = c + r * rim
                 z = z[_Trap(disks=((c, r),)).holds(z, 0.0)]
@@ -457,29 +462,33 @@ def test_step_holds_the_exact_and_the_float_image(a, escape_re):
                         for v in (exact, mp.mpc(fw.real, fw.imag)):
                             assert abs(v - mp.mpc(nxt.real, nxt.imag)) <= bound, (c, r, w)
     # a disk reaching the escape line is not below it
-    assert not _step(complex(escape_re - 1.0), 1.0, a, escape_re)[2]
+    assert not _step(complex(ESCAPE_RE - 1.0), 1.0, a)[2]
 
 
-# the render pool's parameters, the cycles at both escape lines, and an
-# orbit spiralling into a fixed point (|multiplier| 0.93) slowly enough to
-# pass for a longer cycle: Newton lands on the fixed point, repeated
-@pytest.mark.parametrize("a, escape_re", [(a, 50.0) for a in EQUIVALENCE_PARAMS[:4]]
-                         + [(a, 50.0) for a in CYCLE_PARAMS] + list(CYCLE_PARAMS.items())
-                         + [(0.2 + 0.97j, 50.0)])
-def test_basin_trap_runs_one_newton_search(a, escape_re, monkeypatch):
+# the render pool's parameters, the cycles with the escape line and with the
+# line just right of them, and an orbit spiralling into a fixed point
+# (|multiplier| 0.93) slowly enough to pass for a longer cycle: Newton lands
+# on the fixed point, repeated
+@pytest.mark.parametrize("a, right", [(a, ESCAPE_RE) for a in EQUIVALENCE_PARAMS[:4]]
+                         + [(a, ESCAPE_RE) for a in CYCLE_PARAMS] + list(CYCLE_PARAMS.items())
+                         + [(0.2 + 0.97j, ESCAPE_RE)])
+def test_basin_trap_runs_one_newton_search(a, right, monkeypatch):
     from expbouquet import plane
 
     calls = []
 
     def counted(*args):
-        calls.append(args)
-        return find_cycle(*args)
+        calls.append((args, find_cycle(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(plane, "find_cycle", counted)
-    trap = _basin_trap(complex(a), escape_re)
+    trap = _basin_trap(complex(a))
     assert trap is not None and len(calls) == 1
+    # the one search finds the cycle, left of the line Re z = right
+    (args, cycle), = calls
+    assert max(p.real for p in cycle.points) < right
     if a == 0.2 + 0.97j:
-        assert calls[0][1] > 1 and len(trap.disks) == 1
+        assert args[1] > 1 and len(trap.disks) == 1
 
 
 @pytest.fixture
@@ -508,19 +517,18 @@ def test_tiles_of_one_parameter_run_one_newton_search(empty_trap_memo, monkeypat
     assert len(calls) == 1
 
 
-# Re a <= -1 and the escape line 0 give the level min(escape_re, 0.0): -0.0 at
-# escape_re = -0.0, which a key by value would hand to escape_re = 0.0
+# the memo keys a by its bits: a = -2 and a = -1 with Im a = 0.0 and -0.0 get
+# an entry each, the very trap that building it again returns
 def test_trap_memo_tells_signed_zeros_apart(empty_trap_memo):
-    params = [(a, e) for a in (complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-1.0, 0.0),
-                               complex(-1.0, -0.0), 0.3 + 0.2j) for e in (50.0, 0.0, -0.0)]
+    params = [complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-1.0, 0.0),
+              complex(-1.0, -0.0), 0.3 + 0.2j]
     v = Viewport(-3.0, 3.0, -3.0, 3.0, 16, 16)
-    for a, escape_re in params:
-        assert np.array_equal(escape_times(a, v, 20, escape_re),
-                              reference_escape_times(a, v, 20, escape_re)), (a, escape_re)
+    for a in params:
+        assert np.array_equal(escape_times(a, v, 20), reference_escape_times(a, v, 20)), a
     assert empty_trap_memo.cache_info().currsize == len(params)
-    for a, escape_re in params:
-        trap = empty_trap_memo(a.real.hex(), a.imag.hex(), escape_re.hex())
-        assert repr(trap) == repr(_basin_trap(a, escape_re)), (a, escape_re)
+    for a in params:
+        trap = empty_trap_memo(a.real.hex(), a.imag.hex())
+        assert repr(trap) == repr(_basin_trap(a)), a
     assert empty_trap_memo.cache_info().hits == len(params)
 
 
@@ -531,7 +539,7 @@ def test_trap_memo_holds_at_most_its_bound(empty_trap_memo):
     assert info.misses == TRAP_MEMO_SIZE + 8 and info.currsize == TRAP_MEMO_SIZE
 
 
-def _assert_chain_certified(a, escape_re, chain):
+def _assert_chain_certified(a, chain):
     """The chain's centres are the float orbit of ``_step``, its radii are
     positive, each disk's step stays below the escape line and fits the next
     radius, and the last image lies in the first disk."""
@@ -540,19 +548,20 @@ def _assert_chain_certified(a, escape_re, chain):
     nxt = chain[0][0]
     for j, (c, r) in enumerate(chain):
         assert c == nxt
-        nxt, image, below = _step(c, r, a, escape_re)
+        nxt, image, below = _step(c, r, a)
         assert below and (j + 1 == len(chain) or image <= radii[j + 1])
     assert _Trap(disks=(chain[0],)).holds(nxt, image)
 
 
 # the certificate does not trust the polish: a cycle point handed over 0.01
 # off (a closing gap of about 0.012, more than the slack of the largest
-# candidate) and a repelling fixed point right of the imaginary axis
-@pytest.mark.parametrize("a, escape_re, shift, seed", [
-    (a, 50.0, 0j, None) for a in EQUIVALENCE_PARAMS + [0.2 + 0.97j] + list(CYCLE_PARAMS)
-] + [(a, e, 0j, None) for a, e in CYCLE_PARAMS.items()] + [
-    (-0.5 + 1j, 50.0, 0.01, None), (0.3 + 0.2j, 50.0, 0j, 0.31 + 1.56j)])
-def test_trap_chains_carry_their_certificate(a, escape_re, shift, seed, monkeypatch):
+# candidate) and a repelling fixed point right of the imaginary axis; the
+# centres lie left of the escape line, and left of the line just right of a cycle
+@pytest.mark.parametrize("a, right, shift, seed", [
+    (a, ESCAPE_RE, 0j, None) for a in EQUIVALENCE_PARAMS + [0.2 + 0.97j] + list(CYCLE_PARAMS)
+] + [(a, x, 0j, None) for a, x in CYCLE_PARAMS.items()] + [
+    (-0.5 + 1j, ESCAPE_RE, 0.01, None), (0.3 + 0.2j, ESCAPE_RE, 0j, 0.31 + 1.56j)])
+def test_trap_chains_carry_their_certificate(a, right, shift, seed, monkeypatch):
     from expbouquet import plane
 
     def polish(a, period, w):
@@ -560,10 +569,11 @@ def test_trap_chains_carry_their_certificate(a, escape_re, shift, seed, monkeypa
         return dataclasses.replace(info, points=tuple(p + shift for p in info.points))
 
     monkeypatch.setattr(plane, "find_cycle", polish)
-    chain = _trap_chain(complex(a), escape_re)
+    chain = _trap_chain(complex(a))
     assert (chain == ()) if seed is not None else (chain or not shift)
     if chain:
-        _assert_chain_certified(complex(a), escape_re, chain)
+        _assert_chain_certified(complex(a), chain)
+        assert max(c.real for c, _ in chain) < right
 
 
 # ragged viewports (one pixel, and sizes that are no multiple of the block
@@ -577,30 +587,32 @@ SWEEP_VIEWPORTS = [Viewport(0.69, 0.69, 0.1, 0.1, 1, 1),
 SWEEP_PARAMS = list(CYCLE_PARAMS) + [-2.0, -3.0, -9.9, -0.5 + 1j, 0.3 + 0.2j, -0.95 + 0.5j]
 
 
+# each viewport also moved right across the escape line, and by 5, 1 and -1
 @pytest.mark.parametrize("a", SWEEP_PARAMS)
 def test_escape_times_sweep_finds_no_difference(a):
     differences = 0
     for v in SWEEP_VIEWPORTS:
-        for escape_re in (50.0, 5.0, 1.0, 0.0, -1.0):
-            got = escape_times(a, v, 80, escape_re)
-            differences += int((got != reference_escape_times(a, v, 80, escape_re)).sum())
+        for shift in (50.0, 5.0, 1.0, 0.0, -1.0):
+            w = _shifted(v, shift)
+            differences += int((escape_times(a, w, 80) != reference_escape_times(a, w, 80)).sum())
     assert differences == 0
 
 
 @pytest.mark.parametrize("a", SWEEP_PARAMS + [-1.0])
-@pytest.mark.parametrize("escape_re", [50.0, 1.0, -1.0])
-def test_block_pass_retires_only_pixels_that_never_escape(a, escape_re):
+@pytest.mark.parametrize("shift", [50.0, 1.0, -1.0])
+def test_block_pass_retires_only_pixels_that_never_escape(a, shift):
     a = complex(a)
-    trap = _basin_trap(a, escape_re)
+    trap = _basin_trap(a)
     if trap is None:
         return
     for v in SWEEP_VIEWPORTS + [Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 64)]:
+        v = _shifted(v, shift)
         re = np.linspace(v.re_min, v.re_max, v.width_px)
         im = np.linspace(v.im_max, v.im_min, v.height_px)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            retired = _block_pass(a, re, im, trap, escape_re)
+            retired = _block_pass(a, re, im, trap)
         assert retired.shape == (v.width_px * v.height_px,)
-        full = reference_escape_times(a, v, 300, escape_re).ravel()
+        full = reference_escape_times(a, v, 300).ravel()
         assert (full[retired] == 300).all()
 
 
@@ -610,7 +622,7 @@ def test_block_pass_retires_most_of_an_attracting_basin():
     im = np.linspace(v.im_max, v.im_min, v.height_px)
     for a in (-0.5 + 1j, -2.0 + 0j):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            retired = _block_pass(a, re, im, _basin_trap(a, 50.0), 50.0)
+            retired = _block_pass(a, re, im, _basin_trap(a))
         retained = reference_escape_times(a, v, 100).ravel() == 100
         assert retired.sum() > 0.5 * retained.sum()
 

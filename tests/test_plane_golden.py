@@ -6,11 +6,11 @@ in the file) and of ``exp_orbit`` and ``strip_itinerary`` on a few points.
 A refactor of the scalar orbit code must keep every one of them.
 
 Its ``trap`` key holds, for 410 parameters (the render parameters, the
-attracting cycles of period 2 to 8 at the escape lines just above them, two
-more bounded escape lines and 400 seeded random |a| < 10 at escape lines 50,
-1, 0 and -1), the level and disks of ``_basin_trap`` and the centres and
-radii of ``_trap_chain``.  A refactor of the trap must keep every level and
-disk count, every centre within 1e-12 and every radius within 1e-12 of it.
+attracting cycles of period 2 to 8, the render parameters -2 and 0.3+0.2i
+again and 400 seeded random |a| < 10), the level and disks of
+``_basin_trap`` and the centres and radii of ``_trap_chain``.  A refactor of
+the trap must keep every level and disk count, every centre within 1e-12 and
+every radius within 1e-12 of it.
 
     PYTHONPATH=src python tests/test_plane_golden.py
 
@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from expbouquet.plane import (
-    ESCAPE_RE,
     NoConvergenceError,
     _basin_trap,
     _trap_chain,
@@ -39,17 +38,16 @@ GOLDEN = Path(__file__).resolve().parent / "plane_golden.json"
 RENDER_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "render.json"
 
 RENDER_PARAMS = [-0.5 + 1j, -2.0 + 0j, -1.0 + 0j, 0.3 + 0.2j]
-# attracting cycles of period 2, 3, 4 and 8 and the escape lines just above them
-CYCLE_PARAMS = {1.6 - 2.2j: 2.0, 0.7 - 0.7j: 2.5, 0.2 - 0.2j: 4.0, 0.3 - 0.5j: 4.5}
+# attracting cycles of period 2, 3, 4 and 8
+CYCLE_PARAMS = [1.6 - 2.2j, 0.7 - 0.7j, 0.2 - 0.2j, 0.3 - 0.5j]
 EXTRA_CYCLES = [(1.0 + 0j, 1, 0.5 + 0j), (0.3 + 0.2j, 4, 0.3 + 0.2j), (-1.0 + 0j, 1, 0.1 + 0j),
                 (-2.0 + 0.3j, 1, -2.0 + 0j), (0.2 - 0.2j, 2, 0.2 - 0.2j)]
-# escape lines bounding the cycle of a = -2 and the 4-cycle of a = 0.3+0.2i,
-# then random parameters, the escape lines taken in turn
-TRAP_CASES = ([(a, ESCAPE_RE) for a in RENDER_PARAMS] + list(CYCLE_PARAMS.items())
-              + [(-2.0 + 0j, -1.0), (0.3 + 0.2j, 1.0)])
+# a = -2 and 0.3+0.2i again, which keeps each random parameter at its index
+# in the file, then the random parameters
+TRAP_CASES = RENDER_PARAMS + CYCLE_PARAMS + [-2.0 + 0j, 0.3 + 0.2j]
 _rng = random.Random(1972)
-TRAP_CASES += [(cmath.rect(_rng.uniform(0.0, 9.999), _rng.uniform(-math.pi, math.pi)),
-                (50.0, 1.0, 0.0, -1.0)[i % 4]) for i in range(400)]
+TRAP_CASES += [cmath.rect(_rng.uniform(0.0, 9.999), _rng.uniform(-math.pi, math.pi))
+               for _ in range(400)]
 ORBIT_POINTS = [(-1.0 + 0j, 0.5 + 0j, 12), (-1.0 + 0j, 10 + 0j, 5), (-2.0 + 0j, 3 - 1j, 20),
                 (0.3 + 0.2j, 0j, 40), (-0.5 + 1j, 1 + 7j, 30), (-1.0 + 0j, 0.5 - 4j * math.pi, 3),
                 (-2.0 + 0j, -800 + 0j, 4)]
@@ -82,11 +80,11 @@ def _disks(disks) -> list[list]:
     return [[_hex(c), r.hex()] for c, r in disks]
 
 
-def _trap(a: complex, escape_re: float) -> dict:
-    trap = _basin_trap(a, escape_re)
+def _trap(a: complex) -> dict:
+    trap = _basin_trap(a)
     return {"level": None if trap is None else trap.level.hex(),
             "disks": [] if trap is None else _disks(trap.disks),
-            "chain": _disks(_trap_chain(a, escape_re))}
+            "chain": _disks(_trap_chain(a))}
 
 
 def record(cycles: list[tuple[complex, int, complex]]) -> dict:
@@ -96,7 +94,7 @@ def record(cycles: list[tuple[complex, int, complex]]) -> dict:
                         "out": _cycle(a, period, seed)} for a, period, seed in cycles],
         "exp_orbit": [[_hex(w) for w in exp_orbit(a, z, n)] for a, z, n in ORBIT_POINTS],
         "strip_itinerary": [strip_itinerary(a, z, n) for a, z, n in ORBIT_POINTS],
-        "trap": [_trap(a, escape_re) for a, escape_re in TRAP_CASES],
+        "trap": [_trap(a) for a in TRAP_CASES],
     }
 
 
