@@ -63,13 +63,14 @@ def test_usage_error_exits_2(capsys):
 
 
 # the arguments each subcommand requires, and the common flags it takes:
-# --format and --out everywhere, --tol, --budget and --seed where it reads them
+# --tol, --budget and --seed where it reads them, --out on render and on the
+# tstar and tmin that perfbench's cold starts pass it to
 REQUIRED = {"tstar": [CONST1], "tmin": [CONST1], "classify": [CONST1, "--t", "1"],
             "strata": [CONST1], "witness": [CONST1, "--n", "1"], "render": ["--a", "-1"],
             "cycle": ["--a", "-2", "--seed-point", "-2"], "verify": []}
-COMMON_FLAGS = {"tstar": set(), "tmin": {"--tol"}, "classify": {"--tol", "--budget"},
+COMMON_FLAGS = {"tstar": {"--out"}, "tmin": {"--tol", "--out"}, "classify": {"--tol", "--budget"},
                 "strata": {"--tol", "--budget"}, "witness": {"--tol", "--budget"},
-                "render": set(), "cycle": {"--budget"}, "verify": {"--tol", "--budget", "--seed"}}
+                "render": {"--out"}, "cycle": {"--budget"}, "verify": {"--tol", "--budget", "--seed"}}
 
 
 def test_each_subcommand_takes_only_the_common_flags_it_reads():
@@ -81,15 +82,17 @@ def test_each_subcommand_takes_only_the_common_flags_it_reads():
                             ("--format", "text"), ("--out", "x")):
             if not parser.parse_known_args([command, *required, flag, value])[1]:
                 taken[command].add(flag)
-    assert taken == {c: flags | {"--format", "--out"} for c, flags in COMMON_FLAGS.items()}
-    assert sum(map(len, taken.values())) == 27
+    assert taken == COMMON_FLAGS
+    assert sum(map(len, taken.values())) == 14
 
 
 # cycle's --seed is no abbreviation of its --seed-point
 @pytest.mark.parametrize("argv", [["render", "--a", "-1", "--escape-re", "50"],
                                   ["tstar", CONST1, "--seed", "0"],
                                   ["tstar", CONST1, "--budget", "0"],
-                                  ["cycle", "--a", "-2", "--seed-point", "-2", "--seed", "0"]])
+                                  ["cycle", "--a", "-2", "--seed-point", "-2", "--seed", "0"],
+                                  ["tmin", CONST1, "--format", "json"],
+                                  ["verify", "--out", "x"]])
 def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -117,6 +120,12 @@ def test_classify_examples(capsys):
 
     _, out = run(capsys, "classify", CONST0, "--t", "2")
     assert json.loads(out)["verdict"] == "escape_certified"
+
+
+def test_classify_budget_defaults_to_its_cap(capsys):
+    # a larger budget exits 2 (test_malformed_flags_exit_2_naming_them)
+    assert (run(capsys, "classify", CONST1, "--t", "1", "--budget", "4096")
+            == run(capsys, "classify", CONST1, "--t", "1"))
 
 
 def test_strata_membership_and_extension(capsys):
@@ -201,15 +210,9 @@ def test_subcommand_determinism(capsys):
     assert t1 == t2
 
 
-def test_text_format(capsys):
-    code, out = run(capsys, "tmin", CONST0, "--format", "text")
-    assert code == 0
-    assert "tmin:" in out
-
-
-def test_verify_default_passes_and_is_deterministic(tmp_path, capsys):
-    code1, out1 = run(capsys, "verify", "--seed", "3", "--out", str(tmp_path))
-    code2, out2 = run(capsys, "verify", "--seed", "3", "--out", str(tmp_path))
+def test_verify_default_passes_and_is_deterministic(capsys):
+    code1, out1 = run(capsys, "verify", "--seed", "3")
+    code2, out2 = run(capsys, "verify", "--seed", "3")
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
@@ -217,8 +220,8 @@ def test_verify_default_passes_and_is_deterministic(tmp_path, capsys):
     assert all(s["passed"] for s in report["suites"])
 
 
-def test_verify_unattainable_tolerance_fails_honestly(tmp_path, capsys):
-    code, out = run(capsys, "verify", "--tol", "1e-30", "--out", str(tmp_path))
+def test_verify_unattainable_tolerance_fails_honestly(capsys):
+    code, out = run(capsys, "verify", "--tol", "1e-30")
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
@@ -253,22 +256,13 @@ def test_values_starting_with_minus_reach_their_option(tmp_path, capsys):
     assert main(["strata", CONST1, "--extend", "-2,4"]) == 2
 
 
-def test_verify_creates_a_missing_out_directory(tmp_path, capsys):
-    out_dir = tmp_path / "not" / "yet"
-    code, out = run(capsys, "verify", "--seed", "0", "--out", str(out_dir))
-    assert code == 0 and json.loads(out)["passed"] is True
-    assert (out_dir / "verify_render.ppm").exists()
-
-
 def test_unusable_out_directory_exits_2_before_any_suite(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    for argv in (["verify", "--out", str(blocker / "sub")],
-                 ["render", "--a", "-1", "--px", "4x4", "--out", str(blocker)]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2, argv
-        assert captured.out == "" and captured.err.startswith("error: "), argv
+    code = main(["render", "--a", "-1", "--px", "4x4", "--out", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_render_creates_the_directory_of_its_path(tmp_path, capsys):
@@ -495,10 +489,19 @@ def test_rule_outputs_are_pinned(argv, digest, capsys):
 VERIFY_SEED0_SHA256 = "b00bd9433e60b8d8eb8fe3f1accd6dfdbb32b7f0c2903a4d83975037a207e7ad"
 
 
-def test_verify_seed0_report_is_pinned(tmp_path, capsys):
-    code, out = run(capsys, "verify", "--seed", "0", "--out", str(tmp_path))
+def test_verify_seed0_report_is_pinned(capsys):
+    code, out = run(capsys, "verify", "--seed", "0")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_SHA256
+
+
+def test_verify_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the renderer suite hashes its tiles in memory and writes them to the null device
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "verify", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_SHA256
+    assert list(tmp_path.iterdir()) == []
 
 
 FEXP3 = '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}'
@@ -583,6 +586,7 @@ def test_huge_const_tails_answer_like_their_periodic_twin(c, code, capsys):
     (["strata", FEXP10, "--alpha", "0,a"], "bad stratum index"),
     (["cycle", "--a", "zz", "--seed-point", "0"], "bad complex number"),
     (["render", "--a", "-1", "--viewport", "1,2,3"], "bad viewport: need four viewport bounds"),
+    (["classify", CONST1, "--t", "1", "--budget", "4097"], "classify's --budget is at most 4096"),
 ])
 def test_malformed_flags_exit_2_naming_them(argv, message, capsys):
     assert main(argv) == 2
@@ -590,13 +594,14 @@ def test_malformed_flags_exit_2_naming_them(argv, message, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
-def test_verify_text_report_marks_each_suite(tmp_path, capsys):
+def test_verify_report_marks_each_suite(capsys):
     # budget 1 stops the witness and extension searches: those suites fail
-    code, out = run(capsys, "verify", "--budget", "1", "--format", "text", "--out", str(tmp_path))
+    code, out = run(capsys, "verify", "--budget", "1")
     assert code == 1
-    lines = out.splitlines()
-    assert "pass  sandwich" in lines and "FAIL  extension" in lines
-    assert lines[-1] == "overall: FAIL"
+    report = json.loads(out)
+    passed = {s["name"]: s["passed"] for s in report["suites"]}
+    assert passed["sandwich"] is True and passed["extension"] is False
+    assert report["passed"] is False
 
 
 @pytest.mark.parametrize("module", ["expbouquet", "expbouquet.cli"])

@@ -134,10 +134,10 @@ CASES += NEAR_MISSES
 @pytest.mark.parametrize("suite, patches", CASES, ids=[
     f"{s}-{'-'.join(p)}" for s, p in CASES[:-len(NEAR_MISSES)]] + [
     f"{s}-1e-7" for s, _ in NEAR_MISSES])
-def test_each_suite_fails_when_its_invariant_breaks(suite, patches, monkeypatch, tmp_path):
+def test_each_suite_fails_when_its_invariant_breaks(suite, patches, monkeypatch):
     for name, make in patches.items():
         monkeypatch.setattr(verify, name, make())
-    report = getattr(verify, f"suite_{suite}")(RunConfig(out_dir=str(tmp_path)))
+    report = getattr(verify, f"suite_{suite}")(RunConfig())
     assert report["name"] == suite
     assert report["passed"] is False
     if "failures" in report["details"]:
@@ -148,9 +148,9 @@ def test_every_suite_has_a_breaking_case():
     assert {s for s, _ in CASES} == {fn.__name__.removeprefix("suite_") for fn in verify.ALL_SUITES}
 
 
-def test_sandwich_checks_only_finite_potentials(monkeypatch, tmp_path):
+def test_sandwich_checks_only_finite_potentials(monkeypatch):
     # a non-finite potential has no sandwich to check: none is counted, so too few are
     monkeypatch.setattr(verify, "potential", lambda seq, n: Interval(0.0, math.inf, False, True))
-    report = verify.suite_sandwich(RunConfig(out_dir=str(tmp_path)))
+    report = verify.suite_sandwich(RunConfig())
     assert report["passed"] is False
     assert report["details"]["checked"] == 0 and report["details"]["failures"] == []
