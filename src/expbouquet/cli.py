@@ -244,9 +244,8 @@ def _cmd_strata(args, cfg: RunConfig) -> int:
     alpha = _parse_alpha(args.alpha)
     if args.t is not None:
         t = _check_height(args.t)
-    else:
-        # only the computed midpoint is clamped: an enclosure may reach below 0
-        t = max(endpoint_height_enclosure(seq, cfg.tolerance).mid, 0.0)
+    else:  # the sandwich keeps the height enclosure, so its midpoint, at or above 0
+        t = endpoint_height_enclosure(seq, cfg.tolerance).mid
     point = ModelPoint(t, seq)
     member = in_stratum(alpha, point, cfg.tolerance, cfg.budget)
     payload: dict = {"alpha": alpha.to_json(), "t": point.t, "member": member.label()}

@@ -272,12 +272,16 @@ def _bounded_tail_escape_threshold(seq: SymbolSeq, n: int) -> float:
     return max(2.0, log1p_up(sum_up(3.0, 2.0 * a_max)))
 
 
-def _endpoint_certificate(x: ModelPoint, tol: float) -> Classification | None:
-    """ENDPOINT when t lies in a below-tolerance enclosure of the endpoint height."""
+def at_endpoint(x: ModelPoint, tol: float = DEFAULT_TOL) -> TriBool:
+    """The one endpoint test, asked by ``classify`` and ``strata.in_stratum``.
+
+    Unknown when the height enclosure is wider than tol, else whether
+    enc.lo - tol <= t <= enc.hi + tol; the enclosure is the evidence of every answer.
+    """
     enc = endpoint_height_enclosure(x.seq, tol)
-    if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:
-        return Classification(Verdict.ENDPOINT, evidence=enc)
-    return None
+    if enc.width > tol:
+        return TriBool.unknown(enc)
+    return TriBool(enc.lo - tol <= x.t <= enc.hi + tol, enc)
 
 
 def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Classification:
@@ -287,8 +291,8 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     a certifiably negative height (least such step is reported); a repeat;
     a height certifiably above the shifted potential + 1 together with a
     divergence certificate (escape).  If the orbit stays inconclusive, the
-    endpoint certificate is tried: the height must sit inside a below-tolerance
-    enclosure of the endpoint height.  Everything else is reported unknown with
+    endpoint certificate is tried: ``at_endpoint(x, tol)`` must answer yes, and
+    its height enclosure is the evidence.  Everything else is reported unknown with
     evidence, the orbit enclosure at the end of the budget.
 
     A repeat is a state (bounds and flags) met at an earlier step m under the
@@ -327,8 +331,8 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
             return Classification(Verdict.NOT_IN_JULIA, first_failing_step=n, evidence=t_iv)
         if not absorbed and t_iv.lo < 0.0 and t_iv.hi == math.inf:
             absorbed = True
-            if (found := _endpoint_certificate(x, tol)) is not None:
-                return found
+            if (found := at_endpoint(x, tol)).is_true:
+                return Classification(Verdict.ENDPOINT, evidence=found.evidence)
         if t_iv.lo == -math.inf and t_iv.hi == math.inf:
             break
         if period and n >= len(seq.prefix):
@@ -352,6 +356,6 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
         if n < budget:
             t_iv = growth_sub(t_iv, seq.entry(n + 1).abs_interval())
 
-    if not absorbed and (found := _endpoint_certificate(x, tol)) is not None:
-        return found
+    if not absorbed and (found := at_endpoint(x, tol)).is_true:
+        return Classification(Verdict.ENDPOINT, evidence=found.evidence)
     return Classification(Verdict.UNKNOWN, evidence=evidence)

@@ -142,7 +142,8 @@ def find_cycle(a: complex, period: int, seed: complex) -> CycleInfo:
     a = _check_param(a)
     if period < 1:
         raise ValueError("period must be >= 1")
-    z = complex(seed)
+    if not cmath.isfinite(z := complex(seed)):
+        raise ValueError(f"Newton seed {z} is not a finite complex number")
     best: tuple[list[complex], complex] | None = None
     best_res = math.inf
     prev_res = math.inf

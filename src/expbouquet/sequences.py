@@ -32,6 +32,7 @@ from .intervals import (
     expm1_down,
     growth_inv_pow,
     growth_net,
+    growth_sub,
     ln1p_sum,
     log1p_up,
     round_down,
@@ -483,7 +484,7 @@ class ConstTail(_BoundedTail):
         lo, hi = 0.0, log1p_up(a.hi) + 1.0
 
         def h_sign(t: float) -> int:
-            iv = Interval.point(t).growth() - a - Interval.point(t)
+            iv = growth_sub(Interval.point(t), a) - Interval.point(t)
             if iv.certainly_gt(0.0):
                 return 1
             if iv.certainly_lt(0.0):

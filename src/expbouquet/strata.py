@@ -10,6 +10,9 @@ min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 (certified exclusion from the closure of the child stratum) while keeping
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
 convergent family of these witnesses with verified margins.
+
+Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
+tolerance, for witnesses too; every witness depth search stops at ``DEPTH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     BudgetExceededError,
     ModelPoint,
     _memoised,
+    at_endpoint,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
@@ -42,6 +46,7 @@ from .sequences import (
 
 
 EXTRA_CLAIM_SHIFTS = 6
+DEPTH_BUDGET = 512  # the largest witness depth k any search tries
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,9 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
                budget: int = 100000) -> TriBool:
     """Certified membership of a model point in the stratum indexed by alpha.
 
-    Requires the escaping-endpoint certificate (the height sits in a
-    below-tolerance enclosure of the endpoint height, and the address's
-    shifted potentials diverge), then every threshold constraint of alpha,
+    Requires the escaping-endpoint certificate (the address's shifted
+    potentials diverge, and ``model.at_endpoint(x, tol)``, the one endpoint
+    test, answers yes), then every threshold constraint of alpha,
     decided finitely: explicit shifts up to the rule's stabilization index,
     the rest by the rule's certified tail behavior.
     """
@@ -139,12 +144,8 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
     escaping = is_escaping_endpoint_address(x.seq)
     if not escaping.is_true:
         return escaping
-
-    enc = endpoint_height_enclosure(x.seq, tol)
-    if enc.width > tol:
-        return TriBool.unknown(enc)
-    if x.t < enc.lo - tol or x.t > enc.hi + tol:
-        return TriBool.no(enc)
+    if not (endpoint := at_endpoint(x, tol)).is_true:
+        return endpoint
 
     for i in range(alpha.dom):
         tri = _threshold_holds_from(x.seq, alpha.entries[i], alpha.threshold(i), budget)
@@ -208,38 +209,31 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     return SymbolSeq(tuple(entries), tail)
 
 
-def least_witness_depth(seq: SymbolSeq, n: int, threshold: float,
-                        budget: int = 512) -> int:
-    """Least k >= 1 with a certified potential term F^-k |s_{n+k}| > threshold.
+def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
+    """Least k in 1..DEPTH_BUDGET with a certified potential term F^-k |s_{n+k}| > threshold.
 
-    Memoised per shift and threshold for every budget; a failed search keeps nothing.
+    Memoised per shift and threshold; a failed search raises and keeps nothing.
     """
-    failed = f"no certified witness depth at shift {n} for threshold {threshold}"
-
     def least(s: SymbolSeq) -> int:
-        for k in range(1, budget + 1):
+        for k in range(1, DEPTH_BUDGET + 1):
             if potential_term(s, n + k, k).certainly_gt(threshold):
                 return k
-        raise BudgetExceededError(failed)
-    depth = _memoised(seq, ("depth", n, threshold), least)
-    if depth > budget:
-        raise BudgetExceededError(failed)
-    return depth
+        raise BudgetExceededError(
+            f"no certified witness depth at shift {n} for threshold {threshold}")
+    return _memoised(seq, ("depth", n, threshold), least)
 
 
-def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int,
-                    budget: int = 512) -> list[int]:
+def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int) -> list[int]:
     """Witness depths below the extension index, each at its own segment threshold.
 
     Shifts below the first index entry carry no constraint; elsewhere the
     binding level is the deepest index entry at or below the shift.
     """
     levels = ((n, sum(1 for e in alpha.entries if e <= n) - 1) for n in range(n_ext))
-    return [least_witness_depth(base, n, alpha.threshold(i), budget) for n, i in levels if i >= 0]
+    return [least_witness_depth(base, n, alpha.threshold(i)) for n, i in levels if i >= 0]
 
 
-def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: int,
-                      budget: int = 10000) -> int:
+def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: int) -> int:
     """The cut index m = max{n + k_n : n in [n_ext, m_span]}.
 
     k_n is the least depth certifying a potential term above 3*dom + 2 at
@@ -250,11 +244,11 @@ def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: in
     if m_span < n_ext:
         raise ValueError("span must reach at least the extension index")
     threshold = alpha.threshold(alpha.dom)
-    below = max(_segment_depths(base, alpha, n_ext, budget), default=0)
+    below = max(_segment_depths(base, alpha, n_ext), default=0)
     if m_span < n_ext + below:
         raise ValueError(
             f"span {m_span} below the enforced minimum {n_ext + below}")
-    return max(n + least_witness_depth(base, n, threshold, budget)
+    return max(n + least_witness_depth(base, n, threshold)
                for n in range(n_ext, m_span + 1))
 
 
@@ -309,12 +303,12 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
                    budget: int = 100000) -> list[WitnessReport]:
     """A verified family of thinning witnesses for the child stratum at n_ext.
 
-    Each witness is checked: every shifted potential from its cut index on
-    exceeds 3*dom - 1 (one threshold certificate) and membership in the parent stratum is
-    certified (claim one); the potential at the cut index is at most 3*dom,
-    hence at least one below the closure bound 3*dom + 1 of the child stratum
-    (claim two).  Cut indices strictly increase, distances to the base
-    strictly decrease, and heights stay below the base height.  Distances sum entry
+    Each witness is checked: every shifted potential from its cut index on exceeds
+    3*dom - 1 (one threshold certificate) and membership in the parent stratum is
+    certified at tol, at the witness height's midpoint (claim one); the potential at
+    the cut index is at most 3*dom, hence at least one below the closure bound 3*dom + 1
+    of the child stratum (claim two).  Cut indices strictly increase, distances to the
+    base strictly decrease, and heights stay below the base height.  Distances sum entry
     gaps through index ``_DIST_HORIZON`` = 60 only: a cut index of 60 or more raises.
     """
     check_tolerance(tol)
@@ -355,9 +349,9 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
             raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
 
         height = endpoint_height_enclosure(witness, tol)
-        w_point = ModelPoint(max(height.mid, 0.0), witness)
-        # ... and membership in the parent stratum is certified
-        parent = in_stratum(alpha, w_point, max(tol, height.width * 4.0 + 1e-15), budget)
+        w_point = ModelPoint(height.mid, witness)
+        # ... and membership in the parent stratum is certified at the caller's tol
+        parent = in_stratum(alpha, w_point, tol, budget)
         if not parent.is_true:
             raise BudgetExceededError(f"parent-stratum membership not certified at m={m}")
         if height.lo > base_height.hi + tol:

@@ -187,6 +187,13 @@ def test_nan_parameter_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("error: parameter") == 2
     assert not (tmp_path / "escape.ppm").exists()
+    # a non-finite Newton seed is refused before any step, with one error line
+    for seed in ("nan", "inf", "1+nanj"):
+        assert main(["cycle", "--a", "-2", "--seed-point", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: Newton seed {complex(seed)} is not a finite complex number"]
 
 
 def test_non_finite_render_bounds_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ the exit-code rules of the command line:
 
 * the exit code is 0, 1 or 2, and no ``Traceback`` is printed;
 * exit 2 comes with an ``error:`` or ``usage:`` line on stderr;
+* a ``cycle`` with a non-finite ``--seed-point`` exits 2;
 * exit 1 comes with an ``error:`` line, ``"converged": false``,
   ``"no_convergence"`` or a failing ``verify`` report;
 * exit 0 prints JSON that parses.
@@ -19,6 +20,7 @@ Every CLI input named by a ``MENDED`` line of ``CHANGES.md`` is pinned as an
 ``@example``.
 """
 
+import cmath
 import contextlib
 import copy
 import gc
@@ -153,7 +155,8 @@ _STRATEGIES = {
                     _flag("--path", ["tile.ppm", "sub/dir/tile.ppm", "."]), _OUT),
     "cycle": _argv("cycle", [], st.sampled_from(_COMPLEX).map(lambda a: ["--a", a]),
                    _flag("--period", ["1", "2", "3", "0", "-1", "100000000", "x"]),
-                   st.sampled_from(["0", "-2", "0.3", "1e-320j", "nan", "1e308", "zz"]).map(
+                   st.sampled_from(["0", "-2", "0.3", "1e-320j", "nan", "inf", "1+nanj",
+                                    "1e308", "zz"]).map(
                        lambda z: ["--seed-point", z]), _BUDGET),
     "verify": _argv("verify", [], _flag("--seed", ["0", "1", "-1", "x"]), _TOL, _BUDGET),
 }
@@ -162,8 +165,20 @@ _STRATEGIES = {
 # --- the exit-code rules -------------------------------------------------------
 
 
+def _non_finite_seed(argv: list[str]) -> bool:
+    """Whether a ``cycle`` example's --seed-point parses to a non-finite complex number."""
+    if argv[0] != "cycle":
+        return False
+    try:
+        return not cmath.isfinite(complex(argv[argv.index("--seed-point") + 1]))
+    except ValueError:
+        return False
+
+
 def _check(argv: list[str], code: int, out: str, err: str) -> None:
     assert code in (0, 1, 2), (argv, code)
+    if _non_finite_seed(argv):
+        assert code == 2, (argv, code)
     assert "Traceback" not in out + err, argv
     err_lines = err.splitlines()
     if code == 2:
@@ -234,6 +249,8 @@ _seen: set[str] = set()
 @example(argv=["tstar", "[" * 50000 + "]" * 50000])
 @example(argv=["cycle", "--a", "0.3+0.2j", "--period", "100000000", "--seed-point", "0"])
 @example(argv=["render", "--a", "-1", "--px", "4x4", "--max-iter", "3000000000"])
+# a non-finite Newton seed ran Newton and exited 1
+@example(argv=["cycle", "--a", "-2", "--seed-point", "nan"])
 def _fuzz(argv: list[str]) -> None:
     _seen.add(argv[0])
     _check(argv, *_run(argv))

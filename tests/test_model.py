@@ -1,10 +1,12 @@
 """Model operations against independent oracles and the stated invariants."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -33,6 +35,7 @@ from expbouquet import (
 from expbouquet.intervals import (
     PIN_ARG,
     Interval,
+    TriBool,
     growth_inv_pow,
     growth_net,
     growth_sub,
@@ -51,6 +54,7 @@ from expbouquet.sequences import (
 )
 from expbouquet.verify import dominated_pair, random_sequence
 
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 LN2 = 0.6931471805599453
 LN6 = 1.791759469228055
 LN20 = 2.995732273553991
@@ -696,6 +700,61 @@ def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_r
             # from the terms of a sequence with no memo, then from the memo
             assert potential_above(SymbolSeq.from_json(descriptor), shift, r) is want, r
             assert potential_above(seq, shift, r) is want, r
+
+
+@given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}))
+@settings(max_examples=100, deadline=None)
+def test_every_height_enclosure_starts_at_or_above_zero(descriptor):
+    # the sandwich's lower end is the potential's, a hull of terms clamped at
+    # 0, so no height enclosure, nor its midpoint, is ever negative
+    enc = endpoint_height_enclosure(SymbolSeq.from_json(descriptor))
+    assert enc.lo >= 0.0 and enc.mid >= 0.0, enc
+
+
+def test_every_pool_height_enclosure_starts_at_or_above_zero():
+    descriptors = {}
+    for pool in sorted(POOLS.glob("*.json")):
+        for cell in json.loads(pool.read_text())["cells"].values():
+            for q in cell["queries"]:
+                if "seq" in q:
+                    descriptors[json.dumps(q["seq"], sort_keys=True)] = q["seq"]
+    assert descriptors
+    for descriptor in descriptors.values():
+        enc = endpoint_height_enclosure(SymbolSeq.from_json(descriptor))
+        assert enc.lo >= 0.0 and enc.mid >= 0.0, (descriptor, enc)
+
+
+def _inline_endpoint_tests(x: ModelPoint, tol: float) -> tuple[TriBool, bool]:
+    """The endpoint tests that in_stratum and classify wrote out before at_endpoint."""
+    enc = endpoint_height_enclosure(x.seq, tol)
+    if enc.width > tol:
+        member = TriBool.unknown(enc)
+    elif x.t < enc.lo - tol or x.t > enc.hi + tol:
+        member = TriBool.no(enc)
+    else:
+        member = TriBool(True, enc)
+    return member, enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"prefix": [], "tail": {"kind": "fexp", "c": 3}},
+    {"prefix": [0, 5], "tail": {"kind": "fexp", "c": 10}},
+    {"prefix": [], "tail": {"kind": "const", "c": 1}},
+    {"prefix": [2], "tail": {"kind": "periodic", "pattern": [1, -1]}},
+    {"prefix": [], "tail": {"kind": "linexp", "c": "1/2"}},
+])
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-20])
+def test_at_endpoint_agrees_with_the_inline_copies_at_both_tolerance_edges(descriptor, tol):
+    seq = SymbolSeq.from_json(descriptor)
+    enc = endpoint_height_enclosure(seq)
+    for edge in (enc.lo - tol, enc.hi + tol):
+        for t in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            if not 0.0 <= t < math.inf:
+                continue
+            x = ModelPoint(t, seq)
+            member, certified = _inline_endpoint_tests(x, tol)
+            assert model.at_endpoint(x, tol) == member, (t, tol)
+            assert model.at_endpoint(x, tol).is_true is certified
 
 
 @dataclass(frozen=True)

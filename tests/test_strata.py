@@ -160,7 +160,7 @@ def test_one_query_nests_each_sequence_once(monkeypatch):
     monkeypatch.setattr(model, "_descend", counting_descend)
     monkeypatch.setattr(model, "_potential_terms", counting_terms)
     seq = fexp_seq(3)
-    point = ModelPoint(max(endpoint_height_enclosure(seq).mid, 0.0), seq)
+    point = ModelPoint(endpoint_height_enclosure(seq).mid, seq)
     assert in_stratum(AlphaIndex((0,)), point).is_true
     assert extension_index(AlphaIndex((0,)), point, 0) >= 1
     assert len(descends) == 1
@@ -211,33 +211,33 @@ def test_a_memoised_witness_depth_answers_only_its_own_threshold():
     assert least_witness_depth(seq, 2, 5.0) == 1
 
 
-def test_a_witness_depth_is_searched_once_under_every_budget(monkeypatch):
+def test_a_witness_depth_is_searched_once(monkeypatch):
     # at shift 0 the first term is F^-1(|s_1|) = 0 and the second F^-2(1000) ~ 2.07
     seq = SymbolSeq.from_json({"prefix": [0, 0, 1000], "tail": {"kind": "fexp", "c": 3}})
+    monkeypatch.setattr(strata, "DEPTH_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="shift 0 for threshold 1.5"):
-        least_witness_depth(seq, 0, 1.5, 1)
-    assert least_witness_depth(seq, 0, 1.5, 512) == 2
+        least_witness_depth(seq, 0, 1.5)
+    monkeypatch.setattr(strata, "DEPTH_BUDGET", 512)
+    # the failed search kept nothing: the depth is searched again, and kept
+    assert least_witness_depth(seq, 0, 1.5) == 2
     terms = []
     real = strata.potential_term
     monkeypatch.setattr(strata, "potential_term", lambda *a: terms.append(a) or real(*a))
-    assert least_witness_depth(seq, 0, 1.5, 10000) == 2
-    # a budget below the known depth raises, as a fresh search would
-    with pytest.raises(BudgetExceededError, match="shift 0 for threshold 1.5"):
-        least_witness_depth(seq, 0, 1.5, 1)
+    assert least_witness_depth(seq, 0, 1.5) == 2
     assert terms == []
 
 
-def test_witness_family_searches_each_depth_once_under_both_budgets(monkeypatch):
-    # _segment_depths asks below the extension index with budget 512, and
-    # witness_cut_index asks the same shifts and thresholds with 10000
+def test_witness_family_searches_each_depth_once(monkeypatch):
+    # _segment_depths asks below the extension index, and witness_cut_index
+    # asks the same shifts and thresholds again for every member
     asking, keep, searches = [], [], Counter()
     real_depth, real_term = strata.least_witness_depth, strata.potential_term
 
-    def depth(seq, n, threshold, *budget):
+    def depth(seq, n, threshold):
         keep.append(seq)  # alive, so ids stay unique
         asking.append((id(seq), n, threshold))
         try:
-            return real_depth(seq, n, threshold, *budget)
+            return real_depth(seq, n, threshold)
         finally:
             asking.pop()
 
@@ -270,7 +270,7 @@ def test_cut_index_enforces_span_floor():
 def test_cut_index_fails_on_non_member():
     # a bounded address can never witness terms above the child threshold
     with pytest.raises(BudgetExceededError):
-        witness_cut_index(const_seq(1), AlphaIndex((0,)), 0, 1, budget=64)
+        witness_cut_index(const_seq(1), AlphaIndex((0,)), 0, 1)
 
 
 def test_witness_structure_over_tower_base():
@@ -739,6 +739,25 @@ def _only_for_witness_points(real, answer):
 ])
 def test_witness_family_raises_when_a_certificate_fails(name, stand_in, message, monkeypatch):
     point = endpoint_of(fexp_seq(10))
-    monkeypatch.setattr(strata, name, stand_in(getattr(strata, name)))
+    # a witness height is read in strata and, by the endpoint test, in model
+    for module in (strata, model) if name == "endpoint_height_enclosure" else (strata,):
+        monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
     with pytest.raises(BudgetExceededError, match=message):
+        witness_family(point, AlphaIndex((0,)), 1, 3)
+
+
+def test_a_witness_height_wider_than_tol_is_no_certified_parent_member(monkeypatch):
+    # parent membership is asked at the caller's tol, so a witness height
+    # enclosure 2e-6 wide (> DEFAULT_TOL) leaves it unknown; it was asked at
+    # max(tol, 4 * width + 1e-15), which let any width through
+    def widened(real):
+        def enclosure(seq, *args):
+            enc = real(seq, *args)
+            return Interval(enc.lo - 1e-6, enc.hi + 1e-6) if seq.prefix else enc
+        return enclosure
+    point = endpoint_of(fexp_seq(10))
+    for module in (strata, model):
+        monkeypatch.setattr(module, "endpoint_height_enclosure",
+                            widened(module.endpoint_height_enclosure))
+    with pytest.raises(BudgetExceededError, match="parent-stratum membership not certified"):
         witness_family(point, AlphaIndex((0,)), 1, 3)
