@@ -20,6 +20,7 @@ takes over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,6 +92,19 @@ def _potential_terms(seq: SymbolSeq, shift: int):
             return
 
 
+@functools.lru_cache(maxsize=256)
+def _tail_seq(rule) -> SymbolSeq:
+    return SymbolSeq((), rule)
+
+
+def _hull_slot(seq: SymbolSeq, shift: int) -> tuple:
+    """The memo slot (sequence, key, computation) of potential(seq, shift)'s hull: past the
+    prefix, shift 0 of the shifted rule's pure tail (``_tail_seq``), with the same terms."""
+    p = len(seq.prefix)
+    home, at = (seq, shift) if shift < p else (_tail_seq(seq.tail.shifted(p, shift)), 0)
+    return home, ("potential", at), lambda s: Interval.sup_hull(list(_potential_terms(s, at)))
+
+
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     """Certified enclosure of the shifted potential sup_{k>=1} F^-k |s_{shift+k}|.
 
@@ -98,7 +112,7 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     into the tail until the tail rule's ``closing_terms`` close the hull
     (constant/periodic terms only decrease; tower terms all live in one floor
     window; ramp terms fall under a certified decreasing envelope).  A sequence
-    builds the hull at each shift once and keeps it in its memo.
+    keeps the hull at each shift in its memo, built once (``_hull_slot``).
 
     Past the prefix a bounded tail closes within one pattern, a tower within
     EXTRA_TERMS and a ramp within about 1,600 terms (rate 1/10000).  The hull
@@ -111,16 +125,18 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     log1p_up(x) <= x, so the term stays below cut and the hull keeps its ends and
     flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
     """
-    return _memoised(seq, ("potential", shift),
-                     lambda s: Interval.sup_hull(list(_potential_terms(s, shift))))
+    return _memoised(seq, ("potential", shift), lambda s: _memoised(*_hull_slot(s, shift)))
 
 
 def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
-    """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
+    """``potential(seq, shift).certainly_gt(r)``, from a memo or the first term that settles it.
 
     ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
     """
     hull = seq._memo.get(("potential", shift))
+    if hull is None:
+        home, key, _ = _hull_slot(seq, shift)
+        hull = home._memo.get(key)
     if hull is not None:
         return hull.certainly_gt(r)
     return any(t.certainly_gt(r) for t in _potential_terms(seq, shift))
@@ -275,8 +291,9 @@ def _bounded_tail_escape_threshold(seq: SymbolSeq, n: int) -> float:
 def at_endpoint(x: ModelPoint, tol: float = DEFAULT_TOL) -> TriBool:
     """The one endpoint test, asked by ``classify`` and ``strata.in_stratum``.
 
-    Unknown when the height enclosure is wider than tol, else whether
-    enc.lo - tol <= t <= enc.hi + tol; the enclosure is the evidence of every answer.
+    Unknown when the height enclosure is wider than tol, else whether enc.lo - tol <= t <=
+    enc.hi + tol, so a yes puts t within enc.width + tol <= 2 tol of the endpoint height, not
+    within tol; the enclosure is the evidence of every answer.
     """
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
@@ -290,10 +307,10 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     Certificates, in the order they can fire while scanning the orbit:
     a certifiably negative height (least such step is reported); a repeat;
     a height certifiably above the shifted potential + 1 together with a
-    divergence certificate (escape).  If the orbit stays inconclusive, the
-    endpoint certificate is tried: ``at_endpoint(x, tol)`` must answer yes, and
-    its height enclosure is the evidence.  Everything else is reported unknown with
-    evidence, the orbit enclosure at the end of the budget.
+    divergence certificate (escape).  If the orbit stays inconclusive, the endpoint
+    certificate is tried: ``at_endpoint(x, tol)`` must answer yes (t within 2 tol of the
+    endpoint height, not tol), and its height enclosure is the evidence.  Everything else
+    is reported unknown with evidence, the orbit enclosure at the end of the budget.
 
     A repeat is a state (bounds and flags) met at an earlier step m under the
     same shifted sequence: a step depends only on these (a signed zero takes

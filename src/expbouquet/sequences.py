@@ -426,6 +426,9 @@ class _BoundedTail:
 
     asymptotics = Asymptotics.BOUNDED
 
+    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+        return p, self.height()
+
     @functools.cached_property
     def entries(self) -> tuple[IntEntry, ...]:
         """The entries of one period, built once with the rule."""
@@ -476,23 +479,21 @@ class ConstTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
 
-    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+    # the pattern alone sets it: a memo per rule class, keyed by the rule, so built once per rule
+    @functools.lru_cache(maxsize=256)
+    def height(self) -> Interval:
         """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
         a = self.abs_intervals()[0]
         if a.hi == 0.0:
-            return p, Interval.point(0.0)
+            return Interval.point(0.0)
         lo, hi = 0.0, log1p_up(a.hi) + 1.0
 
         def h_sign(t: float) -> int:
             iv = growth_sub(Interval.point(t), a) - Interval.point(t)
-            if iv.certainly_gt(0.0):
-                return 1
-            if iv.certainly_lt(0.0):
-                return -1
-            return 0
+            return 1 if iv.certainly_gt(0.0) else -1 if iv.certainly_lt(0.0) else 0
 
         if h_sign(hi) <= 0:  # F(hi) saturates for |c| near the double range
-            return PeriodicTail(self.pattern).nesting_anchor(p)
+            return PeriodicTail(self.pattern).height()
         for _ in range(160):
             mid = 0.5 * (lo + hi)
             s = h_sign(mid)
@@ -502,7 +503,7 @@ class ConstTail(_BoundedTail):
                 lo = mid
             else:
                 hi = mid
-        return p, Interval(lo, hi)
+        return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -526,10 +527,11 @@ class PeriodicTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}
 
-    def nesting_anchor(self, p: int) -> tuple[int, Interval]:
+    @functools.lru_cache(maxsize=256)
+    def height(self) -> Interval:
         """The pure tail's height, by contracting interval sweeps over one period."""
         if all(v == 0 for v in self.pattern):
-            return p, Interval.point(0.0)
+            return Interval.point(0.0)
         pats = self.abs_intervals()
         L = len(pats)
         upper = log1p_up(self.abs_bound()) + 1.0
@@ -540,7 +542,7 @@ class PeriodicTail(_BoundedTail):
                 w[r] = (pats[(r + 1) % L] + w[(r + 1) % L]).ln1p()
             if max(iv.width for iv in w) < goal:
                 break
-        return p, w[0]
+        return w[0]
 
 
 # explicit tail terms of a tower potential before its floor window closes the hull
@@ -700,16 +702,7 @@ class LinExpTail:
         2^-64 (a few dozen levels at rate 1/10000), or a >= OVERFLOW_GUARD: there F(a).lo
         saturates, but (2 + U) e^-a <= (4 + 2a) e^-a is far below 2^-64.
         """
-        n = max(p, 1)
-        shrink = 1.0  # upper bound of the product of slopes below level n
-        while True:
-            a = Interval.from_fraction(self.arg(n))
-            u_hi = round_up(float(self.arg(n + 1)) + 2.0)
-            corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
-            if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
-                return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
-            shrink = round_up(shrink / sum_down(1.0, self.entry_at(p, n).abs_interval().lo))
-            n += 1
+        return _ramp_anchor(self.rate.numerator, self.rate.denominator, self.offset, max(p, 1))
 
     def thin(self, p: int, m: int, cap_c: int, n: int) -> "LinExpTail | None":
         """This rule from index n on once ceil(F(arg)) stays below the thinning cap, else None."""
@@ -721,6 +714,21 @@ class LinExpTail:
                                 Interval.from_fraction(self.rate).hi, growth_net(cap_c, n - m - 1)):
             return self
         return None
+
+
+# keyed by ints, as _ramp_entry: the anchor depends on the rate, the offset and max(p, 1) alone
+@functools.lru_cache(maxsize=256)
+def _ramp_anchor(num: int, den: int, offset: int, n: int) -> tuple[int, Interval]:
+    rule = LinExpTail(Fraction(num, den), offset)
+    shrink = 1.0  # upper bound of the product of slopes below level n
+    while True:
+        a = Interval.from_fraction(rule.arg(n))
+        u_hi = round_up(float(rule.arg(n + 1)) + 2.0)
+        corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
+        if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
+            return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
+        shrink = round_up(shrink / sum_down(1.0, rule.entry_at(0, n).abs_interval().lo))
+        n += 1
 
 
 # ---------------------------------------------------------------------------

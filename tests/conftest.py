@@ -11,6 +11,26 @@ import math
 import mpmath as mp
 import pytest
 
+from expbouquet import model, sequences
+
+# the process-wide memos of tail-rule work, and the ramp entries their anchors build
+RULE_MEMOS = (sequences.ConstTail.height, sequences.PeriodicTail.height,
+              sequences._ramp_anchor, sequences._ramp_entry, model._tail_seq)
+
+
+def clear_rule_memos() -> None:
+    for memo in RULE_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def empty_rule_memos():
+    """The tail-rule memos, emptied before and after the test, so that a test
+    that counts work meets its bound without an earlier test's warm memo."""
+    clear_rule_memos()
+    yield
+    clear_rule_memos()
+
 
 def bisect_root(f, lo: float, hi: float, steps: int = 200) -> float:
     """Plain bisection oracle; f(lo) and f(hi) must straddle zero."""

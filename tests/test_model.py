@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_encloses, mp_growth, mp_growth_inv
+from conftest import assert_encloses, clear_rule_memos, mp_growth, mp_growth_inv
 from expbouquet import (
     Classification,
     DescriptorError,
@@ -401,7 +401,8 @@ SETTLED_ORBITS = [
 
 
 @pytest.mark.parametrize("seq, tol, max_steps, want", SETTLED_ORBITS)
-def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, monkeypatch):
+def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, monkeypatch,
+                                                      empty_rule_memos):
     # at a bounded-tail endpoint the orbit enclosure settles on a fixed
     # [lo, inf), lo < 0, or on a cycle of them; the rest of the 4096-step scan
     # would repeat it
@@ -413,7 +414,7 @@ def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, 
     assert len(steps) <= max_steps
 
 
-def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch):
+def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch, empty_rule_memos):
     # the escape floor of a rate-1/10000 ramp lies near shift 6,930, so no orbit
     # step within the budget asks for its potential (the full scan makes 131 calls)
     calls = []
@@ -702,6 +703,115 @@ def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_r
             assert potential_above(seq, shift, r) is want, r
 
 
+# -- tail-rule memos: bounded and ramp anchors, pure-tail hulls ----------------
+
+SWEEP_PREFIXES = ([], [4], [-2, 0], [7, -1, 30])
+
+
+def _sweep_tails(kind: str, p: int):
+    """The sweep's tail rules of one kind after a prefix of length p."""
+    if kind == "const":
+        yield from ({"kind": "const", "c": c} for c in range(-40, 41))
+    if kind == "periodic":  # every pattern, so every rotation of each
+        for n in (1, 2, 3):
+            yield from ({"kind": "periodic", "pattern": list(pat)}
+                        for pat in itertools.product(range(-3, 4), repeat=n))
+    if kind == "fexp":
+        for c in range(1, 10):
+            yield from ({"kind": "fexp", "c": c}, {"kind": "fexp", "c": c, "anchor": p - 3})
+    if kind == "linexp":
+        for rate in ("1/10000", "1/10", "1/4", "2", "3"):
+            yield from ({"kind": "linexp", "c": rate, "offset": offset} for offset in range(4))
+
+
+def _anchor_bits(anchor) -> tuple:
+    level, state = anchor
+    if isinstance(state, Interval):
+        return level, _bits(state)
+    return level, state.base, state.height, _bits(state.delta)
+
+
+def _rule_quantities(seq: SymbolSeq, cold: dict | None = None) -> list:
+    """The bits of every potential at shifts 0..p+6, of the height and of the nesting anchor.
+
+    With ``cold``, each is computed on a fresh sequence after the memos are cleared, once
+    per address it depends on (a potential at shift k on the address from k on) and kept
+    in ``cold``, so the prefixes of one tail share the cold hulls of their shared tails.
+    """
+    p = len(seq.prefix)
+    descriptor = json.dumps(seq.to_json())
+    calls = [(json.dumps(seq.shift(k).to_json()), "potential",
+              lambda s, k=k: _bits(potential(s, k))) for k in range(p + 7)]
+    calls += [(descriptor, "height", lambda s: _bits(endpoint_height_enclosure(s))),
+              (descriptor, "anchor", lambda s: _anchor_bits(s.tail.nesting_anchor(p)))]
+    if cold is None:
+        return [call(seq) for _, _, call in calls]
+    out = []
+    for key in calls:
+        if key[:2] not in cold:
+            clear_rule_memos()
+            cold[key[:2]] = key[2](SymbolSeq.from_json(seq.to_json()))
+        out.append(cold[key[:2]])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["const", "periodic", "fexp", "linexp"])
+def test_memoised_rule_work_equals_work_with_the_memos_cleared(kind, empty_rule_memos):
+    # the warm pass runs every prefix of a tail in turn, so the shifted rules,
+    # bounded heights and ramp anchors of one prefix answer the next
+    seqs = [SymbolSeq.from_json({"prefix": prefix, "tail": tail})
+            for tails in zip(*(_sweep_tails(kind, len(prefix)) for prefix in SWEEP_PREFIXES))
+            for prefix, tail in zip(SWEEP_PREFIXES, tails)]
+    warm = [_rule_quantities(seq) for seq in seqs]
+    assert model._tail_seq.cache_info().hits > 0
+    cold: dict = {}
+    for seq, got in zip(seqs, warm):
+        assert got == _rule_quantities(seq, cold), seq
+
+
+@pytest.mark.parametrize("memo, fill", [
+    (ConstTail.height, lambda k: ConstTail(k).nesting_anchor(0)),
+    (PeriodicTail.height, lambda k: PeriodicTail((k, 1)).nesting_anchor(0)),
+    (sequences._ramp_anchor, lambda k: LinExpTail(Fraction(1), k).nesting_anchor(0)),
+    (model._tail_seq, lambda k: potential(const_seq(k))),
+])
+def test_rule_memo_holds_at_most_its_bound(memo, fill, empty_rule_memos):
+    size = memo.cache_parameters()["maxsize"]
+    for k in range(size + 8):
+        fill(k)
+    info = memo.cache_info()
+    assert info.misses == size + 8 and info.currsize == size
+
+
+def test_rule_memos_share_equal_rules_and_keep_unequal_ones_apart(empty_rule_memos):
+    # ConstTail(3) and PeriodicTail((3,)) have equal entries, but their heights
+    # come from a bisection and from interval sweeps, and differ
+    const, periodic = ConstTail(3), PeriodicTail((3,))
+    assert const.nesting_anchor(0)[1] != periodic.nesting_anchor(0)[1]
+    assert ConstTail.height.cache_info().currsize == PeriodicTail.height.cache_info().currsize == 1
+    potential(SymbolSeq((), const)), potential(SymbolSeq((), periodic))
+    assert model._tail_seq.cache_info().currsize == 2
+    # the rotations of one pattern have heights and hulls of their own
+    rotations = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+    assert len({PeriodicTail(pat).nesting_anchor(0)[1] for pat in rotations}) == 3
+    assert len({potential(periodic_seq(pat)) for pat in rotations}) == 3
+    assert PeriodicTail.height.cache_info().currsize == 4
+    assert model._tail_seq.cache_info().currsize == 5
+    # equal rules share an entry: a bounded tail shifted past its prefix, and
+    # below, ramp anchors for p = 0 and 1 (both start at level 1), with equal
+    # rates written apart
+    hits = model._tail_seq.cache_info().hits
+    assert potential(const_seq(3, (1, 2)), 2) is potential(SymbolSeq((), const))
+    assert potential(periodic_seq((1, 2, 3), (5,)), 2) is potential(periodic_seq((2, 3, 1)))
+    assert model._tail_seq.cache_info().hits == hits + 4
+    # a ramp whose seed holds at the first level: level max(p, 1) - 1
+    ramp = LinExpTail(Fraction(1), 100)
+    same_rate = LinExpTail(Fraction(2, 2), 100)
+    assert ramp.nesting_anchor(0) is ramp.nesting_anchor(1) is same_rate.nesting_anchor(1)
+    assert ramp.nesting_anchor(2)[0] == 1 and ramp.nesting_anchor(1)[0] == 0
+    assert sequences._ramp_anchor.cache_info().currsize == 2
+
+
 @given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}))
 @settings(max_examples=100, deadline=None)
 def test_every_height_enclosure_starts_at_or_above_zero(descriptor):
@@ -772,16 +882,15 @@ def test_threshold_check_reads_the_closing_terms():
     assert potential(seq, 0) == Interval(5.0, 6.0, True, False)
 
 
-def test_ramp_height_builds_few_entries():
+def test_ramp_height_builds_few_entries(empty_rule_memos):
     # 18 misses; a walk from the level where the ramp argument reaches 80
     # visits 320 levels, more than the 256-entry ramp memo holds, and misses
     # on every one
-    sequences._ramp_entry.cache_clear()
     endpoint_height(linexp_seq("1/4"))
     assert sequences._ramp_entry.cache_info().misses <= 100
 
 
-def test_slow_ramp_potential_takes_linear_steps(monkeypatch):
+def test_slow_ramp_potential_takes_linear_steps(monkeypatch, empty_rule_memos):
     # 1600-odd terms before the envelope closes: 4,802 steps, where every
     # term stepped to its full depth takes 1,284,002
     steps = [0]
