@@ -97,12 +97,11 @@ def _tail_seq(rule) -> SymbolSeq:
     return SymbolSeq((), rule)
 
 
-def _hull_slot(seq: SymbolSeq, shift: int) -> tuple:
-    """The memo slot (sequence, key, computation) of potential(seq, shift)'s hull: past the
-    prefix, shift 0 of the shifted rule's pure tail (``_tail_seq``), with the same terms."""
+def _hull_home(seq: SymbolSeq, shift: int) -> tuple[SymbolSeq, int]:
+    """The sequence and shift whose memo keeps potential(seq, shift)'s hull: below the
+    prefix its own, past it shift 0 of the shifted rule's pure tail, with the same terms."""
     p = len(seq.prefix)
-    home, at = (seq, shift) if shift < p else (_tail_seq(seq.tail.shifted(p, shift)), 0)
-    return home, ("potential", at), lambda s: Interval.sup_hull(list(_potential_terms(s, at)))
+    return (seq, shift) if shift < p else (_tail_seq(seq.tail.shifted(p, shift)), 0)
 
 
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
@@ -111,8 +110,9 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     Finitely determined: terms are evaluated explicitly through the prefix and
     into the tail until the tail rule's ``closing_terms`` close the hull
     (constant/periodic terms only decrease; tower terms all live in one floor
-    window; ramp terms fall under a certified decreasing envelope).  A sequence
-    keeps the hull at each shift in its memo, built once (``_hull_slot``).
+    window; ramp terms fall under a certified decreasing envelope).  Each hull
+    is built once and kept in one memo slot (``_hull_home``): below the prefix
+    in the sequence's memo, past it in the memo of the shifted rule's pure tail.
 
     Past the prefix a bounded tail closes within one pattern, a tower within
     EXTRA_TERMS and a ramp within about 1,600 terms (rate 1/10000).  The hull
@@ -125,21 +125,20 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     log1p_up(x) <= x, so the term stays below cut and the hull keeps its ends and
     flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
     """
-    return _memoised(seq, ("potential", shift), lambda s: _memoised(*_hull_slot(s, shift)))
+    home, at = _hull_home(seq, shift)
+    return _memoised(home, ("potential", at),
+                     lambda s: Interval.sup_hull(list(_potential_terms(s, at))))
 
 
 def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
-    """``potential(seq, shift).certainly_gt(r)``, from a memo or the first term that settles it.
+    """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
 
     ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
     """
-    hull = seq._memo.get(("potential", shift))
-    if hull is None:
-        home, key, _ = _hull_slot(seq, shift)
-        hull = home._memo.get(key)
-    if hull is not None:
+    home, at = _hull_home(seq, shift)
+    if (hull := home._memo.get(("potential", at))) is not None:
         return hull.certainly_gt(r)
-    return any(t.certainly_gt(r) for t in _potential_terms(seq, shift))
+    return any(t.certainly_gt(r) for t in _potential_terms(home, at))
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:

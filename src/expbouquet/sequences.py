@@ -479,7 +479,7 @@ class ConstTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
 
-    # the pattern alone sets it: a memo per rule class, keyed by the rule, so built once per rule
+    # the constant alone sets it: a memo keyed by the rule, so built once per constant
     @functools.lru_cache(maxsize=256)
     def height(self) -> Interval:
         """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
@@ -527,7 +527,6 @@ class PeriodicTail(_BoundedTail):
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}
 
-    @functools.lru_cache(maxsize=256)
     def height(self) -> Interval:
         """The pure tail's height, by contracting interval sweeps over one period."""
         if all(v == 0 for v in self.pattern):
@@ -689,6 +688,7 @@ class LinExpTail:
         n = max(start, math.ceil(Fraction(round_up(threshold)) / self.rate) - 1 - self.offset)
         return n if n - start < 400000 else None
 
+    @functools.lru_cache(maxsize=256)
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         """Level n - 1 and the seed arg(n) + [0, (2 + U)/(1 + F(arg(n)).lo)) of its height.
 
@@ -702,7 +702,16 @@ class LinExpTail:
         2^-64 (a few dozen levels at rate 1/10000), or a >= OVERFLOW_GUARD: there F(a).lo
         saturates, but (2 + U) e^-a <= (4 + 2a) e^-a is far below 2^-64.
         """
-        return _ramp_anchor(self.rate.numerator, self.rate.denominator, self.offset, max(p, 1))
+        n = max(p, 1)
+        shrink = 1.0  # upper bound of the product of slopes below level n
+        while True:
+            a = Interval.from_fraction(self.arg(n))
+            u_hi = round_up(float(self.arg(n + 1)) + 2.0)
+            corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
+            if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
+                return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
+            shrink = round_up(shrink / sum_down(1.0, self.entry_at(p, n).abs_interval().lo))
+            n += 1
 
     def thin(self, p: int, m: int, cap_c: int, n: int) -> "LinExpTail | None":
         """This rule from index n on once ceil(F(arg)) stays below the thinning cap, else None."""
@@ -716,21 +725,6 @@ class LinExpTail:
         return None
 
 
-# keyed by ints, as _ramp_entry: the anchor depends on the rate, the offset and max(p, 1) alone
-@functools.lru_cache(maxsize=256)
-def _ramp_anchor(num: int, den: int, offset: int, n: int) -> tuple[int, Interval]:
-    rule = LinExpTail(Fraction(num, den), offset)
-    shrink = 1.0  # upper bound of the product of slopes below level n
-    while True:
-        a = Interval.from_fraction(rule.arg(n))
-        u_hi = round_up(float(rule.arg(n + 1)) + 2.0)
-        corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
-        if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
-            return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
-        shrink = round_up(shrink / sum_down(1.0, rule.entry_at(0, n).abs_interval().lo))
-        n += 1
-
-
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -742,7 +736,7 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # model.py's potential hull per shift and height, strata.py's witness depths
+    # model.py's hulls below the prefix (a pure tail's: shift 0) and height, strata.py's depths
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

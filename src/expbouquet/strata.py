@@ -320,6 +320,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         raise ValueError("witness_family requires certified membership in the child stratum")
     if count == 0:
         return []
+    if n_ext > max(budget, _DIST_HORIZON):  # a depth search per shift below n_ext, and m > n_ext
+        raise BudgetExceededError(f"extension index {n_ext} exceeds the budget {budget}")
 
     base = base_point.seq
     bound = 3.0 * alpha.dom

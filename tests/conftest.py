@@ -3,7 +3,10 @@
 The oracles here are deliberately independent of the library's own interval
 code: plain-float bisection, mpmath high-precision evaluation, and brute
 enumeration.  Expected values asserted in the tests were computed with these
-and frozen.
+and frozen.  ``RULE_MEMOS`` lists the process-wide memos of tail-rule work that
+tests counting work empty first: a constant tail's height, a ramp's nesting
+anchor, the pure tails whose memos keep the potential hulls past a prefix, and
+the ramp entries the anchors build.
 """
 
 import math
@@ -13,9 +16,8 @@ import pytest
 
 from expbouquet import model, sequences
 
-# the process-wide memos of tail-rule work, and the ramp entries their anchors build
-RULE_MEMOS = (sequences.ConstTail.height, sequences.PeriodicTail.height,
-              sequences._ramp_anchor, sequences._ramp_entry, model._tail_seq)
+RULE_MEMOS = (sequences.ConstTail.height, sequences.LinExpTail.nesting_anchor,
+              sequences._ramp_entry, model._tail_seq)
 
 
 def clear_rule_memos() -> None:
@@ -80,6 +82,8 @@ def const1_height_oracle() -> float:
     return bisect_root(lambda t: math.exp(t) - t - 2.0, 0.5, 2.0)
 
 
-def assert_encloses(interval, value: float, slack: float = 1e-12) -> None:
-    assert interval.lo - slack <= value <= interval.hi + slack, \
-        f"{value} outside {interval}"
+def assert_encloses(interval, value, slack: float = 0.0) -> None:
+    """The interval's ends, read exactly as mpmath numbers, hold value to within slack."""
+    with mp.workdps(80):
+        assert mp.mpf(interval.lo) - slack <= value <= mp.mpf(interval.hi) + slack, \
+            f"{value} outside {interval}"

@@ -9,6 +9,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -562,6 +563,22 @@ def test_exhausted_budget_exits_1_with_a_message(alpha, capsys):
     assert captured.err == "error: explicit threshold window exceeds budget\n"
 
 
+FEXP9 = '{"prefix": [], "tail": {"kind": "fexp", "c": 9}}'
+
+
+@pytest.mark.parametrize("alpha, n", [("0", "3000000"), ("0", "1000000000000"),
+                                      ("0,1000000000000", "1000000000001")])
+def test_witness_past_the_budget_exits_1_at_once(alpha, n, capsys):
+    # each shift below n would cost a depth search, and every cut index exceeds
+    # n, past the distance horizon: an n above the budget stops before either
+    start = time.perf_counter()
+    assert main(["witness", FEXP9, "--alpha", alpha, "--n", n]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: extension index {n} exceeds the budget 100000\n"
+
+
 def test_uncertified_answers_reach_no_traceback():
     proc = subprocess.run([sys.executable, "-m", "expbouquet", "strata", RAMP_QUARTER,
                            "--alpha", "0", "--budget", "1"], capture_output=True, text=True,
@@ -609,6 +626,10 @@ def test_verify_report_marks_each_suite(capsys):
     passed = {s["name"]: s["passed"] for s in report["suites"]}
     assert passed["sandwich"] is True and passed["extension"] is False
     assert report["passed"] is False
+    # extension indices 1, 2 and 5 lie below the distance horizon: the threshold scan stops them
+    witness = next(s for s in report["suites"] if s["name"] == "witness_claims")
+    assert {f["error"] for f in witness["details"]["failures"]} == {
+        "explicit threshold window exceeds budget"}
 
 
 @pytest.mark.parametrize("module", ["expbouquet", "expbouquet.cli"])

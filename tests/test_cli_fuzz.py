@@ -251,6 +251,9 @@ _seen: set[str] = set()
 @example(argv=["render", "--a", "-1", "--px", "4x4", "--max-iter", "3000000000"])
 # a non-finite Newton seed ran Newton and exited 1
 @example(argv=["cycle", "--a", "-2", "--seed-point", "nan"])
+# an extension index far above the budget ran one depth search per shift below it
+@example(argv=["witness", '{"prefix": [], "tail": {"kind": "fexp", "c": 9}}',
+               "--alpha", "0,1000000000000", "--n", "1000000000001"])
 def _fuzz(argv: list[str]) -> None:
     _seen.add(argv[0])
     _check(argv, *_run(argv))

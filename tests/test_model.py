@@ -55,32 +55,27 @@ from expbouquet.sequences import (
 from expbouquet.verify import dominated_pair, random_sequence
 
 POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
-LN2 = 0.6931471805599453
-LN6 = 1.791759469228055
-LN20 = 2.995732273553991
+with mp.workdps(80):
+    LN2, LN6, LN20 = mp.log(2), mp.log(6), mp.log(20)
 
 
 # -- growth map -------------------------------------------------------------
-
-
-def _encloses_exactly(iv: Interval, value) -> bool:
-    return mp.mpf(iv.lo) <= value <= mp.mpf(iv.hi)
 
 
 def test_growth_values():
     assert Interval.point(0.0).growth() == Interval.point(0.0)
     for t in (math.log(2.0), 3.0):
         iv = Interval.point(t).growth()
-        assert _encloses_exactly(iv, mp_growth(t)) and iv.width < 1e-13
-    assert_encloses(Interval.point(3.0).growth(), 19.085536923187668)
+        assert_encloses(iv, mp_growth(t))
+        assert iv.width < 1e-13
+    assert_encloses(Interval.point(3.0).growth(), mp_growth(3))
 
 
 def test_growth_inverse_values():
     assert growth_inv_pow(0.0, 1) == Interval.point(0.0)
     assert_encloses(growth_inv_pow(1.0, 1), LN2)
-    # frozen from the mpmath oracle: F^-3(1) = 0.42303585716440204...
-    assert_encloses(growth_inv_pow(1.0, 3), 0.4230358571644020)
-    assert _encloses_exactly(growth_inv_pow(1.0, 3), mp_growth_inv(1.0, 3))
+    # F^-3(1) = 0.42303585716440204...
+    assert_encloses(growth_inv_pow(1.0, 3), mp_growth_inv(1, 3))
 
 
 @given(st.integers(min_value=1, max_value=20),
@@ -99,7 +94,7 @@ def test_growth_inverse_strict_inequalities(k, t):
 
 def test_potential_term_const():
     seq = const_seq(1)
-    assert_encloses(potential_term(seq, 3, 3), float(mp_growth_inv(1, 3)))
+    assert_encloses(potential_term(seq, 3, 3), mp_growth_inv(1, 3))
 
 
 def test_potential_term_materialized_tower():
@@ -178,7 +173,8 @@ def test_endpoint_height_all_zero():
 
 def test_endpoint_height_const1_oracle(const1_height_oracle):
     enc = endpoint_height(const_seq(1))
-    assert_encloses(enc, const1_height_oracle)
+    # a float bisection's root, rounded in every step: the one oracle with a slack
+    assert_encloses(enc, const1_height_oracle, slack=1e-12)
     assert enc.width < 1e-9
     assert abs(const1_height_oracle - 1.146193) < 1e-6
 
@@ -242,8 +238,9 @@ def test_bounded_tails_enclose_integers_beyond_double_precision():
     level, height = const.nesting_anchor(0)
     with mp.workdps(60):
         root = mp.findroot(lambda t: mp.e ** t - 1 - big - t, 37)
-    assert level == 0 and _encloses_exactly(height, root)
-    assert _encloses_exactly(endpoint_height(SymbolSeq((), const)), root)
+    assert level == 0
+    assert_encloses(height, root)
+    assert_encloses(endpoint_height(SymbolSeq((), const)), root)
 
 
 def test_endpoint_height_unattainable_tolerance():
@@ -400,6 +397,7 @@ SETTLED_ORBITS = [
 ]
 
 
+@pytest.mark.counts_work
 @pytest.mark.parametrize("seq, tol, max_steps, want", SETTLED_ORBITS)
 def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, monkeypatch,
                                                       empty_rule_memos):
@@ -414,6 +412,7 @@ def test_classify_stops_at_a_settled_orbit_enclosure(seq, tol, max_steps, want, 
     assert len(steps) <= max_steps
 
 
+@pytest.mark.counts_work
 def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch, empty_rule_memos):
     # the escape floor of a rate-1/10000 ramp lies near shift 6,930, so no orbit
     # step within the budget asks for its potential (the full scan makes 131 calls)
@@ -618,6 +617,18 @@ WALK_GAP = 2.0**-47
 # the lower ends stop one ulp apart, 1.5168709159336495 against ...498
 @example(prefix=[], rate=Fraction(1, 107), offset=115)
 def test_ramp_contraction_anchor_matches_the_pin_anchor(prefix, rate, offset):
+    _assert_contraction_anchor_matches_the_pin_anchor(prefix, rate, offset)
+
+
+# slow rates 1/q at offsets 0, q, 1.27q and 115, where the two walks start far apart
+@pytest.mark.parametrize("prefix, q, offset", [
+    (prefix, q, offset) for prefix in ([], [3]) for q in (10, 40, 107, 150)
+    for offset in (0, q, math.floor(1.27 * q), 115)])
+def test_ramp_contraction_anchor_matches_the_pin_anchor_on_a_grid(prefix, q, offset):
+    _assert_contraction_anchor_matches_the_pin_anchor(prefix, Fraction(1, q), offset)
+
+
+def _assert_contraction_anchor_matches_the_pin_anchor(prefix, rate, offset):
     tail = {"kind": "linexp", "c": f"{rate.numerator}/{rate.denominator}", "offset": offset}
     descriptor = {"prefix": prefix, "tail": tail}
     seq = SymbolSeq.from_json(descriptor)
@@ -771,8 +782,7 @@ def test_memoised_rule_work_equals_work_with_the_memos_cleared(kind, empty_rule_
 
 @pytest.mark.parametrize("memo, fill", [
     (ConstTail.height, lambda k: ConstTail(k).nesting_anchor(0)),
-    (PeriodicTail.height, lambda k: PeriodicTail((k, 1)).nesting_anchor(0)),
-    (sequences._ramp_anchor, lambda k: LinExpTail(Fraction(1), k).nesting_anchor(0)),
+    (LinExpTail.nesting_anchor, lambda k: LinExpTail(Fraction(1), k).nesting_anchor(0)),
     (model._tail_seq, lambda k: potential(const_seq(k))),
 ])
 def test_rule_memo_holds_at_most_its_bound(memo, fill, empty_rule_memos):
@@ -788,28 +798,46 @@ def test_rule_memos_share_equal_rules_and_keep_unequal_ones_apart(empty_rule_mem
     # come from a bisection and from interval sweeps, and differ
     const, periodic = ConstTail(3), PeriodicTail((3,))
     assert const.nesting_anchor(0)[1] != periodic.nesting_anchor(0)[1]
-    assert ConstTail.height.cache_info().currsize == PeriodicTail.height.cache_info().currsize == 1
+    assert ConstTail.height.cache_info().currsize == 1
     potential(SymbolSeq((), const)), potential(SymbolSeq((), periodic))
     assert model._tail_seq.cache_info().currsize == 2
     # the rotations of one pattern have heights and hulls of their own
     rotations = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
     assert len({PeriodicTail(pat).nesting_anchor(0)[1] for pat in rotations}) == 3
     assert len({potential(periodic_seq(pat)) for pat in rotations}) == 3
-    assert PeriodicTail.height.cache_info().currsize == 4
     assert model._tail_seq.cache_info().currsize == 5
     # equal rules share an entry: a bounded tail shifted past its prefix, and
-    # below, ramp anchors for p = 0 and 1 (both start at level 1), with equal
-    # rates written apart
+    # ramp anchors at one p with equal rates written apart
     hits = model._tail_seq.cache_info().hits
     assert potential(const_seq(3, (1, 2)), 2) is potential(SymbolSeq((), const))
     assert potential(periodic_seq((1, 2, 3), (5,)), 2) is potential(periodic_seq((2, 3, 1)))
     assert model._tail_seq.cache_info().hits == hits + 4
-    # a ramp whose seed holds at the first level: level max(p, 1) - 1
+    # a ramp whose seed holds at the first level: level max(p, 1) - 1, so p = 0
+    # and 1 (both start at level 1) have equal anchors, each in an entry of its own
     ramp = LinExpTail(Fraction(1), 100)
     same_rate = LinExpTail(Fraction(2, 2), 100)
-    assert ramp.nesting_anchor(0) is ramp.nesting_anchor(1) is same_rate.nesting_anchor(1)
+    assert ramp.nesting_anchor(1) is same_rate.nesting_anchor(1)
+    assert ramp.nesting_anchor(0) == ramp.nesting_anchor(1)
     assert ramp.nesting_anchor(2)[0] == 1 and ramp.nesting_anchor(1)[0] == 0
-    assert sequences._ramp_anchor.cache_info().currsize == 2
+    assert LinExpTail.nesting_anchor.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"prefix": [1, 2], "tail": {"kind": "const", "c": 3}},
+    {"prefix": [5], "tail": {"kind": "periodic", "pattern": [1, -2, 3]}},
+    {"prefix": [0, 4, 4], "tail": {"kind": "fexp", "c": 3}},
+    {"prefix": [7], "tail": {"kind": "linexp", "c": "1/4", "offset": 2}},
+])
+def test_a_hull_past_the_prefix_is_kept_by_the_pure_tail_alone(descriptor, empty_rule_memos):
+    seq = SymbolSeq.from_json(descriptor)
+    p = len(seq.prefix)
+    for k in range(p + 4):
+        hull = potential(seq, k)
+        if k < p:
+            assert seq._memo[("potential", k)] is hull
+            continue
+        assert ("potential", k) not in seq._memo
+        assert hull is potential(SymbolSeq((), seq.tail.shifted(p, k)))
 
 
 @given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}))
@@ -882,6 +910,7 @@ def test_threshold_check_reads_the_closing_terms():
     assert potential(seq, 0) == Interval(5.0, 6.0, True, False)
 
 
+@pytest.mark.counts_work
 def test_ramp_height_builds_few_entries(empty_rule_memos):
     # 18 misses; a walk from the level where the ramp argument reaches 80
     # visits 320 levels, more than the 256-entry ramp memo holds, and misses
@@ -890,6 +919,7 @@ def test_ramp_height_builds_few_entries(empty_rule_memos):
     assert sequences._ramp_entry.cache_info().misses <= 100
 
 
+@pytest.mark.counts_work
 def test_slow_ramp_potential_takes_linear_steps(monkeypatch, empty_rule_memos):
     # 1600-odd terms before the envelope closes: 4,802 steps, where every
     # term stepped to its full depth takes 1,284,002

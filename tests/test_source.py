@@ -1,10 +1,13 @@
-"""Source checks on ``src/expbouquet``: every module-level import is read, and
-``verify`` reads no midpoint and no slack."""
+"""Source checks on ``src/expbouquet``: every module-level import is read,
+``verify`` reads no midpoint and no slack, and every memo is registered."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from conftest import RULE_MEMOS
+from expbouquet import intervals, plane, sequences
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "expbouquet"
 
@@ -43,3 +46,33 @@ def test_verify_decides_by_intervals_not_midpoints():
     mids = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mid"]
     margins = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "MARGIN"]
     assert mids == [] and margins == []
+
+
+# memos whose work no test counts, so no test needs them empty
+UNCOUNTED_MEMOS = (intervals._int_tower, sequences._tower_entry, plane._memo_trap)
+
+
+def _memo_names(path: Path) -> list[str]:
+    """The qualified names of the functions and methods the module decorates with a memo."""
+    out = []
+
+    def visit(node, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in child.decorator_list]
+                if any(getattr(d, "attr", getattr(d, "id", None)) in ("lru_cache", "cache")
+                       for d in decorators):
+                    out.append(f"{scope}{child.name}")
+                visit(child, f"{scope}{child.name}.<locals>.")
+
+    visit(ast.parse(path.read_text()), f"expbouquet.{path.stem}.")
+    return out
+
+
+def test_every_memo_is_emptied_by_the_work_counting_tests_or_named_as_uncounted():
+    # a memo added without registering it would warm the work-counting tests
+    found = sorted(name for path in SRC.glob("*.py") for name in _memo_names(path))
+    registered = sorted(f"{m.__module__}.{m.__qualname__}" for m in RULE_MEMOS + UNCOUNTED_MEMOS)
+    assert found == registered

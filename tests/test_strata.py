@@ -142,6 +142,7 @@ def test_extension_ramp_waits_for_the_threshold():
         assert not potential(point.seq, n - 1).certainly_gt(2.0)
 
 
+@pytest.mark.counts_work
 def test_one_query_nests_each_sequence_once(monkeypatch, empty_rule_memos):
     # a strata --extend query: the CLI's height, then membership and extension;
     # potential calls may hit the memo, so count the term scans behind the hulls;
