@@ -74,34 +74,47 @@ def _memoised(seq: SymbolSeq, key: tuple, compute):
 
 
 def _potential_terms(seq: SymbolSeq, shift: int):
-    """The terms whose sup hull is ``potential(seq, shift)``: explicit ones, then closing ones."""
+    """The terms whose sup hull is ``potential(seq, shift)``: (k, F^-k |s_{shift+k}|), then
+    (0, t) closing; a witness cut at m opens shift 0 with (0, its base's ``_shared_head``)."""
     if shift < 0:
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
-    cut = -math.inf
-    k = 0
+    base, k = seq._memo.get(("base",), (None, 0)) if shift == 0 else (None, 0)
+    heads = [_shared_head(base, k)] if k else []
+    cut = heads[0].lo if heads else -math.inf
+    yield from ((0, head) for head in heads)
     while True:
         k += 1
         term = potential_term(seq, shift + k, k, cut)
         if term is not None:
             cut = max(cut, term.lo)
-            yield term
+            yield k, term
         if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k)) is not None:
-            yield from closing
+            yield from ((0, t) for t in closing)
             return
 
 
+def _shared_head(base: SymbolSeq, m: int) -> Interval:
+    """sup_hull of terms 1..m of potential(base, 0), which its witnesses cut at m share."""
+    def build(b: SymbolSeq) -> Interval:
+        head = _shared_head(b, m - 1) if m > 1 else None
+        term = potential_term(b, m, m, head.lo if head else -math.inf)
+        return head if term is None else term if head is None else Interval.sup_hull([head, term])
+    return _memoised(base, ("head", m), build)
+
+
 @functools.lru_cache(maxsize=256)
-def _tail_seq(rule) -> SymbolSeq:
-    return SymbolSeq((), rule)
+def _tail_seq(rule, lead: int) -> SymbolSeq:
+    return SymbolSeq((0,) * lead, rule)
 
 
 def _hull_home(seq: SymbolSeq, shift: int) -> tuple[SymbolSeq, int]:
-    """The sequence and shift whose memo keeps potential(seq, shift)'s hull: below the
-    prefix its own, past it shift 0 of the shifted rule's pure tail, with the same terms."""
+    """The sequence and shift whose memo keeps potential(seq, shift)'s hull: below p - 1 its own;
+    from p - 1 on, shift 0 of the shifted rule after max(p - shift, 0) entries: the same terms."""
     p = len(seq.prefix)
-    return (seq, shift) if shift < p else (_tail_seq(seq.tail.shifted(p, shift)), 0)
+    return (seq, shift) if shift < max(p - 1, 0) else (
+        _tail_seq(seq.tail.shifted(p, shift), max(p - shift, 0)), 0)
 
 
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
@@ -111,13 +124,14 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     into the tail until the tail rule's ``closing_terms`` close the hull
     (constant/periodic terms only decrease; tower terms all live in one floor
     window; ramp terms fall under a certified decreasing envelope).  Each hull
-    is built once and kept in one memo slot (``_hull_home``): below the prefix
-    in the sequence's memo, past it in the memo of the shifted rule's pure tail.
+    is built once and kept in one memo slot (``_hull_home``): below p - 1 in the
+    sequence's memo, from there in the memo of the shifted rule's tail sequence.
+    A witness cut at m reads terms 1..m of its shift-0 hull from its base's memo.
 
-    Past the prefix a bounded tail closes within one pattern, a tower within
-    EXTRA_TERMS and a ramp within about 1,600 terms (rate 1/10000).  The hull
-    is finite: a term saturating to +inf gets an open upper end, kept by
-    ``sup_hull``, so every hair has a finite endpoint.
+    Past the prefix a bounded tail closes within one pattern, a tower at its first
+    entry past 2^53 (four terms at most) and a ramp within about 1,600 terms (rate
+    1/10000).  The hull is finite: a term saturating to +inf gets an open upper end,
+    kept by ``sup_hull``, so every hair has a finite endpoint.
 
     An integer or ramp term (``CeilExp`` arg <= OVERFLOW_GUARD) stops its inverse
     steps once its upper end is strictly below ``cut``, the largest lower end so
@@ -127,18 +141,23 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     """
     home, at = _hull_home(seq, shift)
     return _memoised(home, ("potential", at),
-                     lambda s: Interval.sup_hull(list(_potential_terms(s, at))))
+                     lambda s: Interval.sup_hull([t for _, t in _potential_terms(s, at)]))
 
 
 def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
     """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
 
     ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
+    A witness cut at m says yes if its base's first explicit term above r, k*, has shift + k* <= m.
     """
+    base, m = seq._memo.get(("base",), (None, 0))
+    if shift < m and 0 < _memoised(base, ("above", shift, r), lambda b: next(
+            (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0)) <= m - shift:
+        return True
     home, at = _hull_home(seq, shift)
     if (hull := home._memo.get(("potential", at))) is not None:
         return hull.certainly_gt(r)
-    return any(t.certainly_gt(r) for t in _potential_terms(home, at))
+    return any(t.certainly_gt(r) for _, t in _potential_terms(home, at))
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
@@ -182,13 +201,26 @@ def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interva
     """Run backward nesting from the given level down to the full height t_s.
 
     Each entry takes its own step (``Entry.descend``); a plain state runs on
-    its endpoint floats and is wrapped once, at the end.
+    its endpoint floats and is wrapped once, at the end.  A witness cut at m keeps the
+    enclosure from each level j <= m and state met in its base's memo, keyed by ``float.hex``.
     """
     if isinstance(state, Interval):
         state = state.bounds()
+    base, m = seq._memo.get(("base",), (seq, 0))
+    keys = []
     for j in range(level, 0, -1):
+        if j <= m:
+            bits = (state.base, state.height, *state.delta.bounds()) if isinstance(
+                state, _TowerRel) else state
+            if (enc := base._memo.get(key := ("descend", j, *(
+                    v.hex() if type(v) is float else v for v in bits)))) is not None:
+                break
+            keys.append(key)
         state = seq.entry(j).descend(state)
-    return Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
+    else:
+        enc = Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
+    base._memo.update(dict.fromkeys(keys, enc))
+    return enc
 
 
 def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:

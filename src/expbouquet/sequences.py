@@ -528,24 +528,20 @@ class PeriodicTail(_BoundedTail):
         return {"kind": "periodic", "pattern": list(self.pattern)}
 
     def height(self) -> Interval:
-        """The pure tail's height, by contracting interval sweeps over one period."""
+        """The pure tail's height, by contracting sweeps of ``ln1p_sum`` over one period."""
         if all(v == 0 for v in self.pattern):
             return Interval.point(0.0)
         pats = self.abs_intervals()
         L = len(pats)
         upper = log1p_up(self.abs_bound()) + 1.0
-        w = [Interval(0.0, upper) for _ in range(L)]
+        w = [(0.0, upper, False, False)] * L
         goal = max(DEFAULT_TOL / 4.0, 4e-16 * upper)
         for _ in range(4000):
             for r in range(L - 1, -1, -1):
-                w[r] = (pats[(r + 1) % L] + w[(r + 1) % L]).ln1p()
-            if max(iv.width for iv in w) < goal:
+                w[r] = ln1p_sum(pats[(r + 1) % L], w[(r + 1) % L])
+            if max(hi - lo for lo, hi, _, _ in w) < goal:
                 break
-        return w[0]
-
-
-# explicit tail terms of a tower potential before its floor window closes the hull
-EXTRA_TERMS = 8
+        return Interval(*w[0])
 
 
 @dataclass(frozen=True)
@@ -589,10 +585,12 @@ class ExpTowerTail:
         return out
 
     def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
-        if k - max(p - shift, 0) < EXTRA_TERMS:
+        # all tail terms live in (F^E(c) - 1, F^E(c)], E = shift - anchor, and one whose entry
+        # is a tower past 2^53 (a FloorPow, as are all later ones) is this window bit for bit
+        anchor = self.resolved_anchor(p)
+        if growth_net(self.c, shift + k + 1 - anchor).hi < MAX_EXACT_INT:
             return None
-        # all tail terms live in (F^E(c) - 1, F^E(c)], E = shift - anchor
-        net = growth_net(self.c, shift - self.resolved_anchor(p))
+        net = growth_net(self.c, shift - anchor)
         lo = max(round_down(net.lo - 1.0), 0.0)
         return (Interval(lo, net.hi, lo > 0.0, net.hi_open),)
 
@@ -736,7 +734,7 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # model.py's hulls below the prefix (a pure tail's: shift 0) and height, strata.py's depths
+    # model.py's hulls below p - 1, height and shared witness work, strata.py's depths and link
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -183,7 +183,8 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
     The min is resolved entry-wise, prefix and tail entries in one loop,
     until the tail rule's ``thin`` gives the rule the thinned sequence follows
-    from there on; each comparison is a single certified one.
+    from there on; each comparison is a single certified one.  The witness links
+    ``(base, m)`` in its memo, outside ==, hash, repr and to_json, for shared work.
     """
     if base.asymptotics is not Asymptotics.DIVERGES:
         raise IncomparableTailsError("witness thinning needs a diverging-tail base",
@@ -206,7 +207,9 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
                 {"n": n, "entry": e.to_json(), "cap": _tower_entry(cap_c, n - m).to_json()})
         entries.append(thinned)
         n += 1
-    return SymbolSeq(tuple(entries), tail)
+    witness = SymbolSeq(tuple(entries), tail)
+    witness._memo[("base",)] = (base, m)
+    return witness
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
@@ -274,11 +277,16 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
 
     Past both prefixes, equal shifted tail rules end the sum and two unequal
     towers unbounded above (only tower tails give them there; they stay so) add
-    gap 1.0 at each later index, in order: the sum is the same bit for bit.
+    gap 1.0 at each later index, in order: the sum is the same bit for bit.  A
+    witness cut at m and its base agree through m, so the sum starts at m + 1.
     """
     tails = max(len(a.prefix), len(b.prefix))
+    start = 0
+    for x, y in ((a, b), (b, a)):
+        if (link := x._memo.get(("base",))) is not None and link[0] is y:
+            start = link[1] + 1
     total = 0.0
-    for n in range(horizon + 1):
+    for n in range(start, horizon + 1):
         if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
             break
         ea, eb = a.entry(n), b.entry(n)
@@ -320,8 +328,10 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         raise ValueError("witness_family requires certified membership in the child stratum")
     if count == 0:
         return []
-    if n_ext > max(budget, _DIST_HORIZON):  # a depth search per shift below n_ext, and m > n_ext
-        raise BudgetExceededError(f"extension index {n_ext} exceeds the budget {budget}")
+    if n_ext >= _DIST_HORIZON - 1:  # every cut index exceeds n_ext: raise before any depth search
+        raise BudgetExceededError(
+            f"extension index {n_ext} exceeds the budget {budget}" if n_ext > budget
+            else f"cut index past {n_ext} reaches the distance horizon {_DIST_HORIZON}")
 
     base = base_point.seq
     bound = 3.0 * alpha.dom

@@ -579,6 +579,17 @@ def test_witness_past_the_budget_exits_1_at_once(alpha, n, capsys):
     assert captured.err == f"error: extension index {n} exceeds the budget 100000\n"
 
 
+
+@pytest.mark.parametrize("n", ["59", "100000"])
+def test_witness_past_the_distance_horizon_exits_1_at_once(n, capsys):
+    # every cut index exceeds n >= 59, so reaches the horizon 60: no depth search runs
+    start = time.perf_counter()
+    assert main(["witness", FEXP9, "--alpha", "0", "--n", n]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cut index past {n} reaches the distance horizon 60\n"
+
 def test_uncertified_answers_reach_no_traceback():
     proc = subprocess.run([sys.executable, "-m", "expbouquet", "strata", RAMP_QUARTER,
                            "--alpha", "0", "--budget", "1"], capture_output=True, text=True,

@@ -48,6 +48,7 @@ from expbouquet.model import _bounded_tail_escape_threshold, potential_above
 from expbouquet.sequences import (
     Asymptotics,
     ConstTail,
+    ExpTowerTail,
     LinExpTail,
     PeriodicTail,
     SymbolSeq,
@@ -829,15 +830,41 @@ def test_rule_memos_share_equal_rules_and_keep_unequal_ones_apart(empty_rule_mem
     {"prefix": [7], "tail": {"kind": "linexp", "c": "1/4", "offset": 2}},
 ])
 def test_a_hull_past_the_prefix_is_kept_by_the_pure_tail_alone(descriptor, empty_rule_memos):
+    # from shift p - 1 on a hull reads tail entries alone: the shifted rule's
+    # sequence, after one leading entry at p - 1 and none past it, has its terms
     seq = SymbolSeq.from_json(descriptor)
     p = len(seq.prefix)
     for k in range(p + 4):
         hull = potential(seq, k)
-        if k < p:
+        scanned = Interval.sup_hull([t for _, t in model._potential_terms(seq, k)])
+        assert _bits(hull) == _bits(scanned)
+        if k < p - 1:
             assert seq._memo[("potential", k)] is hull
             continue
         assert ("potential", k) not in seq._memo
-        assert hull is potential(SymbolSeq((), seq.tail.shifted(p, k)))
+        assert hull is potential(SymbolSeq((0,) * max(p - k, 0), seq.tail.shifted(p, k)))
+
+
+def _eight_term_tower_hull(seq: SymbolSeq, shift: int) -> Interval:
+    """A tower hull with eight explicit tail terms before its floor window."""
+    terms, cut = [], -math.inf
+    for k in range(1, max(len(seq.prefix) - shift, 0) + 9):
+        if (term := potential_term(seq, shift + k, k, cut)) is not None:
+            cut = max(cut, term.lo)
+            terms.append(term)
+    net = growth_net(seq.tail.c, shift - seq.tail.resolved_anchor(len(seq.prefix)))
+    lo = max(intervals.round_down(net.lo - 1.0), 0.0)
+    return Interval.sup_hull(terms + [Interval(lo, net.hi, lo > 0.0, net.hi_open)])
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 9, 50, 700])
+def test_a_tower_hull_closes_at_its_first_big_tower_term_with_every_bit(c, empty_rule_memos):
+    # every tail term whose entry is a tower past 2^53 equals the floor window
+    for prefix in [(), (0,), (3, 1), (10**15, 2)]:
+        for anchor in (None, len(prefix) - 3, len(prefix) - 1):
+            seq = SymbolSeq(prefix, ExpTowerTail(c, anchor))
+            for shift in range(len(prefix) + 8):
+                assert _bits(potential(seq, shift)) == _bits(_eight_term_tower_hull(seq, shift))
 
 
 @given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=4), "tail": tail_rules}))

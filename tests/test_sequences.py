@@ -9,11 +9,13 @@ import pytest
 
 from expbouquet import AlphaIndex, witness_sequence
 from expbouquet.intervals import (
+    DEFAULT_TOL,
     PIN_ARG,
     TOWER_PIN,
     Interval,
     growth_inv_pow,
     growth_net,
+    log1p_up,
     round_down,
     round_up,
 )
@@ -94,6 +96,34 @@ def test_periodic_tail_and_rotation_under_shift():
     shifted = seq.shift(2)
     assert [shifted.value_at(n) for n in range(5)] == [seq.value_at(n + 2) for n in range(5)]
 
+
+
+def _interval_sweep_height(pattern: tuple[int, ...]) -> Interval:
+    """A periodic tail's height by the sweeps in Interval arithmetic: one Interval per entry
+    per sweep."""
+    if all(v == 0 for v in pattern):
+        return Interval.point(0.0)
+    pats = [Interval.from_int(abs(v)) for v in pattern]
+    L = len(pats)
+    upper = log1p_up(max(iv.hi for iv in pats)) + 1.0
+    w = [Interval(0.0, upper) for _ in range(L)]
+    goal = max(DEFAULT_TOL / 4.0, 4e-16 * upper)
+    for _ in range(4000):
+        for r in range(L - 1, -1, -1):
+            w[r] = (pats[(r + 1) % L] + w[(r + 1) % L]).ln1p()
+        if max(iv.width for iv in w) < goal:
+            break
+    return w[0]
+
+
+def test_periodic_height_sweeps_on_endpoints_keep_every_bit():
+    values = (0, 1, -2, 3, 50, 10**6, 2**53 + 1, 10**300, int(1.7976931348623157e308))
+    patterns = [(a,) for a in values] + [(a, b) for a in values for b in values]
+    patterns += [(a, b, c) for a in values[:6] for b in values[:6] for c in values[:6]]
+    for pattern in patterns:
+        got, want = PeriodicTail(pattern).height(), _interval_sweep_height(pattern)
+        assert (got.lo.hex(), got.hi.hex(), got.lo_open, got.hi_open) == \
+            (want.lo.hex(), want.hi.hex(), want.lo_open, want.hi_open), pattern
 
 @pytest.mark.parametrize("seq", [
     const_seq(4, (1, -5)),

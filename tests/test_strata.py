@@ -35,6 +35,7 @@ from expbouquet import (
 from expbouquet import model, strata
 from expbouquet.intervals import Interval, TriBool, growth_net
 from expbouquet.sequences import (
+    CeilExp,
     ConstTail,
     ExpTowerTail,
     FloorPow,
@@ -382,10 +383,12 @@ def test_witness_family_full_pipeline():
 
 
 def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
-    # a hull is a sup_hull under model.potential and a depth a first term under
-    # least_witness_depth, so a memo hit counts as neither; the calls that ask
-    # are kept on a stack, and the sequences alive, so ids stay unique
-    asking, keep, hulls, depths = [], [], Counter(), Counter()
+    # a hull is a sup_hull under model.potential, a shared head (terms 1..m of
+    # the base's shift-0 hull, model._shared_head) the one term it adds, and a
+    # depth a first term under least_witness_depth, so a memo hit counts as
+    # none; the calls that ask are kept on a stack, and the sequences alive,
+    # so ids stay unique
+    asking, keep, hulls, heads, depths = [], [], Counter(), Counter(), Counter()
 
     def asked(real, kind, defaults=()):
         def wrapper(seq, *args):
@@ -397,7 +400,7 @@ def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
                 asking.pop()
         return wrapper
 
-    def counted(real, kind, tally, first):
+    def counted(real, kind, tally, first=lambda *args: True):
         def wrapper(*args):
             if asking and asking[-1][0] == kind and first(*args):
                 tally[asking[-1][1:]] += 1
@@ -407,15 +410,106 @@ def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
     pot = asked(model.potential, "potential", (0,))
     monkeypatch.setattr(model, "potential", pot)
     monkeypatch.setattr(strata, "potential", pot)
+    monkeypatch.setattr(model, "_shared_head", asked(model._shared_head, "head"))
     monkeypatch.setattr(strata, "least_witness_depth", asked(strata.least_witness_depth, "depth"))
     monkeypatch.setattr(Interval, "sup_hull", staticmethod(
-        counted(Interval.sup_hull, "potential", hulls, lambda terms: True)))
+        counted(Interval.sup_hull, "potential", hulls)))
+    monkeypatch.setattr(model, "potential_term", counted(model.potential_term, "head", heads))
     monkeypatch.setattr(strata, "potential_term", counted(
         strata.potential_term, "depth", depths, lambda seq, n, k, *rest: k == 1))
     reports = witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
     assert len(reports) == 30
     assert hulls and max(hulls.values()) == 1
+    # every member's cut index has its head, built on the heads below it
+    cut_indices = range(1, reports[-1].m + 1)
+    assert set(heads) == {(base_id, (m,)) for base_id, _ in heads for m in cut_indices}
+    assert max(heads.values()) == 1
     assert depths and max(depths.values()) == 1
+
+
+@pytest.mark.counts_work
+def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_memos):
+    # the CI smoke family: each member recomputing the terms and nesting steps
+    # on the entries it shares with its base, every tower hull scanning eight
+    # explicit tail terms and every claim-two hull built apart took 2,218
+    # potential terms and 585 descent steps; sharing that work takes 198 and 121
+    point = endpoint_of(fexp_seq(9))
+    terms, steps = [], []
+    for module in (model, strata):
+        real_term = module.potential_term
+        monkeypatch.setattr(module, "potential_term",
+                            lambda *args, real=real_term: terms.append(1) or real(*args))
+    for cls in (IntEntry, FloorPow, CeilExp):
+        real_descend = cls.descend
+        monkeypatch.setattr(cls, "descend", lambda self, state, real=real_descend:
+                            steps.append(1) or real(self, state))
+    assert len(witness_family(point, AlphaIndex((0, 1)), 2, 30)) == 30
+    assert len(terms) <= 300
+    assert len(steps) <= 150
+
+
+def _family_json(base: SymbolSeq, alpha: AlphaIndex, n, count: int) -> str:
+    """The family's reports as JSON, or the error that stopped it (n None: the extension index)."""
+    point = endpoint_of(base)
+    try:
+        n_ext = extension_index(alpha, point, alpha.entries[-1] + 1) if n is None else n
+        return json.dumps([r.to_json() for r in witness_family(point, alpha, n_ext, count)])
+    except (ValueError, BudgetExceededError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("prefix", [(), (2,), (2, 4)])
+def test_witness_families_match_families_of_unlinked_witnesses(prefix, monkeypatch):
+    # a witness reads the work on the entries it shares with its base from the
+    # base's memo; a fresh copy of it carries no link and recomputes that work
+    def unlinked(*args):
+        w = real_witness(*args)
+        copy = SymbolSeq(w.prefix, w.tail)
+        assert (copy, hash(copy), repr(copy), copy.to_json()) == (w, hash(w), repr(w), w.to_json())
+        assert ("base",) in w._memo and ("base",) not in copy._memo
+        return copy
+
+    real_witness = strata.witness_sequence
+    cases = [(SymbolSeq(prefix, ExpTowerTail(c)), AlphaIndex(alpha), None)
+             for c in range(3, 10) for alpha in ((0,), (0, 1), (0, 2), (0, 2, 3))]
+    cases.append((SymbolSeq((3,), LinExpTail(Fraction(2))), AlphaIndex((0, 2)), 3))
+    built = 0
+    for base_of, alpha, n in cases:
+        shared = _family_json(SymbolSeq(base_of.prefix, base_of.tail), alpha, n, 12)
+        with monkeypatch.context() as patched:
+            patched.setattr(strata, "witness_sequence", unlinked)
+            assert _family_json(SymbolSeq(base_of.prefix, base_of.tail), alpha, n, 12) == shared
+        built += shared.startswith("[")
+    # under the prefix [2, 4] the towers of c < 7 are no members of any stratum
+    assert built >= 13
+
+
+def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
+    # below its cut m a witness takes its base's first explicit term above r, k*, when
+    # shift + k* <= m; a base of zeros before its towers puts k* past m at low shifts
+    for prefix in [(), (0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 0, 0, 4)]:
+        for c in (3, 6, 9):
+            base = SymbolSeq(prefix, ExpTowerTail(c))
+            for m in range(1, 12):
+                w = witness_sequence(base, AlphaIndex((0,)), m)
+                copy = SymbolSeq(w.prefix, w.tail)
+                for n in range(m + 1):
+                    for r in (0.1, 0.5, 2.0, 3.0, 5.0, 8.0, 20.0):
+                        assert model.potential_above(w, n, r) == potential(copy, n).certainly_gt(r)
+
+
+def test_signed_zero_states_keep_descent_slots_of_their_own():
+    # 0.0 == -0.0, so keyed on the floats the states would share a slot;
+    # keyed on float.hex each keeps its own, and each gives the unlinked bits
+    base = const_seq(0, (0, 1, 0))
+    linked = SymbolSeq(base.prefix, base.tail)
+    linked._memo[("base",)] = (base, 3)
+    for z in (0.0, -0.0, 0.0, -0.0):
+        got = model._descend(linked, 3, Interval.point(z))
+        want = model._descend(SymbolSeq(base.prefix, base.tail), 3, Interval.point(z))
+        assert [v.hex() for v in (got.lo, got.hi)] == [v.hex() for v in (want.lo, want.hi)]
+    assert {key[2:] for key in base._memo if key[:2] == ("descend", 3)} == {
+        ("0x0.0p+0", "0x0.0p+0", False, False), ("-0x0.0p+0", "-0x0.0p+0", False, False)}
 
 
 def test_witness_family_refuses_a_cut_index_at_the_distance_horizon():
