@@ -54,7 +54,6 @@ from .strata import (
     in_stratum,
     least_witness_depth,
     point_distance,
-    witness_cut_index,
     witness_family,
     witness_sequence,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "render_escape",
     "run_all",
     "strip_itinerary",
-    "witness_cut_index",
     "witness_family",
     "witness_sequence",
 ]

@@ -34,6 +34,7 @@ from .intervals import (
     growth_sub,
     log1p_up,
     round_up,
+    sum_down,
     sum_up,
 )
 from .sequences import Asymptotics, SymbolSeq, _TowerRel
@@ -322,14 +323,16 @@ def _bounded_tail_escape_threshold(seq: SymbolSeq, n: int) -> float:
 def at_endpoint(x: ModelPoint, tol: float = DEFAULT_TOL) -> TriBool:
     """The one endpoint test, asked by ``classify`` and ``strata.in_stratum``.
 
-    Unknown when the height enclosure is wider than tol, else whether enc.lo - tol <= t <=
-    enc.hi + tol, so a yes puts t within enc.width + tol <= 2 tol of the endpoint height, not
-    within tol; the enclosure is the evidence of every answer.
+    Unknown when the height enclosure (the evidence of every answer) is wider than tol, else
+    whether enc.lo - tol <= t <= enc.hi + tol: yes on sums rounded inward, no outward, unknown
+    in the ulp between.  A yes puts t within enc.width + tol <= 2 tol of the endpoint height.
     """
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
         return TriBool.unknown(enc)
-    return TriBool(enc.lo - tol <= x.t <= enc.hi + tol, enc)
+    if sum_up(enc.lo, -tol) <= x.t <= sum_down(enc.hi, tol):
+        return TriBool(True, enc)
+    return TriBool(None if sum_down(enc.lo, -tol) <= x.t <= sum_up(enc.hi, tol) else False, enc)
 
 
 def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Classification:

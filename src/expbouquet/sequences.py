@@ -734,7 +734,7 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # model.py's hulls below p - 1, height and shared witness work, strata.py's depths and link
+    # model.py's hulls below p - 1, height and shared witness work, and strata.py's witness link
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -9,10 +9,11 @@ set of escaping endpoints itself.
 min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 (certified exclusion from the closure of the child stratum) while keeping
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
-convergent family of these witnesses with verified margins.
+convergent family of these witnesses with verified margins, searching the witness
+depth at each shift once, each search stopping at ``DEPTH_BUDGET``.
 
 Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
-tolerance, for witnesses too; every witness depth search stops at ``DEPTH_BUDGET``.
+tolerance, for witnesses too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
     ModelPoint,
-    _memoised,
     at_endpoint,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
@@ -160,8 +160,9 @@ def extension_index(alpha: AlphaIndex, x: ModelPoint, n_floor: int = 0,
 
     Terminates for certified members because their shifted potentials diverge.
     """
-    member = in_stratum(alpha, x, tol, budget)
-    if not member.is_true:
+    if (member := in_stratum(alpha, x, tol, budget)).is_unknown:  # not a usage error
+        raise BudgetExceededError(f"stratum membership not certified at tol {tol}")
+    if member.is_false:
         raise ValueError("extension_index requires a certified stratum member")
     threshold = alpha.threshold(alpha.dom)
     # a nonempty index forces strict growth; n_floor itself stays admissible
@@ -213,46 +214,12 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
-    """Least k in 1..DEPTH_BUDGET with a certified potential term F^-k |s_{n+k}| > threshold.
-
-    Memoised per shift and threshold; a failed search raises and keeps nothing.
-    """
-    def least(s: SymbolSeq) -> int:
-        for k in range(1, DEPTH_BUDGET + 1):
-            if potential_term(s, n + k, k).certainly_gt(threshold):
-                return k
-        raise BudgetExceededError(
-            f"no certified witness depth at shift {n} for threshold {threshold}")
-    return _memoised(seq, ("depth", n, threshold), least)
-
-
-def _segment_depths(base: SymbolSeq, alpha: AlphaIndex, n_ext: int) -> list[int]:
-    """Witness depths below the extension index, each at its own segment threshold.
-
-    Shifts below the first index entry carry no constraint; elsewhere the
-    binding level is the deepest index entry at or below the shift.
-    """
-    levels = ((n, sum(1 for e in alpha.entries if e <= n) - 1) for n in range(n_ext))
-    return [least_witness_depth(base, n, alpha.threshold(i)) for n, i in levels if i >= 0]
-
-
-def witness_cut_index(base: SymbolSeq, alpha: AlphaIndex, n_ext: int, m_span: int) -> int:
-    """The cut index m = max{n + k_n : n in [n_ext, m_span]}.
-
-    k_n is the least depth certifying a potential term above 3*dom + 2 at
-    shift n.  Enforces m_span >= n_ext + max{k_n : n < n_ext} (with the empty
-    maximum read as zero), so thinning cannot clip the depths used below
-    n_ext; m > m_span always holds since every k_n is at least 1.
-    """
-    if m_span < n_ext:
-        raise ValueError("span must reach at least the extension index")
-    threshold = alpha.threshold(alpha.dom)
-    below = max(_segment_depths(base, alpha, n_ext), default=0)
-    if m_span < n_ext + below:
-        raise ValueError(
-            f"span {m_span} below the enforced minimum {n_ext + below}")
-    return max(n + least_witness_depth(base, n, threshold)
-               for n in range(n_ext, m_span + 1))
+    """Least k in 1..DEPTH_BUDGET with a certified potential term F^-k |s_{n+k}| > threshold."""
+    for k in range(1, DEPTH_BUDGET + 1):
+        if potential_term(seq, n + k, k).certainly_gt(threshold):
+            return k
+    raise BudgetExceededError(
+        f"no certified witness depth at shift {n} for threshold {threshold}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +290,9 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     if count < 0:
         raise ValueError(f"witness count must be >= 0, got {count}")
     child = alpha.child(n_ext)
-    member = in_stratum(child, base_point, tol, budget)
-    if not member.is_true:
+    if (member := in_stratum(child, base_point, tol, budget)).is_unknown:  # not a usage error
+        raise BudgetExceededError(f"child-stratum membership not certified at tol {tol}")
+    if member.is_false:
         raise ValueError("witness_family requires certified membership in the child stratum")
     if count == 0:
         return []
@@ -334,16 +302,20 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
             else f"cut index past {n_ext} reaches the distance horizon {_DIST_HORIZON}")
 
     base = base_point.seq
-    bound = 3.0 * alpha.dom
-
-    span = n_ext + max(_segment_depths(base, alpha, n_ext), default=0)
+    bound, threshold = 3.0 * alpha.dom, alpha.threshold(alpha.dom)
+    # the first span covers each depth below n_ext at its segment's threshold (that of the
+    # deepest index entry at or below the shift), so thinning clips none of them
+    levels = ((n, sum(e <= n for e in alpha.entries) - 1) for n in range(n_ext))
+    first, span = n_ext, n_ext + max((least_witness_depth(base, n, alpha.threshold(i))
+                                      for n, i in levels if i >= 0), default=0)
 
     reports: list[WitnessReport] = []
     base_height = endpoint_height_enclosure(base, tol)
     last_distance = math.inf
     for _ in range(count):
-        # m > span (every witness depth is >= 1) and span >= the last m: m increases
-        m = witness_cut_index(base, alpha, n_ext, span)
+        # m = max{n + k_n : n_ext <= n <= span} > span as every depth k_n >= 1; the last
+        # span is the last m, so the shifts newly spanned alone give the max
+        m = max(n + least_witness_depth(base, n, threshold) for n in range(first, span + 1))
         if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks
             raise BudgetExceededError(f"cut index {m} reaches the distance horizon {_DIST_HORIZON}")
         witness = witness_sequence(base, alpha, m)
@@ -376,5 +348,5 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         reports.append(WitnessReport(m, witness, claim1, claim2, distance, height,
                                      m + EXTRA_CLAIM_SHIFTS - 1))
         last_distance = distance
-        span = max(span + 1, m)
+        first, span = span + 1, m
     return reports

@@ -23,6 +23,7 @@ from expbouquet.sequences import SymbolSeq
 CONST1 = '{"prefix": [], "tail": {"kind": "const", "c": 1}}'
 CONST0 = '{"prefix": [], "tail": {"kind": "const", "c": 0}}'
 FEXP10 = '{"prefix": [], "tail": {"kind": "fexp", "c": 10}}'
+FEXP9 = '{"prefix": [], "tail": {"kind": "fexp", "c": 9}}'
 
 
 def run(capsys, *argv):
@@ -329,6 +330,17 @@ def test_witness_cut_at_the_distance_horizon_exits_1_naming_it(capsys):
     assert captured.err == "error: cut index 60 reaches the distance horizon 60\n"
 
 
+@pytest.mark.parametrize("seq, tol, code, err", [
+    # the base's height enclosure is wider than 1e-20: membership is unknown, not refused
+    (FEXP9, "1e-20", 1, "error: child-stratum membership not certified at tol 1e-20\n"),
+    (CONST1, "1e-9", 2, "error: witness_family requires certified membership in the child stratum\n"),
+])
+def test_witness_exits_1_on_unknown_and_2_on_refused_membership(seq, tol, code, err, capsys):
+    assert main(["witness", seq, "--alpha", "0,1", "--n", "2", "--tol", tol]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_non_integer_descriptor_field_exits_2(capsys):
     assert main(["tstar", '{"prefix": [], "tail": {"kind": "const", "c": 1.9}}']) == 2
     captured = capsys.readouterr()
@@ -561,9 +573,6 @@ def test_exhausted_budget_exits_1_with_a_message(alpha, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: explicit threshold window exceeds budget\n"
-
-
-FEXP9 = '{"prefix": [], "tail": {"kind": "fexp", "c": 9}}'
 
 
 @pytest.mark.parametrize("alpha, n", [("0", "3000000"), ("0", "1000000000000"),

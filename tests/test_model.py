@@ -43,7 +43,7 @@ from expbouquet.intervals import (
     sum_down,
     sum_up,
 )
-from expbouquet import intervals, model, sequences
+from expbouquet import intervals, model, sequences, strata
 from expbouquet.model import _bounded_tail_escape_threshold, potential_above
 from expbouquet.sequences import (
     Asymptotics,
@@ -471,9 +471,8 @@ def _full_scan_classify(x: ModelPoint, budget: int, tol: float):
                 evidence = step
                 break
             t_iv = step
-    enc = endpoint_height_enclosure(seq, tol)
-    if enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol:
-        return Classification(Verdict.ENDPOINT, evidence=enc)
+    if (endpoint := _inline_endpoint_tests(x, tol)).is_true:
+        return Classification(Verdict.ENDPOINT, evidence=endpoint.evidence)
     return Classification(Verdict.UNKNOWN, evidence=evidence)
 
 
@@ -889,16 +888,18 @@ def test_every_pool_height_enclosure_starts_at_or_above_zero():
         assert enc.lo >= 0.0 and enc.mid >= 0.0, (descriptor, enc)
 
 
-def _inline_endpoint_tests(x: ModelPoint, tol: float) -> tuple[TriBool, bool]:
-    """The endpoint tests that in_stratum and classify wrote out before at_endpoint."""
+def _inline_endpoint_tests(x: ModelPoint, tol: float) -> TriBool:
+    """The endpoint test in exact rationals: yes when enc.lo - tol <= t <= enc.hi + tol, else
+    unknown on the double next to a bound that is no double (the directed sums' band), else no."""
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
-        member = TriBool.unknown(enc)
-    elif x.t < enc.lo - tol or x.t > enc.hi + tol:
-        member = TriBool.no(enc)
-    else:
-        member = TriBool(True, enc)
-    return member, enc.width <= tol and enc.lo - tol <= x.t <= enc.hi + tol
+        return TriBool.unknown(enc)
+    lo, hi, t = Fraction(enc.lo) - Fraction(tol), Fraction(enc.hi) + Fraction(tol), Fraction(x.t)
+    if lo <= t <= hi:
+        return TriBool(True, enc)
+    band = (Fraction(math.nextafter(x.t, math.inf)) > lo if t < lo
+            else Fraction(math.nextafter(x.t, -math.inf)) < hi)
+    return TriBool(None if band else False, enc)
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -917,9 +918,27 @@ def test_at_endpoint_agrees_with_the_inline_copies_at_both_tolerance_edges(descr
             if not 0.0 <= t < math.inf:
                 continue
             x = ModelPoint(t, seq)
-            member, certified = _inline_endpoint_tests(x, tol)
-            assert model.at_endpoint(x, tol) == member, (t, tol)
-            assert model.at_endpoint(x, tol).is_true is certified
+            assert model.at_endpoint(x, tol) == _inline_endpoint_tests(x, tol), (t, tol)
+
+
+def test_at_endpoint_leaves_both_rounded_ties_unknown():
+    # fexp c = 3 at tol 1e-9: fl(enc.hi + tol) lies above the exact sum and
+    # fl(enc.lo - tol) below it, so neither height is certainly within tol of the
+    # enclosure, and neither is an endpoint for classify (budget 0 asks at_endpoint
+    # before any escape certificate can fire above) or the empty stratum
+    seq, tol = SymbolSeq.from_json({"prefix": [], "tail": {"kind": "fexp", "c": 3}}), 1e-9
+    enc = endpoint_height_enclosure(seq)
+    assert enc.width <= tol
+    for t, exact, out in ((enc.hi + tol, Fraction(enc.hi) + Fraction(tol), math.inf),
+                          (enc.lo - tol, Fraction(enc.lo) - Fraction(tol), -math.inf)):
+        assert (Fraction(t) > exact) if out > 0 else (Fraction(t) < exact)  # outside the bound
+        x = ModelPoint(t, seq)
+        assert model.at_endpoint(x, tol) == TriBool.unknown(enc)
+        assert classify(x, budget=0, tol=tol).verdict is Verdict.UNKNOWN
+        assert strata.in_stratum(strata.AlphaIndex(()), x, tol).is_unknown
+        # the next double inward is certainly within tol, the next outward certainly not
+        assert model.at_endpoint(ModelPoint(math.nextafter(t, enc.mid), seq), tol).is_true
+        assert model.at_endpoint(ModelPoint(math.nextafter(t, out), seq), tol).is_false
 
 
 @dataclass(frozen=True)

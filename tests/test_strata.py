@@ -28,7 +28,6 @@ from expbouquet import (
     linexp_seq,
     point_distance,
     potential,
-    witness_cut_index,
     witness_family,
     witness_sequence,
 )
@@ -194,6 +193,9 @@ def test_library_entry_points_reject_a_tolerance_that_is_not_positive_and_finite
 def test_extension_requires_membership():
     with pytest.raises(ValueError):
         extension_index(AlphaIndex(()), ModelPoint(0.0, const_seq(0)), 0)
+    # fexp c = 9 has a height enclosure wider than 1e-20: unknown membership is no usage error
+    with pytest.raises(BudgetExceededError, match="stratum membership not certified at tol 1e-20"):
+        extension_index(AlphaIndex(()), endpoint_of(fexp_seq(9)), 0, 1e-20)
 
 
 # -- witness construction ---------------------------------------------------------------
@@ -206,13 +208,16 @@ def test_witness_depth_is_one_for_big_towers():
 
 def test_a_memoised_witness_depth_answers_only_its_own_threshold():
     # at shift 1 of a rate-2 ramp the first term certifies 2, but no term
-    # within the budget certifies 5; a failed search is not kept
+    # within the budget certifies 5, and no term of a constant address
+    # certifies the child threshold 2 at all; a failed search raises each time
     seq = linexp_seq("2")
     assert least_witness_depth(seq, 1, 2.0) == 1 == least_witness_depth(seq, 1, 2.0)
     for _ in range(2):
         with pytest.raises(BudgetExceededError, match="shift 1 for threshold 5.0"):
             least_witness_depth(seq, 1, 5.0)
     assert least_witness_depth(seq, 2, 5.0) == 1
+    with pytest.raises(BudgetExceededError, match="shift 0 for threshold 2.0"):
+        least_witness_depth(const_seq(1), 0, 2.0)
 
 
 def test_a_witness_depth_is_searched_once(monkeypatch):
@@ -222,18 +227,14 @@ def test_a_witness_depth_is_searched_once(monkeypatch):
     with pytest.raises(BudgetExceededError, match="shift 0 for threshold 1.5"):
         least_witness_depth(seq, 0, 1.5)
     monkeypatch.setattr(strata, "DEPTH_BUDGET", 512)
-    # the failed search kept nothing: the depth is searched again, and kept
+    # the failed search kept nothing: the depth is searched again
     assert least_witness_depth(seq, 0, 1.5) == 2
-    terms = []
-    real = strata.potential_term
-    monkeypatch.setattr(strata, "potential_term", lambda *a: terms.append(a) or real(*a))
-    assert least_witness_depth(seq, 0, 1.5) == 2
-    assert terms == []
 
 
 def test_witness_family_searches_each_depth_once(monkeypatch):
-    # _segment_depths asks below the extension index, and witness_cut_index
-    # asks the same shifts and thresholds again for every member
+    # witness_family walks the shifts below the extension index once, each at
+    # its segment's threshold, and each member adds only the shifts its span
+    # newly reaches, at the child threshold
     asking, keep, searches = [], [], Counter()
     real_depth, real_term = strata.least_witness_depth, strata.potential_term
 
@@ -256,25 +257,39 @@ def test_witness_family_searches_each_depth_once(monkeypatch):
     assert searches and max(searches.values()) == 1
 
 
-def test_cut_index_matches_the_max_formula():
-    base = fexp_seq(10)
-    # all depths are 1, so m = max(n + 1 : n in [0, 3]) = 4
-    assert witness_cut_index(base, AlphaIndex((0,)), 0, 3) == 4
-    # degenerate single-depth case: the empty below-window maximum reads as 0
-    assert witness_cut_index(base, AlphaIndex((0,)), 0, 0) == 1
-    assert witness_cut_index(base, AlphaIndex((0,)), 2, 3) == 4
+def _reference_cut_indices(base, alpha, n_ext, count):
+    """m_j = max{n + k_n : n_ext <= n <= span_j}, k_n the least witness depth at the
+    child threshold; span_0 = n_ext + the largest depth below n_ext (0 if none), each
+    at the threshold of the deepest index entry at or below its shift, and
+    span_{j+1} = max(span_j + 1, m_j)."""
+    below = [least_witness_depth(base, n, alpha.threshold(
+        max(i for i, e in enumerate(alpha.entries) if e <= n)))
+        for n in range(n_ext) if alpha.entries[0] <= n]
+    span, ms = n_ext + max(below, default=0), []
+    for _ in range(count):
+        ms.append(max(n + least_witness_depth(base, n, alpha.threshold(alpha.dom))
+                      for n in range(n_ext, span + 1)))
+        span = max(span + 1, ms[-1])
+    return ms
 
 
-def test_cut_index_enforces_span_floor():
-    base = fexp_seq(10)
-    with pytest.raises(ValueError):
-        witness_cut_index(base, AlphaIndex((0,)), 3, 2)
-
-
-def test_cut_index_fails_on_non_member():
-    # a bounded address can never witness terms above the child threshold
-    with pytest.raises(BudgetExceededError):
-        witness_cut_index(const_seq(1), AlphaIndex((0,)), 0, 1)
+@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", [
+    ({"prefix": [], "tail": {"kind": "fexp", "c": 9}}, (0, 1), 2, 30, 1e-9),
+    ({"prefix": [], "tail": {"kind": "fexp", "c": 10}}, (0,), 1, 5, 1e-9),
+    ({"prefix": [2, 4], "tail": {"kind": "fexp", "c": 9}}, (0, 2, 3), 4, 12, 1e-9),
+    ({"prefix": [2], "tail": {"kind": "fexp", "c": 7}}, (0, 2), 3, 12, 1e-9),
+    ({"prefix": [3], "tail": {"kind": "linexp", "c": "2/1"}}, (0, 2), 3, 12, 1e-9),
+    ({"prefix": [30, 30, 30, 30, 30], "tail": {"kind": "linexp", "c": "3"}}, (0,), 4, 12, 1e-9),
+    # the first cut index comes from shift n_ext = 1 alone: it sees only the tower
+    # entry at index 4 (depth 3), shift 2 sees 1000 at index 3; the height enclosure
+    # is about 1 wide, so membership needs tol 1
+    ({"prefix": [0, 1000, 1, 1000], "tail": {"kind": "fexp", "c": 6, "anchor": 0}},
+     (0,), 1, 6, 1.0),
+])
+def test_cut_indices_follow_the_span_recurrence(descriptor, alpha, n_ext, count, tol):
+    base = SymbolSeq.from_json(descriptor)
+    reports = witness_family(endpoint_of(base), AlphaIndex(alpha), n_ext, count, tol)
+    assert [r.m for r in reports] == _reference_cut_indices(base, AlphaIndex(alpha), n_ext, count)
 
 
 def test_witness_structure_over_tower_base():
@@ -795,9 +810,6 @@ def test_witness_cut_guards():
     base, alpha = fexp_seq(10), AlphaIndex((0,))
     with pytest.raises(ValueError, match="cut index"):
         witness_sequence(base, alpha, -1)
-    # shifts 0 and 1 need a witness depth of at least 1 each: span 2 clips them
-    with pytest.raises(ValueError, match="below the enforced minimum"):
-        witness_cut_index(base, alpha, 2, 2)
 
 
 def test_a_threshold_past_the_slow_ramp_window_is_unknown_with_no_extension():
