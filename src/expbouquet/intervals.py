@@ -194,11 +194,6 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def contains_value(self, v: float) -> bool:
-        above = v > self.lo or (v == self.lo and not self.lo_open)
-        below = v < self.hi or (v == self.hi and not self.hi_open)
-        return above and below
-
     # -- arithmetic (outward rounded) ---------------------------------------
 
     def __add__(self, other) -> "Interval":
@@ -228,9 +223,6 @@ class Interval:
     def certainly_gt(self, r: float) -> bool:
         return self.lo > r or (self.lo == r and self.lo_open)
 
-    def certainly_ge(self, r: float) -> bool:
-        return self.lo >= r
-
     def certainly_lt(self, r: float) -> bool:
         return self.hi < r or (self.hi == r and self.hi_open)
 
@@ -241,13 +233,6 @@ class Interval:
         if self.certainly_gt(r):
             return TriBool.yes()
         if self.certainly_le(r):
-            return TriBool.no()
-        return TriBool.unknown(self)
-
-    def tri_lt(self, r: float) -> "TriBool":
-        if self.certainly_lt(r):
-            return TriBool.yes()
-        if self.certainly_ge(r):
             return TriBool.no()
         return TriBool.unknown(self)
 
@@ -297,18 +282,6 @@ class Interval:
 
         return {"lo": enc(self.lo), "hi": enc(self.hi),
                 "lo_open": self.lo_open, "hi_open": self.hi_open}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Interval":
-        def dec(x):
-            if x == "inf":
-                return math.inf
-            if x == "-inf":
-                return -math.inf
-            return float(x)
-
-        return Interval(dec(obj["lo"]), dec(obj["hi"]),
-                        bool(obj.get("lo_open", False)), bool(obj.get("hi_open", False)))
 
     def __repr__(self) -> str:
         lb = "(" if self.lo_open else "["

@@ -324,15 +324,14 @@ def at_endpoint(x: ModelPoint, tol: float = DEFAULT_TOL) -> TriBool:
     """The one endpoint test, asked by ``classify`` and ``strata.in_stratum``.
 
     Unknown when the height enclosure (the evidence of every answer) is wider than tol, else
-    whether enc.lo - tol <= t <= enc.hi + tol: yes on sums rounded inward, no outward, unknown
-    in the ulp between.  A yes puts t within enc.width + tol <= 2 tol of the endpoint height.
+    whether enc.lo - tol <= t <= enc.hi + tol, decided exactly: the sums rounded inward are
+    the nearest doubles inside the exact bounds, so a double t between them is inside and any
+    other outside.  A yes puts t within enc.width + tol <= 2 tol of the endpoint height.
     """
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
         return TriBool.unknown(enc)
-    if sum_up(enc.lo, -tol) <= x.t <= sum_down(enc.hi, tol):
-        return TriBool(True, enc)
-    return TriBool(None if sum_down(enc.lo, -tol) <= x.t <= sum_up(enc.hi, tol) else False, enc)
+    return TriBool(sum_up(enc.lo, -tol) <= x.t <= sum_down(enc.hi, tol), enc)
 
 
 def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Classification:

@@ -205,9 +205,6 @@ class CeilExp:
         object.__setattr__(self, "_abs", Interval(
             t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf, t.lo_open, True))
 
-    def arg_interval(self) -> Interval:
-        return self._arg_iv
-
     def abs_interval(self) -> Interval:
         return self._abs
 
@@ -434,13 +431,9 @@ class _BoundedTail:
         """The entries of one period, built once with the rule."""
         return tuple(IntEntry(v) for v in self.pattern)
 
-    def abs_intervals(self) -> tuple[Interval, ...]:
-        """Enclosures of |s_n| over one period, rounded outward."""
-        return tuple(e.abs_interval() for e in self.entries)
-
     def abs_bound(self) -> float:
         """Upper bound of every |s_n| in the tail."""
-        return max(iv.hi for iv in self.abs_intervals())
+        return max(e.abs_interval().hi for e in self.entries)
 
     def entry_at(self, p: int, n: int) -> Entry:
         return self.entries[(n - p) % len(self.entries)]
@@ -483,7 +476,7 @@ class ConstTail(_BoundedTail):
     @functools.lru_cache(maxsize=256)
     def height(self) -> Interval:
         """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
-        a = self.abs_intervals()[0]
+        a = self.entries[0].abs_interval()
         if a.hi == 0.0:
             return Interval.point(0.0)
         lo, hi = 0.0, log1p_up(a.hi) + 1.0
@@ -531,7 +524,7 @@ class PeriodicTail(_BoundedTail):
         """The pure tail's height, by contracting sweeps of ``ln1p_sum`` over one period."""
         if all(v == 0 for v in self.pattern):
             return Interval.point(0.0)
-        pats = self.abs_intervals()
+        pats = [e.abs_interval() for e in self.entries]
         L = len(pats)
         upper = log1p_up(self.abs_bound()) + 1.0
         w = [(0.0, upper, False, False)] * L
@@ -750,11 +743,6 @@ class SymbolSeq:
         if n < len(self.prefix):
             return self.prefix[n]
         return self.tail.entry_at(len(self.prefix), n)
-
-    def value_at(self, n: int):
-        """The integer of an ``IntEntry``, else the symbolic entry."""
-        e = self.entry(n)
-        return e.value if isinstance(e, IntEntry) else e
 
     def shift(self, n: int = 1) -> "SymbolSeq":
         """Descriptor of the n-fold shifted sequence (drop the first n entries)."""

@@ -10,10 +10,11 @@ min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 (certified exclusion from the closure of the child stratum) while keeping
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
 convergent family of these witnesses with verified margins, searching the witness
-depth at each shift once, each search stopping at ``DEPTH_BUDGET``.
+depth once at each shift the first member spans, then once per later member, each
+search stopping at ``DEPTH_BUDGET``.
 
 Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
-tolerance, for witnesses too.
+tolerance, for witnesses too: an exact yes or no once the height enclosure is that narrow.
 """
 
 from __future__ import annotations
@@ -306,16 +307,18 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     # the first span covers each depth below n_ext at its segment's threshold (that of the
     # deepest index entry at or below the shift), so thinning clips none of them
     levels = ((n, sum(e <= n for e in alpha.entries) - 1) for n in range(n_ext))
-    first, span = n_ext, n_ext + max((least_witness_depth(base, n, alpha.threshold(i))
-                                      for n, i in levels if i >= 0), default=0)
+    span = n_ext + max((least_witness_depth(base, n, alpha.threshold(i))
+                        for n, i in levels if i >= 0), default=0)
 
     reports: list[WitnessReport] = []
     base_height = endpoint_height_enclosure(base, tol)
     last_distance = math.inf
     for _ in range(count):
-        # m = max{n + k_n : n_ext <= n <= span} > span as every depth k_n >= 1; the last
-        # span is the last m, so the shifts newly spanned alone give the max
-        m = max(n + least_witness_depth(base, n, threshold) for n in range(first, span + 1))
+        # m_0 = max{n + k_n : n_ext <= n <= span}, k_n the least depth at the child threshold,
+        # then m_{j+1} = m_j + k_{m_j}: say m_j = n0 + k_{n0}; a shift n in (n0, m_j) sees entry m_j
+        # at depth m_j - n < k_{n0}, an enclosure whose lower end is no lower: n + k_n <= m_j
+        m = (reports[-1].m + least_witness_depth(base, reports[-1].m, threshold) if reports else
+             max(n + least_witness_depth(base, n, threshold) for n in range(n_ext, span + 1)))
         if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks
             raise BudgetExceededError(f"cut index {m} reaches the distance horizon {_DIST_HORIZON}")
         witness = witness_sequence(base, alpha, m)
@@ -348,5 +351,4 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         reports.append(WitnessReport(m, witness, claim1, claim2, distance, height,
                                      m + EXTRA_CLAIM_SHIFTS - 1))
         last_distance = distance
-        first, span = span + 1, m
     return reports

@@ -17,7 +17,6 @@ import pytest
 
 from expbouquet import cli
 from expbouquet.cli import build_parser, main
-from expbouquet.intervals import Interval
 from expbouquet.sequences import SymbolSeq
 
 CONST1 = '{"prefix": [], "tail": {"kind": "const", "c": 1}}'
@@ -35,16 +34,15 @@ def run(capsys, *argv):
 def test_tstar_reports_ln2(capsys):
     code, out = run(capsys, "tstar", CONST1)
     assert code == 0
-    payload = json.loads(out)
-    iv = Interval.from_json(payload["tstar"])
-    assert abs(iv.mid - math.log(2.0)) < 1e-9
+    tstar = json.loads(out)["tstar"]
+    assert abs(tstar["lo"] - math.log(2.0)) < 1e-9 and abs(tstar["hi"] - math.log(2.0)) < 1e-9
 
 
 def test_tstar_zero(capsys):
     code, out = run(capsys, "tstar", CONST0)
     assert code == 0
-    iv = Interval.from_json(json.loads(out)["tstar"])
-    assert iv.lo == iv.hi == 0.0
+    tstar = json.loads(out)["tstar"]
+    assert tstar["lo"] == tstar["hi"] == 0.0
 
 
 def test_malformed_descriptor_exits_2(capsys):
@@ -106,8 +104,8 @@ def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
 def test_tmin_anchor(capsys):
     code, out = run(capsys, "tmin", '{"prefix": [0, 5], "tail": {"kind": "const", "c": 0}}')
     assert code == 0
-    iv = Interval.from_json(json.loads(out)["tmin"])
-    assert abs(iv.mid - math.log(6.0)) < 1e-9
+    tmin = json.loads(out)["tmin"]
+    assert abs(tmin["lo"] - math.log(6.0)) < 1e-9 and abs(tmin["hi"] - math.log(6.0)) < 1e-9
 
 
 def test_classify_examples(capsys):
@@ -147,8 +145,7 @@ def test_witness_round_trips_schema(capsys):
     for report in payload["reports"]:
         seq = SymbolSeq.from_json(report["witness"])
         assert isinstance(seq, SymbolSeq)
-        iv = Interval.from_json(report["claim2_bound"])
-        assert iv.hi <= 3.0
+        assert report["claim2_bound"]["hi"] <= 3.0
         assert report["distance"] > 0
 
 
@@ -515,6 +512,18 @@ def test_verify_seed0_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED0_SHA256
 
 
+# the other seed CI runs, and budget 1, under which the witness, closure and
+# extension suites fail (exit 1), pinned like seed 0
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    (["--seed", "7"], 0, "5ca2c2a0a40a7f3589b28101db0e0f10d656c0d55acb09133b6964b0a1a03bea"),
+    (["--budget", "1"], 1, "73c0c880429cc02426bb26be099f1e639e50d5d7b34cefeecc842c15934ab489"),
+])
+def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
+    code, out = run(capsys, "verify", *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_writes_no_file(tmp_path, monkeypatch, capsys):
     # the renderer suite hashes its tiles in memory and writes them to the null device
     monkeypatch.chdir(tmp_path)
@@ -560,8 +569,17 @@ def test_shift_beyond_double_range_exits_2_like_its_shifted_descriptor(capsys):
 
 def test_strata_without_t_uses_the_endpoint_midpoint(capsys):
     code, out = run(capsys, "strata", FEXP3)
-    height = Interval.from_json(json.loads(run(capsys, "tmin", FEXP3)[1])["tmin"])
-    assert code == 0 and json.loads(out)["t"] == height.mid
+    height = json.loads(run(capsys, "tmin", FEXP3)[1])["tmin"]
+    assert code == 0 and json.loads(out)["t"] == 0.5 * (height["lo"] + height["hi"])
+
+
+@pytest.mark.parametrize("t", ["19.77868410310145", "19.77868410110144"])
+def test_strata_answers_no_on_both_rounded_ties_of_the_endpoint_test(t, capsys):
+    # fl(enc.hi + tol) and fl(enc.lo - tol) for FEXP3 at tol 1e-9 lie just outside the
+    # exact bounds enc.hi + tol and enc.lo - tol: the endpoint test says no, not unknown
+    code, out = run(capsys, "strata", FEXP3, "--t", t, "--tol", "1e-9")
+    payload = json.loads(out)
+    assert code == 0 and payload["member"] == "false" and payload["t"] == float(t)
 
 
 RAMP_QUARTER = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/4"}}'
@@ -660,7 +678,7 @@ def test_module_entry_points_exit_with_the_command_code(module, monkeypatch, cap
         warnings.simplefilter("ignore", RuntimeWarning)
         runpy.run_module(module, run_name="__main__")
     assert exited.value.code == 0
-    assert Interval.from_json(json.loads(capsys.readouterr().out)["tstar"]).lo > 0.69
+    assert json.loads(capsys.readouterr().out)["tstar"]["lo"] > 0.69
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

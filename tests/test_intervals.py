@@ -100,14 +100,6 @@ def test_threshold_decisions_respect_openness():
     assert win.certainly_le(3.0)
     assert win.tri_gt(2.5).is_unknown
     assert win.tri_gt(3.0).is_false
-    assert win.tri_lt(2.0).is_false
-
-
-def test_contains_value_openness():
-    win = Interval(1.0, 2.0, lo_open=True)
-    assert not win.contains_value(1.0)
-    assert win.contains_value(2.0)
-    assert win.contains_value(1.5)
 
 
 def test_sup_hull_prefers_strict_lower_bounds():
@@ -122,11 +114,6 @@ def test_intersect_and_empty_detection():
     assert a.intersect(b) == Interval(1.0, 2.0)
     with pytest.raises(RigorError):
         Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
-
-
-def test_json_round_trip_including_infinities():
-    for iv in (Interval(0.5, 2.5, True, False), Interval(1.0, math.inf, False, True)):
-        assert Interval.from_json(iv.to_json()) == iv
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
@@ -370,7 +357,7 @@ def test_float_nesting_matches_the_interval_steps(values, w):
     def reference():
         iv = w
         for j in range(len(values), 0, -1):
-            iv = _ref_ln1p(_ref_add(Interval.from_int(abs(seq.value_at(j))), iv))
+            iv = _ref_ln1p(_ref_add(Interval.from_int(abs(seq.entry(j).value)), iv))
         return iv
 
     _same_as_reference(lambda: _descend(seq, len(values), w), reference)
@@ -402,18 +389,12 @@ def test_eq_hash_and_repr_follow_the_field_tuple(a, b):
 def test_threshold_decisions_answer_all_three_ways():
     iv = Interval(1.0, 2.0)
     assert iv.tri_gt(0.5).is_true and iv.tri_gt(2.0).is_false
-    assert iv.tri_lt(3.0).is_true and iv.tri_lt(1.0).is_false
-    assert iv.tri_gt(1.5).is_unknown and iv.tri_lt(1.5).evidence == iv
+    assert iv.tri_gt(1.5).is_unknown and iv.tri_gt(1.5).evidence == iv
 
 
 def test_sup_hull_of_no_terms_raises():
     with pytest.raises(ValueError, match="no terms"):
         Interval.sup_hull([])
-
-
-def test_json_round_trip_keeps_infinite_ends():
-    iv = Interval(-math.inf, math.inf, False, True)
-    assert Interval.from_json(iv.to_json()) == iv
 
 
 def test_expm1_down_never_reaches_an_overflow():

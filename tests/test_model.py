@@ -233,7 +233,8 @@ def test_bounded_tails_enclose_integers_beyond_double_precision():
     big = 2**53 + 1
     const, periodic = ConstTail(big), PeriodicTail((big, 3))
     for tail in (const, periodic):
-        for iv, v in zip(tail.abs_intervals(), tail.pattern, strict=True):
+        for e, v in zip(tail.entries, tail.pattern, strict=True):
+            iv = e.abs_interval()
             assert Fraction(iv.lo) <= abs(v) <= Fraction(iv.hi)
         assert tail.abs_bound() >= big
     level, height = const.nesting_anchor(0)
@@ -433,7 +434,7 @@ def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
     if n1 is None:
         return False
     for j in range(n, n1):
-        if not potential(seq, j).certainly_ge(0.694):
+        if potential(seq, j).lo < 0.694:
             return False
     return True
 
@@ -889,17 +890,13 @@ def test_every_pool_height_enclosure_starts_at_or_above_zero():
 
 
 def _inline_endpoint_tests(x: ModelPoint, tol: float) -> TriBool:
-    """The endpoint test in exact rationals: yes when enc.lo - tol <= t <= enc.hi + tol, else
-    unknown on the double next to a bound that is no double (the directed sums' band), else no."""
+    """The endpoint test in exact rationals: unknown when the height enclosure is wider than
+    tol, else yes when enc.lo - tol <= t <= enc.hi + tol and no outside these bounds."""
     enc = endpoint_height_enclosure(x.seq, tol)
     if enc.width > tol:
         return TriBool.unknown(enc)
     lo, hi, t = Fraction(enc.lo) - Fraction(tol), Fraction(enc.hi) + Fraction(tol), Fraction(x.t)
-    if lo <= t <= hi:
-        return TriBool(True, enc)
-    band = (Fraction(math.nextafter(x.t, math.inf)) > lo if t < lo
-            else Fraction(math.nextafter(x.t, -math.inf)) < hi)
-    return TriBool(None if band else False, enc)
+    return TriBool(lo <= t <= hi, enc)
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -921,11 +918,11 @@ def test_at_endpoint_agrees_with_the_inline_copies_at_both_tolerance_edges(descr
             assert model.at_endpoint(x, tol) == _inline_endpoint_tests(x, tol), (t, tol)
 
 
-def test_at_endpoint_leaves_both_rounded_ties_unknown():
+def test_at_endpoint_answers_no_at_both_rounded_ties():
     # fexp c = 3 at tol 1e-9: fl(enc.hi + tol) lies above the exact sum and
-    # fl(enc.lo - tol) below it, so neither height is certainly within tol of the
-    # enclosure, and neither is an endpoint for classify (budget 0 asks at_endpoint
-    # before any escape certificate can fire above) or the empty stratum
+    # fl(enc.lo - tol) below it, so neither height is within tol of the enclosure:
+    # at_endpoint answers no, and neither is an endpoint for classify (budget 0 asks
+    # at_endpoint before any escape certificate can fire above) or the empty stratum
     seq, tol = SymbolSeq.from_json({"prefix": [], "tail": {"kind": "fexp", "c": 3}}), 1e-9
     enc = endpoint_height_enclosure(seq)
     assert enc.width <= tol
@@ -933,9 +930,9 @@ def test_at_endpoint_leaves_both_rounded_ties_unknown():
                           (enc.lo - tol, Fraction(enc.lo) - Fraction(tol), -math.inf)):
         assert (Fraction(t) > exact) if out > 0 else (Fraction(t) < exact)  # outside the bound
         x = ModelPoint(t, seq)
-        assert model.at_endpoint(x, tol) == TriBool.unknown(enc)
+        assert model.at_endpoint(x, tol) == TriBool.no(enc)
         assert classify(x, budget=0, tol=tol).verdict is Verdict.UNKNOWN
-        assert strata.in_stratum(strata.AlphaIndex(()), x, tol).is_unknown
+        assert strata.in_stratum(strata.AlphaIndex(()), x, tol) == TriBool.no(enc)
         # the next double inward is certainly within tol, the next outward certainly not
         assert model.at_endpoint(ModelPoint(math.nextafter(t, enc.mid), seq), tol).is_true
         assert model.at_endpoint(ModelPoint(math.nextafter(t, out), seq), tol).is_false

@@ -45,18 +45,18 @@ from expbouquet.sequences import (
 
 def test_prefix_lookup_and_const_tail():
     seq = const_seq(0, (7, -2))
-    assert seq.value_at(0) == 7
-    assert seq.value_at(1) == -2
-    assert seq.value_at(2) == 0
-    assert seq.value_at(100) == 0
+    assert seq.entry(0).value == 7
+    assert seq.entry(1).value == -2
+    assert seq.entry(2).value == 0
+    assert seq.entry(100).value == 0
 
 
 def test_tower_tail_materializes_small_heights():
     seq = fexp_seq(3, (0,))
-    assert seq.value_at(0) == 0
-    assert seq.value_at(1) == 19            # floor(F(3)) = floor(e^3 - 1)
-    assert seq.value_at(2) == 194421087     # floor(F^2(3))
-    assert isinstance(seq.value_at(4), FloorPow)  # F^4(3) overflows doubles
+    assert seq.entry(0).value == 0
+    assert seq.entry(1).value == 19            # floor(F(3)) = floor(e^3 - 1)
+    assert seq.entry(2).value == 194421087     # floor(F^2(3))
+    assert isinstance(seq.entry(4), FloorPow)  # F^4(3) overflows doubles
 
 
 def test_tower_entry_window():
@@ -82,19 +82,19 @@ def test_entry_after_n_steps_is_the_first_entry_of_the_shift(seq):
 def test_ramp_tail_entries():
     seq = linexp_seq(1)
     # s_n = ceil(F(n)): F(0) = 0, F(1) = e - 1, F(2) = e^2 - 1
-    assert seq.value_at(0) == 0
-    assert seq.value_at(1) == 2
-    assert seq.value_at(2) == 7
-    big = linexp_seq(Fraction(1), ()).value_at(400)
+    assert seq.entry(0).value == 0
+    assert seq.entry(1).value == 2
+    assert seq.entry(2).value == 7
+    big = linexp_seq(Fraction(1), ()).entry(400)
     assert isinstance(big, CeilExp)
 
 
 def test_periodic_tail_and_rotation_under_shift():
     seq = periodic_seq((1, -2, 3), (9,))
-    values = [seq.value_at(n) for n in range(1, 7)]
+    values = [seq.entry(n).value for n in range(1, 7)]
     assert values == [1, -2, 3, 1, -2, 3]
     shifted = seq.shift(2)
-    assert [shifted.value_at(n) for n in range(5)] == [seq.value_at(n + 2) for n in range(5)]
+    assert [shifted.entry(n).value for n in range(5)] == [seq.entry(n + 2).value for n in range(5)]
 
 
 
@@ -179,7 +179,7 @@ def test_shift_zero_is_identity():
 def test_shift_example_rebases_tower():
     seq = fexp_seq(3, (0,))
     shifted = seq.shift(1)
-    assert shifted.value_at(0) == 19
+    assert shifted.entry(0).value == 19
     assert shifted.prefix == ()
 
 
@@ -343,13 +343,10 @@ class _LazyCeilExp:
     def __init__(self, arg: Fraction):
         self.arg = arg
 
-    def arg_interval(self):
-        return Interval.from_fraction(self.arg)
-
     def as_int(self):
         if self.arg == 0:
             return 0
-        t = self.arg_interval().growth()
+        t = Interval.from_fraction(self.arg).growth()
         if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
             return int(math.ceil(t.hi))
         return None
@@ -358,7 +355,7 @@ class _LazyCeilExp:
         v = self.as_int()
         if v is not None:
             return Interval.point(float(v))
-        t = self.arg_interval().growth()
+        t = Interval.from_fraction(self.arg).growth()
         return Interval(t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf,
                         t.lo_open, True)
 
@@ -368,13 +365,13 @@ class _LazyCeilExp:
             return growth_inv_pow(v, k)
         if self.arg <= 700:
             return growth_inv_pow(self.abs_interval(), k)
-        inner = growth_inv_pow(self.arg_interval(), k - 1)
+        inner = growth_inv_pow(Interval.from_fraction(self.arg), k - 1)
         return Interval(inner.lo, round_up(inner.hi + 1.0), inner.lo_open, True)
 
     def descend(self, w):
         if self.arg <= PIN_ARG:
             return (self.abs_interval() + w).ln1p()
-        a = self.arg_interval()
+        a = Interval.from_fraction(self.arg)
         denom = 1.0 + growth_net(a.lo, 1).lo
         y_lo = min(0.0, round_down(w.lo / denom))
         y_hi = max(0.0, round_up((w.hi + 2.0) / denom))
@@ -452,7 +449,6 @@ def _stepped(e, state):
 def test_ceil_entry_enclosures_match_the_lazy_reference(arg):
     e, ref = _ramp_entry.__wrapped__(arg.numerator, arg.denominator, 1), _LazyCeilExp(arg)
     _assert_same(_int_of(e), ref.as_int())
-    _assert_same(CeilExp(arg).arg_interval(), ref.arg_interval())
     _assert_same(e.abs_interval(), ref.abs_interval())
     for k in (1, 2, 3, 7):
         _assert_same(e.pot(k), ref.pot(k))

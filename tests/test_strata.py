@@ -233,8 +233,8 @@ def test_a_witness_depth_is_searched_once(monkeypatch):
 
 def test_witness_family_searches_each_depth_once(monkeypatch):
     # witness_family walks the shifts below the extension index once, each at
-    # its segment's threshold, and each member adds only the shifts its span
-    # newly reaches, at the child threshold
+    # its segment's threshold, the first member the shifts its span reaches and
+    # each later member the last cut index alone, at the child threshold
     asking, keep, searches = [], [], Counter()
     real_depth, real_term = strata.least_witness_depth, strata.potential_term
 
@@ -273,7 +273,7 @@ def _reference_cut_indices(base, alpha, n_ext, count):
     return ms
 
 
-@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", [
+SPAN_FAMILIES = [
     ({"prefix": [], "tail": {"kind": "fexp", "c": 9}}, (0, 1), 2, 30, 1e-9),
     ({"prefix": [], "tail": {"kind": "fexp", "c": 10}}, (0,), 1, 5, 1e-9),
     ({"prefix": [2, 4], "tail": {"kind": "fexp", "c": 9}}, (0, 2, 3), 4, 12, 1e-9),
@@ -285,11 +285,52 @@ def _reference_cut_indices(base, alpha, n_ext, count):
     # is about 1 wide, so membership needs tol 1
     ({"prefix": [0, 1000, 1, 1000], "tail": {"kind": "fexp", "c": 6, "anchor": 0}},
      (0,), 1, 6, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", SPAN_FAMILIES)
 def test_cut_indices_follow_the_span_recurrence(descriptor, alpha, n_ext, count, tol):
     base = SymbolSeq.from_json(descriptor)
     reports = witness_family(endpoint_of(base), AlphaIndex(alpha), n_ext, count, tol)
     assert [r.m for r in reports] == _reference_cut_indices(base, AlphaIndex(alpha), n_ext, count)
+
+
+@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", SPAN_FAMILIES)
+def test_each_later_member_makes_one_depth_search(descriptor, alpha, n_ext, count, tol,
+                                                  monkeypatch):
+    # m_{j+1} = m_j + k_{m_j}: between two members' witnesses one depth search runs
+    log = []
+    real_depth, real_witness = strata.least_witness_depth, strata.witness_sequence
+    monkeypatch.setattr(strata, "least_witness_depth", lambda *a: log.append("k") or real_depth(*a))
+    monkeypatch.setattr(strata, "witness_sequence", lambda *a: log.append("w") or real_witness(*a))
+    base = SymbolSeq.from_json(descriptor)
+    witness_family(endpoint_of(base), AlphaIndex(alpha), n_ext, count, tol)
+    assert "".join(log).split("w")[1:] == ["k"] * (count - 1) + [""]
+
+
+def _witness_grid() -> str:
+    """Witness families of 12 over fexp bases c = 3..9 with prefixes [], [2] and [2, 4], each
+    parent index at its extension index; a raised error is kept by its type and message."""
+    families = []
+    for c in range(3, 10):
+        for prefix in ((), (2,), (2, 4)):
+            base = endpoint_of(fexp_seq(c, prefix))
+            for entries in ((0,), (0, 1), (0, 2), (0, 2, 3)):
+                alpha = AlphaIndex(entries)
+                try:
+                    n = extension_index(alpha, base)
+                    got = [r.to_json() for r in witness_family(base, alpha, n, 12)]
+                except (ValueError, ArithmeticError, BudgetExceededError) as e:
+                    got = f"{type(e).__name__}: {e}"
+                families.append({"c": c, "prefix": list(prefix), "alpha": list(entries),
+                                 "family": got})
+    return json.dumps(families, sort_keys=True)
+
+
+def test_witness_family_grid_is_pinned():
+    # sha256 recorded before the later members' cut indices came from one depth search each
+    assert hashlib.sha256(_witness_grid().encode()).hexdigest() == (
+        "c353fc023a006a034df6f54f7d226ccb051eab3e668a6fc4df5d893b5a201a65")
 
 
 def test_witness_structure_over_tower_base():
@@ -301,14 +342,14 @@ def test_witness_structure_over_tower_base():
     assert w.entry(2) == FloorPow(10, 3)
     assert isinstance(w.tail, ExpTowerTail)
     assert w.tail.c == 3 and w.tail.anchor == 2
-    assert w.value_at(3) == 19  # floor(F(3))
+    assert w.entry(3).value == 19  # floor(F(3))
 
 
 def test_witness_keeps_small_entries():
     # a zero in the base past the cut survives the min
     base = fexp_seq(10, (5, 0))
     w = witness_sequence(base, AlphaIndex((0,)), 0)
-    assert w.value_at(1) == 0
+    assert w.entry(1).value == 0
 
 
 def test_witness_requires_diverging_tail_and_depth():
@@ -365,7 +406,7 @@ def test_witness_over_ramp_base():
     w = witness_sequence(base, AlphaIndex((0,)), 2)
     # near the cut the tower cap is smaller than e^(3n); far out the base
     # ramp falls below the tower and survives
-    assert w.value_at(3) == 19
+    assert w.entry(3).value == 19
     assert isinstance(w.tail, LinExpTail)
     caps = [n for n in range(3, 12) if w.entry(n) != base.entry(n)]
     assert caps, "expected a capped window after the cut"
@@ -567,7 +608,7 @@ def _reference_gap(a, b) -> float:
     diff = a.abs_interval() - b.abs_interval()
     if diff.lo >= 1.0 or diff.hi <= -1.0:
         return 1.0
-    if diff.contains_value(0.0):
+    if diff.lo <= 0.0 <= diff.hi:
         return 0.0 if diff.width == 0.0 else min(1.0, abs(diff.mid))
     return min(1.0, abs(diff.mid))
 
