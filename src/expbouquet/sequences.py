@@ -727,7 +727,8 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # model.py's hulls below p - 1, height and shared witness work, and strata.py's witness link
+    # a witness's link to its base (model.Cut); the memo is model.py's alone, the cut's included
+    cut: object = field(default=None, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -11,7 +11,8 @@ min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
 convergent family of these witnesses with verified margins, searching the witness
 depth once at each shift the first member spans, then once per later member, each
-search stopping at ``DEPTH_BUDGET``.
+search stopping at ``DEPTH_BUDGET``.  Each witness carries its ``model.Cut``, through
+which it reads the work on the entries 0..m it shares with its base, built once per base.
 
 Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
 tolerance, for witnesses too: an exact yes or no once the height enclosure is that narrow.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
+    Cut,
     ModelPoint,
     at_endpoint,
     endpoint_height_enclosure,
@@ -185,8 +187,8 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
     The min is resolved entry-wise, prefix and tail entries in one loop,
     until the tail rule's ``thin`` gives the rule the thinned sequence follows
-    from there on; each comparison is a single certified one.  The witness links
-    ``(base, m)`` in its memo, outside ==, hash, repr and to_json, for shared work.
+    from there on; each comparison is a single certified one.  The witness carries its
+    ``model.Cut(base, m)``, outside ==, hash, repr and to_json: the work it shares.
     """
     if base.asymptotics is not Asymptotics.DIVERGES:
         raise IncomparableTailsError("witness thinning needs a diverging-tail base",
@@ -198,7 +200,8 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     cap_c = 3 * alpha.dom
     p = len(base.prefix)
 
-    entries: list[Entry] = [base.entry(n) for n in range(m + 1)]
+    cut = Cut(base, m)
+    entries = cut.entries()
     n = m + 1
     while n < p or (tail := base.tail.thin(p, m, cap_c, n)) is None:
         e = base.entry(n)
@@ -209,9 +212,7 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
                 {"n": n, "entry": e.to_json(), "cap": _tower_entry(cap_c, n - m).to_json()})
         entries.append(thinned)
         n += 1
-    witness = SymbolSeq(tuple(entries), tail)
-    witness._memo[("base",)] = (base, m)
-    return witness
+    return SymbolSeq(tuple(entries), tail, cut)
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
@@ -249,10 +250,7 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
     witness cut at m and its base agree through m, so the sum starts at m + 1.
     """
     tails = max(len(a.prefix), len(b.prefix))
-    start = 0
-    for x, y in ((a, b), (b, a)):
-        if (link := x._memo.get(("base",))) is not None and link[0] is y:
-            start = link[1] + 1
+    start = next((x.cut.m + 1 for x, y in ((a, b), (b, a)) if x.cut and x.cut.base is y), 0)
     total = 0.0
     for n in range(start, horizon + 1):
         if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):

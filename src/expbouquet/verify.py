@@ -5,7 +5,8 @@ measured; the model's suites count each case, a relation between interval
 enclosures, as proved, refuted or undecided, and pass only with none refuted.
 Randomized suites draw from a seeded generator, so a fixed seed reproduces the
 report byte for byte.  Unattainable tolerances are reported as honest failures
-(the enclosure and its width), never silently widened.
+(the enclosure and its width), never silently widened; a case the budget leaves
+undecided (``BudgetExceededError``) is counted as undecided, with its message.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from .cli import RunConfig
 from .intervals import Interval, growth_inv_pow, growth_net, sum_down
 from .model import (
+    BudgetExceededError,
     ModelPoint,
     NonConvergenceError,
     _descend,
@@ -248,6 +250,10 @@ def suite_witness_claims(cfg: RunConfig) -> dict:
         bound = 3.0 * alpha.dom
         try:
             point, reports = _demo_family(cfg, alpha, n_ext, 3)
+        except BudgetExceededError as e:  # not decided within the budget
+            tally["undecided"] += 1
+            details.append({"alpha": alpha.to_json(), "reason": str(e)})
+            continue
         except Exception as e:  # honest reporting of any certification failure
             failures.append({"alpha": alpha.to_json(), "error": str(e)})
             continue
@@ -278,7 +284,11 @@ def suite_closure_bound(cfg: RunConfig) -> dict:
     """Limits of threshold-exceeding families keep (almost) the threshold."""
     alpha = AlphaIndex((0,))
     tally, failures = _tally(), []
-    point, reports = _demo_family(cfg, alpha, 1, 3)
+    try:
+        point, reports = _demo_family(cfg, alpha, 1, 3)
+    except BudgetExceededError as e:  # not decided within the budget
+        tally["undecided"] += 1
+        return _suite("closure_bound", True, failures=failures, reason=str(e), **tally)
     base = point.seq
     for n in range(4):
         r_bound = min(potential(r.witness, n).lo for r in reports)
@@ -332,7 +342,7 @@ def suite_stratum_nesting(cfg: RunConfig) -> dict:
 def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
     """Certified members admit a certified extension index."""
     rng = random.Random(cfg.seed + 5)
-    failures = []
+    failures, undecided = [], []
     done = 0
     attempts = 0
     while done < count and attempts < 20 * count:
@@ -353,9 +363,13 @@ def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
             member = in_stratum(alpha.child(n_ext), point, cfg.tolerance, cfg.budget)
             if not member.is_true:
                 failures.append({"seq": seq.to_json(), "n": n_ext})
+        except BudgetExceededError as e:  # not decided within the budget
+            undecided.append({"seq": seq.to_json(), "reason": str(e)})
         except Exception as e:
             failures.append({"seq": seq.to_json(), "error": str(e)})
-    return _suite("extension", not failures, checked=done, failures=failures)
+    # present only when a case is undecided, so a report without one keeps its bytes
+    return _suite("extension", not failures, checked=done, failures=failures, **(
+        {"undecided": len(undecided), "undecided_cases": undecided} if undecided else {}))
 
 
 def suite_plane_real_axis(cfg: RunConfig) -> dict:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -440,18 +442,19 @@ def test_witness_family_full_pipeline():
 
 def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
     # a hull is a sup_hull under model.potential, a shared head (terms 1..m of
-    # the base's shift-0 hull, model._shared_head) the one term it adds, and a
+    # the base's shift-0 hull, model.Cut.head) the one term it adds, and a
     # depth a first term under least_witness_depth, so a memo hit counts as
     # none; the calls that ask are kept on a stack, and the sequences alive,
     # so ids stay unique
     asking, keep, hulls, heads, depths = [], [], Counter(), Counter(), Counter()
 
-    def asked(real, kind, defaults=()):
-        def wrapper(seq, *args):
+    def asked(real, kind, key):
+        def wrapper(*args):
+            seq, at = key(*args)
             keep.append(seq)
-            asking.append((kind, id(seq), tuple(args) or defaults))
+            asking.append((kind, id(seq), at))
             try:
-                return real(seq, *args)
+                return real(*args)
             finally:
                 asking.pop()
         return wrapper
@@ -463,11 +466,13 @@ def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    pot = asked(model.potential, "potential", (0,))
+    pot = asked(model.potential, "potential", lambda seq, shift=0: (seq, (shift,)))
     monkeypatch.setattr(model, "potential", pot)
     monkeypatch.setattr(strata, "potential", pot)
-    monkeypatch.setattr(model, "_shared_head", asked(model._shared_head, "head"))
-    monkeypatch.setattr(strata, "least_witness_depth", asked(strata.least_witness_depth, "depth"))
+    monkeypatch.setattr(model.Cut, "head", asked(model.Cut.head, "head",
+                                                 lambda cut: (cut.base, (cut.m,))))
+    monkeypatch.setattr(strata, "least_witness_depth", asked(
+        strata.least_witness_depth, "depth", lambda seq, *args: (seq, args)))
     monkeypatch.setattr(Interval, "sup_hull", staticmethod(
         counted(Interval.sup_hull, "potential", hulls)))
     monkeypatch.setattr(model, "potential_term", counted(model.potential_term, "head", heads))
@@ -504,6 +509,44 @@ def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_me
     assert len(steps) <= 150
 
 
+@pytest.mark.counts_work
+def test_witness_family_asks_its_base_for_each_entry_about_once(monkeypatch, empty_rule_memos):
+    # the CI smoke family: its 30 members read 37 distinct base entries; each
+    # member building its own list of base entries 0..m took 806 calls of
+    # base.entry (585 of them for those lists), the cut's one tuple per base 255
+    point = endpoint_of(fexp_seq(9))
+    asked = []
+    real_entry = SymbolSeq.entry
+    monkeypatch.setattr(SymbolSeq, "entry", lambda seq, n: (
+        seq is point.seq and asked.append(n)) or real_entry(seq, n))
+    assert len(witness_family(point, AlphaIndex((0, 1)), 2, 30)) == 30
+    assert len(set(asked)) == 37
+    assert len(asked) <= 300
+
+
+def test_threads_that_race_on_a_base_give_each_witness_the_base_entries():
+    # members cut from one base extend its one tuple of entries 0..m; threads
+    # that race, switching every microsecond, each store a whole, correct one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            base, built, threads = fexp_seq(9, (4, 7)), {}, []
+            for first in range(8):
+                threads.append(threading.Thread(target=lambda first=first: built.update(
+                    (m, witness_sequence(base, AlphaIndex((0,)), m)) for m in range(first, 40, 8))))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(built) == list(range(40))
+            for m, w in built.items():
+                assert w.prefix[:m + 1] == tuple(base.entry(n) for n in range(m + 1))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _family_json(base: SymbolSeq, alpha: AlphaIndex, n, count: int) -> str:
     """The family's reports as JSON, or the error that stopped it (n None: the extension index)."""
     point = endpoint_of(base)
@@ -516,13 +559,13 @@ def _family_json(base: SymbolSeq, alpha: AlphaIndex, n, count: int) -> str:
 
 @pytest.mark.parametrize("prefix", [(), (2,), (2, 4)])
 def test_witness_families_match_families_of_unlinked_witnesses(prefix, monkeypatch):
-    # a witness reads the work on the entries it shares with its base from the
-    # base's memo; a fresh copy of it carries no link and recomputes that work
-    def unlinked(*args):
-        w = real_witness(*args)
+    # a witness reads the work on the entries it shares with its base through
+    # its cut; a fresh copy of it carries no cut and recomputes that work
+    def unlinked(base, alpha, m):
+        w = real_witness(base, alpha, m)
         copy = SymbolSeq(w.prefix, w.tail)
         assert (copy, hash(copy), repr(copy), copy.to_json()) == (w, hash(w), repr(w), w.to_json())
-        assert ("base",) in w._memo and ("base",) not in copy._memo
+        assert w.cut == model.Cut(base, m) and copy.cut is None
         return copy
 
     real_witness = strata.witness_sequence
@@ -554,18 +597,25 @@ def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
                         assert model.potential_above(w, n, r) == potential(copy, n).certainly_gt(r)
 
 
-def test_signed_zero_states_keep_descent_slots_of_their_own():
-    # 0.0 == -0.0, so keyed on the floats the states would share a slot;
-    # keyed on float.hex each keeps its own, and each gives the unlinked bits
+def test_signed_zero_states_keep_descent_slots_of_their_own(monkeypatch):
+    # 0.0 == -0.0, so keyed on the floats the states at level 3 would share a
+    # slot and -0.0 would take no step; keyed on float.hex it takes its own
+    # step from level 3, whose state then meets 0.0's slot at level 2; a
+    # second ask reads the slot, and each gives the unlinked bits
     base = const_seq(0, (0, 1, 0))
-    linked = SymbolSeq(base.prefix, base.tail)
-    linked._memo[("base",)] = (base, 3)
+    linked = SymbolSeq(base.prefix, base.tail, model.Cut(base, 3))
+    steps = []
+    real_descend = IntEntry.descend
+    monkeypatch.setattr(IntEntry, "descend", lambda self, state: steps.append(1) or real_descend(
+        self, state))
+    taken = []
     for z in (0.0, -0.0, 0.0, -0.0):
-        got = model._descend(linked, 3, Interval.point(z))
         want = model._descend(SymbolSeq(base.prefix, base.tail), 3, Interval.point(z))
+        steps.clear()
+        got = model._descend(linked, 3, Interval.point(z))
+        taken.append(len(steps))
         assert [v.hex() for v in (got.lo, got.hi)] == [v.hex() for v in (want.lo, want.hi)]
-    assert {key[2:] for key in base._memo if key[:2] == ("descend", 3)} == {
-        ("0x0.0p+0", "0x0.0p+0", False, False), ("-0x0.0p+0", "-0x0.0p+0", False, False)}
+    assert taken == [3, 1, 0, 0]
 
 
 def test_witness_family_refuses_a_cut_index_at_the_distance_horizon():

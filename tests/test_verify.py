@@ -17,7 +17,7 @@ import pytest
 from expbouquet import verify
 from expbouquet.cli import RunConfig
 from expbouquet.intervals import Interval, TriBool, growth_net
-from expbouquet.model import NonConvergenceError, endpoint_height_enclosure
+from expbouquet.model import BudgetExceededError, NonConvergenceError, endpoint_height_enclosure
 from expbouquet.plane import CycleInfo, NoConvergenceError, RenderSummary
 from expbouquet.sequences import fexp_seq
 
@@ -154,3 +154,23 @@ def test_sandwich_checks_only_finite_potentials(monkeypatch):
     report = verify.suite_sandwich(RunConfig())
     assert report["passed"] is False
     assert report["details"]["checked"] == 0 and report["details"]["failures"] == []
+
+
+def _out_of_budget(*args, **kwargs):
+    raise BudgetExceededError("stand-in budget")
+
+
+@pytest.mark.parametrize("suite, name", [("witness_claims", "witness_family"),
+                                         ("closure_bound", "witness_family"),
+                                         ("extension", "extension_index")])
+def test_a_case_past_the_budget_is_undecided_and_any_other_error_fails(suite, name, monkeypatch):
+    # an exhausted budget decides nothing either way: the suite counts each
+    # such case undecided with its message and passes; any other error fails it
+    monkeypatch.setattr(verify, "ALL_SUITES", (getattr(verify, f"suite_{suite}"),))
+    monkeypatch.setattr(verify, name, _out_of_budget)
+    (report,) = verify.run_all(RunConfig())["suites"]
+    assert report["passed"] is True and report["details"]["undecided"] >= 1
+    assert "stand-in budget" in repr(report["details"])
+    monkeypatch.setattr(verify, name, _raise)
+    (report,) = verify.run_all(RunConfig())["suites"]
+    assert report["passed"] is False
