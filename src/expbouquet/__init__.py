@@ -48,6 +48,7 @@ from .sequences import (
 )
 from .strata import (
     AlphaIndex,
+    WitnessRefutedError,
     WitnessReport,
     address_distance,
     extension_index,
@@ -97,6 +98,7 @@ __all__ = [
     "TriBool",
     "Verdict",
     "Viewport",
+    "WitnessRefutedError",
     "WitnessReport",
     "address_distance",
     "classify",

@@ -34,7 +34,7 @@ from .model import (
     potential,
 )
 from .sequences import DescriptorError, SymbolSeq
-from .strata import AlphaIndex, extension_index, in_stratum, witness_family
+from .strata import AlphaIndex, WitnessRefutedError, extension_index, in_stratum, witness_family
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     # only endpoint_height raises NonConvergenceError; its callers, tmin and verify, catch it
-    except BudgetExceededError as e:
+    except (BudgetExceededError, WitnessRefutedError) as e:  # undecided, or certainly false
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -76,13 +76,13 @@ def _memoised(seq: SymbolSeq, key: tuple, compute):
 
 def _potential_terms(seq: SymbolSeq, shift: int):
     """The terms whose sup hull is ``potential(seq, shift)``: (k, F^-k |s_{shift+k}|), then
-    (0, t) closing; a witness opens shift 0 with (0, its cut's ``head``), terms 1..m."""
+    (0, t) closing; a witness cut at m opens shift 0 with (0, its cut's ``_shared_head``)."""
     if shift < 0:
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
-    heads = [seq.cut.head()] if shift == 0 and seq.cut and seq.cut.m else []
-    k = seq.cut.m if heads else 0
+    base, k = seq.cut if shift == 0 and seq.cut else (None, 0)
+    heads = [_shared_head(base, k)] if k else []
     below = heads[0].lo if heads else -math.inf
     yield from ((0, head) for head in heads)
     while True:
@@ -96,52 +96,22 @@ def _potential_terms(seq: SymbolSeq, shift: int):
             return
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A witness's link to the base it agrees with on entries 0..m (``SymbolSeq.cut``): the
-    work on those entries alone is built once per base, in its memo, for every witness of it."""
+def _shared_head(base: SymbolSeq, m: int) -> Interval:
+    """sup_hull of terms 1..m of potential(base, 0), which its witnesses cut at m share."""
+    def build(b: SymbolSeq) -> Interval:
+        head = _shared_head(b, m - 1) if m > 1 else None
+        term = potential_term(b, m, m, head.lo if head else -math.inf)
+        return head if term is None else term if head is None else Interval.sup_hull([head, term])
+    return _memoised(base, ("head", m), build)
 
-    base: SymbolSeq
-    m: int
 
-    def entries(self) -> list[Entry]:
-        """The base's entries 0..m, from one tuple per base that a longer cut extends."""
-        built = self.base._memo.get(("entries",), ())
-        if len(built) <= self.m:  # stored whole: threads that race each store a correct one
-            built = self.base._memo[("entries",)] = built + tuple(
-                map(self.base.entry, range(len(built), self.m + 1)))
-        return list(built[:self.m + 1])
-
-    def head(self) -> Interval | None:
-        """sup_hull of terms 1..m of potential(base, 0), built on the head below (None at m = 0)."""
-        def build(b: SymbolSeq) -> Interval:
-            head = Cut(b, self.m - 1).head()
-            term = potential_term(b, self.m, self.m, head.lo if head else -math.inf)
-            return head if term is None else term if head is None else Interval.sup_hull([head, term])
-        return _memoised(self.base, ("head", self.m), build) if self.m else None
-
-    def above(self, shift: int, r: float) -> bool:
-        """Whether the base's first explicit term certainly above r at shift, k*, has shift + k* <= m."""
-        return shift < self.m and 0 < _memoised(self.base, ("above", shift, r), lambda b: next(
-            (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0)) <= self.m - shift
-
-    def descend(self, seq: SymbolSeq, level: int, state: tuple | _TowerRel) -> Interval:
-        """``_descend`` of seq, cut here: the enclosure from each level j <= m and state met is
-        kept for every witness of the base, the state keyed by ``float.hex``."""
-        keys = []
-        for j in range(level, 0, -1):
-            if j <= self.m:
-                bits = (state.base, state.height, *state.delta.bounds()) if isinstance(
-                    state, _TowerRel) else state
-                if (enc := self.base._memo.get(key := ("descend", j, *(
-                        v.hex() if type(v) is float else v for v in bits)))) is not None:
-                    break
-                keys.append(key)
-            state = seq.entry(j).descend(state)
-        else:
-            enc = Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
-        self.base._memo.update(dict.fromkeys(keys, enc))
-        return enc
+def cut_entries(base: SymbolSeq, m: int) -> list[Entry]:
+    """base's entries 0..m, which its witnesses cut at m share, from one tuple per base that a
+    longer cut extends; stored whole, so threads that race each store a correct tuple."""
+    built = base._memo.get(("entries",), ())
+    if len(built) <= m:
+        built = base._memo[("entries",)] = built + tuple(map(base.entry, range(len(built), m + 1)))
+    return list(built[:m + 1])
 
 
 @functools.lru_cache(maxsize=256)
@@ -166,7 +136,7 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     window; ramp terms fall under a certified decreasing envelope).  Each hull
     is built once and kept in one memo slot (``_hull_home``): below p - 1 in the
     sequence's memo, from there in the memo of the shifted rule's tail sequence.
-    A witness reads terms 1..m of its shift-0 hull from its cut (``Cut.head``).
+    A witness reads terms 1..m of its shift-0 hull through its cut (``_shared_head``).
 
     Past the prefix a bounded tail closes within one pattern, a tower at its first
     entry past 2^53 (four terms at most) and a ramp within about 1,600 terms (rate
@@ -188,9 +158,11 @@ def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
     """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
 
     ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
-    A witness says yes if its cut does (``Cut.above``: the base's first term settles it).
+    A witness cut (base, m) says yes if base's first explicit term above r, k*, has shift + k* <= m.
     """
-    if seq.cut and seq.cut.above(shift, r):
+    base, m = seq.cut or (None, 0)
+    if shift < m and 0 < _memoised(base, ("above", shift, r), lambda b: next(
+            (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0)) <= m - shift:
         return True
     home, at = _hull_home(seq, shift)
     if (hull := home._memo.get(("potential", at))) is not None:
@@ -239,12 +211,26 @@ def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interva
     """Run backward nesting from the given level down to the full height t_s.
 
     Each entry takes its own step (``Entry.descend``); a plain state runs on
-    its endpoint floats and is wrapped once, at the end.  A witness's cut keeps what
-    the levels it shares give (``Cut.descend``); a sequence without one is its own cut at 0.
+    its endpoint floats and is wrapped once, at the end.  A witness with cut (base, m) keeps
+    the enclosure from each level j <= m and state met in base's memo, keyed by ``float.hex``.
     """
     if isinstance(state, Interval):
         state = state.bounds()
-    return (seq.cut or Cut(seq, 0)).descend(seq, level, state)
+    base, m = seq.cut or (seq, 0)
+    keys = []
+    for j in range(level, 0, -1):
+        if j <= m:
+            bits = (state.base, state.height, *state.delta.bounds()) if isinstance(
+                state, _TowerRel) else state
+            if (enc := base._memo.get(key := ("descend", j, *(
+                    v.hex() if type(v) is float else v for v in bits)))) is not None:
+                break
+            keys.append(key)
+        state = seq.entry(j).descend(state)
+    else:
+        enc = Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
+    base._memo.update(dict.fromkeys(keys, enc))
+    return enc
 
 
 def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:

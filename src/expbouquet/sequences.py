@@ -727,8 +727,8 @@ class SymbolSeq:
 
     prefix: tuple[Entry, ...] = ()
     tail: TailRule = ConstTail(0)
-    # a witness's link to its base (model.Cut); the memo is model.py's alone, the cut's included
-    cut: object = field(default=None, compare=False, repr=False)
+    # a witness's cut (base, m), set by strata.witness_sequence; the memo is model.py's alone
+    cut: tuple[SymbolSeq, int] | None = field(default=None, init=False, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

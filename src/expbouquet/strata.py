@@ -11,8 +11,7 @@ min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
 convergent family of these witnesses with verified margins, searching the witness
 depth once at each shift the first member spans, then once per later member, each
-search stopping at ``DEPTH_BUDGET``.  Each witness carries its ``model.Cut``, through
-which it reads the work on the entries 0..m it shares with its base, built once per base.
+search stopping at ``DEPTH_BUDGET``.  Each witness carries its cut ``(base, m)``.
 
 Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
 tolerance, for witnesses too: an exact yes or no once the height enclosure is that narrow.
@@ -26,9 +25,9 @@ from dataclasses import dataclass
 from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
-    Cut,
     ModelPoint,
     at_endpoint,
+    cut_entries,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
@@ -50,6 +49,10 @@ from .sequences import (
 
 EXTRA_CLAIM_SHIFTS = 6
 DEPTH_BUDGET = 512  # the largest witness depth k any search tries
+
+
+class WitnessRefutedError(ArithmeticError):
+    """A witness claim that certainly fails: a fault of the construction, not a budget stop."""
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,8 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
     The min is resolved entry-wise, prefix and tail entries in one loop,
     until the tail rule's ``thin`` gives the rule the thinned sequence follows
-    from there on; each comparison is a single certified one.  The witness carries its
-    ``model.Cut(base, m)``, outside ==, hash, repr and to_json: the work it shares.
+    from there on; each comparison is a single certified one.  The witness carries its cut
+    ``(base, m)``, outside ==, hash, repr and to_json, through which model.py shares work.
     """
     if base.asymptotics is not Asymptotics.DIVERGES:
         raise IncomparableTailsError("witness thinning needs a diverging-tail base",
@@ -200,8 +203,7 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
     cap_c = 3 * alpha.dom
     p = len(base.prefix)
 
-    cut = Cut(base, m)
-    entries = cut.entries()
+    entries: list[Entry] = cut_entries(base, m)
     n = m + 1
     while n < p or (tail := base.tail.thin(p, m, cap_c, n)) is None:
         e = base.entry(n)
@@ -212,7 +214,9 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
                 {"n": n, "entry": e.to_json(), "cap": _tower_entry(cap_c, n - m).to_json()})
         entries.append(thinned)
         n += 1
-    return SymbolSeq(tuple(entries), tail, cut)
+    witness = SymbolSeq(tuple(entries), tail)
+    object.__setattr__(witness, "cut", (base, m))
+    return witness
 
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
@@ -250,7 +254,10 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
     witness cut at m and its base agree through m, so the sum starts at m + 1.
     """
     tails = max(len(a.prefix), len(b.prefix))
-    start = next((x.cut.m + 1 for x, y in ((a, b), (b, a)) if x.cut and x.cut.base is y), 0)
+    start = 0
+    for x, y in ((a, b), (b, a)):
+        if x.cut and x.cut[0] is y:
+            start = x.cut[1] + 1
     total = 0.0
     for n in range(start, horizon + 1):
         if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
@@ -284,6 +291,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     of the child stratum (claim two).  Cut indices strictly increase, distances to the
     base strictly decrease, and heights stay below the base height.  Distances sum entry
     gaps through index ``_DIST_HORIZON`` = 60 only: a cut index of 60 or more raises.
+    A check left undecided raises ``BudgetExceededError``, one that certainly fails
+    ``WitnessRefutedError``.
     """
     check_tolerance(tol)
     if count < 0:
@@ -323,6 +332,8 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
 
         # claim two first: the thinned potential at the cut is capped by 3*dom
         claim2 = potential(witness, m)
+        if claim2.certainly_gt(bound):
+            raise WitnessRefutedError(f"claim-two bound refuted at m={m}")
         if not claim2.certainly_le(bound):
             raise BudgetExceededError(f"claim-two bound not certified at m={m}")
 
@@ -330,21 +341,26 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         # threshold certificate whose scan reads the margin's hulls from the memo ...
         claim1 = min((potential(witness, n) for n in range(m, m + EXTRA_CLAIM_SHIFTS)),
                      key=lambda iv: iv.lo)
-        if not _threshold_holds_from(witness, m, bound - 1.0, budget).is_true:
+        holds = _threshold_holds_from(witness, m, bound - 1.0, budget)
+        if holds.is_false:
+            raise WitnessRefutedError(f"claim-one threshold refuted at m={m}")
+        if not holds.is_true:
             raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
 
         height = endpoint_height_enclosure(witness, tol)
         w_point = ModelPoint(height.mid, witness)
         # ... and membership in the parent stratum is certified at the caller's tol
         parent = in_stratum(alpha, w_point, tol, budget)
+        if parent.is_false:
+            raise WitnessRefutedError(f"parent-stratum membership refuted at m={m}")
         if not parent.is_true:
             raise BudgetExceededError(f"parent-stratum membership not certified at m={m}")
         if height.lo > base_height.hi + tol:
-            raise BudgetExceededError("witness height exceeds the base height")
+            raise WitnessRefutedError("witness height exceeds the base height")
 
         distance = point_distance(w_point, base_point)
         if distance >= last_distance:
-            raise BudgetExceededError("witness distances failed to decrease")
+            raise WitnessRefutedError("witness distances failed to decrease")
 
         reports.append(WitnessReport(m, witness, claim1, claim2, distance, height,
                                      m + EXTRA_CLAIM_SHIFTS - 1))

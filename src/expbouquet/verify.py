@@ -6,7 +6,8 @@ enclosures, as proved, refuted or undecided, and pass only with none refuted.
 Randomized suites draw from a seeded generator, so a fixed seed reproduces the
 report byte for byte.  Unattainable tolerances are reported as honest failures
 (the enclosure and its width), never silently widened; a case the budget leaves
-undecided (``BudgetExceededError``) is counted as undecided, with its message.
+undecided (``BudgetExceededError``) is counted as undecided and listed with its
+message, while any other error, a refuted witness claim included, fails its suite.
 """
 
 from __future__ import annotations
@@ -102,7 +103,12 @@ def dominated_pair(rng: random.Random) -> tuple[SymbolSeq, SymbolSeq]:
 # ---------------------------------------------------------------------------
 
 
-def _suite(name: str, passed: bool, **details) -> dict:
+def _suite(name: str, passed: bool, stopped: list | tuple = (), **details) -> dict:
+    """A suite's record; each case in ``stopped``, {case, reason}, is one the budget left
+    undecided: counted as undecided and listed, keys present only when there is one."""
+    if stopped:
+        details["undecided"] = details.get("undecided", 0) + len(stopped)
+        details["undecided_cases"] = stopped
     return {"name": name, "passed": bool(passed), "details": details}
 
 
@@ -243,7 +249,7 @@ def _demo_family(cfg: RunConfig, alpha: AlphaIndex, n_ext: int, count: int):
 
 def suite_witness_claims(cfg: RunConfig) -> dict:
     """Thinning witnesses at index depths 1, 2, 3: both claims plus convergence."""
-    tally, failures = _tally(), []
+    tally, failures, stopped = _tally(), [], []
     details = []
     for alpha, n_ext in ((AlphaIndex((0,)), 1), (AlphaIndex((0, 1)), 2),
                          (AlphaIndex((0, 2, 4)), 5)):
@@ -251,8 +257,7 @@ def suite_witness_claims(cfg: RunConfig) -> dict:
         try:
             point, reports = _demo_family(cfg, alpha, n_ext, 3)
         except BudgetExceededError as e:  # not decided within the budget
-            tally["undecided"] += 1
-            details.append({"alpha": alpha.to_json(), "reason": str(e)})
+            stopped.append({"case": alpha.to_json(), "reason": str(e)})
             continue
         except Exception as e:  # honest reporting of any certification failure
             failures.append({"alpha": alpha.to_json(), "error": str(e)})
@@ -277,7 +282,8 @@ def suite_witness_claims(cfg: RunConfig) -> dict:
         details.append({"alpha": alpha.to_json(),
                         "ms": [r.m for r in reports],
                         "final_height_gap": gaps[-1].to_json()})
-    return _suite("witness_claims", not failures, cases=details, failures=failures, **tally)
+    return _suite("witness_claims", not failures, stopped, cases=details, failures=failures,
+                  **tally)
 
 
 def suite_closure_bound(cfg: RunConfig) -> dict:
@@ -287,8 +293,8 @@ def suite_closure_bound(cfg: RunConfig) -> dict:
     try:
         point, reports = _demo_family(cfg, alpha, 1, 3)
     except BudgetExceededError as e:  # not decided within the budget
-        tally["undecided"] += 1
-        return _suite("closure_bound", True, failures=failures, reason=str(e), **tally)
+        stopped = [{"case": alpha.to_json(), "reason": str(e)}]
+        return _suite("closure_bound", True, stopped, failures=failures, **tally)
     base = point.seq
     for n in range(4):
         r_bound = min(potential(r.witness, n).lo for r in reports)
@@ -342,7 +348,7 @@ def suite_stratum_nesting(cfg: RunConfig) -> dict:
 def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
     """Certified members admit a certified extension index."""
     rng = random.Random(cfg.seed + 5)
-    failures, undecided = [], []
+    failures, stopped = [], []
     done = 0
     attempts = 0
     while done < count and attempts < 20 * count:
@@ -364,12 +370,10 @@ def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
             if not member.is_true:
                 failures.append({"seq": seq.to_json(), "n": n_ext})
         except BudgetExceededError as e:  # not decided within the budget
-            undecided.append({"seq": seq.to_json(), "reason": str(e)})
+            stopped.append({"case": seq.to_json(), "reason": str(e)})
         except Exception as e:
             failures.append({"seq": seq.to_json(), "error": str(e)})
-    # present only when a case is undecided, so a report without one keeps its bytes
-    return _suite("extension", not failures, checked=done, failures=failures, **(
-        {"undecided": len(undecided), "undecided_cases": undecided} if undecided else {}))
+    return _suite("extension", not failures, stopped, checked=done, failures=failures)
 
 
 def suite_plane_real_axis(cfg: RunConfig) -> dict:

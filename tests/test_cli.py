@@ -513,11 +513,11 @@ def test_verify_seed0_report_is_pinned(capsys):
 
 
 # the other seed CI runs, and budget 1, under which the witness, closure and
-# extension suites leave the cases that exceed it undecided, each with its
-# reason, and refute nothing (exit 0), pinned like seed 0
+# extension suites count the cases that exceed it undecided and list each with
+# its reason, refuting nothing (exit 0), pinned like seed 0
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (["--seed", "7"], 0, "5ca2c2a0a40a7f3589b28101db0e0f10d656c0d55acb09133b6964b0a1a03bea"),
-    (["--budget", "1"], 0, "8f999a52c8a524d1ef4d170212d6f3281c575dbe3f94a75a19612298645927c3"),
+    (["--budget", "1"], 0, "54b0bc56fcfa2bf8438583096f376637b254222f749b1f13845ed23613c8457a"),
 ])
 def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
     code, out = run(capsys, "verify", *argv)
@@ -626,6 +626,16 @@ def test_uncertified_answers_reach_no_traceback():
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_a_refuted_witness_claim_exits_1_naming_it(monkeypatch, capsys):
+    def refuted(*args):
+        raise cli.WitnessRefutedError("witness height exceeds the base height")
+    monkeypatch.setattr(cli, "witness_family", refuted)
+    assert main(["witness", FEXP9, "--alpha", "0", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness height exceeds the base height\n"
+
+
 @pytest.mark.parametrize("c, code", [(10**308, 0), (-10**308, 0),
                                      (int(1.7976931348623157e308), 1)],
                          ids=["1e308", "-1e308", "max_double"])
@@ -669,8 +679,9 @@ def test_verify_report_marks_each_suite(capsys):
     assert [details[name]["undecided"] for name in ("witness_claims", "closure_bound",
                                                     "extension")] == [3, 1, 2]
     # extension indices 1, 2 and 5 lie below the distance horizon: the threshold scan stops them
-    assert {c["reason"] for c in details["witness_claims"]["cases"]} == {
-        "explicit threshold window exceeds budget"}
+    assert {c["reason"] for name in ("witness_claims", "closure_bound", "extension")
+            for c in details[name]["undecided_cases"]} == {"explicit threshold window exceeds budget"}
+    assert details["witness_claims"]["cases"] == []
 
 
 @pytest.mark.parametrize("module", ["expbouquet", "expbouquet.cli"])

@@ -79,8 +79,8 @@ def test_every_memo_is_emptied_by_the_work_counting_tests_or_named_as_uncounted(
 
 
 def test_only_the_model_reads_or_writes_a_sequence_memo():
-    # what a witness shares with its base is reached through its cut (model.Cut),
-    # so no other module keys into a memo of its own
+    # what a witness shares with its base is reached through its cut (base, m),
+    # which model.py alone follows, so no other module keys into a memo
     touches = [f"{path.name}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
                if path.name != "model.py" for n in ast.walk(ast.parse(path.read_text()))
                if isinstance(n, ast.Attribute) and n.attr == "_memo"]

@@ -18,6 +18,7 @@ from expbouquet import (
     BudgetExceededError,
     IncomparableTailsError,
     ModelPoint,
+    WitnessRefutedError,
     address_distance,
     classify,
     const_seq,
@@ -442,19 +443,18 @@ def test_witness_family_full_pipeline():
 
 def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
     # a hull is a sup_hull under model.potential, a shared head (terms 1..m of
-    # the base's shift-0 hull, model.Cut.head) the one term it adds, and a
+    # the base's shift-0 hull, model._shared_head) the one term it adds, and a
     # depth a first term under least_witness_depth, so a memo hit counts as
     # none; the calls that ask are kept on a stack, and the sequences alive,
     # so ids stay unique
     asking, keep, hulls, heads, depths = [], [], Counter(), Counter(), Counter()
 
-    def asked(real, kind, key):
-        def wrapper(*args):
-            seq, at = key(*args)
+    def asked(real, kind, defaults=()):
+        def wrapper(seq, *args):
             keep.append(seq)
-            asking.append((kind, id(seq), at))
+            asking.append((kind, id(seq), tuple(args) or defaults))
             try:
-                return real(*args)
+                return real(seq, *args)
             finally:
                 asking.pop()
         return wrapper
@@ -466,13 +466,11 @@ def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    pot = asked(model.potential, "potential", lambda seq, shift=0: (seq, (shift,)))
+    pot = asked(model.potential, "potential", (0,))
     monkeypatch.setattr(model, "potential", pot)
     monkeypatch.setattr(strata, "potential", pot)
-    monkeypatch.setattr(model.Cut, "head", asked(model.Cut.head, "head",
-                                                 lambda cut: (cut.base, (cut.m,))))
-    monkeypatch.setattr(strata, "least_witness_depth", asked(
-        strata.least_witness_depth, "depth", lambda seq, *args: (seq, args)))
+    monkeypatch.setattr(model, "_shared_head", asked(model._shared_head, "head"))
+    monkeypatch.setattr(strata, "least_witness_depth", asked(strata.least_witness_depth, "depth"))
     monkeypatch.setattr(Interval, "sup_hull", staticmethod(
         counted(Interval.sup_hull, "potential", hulls)))
     monkeypatch.setattr(model, "potential_term", counted(model.potential_term, "head", heads))
@@ -565,7 +563,7 @@ def test_witness_families_match_families_of_unlinked_witnesses(prefix, monkeypat
         w = real_witness(base, alpha, m)
         copy = SymbolSeq(w.prefix, w.tail)
         assert (copy, hash(copy), repr(copy), copy.to_json()) == (w, hash(w), repr(w), w.to_json())
-        assert w.cut == model.Cut(base, m) and copy.cut is None
+        assert w.cut == (base, m) and w.cut[0] is base and copy.cut is None
         return copy
 
     real_witness = strata.witness_sequence
@@ -603,7 +601,8 @@ def test_signed_zero_states_keep_descent_slots_of_their_own(monkeypatch):
     # step from level 3, whose state then meets 0.0's slot at level 2; a
     # second ask reads the slot, and each gives the unlinked bits
     base = const_seq(0, (0, 1, 0))
-    linked = SymbolSeq(base.prefix, base.tail, model.Cut(base, 3))
+    linked = SymbolSeq(base.prefix, base.tail)
+    object.__setattr__(linked, "cut", (base, 3))  # as witness_sequence links a witness
     steps = []
     real_descend = IntEntry.descend
     monkeypatch.setattr(IntEntry, "descend", lambda self, state: steps.append(1) or real_descend(
@@ -942,8 +941,29 @@ def test_witness_family_raises_when_a_certificate_fails(name, stand_in, message,
     # a witness height is read in strata and, by the endpoint test, in model
     for module in (strata, model) if name == "endpoint_height_enclosure" else (strata,):
         monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
-    with pytest.raises(BudgetExceededError, match=message):
+    # an unknown answer leaves the claim undecided; a height above the base's or a
+    # distance that does not fall certainly refutes it, which no budget mends
+    refuted = name in ("endpoint_height_enclosure", "point_distance")
+    with pytest.raises(WitnessRefutedError if refuted else BudgetExceededError, match=message):
         witness_family(point, AlphaIndex((0,)), 1, 3)
+
+
+# each certificate of witness_family answering a certain no on the witnesses only
+@pytest.mark.parametrize("name, stand_in, message", [
+    ("potential", lambda real: _only_for_witnesses(real, Interval.point(1e9)),
+     "claim-two bound refuted at m=3"),
+    ("_threshold_holds_from", lambda real: _only_for_witnesses(real, TriBool.no()),
+     "claim-one threshold refuted at m=3"),
+    ("in_stratum", lambda real: _only_for_witness_points(real, TriBool.no()),
+     "parent-stratum membership refuted at m=3"),
+])
+def test_witness_family_refutes_a_claim_that_certainly_fails(name, stand_in, message,
+                                                             monkeypatch):
+    point = endpoint_of(fexp_seq(10))
+    monkeypatch.setattr(strata, name, stand_in(getattr(strata, name)))
+    with pytest.raises(WitnessRefutedError, match=message) as caught:
+        witness_family(point, AlphaIndex((0,)), 1, 3)
+    assert not isinstance(caught.value, BudgetExceededError)
 
 
 def test_a_witness_height_wider_than_tol_is_no_certified_parent_member(monkeypatch):

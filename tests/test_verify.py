@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from expbouquet import verify
+from expbouquet import model, strata, verify
 from expbouquet.cli import RunConfig
 from expbouquet.intervals import Interval, TriBool, growth_net
 from expbouquet.model import BudgetExceededError, NonConvergenceError, endpoint_height_enclosure
@@ -169,8 +169,24 @@ def test_a_case_past_the_budget_is_undecided_and_any_other_error_fails(suite, na
     monkeypatch.setattr(verify, "ALL_SUITES", (getattr(verify, f"suite_{suite}"),))
     monkeypatch.setattr(verify, name, _out_of_budget)
     (report,) = verify.run_all(RunConfig())["suites"]
-    assert report["passed"] is True and report["details"]["undecided"] >= 1
-    assert "stand-in budget" in repr(report["details"])
+    stopped = report["details"]["undecided_cases"]
+    assert report["passed"] is True and report["details"]["undecided"] >= len(stopped) >= 1
+    assert {c["reason"] for c in stopped} == {"stand-in budget"}
     monkeypatch.setattr(verify, name, _raise)
     (report,) = verify.run_all(RunConfig())["suites"]
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("suite", ["witness_claims", "closure_bound"])
+def test_a_refuted_witness_claim_fails_the_suite(suite, monkeypatch):
+    # witness heights far above the base height certainly refute the claim that
+    # they stay below it: no budget mends that, so the suite fails and lists no undecided case
+    def only_for_witnesses(real):
+        return lambda seq, *args: Interval.point(1e6) if seq.cut else real(seq, *args)
+    for module in (strata, model):  # the endpoint test in model reads the height too
+        monkeypatch.setattr(module, "endpoint_height_enclosure",
+                            only_for_witnesses(module.endpoint_height_enclosure))
+    monkeypatch.setattr(verify, "ALL_SUITES", (getattr(verify, f"suite_{suite}"),))
+    (report,) = verify.run_all(RunConfig())["suites"]
+    assert report["passed"] is False and "undecided_cases" not in report["details"]
+    assert "witness height exceeds the base height" in repr(report["details"])
