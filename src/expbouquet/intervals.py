@@ -58,7 +58,8 @@ def sum_down(a: float, b: float) -> float:
         return -math.inf if math.isnan(s) else s
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
-    return s if err >= 0 else round_down(s)
+    # s is finite here: the step down is round_down(s), taken directly
+    return s if err >= 0 else math.nextafter(s, -math.inf)
 
 
 def sum_up(a: float, b: float) -> float:
@@ -68,7 +69,7 @@ def sum_up(a: float, b: float) -> float:
         return math.inf if math.isnan(s) else s
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
-    return s if err <= 0 else round_up(s)
+    return s if err <= 0 else math.nextafter(s, math.inf)
 
 
 def expm1_down(t: float) -> float:
@@ -93,12 +94,14 @@ def expm1_up(t: float) -> float:
         return math.inf
 
 
+# round_down and round_up taken directly: log1p is +inf only at +inf and never -inf (it
+# raises at -1), so only the lower end keeps +inf as it is
 def log1p_down(x: float) -> float:
-    return 0.0 if x == 0.0 else round_down(math.log1p(x))
+    return 0.0 if x == 0.0 else x if x == math.inf else math.nextafter(math.log1p(x), -math.inf)
 
 
 def log1p_up(x: float) -> float:
-    return 0.0 if x == 0.0 else round_up(math.log1p(x))
+    return 0.0 if x == 0.0 else math.nextafter(math.log1p(x), math.inf)
 
 
 class Interval:
@@ -262,12 +265,14 @@ class Interval:
         """
         if not terms:
             raise ValueError("sup_hull of no terms")
-        lo, lo_open = -math.inf, False
+        lo, lo_open, hi, hi_open = -math.inf, False, -math.inf, True
         for t in terms:
             if t.lo > lo or (t.lo == lo and t.lo_open):
                 lo, lo_open = t.lo, t.lo_open
-        hi = max(t.hi for t in terms)
-        hi_open = all(t.hi_open for t in terms if t.hi == hi)
+            if t.hi > hi:  # the first of equal upper ends, as max() keeps it
+                hi, hi_open = t.hi, t.hi_open
+            elif t.hi == hi:
+                hi_open = hi_open and t.hi_open
         return Interval(lo, hi, lo_open, hi_open)
 
     # -- serialization ---------------------------------------------------------
@@ -298,7 +303,7 @@ class TriBool:
 
     @staticmethod
     def yes() -> "TriBool":
-        return TriBool(True)
+        return _YES
 
     @staticmethod
     def no(evidence: Interval | None = None) -> "TriBool":
@@ -324,6 +329,8 @@ class TriBool:
         return {True: "true", False: "false", None: "unknown"}[self.value]
 
 
+_YES = TriBool(True)  # frozen and without evidence, so one instance serves every yes
+
 _set_lo, _set_hi, _set_lo_open, _set_hi_open = (
     getattr(Interval, name).__set__ for name in Interval.__slots__)
 
@@ -335,7 +342,9 @@ def _ln1p_bounds(lo: float, hi: float) -> tuple[float, float]:
     """Outward-rounded endpoints of ln(1 + [lo, hi]), domain-checked at every step."""
     if lo <= -1.0:
         raise RigorError(f"ln1p domain violation: lo = {lo}")
-    return log1p_down(lo), log1p_up(hi)
+    # log1p_down(lo) and log1p_up(hi), inlined: growth_inv_pow takes this step in its loop
+    down = 0.0 if lo == 0.0 else lo if lo == math.inf else math.nextafter(math.log1p(lo), -math.inf)
+    return down, 0.0 if hi == 0.0 else math.nextafter(math.log1p(hi), math.inf)
 
 
 def _growth_bounds(lo: float, hi: float, hi_open: bool) -> tuple[float, float, bool]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,15 +77,25 @@ def _memoised(seq: SymbolSeq, key: tuple, compute):
 
 def _potential_terms(seq: SymbolSeq, shift: int):
     """The terms whose sup hull is ``potential(seq, shift)``: (k, F^-k |s_{shift+k}|), then
-    (0, t) closing; a witness cut at m opens shift 0 with (0, its cut's ``_shared_head``)."""
+    (0, t) closing; a witness cut at m opens shift 0 with (0, its cut's ``_shared_head``).
+
+    Each term past that cut is the same entry's term at shift m taken m inverse steps further,
+    and inverse steps never raise an upper end (see ``potential``); one the shift-m scan left
+    out was already below that hull, and the closing terms close at the same index, m steps
+    further down too.  So none reaches potential(seq, m).hi: when that is below the head's
+    lower end, the head alone is the hull, bit for bit.
+    """
     if shift < 0:
         raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
-    base, k = seq.cut if shift == 0 and seq.cut else (None, 0)
-    heads = [_shared_head(base, k)] if k else []
-    below = heads[0].lo if heads else -math.inf
-    yield from ((0, head) for head in heads)
+    k, below = 0, -math.inf
+    if shift == 0 and seq.cut:
+        base, k = seq.cut
+        yield 0, (head := _shared_head(base, k))
+        if potential(seq, k).hi < head.lo:
+            return
+        below = head.lo
     while True:
         k += 1
         term = potential_term(seq, shift + k, k, below)
@@ -121,10 +132,11 @@ def _tail_seq(rule, lead: int) -> SymbolSeq:
 
 def _hull_home(seq: SymbolSeq, shift: int) -> tuple[SymbolSeq, int]:
     """The sequence and shift whose memo keeps potential(seq, shift)'s hull: below p - 1 its own;
-    from p - 1 on, shift 0 of the shifted rule after max(p - shift, 0) entries: the same terms."""
+    from p - 1 on, shift 0 of the shifted rule after max(p - shift, 0) entries: the same terms,
+    a home the sequence finds once per shift."""
     p = len(seq.prefix)
-    return (seq, shift) if shift < max(p - 1, 0) else (
-        _tail_seq(seq.tail.shifted(p, shift), max(p - shift, 0)), 0)
+    return (seq, shift) if shift < max(p - 1, 0) else _memoised(seq, ("home", shift), lambda s: (
+        _tail_seq(s.tail.shifted(p, shift), max(p - shift, 0)), 0))
 
 
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
@@ -136,7 +148,8 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     window; ramp terms fall under a certified decreasing envelope).  Each hull
     is built once and kept in one memo slot (``_hull_home``): below p - 1 in the
     sequence's memo, from there in the memo of the shifted rule's tail sequence.
-    A witness reads terms 1..m of its shift-0 hull through its cut (``_shared_head``).
+    A witness reads terms 1..m of its shift-0 hull through its cut (``_shared_head``), and
+    no further term when potential(seq, m) lies below them (``_potential_terms``).
 
     Past the prefix a bounded tail closes within one pattern, a tower at its first
     entry past 2^53 (four terms at most) and a ramp within about 1,600 terms (rate
@@ -154,6 +167,16 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
                      lambda s: Interval.sup_hull([t for _, t in _potential_terms(s, at)]))
 
 
+def _first_above(base: SymbolSeq, shift: int, r: float) -> int:
+    """base's first explicit term above r at this shift, k* (0 if none): a witness cut (base, m)
+    certifies potential(witness, shift) > r when 0 < k* <= m - shift, and so does every longer cut.
+    The first term, kept once for every r, settles most thresholds."""
+    if _memoised(base, ("first", shift), lambda b: potential_term(b, shift + 1, 1)).certainly_gt(r):
+        return 1
+    return _memoised(base, ("above", shift, r), lambda b: next(
+        (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0))
+
+
 def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
     """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
 
@@ -161,13 +184,33 @@ def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
     A witness cut (base, m) says yes if base's first explicit term above r, k*, has shift + k* <= m.
     """
     base, m = seq.cut or (None, 0)
-    if shift < m and 0 < _memoised(base, ("above", shift, r), lambda b: next(
-            (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0)) <= m - shift:
+    if shift < m and 0 < _first_above(base, shift, r) <= m - shift:
         return True
     home, at = _hull_home(seq, shift)
     if (hull := home._memo.get(("potential", at))) is not None:
         return hull.certainly_gt(r)
     return any(t.certainly_gt(r) for _, t in _potential_terms(home, at))
+
+
+def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
+    """The least shift n in [start, stop] at which seq's cut (base, m) does not certify
+    potential(seq, n) > r (``_first_above``); start when seq has no cut.
+
+    Every longer cut of base certifies those shifts too, so base keeps the floor of its longest
+    cut so far for each (start, r), and the next witness goes on from there.
+    """
+    if not seq.cut:
+        return start
+    base, m = seq.cut
+    cut, n = base._memo.get(key := ("floor", start, r), (0, start))
+    if cut > m:  # a longer cut's floor: this one may certify less
+        n = start
+    end = min(m, stop)
+    while n < end and 0 < _first_above(base, n, r) <= m - n:
+        n += 1
+    if m >= cut:
+        base._memo[key] = (m, n)
+    return n
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:
@@ -207,12 +250,17 @@ def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
 # ---------------------------------------------------------------------------
 
 
+# a nesting state's endpoints as bytes: exact, so -0.0 keeps a slot apart from 0.0
+_packed = struct.Struct("<2d2?").pack
+
+
 def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interval:
     """Run backward nesting from the given level down to the full height t_s.
 
     Each entry takes its own step (``Entry.descend``); a plain state runs on
     its endpoint floats and is wrapped once, at the end.  A witness with cut (base, m) keeps
-    the enclosure from each level j <= m and state met in base's memo, keyed by ``float.hex``.
+    the enclosure from each level j <= m and state met in base's memo, keyed by the state's
+    float bytes.
     """
     if isinstance(state, Interval):
         state = state.bounds()
@@ -220,10 +268,9 @@ def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interva
     keys = []
     for j in range(level, 0, -1):
         if j <= m:
-            bits = (state.base, state.height, *state.delta.bounds()) if isinstance(
-                state, _TowerRel) else state
-            if (enc := base._memo.get(key := ("descend", j, *(
-                    v.hex() if type(v) is float else v for v in bits)))) is not None:
+            key = ("descend", j, state.base, state.height, _packed(*state.delta.bounds())) if (
+                isinstance(state, _TowerRel)) else ("descend", j, _packed(*state))
+            if (enc := base._memo.get(key)) is not None:
                 break
             keys.append(key)
         state = seq.entry(j).descend(state)
@@ -231,6 +278,29 @@ def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interva
         enc = Interval(*(state.bounds() if isinstance(state, _TowerRel) else state))
     base._memo.update(dict.fromkeys(keys, enc))
     return enc
+
+
+def _past_cut(seq: SymbolSeq, m: int) -> tuple:
+    """A witness cut at m past its cut: its entries from m + 1 on, as the prefix and tail rule of
+    its (m + 1)-fold shift.  The witnesses of one base with the same past share the work on it."""
+    return seq.prefix[m + 1:], seq.tail.shifted(len(seq.prefix), m + 1)
+
+
+def _nesting_start(seq: SymbolSeq) -> tuple[int, Interval | _TowerRel | tuple]:
+    """Where backward nesting starts: the tail rule's anchor; for a witness cut at m, level m and
+    the state that its entries past the cut hand down from the anchor, once per base and past."""
+    p = len(seq.prefix)
+    if not seq.cut:
+        return seq.tail.nesting_anchor(p)
+    base, m = seq.cut
+
+    def hand(_) -> tuple | _TowerRel:
+        level, state = seq.tail.nesting_anchor(p)  # level >= p - 1 >= m
+        state = state.bounds() if isinstance(state, Interval) else state
+        for j in range(level, m, -1):
+            state = seq.entry(j).descend(state)
+        return state
+    return m, _memoised(base, ("handed", *_past_cut(seq, m)), hand)
 
 
 def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
@@ -246,7 +316,7 @@ def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
 def _height(seq: SymbolSeq) -> Interval:
     """The endpoint-height enclosure, however wide; its upper end is open when it saturates."""
     pot0 = potential(seq)
-    enc = _descend(seq, *seq.tail.nesting_anchor(len(seq.prefix)))
+    enc = _descend(seq, *_nesting_start(seq))
     if pot0.is_finite:  # the sandwich t* <= t_s <= t* + 1
         return enc.intersect(Interval(pot0.lo, round_up(pot0.hi + 1.0)))
     return enc.intersect(Interval(pot0.lo, math.inf, pot0.lo_open, True))

@@ -16,6 +16,7 @@ backward nesting, and the bound or thinning step of its family.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,19 +61,23 @@ class Asymptotics(Enum):
 # ---------------------------------------------------------------------------
 
 
+# these two run at every tower-relative nesting step, so they call nextafter directly:
+# round_down and round_up differ from it only at +inf and -inf, which no end here can be
+# or which the min and max with 0.0 drop
 def _tiny_ln1p(y: Interval) -> Interval:
     """Enclosure of ln(1 + y) from the bound y - y^2 <= ln(1+y) <= y, y >= -1/2."""
     if y.lo < -0.5:
         raise RigorError("tiny ln1p bound needs y >= -1/2")
-    lo = round_down(y.lo - y.lo * y.lo)
-    hi = y.hi if y.hi >= 0 else round_up(y.hi)
+    lo = math.nextafter(y.lo - y.lo * y.lo, -math.inf)
+    hi = y.hi if y.hi >= 0 else math.nextafter(y.hi, math.inf)
     return Interval(min(lo, hi), hi)
 
 
 def _log_correction(y_lo: float, y_hi: float) -> Interval:
     """The tower-relative log correction ln(1 + y) of one nesting step, y between y_lo and y_hi
     as computed (each rounded outward here), widened to hold 0."""
-    return _tiny_ln1p(Interval(min(0.0, round_down(y_lo)), max(0.0, round_up(y_hi))))
+    return _tiny_ln1p(Interval(min(0.0, math.nextafter(y_lo, -math.inf)),
+                               max(0.0, math.nextafter(y_hi, math.inf))))
 
 
 _LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
@@ -563,7 +568,7 @@ class ExpTowerTail:
         return p - 1 if self.anchor is None else self.anchor
 
     def entry_at(self, p: int, n: int) -> Entry:
-        h = n - self.resolved_anchor(p)
+        h = n - (p - 1 if self.anchor is None else self.anchor)  # resolved_anchor, inlined
         if h < 1:
             raise RigorError("fexp entry below its anchor")
         return _tower_entry(self.c, h)
@@ -590,8 +595,10 @@ class ExpTowerTail:
     def potential_floor(self, p: int, threshold: float) -> int | None:
         anchor = self.resolved_anchor(p)
         start = max(anchor + 1, 0)
-        return next((n for n in range(start, start + 200)
-                     if sum_down(growth_net(self.c, n - anchor).lo, -1.0) > threshold), None)
+        for n in range(start, start + 200):
+            if sum_down(growth_net(self.c, n - anchor).lo, -1.0) > threshold:
+                return n
+        return None
 
     def nesting_anchor(self, p: int) -> tuple[int, _TowerRel]:
         """The first level whose tower passes TOWER_PIN, in tower-relative form."""
@@ -732,7 +739,9 @@ class SymbolSeq:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        norm = tuple(IntEntry(e) if isinstance(e, int) else e for e in self.prefix)
+        norm = tuple(self.prefix)
+        if any(map(isinstance, norm, itertools.repeat(int))):  # a prefix of entries stays as it is
+            norm = tuple(IntEntry(e) if isinstance(e, int) else e for e in norm)
         object.__setattr__(self, "prefix", norm)
         self.tail.validate(len(norm))
 
@@ -741,9 +750,9 @@ class SymbolSeq:
     def entry(self, n: int) -> Entry:
         if n < 0:
             raise ValueError("negative sequence index")
-        if n < len(self.prefix):
+        if n < (p := len(self.prefix)):
             return self.prefix[n]
-        return self.tail.entry_at(len(self.prefix), n)
+        return self.tail.entry_at(p, n)
 
     def shift(self, n: int = 1) -> "SymbolSeq":
         """Descriptor of the n-fold shifted sequence (drop the first n entries)."""

@@ -11,7 +11,8 @@ min(|s_n|, floor(F^(n-m)(3k))), which caps the potential at shift m by 3k
 every earlier shifted potential above 3k - 1; ``witness_family`` generates a
 convergent family of these witnesses with verified margins, searching the witness
 depth once at each shift the first member spans, then once per later member, each
-search stopping at ``DEPTH_BUDGET``.  Each witness carries its cut ``(base, m)``.
+search stopping at ``DEPTH_BUDGET``.  Each witness carries its cut ``(base, m)``;
+members whose entries past the cut agree share both claims.
 
 Membership asks ``model.at_endpoint``, the one endpoint test, at the caller's
 tolerance, for witnesses too: an exact yes or no once the height enclosure is that narrow.
@@ -19,6 +20,7 @@ tolerance, for witnesses too: an exact yes or no once the height enclosure is th
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
 from .model import (
     BudgetExceededError,
     ModelPoint,
+    _cut_floor,
+    _past_cut,
     at_endpoint,
     cut_entries,
     endpoint_height_enclosure,
@@ -130,7 +134,8 @@ def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
         return TriBool.unknown(None)
     if n1 - start > budget:
         raise BudgetExceededError("explicit threshold window exceeds budget")
-    for n in range(start, n1):
+    # a witness's cut certifies the shifts below its floor, an earlier cut of its base most of them
+    for n in range(_cut_floor(seq, start, n1, threshold), n1):
         if not potential_above(seq, n, threshold):
             return potential(seq, n).tri_gt(threshold)
     return TriBool.yes()
@@ -265,12 +270,21 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
         ea, eb = a.entry(n), b.entry(n)
         if (n >= tails and type(ea) is type(eb) is FloorPow and ea != eb
                 and ea.tower().hi == eb.tower().hi == math.inf):
-            for k in range(n, horizon + 1):
-                total += math.ldexp(1.0, -k)
-            break
+            return _gap_fold(total, n, horizon)
         gap = _entry_gap(ea, eb)
         if gap:
             total += math.ldexp(gap, -n)
+    return total
+
+
+@functools.lru_cache(maxsize=256)
+def _gap_fold(total: float, n: int, horizon: int) -> float:
+    """total plus the gap 1.0 at each index n..horizon, 2^-n + ... + 2^-horizon added in order
+    (halving a power of two is exact, or 0.0 past the least subnormal, as ldexp gives it)."""
+    term = math.ldexp(1.0, -n)
+    for _ in range(n, horizon + 1):
+        total += term
+        term *= 0.5
     return total
 
 
@@ -318,6 +332,7 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
                         for n, i in levels if i >= 0), default=0)
 
     reports: list[WitnessReport] = []
+    past_claims: dict = {}  # (claim two, claim one's margin) of each past a cut leaves
     base_height = endpoint_height_enclosure(base, tol)
     last_distance = math.inf
     for _ in range(count):
@@ -329,23 +344,26 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
         if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks
             raise BudgetExceededError(f"cut index {m} reaches the distance horizon {_DIST_HORIZON}")
         witness = witness_sequence(base, alpha, m)
+        # both claims read only the witness past its cut, which members often share
+        if (claims := past_claims.get(past := _past_cut(witness, m))) is None:
+            # claim two first: the thinned potential at the cut is capped by 3*dom
+            claim2 = potential(witness, m)
+            if claim2.certainly_gt(bound):
+                raise WitnessRefutedError(f"claim-two bound refuted at m={m}")
+            if not claim2.certainly_le(bound):
+                raise BudgetExceededError(f"claim-two bound not certified at m={m}")
 
-        # claim two first: the thinned potential at the cut is capped by 3*dom
-        claim2 = potential(witness, m)
-        if claim2.certainly_gt(bound):
-            raise WitnessRefutedError(f"claim-two bound refuted at m={m}")
-        if not claim2.certainly_le(bound):
-            raise BudgetExceededError(f"claim-two bound not certified at m={m}")
-
-        # claim one: every shifted potential from m on exceeds 3*dom - 1, one
-        # threshold certificate whose scan reads the margin's hulls from the memo ...
-        claim1 = min((potential(witness, n) for n in range(m, m + EXTRA_CLAIM_SHIFTS)),
-                     key=lambda iv: iv.lo)
-        holds = _threshold_holds_from(witness, m, bound - 1.0, budget)
-        if holds.is_false:
-            raise WitnessRefutedError(f"claim-one threshold refuted at m={m}")
-        if not holds.is_true:
-            raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
+            # claim one: every shifted potential from m on exceeds 3*dom - 1, one
+            # threshold certificate whose scan reads the margin's hulls from the memo ...
+            claim1 = min((potential(witness, n) for n in range(m, m + EXTRA_CLAIM_SHIFTS)),
+                         key=lambda iv: iv.lo)
+            holds = _threshold_holds_from(witness, m, bound - 1.0, budget)
+            if holds.is_false:
+                raise WitnessRefutedError(f"claim-one threshold refuted at m={m}")
+            if not holds.is_true:
+                raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
+            claims = past_claims[past] = claim2, claim1
+        claim2, claim1 = claims
 
         height = endpoint_height_enclosure(witness, tol)
         w_point = ModelPoint(height.mid, witness)

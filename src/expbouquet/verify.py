@@ -295,6 +295,9 @@ def suite_closure_bound(cfg: RunConfig) -> dict:
     except BudgetExceededError as e:  # not decided within the budget
         stopped = [{"case": alpha.to_json(), "reason": str(e)}]
         return _suite("closure_bound", True, stopped, failures=failures, **tally)
+    except Exception as e:  # honest reporting of any certification failure
+        failures.append({"alpha": alpha.to_json(), "error": str(e)})
+        return _suite("closure_bound", False, failures=failures, **tally)
     base = point.seq
     for n in range(4):
         r_bound = min(potential(r.witness, n).lo for r in reports)

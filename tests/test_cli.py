@@ -514,11 +514,12 @@ def test_verify_seed0_report_is_pinned(capsys):
 
 # the other seed CI runs, and budget 1, under which the witness, closure and
 # extension suites count the cases that exceed it undecided and list each with
-# its reason, refuting nothing (exit 0), pinned like seed 0
+# its reason, refuting nothing (exit 0), pinned like seed 0; the ids name the
+# run, so a re-pinned digest keeps the test's name
 @pytest.mark.parametrize("argv, exit_code, digest", [
     (["--seed", "7"], 0, "5ca2c2a0a40a7f3589b28101db0e0f10d656c0d55acb09133b6964b0a1a03bea"),
     (["--budget", "1"], 0, "54b0bc56fcfa2bf8438583096f376637b254222f749b1f13845ed23613c8457a"),
-])
+], ids=["seed7", "budget1"])
 def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
     code, out = run(capsys, "verify", *argv)
     assert code == exit_code

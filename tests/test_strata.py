@@ -491,7 +491,8 @@ def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_me
     # the CI smoke family: each member recomputing the terms and nesting steps
     # on the entries it shares with its base, every tower hull scanning eight
     # explicit tail terms and every claim-two hull built apart took 2,218
-    # potential terms and 585 descent steps; sharing that work takes 198 and 121
+    # potential terms and 585 descent steps; sharing that work took 198 and 121,
+    # and sharing what the members share past their cut takes 106 and 92
     point = endpoint_of(fexp_seq(9))
     terms, steps = [], []
     for module in (model, strata):
@@ -503,15 +504,16 @@ def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_me
         monkeypatch.setattr(cls, "descend", lambda self, state, real=real_descend:
                             steps.append(1) or real(self, state))
     assert len(witness_family(point, AlphaIndex((0, 1)), 2, 30)) == 30
-    assert len(terms) <= 300
-    assert len(steps) <= 150
+    assert len(terms) <= 150
+    assert len(steps) <= 110
 
 
 @pytest.mark.counts_work
 def test_witness_family_asks_its_base_for_each_entry_about_once(monkeypatch, empty_rule_memos):
     # the CI smoke family: its 30 members read 37 distinct base entries; each
     # member building its own list of base entries 0..m took 806 calls of
-    # base.entry (585 of them for those lists), the cut's one tuple per base 255
+    # base.entry (585 of them for those lists), the cut's one tuple per base 255,
+    # and one first term per shift for all of parent membership's thresholds 223
     point = endpoint_of(fexp_seq(9))
     asked = []
     real_entry = SymbolSeq.entry
@@ -520,6 +522,52 @@ def test_witness_family_asks_its_base_for_each_entry_about_once(monkeypatch, emp
     assert len(witness_family(point, AlphaIndex((0, 1)), 2, 30)) == 30
     assert len(set(asked)) == 37
     assert len(asked) <= 300
+
+
+@pytest.mark.counts_work
+def test_witness_family_certifies_each_past_once_and_scans_parent_thresholds_from_the_cut(
+        monkeypatch, empty_rule_memos):
+    # the CI smoke family: past its cut every member is the cap tower floor(F^(n-m)(6)),
+    # so claim two, claim one's margin and its certificate are asked once, 7 hulls at
+    # cut shifts and 1 certificate (each member asking its own: 210 and 30); parent
+    # membership starts each threshold at the shift the base's terms have not yet
+    # certified through an earlier cut, one potential_above per threshold and member
+    # (scanning each from its index entry: 1,140)
+    point = endpoint_of(fexp_seq(9))
+    alpha = AlphaIndex((0, 1))
+    cut_hulls, certificates, parent_asks, witness_member = [], [], [], []
+    real_potential, real_holds = strata.potential, strata._threshold_holds_from
+    real_above, real_member = strata.potential_above, strata.in_stratum
+
+    def potential(seq, shift=0):
+        if seq.cut and shift >= seq.cut[1]:
+            cut_hulls.append(shift)
+        return real_potential(seq, shift)
+
+    def holds(seq, start, *args):
+        if not witness_member and seq.cut and start == seq.cut[1]:
+            certificates.append(start)
+        return real_holds(seq, start, *args)
+
+    def member(alpha, x, *args):
+        witness_member.append(x.seq.cut is not None)
+        try:
+            return real_member(alpha, x, *args)
+        finally:
+            witness_member.pop()
+
+    def above(seq, shift, r):
+        if witness_member and witness_member[-1]:
+            parent_asks.append(shift)
+        return real_above(seq, shift, r)
+
+    for name, stand_in in (("potential", potential), ("_threshold_holds_from", holds),
+                           ("in_stratum", member), ("potential_above", above)):
+        monkeypatch.setattr(strata, name, stand_in)
+    assert len(witness_family(point, alpha, 2, 30)) == 30
+    assert len(certificates) == 1
+    assert len(cut_hulls) <= 1 + strata.EXTRA_CLAIM_SHIFTS
+    assert len(parent_asks) <= 2 * alpha.dom * 30
 
 
 def test_threads_that_race_on_a_base_give_each_witness_the_base_entries():
@@ -553,6 +601,30 @@ def _family_json(base: SymbolSeq, alpha: AlphaIndex, n, count: int) -> str:
         return json.dumps([r.to_json() for r in witness_family(point, alpha, n_ext, count)])
     except (ValueError, BudgetExceededError) as e:
         return f"{type(e).__name__}: {e}"
+
+
+def test_threads_that_race_on_a_base_give_each_family_the_reports_of_a_lone_run():
+    # families of one base share its memo: entries, heads, first terms, cut floors
+    # and the states their tails hand to the cut; threads that race on it,
+    # switching every microsecond, each get the reports of a family run alone
+    alphas = [AlphaIndex(entries) for entries in ((0,), (0, 1), (0, 2), (0, 2, 3))]
+    lone = [_family_json(fexp_seq(9, (4, 7)), alpha, None, 10) for alpha in alphas]
+    assert all(text.startswith("[") for text in lone)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            base, got = fexp_seq(9, (4, 7)), {}
+            threads = [threading.Thread(target=lambda i=i: got.update(
+                {i: _family_json(base, alphas[i % 4], None, 10)})) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [got[i] for i in range(8)] == lone * 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("prefix", [(), (2,), (2, 4)])
@@ -595,9 +667,52 @@ def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
                         assert model.potential_above(w, n, r) == potential(copy, n).certainly_gt(r)
 
 
+@pytest.mark.parametrize("cuts", [range(1, 12), range(11, 0, -1)], ids=["longer", "shorter"])
+def test_a_cut_floor_holds_only_shifts_its_cut_certifies(cuts):
+    # each shift below a witness's cut floor has a base term above r within its cut, so its
+    # unlinked copy's hull is above r there; the floor stops at the first shift the cut leaves
+    # to the witness's own terms, whether the base kept a shorter or a longer cut's floor
+    for prefix in [(), (0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 0, 0, 4)]:
+        for c in (3, 6, 9):
+            base = SymbolSeq(prefix, ExpTowerTail(c))
+            for m in cuts:
+                w = witness_sequence(base, AlphaIndex((0,)), m)
+                copy = SymbolSeq(w.prefix, w.tail)
+                for start in (0, 2):
+                    for r in (0.5, 2.0, 5.0, 20.0):
+                        floor = model._cut_floor(w, start, m + 3, r)
+                        assert start <= floor <= max(start, m)
+                        assert all(potential(copy, n).certainly_gt(r) for n in range(start, floor))
+                        k = model._first_above(base, floor, r)
+                        assert floor >= m or not 0 < k <= m - floor
+
+
+def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy():
+    # past its cut m a witness's shift-0 terms lie below potential(w, m), so when that is
+    # below the shared head the head alone is the hull; its nesting starts at m from the
+    # state its tail hands down, built once per base and past; each keeps the copy's bits
+    def bits(iv):
+        return iv.lo.hex(), iv.hi.hex(), iv.lo_open, iv.hi_open
+
+    bases = [SymbolSeq(prefix, ExpTowerTail(c)) for prefix in [(), (2,), (0, 0, 0), (2, 0, 0, 4)]
+             for c in (3, 6, 9)]
+    bases += [SymbolSeq((p,), LinExpTail(Fraction(2))) for p in (3, 5)]
+    checked, head_alone = 0, 0
+    for base in bases:
+        for alpha in (AlphaIndex((0,)), AlphaIndex((0, 1)), AlphaIndex((0, 2, 3))):
+            for m in range(1, 12):
+                w = witness_sequence(base, alpha, m)
+                copy = SymbolSeq(w.prefix, w.tail)
+                assert bits(potential(w)) == bits(potential(copy)), (base, alpha, m)
+                assert bits(endpoint_height_enclosure(w)) == bits(endpoint_height_enclosure(copy))
+                checked += 1
+                head_alone += potential(w, m).hi < model._shared_head(base, m).lo
+    assert checked == 462 and 100 <= head_alone < checked
+
+
 def test_signed_zero_states_keep_descent_slots_of_their_own(monkeypatch):
     # 0.0 == -0.0, so keyed on the floats the states at level 3 would share a
-    # slot and -0.0 would take no step; keyed on float.hex it takes its own
+    # slot and -0.0 would take no step; keyed on their bytes it takes its own
     # step from level 3, whose state then meets 0.0's slot at level 2; a
     # second ask reads the slot, and each gives the unlinked bits
     base = const_seq(0, (0, 1, 0))
