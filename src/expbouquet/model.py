@@ -194,10 +194,12 @@ def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
 
 def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
     """The least shift n in [start, stop] at which seq's cut (base, m) does not certify
-    potential(seq, n) > r (``_first_above``); start when seq has no cut.
+    potential(seq, n) > r (``_first_above``), stop when it certifies all below; start when seq
+    has no cut.
 
     Every longer cut of base certifies those shifts too, so base keeps the floor of its longest
-    cut so far for each (start, r), and the next witness goes on from there.
+    cut so far for each (start, r), and the next witness goes on from there.  That floor may lie
+    past this witness's stop (an earlier member scanned further), so the answer is cut to stop.
     """
     if not seq.cut:
         return start
@@ -210,7 +212,7 @@ def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
         n += 1
     if m >= cut:
         base._memo[key] = (m, n)
-    return n
+    return min(n, stop)
 
 
 def is_escaping_endpoint_address(seq: SymbolSeq) -> TriBool:

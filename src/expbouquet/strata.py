@@ -20,7 +20,6 @@ tolerance, for witnesses too: an exact yes or no once the height enclosure is th
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -270,21 +269,16 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
         ea, eb = a.entry(n), b.entry(n)
         if (n >= tails and type(ea) is type(eb) is FloorPow and ea != eb
                 and ea.tower().hi == eb.tower().hi == math.inf):
-            return _gap_fold(total, n, horizon)
+            # gap 1.0 at each index n..horizon; halving a power of two is exact (or 0.0
+            # past the least subnormal), as ldexp gives it
+            term = math.ldexp(1.0, -n)
+            for _ in range(n, horizon + 1):
+                total += term
+                term *= 0.5
+            return total
         gap = _entry_gap(ea, eb)
         if gap:
             total += math.ldexp(gap, -n)
-    return total
-
-
-@functools.lru_cache(maxsize=256)
-def _gap_fold(total: float, n: int, horizon: int) -> float:
-    """total plus the gap 1.0 at each index n..horizon, 2^-n + ... + 2^-horizon added in order
-    (halving a power of two is exact, or 0.0 past the least subnormal, as ldexp gives it)."""
-    term = math.ldexp(1.0, -n)
-    for _ in range(n, horizon + 1):
-        total += term
-        term *= 0.5
     return total
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import RULE_MEMOS
-from expbouquet import intervals, plane, sequences, strata
+from expbouquet import intervals, plane, sequences
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "expbouquet"
 
@@ -49,8 +49,7 @@ def test_verify_decides_by_intervals_not_midpoints():
 
 
 # memos whose work no test counts, so no test needs them empty
-UNCOUNTED_MEMOS = (intervals._int_tower, sequences._tower_entry, strata._gap_fold,
-                   plane._memo_trap)
+UNCOUNTED_MEMOS = (intervals._int_tower, sequences._tower_entry, plane._memo_trap)
 
 
 def _memo_names(path: Path) -> list[str]:

@@ -671,7 +671,8 @@ def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
 def test_a_cut_floor_holds_only_shifts_its_cut_certifies(cuts):
     # each shift below a witness's cut floor has a base term above r within its cut, so its
     # unlinked copy's hull is above r there; the floor stops at the first shift the cut leaves
-    # to the witness's own terms, whether the base kept a shorter or a longer cut's floor
+    # to the witness's own terms, whether the base kept a shorter or a longer cut's floor,
+    # and never passes the stop its caller scans to
     for prefix in [(), (0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 0, 0, 4)]:
         for c in (3, 6, 9):
             base = SymbolSeq(prefix, ExpTowerTail(c))
@@ -680,11 +681,13 @@ def test_a_cut_floor_holds_only_shifts_its_cut_certifies(cuts):
                 copy = SymbolSeq(w.prefix, w.tail)
                 for start in (0, 2):
                     for r in (0.5, 2.0, 5.0, 20.0):
-                        floor = model._cut_floor(w, start, m + 3, r)
-                        assert start <= floor <= max(start, m)
-                        assert all(potential(copy, n).certainly_gt(r) for n in range(start, floor))
-                        k = model._first_above(base, floor, r)
-                        assert floor >= m or not 0 < k <= m - floor
+                        for stop in (m + 3, start + 1):
+                            floor = model._cut_floor(w, start, stop, r)
+                            assert start <= floor <= max(start, min(m, stop))
+                            assert all(potential(copy, n).certainly_gt(r)
+                                       for n in range(start, floor))
+                            k = model._first_above(base, floor, r)
+                            assert floor >= min(m, stop) or not 0 < k <= m - floor
 
 
 def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy():
