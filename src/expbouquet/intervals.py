@@ -118,7 +118,8 @@ class Interval:
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
     def __init__(self, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
-        if not lo < hi:  # lo < hi needs no further test whatever the flags
+        # lo < hi (whatever the flags) or a closed point lo == hi needs no further test
+        if not (lo < hi or lo == hi and not (lo_open or hi_open)):
             if math.isnan(lo) or math.isnan(hi):
                 raise RigorError("NaN endpoint in interval")
             if lo > hi:
@@ -158,26 +159,26 @@ class Interval:
 
     @staticmethod
     def from_int(n: int) -> "Interval":
-        """Tightest enclosure of an integer; a point when the double is exact."""
-        f = float(n)
-        if f == n:  # int/float comparison is exact in Python
-            return Interval(f, f)
-        lo = f if f < n else round_down(f)
-        hi = f if f > n else round_up(f)
-        return Interval(lo, hi, False, hi == math.inf)
+        """Tightest enclosure of an integer; a point when the double is exact, open at +inf."""
+        iv = Interval.from_ratio(n, 1)
+        return iv if iv.hi < math.inf else Interval(iv.lo, iv.hi, False, True)
 
     @staticmethod
-    def from_fraction(fr: Fraction) -> "Interval":
-        """Tightest enclosure of a rational; a point when the double is exact."""
-        f = float(fr)
+    def from_ratio(num: int, den: int) -> "Interval":
+        """Tightest enclosure of num/den for den > 0; a point when the double is exact."""
+        f = num / den  # correctly rounded; OverflowError beyond the double range
         p, q = f.as_integer_ratio()
-        # sign of f - fr in exact integers (both denominators are positive)
-        d = p * fr.denominator - fr.numerator * q
+        d = p * den - num * q  # the sign of f - num/den, in exact integers (den, q > 0)
         if d == 0:
             return Interval(f, f)
         if d < 0:
             return Interval(f, round_up(f))
         return Interval(round_down(f), f)
+
+    @staticmethod
+    def from_fraction(fr: Fraction) -> "Interval":
+        """Tightest enclosure of a rational; a point when the double is exact."""
+        return Interval.from_ratio(fr.numerator, fr.denominator)
 
     # -- basic queries -----------------------------------------------------
 
@@ -278,14 +279,9 @@ class Interval:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(x: float):
-            if x == math.inf:
-                return "inf"
-            if x == -math.inf:
-                return "-inf"
-            return x
-
-        return {"lo": enc(self.lo), "hi": enc(self.hi),
+        lo, hi = self.lo, self.hi
+        return {"lo": "inf" if lo == math.inf else "-inf" if lo == -math.inf else lo,
+                "hi": "inf" if hi == math.inf else "-inf" if hi == -math.inf else hi,
                 "lo_open": self.lo_open, "hi_open": self.hi_open}
 
     def __repr__(self) -> str:

@@ -102,7 +102,7 @@ def _potential_terms(seq: SymbolSeq, shift: int):
         if term is not None:
             below = max(below, term.lo)
             yield k, term
-        if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k)) is not None:
+        if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k, below)) is not None:
             yield from ((0, t) for t in closing)
             return
 
@@ -181,11 +181,7 @@ def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
     """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
 
     ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
-    A witness cut (base, m) says yes if base's first explicit term above r, k*, has shift + k* <= m.
     """
-    base, m = seq.cut or (None, 0)
-    if shift < m and 0 < _first_above(base, shift, r) <= m - shift:
-        return True
     home, at = _hull_home(seq, shift)
     if (hull := home._memo.get(("potential", at))) is not None:
         return hull.certainly_gt(r)

@@ -30,6 +30,7 @@ from .intervals import (
     TOWER_PIN,
     Interval,
     RigorError,
+    _ln1p_bounds,
     expm1_down,
     growth_inv_pow,
     growth_net,
@@ -186,7 +187,7 @@ class FloorPow:
 
 @dataclass(frozen=True)
 class CeilExp:
-    """Symbolic entry ceil(F(arg)) for a nonnegative rational arg.
+    """Symbolic entry ceil(F(arg)) for a nonnegative rational arg = num/den, held as coprime ints.
 
     Lies in [F(arg), F(arg) + 1); through F^-k it lies in
     [F^-(k-1)(arg), F^-(k-1)(arg) + 1).  Entries come from ``_ramp_entry``,
@@ -197,13 +198,14 @@ class CeilExp:
     double and arg >= 0, they are exact.
     """
 
-    arg: Fraction
+    num: int
+    den: int = 1
     _arg_iv: Interval = _enclosure()
     _grow: Interval = _enclosure()
     _abs: Interval = _enclosure()
 
     def __post_init__(self):
-        a = Interval.from_fraction(self.arg)
+        a = Interval.from_ratio(self.num, self.den)
         t = a.growth()
         object.__setattr__(self, "_arg_iv", a)
         object.__setattr__(self, "_grow", t)
@@ -231,37 +233,44 @@ class CeilExp:
         return (self._arg_iv + corr).bounds()
 
     def to_json(self):
-        return {"kind": "ceil_exp", "arg": f"{self.arg.numerator}/{self.arg.denominator}"}
+        return {"kind": "ceil_exp", "arg": f"{self.num}/{self.den}"}
 
 
 Entry = IntEntry | FloorPow | CeilExp
 
 
-# Every tower and ramp entry, of a tail, a parsed prefix or a thinning cap, comes from these
-# two factories; each decides from the enclosures its symbolic entry built.  Entries asked
-# for again and again are memoised; 256 hold a nesting walk, whose entries its anchor has
-# just built (a slow ramp's potential asks for more, once each).  Ramp keys are ints:
-# hashing a Fraction rate costs a good share of a lookup.
+# Every entry, of a tail, a parsed prefix or a thinning cap, comes from these three
+# factories; the tower and ramp ones decide from the enclosures their symbolic entry built.
+# Entries asked for again and again are memoised; 256 hold a nesting walk, whose entries its
+# anchor has just built (a slow ramp's potential asks for more, once each).  Entries are
+# immutable, so every sequence shares them.
+@functools.lru_cache(maxsize=1024, typed=True)  # typed: True and 1.0 keep their own entries
+def _int_entry(v: int) -> IntEntry:
+    """The entry of a machine integer, one per value: prefixes and patterns repeat few values."""
+    return IntEntry(v)
+
+
 @functools.lru_cache(maxsize=256)
 def _tower_entry(c: int, h: int) -> Entry:
     """The entry floor(F^h(c)): an IntEntry when it fits a machine integer, else a FloorPow."""
     e = FloorPow(c, h)
     t = e.tower()
     if t.hi < MAX_EXACT_INT and math.floor(t.lo) == math.floor(t.hi):
-        return IntEntry(math.floor(t.lo))
+        return _int_entry(math.floor(t.lo))
     return e
 
 
 @functools.lru_cache(maxsize=256)
 def _ramp_entry(num: int, den: int, m: int) -> Entry:
     """The entry ceil(F(num/den * m)): an IntEntry when it fits a machine int, else a CeilExp."""
+    g = math.gcd(num * m, den)
     try:
-        e = CeilExp(Fraction(num * m, den))
+        e = CeilExp(num * m // g, den // g)
     except OverflowError:  # a far index or shift
         raise DescriptorError("linexp argument beyond double range") from None
     t = e._grow  # [0, 0] when arg == 0
     if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
-        return IntEntry(math.ceil(t.hi))
+        return _int_entry(math.ceil(t.hi))
     return e
 
 
@@ -292,7 +301,7 @@ def entry_from_json(obj) -> Entry:
     if isinstance(obj, bool):
         raise DescriptorError("prefix entries must be integers")
     if isinstance(obj, int):
-        return IntEntry(_in_double_range(obj, "prefix integer"))
+        return _int_entry(_in_double_range(obj, "prefix integer"))
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == "floor_tower":
@@ -336,7 +345,7 @@ def _thin_entry(entry: Entry, c: int, h: int) -> Entry | None:
         return cap
     ev = abs(entry.value) if isinstance(entry, IntEntry) else None
     cv = cap.value if isinstance(cap, IntEntry) else None
-    kept = entry if ev is None else IntEntry(ev)
+    kept = entry if ev is None else _int_entry(ev)
     if ev is not None and cv is not None:
         return kept if ev <= cv else cap
     a = entry.abs_interval()
@@ -412,11 +421,12 @@ class TailRule(Protocol):
     def to_json(self) -> dict:
         """The descriptor's ``tail`` object."""
 
-    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+    def closing_terms(self, p: int, shift: int, k: int,
+                      below: float = -math.inf) -> tuple[Interval, ...] | None:
         """Terms closing the hull of potential(seq, shift) once term k, a tail term, is in.
 
         None while explicit terms must go on; the terms returned (possibly
-        none) bound every later term.
+        none) bound every later term, or lie below ``below``.
         """
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval | _TowerRel]:
@@ -431,17 +441,12 @@ class _BoundedTail:
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         return p, self.height()
 
-    @functools.cached_property
-    def entries(self) -> tuple[IntEntry, ...]:
-        """The entries of one period, built once with the rule."""
-        return tuple(IntEntry(v) for v in self.pattern)
-
     def abs_bound(self) -> float:
         """Upper bound of every |s_n| in the tail."""
-        return max(e.abs_interval().hi for e in self.entries)
+        return max(_int_entry(v).abs_interval().hi for v in self.pattern)
 
     def entry_at(self, p: int, n: int) -> Entry:
-        return self.entries[(n - p) % len(self.entries)]
+        return _int_entry(self.pattern[(n - p) % len(self.pattern)])
 
     @functools.cached_property
     def period(self) -> int:
@@ -449,7 +454,7 @@ class _BoundedTail:
         pat = self.pattern
         return next(d for d in range(1, len(pat) + 1) if pat[d:] + pat[:d] == pat)
 
-    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+    def closing_terms(self, p: int, shift: int, k: int, below: float = -math.inf):
         # after one full period of tail terms every later term repeats an
         # entry at a larger depth, so it is smaller
         return () if k - max(p - shift, 0) >= len(self.pattern) else None
@@ -467,6 +472,9 @@ class ConstTail(_BoundedTail):
     def pattern(self) -> tuple[int, ...]:
         return (self.c,)
 
+    def entry_at(self, p: int, n: int) -> Entry:
+        return _int_entry(self.c)
+
     def validate(self, p: int):
         if not isinstance(self.c, int):
             raise DescriptorError("const tail needs an integer c")
@@ -481,7 +489,7 @@ class ConstTail(_BoundedTail):
     @functools.lru_cache(maxsize=256)
     def height(self) -> Interval:
         """The pure tail's height: the certified root of F(t) = |c| + t, by bisection."""
-        a = self.entries[0].abs_interval()
+        a = _int_entry(self.c).abs_interval()
         if a.hi == 0.0:
             return Interval.point(0.0)
         lo, hi = 0.0, log1p_up(a.hi) + 1.0
@@ -526,20 +534,22 @@ class PeriodicTail(_BoundedTail):
         return {"kind": "periodic", "pattern": list(self.pattern)}
 
     def height(self) -> Interval:
-        """The pure tail's height, by contracting sweeps of ``ln1p_sum`` over one period."""
+        """The pure tail's height, by contracting sweeps of ``ln1p_sum`` over one period: each sets
+        w_r = ln(1 + |s_(r+1)| + w_(r+1)) for r = L-1, ..., 0, a chain on endpoints from w_0."""
         if all(v == 0 for v in self.pattern):
             return Interval.point(0.0)
-        pats = [e.abs_interval() for e in self.entries]
-        L = len(pats)
-        upper = log1p_up(self.abs_bound()) + 1.0
-        w = [(0.0, upper, False, False)] * L
-        goal = max(DEFAULT_TOL / 4.0, 4e-16 * upper)
+        pats = [_int_entry(v).abs_interval() for v in (self.pattern[0], *self.pattern[:0:-1])]
+        lo, hi = 0.0, log1p_up(self.abs_bound()) + 1.0
+        goal = max(DEFAULT_TOL / 4.0, 4e-16 * hi)
         for _ in range(4000):
-            for r in range(L - 1, -1, -1):
-                w[r] = ln1p_sum(pats[(r + 1) % L], w[(r + 1) % L])
-            if max(hi - lo for lo, hi, _, _ in w) < goal:
+            width = 0.0
+            for a in pats:
+                lo, hi = _ln1p_bounds(sum_down(a.lo, lo), sum_up(a.hi, hi))
+                if hi - lo > width:
+                    width = hi - lo
+            if width < goal:
                 break
-        return Interval(*w[0])
+        return Interval(lo, hi, any(a.lo_open for a in pats), any(a.hi_open for a in pats))
 
 
 @dataclass(frozen=True)
@@ -582,7 +592,7 @@ class ExpTowerTail:
             out["anchor"] = self.anchor
         return out
 
-    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+    def closing_terms(self, p: int, shift: int, k: int, below: float = -math.inf):
         # all tail terms live in (F^E(c) - 1, F^E(c)], E = shift - anchor, and one whose entry
         # is a tower past 2^53 (a FloorPow, as are all later ones) is this window bit for bit
         anchor = self.resolved_anchor(p)
@@ -634,56 +644,64 @@ class ExpTowerTail:
 
 @dataclass(frozen=True)
 class LinExpTail:
-    """s_n = ceil(F(rate * (n + offset))): one exponential of a linear ramp."""
+    """s_n = ceil(F(num/den * (n + offset))): one exponential of a linear ramp; the rate is held
+    as coprime ints, so past parsing every enclosure comes from ``Interval.from_ratio``."""
 
-    rate: Fraction
+    num: int
+    den: int = 1
     offset: int = 0
 
     kind = "linexp"
     asymptotics = Asymptotics.DIVERGES
 
     def validate(self, p: int):
-        if not isinstance(self.rate, Fraction) or self.rate <= 0:
-            raise DescriptorError("linexp tail needs a positive rational rate")
-        if self.rate < Fraction(1, 10000) or self.rate > OVERFLOW_GUARD:
+        num, den = self.num, self.den
+        if not (type(num) is type(den) is int and num > 0 < den and math.gcd(num, den) == 1):
+            raise DescriptorError("linexp tail needs a positive rational rate in lowest terms")
+        if 10000 * num < den or num > int(OVERFLOW_GUARD) * den:  # the guard is the integer 700
             raise DescriptorError("linexp rate outside supported range [1/10000, 700]")
         if self.offset < 0:
             raise DescriptorError("linexp offset must be nonnegative")
 
-    def arg(self, n: int) -> Fraction:
-        return self.rate * (n + self.offset)
+    def arg(self, n: int) -> Fraction:  # exact, for readers outside the package
+        return Fraction(self.num * (n + self.offset), self.den)
+
+    def _arg_iv(self, n: int) -> Interval:
+        return Interval.from_ratio(self.num * (n + self.offset), self.den)
 
     def entry_at(self, p: int, n: int) -> Entry:
-        return _ramp_entry(self.rate.numerator, self.rate.denominator, n + self.offset)
+        return _ramp_entry(self.num, self.den, n + self.offset)
 
     def shifted(self, p: int, k: int) -> "LinExpTail":
-        return LinExpTail(self.rate, self.offset + k)
+        return LinExpTail(self.num, self.den, self.offset + k)
 
     def to_json(self) -> dict:
-        out = {"kind": "linexp", "c": f"{self.rate.numerator}/{self.rate.denominator}"}
+        out = {"kind": "linexp", "c": f"{self.num}/{self.den}"}
         if self.offset:
             out["offset"] = self.offset
         return out
 
-    def closing_terms(self, p: int, shift: int, k: int) -> tuple[Interval, ...] | None:
+    def closing_terms(self, p: int, shift: int, k: int, below: float = -math.inf):
         # Terms satisfy F^-k ceil(F(a)) < F^-k(F(a) + 1) <= F^-(k-1)(a + 1) once
         # a >= 0.16 (there F(a) + 1 <= F(a + 1)); the envelope W_k =
         # F^-(k-1)(a_k + 1) decreases from k on when ln(2 + a_{k+1}) <= a_k + 1,
         # and both conditions persist as k grows since the ramp is linear while
-        # the logarithm flattens.
-        a_k = Interval.from_fraction(self.arg(shift + k))
-        a_next = Interval.from_fraction(self.arg(shift + k + 1))
+        # the logarithm flattens.  An envelope wholly below ``below`` bounds terms
+        # that cannot touch the hull (see ``model.potential``): none is returned.
+        a_k = self._arg_iv(shift + k)
+        a_next = self._arg_iv(shift + k + 1)
         if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
             return None
-        env = growth_inv_pow(a_next + 1.0, k)
-        return (Interval(0.0, env.hi, False, True),)
+        env = growth_inv_pow(a_next + 1.0, k, below)
+        return () if env is None else (Interval(0.0, env.hi, False, True),)
 
     def potential_floor(self, p: int, threshold: float) -> int | None:
         # the lower end of the enclosure of arg(n + 1) is the greatest double
         # <= arg(n + 1), so it exceeds threshold exactly when arg(n + 1)
-        # reaches the least double above threshold
+        # reaches the least double a/b above threshold: n + 1 + offset >= a den / (b num)
+        a, b = round_up(threshold).as_integer_ratio()
         start = max(p - 1, 0)
-        n = max(start, math.ceil(Fraction(round_up(threshold)) / self.rate) - 1 - self.offset)
+        n = max(start, -(-a * self.den // (b * self.num)) - 1 - self.offset)
         return n if n - start < 400000 else None
 
     @functools.lru_cache(maxsize=256)
@@ -703,8 +721,8 @@ class LinExpTail:
         n = max(p, 1)
         shrink = 1.0  # upper bound of the product of slopes below level n
         while True:
-            a = Interval.from_fraction(self.arg(n))
-            u_hi = round_up(float(self.arg(n + 1)) + 2.0)
+            a = self._arg_iv(n)
+            u_hi = round_up(self.num * (n + 1 + self.offset) / self.den + 2.0)
             corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
             if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
                 return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
@@ -717,8 +735,8 @@ class LinExpTail:
         # finite scan reaches a certified crossover
         if n - m > 100000:
             raise IncomparableTailsError("no certified crossover within budget", {"m": m, "n": n})
-        if _ramp_below_cap_from(Interval.from_fraction(self.arg(n)),
-                                Interval.from_fraction(self.rate).hi, growth_net(cap_c, n - m - 1)):
+        if _ramp_below_cap_from(self._arg_iv(n), Interval.from_ratio(self.num, self.den).hi,
+                                growth_net(cap_c, n - m - 1)):
             return self
         return None
 
@@ -741,7 +759,7 @@ class SymbolSeq:
     def __post_init__(self):
         norm = tuple(self.prefix)
         if any(map(isinstance, norm, itertools.repeat(int))):  # a prefix of entries stays as it is
-            norm = tuple(IntEntry(e) if isinstance(e, int) else e for e in norm)
+            norm = tuple(_int_entry(e) if isinstance(e, int) else e for e in norm)
         object.__setattr__(self, "prefix", norm)
         self.tail.validate(len(norm))
 
@@ -779,7 +797,7 @@ class SymbolSeq:
         prefix_raw = obj.get("prefix", [])
         if not isinstance(prefix_raw, list):
             raise DescriptorError("prefix must be a list")
-        prefix = tuple(entry_from_json(e) for e in prefix_raw)
+        prefix = tuple(map(entry_from_json, prefix_raw))
         tail_raw = obj.get("tail")
         if not isinstance(tail_raw, dict) or "kind" not in tail_raw:
             raise DescriptorError("tail must be an object with a kind")
@@ -799,8 +817,9 @@ class SymbolSeq:
         elif kind == "linexp":
             rate = _parse_rational(c)
             offset = _parse_int(tail_raw.get("offset", 0), "linexp offset")
-            _in_double_range(rate * offset, "linexp rate * offset")
-            tail = LinExpTail(rate, offset)
+            if offset:
+                _in_double_range(rate * offset, "linexp rate * offset")
+            tail = LinExpTail(rate.numerator, rate.denominator, offset)
         else:
             raise DescriptorError(f"unknown tail kind {kind!r}")
         try:
@@ -814,16 +833,17 @@ class SymbolSeq:
 
 
 def const_seq(c: int, prefix: tuple[int, ...] = ()) -> SymbolSeq:
-    return SymbolSeq(tuple(IntEntry(v) for v in prefix), ConstTail(c))
+    return SymbolSeq(tuple(prefix), ConstTail(c))
 
 
 def fexp_seq(c: int, prefix: tuple[int, ...] = ()) -> SymbolSeq:
-    return SymbolSeq(tuple(IntEntry(v) for v in prefix), ExpTowerTail(c))
+    return SymbolSeq(tuple(prefix), ExpTowerTail(c))
 
 
 def linexp_seq(rate, prefix: tuple[int, ...] = ()) -> SymbolSeq:
-    return SymbolSeq(tuple(IntEntry(v) for v in prefix), LinExpTail(_parse_rational(rate)))
+    rate = _parse_rational(rate)
+    return SymbolSeq(tuple(prefix), LinExpTail(rate.numerator, rate.denominator))
 
 
 def periodic_seq(pattern: tuple[int, ...], prefix: tuple[int, ...] = ()) -> SymbolSeq:
-    return SymbolSeq(tuple(IntEntry(v) for v in prefix), PeriodicTail(tuple(pattern)))
+    return SymbolSeq(tuple(prefix), PeriodicTail(tuple(pattern)))

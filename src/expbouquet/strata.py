@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance
+from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance, sum_down
 from .model import (
     BudgetExceededError,
     ModelPoint,
@@ -41,7 +41,7 @@ from .model import (
 from .sequences import (
     Asymptotics,
     Entry,
-    FloorPow,
+    ExpTowerTail,
     IncomparableTailsError,
     IntEntry,
     SymbolSeq,
@@ -249,15 +249,24 @@ def _entry_gap(a: Entry, b: Entry) -> float:
     return min(1.0, abs((a.abs_interval() - b.abs_interval()).mid))
 
 
+def _towers_apart(x: Entry, y: Entry) -> bool:
+    """Whether two tower entries are certainly more than 2 apart, read from their values or
+    towers t = F^h(c): floor(t) is an integer above t.lo - 1, so at least the double nearest it."""
+    (x_lo, x_hi), (y_lo, y_hi) = [(e.value, e.value) if isinstance(e, IntEntry) else
+                                  (e.tower().lo - 1.0, e.tower().hi) for e in (x, y)]
+    return sum_down(y_lo, -x_hi) > 2.0 or sum_down(x_lo, -y_hi) > 2.0
+
+
 def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -> float:
     """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|).
 
-    Past both prefixes, equal shifted tail rules end the sum and two unequal
-    towers unbounded above (only tower tails give them there; they stay so) add
-    gap 1.0 at each later index, in order: the sum is the same bit for bit.  A
-    witness cut at m and its base agree through m, so the sum starts at m + 1.
+    Past both prefixes, equal shifted tail rules end the sum, and two tower tails whose entries
+    are certainly more than 2 apart have towers more than 1 apart, which F' >= 1 keeps: gap 1.0
+    at each later index, added in order, the sum bit for bit.  A witness cut at m and its base
+    agree through m, so the sum starts at m + 1.
     """
     tails = max(len(a.prefix), len(b.prefix))
+    towers = type(a.tail) is type(b.tail) is ExpTowerTail
     start = 0
     for x, y in ((a, b), (b, a)):
         if x.cut and x.cut[0] is y:
@@ -267,8 +276,7 @@ def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -
         if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
             break
         ea, eb = a.entry(n), b.entry(n)
-        if (n >= tails and type(ea) is type(eb) is FloorPow and ea != eb
-                and ea.tower().hi == eb.tower().hi == math.inf):
+        if towers and n >= tails and _towers_apart(ea, eb):
             # gap 1.0 at each index n..horizon; halving a power of two is exact (or 0.0
             # past the least subnormal), as ldexp gives it
             term = math.ldexp(1.0, -n)

@@ -41,11 +41,11 @@ from .plane import (
 from .sequences import (
     ConstTail,
     ExpTowerTail,
-    LinExpTail,
     PeriodicTail,
     SymbolSeq,
     const_seq,
     fexp_seq,
+    linexp_seq,
 )
 from .strata import AlphaIndex, extension_index, in_stratum, witness_family
 
@@ -67,7 +67,7 @@ def random_sequence(rng: random.Random) -> SymbolSeq:
         return SymbolSeq(prefix, PeriodicTail(pattern))
     if kind == 2:
         return SymbolSeq(prefix, ExpTowerTail(rng.randint(1, 8)))
-    return SymbolSeq(prefix, LinExpTail(rng.choice(_RATES)))
+    return linexp_seq(rng.choice(_RATES), prefix)
 
 
 def dominated_pair(rng: random.Random) -> tuple[SymbolSeq, SymbolSeq]:
@@ -94,8 +94,7 @@ def dominated_pair(rng: random.Random) -> tuple[SymbolSeq, SymbolSeq]:
                 SymbolSeq(big_prefix, ExpTowerTail(cb)))
     rb = rng.choice(_RATES)
     rs = rng.choice([r for r in _RATES if r <= rb])
-    return (SymbolSeq(small_prefix, LinExpTail(rs)),
-            SymbolSeq(big_prefix, LinExpTail(rb)))
+    return linexp_seq(rs, small_prefix), linexp_seq(rb, big_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
         if kind == 0:
             seq = SymbolSeq(prefix, ExpTowerTail(rng.randint(3, 9)))
         else:
-            seq = SymbolSeq(prefix, LinExpTail(rng.choice((Fraction(1), Fraction(2), Fraction(3)))))
+            seq = linexp_seq(rng.choice((1, 2, 3)), prefix)
         point = _endpoint(seq, cfg)
         alpha = AlphaIndex(())
         if not in_stratum(alpha, point, cfg.tolerance, cfg.budget).is_true:

@@ -93,6 +93,18 @@ def test_interval_validation():
         Interval(math.nan, 1.0)
 
 
+@pytest.mark.parametrize("v", [0.0, -0.0, 1.0, -2.5, 5e-324, HUGE, math.inf, -math.inf])
+def test_a_closed_point_is_accepted_and_an_open_one_refused(v):
+    # a closed point passes before the NaN and empty checks, which it cannot fail
+    assert Interval(v, v).bounds() == (v, v, False, False)
+    for flags in ((True, False), (False, True), (True, True)):
+        with pytest.raises(RigorError, match="empty interval"):
+            Interval(v, v, *flags)
+    for lo, hi in ((math.nan, math.nan), (math.nan, v), (v, math.nan)):
+        with pytest.raises(RigorError, match="NaN"):
+            Interval(lo, hi)
+
+
 def test_threshold_decisions_respect_openness():
     win = Interval(2.0, 3.0, lo_open=True, hi_open=False)
     assert win.certainly_gt(2.0)
@@ -168,6 +180,49 @@ def test_from_fraction_matches_the_comparison_reference(fr):
     ref = _from_fraction_by_comparison(fr)
     assert iv == ref and repr(iv) == repr(ref)
     assert Fraction(iv.lo) <= fr <= Fraction(iv.hi)
+
+
+def _assert_tightest(iv: Interval, fr: Fraction):
+    """iv holds fr, closed, and is a point or two neighbouring doubles with fr strictly between."""
+    assert not iv.lo_open and not iv.hi_open
+    assert Fraction(iv.lo) <= fr <= Fraction(iv.hi)
+    if iv.lo != iv.hi:
+        assert math.nextafter(iv.lo, math.inf) == iv.hi
+        assert Fraction(iv.lo) < fr < Fraction(iv.hi)
+
+
+# (num, den) with den > 0, reduced or not: the rate and argument pairs of the ramps, each
+# pair scaled by a common factor, huge numerators, and exact doubles written over 2^k
+RATIO_PAIRS = ([(k * g, q * g) for q in (1, 3, 7, 10, 107, 10000) for k in (0, 1, 2, 81 * q + 1)
+                for g in (1, 2, 6, 10**20)]
+               + [(s * (10**300 + j), 10**k) for s in (1, -1) for j in (0, 1, 7)
+                  for k in (0, 1, 17, 300)]
+               + [(p * 2**e, q * 2**e) for f in (0.1, -0.5, 1e-300, 5e-324, 1.7976931348623157e308,
+                                                 2.0**53 + 2, 80.0, 700.0)
+                  for p, q in [f.as_integer_ratio()] for e in (0, 3, 64)])
+
+
+@pytest.mark.parametrize("num, den", RATIO_PAIRS)
+def test_from_ratio_is_from_fraction_and_the_tightest_enclosure(num, den):
+    fr = Fraction(num, den)
+    iv, ref = Interval.from_ratio(num, den), Interval.from_fraction(fr)
+    assert iv == ref and (iv.lo.hex(), iv.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+    _assert_tightest(iv, fr)
+
+
+@given(st.integers(-10**400, 10**400), huge_ints, st.integers(1, 10**6))
+@settings(max_examples=300)
+def test_from_ratio_of_a_scaled_pair_is_that_of_the_reduced_one(num, den, g):
+    fr = Fraction(num, den)
+    try:
+        float(fr)
+    except OverflowError:  # beyond the double range, as float() of the Fraction
+        with pytest.raises(OverflowError):
+            Interval.from_ratio(num * g, den * g)
+        return
+    iv = Interval.from_ratio(num * g, den * g)
+    assert iv.bounds() == Interval.from_ratio(fr.numerator, fr.denominator).bounds()
+    _assert_tightest(iv, fr)
 
 
 def _full_growth_loop(iv: Interval, n: int) -> Interval:

@@ -233,8 +233,8 @@ def test_bounded_tails_enclose_integers_beyond_double_precision():
     big = 2**53 + 1
     const, periodic = ConstTail(big), PeriodicTail((big, 3))
     for tail in (const, periodic):
-        for e, v in zip(tail.entries, tail.pattern, strict=True):
-            iv = e.abs_interval()
+        for i, v in enumerate(tail.pattern):
+            iv = tail.entry_at(0, i).abs_interval()
             assert Fraction(iv.lo) <= abs(v) <= Fraction(iv.hi)
         assert tail.abs_bound() >= big
     level, height = const.nesting_anchor(0)
@@ -578,7 +578,7 @@ def test_classify_unknown_when_budget_too_small():
 
 # -- ramp anchors and floors in closed form -------------------------------------
 
-ramp_tails = st.builds(LinExpTail,
+ramp_tails = st.builds(lambda rate, offset: LinExpTail(rate.numerator, rate.denominator, offset),
                        st.builds(Fraction, st.integers(1, 3000), st.integers(1, 300)).filter(
                            lambda r: Fraction(1, 10000) <= r <= 700),
                        st.integers(0, 2000))
@@ -587,7 +587,7 @@ ramp_tails = st.builds(LinExpTail,
 def _pin_anchor(tail: LinExpTail, p: int) -> tuple[int, Interval]:
     """Reference: the anchor at the level before the ramp argument reaches PIN_ARG,
     with the same seed formula but a closed upper end."""
-    n = max(p, 1, math.ceil(Fraction(PIN_ARG) / tail.rate) - tail.offset)
+    n = max(p, 1, math.ceil(Fraction(PIN_ARG) * tail.den / tail.num) - tail.offset)
     a = Interval.from_fraction(tail.arg(n))
     u_hi = round_up(float(tail.arg(n + 1)) + 2.0)
     corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
@@ -783,7 +783,7 @@ def test_memoised_rule_work_equals_work_with_the_memos_cleared(kind, empty_rule_
 
 @pytest.mark.parametrize("memo, fill", [
     (ConstTail.height, lambda k: ConstTail(k).nesting_anchor(0)),
-    (LinExpTail.nesting_anchor, lambda k: LinExpTail(Fraction(1), k).nesting_anchor(0)),
+    (LinExpTail.nesting_anchor, lambda k: LinExpTail(1, 1, k).nesting_anchor(0)),
     (model._tail_seq, lambda k: potential(const_seq(k))),
 ])
 def test_rule_memo_holds_at_most_its_bound(memo, fill, empty_rule_memos):
@@ -815,8 +815,9 @@ def test_rule_memos_share_equal_rules_and_keep_unequal_ones_apart(empty_rule_mem
     assert model._tail_seq.cache_info().hits == hits + 4
     # a ramp whose seed holds at the first level: level max(p, 1) - 1, so p = 0
     # and 1 (both start at level 1) have equal anchors, each in an entry of its own
-    ramp = LinExpTail(Fraction(1), 100)
-    same_rate = LinExpTail(Fraction(2, 2), 100)
+    ramp = LinExpTail(1, 1, 100)
+    same_rate = SymbolSeq.from_json(
+        {"prefix": [], "tail": {"kind": "linexp", "c": "2/2", "offset": 100}}).tail
     assert ramp.nesting_anchor(1) is same_rate.nesting_anchor(1)
     assert ramp.nesting_anchor(0) == ramp.nesting_anchor(1)
     assert ramp.nesting_anchor(2)[0] == 1 and ramp.nesting_anchor(1)[0] == 0
@@ -942,7 +943,7 @@ def test_at_endpoint_answers_no_at_both_rounded_ties():
 class _HighClosingTail(ConstTail):
     """A constant tail whose closing term (5, 6] lies above every explicit term."""
 
-    def closing_terms(self, p, shift, k):
+    def closing_terms(self, p, shift, k, below=-math.inf):
         return (Interval(5.0, 6.0, True, False),)
 
 
@@ -1003,7 +1004,7 @@ def test_ramp_potential_floor_matches_the_scan(tail, p, threshold):
 
 def test_ramp_potential_floor_gives_up_past_the_scan_budget():
     # rate 1/10000 reaches 50 at index 500000, beyond the 400000-index window
-    tail = LinExpTail(Fraction(1, 10000))
+    tail = LinExpTail(1, 10000)
     assert tail.potential_floor(0, 50.0) is None
     # arg(390000) = 39 exactly is not above 39, arg(390001) is
     assert tail.potential_floor(0, 39.0) == 390000
@@ -1044,7 +1045,7 @@ def test_ramp_envelope_step_compares_against_a_directed_sum(monkeypatch):
     a_k = 1.0 + 3 * 2.0**-52
     tie = 2.0 + 2.0**-50
     assert a_k + 1.0 == tie and Fraction(a_k) + 1 < tie
-    tail = LinExpTail(Fraction(a_k))  # a_k = arg(1) for shift 0 and term 1
+    tail = LinExpTail(*a_k.as_integer_ratio())  # a_k = arg(1) for shift 0 and term 1
     monkeypatch.setattr(sequences, "log1p_up", lambda x: tie)
     assert tail.closing_terms(0, 0, 1) is None
     monkeypatch.setattr(sequences, "log1p_up", lambda x: sum_down(a_k, 1.0))

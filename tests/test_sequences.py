@@ -36,6 +36,7 @@ from expbouquet.sequences import (
     linexp_seq,
     periodic_seq,
     _LN2,
+    _int_entry,
     _ramp_entry,
     _tiny_ln1p,
     _tower_entry,
@@ -71,7 +72,7 @@ def test_tower_entry_window():
     const_seq(3, (1, -4)),
     periodic_seq((2, 0, 5), (7,)),
     SymbolSeq((IntEntry(7), FloorPow(10, 3)), ExpTowerTail(3, anchor=1)),
-    SymbolSeq((CeilExp(Fraction(801, 2)), IntEntry(3)), LinExpTail(Fraction(2, 3), 5)),
+    SymbolSeq((CeilExp(801, 2), IntEntry(3)), LinExpTail(2, 3, 5)),
 ], ids=["const", "periodic", "fexp", "linexp"])
 def test_entry_after_n_steps_is_the_first_entry_of_the_shift(seq):
     # classify steps its orbit by index, without building the shifted sequences
@@ -131,7 +132,7 @@ def test_periodic_height_sweeps_on_endpoints_keep_every_bit():
     fexp_seq(3, (0, 2)),
     linexp_seq(Fraction(1, 2), (-1,)),
     SymbolSeq((IntEntry(7), FloorPow(10, 3)), ExpTowerTail(3, anchor=0)),
-    SymbolSeq((CeilExp(Fraction(801, 2)), IntEntry(3)), LinExpTail(Fraction(2, 3), 5)),
+    SymbolSeq((CeilExp(801, 2), IntEntry(3)), LinExpTail(2, 3, 5)),
 ])
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 40])
 def test_shift_commutes_with_entry_lookup(seq, k):
@@ -148,16 +149,15 @@ def _fresh_entry(seq: SymbolSeq, n: int):
     if isinstance(tail, ExpTowerTail):
         return _tower_entry.__wrapped__(tail.c, n - tail.resolved_anchor(p))
     if isinstance(tail, LinExpTail):
-        return _ramp_entry.__wrapped__(tail.rate.numerator, tail.rate.denominator,
-                                       n + tail.offset)
+        return _ramp_entry.__wrapped__(tail.num, tail.den, n + tail.offset)
     return IntEntry(tail.pattern[(n - p) % len(tail.pattern)])
 
 
 @pytest.mark.parametrize("seq", [
     const_seq(3, (1, -4)),
     periodic_seq((2, 0, -5), (7,)),
-    SymbolSeq((CeilExp(Fraction(801, 2)), FloorPow(10, 3)), ExpTowerTail(3, anchor=0)),
-    SymbolSeq((FloorPow(4, 2), IntEntry(-3)), LinExpTail(Fraction(2, 3), 5)),
+    SymbolSeq((CeilExp(801, 2), FloorPow(10, 3)), ExpTowerTail(3, anchor=0)),
+    SymbolSeq((FloorPow(4, 2), IntEntry(-3)), LinExpTail(2, 3, 5)),
 ], ids=["const", "periodic", "fexp", "linexp"])
 def test_memoised_entries_equal_fresh_ones(seq):
     # 300 distinct indices, up and then down, run the 256-entry memos through eviction
@@ -315,7 +315,7 @@ def test_tail_validation():
     with pytest.raises(DescriptorError):
         SymbolSeq((), ExpTowerTail(800))
     with pytest.raises(DescriptorError):
-        SymbolSeq((), LinExpTail(Fraction(-1)))
+        SymbolSeq((), LinExpTail(-1))
     with pytest.raises(DescriptorError):
         SymbolSeq((), PeriodicTail(()))
     with pytest.raises(DescriptorError):
@@ -489,7 +489,7 @@ def test_entry_enclosures_stay_out_of_equality_and_json():
     # two cache keys of one argument, 801/2 and 1602/4, build two equal entries
     a, b = _ramp_entry(801, 2, 1), _ramp_entry(801, 4, 2)
     assert a == b and hash(a) == hash(b) and a is not b
-    assert repr(a) == "CeilExp(arg=Fraction(801, 2))"
+    assert repr(a) == "CeilExp(num=801, den=2)"
     assert repr(_tower_entry(3, 4)) == "FloorPow(base=3, height=4)"
     assert a.to_json() == {"kind": "ceil_exp", "arg": "801/2"}
     assert _tower_entry(3, 4).to_json() == {"kind": "floor_tower", "c": 3, "h": 4}
@@ -504,7 +504,7 @@ def _symbolic_entry_fits_a_machine_int(e) -> bool:
     if isinstance(e, FloorPow):
         return _LazyFloorPow(e.base, e.height).as_int() is not None
     if isinstance(e, CeilExp):
-        return _LazyCeilExp(e.arg).as_int() is not None
+        return _LazyCeilExp(Fraction(e.num, e.den)).as_int() is not None
     assert isinstance(e, IntEntry)
     return False
 
@@ -523,7 +523,7 @@ def test_no_public_path_hands_out_a_symbolic_machine_integer():
             fexp_seq(1), fexp_seq(3, (0, 2)), fexp_seq(700),
             SymbolSeq((), ExpTowerTail(2, anchor=-2)),
             linexp_seq(1), linexp_seq("1/3", (5,)), linexp_seq("1/100"), linexp_seq(700),
-            SymbolSeq((), LinExpTail(Fraction(2, 7), 40))]
+            SymbolSeq((), LinExpTail(2, 7, 40))]
     for seq in seqs:
         for s in (seq, seq.shift(1), seq.shift(7)):
             for n in range(401 if s is not parsed else len(PARSED_ENTRIES)):
@@ -570,7 +570,60 @@ def test_malformed_ramp_rates_are_descriptor_errors(c, message):
 
 def test_a_float_ramp_rate_is_read_exactly():
     tail = {"kind": "linexp", "c": 0.25}
-    assert SymbolSeq.from_json({"prefix": [], "tail": tail}).tail.rate == Fraction(1, 4)
+    parsed = SymbolSeq.from_json({"prefix": [], "tail": tail}).tail
+    assert (parsed.num, parsed.den) == (1, 4)
+
+
+@pytest.mark.parametrize("tail, text", [
+    ({"kind": "linexp", "c": "2/4"}, {"kind": "linexp", "c": "1/2"}),
+    ({"kind": "linexp", "c": "0.5"}, {"kind": "linexp", "c": "1/2"}),
+    ({"kind": "linexp", "c": 0.5}, {"kind": "linexp", "c": "1/2"}),
+    ({"kind": "linexp", "c": 1}, {"kind": "linexp", "c": "1/1"}),
+    ({"kind": "linexp", "c": "3/6", "offset": 4}, {"kind": "linexp", "c": "1/2", "offset": 4}),
+    ({"kind": "linexp", "c": "700"}, {"kind": "linexp", "c": "700/1"}),
+])
+def test_ramp_rates_print_reduced(tail, text):
+    # the text every earlier release printed: the rate reduced, as num/den
+    seq = SymbolSeq.from_json({"prefix": [{"kind": "ceil_exp", "arg": "6/4"},
+                                          {"kind": "ceil_exp", "arg": "1602/4"}], "tail": tail})
+    assert seq.to_json() == {"prefix": [4, {"kind": "ceil_exp", "arg": "801/2"}], "tail": text}
+    assert seq.shift(3).to_json()["tail"] == {**text, "offset": text.get("offset", 0) + 3}
+
+
+@pytest.mark.parametrize("c, message", [
+    ("1/10000", None), ("700", None), ("7000/10", None), ("2/20000", None),
+    ("9999999/100000000000", "outside supported range"), ("1/10001", "outside supported range"),
+    ("700000000001/1000000000", "outside supported range"), ("701", "outside supported range"),
+    ("0", "positive rational rate"), ("-1/2", "positive rational rate"),
+])
+def test_ramp_rate_bounds_hold_at_each_end(c, message):
+    desc = {"prefix": [], "tail": {"kind": "linexp", "c": c}}
+    if message is None:
+        assert SymbolSeq.from_json(desc).tail.validate(0) is None
+    else:
+        with pytest.raises(DescriptorError, match=message):
+            SymbolSeq.from_json(desc)
+
+
+@pytest.mark.parametrize("num, den, message", [
+    (2, 4, "lowest terms"), (1, 0, "positive"), (1, -2, "positive"), (True, 1, "positive"),
+    (1.5, 1, "positive"), (1, 10001, "supported range"), (1401, 2, "supported range"),
+])
+def test_a_ramp_rule_built_directly_holds_coprime_ints(num, den, message):
+    with pytest.raises(DescriptorError, match=message):
+        SymbolSeq((), LinExpTail(num, den))
+
+
+def test_integer_entries_are_shared_and_keep_their_type():
+    a, b = SymbolSeq.from_json({"prefix": [7, -3, 7], "tail": {"kind": "periodic",
+                                                             "pattern": [-3, 7]}}), const_seq(7)
+    assert a.entry(0) is a.entry(2) is a.entry(4) is b.entry(0)
+    assert a.entry(1) is a.entry(3)
+    # True == 1 and 1.0 == 1, yet neither reads as the entry of 1, nor 1 as theirs
+    one = SymbolSeq((1,), ConstTail(0)).entry(0)
+    assert type(SymbolSeq((True,), ConstTail(0)).entry(0).value) is bool
+    assert type(_int_entry(1.0).value) is float
+    assert SymbolSeq((1,), ConstTail(0)).entry(0) is one and type(one.value) is int
 
 
 @pytest.mark.parametrize("descriptor, message", [
@@ -604,7 +657,7 @@ def test_tower_thinning_cannot_order_a_cap_past_double_range():
 
 def test_ramp_thinning_gives_up_past_its_crossover_scan():
     with pytest.raises(IncomparableTailsError, match="no certified crossover"):
-        LinExpTail(Fraction(1)).thin(0, 0, 3, 100_001)
+        LinExpTail(1).thin(0, 0, 3, 100_001)
 
 
 def test_a_ramp_past_the_overflow_guard_keeps_its_rule_below_the_cap():

@@ -49,7 +49,8 @@ def test_verify_decides_by_intervals_not_midpoints():
 
 
 # memos whose work no test counts, so no test needs them empty
-UNCOUNTED_MEMOS = (intervals._int_tower, sequences._tower_entry, plane._memo_trap)
+UNCOUNTED_MEMOS = (intervals._int_tower, sequences._int_entry, sequences._tower_entry,
+                   plane._memo_trap)
 
 
 def _memo_names(path: Path) -> list[str]:

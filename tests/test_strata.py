@@ -510,17 +510,19 @@ def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_me
 
 @pytest.mark.counts_work
 def test_witness_family_asks_its_base_for_each_entry_about_once(monkeypatch, empty_rule_memos):
-    # the CI smoke family: its 30 members read 37 distinct base entries; each
-    # member building its own list of base entries 0..m took 806 calls of
-    # base.entry (585 of them for those lists), the cut's one tuple per base 255,
-    # and one first term per shift for all of parent membership's thresholds 223
+    # the CI smoke family: its 30 members read 35 distinct base entries (37 while
+    # distances read gaps up to the saturated cap, two indices past the one where
+    # the towers are certainly apart); each member building its own list of base
+    # entries 0..m took 806 calls of base.entry (585 of them for those lists), the
+    # cut's one tuple per base 255, and one first term per shift for all of parent
+    # membership's thresholds 223
     point = endpoint_of(fexp_seq(9))
     asked = []
     real_entry = SymbolSeq.entry
     monkeypatch.setattr(SymbolSeq, "entry", lambda seq, n: (
         seq is point.seq and asked.append(n)) or real_entry(seq, n))
     assert len(witness_family(point, AlphaIndex((0, 1)), 2, 30)) == 30
-    assert len(set(asked)) == 37
+    assert len(set(asked)) == 35
     assert len(asked) <= 300
 
 
@@ -641,7 +643,7 @@ def test_witness_families_match_families_of_unlinked_witnesses(prefix, monkeypat
     real_witness = strata.witness_sequence
     cases = [(SymbolSeq(prefix, ExpTowerTail(c)), AlphaIndex(alpha), None)
              for c in range(3, 10) for alpha in ((0,), (0, 1), (0, 2), (0, 2, 3))]
-    cases.append((SymbolSeq((3,), LinExpTail(Fraction(2))), AlphaIndex((0, 2)), 3))
+    cases.append((SymbolSeq((3,), LinExpTail(2)), AlphaIndex((0, 2)), 3))
     built = 0
     for base_of, alpha, n in cases:
         shared = _family_json(SymbolSeq(base_of.prefix, base_of.tail), alpha, n, 12)
@@ -699,7 +701,7 @@ def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy()
 
     bases = [SymbolSeq(prefix, ExpTowerTail(c)) for prefix in [(), (2,), (0, 0, 0), (2, 0, 0, 4)]
              for c in (3, 6, 9)]
-    bases += [SymbolSeq((p,), LinExpTail(Fraction(2))) for p in (3, 5)]
+    bases += [SymbolSeq((p,), LinExpTail(2)) for p in (3, 5)]
     checked, head_alone = 0, 0
     for base in bases:
         for alpha in (AlphaIndex((0,)), AlphaIndex((0, 1)), AlphaIndex((0, 2, 3))):
@@ -798,7 +800,7 @@ def _distance_sweep_pairs() -> list:
     # comes again with its anchor written out: equal entries from a tail that
     # does not compare equal
     tails = [ConstTail(0), PeriodicTail((0, 3)), *(ExpTowerTail(c) for c in range(1, 11)),
-             ExpTowerTail(4, anchor=-1), LinExpTail(Fraction(1, 2)), LinExpTail(Fraction(3))]
+             ExpTowerTail(4, anchor=-1), LinExpTail(1, 2), LinExpTail(3)]
     prefixes = [(), (2,), (0, 5), (3, 4, 1), (1, _tower_entry(2, 4))]
     seqs = [SymbolSeq(p, t) for t in tails for p in prefixes]
     # the gaps are symmetric, so each unordered pair once
@@ -828,6 +830,40 @@ def test_address_distance_matches_the_per_index_sum():
         ref = _reference_distances(a, b, horizons)
         for h in horizons:
             assert address_distance(a, b, h).hex() == ref[h].hex(), (a, b, h)
+
+
+@pytest.mark.parametrize("x, y, apart", [
+    (IntEntry(5), IntEntry(7), False), (IntEntry(5), IntEntry(8), True),
+    (IntEntry(8), IntEntry(5), True), (IntEntry(7), IntEntry(7), False),
+    # floor(F^2(2)) = 594 as a tower past its pin, and towers unbounded above
+    (IntEntry(592), FloorPow(2, 2), False), (IntEntry(591), FloorPow(2, 2), True),
+    (_tower_entry(3, 4), IntEntry(19), True), (_tower_entry(3, 4), _tower_entry(4, 4), False),
+])
+def test_tower_entries_are_apart_past_a_gap_of_2(x, y, apart):
+    # F' >= 1 keeps towers more than 1 apart once their floors are more than 2 apart;
+    # a floor(t) lies in (t.lo - 1, t.hi], so a gap of 2 or less decides nothing
+    assert strata._towers_apart(x, y) is apart and strata._towers_apart(y, x) is apart
+
+
+def test_witness_grid_distances_fold_from_tower_levels_as_the_per_index_sum(monkeypatch):
+    # on every distance of the 84-family grid, the fold that starts where two tower tails'
+    # entries are certainly more than 2 apart gives the bits of the per-index sum, and
+    # the grid keeps its pin
+    compared, folded = [], []
+    real_distance, real_apart = strata.address_distance, strata._towers_apart
+
+    def distance(a, b, horizon=strata._DIST_HORIZON):
+        got = real_distance(a, b, horizon)
+        assert got.hex() == _reference_distances(a, b, (horizon,))[horizon].hex(), (a, b)
+        compared.append(1)
+        return got
+
+    monkeypatch.setattr(strata, "address_distance", distance)
+    monkeypatch.setattr(strata, "_towers_apart", lambda x, y: (
+        real_apart(x, y) and not folded.append(1)))
+    assert hashlib.sha256(_witness_grid().encode()).hexdigest() == (
+        "c353fc023a006a034df6f54f7d226ccb051eab3e668a6fc4df5d893b5a201a65")
+    assert len(compared) > 500 and len(folded) == len(compared)
 
 
 def test_equal_tails_written_differently_stop_the_distance_at_once(monkeypatch):
@@ -1024,7 +1060,7 @@ def test_a_threshold_past_the_slow_ramp_window_is_unknown_with_no_extension():
     # rate 1/10000 from arg ~1: the rule certifies threshold 3i + 2 from shift
     # ~(3i + 1) * 10^4, so each of 13 levels holds, but threshold 41 needs a
     # shift past the rule's 400,000-shift window
-    seq = SymbolSeq((), LinExpTail(Fraction(1, 10000), 9999))
+    seq = SymbolSeq((), LinExpTail(1, 10000, 9999))
     alpha = AlphaIndex(tuple(model.potential_floor(seq, 3.0 * i + 2.0) for i in range(13)))
     point = endpoint_of(seq)
     assert in_stratum(alpha, point).is_true
