@@ -30,7 +30,6 @@ from .intervals import (
     TOWER_PIN,
     Interval,
     RigorError,
-    _ln1p_bounds,
     expm1_down,
     growth_inv_pow,
     growth_net,
@@ -239,11 +238,10 @@ class CeilExp:
 Entry = IntEntry | FloorPow | CeilExp
 
 
-# Every entry, of a tail, a parsed prefix or a thinning cap, comes from these three
-# factories; the tower and ramp ones decide from the enclosures their symbolic entry built.
-# Entries asked for again and again are memoised; 256 hold a nesting walk, whose entries its
-# anchor has just built (a slow ramp's potential asks for more, once each).  Entries are
-# immutable, so every sequence shares them.
+# Every entry, of a tail, a parsed prefix or a thinning cap, comes from these three factories;
+# the tower and ramp ones decide from the enclosures their symbolic entry built.  Entries are
+# immutable, so one memo serves every sequence; 256 hold a nesting walk, whose entries its
+# anchor has just built (a slow ramp's potential asks for more, once each).
 @functools.lru_cache(maxsize=1024, typed=True)  # typed: True and 1.0 keep their own entries
 def _int_entry(v: int) -> IntEntry:
     """The entry of a machine integer, one per value: prefixes and patterns repeat few values."""
@@ -472,9 +470,6 @@ class ConstTail(_BoundedTail):
     def pattern(self) -> tuple[int, ...]:
         return (self.c,)
 
-    def entry_at(self, p: int, n: int) -> Entry:
-        return _int_entry(self.c)
-
     def validate(self, p: int):
         if not isinstance(self.c, int):
             raise DescriptorError("const tail needs an integer c")
@@ -535,21 +530,20 @@ class PeriodicTail(_BoundedTail):
 
     def height(self) -> Interval:
         """The pure tail's height, by contracting sweeps of ``ln1p_sum`` over one period: each sets
-        w_r = ln(1 + |s_(r+1)| + w_(r+1)) for r = L-1, ..., 0, a chain on endpoints from w_0."""
+        w_r = ln(1 + |s_(r+1)| + w_(r+1)) for r = L-1, ..., 0, one chain from w_0."""
         if all(v == 0 for v in self.pattern):
             return Interval.point(0.0)
         pats = [_int_entry(v).abs_interval() for v in (self.pattern[0], *self.pattern[:0:-1])]
-        lo, hi = 0.0, log1p_up(self.abs_bound()) + 1.0
-        goal = max(DEFAULT_TOL / 4.0, 4e-16 * hi)
+        w = (0.0, log1p_up(self.abs_bound()) + 1.0, False, False)
+        goal = max(DEFAULT_TOL / 4.0, 4e-16 * w[1])
         for _ in range(4000):
             width = 0.0
             for a in pats:
-                lo, hi = _ln1p_bounds(sum_down(a.lo, lo), sum_up(a.hi, hi))
-                if hi - lo > width:
-                    width = hi - lo
+                w = ln1p_sum(a, w)
+                width = max(width, w[1] - w[0])
             if width < goal:
                 break
-        return Interval(lo, hi, any(a.lo_open for a in pats), any(a.hi_open for a in pats))
+        return Interval(*w)
 
 
 @dataclass(frozen=True)
@@ -644,8 +638,7 @@ class ExpTowerTail:
 
 @dataclass(frozen=True)
 class LinExpTail:
-    """s_n = ceil(F(num/den * (n + offset))): one exponential of a linear ramp; the rate is held
-    as coprime ints, so past parsing every enclosure comes from ``Interval.from_ratio``."""
+    """s_n = ceil(F(num/den * (n + offset))): one exponential of a linear ramp, coprime num, den."""
 
     num: int
     den: int = 1
@@ -656,8 +649,10 @@ class LinExpTail:
 
     def validate(self, p: int):
         num, den = self.num, self.den
-        if not (type(num) is type(den) is int and num > 0 < den and math.gcd(num, den) == 1):
-            raise DescriptorError("linexp tail needs a positive rational rate in lowest terms")
+        if not (type(num) is type(den) is int and math.gcd(num, den) == 1):
+            raise DescriptorError("linexp rate must be coprime ints")
+        if num <= 0 or den <= 0:
+            raise DescriptorError("linexp tail needs a positive rational rate")
         if 10000 * num < den or num > int(OVERFLOW_GUARD) * den:  # the guard is the integer 700
             raise DescriptorError("linexp rate outside supported range [1/10000, 700]")
         if self.offset < 0:
@@ -665,9 +660,6 @@ class LinExpTail:
 
     def arg(self, n: int) -> Fraction:  # exact, for readers outside the package
         return Fraction(self.num * (n + self.offset), self.den)
-
-    def _arg_iv(self, n: int) -> Interval:
-        return Interval.from_ratio(self.num * (n + self.offset), self.den)
 
     def entry_at(self, p: int, n: int) -> Entry:
         return _ramp_entry(self.num, self.den, n + self.offset)
@@ -688,8 +680,9 @@ class LinExpTail:
         # and both conditions persist as k grows since the ramp is linear while
         # the logarithm flattens.  An envelope wholly below ``below`` bounds terms
         # that cannot touch the hull (see ``model.potential``): none is returned.
-        a_k = self._arg_iv(shift + k)
-        a_next = self._arg_iv(shift + k + 1)
+        m = shift + k + self.offset
+        a_k = Interval.from_ratio(self.num * m, self.den)
+        a_next = Interval.from_ratio(self.num * (m + 1), self.den)
         if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
             return None
         env = growth_inv_pow(a_next + 1.0, k, below)
@@ -721,7 +714,7 @@ class LinExpTail:
         n = max(p, 1)
         shrink = 1.0  # upper bound of the product of slopes below level n
         while True:
-            a = self._arg_iv(n)
+            a = Interval.from_ratio(self.num * (n + self.offset), self.den)
             u_hi = round_up(self.num * (n + 1 + self.offset) / self.den + 2.0)
             corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
             if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
@@ -735,7 +728,8 @@ class LinExpTail:
         # finite scan reaches a certified crossover
         if n - m > 100000:
             raise IncomparableTailsError("no certified crossover within budget", {"m": m, "n": n})
-        if _ramp_below_cap_from(self._arg_iv(n), Interval.from_ratio(self.num, self.den).hi,
+        if _ramp_below_cap_from(Interval.from_ratio(self.num * (n + self.offset), self.den),
+                                Interval.from_ratio(self.num, self.den).hi,
                                 growth_net(cap_c, n - m - 1)):
             return self
         return None
@@ -841,8 +835,7 @@ def fexp_seq(c: int, prefix: tuple[int, ...] = ()) -> SymbolSeq:
 
 
 def linexp_seq(rate, prefix: tuple[int, ...] = ()) -> SymbolSeq:
-    rate = _parse_rational(rate)
-    return SymbolSeq(tuple(prefix), LinExpTail(rate.numerator, rate.denominator))
+    return SymbolSeq(tuple(prefix), LinExpTail(*_parse_rational(rate).as_integer_ratio()))
 
 
 def periodic_seq(pattern: tuple[int, ...], prefix: tuple[int, ...] = ()) -> SymbolSeq:

@@ -121,6 +121,8 @@ def test_periodic_height_sweeps_on_endpoints_keep_every_bit():
     values = (0, 1, -2, 3, 50, 10**6, 2**53 + 1, 10**300, int(1.7976931348623157e308))
     patterns = [(a,) for a in values] + [(a, b) for a in values for b in values]
     patterns += [(a, b, c) for a in values[:6] for b in values[:6] for c in values[:6]]
+    huge = values[-1] + 2**969  # rounds down to the largest double: its enclosure is open at +inf
+    patterns += [(huge,), (1, huge), (huge, -2, 0)]
     for pattern in patterns:
         got, want = PeriodicTail(pattern).height(), _interval_sweep_height(pattern)
         assert (got.lo.hex(), got.hi.hex(), got.lo_open, got.hi_open) == \
@@ -606,8 +608,9 @@ def test_ramp_rate_bounds_hold_at_each_end(c, message):
 
 
 @pytest.mark.parametrize("num, den, message", [
-    (2, 4, "lowest terms"), (1, 0, "positive"), (1, -2, "positive"), (True, 1, "positive"),
-    (1.5, 1, "positive"), (1, 10001, "supported range"), (1401, 2, "supported range"),
+    (2, 4, "coprime ints"), (0, 5, "coprime ints"), (True, 1, "coprime ints"),
+    (1.5, 1, "coprime ints"), (1, 0, "positive rational rate"), (1, -2, "positive rational rate"),
+    (-1, 2, "positive rational rate"), (1, 10001, "supported range"), (1401, 2, "supported range"),
 ])
 def test_a_ramp_rule_built_directly_holds_coprime_ints(num, den, message):
     with pytest.raises(DescriptorError, match=message):
