@@ -177,17 +177,6 @@ def _first_above(base: SymbolSeq, shift: int, r: float) -> int:
         (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0))
 
 
-def potential_above(seq: SymbolSeq, shift: int, r: float) -> bool:
-    """``potential(seq, shift).certainly_gt(r)``, from the memo or the first term that settles it.
-
-    ``sup_hull`` keeps an open lower end on ties, so the hull is certainly above r iff a term is.
-    """
-    home, at = _hull_home(seq, shift)
-    if (hull := home._memo.get(("potential", at))) is not None:
-        return hull.certainly_gt(r)
-    return any(t.certainly_gt(r) for _, t in _potential_terms(home, at))
-
-
 def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
     """The least shift n in [start, stop] at which seq's cut (base, m) does not certify
     potential(seq, n) > r (``_first_above``), stop when it certifies all below; start when seq
@@ -236,11 +225,25 @@ def potential_floor(seq: SymbolSeq, threshold: float, floor: int = 0,
     if n1 is None:
         return None
     n = max(n1, floor)
-    while n > floor and potential_above(seq, n - 1, threshold):
+    while n > floor and potential(seq, n - 1).certainly_gt(threshold):
         n -= 1
     if n1 - n > budget:
         raise BudgetExceededError("explicit threshold window exceeds budget")
     return n
+
+
+def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float, budget: int) -> TriBool:
+    """Certify potential(seq, n) > threshold for every n >= start (a diverging tail): the rule
+    from its ``potential_floor`` on, a witness's cut below its ``_cut_floor``, hulls between."""
+    n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
+    if n1 is None:
+        return TriBool.unknown(None)
+    if n1 - start > budget:
+        raise BudgetExceededError("explicit threshold window exceeds budget")
+    for n in range(_cut_floor(seq, start, n1, threshold), n1):
+        if not (hull := potential(seq, n)).certainly_gt(threshold):
+            return hull.tri_gt(threshold)
+    return TriBool.yes()
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +434,11 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     follow the pattern's phase, so states are keyed on their bounds and n mod its least
     period (a pattern such as [0, 0] repeats after one step, not two).
 
-    A diverging tail grows from the least shift from which every shifted
-    potential is strictly above 0.694 > ln 2 (``potential_floor``, as for the
-    strata thresholds): a height exceeding the endpoint by delta then grows by
-    a factor e^(height of the shifted endpoint) >= 2 per step, so it escapes.
+    A diverging tail grows from the least shift from which every shifted potential is strictly
+    above 0.694 > ln 2 (``potential_floor``, as for the strata thresholds): a height exceeding
+    the endpoint by delta then grows by a factor e^(height of the shifted endpoint) >= 2 per
+    step, so it escapes.  Escape is asked only once lo >= 2: soundness needs no such gate (a
+    bounded tail's threshold is at least 2 already), but it fixes the step that reports escape.
 
     A state [lo, inf] with lo < 0 is absorbing: sum_up(inf, .) stays inf, and
     expm1_down(lo) lies in [-1, 0), from which sum_down subtracts |s|.hi >= 0.

@@ -446,7 +446,7 @@ class _BoundedTail:
     def entry_at(self, p: int, n: int) -> Entry:
         return _int_entry(self.pattern[(n - p) % len(self.pattern)])
 
-    @functools.cached_property
+    @property
     def period(self) -> int:
         """The pattern's least period: its least rotation that leaves it unchanged."""
         pat = self.pattern

@@ -27,14 +27,13 @@ from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance, sum_down
 from .model import (
     BudgetExceededError,
     ModelPoint,
-    _cut_floor,
     _past_cut,
+    _threshold_holds_from,
     at_endpoint,
     cut_entries,
     endpoint_height_enclosure,
     is_escaping_endpoint_address,
     potential,
-    potential_above,
     potential_floor,
     potential_term,
 )
@@ -123,21 +122,6 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
-
-
-def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float,
-                          budget: int) -> TriBool:
-    """Certify potential(seq, n) > threshold for every n >= start (a diverging tail)."""
-    n1 = seq.tail.potential_floor(len(seq.prefix), threshold)
-    if n1 is None:
-        return TriBool.unknown(None)
-    if n1 - start > budget:
-        raise BudgetExceededError("explicit threshold window exceeds budget")
-    # a witness's cut certifies the shifts below its floor, an earlier cut of its base most of them
-    for n in range(_cut_floor(seq, start, n1, threshold), n1):
-        if not potential_above(seq, n, threshold):
-            return potential(seq, n).tri_gt(threshold)
-    return TriBool.yes()
 
 
 def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
@@ -375,7 +359,7 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
             raise WitnessRefutedError(f"parent-stratum membership refuted at m={m}")
         if not parent.is_true:
             raise BudgetExceededError(f"parent-stratum membership not certified at m={m}")
-        if height.lo > base_height.hi + tol:
+        if height.lo > base_height.hi:
             raise WitnessRefutedError("witness height exceeds the base height")
 
         distance = point_distance(w_point, base_point)

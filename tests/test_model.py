@@ -44,7 +44,7 @@ from expbouquet.intervals import (
     sum_up,
 )
 from expbouquet import intervals, model, sequences, strata
-from expbouquet.model import _bounded_tail_escape_threshold, potential_above
+from expbouquet.model import _bounded_tail_escape_threshold, _hull_home, _potential_terms
 from expbouquet.sequences import (
     Asymptotics,
     ConstTail,
@@ -321,6 +321,16 @@ def test_classify_below_endpoint():
 
 def test_classify_escape():
     assert classify(ModelPoint(2.0, const_seq(0)), 10).verdict is Verdict.ESCAPE_CERTIFIED
+
+
+def test_classify_asks_for_escape_only_once_the_height_reaches_2():
+    # the ramp's escape floor is shift 0, and 1.9 is already above potential + 1 there: the
+    # gate lo >= 2 holds the certificate back to step 1, which reports its height as evidence
+    seq = SymbolSeq.from_json({"prefix": [0], "tail": {"kind": "linexp", "c": "1/2"}})
+    assert classify(ModelPoint(1.9, seq)).to_json() == {
+        "verdict": "escape_certified",
+        "evidence": {"lo": 4.685894442279268, "hi": 4.685894442279269,
+                     "lo_open": False, "hi_open": False}}
 
 
 def test_classify_endpoint_of_tower_address():
@@ -707,12 +717,14 @@ def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_r
         got = potential(seq, shift)
         fresh = potential(SymbolSeq.from_json(descriptor), shift)
         assert _bits(got) == _bits(fresh)
+        # the terms of a sequence with no memo, which a cut floor reads one by one
+        terms = [t for _, t in _potential_terms(*_hull_home(SymbolSeq.from_json(descriptor), shift))]
         for r in (fresh.lo, math.nextafter(fresh.lo, -math.inf),
                   math.nextafter(fresh.lo, math.inf), fresh.hi, r_random):
             want = fresh.certainly_gt(r)
-            # from the terms of a sequence with no memo, then from the memo
-            assert potential_above(SymbolSeq.from_json(descriptor), shift, r) is want, r
-            assert potential_above(seq, shift, r) is want, r
+            # sup_hull keeps an open lower end on ties: the hull is above r iff a term is
+            assert any(t.certainly_gt(r) for t in terms) is want, r
+            assert got.certainly_gt(r) is want, r
 
 
 # -- tail-rule memos: bounded and ramp anchors, pure-tail hulls ----------------
@@ -948,9 +960,10 @@ class _HighClosingTail(ConstTail):
 
 
 def test_threshold_check_reads_the_closing_terms():
-    # only the open closing term is certainly above 5, and nothing is above 6
+    # only the open closing term (k = 0) is certainly above 5, and nothing is above 6
     seq = SymbolSeq((), _HighClosingTail(1))
-    assert potential_above(seq, 0, 5.0) and not potential_above(seq, 0, 6.0)
+    assert [k for k, t in _potential_terms(seq, 0) if t.certainly_gt(5.0)] == [0]
+    assert potential(seq, 0).certainly_gt(5.0) and not potential(seq, 0).certainly_gt(6.0)
     assert potential(seq, 0) == Interval(5.0, 6.0, True, False)
 
 

@@ -35,7 +35,7 @@ from expbouquet import (
     witness_sequence,
 )
 from expbouquet import model, strata
-from expbouquet.intervals import Interval, TriBool, growth_net
+from expbouquet.intervals import DEFAULT_TOL, Interval, TriBool, growth_net
 from expbouquet.sequences import (
     CeilExp,
     ConstTail,
@@ -533,13 +533,13 @@ def test_witness_family_certifies_each_past_once_and_scans_parent_thresholds_fro
     # so claim two, claim one's margin and its certificate are asked once, 7 hulls at
     # cut shifts and 1 certificate (each member asking its own: 210 and 30); parent
     # membership starts each threshold at the shift the base's terms have not yet
-    # certified through an earlier cut, one potential_above per threshold and member
-    # (scanning each from its index entry: 1,140)
+    # certified through an earlier cut, one hull per threshold and member (scanning
+    # each from its index entry: 1,140)
     point = endpoint_of(fexp_seq(9))
     alpha = AlphaIndex((0, 1))
     cut_hulls, certificates, parent_asks, witness_member = [], [], [], []
     real_potential, real_holds = strata.potential, strata._threshold_holds_from
-    real_above, real_member = strata.potential_above, strata.in_stratum
+    real_member = strata.in_stratum
 
     def potential(seq, shift=0):
         if seq.cut and shift >= seq.cut[1]:
@@ -558,14 +558,15 @@ def test_witness_family_certifies_each_past_once_and_scans_parent_thresholds_fro
         finally:
             witness_member.pop()
 
-    def above(seq, shift, r):
+    def parent_hull(seq, shift=0):  # every hull model.py reads, its threshold scans' among them
         if witness_member and witness_member[-1]:
             parent_asks.append(shift)
-        return real_above(seq, shift, r)
+        return real_potential(seq, shift)
 
     for name, stand_in in (("potential", potential), ("_threshold_holds_from", holds),
-                           ("in_stratum", member), ("potential_above", above)):
+                           ("in_stratum", member)):
         monkeypatch.setattr(strata, name, stand_in)
+    monkeypatch.setattr(model, "potential", parent_hull)
     assert len(witness_family(point, alpha, 2, 30)) == 30
     assert len(certificates) == 1
     assert len(cut_hulls) <= 1 + strata.EXTRA_CLAIM_SHIFTS
@@ -656,8 +657,9 @@ def test_witness_families_match_families_of_unlinked_witnesses(prefix, monkeypat
 
 
 def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
-    # below its cut m a witness takes its base's first explicit term above r, k*, when
-    # shift + k* <= m; a base of zeros before its towers puts k* past m at low shifts
+    # a witness's hulls read the work on its base through its cut, and its threshold
+    # certificate skips the shifts below its cut floor; a base of zeros before its towers
+    # puts its first term above r past the cut at low shifts
     for prefix in [(), (0, 0, 0), (0, 0, 0, 0, 0, 0), (2, 0, 0, 4)]:
         for c in (3, 6, 9):
             base = SymbolSeq(prefix, ExpTowerTail(c))
@@ -666,7 +668,9 @@ def test_a_linked_witness_answers_each_threshold_as_its_unlinked_copy():
                 copy = SymbolSeq(w.prefix, w.tail)
                 for n in range(m + 1):
                     for r in (0.1, 0.5, 2.0, 3.0, 5.0, 8.0, 20.0):
-                        assert model.potential_above(w, n, r) == potential(copy, n).certainly_gt(r)
+                        assert potential(w, n).certainly_gt(r) == potential(copy, n).certainly_gt(r)
+                        assert (model._threshold_holds_from(w, n, r, 100000)
+                                == model._threshold_holds_from(copy, n, r, 100000))
 
 
 @pytest.mark.parametrize("cuts", [range(1, 12), range(11, 0, -1)], ids=["longer", "shorter"])
@@ -1118,6 +1122,20 @@ def test_witness_family_refutes_a_claim_that_certainly_fails(name, stand_in, mes
     with pytest.raises(WitnessRefutedError, match=message) as caught:
         witness_family(point, AlphaIndex((0,)), 1, 3)
     assert not isinstance(caught.value, BudgetExceededError)
+
+
+def test_a_witness_height_certainly_above_the_base_height_is_refuted(monkeypatch):
+    # however small the excess: a witness height tol / 2 above the base's is refuted; parent
+    # membership still holds, as the endpoint test reads the witness's own height in model
+    point = endpoint_of(fexp_seq(10))
+    base = endpoint_height_enclosure(point.seq)
+    lifted = Interval(base.hi + DEFAULT_TOL / 2, base.hi + DEFAULT_TOL / 2 + base.width)
+    assert lifted.lo > base.hi and lifted.width <= DEFAULT_TOL
+    real = strata.endpoint_height_enclosure
+    monkeypatch.setattr(strata, "endpoint_height_enclosure",
+                        lambda seq, *args: lifted if seq.prefix else real(seq, *args))
+    with pytest.raises(WitnessRefutedError, match="witness height exceeds the base height"):
+        witness_family(point, AlphaIndex((0,)), 1, 3)
 
 
 def test_a_witness_height_wider_than_tol_is_no_certified_parent_member(monkeypatch):
