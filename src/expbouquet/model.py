@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,8 +172,7 @@ def _first_above(base: SymbolSeq, shift: int, r: float) -> int:
     The first term, kept once for every r, settles most thresholds."""
     if _memoised(base, ("first", shift), lambda b: potential_term(b, shift + 1, 1)).certainly_gt(r):
         return 1
-    return _memoised(base, ("above", shift, r), lambda b: next(
-        (k for k, t in _potential_terms(b, shift) if t.certainly_gt(r)), 0))
+    return next((k for k, t in _potential_terms(base, shift) if t.certainly_gt(r)), 0)
 
 
 def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
@@ -251,27 +249,33 @@ def _threshold_holds_from(seq: SymbolSeq, start: int, threshold: float, budget: 
 # ---------------------------------------------------------------------------
 
 
-# a nesting state's endpoints as bytes: exact, so -0.0 keeps a slot apart from 0.0
-_packed = struct.Struct("<2d2?").pack
-
-
 def _descend(seq: SymbolSeq, level: int, state: Interval | _TowerRel) -> Interval:
     """Run backward nesting from the given level down to the full height t_s.
 
     Each entry takes its own step (``Entry.descend``); a plain state runs on
-    its endpoint floats and is wrapped once, at the end.  A witness with cut (base, m) keeps
-    the enclosure from each level j <= m and state met in base's memo, keyed by the state's
-    float bytes.
+    its endpoint floats and is wrapped once, at the end.  A witness with cut (base, m) keeps in
+    base's memo the state it hands down to level m, once per past, level - m and start state,
+    and the enclosure from each level j <= m and state met.  A slot is keyed by the state (its
+    endpoint tuple or ``_TowerRel``), whose float == merges only a state and its twin with zero
+    ends of the other sign, and every ``descend`` steps both to the same bits: ``ln1p_sum`` adds
+    a zero to the entry's end, at least +0, so ``sum_down`` and ``sum_up`` give the same sum and
+    ``_ln1p_bounds`` +0.0 at zero; a tower-relative step adds it to a nonzero double, or
+    divides it and rounds outward with ``nextafter``, the same double from 0.0 and -0.0.
     """
     if isinstance(state, Interval):
         state = state.bounds()
     base, m = seq.cut or (seq, 0)
+    if level > m > 0:  # hand reads level before it moves to m
+        def hand(_, state=state) -> tuple | _TowerRel:
+            for j in range(level, m, -1):
+                state = seq.entry(j).descend(state)
+            return state
+        state = _memoised(base, ("handed", *_past_cut(seq, m), level - m, state), hand)
+        level = m
     keys = []
     for j in range(level, 0, -1):
         if j <= m:
-            key = ("descend", j, state.base, state.height, _packed(*state.delta.bounds())) if (
-                isinstance(state, _TowerRel)) else ("descend", j, _packed(*state))
-            if (enc := base._memo.get(key)) is not None:
+            if (enc := base._memo.get(key := ("descend", j, state))) is not None:
                 break
             keys.append(key)
         state = seq.entry(j).descend(state)
@@ -287,23 +291,6 @@ def _past_cut(seq: SymbolSeq, m: int) -> tuple:
     return seq.prefix[m + 1:], seq.tail.shifted(len(seq.prefix), m + 1)
 
 
-def _nesting_start(seq: SymbolSeq) -> tuple[int, Interval | _TowerRel | tuple]:
-    """Where backward nesting starts: the tail rule's anchor; for a witness cut at m, level m and
-    the state that its entries past the cut hand down from the anchor, once per base and past."""
-    p = len(seq.prefix)
-    if not seq.cut:
-        return seq.tail.nesting_anchor(p)
-    base, m = seq.cut
-
-    def hand(_) -> tuple | _TowerRel:
-        level, state = seq.tail.nesting_anchor(p)  # level >= p - 1 >= m
-        state = state.bounds() if isinstance(state, Interval) else state
-        for j in range(level, m, -1):
-            state = seq.entry(j).descend(state)
-        return state
-    return m, _memoised(base, ("handed", *_past_cut(seq, m)), hand)
-
-
 def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
     """Enclosure of the n-th backward-nesting constraint u_n (seeded at zero).
 
@@ -317,7 +304,7 @@ def endpoint_lower_bound(seq: SymbolSeq, n: int) -> Interval:
 def _height(seq: SymbolSeq) -> Interval:
     """The endpoint-height enclosure, however wide; its upper end is open when it saturates."""
     pot0 = potential(seq)
-    enc = _descend(seq, *_nesting_start(seq))
+    enc = _descend(seq, *seq.tail.nesting_anchor(len(seq.prefix)))
     if pot0.is_finite:  # the sandwich t* <= t_s <= t* + 1
         return enc.intersect(Interval(pot0.lo, round_up(pot0.hi + 1.0)))
     return enc.intersect(Interval(pot0.lo, math.inf, pot0.lo_open, True))
@@ -455,6 +442,7 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
     seen: dict = {}  # (state bounds, phase) -> the step that reached them
     trail: list[Interval] = []  # the state at each step
     grows_from: int | None = -1  # the escape floor of a diverging tail, once asked
+    escape_at = (-1, math.inf)  # (min(n, p), a bounded tail's escape threshold there), once asked
     absorbed = False
     for n in range(budget + 1):
         evidence = t_iv
@@ -477,7 +465,9 @@ def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Class
         trail.append(t_iv)
         if t_iv.lo >= 2.0:
             if seq.asymptotics is Asymptotics.BOUNDED:
-                grows = t_iv.lo >= _bounded_tail_escape_threshold(seq, n)
+                if escape_at[0] != (at := min(n, len(seq.prefix))):  # the same from p on
+                    escape_at = at, _bounded_tail_escape_threshold(seq, at)
+                grows = t_iv.lo >= escape_at[1]
             else:
                 grows_from = potential_floor(seq, 0.694) if grows_from == -1 else grows_from
                 grows = grows_from is not None and n >= grows_from

@@ -61,23 +61,17 @@ class Asymptotics(Enum):
 # ---------------------------------------------------------------------------
 
 
-# these two run at every tower-relative nesting step, so they call nextafter directly:
-# round_down and round_up differ from it only at +inf and -inf, which no end here can be
-# or which the min and max with 0.0 drop
-def _tiny_ln1p(y: Interval) -> Interval:
-    """Enclosure of ln(1 + y) from the bound y - y^2 <= ln(1+y) <= y, y >= -1/2."""
-    if y.lo < -0.5:
-        raise RigorError("tiny ln1p bound needs y >= -1/2")
-    lo = math.nextafter(y.lo - y.lo * y.lo, -math.inf)
-    hi = y.hi if y.hi >= 0 else math.nextafter(y.hi, math.inf)
-    return Interval(min(lo, hi), hi)
-
-
 def _log_correction(y_lo: float, y_hi: float) -> Interval:
     """The tower-relative log correction ln(1 + y) of one nesting step, y between y_lo and y_hi
-    as computed (each rounded outward here), widened to hold 0."""
-    return _tiny_ln1p(Interval(min(0.0, math.nextafter(y_lo, -math.inf)),
-                               max(0.0, math.nextafter(y_hi, math.inf))))
+    as computed: both rounded outward and widened to hold 0, then bounded by
+    y - y^2 <= ln(1 + y) <= y (y >= -1/2).  It runs at every tower-relative step, so it calls
+    nextafter directly, which differs from round_down and round_up only where the min and max
+    with 0.0 drop the result."""
+    lo = min(0.0, math.nextafter(y_lo, -math.inf))
+    if lo < -0.5:
+        raise RigorError("tiny ln1p bound needs y >= -1/2")
+    hi = max(0.0, math.nextafter(y_hi, math.inf))
+    return Interval(math.nextafter(lo - lo * lo, -math.inf), hi)
 
 
 _LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))

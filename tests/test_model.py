@@ -438,6 +438,21 @@ def test_classify_above_a_slow_ramp_endpoint_takes_few_potentials(monkeypatch, e
     assert len(calls) <= 20
 
 
+@pytest.mark.counts_work
+@pytest.mark.parametrize("prefix", [(), (1, 2)])
+def test_classify_builds_a_bounded_tail_escape_threshold_once_per_prefix_position(
+        prefix, monkeypatch, empty_rule_memos):
+    # the orbit of a const 50 endpoint stays near its fixed point 4.0 > 2 for 9 or 10 steps,
+    # each of which asked for the escape threshold; past the prefix it is one value
+    asked = []
+    real = model._bounded_tail_escape_threshold
+    monkeypatch.setattr(model, "_bounded_tail_escape_threshold",
+                        lambda seq, n: asked.append(n) or real(seq, n))
+    seq = const_seq(50, prefix)
+    assert classify(ModelPoint(endpoint_height_enclosure(seq).mid, seq)).verdict is Verdict.ENDPOINT
+    assert len(asked) <= len(prefix) + 1
+
+
 def _diverging_tail_growth_certificate(seq: SymbolSeq, n: int) -> bool:
     """Reference: every shifted potential from n on is at least 0.694, checked upward."""
     n1 = seq.tail.potential_floor(len(seq.prefix), 0.694)

@@ -38,7 +38,6 @@ from expbouquet.sequences import (
     _LN2,
     _int_entry,
     _ramp_entry,
-    _tiny_ln1p,
     _tower_entry,
     _TowerRel,
 )
@@ -339,6 +338,14 @@ def test_ceil_entry_window():
 # Fraction comparisons on arg, as the entries did before they kept their
 # enclosures and before a value that fits a machine integer became an
 # IntEntry.  The entries the factories build must agree bit for bit.
+
+
+def _tiny_ln1p(y: Interval) -> Interval:
+    """ln(1 + y) from y - y^2 <= ln(1 + y) <= y, y >= -1/2: the bound of the entries' log
+    correction, kept here as the references' own copy."""
+    assert y.lo >= -0.5
+    hi = y.hi if y.hi >= 0 else round_up(y.hi)
+    return Interval(min(round_down(y.lo - y.lo * y.lo), hi), hi)
 
 
 class _LazyCeilExp:

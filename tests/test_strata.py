@@ -48,6 +48,7 @@ from expbouquet.sequences import (
     _ramp_below_cap_from,
     _thin_entry,
     _tower_entry,
+    _TowerRel,
 )
 
 
@@ -719,11 +720,18 @@ def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy()
     assert checked == 462 and 100 <= head_alone < checked
 
 
-def test_signed_zero_states_keep_descent_slots_of_their_own(monkeypatch):
-    # 0.0 == -0.0, so keyed on the floats the states at level 3 would share a
-    # slot and -0.0 would take no step; keyed on their bytes it takes its own
-    # step from level 3, whose state then meets 0.0's slot at level 2; a
-    # second ask reads the slot, and each gives the unlinked bits
+def _state_bits(state) -> tuple:
+    """A nesting state's exact bits: endpoint doubles as hex (so -0.0 is not 0.0) and flags."""
+    if isinstance(state, _TowerRel):
+        return state.base, state.height, _state_bits(state.delta.bounds())
+    lo, hi, lo_open, hi_open = state
+    return lo.hex(), hi.hex(), lo_open, hi_open
+
+
+def test_signed_zero_states_share_one_descent_slot(monkeypatch):
+    # 0.0 == -0.0, so the states at level 3 share a slot and -0.0 takes no step: it reads
+    # the enclosure 0.0 left, which every entry's step makes the same bits (see the next
+    # test); each ask gives the unlinked copy's bits
     base = const_seq(0, (0, 1, 0))
     linked = SymbolSeq(base.prefix, base.tail)
     object.__setattr__(linked, "cut", (base, 3))  # as witness_sequence links a witness
@@ -737,8 +745,52 @@ def test_signed_zero_states_keep_descent_slots_of_their_own(monkeypatch):
         steps.clear()
         got = model._descend(linked, 3, Interval.point(z))
         taken.append(len(steps))
-        assert [v.hex() for v in (got.lo, got.hi)] == [v.hex() for v in (want.lo, want.hi)]
-    assert taken == [3, 1, 0, 0]
+        assert _state_bits(got.bounds()) == _state_bits(want.bounds())
+    assert taken == [3, 0, 0, 0]
+
+
+# integer entries (0 has the end +0), towers below and past TOWER_PIN, ramp entries (arg 0
+# has the end +0) below and above PIN_ARG; tower-relative states of F^2(2) ~ 596, which every
+# entry materializes, and of F^3(2) ~ 1e259, which FloorPow(2, 3) takes the pin step from
+SIGNED_ZERO_ENTRIES = [IntEntry(0), IntEntry(7), FloorPow(2, 2), FloorPow(2, 3), CeilExp(0),
+                       CeilExp(5), CeilExp(100), CeilExp(401, 4)]
+
+
+@given(st.sampled_from(SIGNED_ZERO_ENTRIES),
+       st.one_of(st.tuples(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e6)),
+                 st.tuples(st.floats(-0.5, 0.0), st.sampled_from([0.0, -0.0]))),
+       st.booleans(), st.booleans(), st.sampled_from([None, (2, 2), (2, 3)]))
+@settings(max_examples=400)
+def test_every_entry_steps_a_state_and_its_signed_zero_twin_to_the_same_bits(
+        entry, ends, lo_open, hi_open, tower):
+    # model._descend keys its slots by the state, whose float == merges a state with its
+    # twin whose zero ends have the other sign: the slot is sound only if both step alike
+    flags = (lo_open, hi_open) if ends[0] < ends[1] else (False, False)
+    state, twin = (*ends, *flags), (*(-v if v == 0.0 else v for v in ends), *flags)
+    if tower:
+        state, twin = (_TowerRel(*tower, Interval(*s)) for s in (state, twin))
+    assert state == twin and hash(state) == hash(twin)
+    assert _state_bits(entry.descend(state)) == _state_bits(entry.descend(twin))
+
+
+def test_a_witness_hands_any_start_above_its_cut_down_once_per_past(monkeypatch):
+    # the CI smoke family: past its cut every member is the cap tower, one past for all; a
+    # lower bound seeded above the cut keeps its unlinked copy's bits, and only the first
+    # member steps the entries past its cut from that start: the others read its hand-off
+    reports = witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 8)
+    assert len({model._past_cut(r.witness, r.m) for r in reports}) == 1
+    asked = []
+    real_entry = SymbolSeq.entry
+    monkeypatch.setattr(SymbolSeq, "entry", lambda seq, n: asked.append((seq, n)) or real_entry(
+        seq, n))
+    for above in (1, 2, 5):
+        for i, r in enumerate(reports):
+            w = r.witness
+            asked.clear()
+            got = model.endpoint_lower_bound(w, r.m + above)
+            assert len([n for s, n in asked if s is w and n > r.m]) == (0 if i else above)
+            want = model.endpoint_lower_bound(SymbolSeq(w.prefix, w.tail), r.m + above)
+            assert _state_bits(got.bounds()) == _state_bits(want.bounds())
 
 
 def test_witness_family_refuses_a_cut_index_at_the_distance_horizon():
