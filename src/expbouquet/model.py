@@ -84,8 +84,6 @@ def _potential_terms(seq: SymbolSeq, shift: int):
     further down too.  So none reaches potential(seq, m).hi: when that is below the head's
     lower end, the head alone is the hull, bit for bit.
     """
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
     p = len(seq.prefix)
     prefix_terms = max(p - shift, 0)
     k, below = 0, -math.inf
@@ -125,17 +123,9 @@ def cut_entries(base: SymbolSeq, m: int) -> list[Entry]:
 
 
 @functools.lru_cache(maxsize=256)
-def _tail_seq(rule, lead: int) -> SymbolSeq:
-    return SymbolSeq((0,) * lead, rule)
-
-
-def _hull_home(seq: SymbolSeq, shift: int) -> tuple[SymbolSeq, int]:
-    """The sequence and shift whose memo keeps potential(seq, shift)'s hull: below p - 1 its own;
-    from p - 1 on, shift 0 of the shifted rule after max(p - shift, 0) entries: the same terms,
-    a home the sequence finds once per shift."""
-    p = len(seq.prefix)
-    return (seq, shift) if shift < max(p - 1, 0) else _memoised(seq, ("home", shift), lambda s: (
-        _tail_seq(s.tail.shifted(p, shift), max(p - shift, 0)), 0))
+def _tail_hull(rule, lead: int) -> Interval:
+    """The shift-0 hull of the pure tail sequence of this rule after lead zeros."""
+    return Interval.sup_hull([t for _, t in _potential_terms(SymbolSeq((0,) * lead, rule), 0)])
 
 
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
@@ -145,8 +135,8 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     into the tail until the tail rule's ``closing_terms`` close the hull
     (constant/periodic terms only decrease; tower terms all live in one floor
     window; ramp terms fall under a certified decreasing envelope).  Each hull
-    is built once and kept in one memo slot (``_hull_home``): below p - 1 in the
-    sequence's memo, from there in the memo of the shifted rule's tail sequence.
+    is built once: below p - 1 in the sequence's memo; from there once per shifted rule
+    (``_tail_hull``), as shift 0 after max(p - shift, 0) leading entries has the same terms.
     A witness reads terms 1..m of its shift-0 hull through its cut (``_shared_head``), and
     no further term when potential(seq, m) lies below them (``_potential_terms``).
 
@@ -161,9 +151,12 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     log1p_up(x) <= x, so the term stays below it and the hull keeps its ends and
     flags bit for bit.  A ramp potential takes O(K) steps, not O(K^2).
     """
-    home, at = _hull_home(seq, shift)
-    return _memoised(home, ("potential", at),
-                     lambda s: Interval.sup_hull([t for _, t in _potential_terms(s, at)]))
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
+    if shift >= (p := len(seq.prefix)) - 1:
+        return _tail_hull(seq.tail.shifted(p, shift), max(p - shift, 0))
+    return _memoised(seq, ("potential", shift),
+                     lambda s: Interval.sup_hull([t for _, t in _potential_terms(s, shift)]))
 
 
 def _first_above(base: SymbolSeq, shift: int, r: float) -> int:

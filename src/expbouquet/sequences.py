@@ -440,6 +440,10 @@ class _BoundedTail:
     def entry_at(self, p: int, n: int) -> Entry:
         return _int_entry(self.pattern[(n - p) % len(self.pattern)])
 
+    def shifted(self, p: int, k: int) -> "_BoundedTail":
+        r = (k - p) % len(self.pattern) if k > p else 0
+        return PeriodicTail(self.pattern[r:] + self.pattern[:r]) if r else self
+
     @property
     def period(self) -> int:
         """The pattern's least period: its least rotation that leaves it unchanged."""
@@ -467,9 +471,6 @@ class ConstTail(_BoundedTail):
     def validate(self, p: int):
         if not isinstance(self.c, int):
             raise DescriptorError("const tail needs an integer c")
-
-    def shifted(self, p: int, k: int) -> "ConstTail":
-        return self
 
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
@@ -512,12 +513,6 @@ class PeriodicTail(_BoundedTail):
     def validate(self, p: int):
         if not self.pattern or not all(isinstance(v, int) for v in self.pattern):
             raise DescriptorError("periodic tail needs a nonempty integer pattern")
-
-    def shifted(self, p: int, k: int) -> "PeriodicTail":
-        if k <= p:
-            return self
-        r = (k - p) % len(self.pattern)
-        return PeriodicTail(self.pattern[r:] + self.pattern[:r])
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}

@@ -44,7 +44,7 @@ from expbouquet.intervals import (
     sum_up,
 )
 from expbouquet import intervals, model, sequences, strata
-from expbouquet.model import _bounded_tail_escape_threshold, _hull_home, _potential_terms
+from expbouquet.model import _bounded_tail_escape_threshold, _potential_terms
 from expbouquet.sequences import (
     Asymptotics,
     ConstTail,
@@ -733,7 +733,7 @@ def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_r
         fresh = potential(SymbolSeq.from_json(descriptor), shift)
         assert _bits(got) == _bits(fresh)
         # the terms of a sequence with no memo, which a cut floor reads one by one
-        terms = [t for _, t in _potential_terms(*_hull_home(SymbolSeq.from_json(descriptor), shift))]
+        terms = [t for _, t in _potential_terms(SymbolSeq.from_json(descriptor), shift)]
         for r in (fresh.lo, math.nextafter(fresh.lo, -math.inf),
                   math.nextafter(fresh.lo, math.inf), fresh.hi, r_random):
             want = fresh.certainly_gt(r)
@@ -802,7 +802,7 @@ def test_memoised_rule_work_equals_work_with_the_memos_cleared(kind, empty_rule_
             for tails in zip(*(_sweep_tails(kind, len(prefix)) for prefix in SWEEP_PREFIXES))
             for prefix, tail in zip(SWEEP_PREFIXES, tails)]
     warm = [_rule_quantities(seq) for seq in seqs]
-    assert model._tail_seq.cache_info().hits > 0
+    assert model._tail_hull.cache_info().hits > 0
     cold: dict = {}
     for seq, got in zip(seqs, warm):
         assert got == _rule_quantities(seq, cold), seq
@@ -811,7 +811,7 @@ def test_memoised_rule_work_equals_work_with_the_memos_cleared(kind, empty_rule_
 @pytest.mark.parametrize("memo, fill", [
     (ConstTail.height, lambda k: ConstTail(k).nesting_anchor(0)),
     (LinExpTail.nesting_anchor, lambda k: LinExpTail(1, 1, k).nesting_anchor(0)),
-    (model._tail_seq, lambda k: potential(const_seq(k))),
+    (model._tail_hull, lambda k: potential(const_seq(k))),
 ])
 def test_rule_memo_holds_at_most_its_bound(memo, fill, empty_rule_memos):
     size = memo.cache_parameters()["maxsize"]
@@ -828,18 +828,20 @@ def test_rule_memos_share_equal_rules_and_keep_unequal_ones_apart(empty_rule_mem
     assert const.nesting_anchor(0)[1] != periodic.nesting_anchor(0)[1]
     assert ConstTail.height.cache_info().currsize == 1
     potential(SymbolSeq((), const)), potential(SymbolSeq((), periodic))
-    assert model._tail_seq.cache_info().currsize == 2
+    assert model._tail_hull.cache_info().currsize == 2
     # the rotations of one pattern have heights and hulls of their own
     rotations = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
     assert len({PeriodicTail(pat).nesting_anchor(0)[1] for pat in rotations}) == 3
     assert len({potential(periodic_seq(pat)) for pat in rotations}) == 3
-    assert model._tail_seq.cache_info().currsize == 5
+    assert model._tail_hull.cache_info().currsize == 5
     # equal rules share an entry: a bounded tail shifted past its prefix, and
     # ramp anchors at one p with equal rates written apart
-    hits = model._tail_seq.cache_info().hits
+    hits = model._tail_hull.cache_info().hits
+    pattern = PeriodicTail((1, 2, 3))  # whole periods past the prefix: the rule itself
+    assert pattern.shifted(1, 7) is pattern and const.shifted(2, 9) is const
     assert potential(const_seq(3, (1, 2)), 2) is potential(SymbolSeq((), const))
     assert potential(periodic_seq((1, 2, 3), (5,)), 2) is potential(periodic_seq((2, 3, 1)))
-    assert model._tail_seq.cache_info().hits == hits + 4
+    assert model._tail_hull.cache_info().hits == hits + 4
     # a ramp whose seed holds at the first level: level max(p, 1) - 1, so p = 0
     # and 1 (both start at level 1) have equal anchors, each in an entry of its own
     ramp = LinExpTail(1, 1, 100)
@@ -1095,9 +1097,14 @@ def test_bounded_escape_threshold_is_directed(monkeypatch):
 
 
 def test_public_guards_reject_negative_shifts_depths_and_heights():
+    # every rule and prefix length: shift -1 is at least p - 1 when p = 0, and a
+    # tower rule shifted by -1 is still a rule, so only the guard refuses it
+    for tail in ({"kind": "const", "c": 1}, {"kind": "periodic", "pattern": [1, 2]},
+                 {"kind": "fexp", "c": 2}, {"kind": "linexp", "c": "1/2"}):
+        for prefix in ([], [3], [3, 0]):
+            with pytest.raises(ValueError, match="shift"):
+                potential(SymbolSeq.from_json({"prefix": prefix, "tail": tail}), -1)
     seq = const_seq(1)
-    with pytest.raises(ValueError, match="shift"):
-        potential(seq, -1)
     with pytest.raises(ValueError, match="n must be"):
         endpoint_lower_bound(seq, -1)
     with pytest.raises(ValueError, match="finite height"):
