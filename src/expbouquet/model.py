@@ -75,8 +75,8 @@ def _memoised(seq: SymbolSeq, key: tuple, compute):
 
 
 def _potential_terms(seq: SymbolSeq, shift: int):
-    """The terms whose sup hull is ``potential(seq, shift)``: (k, F^-k |s_{shift+k}|), then
-    (0, t) closing; a witness cut at m opens shift 0 with (0, its cut's ``_shared_head``).
+    """The terms whose sup hull is ``potential(seq, shift)``: F^-k |s_{shift+k}|, then the
+    closing ones; a witness cut at m opens shift 0 with its cut's ``_shared_head``.
 
     Each term past that cut is the same entry's term at shift m taken m inverse steps further,
     and inverse steps never raise an upper end (see ``potential``); one the shift-m scan left
@@ -89,7 +89,7 @@ def _potential_terms(seq: SymbolSeq, shift: int):
     k, below = 0, -math.inf
     if shift == 0 and seq.cut:
         base, k = seq.cut
-        yield 0, (head := _shared_head(base, k))
+        yield (head := _shared_head(base, k))
         if potential(seq, k).hi < head.lo:
             return
         below = head.lo
@@ -98,9 +98,9 @@ def _potential_terms(seq: SymbolSeq, shift: int):
         term = potential_term(seq, shift + k, k, below)
         if term is not None:
             below = max(below, term.lo)
-            yield k, term
+            yield term
         if k > prefix_terms and (closing := seq.tail.closing_terms(p, shift, k, below)) is not None:
-            yield from ((0, t) for t in closing)
+            yield from closing
             return
 
 
@@ -125,7 +125,7 @@ def cut_entries(base: SymbolSeq, m: int) -> list[Entry]:
 @functools.lru_cache(maxsize=256)
 def _tail_hull(rule, lead: int) -> Interval:
     """The shift-0 hull of the pure tail sequence of this rule after lead zeros."""
-    return Interval.sup_hull([t for _, t in _potential_terms(SymbolSeq((0,) * lead, rule), 0)])
+    return Interval.sup_hull(list(_potential_terms(SymbolSeq((0,) * lead, rule), 0)))
 
 
 def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
@@ -156,21 +156,21 @@ def potential(seq: SymbolSeq, shift: int = 0) -> Interval:
     if shift >= (p := len(seq.prefix)) - 1:
         return _tail_hull(seq.tail.shifted(p, shift), max(p - shift, 0))
     return _memoised(seq, ("potential", shift),
-                     lambda s: Interval.sup_hull([t for _, t in _potential_terms(s, shift)]))
+                     lambda s: Interval.sup_hull(list(_potential_terms(s, shift))))
 
 
-def _first_above(base: SymbolSeq, shift: int, r: float) -> int:
-    """base's first explicit term above r at this shift, k* (0 if none): a witness cut (base, m)
-    certifies potential(witness, shift) > r when 0 < k* <= m - shift, and so does every longer cut.
-    The first term, kept once for every r, settles most thresholds."""
-    if _memoised(base, ("first", shift), lambda b: potential_term(b, shift + 1, 1)).certainly_gt(r):
+def _least_depth(seq: SymbolSeq, n: int, r: float, stop: int) -> int:
+    """The least k in 1..stop (stop >= 1) with F^-k |s_{n+k}| certainly above r, else 0: the
+    witness depth, and a cut (seq, m) certifies potential(witness, n) > r if stop = m - n gives
+    one.  The first term, kept once for every r, settles most thresholds."""
+    if _memoised(seq, ("first", n), lambda s: potential_term(s, n + 1, 1)).certainly_gt(r):
         return 1
-    return next((k for k, t in _potential_terms(base, shift) if t.certainly_gt(r)), 0)
+    return next((k for k in range(2, stop + 1) if potential_term(seq, n + k, k).certainly_gt(r)), 0)
 
 
 def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
     """The least shift n in [start, stop] at which seq's cut (base, m) does not certify
-    potential(seq, n) > r (``_first_above``), stop when it certifies all below; start when seq
+    potential(seq, n) > r (``_least_depth``), stop when it certifies all below; start when seq
     has no cut.
 
     Every longer cut of base certifies those shifts too, so base keeps the floor of its longest
@@ -184,7 +184,7 @@ def _cut_floor(seq: SymbolSeq, start: int, stop: int, r: float) -> int:
     if cut > m:  # a longer cut's floor: this one may certify less
         n = start
     end = min(m, stop)
-    while n < end and 0 < _first_above(base, n, r) <= m - n:
+    while n < end and _least_depth(base, n, r, m - n):
         n += 1
     if m >= cut:
         base._memo[key] = (m, n)

@@ -27,6 +27,7 @@ from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance, sum_down
 from .model import (
     BudgetExceededError,
     ModelPoint,
+    _least_depth,
     _past_cut,
     _threshold_holds_from,
     at_endpoint,
@@ -35,7 +36,6 @@ from .model import (
     is_escaping_endpoint_address,
     potential,
     potential_floor,
-    potential_term,
 )
 from .sequences import (
     Asymptotics,
@@ -209,11 +209,9 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
 
 def least_witness_depth(seq: SymbolSeq, n: int, threshold: float) -> int:
     """Least k in 1..DEPTH_BUDGET with a certified potential term F^-k |s_{n+k}| > threshold."""
-    for k in range(1, DEPTH_BUDGET + 1):
-        if potential_term(seq, n + k, k).certainly_gt(threshold):
-            return k
-    raise BudgetExceededError(
-        f"no certified witness depth at shift {n} for threshold {threshold}")
+    if k := _least_depth(seq, n, threshold, DEPTH_BUDGET):
+        return k
+    raise BudgetExceededError(f"no certified witness depth at shift {n} for threshold {threshold}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +291,12 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     gaps through index ``_DIST_HORIZON`` = 60 only: a cut index of 60 or more raises.
     A check left undecided raises ``BudgetExceededError``, one that certainly fails
     ``WitnessRefutedError``.
+
+    Cuts come from least depths k_n (``least_witness_depth``) at the child threshold, below n_ext
+    at the deepest index entry's at or below n, which the span covers (thinning clips none):
+    m_0 = max{n + k_n : n_ext <= n <= span}, m_{j+1} = m_j + k_{m_j}.  With m_j = n0 + k_{n0}, a
+    shift n in (n0, m_j) sees entry m_j at depth m_j - n < k_{n0}, a lower end no lower, so n +
+    k_n <= m below a cut m, also at a parent threshold, none higher: ``_cut_floor`` is min(m, stop).
     """
     check_tolerance(tol)
     if count < 0:
@@ -311,8 +315,6 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
 
     base = base_point.seq
     bound, threshold = 3.0 * alpha.dom, alpha.threshold(alpha.dom)
-    # the first span covers each depth below n_ext at its segment's threshold (that of the
-    # deepest index entry at or below the shift), so thinning clips none of them
     levels = ((n, sum(e <= n for e in alpha.entries) - 1) for n in range(n_ext))
     span = n_ext + max((least_witness_depth(base, n, alpha.threshold(i))
                         for n, i in levels if i >= 0), default=0)
@@ -322,9 +324,6 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
     base_height = endpoint_height_enclosure(base, tol)
     last_distance = math.inf
     for _ in range(count):
-        # m_0 = max{n + k_n : n_ext <= n <= span}, k_n the least depth at the child threshold,
-        # then m_{j+1} = m_j + k_{m_j}: say m_j = n0 + k_{n0}; a shift n in (n0, m_j) sees entry m_j
-        # at depth m_j - n < k_{n0}, an enclosure whose lower end is no lower: n + k_n <= m_j
         m = (reports[-1].m + least_witness_depth(base, reports[-1].m, threshold) if reports else
              max(n + least_witness_depth(base, n, threshold) for n in range(n_ext, span + 1)))
         if m >= _DIST_HORIZON:  # the witness would equal its base as far as the metric looks

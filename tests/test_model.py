@@ -732,14 +732,30 @@ def test_memoised_potential_and_threshold_check_equal_fresh_ones(descriptor, r_r
         got = potential(seq, shift)
         fresh = potential(SymbolSeq.from_json(descriptor), shift)
         assert _bits(got) == _bits(fresh)
-        # the terms of a sequence with no memo, which a cut floor reads one by one
-        terms = [t for _, t in _potential_terms(SymbolSeq.from_json(descriptor), shift)]
+        # the terms of a sequence with no memo, read one by one
+        terms = list(_potential_terms(SymbolSeq.from_json(descriptor), shift))
         for r in (fresh.lo, math.nextafter(fresh.lo, -math.inf),
                   math.nextafter(fresh.lo, math.inf), fresh.hi, r_random):
             want = fresh.certainly_gt(r)
             # sup_hull keeps an open lower end on ties: the hull is above r iff a term is
             assert any(t.certainly_gt(r) for t in terms) is want, r
             assert got.certainly_gt(r) is want, r
+
+
+@given(st.fixed_dictionaries({"prefix": st.lists(prefix_entries, max_size=3), "tail": tail_rules}),
+       st.integers(0, 5), st.integers(1, 12), st.floats(0.1, 20.0), st.floats(0.1, 20.0))
+@settings(max_examples=150, deadline=None)
+def test_least_depth_is_the_first_term_above_r_within_its_stop(descriptor, n, stop, r, r_first):
+    # the one least-depth search of witness depths and cut floors against a scan of every
+    # term; the first term's slot is empty at the first ask, filled by another r at the second
+    seq = SymbolSeq.from_json(descriptor)
+    want = next((k for k in range(1, stop + 1) if potential_term(seq, n + k, k).certainly_gt(r)), 0)
+    assert ("first", n) not in seq._memo
+    assert model._least_depth(seq, n, r, stop) == want
+    filled = SymbolSeq.from_json(descriptor)
+    model._least_depth(filled, n, r_first, stop)
+    assert ("first", n) in filled._memo
+    assert model._least_depth(filled, n, r, stop) == want
 
 
 # -- tail-rule memos: bounded and ramp anchors, pure-tail hulls ----------------
@@ -866,7 +882,7 @@ def test_a_hull_past_the_prefix_is_kept_by_the_pure_tail_alone(descriptor, empty
     p = len(seq.prefix)
     for k in range(p + 4):
         hull = potential(seq, k)
-        scanned = Interval.sup_hull([t for _, t in model._potential_terms(seq, k)])
+        scanned = Interval.sup_hull(list(model._potential_terms(seq, k)))
         assert _bits(hull) == _bits(scanned)
         if k < p - 1:
             assert seq._memo[("potential", k)] is hull
@@ -977,9 +993,10 @@ class _HighClosingTail(ConstTail):
 
 
 def test_threshold_check_reads_the_closing_terms():
-    # only the open closing term (k = 0) is certainly above 5, and nothing is above 6
+    # only the open closing term (5, 6] is certainly above 5, and nothing is above 6
     seq = SymbolSeq((), _HighClosingTail(1))
-    assert [k for k, t in _potential_terms(seq, 0) if t.certainly_gt(5.0)] == [0]
+    assert [t for t in _potential_terms(seq, 0) if t.certainly_gt(5.0)] == [
+        Interval(5.0, 6.0, True, False)]
     assert potential(seq, 0).certainly_gt(5.0) and not potential(seq, 0).certainly_gt(6.0)
     assert potential(seq, 0) == Interval(5.0, 6.0, True, False)
 

@@ -239,24 +239,15 @@ def test_witness_family_searches_each_depth_once(monkeypatch):
     # witness_family walks the shifts below the extension index once, each at
     # its segment's threshold, the first member the shifts its span reaches and
     # each later member the last cut index alone, at the child threshold
-    asking, keep, searches = [], [], Counter()
-    real_depth, real_term = strata.least_witness_depth, strata.potential_term
+    keep, searches = [], Counter()
+    real_search = strata._least_depth  # model._least_depth, the search least_witness_depth runs
 
-    def depth(seq, n, threshold):
+    def search(seq, n, threshold, stop):
         keep.append(seq)  # alive, so ids stay unique
-        asking.append((id(seq), n, threshold))
-        try:
-            return real_depth(seq, n, threshold)
-        finally:
-            asking.pop()
+        searches[id(seq), n, threshold] += 1
+        return real_search(seq, n, threshold, stop)
 
-    def term(seq, n, k, *rest):
-        if asking and k == 1:
-            searches[asking[-1]] += 1
-        return real_term(seq, n, k, *rest)
-
-    monkeypatch.setattr(strata, "least_witness_depth", depth)
-    monkeypatch.setattr(strata, "potential_term", term)
+    monkeypatch.setattr(strata, "_least_depth", search)
     witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
     assert searches and max(searches.values()) == 1
 
@@ -445,9 +436,9 @@ def test_witness_family_full_pipeline():
 def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
     # a hull is a sup_hull under model.potential, a shared head (terms 1..m of
     # the base's shift-0 hull, model._shared_head) the one term it adds, and a
-    # depth a first term under least_witness_depth, so a memo hit counts as
-    # none; the calls that ask are kept on a stack, and the sequences alive,
-    # so ids stay unique
+    # depth a search (model._least_depth) under least_witness_depth, so a memo
+    # hit counts as none; the calls that ask are kept on a stack, and the
+    # sequences alive, so ids stay unique
     asking, keep, hulls, heads, depths = [], [], Counter(), Counter(), Counter()
 
     def asked(real, kind, defaults=()):
@@ -475,8 +466,7 @@ def test_witness_family_builds_each_hull_and_depth_once(monkeypatch):
     monkeypatch.setattr(Interval, "sup_hull", staticmethod(
         counted(Interval.sup_hull, "potential", hulls)))
     monkeypatch.setattr(model, "potential_term", counted(model.potential_term, "head", heads))
-    monkeypatch.setattr(strata, "potential_term", counted(
-        strata.potential_term, "depth", depths, lambda seq, n, k, *rest: k == 1))
+    monkeypatch.setattr(strata, "_least_depth", counted(strata._least_depth, "depth", depths))
     reports = witness_family(endpoint_of(fexp_seq(9)), AlphaIndex((0, 1)), 2, 30)
     assert len(reports) == 30
     assert hulls and max(hulls.values()) == 1
@@ -493,13 +483,12 @@ def test_witness_family_members_share_their_base_work(monkeypatch, empty_rule_me
     # on the entries it shares with its base, every tower hull scanning eight
     # explicit tail terms and every claim-two hull built apart took 2,218
     # potential terms and 585 descent steps; sharing that work took 198 and 121,
-    # and sharing what the members share past their cut takes 106 and 92
+    # sharing what the members share past their cut 106 and 92, and one least-depth
+    # search for the cuts and the parent certificates' cut floors takes 73 and 92
     point = endpoint_of(fexp_seq(9))
     terms, steps = [], []
-    for module in (model, strata):
-        real_term = module.potential_term
-        monkeypatch.setattr(module, "potential_term",
-                            lambda *args, real=real_term: terms.append(1) or real(*args))
+    real_term = model.potential_term
+    monkeypatch.setattr(model, "potential_term", lambda *args: terms.append(1) or real_term(*args))
     for cls in (IntEntry, FloorPow, CeilExp):
         real_descend = cls.descend
         monkeypatch.setattr(cls, "descend", lambda self, state, real=real_descend:
@@ -693,8 +682,29 @@ def test_a_cut_floor_holds_only_shifts_its_cut_certifies(cuts):
                             assert start <= floor <= max(start, min(m, stop))
                             assert all(potential(copy, n).certainly_gt(r)
                                        for n in range(start, floor))
-                            k = model._first_above(base, floor, r)
-                            assert floor >= min(m, stop) or not 0 < k <= m - floor
+                            assert (floor >= min(m, stop)
+                                    or model._least_depth(base, floor, r, m - floor) == 0)
+
+
+@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", SPAN_FAMILIES + [
+    ({"prefix": [5], "tail": {"kind": "linexp", "c": "2/1"}}, (0, 3), 4, 6, 1e-9),  # a pool family
+])
+def test_a_parent_certificate_cut_floor_reaches_every_member_cut(descriptor, alpha, n_ext, count,
+                                                                 tol):
+    # the cuts and the cut floors ask the same least depths, and a parent threshold is no
+    # higher than the one each cut was built for: every shift below a cut is certified by it
+    # (the first of these families is the CI smoke family; under the prefix [2, 4] and the
+    # towers after 0, 1000, 1, 1000 some of these shifts need a term past the first)
+    base = SymbolSeq.from_json(descriptor)
+    alpha = AlphaIndex(alpha)
+    reports = witness_family(endpoint_of(base), alpha, n_ext, count, tol)
+    assert len(reports) == count
+    for report in reports:
+        w = report.witness
+        for i, start in enumerate(alpha.entries):
+            r = alpha.threshold(i)
+            n1 = w.tail.potential_floor(len(w.prefix), r)
+            assert model._cut_floor(w, start, n1, r) == min(report.m, n1), (report.m, i)
 
 
 def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy():
