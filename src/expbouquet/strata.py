@@ -95,8 +95,8 @@ class WitnessReport:
     """One verified thinning witness: margins for both claims plus its distance.
 
     ``claim1_margin`` is the hull of least lower end among the potentials at
-    shifts m through ``horizon``; the threshold certificate of claim one
-    covers every shift from m on.
+    shifts m through ``horizon``; parent membership certifies claim one at
+    every shift from m on.
     """
 
     m: int
@@ -282,15 +282,15 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
                    budget: int = 100000) -> list[WitnessReport]:
     """A verified family of thinning witnesses for the child stratum at n_ext.
 
-    Each witness is checked: every shifted potential from its cut index on exceeds
-    3*dom - 1 (one threshold certificate) and membership in the parent stratum is
-    certified at tol, at the witness height's midpoint (claim one); the potential at
-    the cut index is at most 3*dom, hence at least one below the closure bound 3*dom + 1
-    of the child stratum (claim two).  Cut indices strictly increase, distances to the
-    base strictly decrease, and heights stay below the base height.  Distances sum entry
-    gaps through index ``_DIST_HORIZON`` = 60 only: a cut index of 60 or more raises.
-    A check left undecided raises ``BudgetExceededError``, one that certainly fails
-    ``WitnessRefutedError``.
+    Each witness is checked: parent-stratum membership is certified at tol, at the witness
+    height's midpoint, and with it claim one (every shifted potential from the cut index m on
+    exceeds 3*dom - 1): dom >= 1, N_(dom-1) < n_ext < m, and ``in_stratum`` certifies the last
+    entry's threshold 3(dom - 1) + 2 = 3*dom - 1 from shift N_(dom-1) on.  The potential at m
+    is at most 3*dom, hence at least one below the child's closure bound 3*dom + 1 (claim two).
+    Cut indices strictly increase, distances to the base strictly decrease, and heights stay
+    below the base height.  Distances sum entry gaps through index ``_DIST_HORIZON`` = 60
+    only: a cut index of 60 or more raises.  A check left undecided raises
+    ``BudgetExceededError``, one that certainly fails ``WitnessRefutedError``.
 
     Cuts come from least depths k_n (``least_witness_depth``) at the child threshold, below n_ext
     at the deepest index entry's at or below n, which the span covers (thinning clips none):
@@ -338,21 +338,15 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
             if not claim2.certainly_le(bound):
                 raise BudgetExceededError(f"claim-two bound not certified at m={m}")
 
-            # claim one: every shifted potential from m on exceeds 3*dom - 1, one
-            # threshold certificate whose scan reads the margin's hulls from the memo ...
+            # claim one's margin; parent membership below certifies claim one itself
             claim1 = min((potential(witness, n) for n in range(m, m + EXTRA_CLAIM_SHIFTS)),
                          key=lambda iv: iv.lo)
-            holds = _threshold_holds_from(witness, m, bound - 1.0, budget)
-            if holds.is_false:
-                raise WitnessRefutedError(f"claim-one threshold refuted at m={m}")
-            if not holds.is_true:
-                raise BudgetExceededError(f"claim-one threshold certificate failed at m={m}")
             claims = past_claims[past] = claim2, claim1
         claim2, claim1 = claims
 
         height = endpoint_height_enclosure(witness, tol)
         w_point = ModelPoint(height.mid, witness)
-        # ... and membership in the parent stratum is certified at the caller's tol
+        # membership in the parent stratum is certified at the caller's tol
         parent = in_stratum(alpha, w_point, tol, budget)
         if parent.is_false:
             raise WitnessRefutedError(f"parent-stratum membership refuted at m={m}")

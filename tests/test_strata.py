@@ -34,7 +34,7 @@ from expbouquet import (
     witness_family,
     witness_sequence,
 )
-from expbouquet import model, strata
+from expbouquet import RunConfig, model, strata, verify
 from expbouquet.intervals import DEFAULT_TOL, Interval, TriBool, growth_net
 from expbouquet.sequences import (
     CeilExp,
@@ -520,11 +520,11 @@ def test_witness_family_asks_its_base_for_each_entry_about_once(monkeypatch, emp
 def test_witness_family_certifies_each_past_once_and_scans_parent_thresholds_from_the_cut(
         monkeypatch, empty_rule_memos):
     # the CI smoke family: past its cut every member is the cap tower floor(F^(n-m)(6)),
-    # so claim two, claim one's margin and its certificate are asked once, 7 hulls at
-    # cut shifts and 1 certificate (each member asking its own: 210 and 30); parent
-    # membership starts each threshold at the shift the base's terms have not yet
-    # certified through an earlier cut, one hull per threshold and member (scanning
-    # each from its index entry: 1,140)
+    # so claim two and claim one's margin are asked once, 7 hulls at cut shifts (each
+    # member asking its own: 210), and no certificate starts at a cut: parent membership
+    # certifies claim one through its last threshold, starting each threshold at the
+    # shift the base's terms have not yet certified through an earlier cut, one hull per
+    # threshold and member (scanning each from its index entry: 1,140)
     point = endpoint_of(fexp_seq(9))
     alpha = AlphaIndex((0, 1))
     cut_hulls, certificates, parent_asks, witness_member = [], [], [], []
@@ -558,7 +558,7 @@ def test_witness_family_certifies_each_past_once_and_scans_parent_thresholds_fro
         monkeypatch.setattr(strata, name, stand_in)
     monkeypatch.setattr(model, "potential", parent_hull)
     assert len(witness_family(point, alpha, 2, 30)) == 30
-    assert len(certificates) == 1
+    assert len(certificates) == 0
     assert len(cut_hulls) <= 1 + strata.EXTRA_CLAIM_SHIFTS
     assert len(parent_asks) <= 2 * alpha.dom * 30
 
@@ -705,6 +705,34 @@ def test_a_parent_certificate_cut_floor_reaches_every_member_cut(descriptor, alp
             r = alpha.threshold(i)
             n1 = w.tail.potential_floor(len(w.prefix), r)
             assert model._cut_floor(w, start, n1, r) == min(report.m, n1), (report.m, i)
+
+
+def _assert_claim_one(alpha, reports):
+    # claim one rides on parent membership: its last threshold is claim one's bound, asked
+    # from an index entry below every cut, so each reported member holds it from its cut on
+    for report in reports:
+        assert report.m > alpha.entries[-1]
+        assert alpha.threshold(alpha.dom - 1) == 3.0 * alpha.dom - 1.0
+        assert model._threshold_holds_from(report.witness, report.m, 3.0 * alpha.dom - 1.0,
+                                           100000).is_true, report.m
+
+
+@pytest.mark.parametrize("descriptor, alpha, n_ext, count, tol", SPAN_FAMILIES + [
+    ({"prefix": [5], "tail": {"kind": "linexp", "c": "2/1"}}, (0, 3), 4, 6, 1e-9),  # a pool family
+])
+def test_claim_one_holds_for_every_reported_member(descriptor, alpha, n_ext, count, tol):
+    alpha = AlphaIndex(alpha)
+    reports = witness_family(endpoint_of(SymbolSeq.from_json(descriptor)), alpha, n_ext, count, tol)
+    assert len(reports) == count
+    _assert_claim_one(alpha, reports)
+
+
+@pytest.mark.parametrize("alpha, n_ext", [((0,), 1), ((0, 1), 2), ((0, 2, 4), 5)])
+def test_claim_one_holds_for_every_member_of_the_verify_witness_families(alpha, n_ext):
+    alpha = AlphaIndex(alpha)
+    _, reports = verify._demo_family(RunConfig(), alpha, n_ext, 3)
+    assert len(reports) == 3
+    _assert_claim_one(alpha, reports)
 
 
 def test_a_linked_witness_has_the_shift_0_hull_and_height_of_its_unlinked_copy():
@@ -1144,12 +1172,12 @@ def _only_for_witness_points(real, answer):
     return lambda alpha, x, *args: answer if x.seq.prefix else real(alpha, x, *args)
 
 
-# each certificate of witness_family, broken on the witnesses only
+# each certificate of witness_family, its own or parent membership's, broken on the witnesses only
 @pytest.mark.parametrize("name, stand_in, message", [
     ("potential", lambda real: _only_for_witnesses(real, Interval(0.0, math.inf, False, True)),
      "claim-two bound"),
     ("_threshold_holds_from", lambda real: _only_for_witnesses(real, TriBool.unknown()),
-     "claim-one threshold"),
+     "parent-stratum membership not certified"),
     ("in_stratum", lambda real: _only_for_witness_points(real, TriBool.unknown()),
      "parent-stratum membership"),
     ("endpoint_height_enclosure", lambda real: _only_for_witnesses(real, Interval.point(1e6)),
@@ -1168,12 +1196,13 @@ def test_witness_family_raises_when_a_certificate_fails(name, stand_in, message,
         witness_family(point, AlphaIndex((0,)), 1, 3)
 
 
-# each certificate of witness_family answering a certain no on the witnesses only
+# each certificate of witness_family, its own or parent membership's, answering a certain no
+# on the witnesses only
 @pytest.mark.parametrize("name, stand_in, message", [
     ("potential", lambda real: _only_for_witnesses(real, Interval.point(1e9)),
      "claim-two bound refuted at m=3"),
     ("_threshold_holds_from", lambda real: _only_for_witnesses(real, TriBool.no()),
-     "claim-one threshold refuted at m=3"),
+     "parent-stratum membership refuted at m=3"),
     ("in_stratum", lambda real: _only_for_witness_points(real, TriBool.no()),
      "parent-stratum membership refuted at m=3"),
 ])
