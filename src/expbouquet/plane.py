@@ -12,6 +12,8 @@ import cmath
 import functools
 import hashlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,7 +435,9 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str) -> R
 
     Grayscale mapping (equal RGB channels): byte = round(255 * n / max_iter),
     with non-escaping pixels at 255.  Identical parameters give bit-identical
-    files; the sha256 of the file contents is reported for determinism checks.
+    files, written in place and cut to length (ext4 flushes a file truncated
+    to zero at close).  The write is not atomic: a reader or a crash may see
+    old and new bytes at once; the reported sha256 names the intended content.
     """
     # escape times are int32
     if not 1 <= max_iter <= np.iinfo(np.int32).max:
@@ -452,6 +456,9 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str) -> R
     # the file and the hash read the RGB array through its buffer: no copy
     digest = hashlib.sha256(header)
     digest.update(rgb)
-    with open(path, "wb") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
         fh.writelines((header, rgb))
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # ftruncate fails on a FIFO or device
+            fh.truncate(fh.tell())
     return RenderSummary(escaped, retained, digest.hexdigest(), path)

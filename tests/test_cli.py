@@ -179,6 +179,17 @@ def test_render_summary(tmp_path, capsys):
     assert (tmp_path / "escape.ppm").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_render_to_a_device_prints_the_hash_of_the_tile(tmp_path, capsys):
+    # a character device cannot be cut to length; the render writes it as is
+    argv = ("render", "--a", "-1", "--px", "40x30", "--max-iter", "40")
+    code, out = run(capsys, *argv, "--path", "/dev/null")
+    assert code == 0
+    fresh_code, fresh = run(capsys, *argv, "--path", str(tmp_path / "x.ppm"))
+    assert fresh_code == 0
+    assert json.loads(out)["hash"] == json.loads(fresh)["hash"]
+
+
 def test_nan_parameter_exits_2(tmp_path, capsys):
     assert main(["render", "--a", "nan", "--px", "4x4", "--out", str(tmp_path)]) == 2
     assert main(["cycle", "--a", "nan", "--seed-point", "0"]) == 2

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -145,6 +146,33 @@ def test_render_maps_each_pixel_of_a_tile_with_fewer_pixels_than_times(tmp_path)
     render_escape(-1.0, v, 100, str(path))
     gray = bytes(round(n * (255.0 / 100)) for n in times for _ in range(3))
     assert path.read_bytes() == b"P6\n2 2\n255\n" + gray
+
+
+def test_render_over_an_existing_file_leaves_exactly_the_tile(tmp_path):
+    # the tile is written in place and then cut to length: neither a stale
+    # tail of a longer file nor bytes of a shorter one may survive
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 48)
+    size = len(b"P6\n64 48\n255\n") + 64 * 48 * 3
+    path = tmp_path / "tile.ppm"
+    for stale in (b"\xff" * (size + 4096), b"\xff" * 100):
+        path.write_bytes(stale)
+        summary = render_escape(-1.0, v, 60, str(path))
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == summary.content_hash
+
+
+@pytest.mark.parametrize("umask", [0o002, 0o077])
+def test_render_creates_a_fresh_file_with_the_mode_of_open_wb(umask, tmp_path):
+    v = Viewport(0.5, 3.9, 0.0, 2.0, 2, 2)
+    previous = os.umask(umask)
+    try:
+        render_escape(-1.0, v, 10, str(tmp_path / "tile.ppm"))
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "tile.ppm").stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 def test_render_single_pixel_escapes(tmp_path):
