@@ -33,7 +33,7 @@ from .model import (
     endpoint_height_enclosure,
     potential,
 )
-from .sequences import DescriptorError, SymbolSeq
+from .sequences import SymbolSeq
 from .strata import AlphaIndex, WitnessRefutedError, extension_index, in_stratum, witness_family
 
 EXIT_OK = 0
@@ -41,10 +41,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 # classify scans at most this many steps of an orbit
 CLASSIFY_BUDGET = 4096
-
-
-class _UsageError(Exception):
-    pass
 
 
 @dataclass
@@ -67,7 +63,7 @@ def _parse_seq(text: str) -> SymbolSeq:
         return SymbolSeq.from_json(json.loads(text))
     # JSON and descriptor errors are ValueErrors; RecursionError is nesting past the stack
     except (ValueError, TypeError, KeyError, RecursionError) as e:
-        raise _UsageError(f"bad sequence descriptor: {e}") from e
+        raise ValueError(f"bad sequence descriptor: {e}") from e
 
 
 def _parse_alpha(text: str) -> AlphaIndex:
@@ -77,14 +73,14 @@ def _parse_alpha(text: str) -> AlphaIndex:
     try:
         return AlphaIndex(tuple(int(v) for v in text.split(",")))
     except ValueError as e:
-        raise _UsageError(f"bad stratum index: {e}") from e
+        raise ValueError(f"bad stratum index: {e}") from e
 
 
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
     except ValueError as e:
-        raise _UsageError(f"bad complex number {text!r}") from e
+        raise ValueError(f"bad complex number {text!r}") from e
 
 
 def _emit(payload: dict) -> None:
@@ -202,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_tstar(args, cfg: RunConfig) -> int:
     seq = _parse_seq(args.seq)
     if args.shift < 0:
-        raise _UsageError("shift must be >= 0")
+        raise ValueError("shift must be >= 0")
     # the shifted descriptor must be one the parser accepts (a linexp offset
     # within double range), so a shift beyond it exits 2 like that descriptor
     _parse_seq(json.dumps(seq.shift(args.shift).to_json()))
@@ -225,13 +221,13 @@ def _cmd_tmin(args, cfg: RunConfig) -> int:
 
 def _check_height(t: float) -> float:
     if t < 0 or not math.isfinite(t):
-        raise _UsageError("--t must be a finite nonnegative height")
+        raise ValueError("--t must be a finite nonnegative height")
     return t
 
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
     if cfg.budget > CLASSIFY_BUDGET:
-        raise _UsageError(f"classify's --budget is at most {CLASSIFY_BUDGET}, got {cfg.budget}")
+        raise ValueError(f"classify's --budget is at most {CLASSIFY_BUDGET}, got {cfg.budget}")
     seq = _parse_seq(args.seq)
     _check_height(args.t)
     result: Classification = classify(ModelPoint(args.t, seq), cfg.budget, cfg.tolerance)
@@ -282,15 +278,15 @@ def _cmd_render(args, cfg: RunConfig) -> int:
         w, h = args.px.lower().split("x")
         viewport = Viewport(parts[0], parts[1], parts[2], parts[3], int(w), int(h))
     except ValueError as e:
-        raise _UsageError(f"bad viewport: {e}") from e
+        raise ValueError(f"bad viewport: {e}") from e
     path = args.path or os.path.join(args.out, "escape.ppm")
     try:
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
         summary = render_escape(a, viewport, args.max_iter, path)
     except OSError as e:  # e.g. the path names a directory, or its directory a file
-        raise _UsageError(f"cannot write {path!r}: {e}") from e
+        raise ValueError(f"cannot write {path!r}: {e}") from e
     except MemoryError as e:  # a tile too large to allocate
-        raise _UsageError(f"cannot allocate a {args.px} tile: {e}") from e
+        raise ValueError(f"cannot allocate a {args.px} tile: {e}") from e
     _emit(summary.to_json())
     return EXIT_OK
 
@@ -301,7 +297,7 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
     seed = _parse_complex(args.seed_point)
     # each of up to 200 Newton steps walks the whole period
     if args.period > cfg.budget:
-        raise _UsageError(f"period {args.period} exceeds the budget {cfg.budget}")
+        raise ValueError(f"period {args.period} exceeds the budget {cfg.budget}")
     try:
         info = find_cycle(a, args.period, seed)
     except NoConvergenceError as e:
@@ -333,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the report was written", file=sys.stderr)
         return EXIT_FAIL
-    except (_UsageError, ValueError, DescriptorError) as e:
+    except ValueError as e:  # descriptor and usage errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     # only endpoint_height raises NonConvergenceError; its callers, tmin and verify, catch it

@@ -240,35 +240,28 @@ def _towers_apart(x: Entry, y: Entry) -> bool:
 
 
 def address_distance(a: SymbolSeq, b: SymbolSeq, horizon: int = _DIST_HORIZON) -> float:
-    """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|).
+    """Product metric on addresses: sum of 2^-n min(1, |s_n - s'_n|), in one loop over n.
 
-    Past both prefixes, equal shifted tail rules end the sum, and two tower tails whose entries
-    are certainly more than 2 apart have towers more than 1 apart, which F' >= 1 keeps: gap 1.0
-    at each later index, added in order, the sum bit for bit.  A witness cut at m and its base
-    agree through m, so the sum starts at m + 1.
-    """
+    Its term, halved at each index, is 2^-n down to the least subnormal and 0.0 past it, so
+    gap * term rounds as ldexp(gap, -n).  Past both prefixes, equal shifted tail rules end the
+    sum, and once two tower tails' entries are certainly more than 2 apart, F' >= 1 keeps their
+    towers more than 1 apart: gap 1.0 at every later index, and no entry is read.  A witness
+    cut at m and its base agree through m, so the sum starts at m + 1."""
     tails = max(len(a.prefix), len(b.prefix))
     towers = type(a.tail) is type(b.tail) is ExpTowerTail
     start = 0
     for x, y in ((a, b), (b, a)):
         if x.cut and x.cut[0] is y:
             start = x.cut[1] + 1
-    total = 0.0
+    total, term, apart = 0.0, math.ldexp(1.0, -start), False
     for n in range(start, horizon + 1):
-        if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
-            break
-        ea, eb = a.entry(n), b.entry(n)
-        if towers and n >= tails and _towers_apart(ea, eb):
-            # gap 1.0 at each index n..horizon; halving a power of two is exact (or 0.0
-            # past the least subnormal), as ldexp gives it
-            term = math.ldexp(1.0, -n)
-            for _ in range(n, horizon + 1):
-                total += term
-                term *= 0.5
-            return total
-        gap = _entry_gap(ea, eb)
-        if gap:
-            total += math.ldexp(gap, -n)
+        if not apart:
+            if n == tails and a.tail.shifted(len(a.prefix), n) == b.tail.shifted(len(b.prefix), n):
+                break
+            ea, eb = a.entry(n), b.entry(n)
+            apart = towers and n >= tails and _towers_apart(ea, eb)
+        total += (1.0 if apart else _entry_gap(ea, eb)) * term
+        term *= 0.5
     return total
 
 

@@ -926,6 +926,25 @@ def test_address_distance_matches_the_per_index_sum():
             assert address_distance(a, b, h).hex() == ref[h].hex(), (a, b, h)
 
 
+@pytest.mark.parametrize("first_gap", [1015, 1022, 1051, 1073, 1074])
+def test_address_distance_matches_the_per_index_sum_past_the_least_subnormal(first_gap):
+    # the halved term turns subnormal at index 1023 and 0.0 past 1074 (2^-1075 rounds
+    # to even), as ldexp(gap, -n) does; two saturated towers, a shared tower tail, two
+    # ramps and a single differing const entry, each first differing at first_gap
+    zeros = (0,) * first_gap
+    pairs = [(SymbolSeq(zeros, ExpTowerTail(9)), SymbolSeq(zeros, ExpTowerTail(10))),
+             (SymbolSeq(zeros + (1,), ExpTowerTail(9)), SymbolSeq(zeros + (2,), ExpTowerTail(9))),
+             (SymbolSeq(zeros, LinExpTail(1, 2)), SymbolSeq(zeros, LinExpTail(3))),
+             (SymbolSeq(zeros + (1,), ConstTail(0)), SymbolSeq(zeros, ConstTail(0)))]
+    horizons = (1021, 1073, 1074, 1075, 1076, 1100)
+    for a, b in pairs:
+        ref = _reference_distances(a, b, horizons)
+        assert ref[1100] > 0.0
+        for h in horizons:
+            assert address_distance(a, b, h).hex() == ref[h].hex(), (a.tail, b.tail, h)
+            assert address_distance(b, a, h).hex() == ref[h].hex(), (b.tail, a.tail, h)
+
+
 @pytest.mark.parametrize("x, y, apart", [
     (IntEntry(5), IntEntry(7), False), (IntEntry(5), IntEntry(8), True),
     (IntEntry(8), IntEntry(5), True), (IntEntry(7), IntEntry(7), False),
