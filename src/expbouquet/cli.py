@@ -2,14 +2,16 @@
 
 Subcommands: tstar, tmin, classify, strata, witness, render, cycle, verify.
 Exit codes: 0 success, 2 usage or parse error, 1 verification failure, an
-answer not certified within ``--budget`` or ``--tol``, or a stdout closed
-before the report was written (``error: ...`` on stderr).
+answer not certified within ``--budget`` or ``--tol`` (a thinning comparison
+among them), or a stdout closed before the report was written (``error: ...``
+on stderr).
 Sequence descriptors are JSON objects, e.g.
 
     {"prefix": [0], "tail": {"kind": "fexp", "c": 3}}
 
-passed as a string argument.  Reports are JSON on stdout; only ``render``
-writes a file.  All numeric defaults live in one RunConfig.
+passed as a string argument.  Each subcommand returns its report and exit code, and
+``main`` prints the report as one JSON line on stdout; only ``render`` writes a file.
+All numeric defaults live in one RunConfig.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from .intervals import DEFAULT_TOL, check_tolerance
 from .model import (
     BudgetExceededError,
-    Classification,
     ModelPoint,
     NonConvergenceError,
     classify,
@@ -33,7 +34,7 @@ from .model import (
     endpoint_height_enclosure,
     potential,
 )
-from .sequences import SymbolSeq
+from .sequences import IncomparableTailsError, SymbolSeq
 from .strata import AlphaIndex, WitnessRefutedError, extension_index, in_stratum, witness_family
 
 EXIT_OK = 0
@@ -81,10 +82,6 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as e:
         raise ValueError(f"bad complex number {text!r}") from e
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
 
 
 def _add_common(parser: argparse.ArgumentParser, *read: str) -> None:
@@ -195,28 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_tstar(args, cfg: RunConfig) -> int:
+def _cmd_tstar(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
     if args.shift < 0:
         raise ValueError("shift must be >= 0")
     # the shifted descriptor must be one the parser accepts (a linexp offset
     # within double range), so a shift beyond it exits 2 like that descriptor
     _parse_seq(json.dumps(seq.shift(args.shift).to_json()))
-    iv = potential(seq, args.shift)
-    _emit({"tstar": iv.to_json(), "shift": args.shift})
-    return EXIT_OK
+    return {"tstar": potential(seq, args.shift).to_json(), "shift": args.shift}, EXIT_OK
 
 
-def _cmd_tmin(args, cfg: RunConfig) -> int:
+def _cmd_tmin(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
-    converged = True
     try:
-        iv = endpoint_height(seq, cfg.tolerance)
+        return {"tmin": endpoint_height(seq, cfg.tolerance).to_json(), "converged": True}, EXIT_OK
     except NonConvergenceError as e:
-        iv = e.enclosure
-        converged = False
-    _emit({"tmin": iv.to_json(), "converged": converged})
-    return EXIT_OK if converged else EXIT_FAIL
+        return {"tmin": e.enclosure.to_json(), "converged": False}, EXIT_FAIL
 
 
 def _check_height(t: float) -> float:
@@ -225,50 +216,40 @@ def _check_height(t: float) -> float:
     return t
 
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
+def _cmd_classify(args, cfg: RunConfig) -> tuple[dict, int]:
     if cfg.budget > CLASSIFY_BUDGET:
         raise ValueError(f"classify's --budget is at most {CLASSIFY_BUDGET}, got {cfg.budget}")
     seq = _parse_seq(args.seq)
     _check_height(args.t)
-    result: Classification = classify(ModelPoint(args.t, seq), cfg.budget, cfg.tolerance)
-    _emit(result.to_json())
-    return EXIT_OK
+    return classify(ModelPoint(args.t, seq), cfg.budget, cfg.tolerance).to_json(), EXIT_OK
 
 
-def _cmd_strata(args, cfg: RunConfig) -> int:
+def _cmd_strata(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
     alpha = _parse_alpha(args.alpha)
-    if args.t is not None:
-        t = _check_height(args.t)
-    else:  # the sandwich keeps the height enclosure, so its midpoint, at or above 0
-        t = endpoint_height_enclosure(seq, cfg.tolerance).mid
-    point = ModelPoint(t, seq)
+    # without --t, the midpoint of the height enclosure, which the sandwich keeps at or above 0
+    point = ModelPoint(_check_height(args.t) if args.t is not None
+                       else endpoint_height_enclosure(seq, cfg.tolerance).mid, seq)
     member = in_stratum(alpha, point, cfg.tolerance, cfg.budget)
     payload: dict = {"alpha": alpha.to_json(), "t": point.t, "member": member.label()}
     if member.evidence is not None:
         payload["evidence"] = member.evidence.to_json()
     if args.extend:
-        if member.is_true:
-            n = extension_index(alpha, point, args.nfloor, cfg.tolerance, cfg.budget)
-            payload["extension"] = n
-        else:
-            payload["extension"] = None
-    _emit(payload)
-    return EXIT_OK
+        payload["extension"] = extension_index(alpha, point, args.nfloor, cfg.tolerance,
+                                               cfg.budget) if member.is_true else None
+    return payload, EXIT_OK
 
 
-def _cmd_witness(args, cfg: RunConfig) -> int:
+def _cmd_witness(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
     alpha = _parse_alpha(args.alpha)
-    height = endpoint_height_enclosure(seq, cfg.tolerance)
-    point = ModelPoint(height.mid, seq)
+    point = ModelPoint(endpoint_height_enclosure(seq, cfg.tolerance).mid, seq)
     reports = witness_family(point, alpha, args.n, args.count, cfg.tolerance, cfg.budget)
-    _emit({"alpha": alpha.to_json(), "n": args.n,
-           "reports": [r.to_json() for r in reports]})
-    return EXIT_OK
+    return {"alpha": alpha.to_json(), "n": args.n,
+            "reports": [r.to_json() for r in reports]}, EXIT_OK
 
 
-def _cmd_render(args, cfg: RunConfig) -> int:
+def _cmd_render(args, cfg: RunConfig) -> tuple[dict, int]:
     from .plane import Viewport, render_escape
     a = _parse_complex(args.a)
     try:
@@ -282,16 +263,14 @@ def _cmd_render(args, cfg: RunConfig) -> int:
     path = args.path or os.path.join(args.out, "escape.ppm")
     try:
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-        summary = render_escape(a, viewport, args.max_iter, path)
+        return render_escape(a, viewport, args.max_iter, path).to_json(), EXIT_OK
     except OSError as e:  # e.g. the path names a directory, or its directory a file
         raise ValueError(f"cannot write {path!r}: {e}") from e
     except MemoryError as e:  # a tile too large to allocate
         raise ValueError(f"cannot allocate a {args.px} tile: {e}") from e
-    _emit(summary.to_json())
-    return EXIT_OK
 
 
-def _cmd_cycle(args, cfg: RunConfig) -> int:
+def _cmd_cycle(args, cfg: RunConfig) -> tuple[dict, int]:
     from .plane import NoConvergenceError, find_cycle
     a = _parse_complex(args.a)
     seed = _parse_complex(args.seed_point)
@@ -299,43 +278,39 @@ def _cmd_cycle(args, cfg: RunConfig) -> int:
     if args.period > cfg.budget:
         raise ValueError(f"period {args.period} exceeds the budget {cfg.budget}")
     try:
-        info = find_cycle(a, args.period, seed)
+        return find_cycle(a, args.period, seed).to_json(), EXIT_OK
     except NoConvergenceError as e:
-        _emit({"error": "no_convergence", "detail": str(e)})
-        return EXIT_FAIL
-    _emit(info.to_json())
-    return EXIT_OK
+        return {"error": "no_convergence", "detail": str(e)}, EXIT_FAIL
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
     from .verify import run_all
     report = run_all(cfg)
-    _emit(report)
-    return EXIT_OK if report["passed"] else EXIT_FAIL
+    return report, EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config(args)
-        code = args.run(args, cfg)
+        payload, code = args.run(args, _config(args))
+        print(json.dumps(payload, sort_keys=True))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # a closed stdout: devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the report was written", file=sys.stderr)
         return EXIT_FAIL
+    # only endpoint_height raises NonConvergenceError; its callers, tmin and verify, catch it;
+    # an IncomparableTailsError is a ValueError, so it is caught before the usage errors
+    except (BudgetExceededError, IncomparableTailsError, WitnessRefutedError) as e:
+        print(f"error: {e}", file=sys.stderr)  # undecided, or certainly false
+        return EXIT_FAIL
     except ValueError as e:  # descriptor and usage errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    # only endpoint_height raises NonConvergenceError; its callers, tmin and verify, catch it
-    except (BudgetExceededError, WitnessRefutedError) as e:  # undecided, or certainly false
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -663,16 +663,21 @@ class LinExpTail:
         return out
 
     def closing_terms(self, p: int, shift: int, k: int, below: float = -math.inf):
-        # Terms satisfy F^-k ceil(F(a)) < F^-k(F(a) + 1) <= F^-(k-1)(a + 1) once
-        # a >= 0.16 (there F(a) + 1 <= F(a + 1)); the envelope W_k =
-        # F^-(k-1)(a_k + 1) decreases from k on when ln(2 + a_{k+1}) <= a_k + 1,
-        # and both conditions persist as k grows since the ramp is linear while
-        # the logarithm flattens.  An envelope wholly below ``below`` bounds terms
-        # that cannot touch the hull (see ``model.potential``): none is returned.
+        # Terms satisfy F^-k ceil(F(a)) < F^-k(F(a) + 1) <= F^-(k-1)(a + 1) once a >= 0.16
+        # (there F(a) + 1 <= F(a + 1)); the envelope W_k = F^-(k-1)(a_k + 1) decreases from k
+        # on when ln(2 + a_{k+1}) <= a_k + 1, and both conditions persist as k grows since the
+        # ramp is linear while the logarithm flattens.  From a_k >= OVERFLOW_GUARD on, where
+        # a_{k+1} + 1 may round to +inf, it holds unchecked: a_{k+1} + 2 <= a_k + 702 <= 3 a_k,
+        # so ln(2 + a_{k+1}) <= ln 3 + ln a_k < a_k + 1.  An envelope wholly below ``below``
+        # bounds terms that cannot touch the hull (see ``model.potential``): none is returned.
         m = shift + k + self.offset
-        a_k = Interval.from_ratio(self.num * m, self.den)
-        a_next = Interval.from_ratio(self.num * (m + 1), self.den)
-        if not (a_k.lo >= 0.16 and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
+        try:  # an index past double range, as in _ramp_entry
+            a_k = Interval.from_ratio(self.num * m, self.den)
+            a_next = Interval.from_ratio(self.num * (m + 1), self.den)
+        except OverflowError:
+            raise DescriptorError("linexp argument beyond double range") from None
+        if not (a_k.lo >= OVERFLOW_GUARD or a_k.lo >= 0.16
+                and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
             return None
         env = growth_inv_pow(a_next + 1.0, k, below)
         return () if env is None else (Interval(0.0, env.hi, False, True),)
@@ -697,16 +702,21 @@ class LinExpTail:
         which is <= b + 1 as F(x) >= x + b + 1/2 for x >= b + 1.  A step down from level j
         shrinks widths by 1 + |s_j|.lo or more; n is the least n >= max(p, 1) at which the
         seed's width over a, times these factors for the tail levels below n, is at most
-        2^-64 (a few dozen levels at rate 1/10000), or a >= OVERFLOW_GUARD: there F(a).lo
-        saturates, but (2 + U) e^-a <= (4 + 2a) e^-a is far below 2^-64.
+        2^-64 (a few dozen levels at rate 1/10000), or a >= OVERFLOW_GUARD: there (2 + U) e^-a
+        <= (4 + 2a) e^-a is below half an ulp of a, so the seed ends one double above a.hi.
         """
         n = max(p, 1)
         shrink = 1.0  # upper bound of the product of slopes below level n
         while True:
-            a = Interval.from_ratio(self.num * (n + self.offset), self.den)
+            try:  # an index past double range, as in _ramp_entry
+                a = Interval.from_ratio(self.num * (n + self.offset), self.den)
+            except OverflowError:
+                raise DescriptorError("linexp argument beyond double range") from None
+            if a.lo >= OVERFLOW_GUARD:
+                return n - 1, Interval(a.lo, round_up(a.hi), False, True)
             u_hi = round_up(self.num * (n + 1 + self.offset) / self.den + 2.0)
             corr = round_up((2.0 + u_hi) / (1.0 + growth_net(a.lo, 1).lo))
-            if round_up(corr * shrink) <= 2.0**-64 or a.lo >= OVERFLOW_GUARD:
+            if round_up(corr * shrink) <= 2.0**-64:
                 return n - 1, Interval(a.lo, round_up(a.hi + corr), False, True)
             shrink = round_up(shrink / sum_down(1.0, self.entry_at(p, n).abs_interval().lo))
             n += 1
@@ -717,8 +727,11 @@ class LinExpTail:
         # finite scan reaches a certified crossover
         if n - m > 100000:
             raise IncomparableTailsError("no certified crossover within budget", {"m": m, "n": n})
-        if _ramp_below_cap_from(Interval.from_ratio(self.num * (n + self.offset), self.den),
-                                Interval.from_ratio(self.num, self.den).hi,
+        try:  # an index past double range, as in _ramp_entry
+            a = Interval.from_ratio(self.num * (n + self.offset), self.den)
+        except OverflowError:
+            raise DescriptorError("linexp argument beyond double range") from None
+        if _ramp_below_cap_from(a, Interval.from_ratio(self.num, self.den).hi,
                                 growth_net(cap_c, n - m - 1)):
             return self
         return None

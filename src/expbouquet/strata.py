@@ -308,9 +308,10 @@ def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
 
     base = base_point.seq
     bound, threshold = 3.0 * alpha.dom, alpha.threshold(alpha.dom)
-    levels = ((n, sum(e <= n for e in alpha.entries) - 1) for n in range(n_ext))
-    span = n_ext + max((least_witness_depth(base, n, alpha.threshold(i))
-                        for n, i in levels if i >= 0), default=0)
+    span = n_ext  # each shift below n_ext, under the deepest index entry at or below it
+    for i, (start, stop) in enumerate(zip(alpha.entries, alpha.entries[1:] + (n_ext,))):
+        for n in range(start, stop):
+            span = max(span, n_ext + least_witness_depth(base, n, alpha.threshold(i)))
 
     reports: list[WitnessReport] = []
     past_claims: dict = {}  # (claim two, claim one's margin) of each past a cut leaves

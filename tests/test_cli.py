@@ -638,6 +638,47 @@ def test_uncertified_answers_reach_no_traceback():
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_an_uncertified_thinning_comparison_exits_1_naming_it(capsys):
+    # no certified comparison decides the thinned entry against the cap: an
+    # answer the library declines to certify, not a usage error
+    ramp = '{"prefix": [], "tail": {"kind": "linexp", "c": "700", "offset": 10}}'
+    assert main(["witness", ramp, "--alpha", "0,1,2", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry incomparable with the thinning cap\n"
+
+
+# linexp descriptors at the top of double range: the ramp hull's closing check
+# never closed on the first two, whose next argument rounds to +inf, and met an
+# OverflowError on the third, whose second entry lies past double range
+RAMP_EDGES = [json.dumps({"prefix": [], "tail": {"kind": "linexp", "c": c, "offset": offset}})
+              for c, offset in [("1", int(1.7976931348623157e308)),
+                                ("700", int(1.7976931348623157e308 / 700) - 3),
+                                ("1", 2**1024 - 2**970 - 2)]]
+RAMP_EDGE_ARGVS = [[command, desc, *flags] for desc in RAMP_EDGES
+                   for command, *flags in (["tstar"], ["tmin"], ["classify", "--t", "5"],
+                                           ["strata", "--extend"],
+                                           ["witness", "--alpha", "0", "--n", "1", "--count", "2"])]
+
+
+@pytest.mark.parametrize("argv", RAMP_EDGE_ARGVS,
+                         ids=[f"{argv[0]}-{i // 5}" for i, argv in enumerate(RAMP_EDGE_ARGVS)])
+def test_ramp_descriptors_at_the_top_of_double_range_answer_at_once(argv):
+    # in a child process, so that a hang fails this test at the timeout
+    proc = subprocess.run([sys.executable, "-m", "expbouquet", *argv], capture_output=True,
+                          text=True, timeout=5,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    if argv[1] == RAMP_EDGES[2]:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: linexp argument beyond double range\n"
+    elif proc.stdout:  # a saturated enclosure, certified or not
+        assert proc.returncode in (0, 1) and proc.stderr == ""
+        assert json.loads(proc.stdout)
+    else:  # the witness base's child membership is undecided
+        assert proc.returncode == 1 and proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 def test_a_refuted_witness_claim_exits_1_naming_it(monkeypatch, capsys):
     def refuted(*args):
         raise cli.WitnessRefutedError("witness height exceeds the base height")

@@ -32,6 +32,8 @@ from hypothesis import strategies as st
 
 from expbouquet import cli
 
+from test_cli import RAMP_EDGE_ARGVS
+
 FEXP3 = '{"prefix": [], "tail": {"kind": "fexp", "c": 3}}'
 RAMP_QUARTER = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/4"}}'
 RAMP_HALF = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/2"}}'
@@ -257,6 +259,14 @@ _seen: set[str] = set()
 def _fuzz(argv: list[str]) -> None:
     _seen.add(argv[0])
     _check(argv, *_run(argv))
+
+
+# linexp descriptors at the top of double range hung or raised OverflowError
+# under every model subcommand; thinning that no certified comparison decides
+# exited 2, the usage-error code
+for argv in RAMP_EDGE_ARGVS + [["witness", '{"prefix": [], "tail": {"kind": "linexp", "c": "700",'
+                                ' "offset": 10}}', "--alpha", "0,1,2", "--n", "3"]]:
+    _fuzz = example(argv=argv)(_fuzz)
 
 
 def test_cli_inputs_keep_the_exit_code_rules(tmp_path, monkeypatch):

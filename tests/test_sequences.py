@@ -670,6 +670,27 @@ def test_ramp_thinning_gives_up_past_its_crossover_scan():
         LinExpTail(1).thin(0, 0, 3, 100_001)
 
 
+def test_ramp_arguments_past_double_range_are_descriptor_errors():
+    # offset + 1 lies past the largest double: each reader of the ramp argument
+    # there says so as the entry rule does, not with an OverflowError
+    edge = LinExpTail(1, 1, 2**1024 - 2**970 - 1)
+    for read in (lambda: edge.closing_terms(0, 0, 1), lambda: edge.nesting_anchor(0),
+                 lambda: edge.thin(0, 0, 3, 1), lambda: edge.entry_at(0, 1)):
+        with pytest.raises(DescriptorError, match="^linexp argument beyond double range$"):
+            read()
+
+
+def test_a_ramp_at_the_top_of_double_range_closes_its_hull():
+    # the next argument rounds to +inf, where the closing check cannot read
+    # ln(2 + a_next) <= a + 1; past the overflow guard that holds unchecked
+    top = LinExpTail(1, 1, int(1.7976931348623157e308))
+    assert top.closing_terms(0, 0, 1) == (Interval(0.0, math.inf, False, True),)
+    level, seed = top.nesting_anchor(0)
+    assert level == 0 and seed.lo == 1.7976931348623157e308 and seed.hi == math.inf
+    # the anchor past the guard reads no further argument, which here lies past double range
+    assert LinExpTail(1, 1, 2**1024 - 2**970 - 2).nesting_anchor(0)[1].hi == math.inf
+
+
 def test_a_ramp_past_the_overflow_guard_keeps_its_rule_below_the_cap():
     # at n = 3 the argument is 2100 and the cap F^2(3) ~ 1.9e8: the ramp stays below
     witness = witness_sequence(linexp_seq(700), AlphaIndex((0,)), 0)
