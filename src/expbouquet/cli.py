@@ -35,7 +35,8 @@ from .model import (
     potential,
 )
 from .sequences import IncomparableTailsError, SymbolSeq
-from .strata import AlphaIndex, WitnessRefutedError, extension_index, in_stratum, witness_family
+from .strata import (DEFAULT_BUDGET, AlphaIndex, WitnessRefutedError, extension_index,
+                     in_stratum, witness_family)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,7 +51,7 @@ class RunConfig:
     iteration budget and the seed of the sampled suites."""
 
     tolerance: float = DEFAULT_TOL
-    budget: int = 100000
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
 
     def __post_init__(self):

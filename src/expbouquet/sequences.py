@@ -178,6 +178,17 @@ class FloorPow:
         return {"kind": "floor_tower", "c": self.base, "h": self.height}
 
 
+# keyed by ints only: every ramp argument num/den * m, of an entry, a closing term, an anchor
+# or a thinning step, is read here, and a far index or shift is refused here alone
+@functools.lru_cache(maxsize=1024)
+def _ramp_arg(num: int, den: int, m: int) -> Interval:
+    """The tightest enclosure of the ramp argument num/den * m."""
+    try:
+        return Interval.from_ratio(num * m, den)
+    except OverflowError:
+        raise DescriptorError("linexp argument beyond double range") from None
+
+
 @dataclass(frozen=True)
 class CeilExp:
     """Symbolic entry ceil(F(arg)) for a nonnegative rational arg = num/den, held as coprime ints.
@@ -198,7 +209,7 @@ class CeilExp:
     _abs: Interval = _enclosure()
 
     def __post_init__(self):
-        a = Interval.from_ratio(self.num, self.den)
+        a = _ramp_arg(self.num, self.den, 1)
         t = a.growth()
         object.__setattr__(self, "_arg_iv", a)
         object.__setattr__(self, "_grow", t)
@@ -256,10 +267,7 @@ def _tower_entry(c: int, h: int) -> Entry:
 def _ramp_entry(num: int, den: int, m: int) -> Entry:
     """The entry ceil(F(num/den * m)): an IntEntry when it fits a machine int, else a CeilExp."""
     g = math.gcd(num * m, den)
-    try:
-        e = CeilExp(num * m // g, den // g)
-    except OverflowError:  # a far index or shift
-        raise DescriptorError("linexp argument beyond double range") from None
+    e = CeilExp(num * m // g, den // g)
     t = e._grow  # [0, 0] when arg == 0
     if t.hi < MAX_EXACT_INT and math.ceil(t.lo) == math.ceil(t.hi):
         return _int_entry(math.ceil(t.hi))
@@ -671,11 +679,7 @@ class LinExpTail:
         # so ln(2 + a_{k+1}) <= ln 3 + ln a_k < a_k + 1.  An envelope wholly below ``below``
         # bounds terms that cannot touch the hull (see ``model.potential``): none is returned.
         m = shift + k + self.offset
-        try:  # an index past double range, as in _ramp_entry
-            a_k = Interval.from_ratio(self.num * m, self.den)
-            a_next = Interval.from_ratio(self.num * (m + 1), self.den)
-        except OverflowError:
-            raise DescriptorError("linexp argument beyond double range") from None
+        a_k, a_next = _ramp_arg(self.num, self.den, m), _ramp_arg(self.num, self.den, m + 1)
         if not (a_k.lo >= OVERFLOW_GUARD or a_k.lo >= 0.16
                 and log1p_up(round_up(a_next.hi + 1.0)) <= sum_down(a_k.lo, 1.0)):
             return None
@@ -708,10 +712,7 @@ class LinExpTail:
         n = max(p, 1)
         shrink = 1.0  # upper bound of the product of slopes below level n
         while True:
-            try:  # an index past double range, as in _ramp_entry
-                a = Interval.from_ratio(self.num * (n + self.offset), self.den)
-            except OverflowError:
-                raise DescriptorError("linexp argument beyond double range") from None
+            a = _ramp_arg(self.num, self.den, n + self.offset)
             if a.lo >= OVERFLOW_GUARD:
                 return n - 1, Interval(a.lo, round_up(a.hi), False, True)
             u_hi = round_up(self.num * (n + 1 + self.offset) / self.den + 2.0)
@@ -727,12 +728,8 @@ class LinExpTail:
         # finite scan reaches a certified crossover
         if n - m > 100000:
             raise IncomparableTailsError("no certified crossover within budget", {"m": m, "n": n})
-        try:  # an index past double range, as in _ramp_entry
-            a = Interval.from_ratio(self.num * (n + self.offset), self.den)
-        except OverflowError:
-            raise DescriptorError("linexp argument beyond double range") from None
-        if _ramp_below_cap_from(a, Interval.from_ratio(self.num, self.den).hi,
-                                growth_net(cap_c, n - m - 1)):
+        if _ramp_below_cap_from(_ramp_arg(self.num, self.den, n + self.offset),
+                                _ramp_arg(self.num, self.den, 1).hi, growth_net(cap_c, n - m - 1)):
             return self
         return None
 

@@ -51,6 +51,7 @@ from .sequences import (
 
 EXTRA_CLAIM_SHIFTS = 6
 DEPTH_BUDGET = 512  # the largest witness depth k any search tries
+DEFAULT_BUDGET = 100000  # the most explicit shifts a threshold window may span
 
 
 class WitnessRefutedError(ArithmeticError):
@@ -125,7 +126,7 @@ class WitnessReport:
 
 
 def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
-               budget: int = 100000) -> TriBool:
+               budget: int = DEFAULT_BUDGET) -> TriBool:
     """Certified membership of a model point in the stratum indexed by alpha.
 
     Requires the escaping-endpoint certificate (the address's shifted
@@ -149,7 +150,7 @@ def in_stratum(alpha: AlphaIndex, x: ModelPoint, tol: float = DEFAULT_TOL,
 
 
 def extension_index(alpha: AlphaIndex, x: ModelPoint, n_floor: int = 0,
-                    tol: float = DEFAULT_TOL, budget: int = 100000) -> int:
+                    tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> int:
     """Least N extending alpha with certified membership of x in the child stratum.
 
     Terminates for certified members because their shifted potentials diverge.
@@ -272,7 +273,7 @@ def point_distance(x: ModelPoint, y: ModelPoint) -> float:
 
 def witness_family(base_point: ModelPoint, alpha: AlphaIndex, n_ext: int,
                    count: int, tol: float = DEFAULT_TOL,
-                   budget: int = 100000) -> list[WitnessReport]:
+                   budget: int = DEFAULT_BUDGET) -> list[WitnessReport]:
     """A verified family of thinning witnesses for the child stratum at n_ext.
 
     Each witness is checked: parent-stratum membership is certified at tol, at the witness

@@ -5,8 +5,8 @@ code: plain-float bisection, mpmath high-precision evaluation, and brute
 enumeration.  Expected values asserted in the tests were computed with these
 and frozen.  ``RULE_MEMOS`` lists the process-wide memos of tail-rule work that
 tests counting work empty first: a constant tail's height, a ramp's nesting
-anchor, the potential hulls past a prefix (kept by their shifted rule), and the
-ramp entries the anchors build.
+anchor, the potential hulls past a prefix (kept by their shifted rule), the
+ramp entries the anchors build and the ramp arguments every ramp reader reads.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from expbouquet import model, sequences
 
 RULE_MEMOS = (sequences.ConstTail.height, sequences.LinExpTail.nesting_anchor,
-              sequences._ramp_entry, model._tail_hull)
+              sequences._ramp_entry, sequences._ramp_arg, model._tail_hull)
 
 
 def clear_rule_memos() -> None:

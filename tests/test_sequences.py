@@ -672,10 +672,12 @@ def test_ramp_thinning_gives_up_past_its_crossover_scan():
 
 def test_ramp_arguments_past_double_range_are_descriptor_errors():
     # offset + 1 lies past the largest double: each reader of the ramp argument
-    # there says so as the entry rule does, not with an OverflowError
+    # there says so as the entry rule does, not with an OverflowError, and so
+    # does a symbolic entry built directly past double range
     edge = LinExpTail(1, 1, 2**1024 - 2**970 - 1)
     for read in (lambda: edge.closing_terms(0, 0, 1), lambda: edge.nesting_anchor(0),
-                 lambda: edge.thin(0, 0, 3, 1), lambda: edge.entry_at(0, 1)):
+                 lambda: edge.thin(0, 0, 3, 1), lambda: edge.entry_at(0, 1),
+                 lambda: CeilExp(2**1100)):
         with pytest.raises(DescriptorError, match="^linexp argument beyond double range$"):
             read()
 

@@ -1,5 +1,6 @@
 """Source checks on ``src/expbouquet``: every module-level import is read,
-``verify`` reads no midpoint and no slack, and every memo is registered."""
+``verify`` reads no midpoint and no slack, every memo is registered, and a
+ramp argument is built and refused in one function."""
 
 import ast
 from pathlib import Path
@@ -77,6 +78,28 @@ def test_every_memo_is_emptied_by_the_work_counting_tests_or_named_as_uncounted(
     found = sorted(name for path in SRC.glob("*.py") for name in _memo_names(path))
     registered = sorted(f"{m.__module__}.{m.__qualname__}" for m in RULE_MEMOS + UNCOUNTED_MEMOS)
     assert found == registered
+
+
+def _functions_around(path: Path, matches) -> list[str]:
+    """The names of the top-level functions and methods that hold a node matching ``matches``."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        out += [f.name for f in defs if isinstance(f, ast.FunctionDef)
+                for n in ast.walk(f) if matches(n)]
+    return out
+
+
+def test_a_ramp_argument_is_built_and_refused_in_one_place():
+    # every ramp reader reads the memoised _ramp_arg, so only its handler names
+    # OverflowError for an argument past double range; _in_double_range's
+    # refuses parsed descriptor values
+    path = SRC / "sequences.py"
+    handlers = _functions_around(path, lambda n: isinstance(n, ast.ExceptHandler)
+                                 and n.type is not None and "OverflowError" in ast.unparse(n.type))
+    ratios = _functions_around(path, lambda n: isinstance(n, ast.Call)
+                               and getattr(n.func, "attr", None) == "from_ratio")
+    assert sorted(handlers) == ["_in_double_range", "_ramp_arg"] and ratios == ["_ramp_arg"]
 
 
 def test_only_the_model_reads_or_writes_a_sequence_memo():
