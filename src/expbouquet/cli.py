@@ -11,14 +11,13 @@ Sequence descriptors are JSON objects, e.g.
 
 passed as a string argument.  Each subcommand returns its report and exit code, and
 ``main`` prints the report as one JSON line on stdout; only ``render`` writes a file.
-All numeric defaults live in one RunConfig.
+Numeric defaults are the library's constants, which RunConfig and the parser read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 
 from .intervals import DEFAULT_TOL, check_tolerance
 from .model import (
+    CLASSIFY_BUDGET,
     BudgetExceededError,
     ModelPoint,
     NonConvergenceError,
@@ -41,8 +41,6 @@ from .strata import (DEFAULT_BUDGET, AlphaIndex, WitnessRefutedError, extension_
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-# classify scans at most this many steps of an orbit
-CLASSIFY_BUDGET = 4096
 
 
 @dataclass
@@ -195,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_tstar(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
-    if args.shift < 0:
-        raise ValueError("shift must be >= 0")
     # the shifted descriptor must be one the parser accepts (a linexp offset
     # within double range), so a shift beyond it exits 2 like that descriptor
     _parse_seq(json.dumps(seq.shift(args.shift).to_json()))
@@ -211,17 +207,10 @@ def _cmd_tmin(args, cfg: RunConfig) -> tuple[dict, int]:
         return {"tmin": e.enclosure.to_json(), "converged": False}, EXIT_FAIL
 
 
-def _check_height(t: float) -> float:
-    if t < 0 or not math.isfinite(t):
-        raise ValueError("--t must be a finite nonnegative height")
-    return t
-
-
 def _cmd_classify(args, cfg: RunConfig) -> tuple[dict, int]:
     if cfg.budget > CLASSIFY_BUDGET:
         raise ValueError(f"classify's --budget is at most {CLASSIFY_BUDGET}, got {cfg.budget}")
     seq = _parse_seq(args.seq)
-    _check_height(args.t)
     return classify(ModelPoint(args.t, seq), cfg.budget, cfg.tolerance).to_json(), EXIT_OK
 
 
@@ -229,7 +218,7 @@ def _cmd_strata(args, cfg: RunConfig) -> tuple[dict, int]:
     seq = _parse_seq(args.seq)
     alpha = _parse_alpha(args.alpha)
     # without --t, the midpoint of the height enclosure, which the sandwich keeps at or above 0
-    point = ModelPoint(_check_height(args.t) if args.t is not None
+    point = ModelPoint(args.t if args.t is not None
                        else endpoint_height_enclosure(seq, cfg.tolerance).mid, seq)
     member = in_stratum(alpha, point, cfg.tolerance, cfg.budget)
     payload: dict = {"alpha": alpha.to_json(), "t": point.t, "member": member.label()}

@@ -39,6 +39,9 @@ from .intervals import (
 )
 from .sequences import Asymptotics, Entry, SymbolSeq, _TowerRel
 
+# the one default of classify's orbit steps: the CLI's --budget reads it, and is capped by it
+CLASSIFY_BUDGET = 4096
+
 
 class NonConvergenceError(ArithmeticError):
     """Requested tolerance was not reached; carries the honest enclosure."""
@@ -394,8 +397,9 @@ def at_endpoint(x: ModelPoint, tol: float = DEFAULT_TOL) -> TriBool:
     return TriBool(sum_up(enc.lo, -tol) <= x.t <= sum_down(enc.hi, tol), enc)
 
 
-def classify(x: ModelPoint, budget: int = 64, tol: float = DEFAULT_TOL) -> Classification:
-    """Sound classification of a model point within an iteration budget.
+def classify(x: ModelPoint, budget: int = CLASSIFY_BUDGET,
+             tol: float = DEFAULT_TOL) -> Classification:
+    """Sound classification of a model point in ``budget`` orbit steps, CLASSIFY_BUDGET by default.
 
     Certificates, in the order they can fire while scanning the orbit:
     a certifiably negative height (least such step is reported); a repeat;

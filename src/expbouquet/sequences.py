@@ -561,7 +561,7 @@ class ExpTowerTail:
         if not isinstance(self.c, int) or self.c < 1:
             raise DescriptorError("fexp tail needs an integer c >= 1")
         if self.c > OVERFLOW_GUARD:
-            raise DescriptorError("fexp base above the overflow guard (700)")
+            raise DescriptorError(f"fexp base above the overflow guard ({OVERFLOW_GUARD:g})")
         if self.resolved_anchor(p) > p - 1:
             raise DescriptorError("fexp anchor beyond the first tail index")
 
@@ -651,7 +651,8 @@ class LinExpTail:
         if num <= 0 or den <= 0:
             raise DescriptorError("linexp tail needs a positive rational rate")
         if 10000 * num < den or num > int(OVERFLOW_GUARD) * den:  # the guard is the integer 700
-            raise DescriptorError("linexp rate outside supported range [1/10000, 700]")
+            raise DescriptorError(
+                f"linexp rate outside supported range [1/10000, {OVERFLOW_GUARD:g}]")
         if self.offset < 0:
             raise DescriptorError("linexp offset must be nonnegative")
 
@@ -768,7 +769,7 @@ class SymbolSeq:
     def shift(self, n: int = 1) -> "SymbolSeq":
         """Descriptor of the n-fold shifted sequence (drop the first n entries)."""
         if n < 0:
-            raise ValueError("negative shift")
+            raise ValueError("shift must be >= 0")
         if n == 0:
             return self
         p = len(self.prefix)

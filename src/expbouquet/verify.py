@@ -154,12 +154,12 @@ def suite_inverse_growth_strictness(cfg: RunConfig) -> dict:
                   min_margin_slide=min_margin_slide)
 
 
-def suite_sandwich(cfg: RunConfig, count: int = 120) -> dict:
+def suite_sandwich(cfg: RunConfig) -> dict:
     """Endpoint heights sit in [potential, potential + 1], before ``_height`` imposes it."""
     rng = random.Random(cfg.seed)
     tally, failures = _tally(), []
     checked = 0
-    for i in range(count):
+    for i in range(120):
         seq = random_sequence(rng)
         pot = potential(seq, 0)
         if not pot.is_finite:
@@ -177,10 +177,10 @@ def suite_sandwich(cfg: RunConfig, count: int = 120) -> dict:
                   checked=checked, failures=failures, **tally)
 
 
-def suite_domination(cfg: RunConfig, count: int = 120) -> dict:
+def suite_domination(cfg: RunConfig) -> dict:
     """Coordinate-wise domination is respected by heights and potentials."""
     rng = random.Random(cfg.seed + 1)
-    tally, failures = _tally(), []
+    tally, failures, count = _tally(), [], 120
     for i in range(count):
         small, big = dominated_pair(rng)
         heights = _le(tally, endpoint_height_enclosure(small, cfg.tolerance),
@@ -190,15 +190,15 @@ def suite_domination(cfg: RunConfig, count: int = 120) -> dict:
     return _suite("domination", not failures, checked=count, failures=failures, **tally)
 
 
-def suite_backward_nesting(cfg: RunConfig, count: int = 40, depth: int = 12) -> dict:
-    """Nesting constraints increase with depth and stay under potential + 1."""
+def suite_backward_nesting(cfg: RunConfig) -> dict:
+    """Nesting constraints increase with depth (0 to 12) and stay under potential + 1."""
     rng = random.Random(cfg.seed + 2)
-    tally, failures = _tally(), []
+    tally, failures, count = _tally(), [], 40
     for i in range(count):
         seq = random_sequence(rng)
         top = potential(seq, 0) + 1.0
         prev = None
-        for n in range(depth + 1):
+        for n in range(13):
             u = endpoint_lower_bound(seq, n)
             if prev is not None and not _le(tally, prev, u):
                 failures.append({"case": i, "n": n, "reason": "not monotone"})
@@ -210,10 +210,10 @@ def suite_backward_nesting(cfg: RunConfig, count: int = 40, depth: int = 12) -> 
     return _suite("backward_nesting", not failures, checked=count, failures=failures, **tally)
 
 
-def suite_shift_identity(cfg: RunConfig, count: int = 60) -> dict:
+def suite_shift_identity(cfg: RunConfig) -> dict:
     """potential(seq, n) agrees with potential(seq shifted by n, 0)."""
     rng = random.Random(cfg.seed + 3)
-    tally, failures = _tally(), []
+    tally, failures, count = _tally(), [], 60
     for i in range(count):
         seq = random_sequence(rng)
         n = rng.randint(0, 5)
@@ -224,10 +224,10 @@ def suite_shift_identity(cfg: RunConfig, count: int = 60) -> dict:
     return _suite("shift_identity", not failures, checked=count, failures=failures, **tally)
 
 
-def suite_floor_window(cfg: RunConfig, count: int = 200) -> dict:
+def suite_floor_window(cfg: RunConfig) -> dict:
     """Tower potential terms stay inside their floor window (F^e - 1, F^e]."""
     rng = random.Random(cfg.seed + 4)
-    tally, failures = _tally(), []
+    tally, failures, count = _tally(), [], 200
     for i in range(count):
         c = rng.randint(1, 10)
         k = rng.randint(1, 8)
@@ -347,13 +347,13 @@ def suite_stratum_nesting(cfg: RunConfig) -> dict:
     return _suite("stratum_nesting", not failures, checked=checked, failures=failures)
 
 
-def suite_extension(cfg: RunConfig, count: int = 25) -> dict:
+def suite_extension(cfg: RunConfig) -> dict:
     """Certified members admit a certified extension index."""
     rng = random.Random(cfg.seed + 5)
     failures, stopped = [], []
     done = 0
     attempts = 0
-    while done < count and attempts < 20 * count:
+    while done < 25 and attempts < 20 * 25:
         attempts += 1
         kind = rng.randrange(2)
         prefix = tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 2)))
@@ -399,7 +399,7 @@ def suite_escape_monotonicity(cfg: RunConfig) -> dict:
         orbit = exp_orbit(-1.0, x, 400)
         escaped = orbit[-1].real > ESCAPE_RE
         increasing = all(b.real > a.real for a, b in zip(orbit, orbit[1:], strict=False)
-                         if b.real <= 50.0)
+                         if b.real <= ESCAPE_RE)
         if not escaped or not increasing:
             failures.append({"x": x, "reason": "positive ray failed to escape"})
     for x in (-3.0, -1.0, -0.25):

@@ -17,7 +17,8 @@ import pytest
 
 from expbouquet import cli
 from expbouquet.cli import build_parser, main
-from expbouquet.sequences import SymbolSeq
+from expbouquet.model import ModelPoint, classify
+from expbouquet.sequences import SymbolSeq, const_seq
 
 CONST1 = '{"prefix": [], "tail": {"kind": "const", "c": 1}}'
 CONST0 = '{"prefix": [], "tail": {"kind": "const", "c": 0}}'
@@ -126,6 +127,14 @@ def test_classify_budget_defaults_to_its_cap(capsys):
     # a larger budget exits 2 (test_malformed_flags_exit_2_naming_them)
     assert (run(capsys, "classify", CONST1, "--t", "1", "--budget", "4096")
             == run(capsys, "classify", CONST1, "--t", "1"))
+
+
+def test_classify_gives_the_library_answer_at_the_library_default(capsys):
+    # one default budget: the orbit of t = 0.01 under const 0 needs more than 64 steps to escape
+    want = classify(ModelPoint(0.01, const_seq(0))).to_json()
+    assert want["verdict"] == "escape_certified"
+    code, out = run(capsys, "classify", CONST0, "--t", "0.01")
+    assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n"
 
 
 def test_strata_membership_and_extension(capsys):
@@ -555,7 +564,7 @@ def test_negative_or_non_finite_heights_exit_2(t, capsys):
         assert main([command, FEXP3, "--t", t]) == 2, command
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --t must be a finite nonnegative height\n"
+        assert captured.err == "error: model points need a finite height t >= 0\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

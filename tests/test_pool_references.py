@@ -4,6 +4,7 @@ Each query runs once through ``perfbench/workloads.execute``, the chain one CLI
 invocation runs minus argparse and printing, and its JSON text must equal the
 reference stored with it in ``perfbench/reference/<workload>.json`` byte for
 byte (render tiles by their sha256).  A query that raises fails the test.
+The tolerance and budgets the pools run must be the library's defaults.
 """
 
 import json
@@ -15,6 +16,9 @@ if str(PERFBENCH) not in sys.path:
     sys.path.append(str(PERFBENCH))
 
 import workloads  # noqa: E402
+
+from expbouquet import model, strata  # noqa: E402
+from expbouquet.intervals import DEFAULT_TOL  # noqa: E402
 
 POOLS = ("render", "certify", "ramp")
 
@@ -31,3 +35,10 @@ def test_every_pool_query_matches_its_reference(tmp_path):
                     changed.append((name, q["op"], text[:300]))
     assert total == 1742
     assert changed == []
+
+
+def test_the_pools_run_the_library_defaults():
+    # the benchmark keeps its own copies of the CLI defaults; a changed default fails here
+    assert workloads.TOL == DEFAULT_TOL
+    assert workloads.BUDGET == strata.DEFAULT_BUDGET
+    assert workloads.CLASSIFY_BUDGET == model.CLASSIFY_BUDGET

@@ -177,6 +177,11 @@ def test_shift_zero_is_identity():
     assert seq.shift(0) is seq
 
 
+def test_a_negative_shift_is_refused_with_the_potential_message():
+    with pytest.raises(ValueError, match=r"^shift must be >= 0$"):
+        fexp_seq(5, (1, 2)).shift(-1)
+
+
 def test_shift_example_rebases_tower():
     seq = fexp_seq(3, (0,))
     shifted = seq.shift(1)

@@ -1,6 +1,7 @@
 """Source checks on ``src/expbouquet``: every module-level import is read,
-``verify`` reads no midpoint and no slack, every memo is registered, and a
-ramp argument is built and refused in one function."""
+``verify`` reads no midpoint and no slack, every memo is registered, a ramp
+argument is built and refused in one function, and the CLI keeps no copy of a
+numeric default."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import RULE_MEMOS
-from expbouquet import intervals, plane, sequences
+from expbouquet import cli, intervals, plane, sequences
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "expbouquet"
 
@@ -109,3 +110,14 @@ def test_only_the_model_reads_or_writes_a_sequence_memo():
                if path.name != "model.py" for n in ast.walk(ast.parse(path.read_text()))
                if isinstance(n, ast.Attribute) and n.attr == "_memo"]
     assert touches == []
+
+
+def test_the_cli_binds_no_number_but_its_exit_codes():
+    # a numeric default lives in the library, which the CLI imports: a second copy bound
+    # here (classify's budget once was) could drift from the one library calls read
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bound = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+             if isinstance(t, ast.Name)}
+    numbers = {name for name in bound if type(getattr(cli, name)) in (int, float)}
+    assert numbers == {"EXIT_OK", "EXIT_FAIL", "EXIT_USAGE"}
