@@ -43,6 +43,7 @@ from .intervals import (
 )
 
 MAX_EXACT_INT = 2**53
+_DOUBLE_END = 2**1024 - 2**970  # the least magnitude that float() refuses: largest double + ulp/2
 
 
 class DescriptorError(ValueError):
@@ -140,7 +141,19 @@ class FloorPow:
     _tower: Interval = _enclosure()
 
     def __post_init__(self):
+        for v, what in ((self.base, "floor_tower base"), (self.height, "floor_tower height")):
+            if type(v) is not int:  # int(v) would truncate a float and accept True
+                raise DescriptorError(f"{what} must be an integer, got {v!r}")
+            if not -_DOUBLE_END < v < _DOUBLE_END:
+                raise DescriptorError(f"{what} beyond double range")
+        if self.base < 1 or self.height < 1:
+            raise DescriptorError("floor_tower needs base c >= 1 and height h >= 1")
         object.__setattr__(self, "_tower", growth_net(self.base, self.height))
+
+    @staticmethod
+    def from_json(obj: dict) -> Entry:
+        e = FloorPow(_field(obj, "c", "floor_tower"), _field(obj, "h", "floor_tower"))
+        return _tower_entry(e.base, e.height)
 
     def tower(self) -> Interval:
         return self._tower
@@ -209,6 +222,8 @@ class CeilExp:
     _abs: Interval = _enclosure()
 
     def __post_init__(self):
+        if self.num < 0:
+            raise DescriptorError("ceil_exp needs a nonnegative arg")
         a = _ramp_arg(self.num, self.den, 1)
         t = a.growth()
         object.__setattr__(self, "_arg_iv", a)
@@ -235,6 +250,10 @@ class CeilExp:
         denom = 1.0 + self._grow.lo
         corr = _log_correction(w[0] / denom, (w[1] + 2.0) / denom)
         return (self._arg_iv + corr).bounds()
+
+    @staticmethod
+    def from_json(obj: dict) -> Entry:
+        return _ramp_entry(*_parse_rational(_field(obj, "arg", "ceil_exp")).as_integer_ratio(), 1)
 
     def to_json(self):
         return {"kind": "ceil_exp", "arg": f"{self.num}/{self.den}"}
@@ -274,22 +293,6 @@ def _ramp_entry(num: int, den: int, m: int) -> Entry:
     return e
 
 
-def _in_double_range(v, what: str):
-    """Reject a descriptor value whose enclosure cannot be built from a double."""
-    try:
-        float(v)
-    except OverflowError:
-        raise DescriptorError(f"{what} beyond double range") from None
-    return v
-
-
-def _parse_int(v, what: str) -> int:
-    # int(v) would truncate a float and accept a numeric string or a bool
-    if type(v) is not int:
-        raise DescriptorError(f"{what} must be an integer, got {v!r}")
-    return _in_double_range(v, what)
-
-
 def _field(obj: dict, key: str, kind: str):
     """obj[key], or a DescriptorError naming the missing field and the kind."""
     if key not in obj:
@@ -297,27 +300,12 @@ def _field(obj: dict, key: str, kind: str):
     return obj[key]
 
 
-def entry_from_json(obj) -> Entry:
-    if isinstance(obj, bool):
-        raise DescriptorError("prefix entries must be integers")
-    if isinstance(obj, int):
-        return _int_entry(_in_double_range(obj, "prefix integer"))
-    if isinstance(obj, dict):
-        kind = obj.get("kind")
-        if kind == "floor_tower":
-            base = _parse_int(_field(obj, "c", kind), "floor_tower base")
-            height = _parse_int(_field(obj, "h", kind), "floor_tower height")
-            if base < 1 or height < 1:
-                raise DescriptorError("floor_tower needs base c >= 1 and height h >= 1")
-            return _tower_entry(base, height)
-        if kind == "ceil_exp":
-            arg = _parse_rational(_field(obj, "arg", kind))
-            if arg < 0:
-                raise DescriptorError("ceil_exp needs a nonnegative arg")
-            _in_double_range(arg, "ceil_exp arg")
-            return _ramp_entry(arg.numerator, arg.denominator, 1)
-        raise DescriptorError(f"unknown prefix entry kind {kind!r}")
-    raise DescriptorError(f"bad prefix entry {obj!r}")
+def _parse_kind(table: dict, obj: dict, what: str):
+    """obj read by the class that its kind names in table."""
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise DescriptorError(f"unknown {what} kind {kind!r}")
+    return table[kind].from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +373,9 @@ def _tower_pin_delta(a_lo: float) -> Interval:
 def _parse_rational(v) -> Fraction:
     if isinstance(v, bool):
         raise DescriptorError("rational expected")
-    if not isinstance(v, (int, float, str, Fraction)):
-        raise DescriptorError(f"bad rational {v!r}")
-    try:  # a non-finite float, a malformed string or a zero denominator raises
+    try:  # a non-finite float, a malformed string, a zero denominator or another type raises
         return Fraction(v)
-    except (ArithmeticError, ValueError) as e:
+    except (ArithmeticError, TypeError, ValueError) as e:
         raise DescriptorError(f"bad rational {v!r}") from e
 
 
@@ -438,6 +424,16 @@ class _BoundedTail:
 
     asymptotics = Asymptotics.BOUNDED
 
+    def validate(self, p: int):
+        if type(self.pattern) is not tuple or not self.pattern:
+            raise DescriptorError("periodic tail needs a nonempty integer pattern")
+        what = "const c" if self.kind == "const" else "periodic entry"
+        for v in self.pattern:
+            if type(v) is not int:
+                raise DescriptorError(f"{what} must be an integer, got {v!r}")
+            if not -_DOUBLE_END < v < _DOUBLE_END:
+                raise DescriptorError(f"{what} beyond double range")
+
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         return p, self.height()
 
@@ -476,9 +472,9 @@ class ConstTail(_BoundedTail):
     def pattern(self) -> tuple[int, ...]:
         return (self.c,)
 
-    def validate(self, p: int):
-        if not isinstance(self.c, int):
-            raise DescriptorError("const tail needs an integer c")
+    @staticmethod
+    def from_json(obj: dict) -> "ConstTail":
+        return ConstTail(_field(obj, "c", "const tail"))
 
     def to_json(self) -> dict:
         return {"kind": "const", "c": self.c}
@@ -518,9 +514,12 @@ class PeriodicTail(_BoundedTail):
 
     kind = "periodic"
 
-    def validate(self, p: int):
-        if not self.pattern or not all(isinstance(v, int) for v in self.pattern):
-            raise DescriptorError("periodic tail needs a nonempty integer pattern")
+    @staticmethod
+    def from_json(obj: dict) -> "PeriodicTail":
+        pattern = obj.get("pattern")
+        if not isinstance(pattern, list):
+            raise DescriptorError("periodic tail needs a pattern list")
+        return PeriodicTail(tuple(pattern))
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "pattern": list(self.pattern)}
@@ -558,12 +557,21 @@ class ExpTowerTail:
     asymptotics = Asymptotics.DIVERGES
 
     def validate(self, p: int):
-        if not isinstance(self.c, int) or self.c < 1:
-            raise DescriptorError("fexp tail needs an integer c >= 1")
-        if self.c > OVERFLOW_GUARD:
-            raise DescriptorError(f"fexp base above the overflow guard ({OVERFLOW_GUARD:g})")
-        if self.resolved_anchor(p) > p - 1:
+        if type(self.c) is not int:
+            raise DescriptorError(f"fexp c must be an integer, got {self.c!r}")
+        if self.anchor is not None:
+            if type(self.anchor) is not int:
+                raise DescriptorError(f"fexp anchor must be an integer, got {self.anchor!r}")
+            if not -_DOUBLE_END < self.anchor < _DOUBLE_END:
+                raise DescriptorError("fexp anchor beyond double range")
+        if not 1 <= self.c <= OVERFLOW_GUARD:
+            raise DescriptorError(f"fexp c outside supported range [1, {OVERFLOW_GUARD:g}]")
+        if self.anchor is not None and self.anchor > p - 1:
             raise DescriptorError("fexp anchor beyond the first tail index")
+
+    @staticmethod
+    def from_json(obj: dict) -> "ExpTowerTail":
+        return ExpTowerTail(_field(obj, "c", "fexp tail"), obj.get("anchor"))
 
     def resolved_anchor(self, p: int) -> int:
         return p - 1 if self.anchor is None else self.anchor
@@ -645,16 +653,25 @@ class LinExpTail:
     asymptotics = Asymptotics.DIVERGES
 
     def validate(self, p: int):
-        num, den = self.num, self.den
+        num, den, offset = self.num, self.den, self.offset
         if not (type(num) is type(den) is int and math.gcd(num, den) == 1):
             raise DescriptorError("linexp rate must be coprime ints")
+        if type(offset) is not int:
+            raise DescriptorError(f"linexp offset must be an integer, got {offset!r}")
         if num <= 0 or den <= 0:
             raise DescriptorError("linexp tail needs a positive rational rate")
+        if abs(num * offset) >= _DOUBLE_END * den:
+            raise DescriptorError("linexp rate * offset beyond double range")
         if 10000 * num < den or num > int(OVERFLOW_GUARD) * den:  # the guard is the integer 700
             raise DescriptorError(
                 f"linexp rate outside supported range [1/10000, {OVERFLOW_GUARD:g}]")
-        if self.offset < 0:
+        if offset < 0:
             raise DescriptorError("linexp offset must be nonnegative")
+
+    @staticmethod
+    def from_json(obj: dict) -> "LinExpTail":
+        rate = _parse_rational(_field(obj, "c", "linexp tail"))
+        return LinExpTail(*rate.as_integer_ratio(), obj.get("offset", 0))
 
     def arg(self, n: int) -> Fraction:  # exact, for readers outside the package
         return Fraction(self.num * (n + self.offset), self.den)
@@ -735,6 +752,10 @@ class LinExpTail:
         return None
 
 
+_ENTRY_KINDS = {"floor_tower": FloorPow, "ceil_exp": CeilExp}
+_TAIL_KINDS = {rule.kind: rule for rule in (ConstTail, PeriodicTail, ExpTowerTail, LinExpTail)}
+
+
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -752,8 +773,13 @@ class SymbolSeq:
 
     def __post_init__(self):
         norm = tuple(self.prefix)
-        if any(map(isinstance, norm, itertools.repeat(int))):  # a prefix of entries stays as it is
-            norm = tuple(_int_entry(e) if isinstance(e, int) else e for e in norm)
+        if not all(map(isinstance, norm, itertools.repeat(Entry))):  # entries stay as they are
+            for v in norm:
+                if isinstance(v, bool) or not isinstance(v, int | Entry):
+                    raise DescriptorError(f"bad prefix entry {v!r}")
+                if isinstance(v, int) and not -_DOUBLE_END < v < _DOUBLE_END:
+                    raise DescriptorError("prefix integer beyond double range")
+            norm = tuple([_int_entry(v) if isinstance(v, int) else v for v in norm])
         object.__setattr__(self, "prefix", norm)
         self.tail.validate(len(norm))
 
@@ -788,38 +814,14 @@ class SymbolSeq:
     def from_json(obj) -> "SymbolSeq":
         if not isinstance(obj, dict):
             raise DescriptorError("descriptor must be an object")
-        prefix_raw = obj.get("prefix", [])
-        if not isinstance(prefix_raw, list):
+        prefix, tail = obj.get("prefix", []), obj.get("tail")
+        if not isinstance(prefix, list):
             raise DescriptorError("prefix must be a list")
-        prefix = tuple(map(entry_from_json, prefix_raw))
-        tail_raw = obj.get("tail")
-        if not isinstance(tail_raw, dict) or "kind" not in tail_raw:
+        if not isinstance(tail, dict) or "kind" not in tail:
             raise DescriptorError("tail must be an object with a kind")
-        kind = tail_raw["kind"]
-        c = _field(tail_raw, "c", f"{kind} tail") if kind in ("const", "fexp", "linexp") else None
-        if kind == "const":
-            tail: TailRule = ConstTail(_parse_int(c, "const c"))
-        elif kind == "periodic":
-            pat = tail_raw.get("pattern")
-            if not isinstance(pat, list):
-                raise DescriptorError("periodic tail needs a pattern list")
-            tail = PeriodicTail(tuple(_parse_int(v, "periodic entry") for v in pat))
-        elif kind == "fexp":
-            anchor = tail_raw.get("anchor")
-            tail = ExpTowerTail(_parse_int(c, "fexp c"),
-                                None if anchor is None else _parse_int(anchor, "fexp anchor"))
-        elif kind == "linexp":
-            rate = _parse_rational(c)
-            offset = _parse_int(tail_raw.get("offset", 0), "linexp offset")
-            if offset:
-                _in_double_range(rate * offset, "linexp rate * offset")
-            tail = LinExpTail(rate.numerator, rate.denominator, offset)
-        else:
-            raise DescriptorError(f"unknown tail kind {kind!r}")
-        try:
-            return SymbolSeq(prefix, tail)
-        except (TypeError, ValueError) as e:
-            raise DescriptorError(str(e)) from e
+        return SymbolSeq(tuple([_parse_kind(_ENTRY_KINDS, v, "prefix entry")
+                                if isinstance(v, dict) else v for v in prefix]),
+                         _parse_kind(_TAIL_KINDS, tail, "tail"))
 
     def __repr__(self) -> str:
         pfx = ",".join(str(e.to_json()) for e in self.prefix)

@@ -578,15 +578,23 @@ def test_non_positive_or_non_finite_tolerances_exit_2(tol, capsys):
         assert captured.err == "error: tolerance must be positive and finite\n"
 
 
-def test_shift_beyond_double_range_exits_2_like_its_shifted_descriptor(capsys):
-    ramp = '{"prefix": [], "tail": {"kind": "linexp", "c": "1/2"}}'
-    shifted = ramp.replace('"1/2"', f'"1/2", "offset": {10**310}')
-    assert main(["tstar", ramp, "--shift", str(10**310)]) == 2
+@pytest.mark.parametrize("tail, shifted, message", [
+    ('"linexp", "c": "1/2"', f'"linexp", "c": "1/2", "offset": {10**310}',
+     "linexp rate * offset beyond double range"),
+    ('"fexp", "c": 3', f'"fexp", "c": 3, "anchor": {-1 - 10**310}',
+     "fexp anchor beyond double range"),
+], ids=["linexp", "fexp"])
+def test_shift_beyond_double_range_exits_2_like_its_shifted_descriptor(tail, shifted, message,
+                                                                       capsys):
+    # the shifted rule refuses itself with its descriptor's message, which the parser prefixes
+    desc = '{"prefix": [], "tail": {"kind": %s}}'
+    assert main(["tstar", desc % tail, "--shift", str(10**310)]) == 2
     by_shift = capsys.readouterr()
-    assert main(["tstar", shifted]) == 2
-    assert by_shift == capsys.readouterr()
-    assert by_shift.out == ""
-    assert by_shift.err == "error: bad sequence descriptor: linexp offset beyond double range\n"
+    assert main(["tstar", desc % shifted]) == 2
+    parsed = capsys.readouterr()
+    assert by_shift.out == parsed.out == ""
+    assert by_shift.err == f"error: {message}\n"
+    assert parsed.err == f"error: bad sequence descriptor: {message}\n"
 
 
 def test_strata_without_t_uses_the_endpoint_midpoint(capsys):

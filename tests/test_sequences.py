@@ -1,11 +1,14 @@
 """Entry-rule semantics: totality, shifting, symbolic values, descriptors."""
 
+import copy
 import json
 import math
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expbouquet import AlphaIndex, witness_sequence
 from expbouquet.intervals import (
@@ -41,6 +44,8 @@ from expbouquet.sequences import (
     _tower_entry,
     _TowerRel,
 )
+
+from test_cli_fuzz import HUGE, _paths, _valid
 
 
 def test_prefix_lookup_and_const_tail():
@@ -219,12 +224,39 @@ def test_descriptor_rejects_malformed(bad):
 BEYOND_DOUBLE = 10**336
 
 
-@pytest.mark.parametrize("desc, message", [
+def _parsed(desc: dict) -> SymbolSeq:
+    return SymbolSeq.from_json(json.loads(json.dumps(desc)))
+
+
+def _built(desc: dict) -> SymbolSeq:
+    """The descriptor's sequence built by the constructors from its values as given: only a
+    rational is read, as the rule and the entry hold it, in coprime ints.  A symbolic entry
+    that fits a machine integer is then that integer's entry, as the parser gives it."""
+    def entry(e):
+        if not isinstance(e, dict):
+            return e
+        if e["kind"] == "floor_tower":
+            tower = FloorPow(e["c"], e["h"])
+            return _tower_entry(tower.base, tower.height)
+        ramp = CeilExp(*Fraction(e["arg"]).as_integer_ratio())
+        return _ramp_entry(ramp.num, ramp.den, 1)
+
+    tail = desc["tail"]
+    rule = {"const": lambda: ConstTail(tail["c"]),
+            "periodic": lambda: PeriodicTail(tuple(tail["pattern"])),
+            "fexp": lambda: ExpTowerTail(tail["c"], tail.get("anchor")),
+            "linexp": lambda: LinExpTail(*Fraction(tail["c"]).as_integer_ratio(),
+                                         tail.get("offset", 0))}[tail["kind"]]
+    return SymbolSeq(tuple(entry(e) for e in desc["prefix"]), rule())
+
+
+# values each constructor refuses as the parser does
+OUT_OF_RANGE = [
     ({"prefix": [0, BEYOND_DOUBLE], "tail": {"kind": "const", "c": 0}}, "prefix integer"),
     ({"prefix": [], "tail": {"kind": "const", "c": -BEYOND_DOUBLE}}, "const c"),
     ({"prefix": [], "tail": {"kind": "periodic", "pattern": [1, BEYOND_DOUBLE]}}, "periodic entry"),
     ({"prefix": [], "tail": {"kind": "linexp", "c": "1/2", "offset": BEYOND_DOUBLE}},
-     "linexp offset"),
+     "linexp rate * offset"),
     ({"prefix": [], "tail": {"kind": "linexp", "c": 700, "offset": 10**306}},
      "linexp rate * offset"),
     ({"prefix": [{"kind": "floor_tower", "c": 0, "h": -3}], "tail": {"kind": "const", "c": 0}},
@@ -237,11 +269,15 @@ BEYOND_DOUBLE = 10**336
       "tail": {"kind": "const", "c": 0}}, "floor_tower base"),
     ({"prefix": [{"kind": "ceil_exp", "arg": "-3"}], "tail": {"kind": "const", "c": 0}},
      "nonnegative"),
-    ({"prefix": [{"kind": "ceil_exp", "arg": str(BEYOND_DOUBLE)}],
-      "tail": {"kind": "const", "c": 0}}, "ceil_exp arg"),
     # JSON 1e400 reads as an infinite float
     ({"prefix": [], "tail": {"kind": "const", "c": math.inf}}, "const c"),
     ({"prefix": [], "tail": {"kind": "fexp", "c": 3, "anchor": -math.inf}}, "fexp anchor"),
+]
+# values only the parser reads: a symbolic entry built past double range was refused before
+# its descriptor was (``test_ramp_arguments_past_double_range_are_descriptor_errors``)
+PARSE_ONLY = [
+    ({"prefix": [{"kind": "ceil_exp", "arg": str(BEYOND_DOUBLE)}],
+      "tail": {"kind": "const", "c": 0}}, "linexp argument beyond double range"),
     ({"prefix": [], "tail": {"kind": "linexp", "c": math.inf}}, "bad rational"),
     # a missing required field is named with its kind
     ({"prefix": [{"kind": "floor_tower", "c": 3}], "tail": {"kind": "const", "c": 0}},
@@ -253,10 +289,16 @@ BEYOND_DOUBLE = 10**336
     ({"prefix": [], "tail": {"kind": "const"}}, "const tail needs the field 'c'"),
     ({"prefix": [], "tail": {"kind": "fexp", "anchor": 0}}, "fexp tail needs the field 'c'"),
     ({"prefix": [], "tail": {"kind": "linexp", "offset": 2}}, "linexp tail needs the field 'c'"),
-])
-def test_descriptor_rejects_values_outside_the_documented_range(desc, message):
+]
+
+
+@pytest.mark.parametrize("build, desc, message",
+                         [(build, *case) for build in (_parsed, _built) for case in OUT_OF_RANGE]
+                         + [(_parsed, *case) for case in PARSE_ONLY],
+                         ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_descriptor_rejects_values_outside_the_documented_range(build, desc, message):
     with pytest.raises(DescriptorError, match=re.escape(message)):
-        SymbolSeq.from_json(json.loads(json.dumps(desc)))
+        build(desc)
 
 
 def _with_int_field(field, v):
@@ -284,11 +326,48 @@ INT_FIELDS = ["const c", "periodic entry", "fexp c", "fexp anchor", "floor_tower
               "floor_tower height", "linexp offset"]
 
 
+@pytest.mark.parametrize("build", [_parsed, _built], ids=["parsed", "built"])
 @pytest.mark.parametrize("field", INT_FIELDS)
 @pytest.mark.parametrize("v", [1.9, 2.0, "3", True])
-def test_integer_fields_accept_only_json_integers(field, v):
-    with pytest.raises(DescriptorError, match=re.escape(f"{field} must be an integer")):
-        SymbolSeq.from_json(json.loads(json.dumps(_with_int_field(field, v))))
+def test_integer_fields_accept_only_json_integers(field, v, build):
+    with pytest.raises(DescriptorError, match=re.escape(f"{field} must be an integer, got {v!r}")):
+        build(_with_int_field(field, v))
+
+
+# a bool, a float or an integer past double range, in place of an integer field
+_WIDE = st.one_of(st.booleans(), st.floats(), st.sampled_from([-HUGE, 2**1024 - 2**970]))
+
+
+@st.composite
+def _widened_descriptors(draw) -> dict:
+    """A descriptor of the CLI fuzzer with some of its integer fields widened."""
+    desc = copy.deepcopy(draw(_valid))
+    for path in [p for p in _paths(desc) if type(_at(desc, p)) is int]:
+        if draw(st.booleans()):
+            _at(desc, path[:-1])[path[-1]] = draw(_WIDE)
+    return desc
+
+
+def _at(obj, path: tuple):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(desc=_widened_descriptors())
+def test_a_sequence_built_directly_is_refused_or_parsed_alike(desc):
+    # the same values, parsed or handed to the constructors, meet the same checks
+    outcomes = []
+    for build in (_parsed, _built):
+        try:
+            outcomes.append(build(desc))
+        except DescriptorError as e:
+            outcomes.append(f"refused: {e}")
+    parsed, built = outcomes
+    assert parsed == built, desc
+    if isinstance(parsed, SymbolSeq):
+        assert SymbolSeq.from_json(json.loads(json.dumps(parsed.to_json()))) == parsed
 
 
 @pytest.mark.parametrize("field", INT_FIELDS)
@@ -324,6 +403,8 @@ def test_tail_validation():
         SymbolSeq((), LinExpTail(-1))
     with pytest.raises(DescriptorError):
         SymbolSeq((), PeriodicTail(()))
+    with pytest.raises(DescriptorError, match="nonempty integer pattern"):
+        SymbolSeq((), PeriodicTail([1, 2]))  # a list pattern, which no rule memo can key
     with pytest.raises(DescriptorError):
         SymbolSeq((), ExpTowerTail(3, anchor=5))  # anchor past the first tail index
 
@@ -636,13 +717,13 @@ def test_integer_entries_are_shared_and_keep_their_type():
     assert a.entry(1) is a.entry(3)
     # True == 1 and 1.0 == 1, yet neither reads as the entry of 1, nor 1 as theirs
     one = SymbolSeq((1,), ConstTail(0)).entry(0)
-    assert type(SymbolSeq((True,), ConstTail(0)).entry(0).value) is bool
+    assert type(_int_entry(True).value) is bool
     assert type(_int_entry(1.0).value) is float
     assert SymbolSeq((1,), ConstTail(0)).entry(0) is one and type(one.value) is int
 
 
 @pytest.mark.parametrize("descriptor, message", [
-    ({"prefix": [True], "tail": {"kind": "const", "c": 0}}, "prefix entries must be integers"),
+    ({"prefix": [True], "tail": {"kind": "const", "c": 0}}, "bad prefix entry True"),
     ({"prefix": [{"kind": "wat"}], "tail": {"kind": "const", "c": 0}}, "unknown prefix entry"),
     ({"prefix": [], "tail": {"c": 1}}, "tail must be an object with a kind"),
     ({"prefix": [], "tail": {"kind": "periodic", "pattern": 1}}, "pattern list"),
@@ -654,8 +735,10 @@ def test_malformed_descriptors_name_their_fault(descriptor, message):
 
 
 def test_sequence_guards_and_repr():
-    with pytest.raises(DescriptorError, match="integer c"):
+    with pytest.raises(DescriptorError, match="const c must be an integer"):
         SymbolSeq((), ConstTail(1.5))
+    with pytest.raises(DescriptorError, match="^bad prefix entry 1.5$"):
+        SymbolSeq((1.5,), ConstTail(0))
     seq = const_seq(1, (7,))
     with pytest.raises(ValueError, match="index"):
         seq.entry(-1)

@@ -1,7 +1,8 @@
 """Source checks on ``src/expbouquet``: every module-level import is read,
 ``verify`` reads no midpoint and no slack, every memo is registered, a ramp
-argument is built and refused in one function, and the CLI keeps no copy of a
-numeric default."""
+argument is built and refused in one function, a descriptor value is checked
+only where every sequence is built, and the CLI keeps no copy of a numeric
+default."""
 
 import ast
 from pathlib import Path
@@ -82,25 +83,45 @@ def test_every_memo_is_emptied_by_the_work_counting_tests_or_named_as_uncounted(
 
 
 def _functions_around(path: Path, matches) -> list[str]:
-    """The names of the top-level functions and methods that hold a node matching ``matches``."""
+    """The names of the top-level functions and methods (as Class.method) that hold a node
+    matching ``matches``, once for each such node."""
     out = []
     for top in ast.parse(path.read_text()).body:
-        defs = top.body if isinstance(top, ast.ClassDef) else [top]
-        out += [f.name for f in defs if isinstance(f, ast.FunctionDef)
+        scope, defs = (f"{top.name}.", top.body) if isinstance(top, ast.ClassDef) else ("", [top])
+        out += [scope + f.name for f in defs if isinstance(f, ast.FunctionDef)
                 for n in ast.walk(f) if matches(n)]
     return out
 
 
 def test_a_ramp_argument_is_built_and_refused_in_one_place():
     # every ramp reader reads the memoised _ramp_arg, so only its handler names
-    # OverflowError for an argument past double range; _in_double_range's
-    # refuses parsed descriptor values
+    # OverflowError for an argument past double range
     path = SRC / "sequences.py"
     handlers = _functions_around(path, lambda n: isinstance(n, ast.ExceptHandler)
                                  and n.type is not None and "OverflowError" in ast.unparse(n.type))
     ratios = _functions_around(path, lambda n: isinstance(n, ast.Call)
                                and getattr(n.func, "attr", None) == "from_ratio")
-    assert sorted(handlers) == ["_in_double_range", "_ramp_arg"] and ratios == ["_ramp_arg"]
+    assert handlers == ["_ramp_arg"] and ratios == ["_ramp_arg"]
+
+
+def test_a_descriptor_value_is_checked_only_where_every_sequence_is_built():
+    # a value's type and range are checked by a rule's validate and by an entry's or the
+    # sequence's __post_init__, which parsed and library-built sequences both pass; the rest
+    # read: a missing field, an unknown kind, a rational's text, the JSON shape, and the ramp
+    # argument past double range that _ramp_arg alone refuses
+    path = SRC / "sequences.py"
+    raisers = set(_functions_around(path, lambda n: isinstance(n, ast.Raise) and n.exc is not None
+                                    and "DescriptorError" in ast.unparse(n.exc)))
+    readers = {name for name in raisers if not name.endswith((".validate", ".__post_init__"))}
+    assert readers == {"_field", "_parse_rational", "_parse_kind", "_ramp_arg",
+                       "PeriodicTail.from_json", "SymbolSeq.from_json"}
+    # SymbolSeq.from_json dispatches on the kinds and builds; it calls no value check
+    from_json = next(f for top in ast.parse(path.read_text()).body
+                     if isinstance(top, ast.ClassDef) and top.name == "SymbolSeq"
+                     for f in top.body if getattr(f, "name", None) == "from_json")
+    called = {n.func.id for n in ast.walk(from_json)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert called == {"isinstance", "tuple", "DescriptorError", "SymbolSeq", "_parse_kind"}
 
 
 def test_only_the_model_reads_or_writes_a_sequence_memo():
