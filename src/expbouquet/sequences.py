@@ -301,7 +301,6 @@ def _field(obj: dict, key: str, kind: str):
 
 
 def _parse_kind(table: dict, obj: dict, what: str):
-    """obj read by the class that its kind names in table."""
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in table:
         raise DescriptorError(f"unknown {what} kind {kind!r}")
@@ -427,12 +426,11 @@ class _BoundedTail:
     def validate(self, p: int):
         if type(self.pattern) is not tuple or not self.pattern:
             raise DescriptorError("periodic tail needs a nonempty integer pattern")
-        what = "const c" if self.kind == "const" else "periodic entry"
         for v in self.pattern:
             if type(v) is not int:
-                raise DescriptorError(f"{what} must be an integer, got {v!r}")
+                raise DescriptorError(f"{self._what} must be an integer, got {v!r}")
             if not -_DOUBLE_END < v < _DOUBLE_END:
-                raise DescriptorError(f"{what} beyond double range")
+                raise DescriptorError(f"{self._what} beyond double range")
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         return p, self.height()
@@ -467,6 +465,7 @@ class ConstTail(_BoundedTail):
     c: int
 
     kind = "const"
+    _what = "const c"  # the descriptor field that an entry's check names
 
     @property
     def pattern(self) -> tuple[int, ...]:
@@ -513,6 +512,7 @@ class PeriodicTail(_BoundedTail):
     pattern: tuple[int, ...]
 
     kind = "periodic"
+    _what = "periodic entry"
 
     @staticmethod
     def from_json(obj: dict) -> "PeriodicTail":
