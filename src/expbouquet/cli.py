@@ -21,9 +21,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
-from .intervals import DEFAULT_TOL, check_tolerance
+from .intervals import DEFAULT_TOL, Frozen, _set_slot, check_tolerance
 from .model import (
     CLASSIFY_BUDGET,
     BudgetExceededError,
@@ -43,19 +42,23 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Frozen):
     """Numeric defaults shared by the subcommands: interval tolerance,
     iteration budget and the seed of the sampled suites."""
 
-    tolerance: float = DEFAULT_TOL
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
+    __slots__ = _fields = ("tolerance", "budget", "seed")
 
-    def __post_init__(self):
-        check_tolerance(self.tolerance)
-        if self.budget < 1:
+    def __init__(self, tolerance: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+                 seed: int = 0):
+        check_tolerance(tolerance)
+        if budget < 1:
             raise ValueError("budget must be >= 1")
+        _set_slot(self, "tolerance", tolerance)
+        _set_slot(self, "budget", budget)
+        _set_slot(self, "seed", seed)
+
+
+_DEFAULTS = RunConfig()  # the parser's defaults, and what a subcommand without the flag runs with
 
 
 def _parse_seq(text: str) -> SymbolSeq:
@@ -87,18 +90,18 @@ def _add_common(parser: argparse.ArgumentParser, *read: str) -> None:
     """Those of --tol, --budget, --seed and --out that the subcommand takes,
     named in ``read``.  Each is read, except --out on tstar and tmin, which
     the cold starts of ``perfbench/probes.py`` still pass."""
-    for flag, kind, default, text in (("tol", float, RunConfig.tolerance, "interval tolerance"),
-                                      ("budget", int, RunConfig.budget, "iteration budget"),
-                                      ("seed", int, RunConfig.seed, "seed for sampled suites"),
+    for flag, kind, default, text in (("tol", float, _DEFAULTS.tolerance, "interval tolerance"),
+                                      ("budget", int, _DEFAULTS.budget, "iteration budget"),
+                                      ("seed", int, _DEFAULTS.seed, "seed for sampled suites"),
                                       ("out", str, os.curdir, "output directory")):
         if flag in read:
             parser.add_argument(f"--{flag}", type=kind, default=default, help=text)
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(getattr(args, "tol", RunConfig.tolerance),
-                     getattr(args, "budget", RunConfig.budget),
-                     getattr(args, "seed", RunConfig.seed))
+    return RunConfig(getattr(args, "tol", _DEFAULTS.tolerance),
+                     getattr(args, "budget", _DEFAULTS.budget),
+                     getattr(args, "seed", _DEFAULTS.seed))
 
 
 # argparse reads a token that starts with "-" as an option unless it is a

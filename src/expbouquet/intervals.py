@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 
 # expm1 overflows just above e^709 ~ 8.2e307
 EXP_OVERFLOW_T = 709.0
@@ -290,12 +289,54 @@ class Interval:
         return f"{lb}{self.lo:.17g}, {self.hi:.17g}{rb}"
 
 
-@dataclass(frozen=True)
-class TriBool:
+# a constructor writes its slots past the read-only __setattr__ of its class with this
+_set_slot = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes, which follow ``Interval``'s rules.
+
+    ``_fields`` names the constructor's arguments, in order.  Two instances of one class are
+    equal when these are; they hash, print as ``Class(name=value, ...)`` and pickle by them.
+    Any other slot holds what the constructor derives from them.  Assignment raises.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # built in C: the field tuple, or the lone field's value
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+
+class TriBool(Frozen):
     """Certified three-valued answer; unknown carries the blocking enclosure."""
 
-    value: bool | None
-    evidence: Interval | None = None
+    __slots__ = _fields = ("value", "evidence")
+
+    def __init__(self, value: bool | None, evidence: Interval | None = None):
+        _set_slot(self, "value", value)
+        _set_slot(self, "evidence", evidence)
 
     @staticmethod
     def yes() -> "TriBool":

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .intervals import (
     PIN_ARG,  # noqa: F401 -- the ramp pin argument, read as model.PIN_ARG
     DEFAULT_TOL,
+    Frozen,
     Interval,
     TriBool,
+    _set_slot,
     check_tolerance,
     growth_sub,
     log1p_up,
@@ -333,16 +334,16 @@ def endpoint_height(seq: SymbolSeq, tol: float = DEFAULT_TOL) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(Frozen):
     """A point (t, s) of the model: height coordinate plus symbol sequence."""
 
-    t: float
-    seq: SymbolSeq
+    __slots__ = _fields = ("t", "seq")
 
-    def __post_init__(self):
-        if not math.isfinite(self.t) or self.t < 0.0:
+    def __init__(self, t: float, seq: SymbolSeq):
+        if not math.isfinite(t) or t < 0.0:
             raise ValueError("model points need a finite height t >= 0")
+        _set_slot(self, "t", t)
+        _set_slot(self, "seq", seq)
 
 
 class Verdict(Enum):
@@ -353,11 +354,14 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    first_failing_step: int | None = None
-    evidence: Interval | None = None
+class Classification(Frozen):
+    __slots__ = _fields = ("verdict", "first_failing_step", "evidence")
+
+    def __init__(self, verdict: Verdict, first_failing_step: int | None = None,
+                 evidence: Interval | None = None):
+        _set_slot(self, "verdict", verdict)
+        _set_slot(self, "first_failing_step", first_failing_step)
+        _set_slot(self, "evidence", evidence)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.verdict.value}

@@ -18,9 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Protocol
 
 from .intervals import (
@@ -28,8 +26,10 @@ from .intervals import (
     OVERFLOW_GUARD,
     PIN_ARG,
     TOWER_PIN,
+    Frozen,
     Interval,
     RigorError,
+    _set_slot,
     expm1_down,
     growth_inv_pow,
     growth_net,
@@ -78,33 +78,30 @@ def _log_correction(y_lo: float, y_hi: float) -> Interval:
 _LN2 = Interval(round_down(math.log(2.0)), round_up(math.log(2.0)))
 
 
-@dataclass(frozen=True)
-class _TowerRel:
+class _TowerRel(Frozen):
     """Backward-nesting state F^height(base) + delta, for astronomically large levels."""
 
-    base: int
-    height: int
-    delta: Interval
+    __slots__ = _fields = ("base", "height", "delta")
+
+    def __init__(self, base: int, height: int, delta: Interval):
+        _set_slot(self, "base", base)
+        _set_slot(self, "height", height)
+        _set_slot(self, "delta", delta)
 
     def bounds(self) -> tuple:
         """Endpoints of the materialized state F^height(base) + delta."""
         return (growth_net(self.base, self.height) + self.delta).bounds()
 
 
-def _enclosure():
-    """A field computed once in ``__post_init__``, left out of ==, hash and repr."""
-    return field(init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class IntEntry:
+class IntEntry(Frozen):
     """An exact machine integer entry."""
 
-    value: int
-    _abs: Interval = _enclosure()
+    _fields = ("value",)
+    __slots__ = ("value", "_abs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_abs", Interval.from_int(abs(self.value)))
+    def __init__(self, value: int):
+        _set_slot(self, "value", value)
+        _set_slot(self, "_abs", Interval.from_int(abs(value)))
 
     def abs_interval(self) -> Interval:
         return self._abs
@@ -124,8 +121,7 @@ class IntEntry:
         return self.value
 
 
-@dataclass(frozen=True)
-class FloorPow:
+class FloorPow(Frozen):
     """Symbolic entry floor(F^height(base)) with base >= 1, height >= 1.
 
     Its absolute value lies in (F^height(base) - 1, F^height(base)]; through
@@ -134,21 +130,22 @@ class FloorPow:
     gives an ``IntEntry`` instead when the value fits a machine integer.
     """
 
-    base: int
-    height: int
-    # |entry| is built on request: the potential and tower-relative nesting
-    # loops, which build most symbolic towers, never ask for it
-    _tower: Interval = _enclosure()
+    _fields = ("base", "height")
+    # the tower F^height(base): |entry| is built from it on request, as the potential and
+    # tower-relative nesting loops, which build most symbolic towers, never ask for it
+    __slots__ = ("base", "height", "_tower")
 
-    def __post_init__(self):
-        for v, what in ((self.base, "floor_tower base"), (self.height, "floor_tower height")):
+    def __init__(self, base: int, height: int):
+        for v, what in ((base, "floor_tower base"), (height, "floor_tower height")):
             if type(v) is not int:  # int(v) would truncate a float and accept True
                 raise DescriptorError(f"{what} must be an integer, got {v!r}")
             if not -_DOUBLE_END < v < _DOUBLE_END:
                 raise DescriptorError(f"{what} beyond double range")
-        if self.base < 1 or self.height < 1:
+        if base < 1 or height < 1:
             raise DescriptorError("floor_tower needs base c >= 1 and height h >= 1")
-        object.__setattr__(self, "_tower", growth_net(self.base, self.height))
+        _set_slot(self, "base", base)
+        _set_slot(self, "height", height)
+        _set_slot(self, "_tower", growth_net(base, height))
 
     @staticmethod
     def from_json(obj: dict) -> Entry:
@@ -202,8 +199,7 @@ def _ramp_arg(num: int, den: int, m: int) -> Interval:
         raise DescriptorError("linexp argument beyond double range") from None
 
 
-@dataclass(frozen=True)
-class CeilExp:
+class CeilExp(Frozen):
     """Symbolic entry ceil(F(arg)) for a nonnegative rational arg = num/den, held as coprime ints.
 
     Lies in [F(arg), F(arg) + 1); through F^-k it lies in
@@ -215,20 +211,19 @@ class CeilExp:
     double and arg >= 0, they are exact.
     """
 
-    num: int
-    den: int = 1
-    _arg_iv: Interval = _enclosure()
-    _grow: Interval = _enclosure()
-    _abs: Interval = _enclosure()
+    _fields = ("num", "den")
+    __slots__ = ("num", "den", "_arg_iv", "_grow", "_abs")
 
-    def __post_init__(self):
-        if self.num < 0:
+    def __init__(self, num: int, den: int = 1):
+        if num < 0:
             raise DescriptorError("ceil_exp needs a nonnegative arg")
-        a = _ramp_arg(self.num, self.den, 1)
+        a = _ramp_arg(num, den, 1)
         t = a.growth()
-        object.__setattr__(self, "_arg_iv", a)
-        object.__setattr__(self, "_grow", t)
-        object.__setattr__(self, "_abs", Interval(
+        _set_slot(self, "num", num)
+        _set_slot(self, "den", den)
+        _set_slot(self, "_arg_iv", a)
+        _set_slot(self, "_grow", t)
+        _set_slot(self, "_abs", Interval(
             t.lo, round_up(t.hi + 1.0) if math.isfinite(t.hi) else math.inf, t.lo_open, True))
 
     def abs_interval(self) -> Interval:
@@ -370,6 +365,7 @@ def _tower_pin_delta(a_lo: float) -> Interval:
 
 
 def _parse_rational(v) -> Fraction:
+    from fractions import Fraction  # here alone: the model path never loads it otherwise
     if isinstance(v, bool):
         raise DescriptorError("rational expected")
     try:  # a non-finite float, a malformed string, a zero denominator or another type raises
@@ -418,19 +414,14 @@ class TailRule(Protocol):
         """A backward-nesting start level and an enclosure of the height there."""
 
 
-class _BoundedTail:
+class _BoundedTail(Frozen):
     """Constant and periodic tails: |s_n| runs through a finite pattern."""
 
+    __slots__ = ("pattern",)
     asymptotics = Asymptotics.BOUNDED
 
     def validate(self, p: int):
-        if type(self.pattern) is not tuple or not self.pattern:
-            raise DescriptorError("periodic tail needs a nonempty integer pattern")
-        for v in self.pattern:
-            if type(v) is not int:
-                raise DescriptorError(f"{self._what} must be an integer, got {v!r}")
-            if not -_DOUBLE_END < v < _DOUBLE_END:
-                raise DescriptorError(f"{self._what} beyond double range")
+        """Nothing to check: the constructor has refused every value this would refuse."""
 
     def nesting_anchor(self, p: int) -> tuple[int, Interval]:
         return p, self.height()
@@ -458,18 +449,19 @@ class _BoundedTail:
         return () if k - max(p - shift, 0) >= len(self.pattern) else None
 
 
-@dataclass(frozen=True)
 class ConstTail(_BoundedTail):
     """s_n = c for every tail index."""
 
-    c: int
-
+    __slots__ = _fields = ("c",)
     kind = "const"
-    _what = "const c"  # the descriptor field that an entry's check names
 
-    @property
-    def pattern(self) -> tuple[int, ...]:
-        return (self.c,)
+    def __init__(self, c: int):
+        if type(c) is not int:
+            raise DescriptorError(f"const c must be an integer, got {c!r}")
+        if not -_DOUBLE_END < c < _DOUBLE_END:
+            raise DescriptorError("const c beyond double range")
+        _set_slot(self, "c", c)
+        _set_slot(self, "pattern", (c,))  # built once, outside ==, hash and repr
 
     @staticmethod
     def from_json(obj: dict) -> "ConstTail":
@@ -505,14 +497,22 @@ class ConstTail(_BoundedTail):
         return Interval(lo, hi)
 
 
-@dataclass(frozen=True)
 class PeriodicTail(_BoundedTail):
     """s_n cycles through ``pattern`` starting at the first tail index."""
 
-    pattern: tuple[int, ...]
-
+    __slots__ = ()
+    _fields = ("pattern",)
     kind = "periodic"
-    _what = "periodic entry"
+
+    def __init__(self, pattern: tuple[int, ...]):
+        if type(pattern) is not tuple or not pattern:  # a list, which no rule memo can key
+            raise DescriptorError("periodic tail needs a nonempty integer pattern")
+        for v in pattern:
+            if type(v) is not int:
+                raise DescriptorError(f"periodic entry must be an integer, got {v!r}")
+            if not -_DOUBLE_END < v < _DOUBLE_END:
+                raise DescriptorError("periodic entry beyond double range")
+        _set_slot(self, "pattern", pattern)
 
     @staticmethod
     def from_json(obj: dict) -> "PeriodicTail":
@@ -542,19 +542,20 @@ class PeriodicTail(_BoundedTail):
         return Interval(*w)
 
 
-@dataclass(frozen=True)
-class ExpTowerTail:
+class ExpTowerTail(Frozen):
     """s_n = floor(F^(n - anchor)(c)): the iterated-growth tower family.
 
     With the default anchor p - 1 this realizes s_(p+j) = floor(F^(j+1)(c)).
     The anchor is carried explicitly so shifts commute with entry lookup.
     """
 
-    c: int
-    anchor: int | None = None
-
+    __slots__ = _fields = ("c", "anchor")
     kind = "fexp"
     asymptotics = Asymptotics.DIVERGES
+
+    def __init__(self, c: int, anchor: int | None = None):
+        _set_slot(self, "c", c)
+        _set_slot(self, "anchor", anchor)
 
     def validate(self, p: int):
         if type(self.c) is not int:
@@ -641,16 +642,17 @@ class ExpTowerTail:
             {"base_c": self.c, "base_exp": m - anchor, "cap_c": cap_c})
 
 
-@dataclass(frozen=True)
-class LinExpTail:
+class LinExpTail(Frozen):
     """s_n = ceil(F(num/den * (n + offset))): one exponential of a linear ramp, coprime num, den."""
 
-    num: int
-    den: int = 1
-    offset: int = 0
-
+    __slots__ = _fields = ("num", "den", "offset")
     kind = "linexp"
     asymptotics = Asymptotics.DIVERGES
+
+    def __init__(self, num: int, den: int = 1, offset: int = 0):
+        _set_slot(self, "num", num)
+        _set_slot(self, "den", den)
+        _set_slot(self, "offset", offset)
 
     def validate(self, p: int):
         num, den, offset = self.num, self.den, self.offset
@@ -674,6 +676,7 @@ class LinExpTail:
         return LinExpTail(*rate.as_integer_ratio(), obj.get("offset", 0))
 
     def arg(self, n: int) -> Fraction:  # exact, for readers outside the package
+        from fractions import Fraction
         return Fraction(self.num * (n + self.offset), self.den)
 
     def entry_at(self, p: int, n: int) -> Entry:
@@ -761,18 +764,15 @@ _TAIL_KINDS = {rule.kind: rule for rule in (ConstTail, PeriodicTail, ExpTowerTai
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolSeq:
+class SymbolSeq(Frozen):
     """Exact prefix plus tail rule; total over all indices n >= 0."""
 
-    prefix: tuple[Entry, ...] = ()
-    tail: TailRule = ConstTail(0)
+    _fields = ("prefix", "tail")
     # a witness's cut (base, m), set by strata.witness_sequence; the memo is model.py's alone
-    cut: tuple[SymbolSeq, int] | None = field(default=None, init=False, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("prefix", "tail", "cut", "_memo")
 
-    def __post_init__(self):
-        norm = tuple(self.prefix)
+    def __init__(self, prefix: tuple[Entry, ...] = (), tail: TailRule = ConstTail(0)):
+        norm = tuple(prefix)
         if not all(map(isinstance, norm, itertools.repeat(Entry))):  # entries stay as they are
             for v in norm:
                 if isinstance(v, bool) or not isinstance(v, int | Entry):
@@ -780,8 +780,11 @@ class SymbolSeq:
                 if isinstance(v, int) and not -_DOUBLE_END < v < _DOUBLE_END:
                     raise DescriptorError("prefix integer beyond double range")
             norm = tuple([_int_entry(v) if isinstance(v, int) else v for v in norm])
-        object.__setattr__(self, "prefix", norm)
-        self.tail.validate(len(norm))
+        tail.validate(len(norm))
+        _set_slot(self, "prefix", norm)
+        _set_slot(self, "tail", tail)
+        _set_slot(self, "cut", None)
+        _set_slot(self, "_memo", {})
 
     # -- entry access --------------------------------------------------------
 

@@ -21,9 +21,8 @@ tolerance, for witnesses too: an exact yes or no once the height enclosure is th
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .intervals import DEFAULT_TOL, Interval, TriBool, check_tolerance, sum_down
+from .intervals import DEFAULT_TOL, Frozen, Interval, TriBool, _set_slot, check_tolerance, sum_down
 from .model import (
     BudgetExceededError,
     ModelPoint,
@@ -58,21 +57,21 @@ class WitnessRefutedError(ArithmeticError):
     """A witness claim that certainly fails: a fault of the construction, not a budget stop."""
 
 
-@dataclass(frozen=True)
-class AlphaIndex:
+class AlphaIndex(Frozen):
     """Strictly increasing tuple of naturals indexing a stratum."""
 
-    entries: tuple[int, ...] = ()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: tuple[int, ...] = ()):
+        entries = tuple(entries)
         # int(v) would truncate a float and accept a bool
-        if any(type(v) is not int for v in self.entries):
-            raise ValueError(f"stratum index entries must be integers, got {self.entries!r}")
-        if any(v < 0 for v in self.entries):
+        if any(type(v) is not int for v in entries):
+            raise ValueError(f"stratum index entries must be integers, got {entries!r}")
+        if any(v < 0 for v in entries):
             raise ValueError("stratum index entries must be naturals")
-        if any(a >= b for a, b in zip(self.entries, self.entries[1:], strict=False)):
+        if any(a >= b for a, b in zip(entries, entries[1:], strict=False)):
             raise ValueError("stratum index must be strictly increasing")
+        _set_slot(self, "entries", entries)
 
     @property
     def dom(self) -> int:
@@ -91,8 +90,7 @@ class AlphaIndex:
         return list(self.entries)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Frozen):
     """One verified thinning witness: margins for both claims plus its distance.
 
     ``claim1_margin`` is the hull of least lower end among the potentials at
@@ -100,13 +98,18 @@ class WitnessReport:
     every shift from m on.
     """
 
-    m: int
-    witness: SymbolSeq
-    claim1_margin: Interval
-    claim2_bound: Interval
-    distance_to_base: float
-    height: Interval
-    horizon: int
+    __slots__ = _fields = ("m", "witness", "claim1_margin", "claim2_bound", "distance_to_base",
+                           "height", "horizon")
+
+    def __init__(self, m: int, witness: SymbolSeq, claim1_margin: Interval,
+                 claim2_bound: Interval, distance_to_base: float, height: Interval, horizon: int):
+        _set_slot(self, "m", m)
+        _set_slot(self, "witness", witness)
+        _set_slot(self, "claim1_margin", claim1_margin)
+        _set_slot(self, "claim2_bound", claim2_bound)
+        _set_slot(self, "distance_to_base", distance_to_base)
+        _set_slot(self, "height", height)
+        _set_slot(self, "horizon", horizon)
 
     def to_json(self) -> dict:
         return {
@@ -204,7 +207,7 @@ def witness_sequence(base: SymbolSeq, alpha: AlphaIndex, m: int) -> SymbolSeq:
         entries.append(thinned)
         n += 1
     witness = SymbolSeq(tuple(entries), tail)
-    object.__setattr__(witness, "cut", (base, m))
+    _set_slot(witness, "cut", (base, m))
     return witness
 
 

@@ -1,7 +1,9 @@
-"""The import surface: the model path loads no numpy, and every public name resolves.
+"""The import surface: the model path loads no numpy and no slow stdlib module, and every
+public name resolves.
 
 The plane toolkit and the ``verify`` suites import numpy; ``import
-expbouquet`` and the model subcommands must not pay for it.
+expbouquet`` and the model subcommands must not pay for it, nor for the stdlib
+modules that once took a quarter of a model command's cold start.
 """
 
 import ast
@@ -17,6 +19,9 @@ import expbouquet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "expbouquet.plane", "expbouquet.verify")
+# dataclasses loads inspect, and fractions decimal: the value classes are written out, and a
+# rational is parsed with fractions only for a ramp descriptor, which no model command here has
+SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -52,6 +57,20 @@ def test_import_and_model_commands_load_no_numpy():
     loaded = json.loads(out.splitlines()[-1])
     # each command exits 0 and leaves the numpy-backed modules unloaded
     assert loaded == {"import": [], **{argv[0]: [0, []] for argv in MODEL_COMMANDS}}
+
+
+def test_import_and_model_commands_add_no_slow_stdlib_module():
+    # a site hook may load one of them before the package does, so the modules the probe
+    # finds are measured against those of a bare interpreter that imports what the probe does
+    bare = _fresh("import contextlib, io, json, sys\n"
+                  f"print(json.dumps([m for m in {SLOW_STDLIB!r} if m in sys.modules]))")
+    before = set(json.loads(bare.splitlines()[-1]))
+    out = _fresh(_PROBE % {"heavy": SLOW_STDLIB, "commands": MODEL_COMMANDS})
+    loaded = json.loads(out.splitlines()[-1])
+    added = {step: sorted(set(got if step == "import" else got[1]) - before)
+             for step, got in loaded.items()}
+    assert added == {"import": [], **{argv[0]: [] for argv in MODEL_COMMANDS}}
+    assert [loaded[argv[0]][0] for argv in MODEL_COMMANDS] == [0] * len(MODEL_COMMANDS)
 
 
 def test_plane_submodule_and_lazy_names_load_on_first_use():

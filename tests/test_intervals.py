@@ -28,9 +28,11 @@ from expbouquet.intervals import (
     sum_down,
     sum_up,
 )
-from expbouquet.intervals import _int_tower
+from expbouquet import (AlphaIndex, Classification, ExpTowerTail, LinExpTail, ModelPoint,
+                        PeriodicTail, RunConfig, TriBool, Verdict, WitnessReport, fexp_seq)
+from expbouquet.intervals import Frozen, _int_tower
 from expbouquet.model import _descend
-from expbouquet.sequences import ConstTail, IntEntry, SymbolSeq
+from expbouquet.sequences import CeilExp, ConstTail, FloorPow, IntEntry, SymbolSeq, _TowerRel
 
 finite_floats = st.floats(min_value=-1e300, max_value=1e300,
                           allow_nan=False, allow_infinity=False)
@@ -426,6 +428,47 @@ def test_intervals_refuse_attribute_writes():
         with pytest.raises(AttributeError):
             delattr(iv, name)
     assert iv.bounds() == (1.0, 2.0, False, False)
+
+
+def _values() -> list[Frozen]:
+    """One instance of each value class, a subclass's own fields given as it names them."""
+    iv, seq = Interval(1.0, 2.0), fexp_seq(3, (1, 2))
+    return [TriBool(None, iv), ModelPoint(1.5, seq), Classification(Verdict.UNKNOWN, 3, iv),
+            _TowerRel(3, 4, iv), IntEntry(-5), FloorPow(3, 4), CeilExp(801, 2), ConstTail(3),
+            PeriodicTail((1, 2)), ExpTowerTail(3, 2), LinExpTail(1, 4, 2), seq,
+            AlphaIndex((0, 2)), WitnessReport(3, seq, iv, iv, 0.25, iv, 8), RunConfig(1e-6, 7, 2)]
+
+
+def test_value_classes_compare_hash_print_and_copy_by_their_fields():
+    values = _values()
+    # every value class of the package, the abstract bounded tail aside
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        c.__name__ for c in _subclasses(Frozen)
+        if c.__module__.startswith("expbouquet.") and c.__name__ != "_BoundedTail")
+    for v in values:
+        cls, args = type(v), tuple(getattr(v, name) for name in type(v)._fields)
+        twin = cls(*args)
+        assert twin == v and not twin != v and hash(twin) == hash(v) and repr(twin) == repr(v)
+        if cls is not SymbolSeq:  # which prints its descriptor instead
+            fields = ", ".join(f"{name}={a!r}" for name, a in zip(cls._fields, args))
+            assert repr(v) == f"{cls.__name__}({fields})"
+        for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(copied) is cls and copied == v
+        # one class only: a constant tail and an integer entry of one value differ
+        assert (v == ConstTail(3)) == (cls is ConstTail) and v != args
+        assert not hasattr(v, "__dict__")
+        for name in (*cls.__slots__, *cls._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+    assert IntEntry(3) != ConstTail(3) and hash(IntEntry(3)) == hash(ConstTail(3))
+    assert repr(values[0]) == "TriBool(value=None, evidence=[1, 2])"
+    assert repr(ExpTowerTail(3)) == "ExpTowerTail(c=3, anchor=None)"
+
+
+def _subclasses(cls) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
 
 
 @given(valid_intervals(), valid_intervals())

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -984,7 +983,6 @@ def test_at_endpoint_answers_no_at_both_rounded_ties():
         assert model.at_endpoint(ModelPoint(math.nextafter(t, out), seq), tol).is_false
 
 
-@dataclass(frozen=True)
 class _HighClosingTail(ConstTail):
     """A constant tail whose closing term (5, 6] lies above every explicit term."""
 

@@ -159,6 +159,11 @@ def _fresh_entry(seq: SymbolSeq, n: int):
     return IntEntry(tail.pattern[(n - p) % len(tail.pattern)])
 
 
+def _slots(entry) -> dict:
+    """Every slot of an entry by name: its fields and the enclosures built from them."""
+    return {name: getattr(entry, name) for name in type(entry).__slots__}
+
+
 @pytest.mark.parametrize("seq", [
     const_seq(3, (1, -4)),
     periodic_seq((2, 0, -5), (7,)),
@@ -171,8 +176,8 @@ def test_memoised_entries_equal_fresh_ones(seq):
     for s in (seq, seq.shift(3)):
         for n in walk + walk[::-1]:
             got, fresh = s.entry(n), _fresh_entry(s, n)
-            # field for field, the enclosures built at construction included
-            assert type(got) is type(fresh) and vars(got) == vars(fresh), (s, n)
+            # slot for slot, the enclosures built at construction included
+            assert type(got) is type(fresh) and _slots(got) == _slots(fresh), (s, n)
             assert got.abs_interval() == fresh.abs_interval()
             assert got.pot(1) == fresh.pot(1) and got.pot(2) == fresh.pot(2)
 
@@ -732,6 +737,32 @@ def test_integer_entries_are_shared_and_keep_their_type():
 def test_malformed_descriptors_name_their_fault(descriptor, message):
     with pytest.raises(DescriptorError, match=message):
         SymbolSeq.from_json(descriptor)
+
+
+def test_bounded_tails_refuse_a_bad_value_when_built():
+    # a constant past double range once raised a bare OverflowError from height(), and a
+    # float constant gave itself as abs_bound(): each rule now refuses such a value when
+    # built, with the message a parsed descriptor gets
+    for build, bad, message in (
+            (ConstTail, 10**400, "const c beyond double range"),
+            (ConstTail, 1.5, "const c must be an integer, got 1.5"),
+            (PeriodicTail, (1, -10**400), "periodic entry beyond double range"),
+            (PeriodicTail, (2, 1.5), "periodic entry must be an integer, got 1.5"),
+            (PeriodicTail, (), "periodic tail needs a nonempty integer pattern")):
+        with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
+            build(bad)
+        tail = ({"kind": "const", "c": bad} if build is ConstTail
+                else {"kind": "periodic", "pattern": list(bad)})
+        with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
+            SymbolSeq.from_json({"prefix": [], "tail": tail})
+
+
+def test_a_constant_tail_keeps_one_pattern_outside_its_fields():
+    tail = ConstTail(-3)
+    assert tail.pattern == (-3,) and tail.pattern is tail.pattern
+    assert tail == ConstTail(-3) and hash(tail) == hash(ConstTail(-3))
+    assert repr(tail) == "ConstTail(c=-3)" and tail.to_json() == {"kind": "const", "c": -3}
+    assert tail.abs_bound() == 3.0 and tail.period == 1
 
 
 def test_sequence_guards_and_repr():

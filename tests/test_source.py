@@ -105,14 +105,14 @@ def test_a_ramp_argument_is_built_and_refused_in_one_place():
 
 
 def test_a_descriptor_value_is_checked_only_where_every_sequence_is_built():
-    # a value's type and range are checked by a rule's validate and by an entry's or the
-    # sequence's __post_init__, which parsed and library-built sequences both pass; the rest
-    # read: a missing field, an unknown kind, a rational's text, the JSON shape, and the ramp
-    # argument past double range that _ramp_arg alone refuses
+    # a value's type and range are checked by a rule's validate and by the constructor of an
+    # entry, a bounded rule or the sequence, which parsed and library-built sequences both
+    # pass; the rest read: a missing field, an unknown kind, a rational's text, the JSON
+    # shape, and the ramp argument past double range that _ramp_arg alone refuses
     path = SRC / "sequences.py"
     raisers = set(_functions_around(path, lambda n: isinstance(n, ast.Raise) and n.exc is not None
                                     and "DescriptorError" in ast.unparse(n.exc)))
-    readers = {name for name in raisers if not name.endswith((".validate", ".__post_init__"))}
+    readers = {name for name in raisers if not name.endswith((".validate", ".__init__"))}
     assert readers == {"_field", "_parse_rational", "_parse_kind", "_ramp_arg",
                        "PeriodicTail.from_json", "SymbolSeq.from_json"}
     # SymbolSeq.from_json dispatches on the kinds and builds; it calls no value check
