@@ -103,18 +103,58 @@ def log1p_up(x: float) -> float:
     return 0.0 if x == 0.0 else math.nextafter(math.log1p(x), math.inf)
 
 
-class Interval:
+# a constructor writes its slots past the read-only __setattr__ of its class with this
+_set_slot = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes; each one's constructor refuses every bad value.
+
+    ``_fields`` names the constructor's arguments, in order.  Two instances of one class are
+    equal when these are; they hash, print as ``Class(name=value, ...)`` and pickle by them.
+    Any other slot holds what the constructor derives from them.  Assignment raises.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # built in C: the field tuple, or the lone field's value
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+
+class Interval(Frozen):
     """Enclosure [lo, hi] of one real value, with open/closed endpoint flags.
 
     ``hi = inf`` with ``hi_open`` means "finite but beyond double range" (the
     saturation case): every potential and endpoint height is finite, so the
     model's enclosures never carry a closed ``hi = inf``.
 
-    Immutable, compared and hashed by its field tuple ``bounds()``.  The
-    constructor validates every result, arithmetic ones included.
+    A ``Frozen`` value of its field tuple ``bounds()``.  The constructor
+    validates every result, arithmetic ones included.
     """
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open")
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
 
     def __init__(self, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
         # lo < hi (whatever the flags) or a closed point lo == hi needs no further test
@@ -130,25 +170,9 @@ class Interval:
         _set_lo_open(self, lo_open)
         _set_hi_open(self, hi_open)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Interval fields are read-only: {name!r}")
-
-    __delattr__ = __setattr__
-
     def bounds(self) -> tuple[float, float, bool, bool]:
         """The field tuple (lo, hi, lo_open, hi_open)."""
         return (self.lo, self.hi, self.lo_open, self.hi_open)
-
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return self.bounds() == other.bounds()
-
-    def __hash__(self) -> int:
-        return hash(self.bounds())
-
-    def __reduce__(self):
-        return (Interval, self.bounds())
 
     # -- constructors ------------------------------------------------------
 
@@ -287,46 +311,6 @@ class Interval:
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"
         return f"{lb}{self.lo:.17g}, {self.hi:.17g}{rb}"
-
-
-# a constructor writes its slots past the read-only __setattr__ of its class with this
-_set_slot = object.__setattr__
-
-
-class Frozen:
-    """Base of the immutable value classes, which follow ``Interval``'s rules.
-
-    ``_fields`` names the constructor's arguments, in order.  Two instances of one class are
-    equal when these are; they hash, print as ``Class(name=value, ...)`` and pickle by them.
-    Any other slot holds what the constructor derives from them.  Assignment raises.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        if cls._fields:  # built in C: the field tuple, or the lone field's value
-            cls._key = operator.attrgetter(*cls._fields)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} fields are read-only: {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == other._key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self._fields])
-
-    def __repr__(self) -> str:
-        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
-        return f"{type(self).__qualname__}({args})"
 
 
 class TriBool(Frozen):

@@ -410,8 +410,8 @@ def test_tail_validation():
         SymbolSeq((), PeriodicTail(()))
     with pytest.raises(DescriptorError, match="nonempty integer pattern"):
         SymbolSeq((), PeriodicTail([1, 2]))  # a list pattern, which no rule memo can key
-    with pytest.raises(DescriptorError):
-        SymbolSeq((), ExpTowerTail(3, anchor=5))  # anchor past the first tail index
+    with pytest.raises(DescriptorError, match="^fexp anchor beyond the first tail index$"):
+        SymbolSeq((), ExpTowerTail(3, anchor=5))
 
 
 def test_ceil_entry_window():
@@ -699,7 +699,8 @@ def test_ramp_rates_print_reduced(tail, text):
 def test_ramp_rate_bounds_hold_at_each_end(c, message):
     desc = {"prefix": [], "tail": {"kind": "linexp", "c": c}}
     if message is None:
-        assert SymbolSeq.from_json(desc).tail.validate(0) is None
+        tail = SymbolSeq.from_json(desc).tail
+        assert Fraction(tail.num, tail.den) == Fraction(c)
     else:
         with pytest.raises(DescriptorError, match=message):
             SymbolSeq.from_json(desc)
@@ -709,10 +710,23 @@ def test_ramp_rate_bounds_hold_at_each_end(c, message):
     (2, 4, "coprime ints"), (0, 5, "coprime ints"), (True, 1, "coprime ints"),
     (1.5, 1, "coprime ints"), (1, 0, "positive rational rate"), (1, -2, "positive rational rate"),
     (-1, 2, "positive rational rate"), (1, 10001, "supported range"), (1401, 2, "supported range"),
+    (0, 1, "positive rational rate"),
 ])
 def test_a_ramp_rule_built_directly_holds_coprime_ints(num, den, message):
     with pytest.raises(DescriptorError, match=message):
-        SymbolSeq((), LinExpTail(num, den))
+        LinExpTail(num, den)
+
+
+@pytest.mark.parametrize("num, den, message", [
+    # (1, 0) once raised a bare ZeroDivisionError; 1.5 and True printed "1.5/1" and "True/1",
+    # which the parser refuses; (2, 4) printed "2/4" and differed from the entry of 1/2
+    *((num, den, "ceil_exp arg must be coprime ints with den > 0")
+      for num, den in ((1, 0), (1, -2), (1.5, 1), (True, 1), (2, 4), (0, 2))),
+    (-1, 2, "ceil_exp needs a nonnegative arg"),
+])
+def test_a_ramp_entry_built_directly_holds_coprime_ints(num, den, message):
+    with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
+        CeilExp(num, den)
 
 
 def test_integer_entries_are_shared_and_keep_their_type():
@@ -753,6 +767,34 @@ def test_bounded_tails_refuse_a_bad_value_when_built():
             build(bad)
         tail = ({"kind": "const", "c": bad} if build is ConstTail
                 else {"kind": "periodic", "pattern": list(bad)})
+        with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
+            SymbolSeq.from_json({"prefix": [], "tail": tail})
+
+
+@pytest.mark.parametrize("build, tail, message", [
+    # nesting_anchor of the first two once looped forever, and potential_floor of the third
+    # raised a bare OverflowError
+    (lambda: ExpTowerTail(0), {"kind": "fexp", "c": 0}, "fexp c outside supported range [1, 700]"),
+    (lambda: LinExpTail(0, 1), {"kind": "linexp", "c": 0},
+     "linexp tail needs a positive rational rate"),
+    (lambda: ExpTowerTail(10**400), {"kind": "fexp", "c": 10**400},
+     "fexp c outside supported range [1, 700]"),
+    (lambda: ExpTowerTail(3, 1.5), {"kind": "fexp", "c": 3, "anchor": 1.5},
+     "fexp anchor must be an integer, got 1.5"),
+    (lambda: LinExpTail(1, 0), None, "linexp tail needs a positive rational rate"),
+    (lambda: LinExpTail(1, 1, 0.5), {"kind": "linexp", "c": 1, "offset": 0.5},
+     "linexp offset must be an integer, got 0.5"),
+    # these two were once refused only when an entry was built, as a negative ceil_exp arg
+    (lambda: LinExpTail(-1), {"kind": "linexp", "c": -1},
+     "linexp tail needs a positive rational rate"),
+    (lambda: LinExpTail(1, 1, -5), {"kind": "linexp", "c": 1, "offset": -5},
+     "linexp offset must be nonnegative"),
+])
+def test_tower_and_ramp_rules_refuse_a_bad_value_when_built(build, tail, message):
+    # the rule's constructor alone refuses, with the message a parsed descriptor gets
+    with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
+        build()
+    if tail is not None:
         with pytest.raises(DescriptorError, match=f"^{re.escape(message)}$"):
             SymbolSeq.from_json({"prefix": [], "tail": tail})
 
