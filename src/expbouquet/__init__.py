@@ -8,11 +8,12 @@ Core surfaces:
   classification for the half-line-times-sequence model dynamics.
 * ``strata``    - the escaping-endpoint stratification, membership and
   extension certificates, nowhere-density witness families.
-* ``plane``     - companion dynamics for exp(z) + a: orbits, itineraries,
-  cycles, escape-time rendering.
+* ``orbits``    - companion dynamics for exp(z) + a: orbits, itineraries,
+  cycles.
+* ``plane``     - escape-time rendering for exp(z) + a and its traps.
 * ``cli``       - the ``expbouquet`` command.
 
-Plane and ``verify`` names load on first use: numpy comes only with ``plane``.
+Plane, orbit and ``verify`` names load on first use: numpy comes only with ``plane``.
 """
 
 import importlib
@@ -61,10 +62,11 @@ from .strata import (
 
 __version__ = "0.1.0"
 
-# names whose module loads on first access (PEP 562): plane and verify need numpy
+# names whose module loads on first access (PEP 562): plane needs numpy
 _LAZY = {
-    **dict.fromkeys(("CycleInfo", "NoConvergenceError", "RenderSummary", "Viewport",
-                     "exp_orbit", "find_cycle", "render_escape", "strip_itinerary"), ".plane"),
+    **dict.fromkeys(("CycleInfo", "NoConvergenceError", "exp_orbit", "find_cycle",
+                     "strip_itinerary"), ".orbits"),
+    **dict.fromkeys(("RenderSummary", "Viewport", "render_escape"), ".plane"),
     "RunConfig": ".cli",
     "run_all": ".verify",
 }

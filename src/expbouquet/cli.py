@@ -261,7 +261,7 @@ def _cmd_render(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_cycle(args, cfg: RunConfig) -> tuple[dict, int]:
-    from .plane import NoConvergenceError, find_cycle
+    from .orbits import NoConvergenceError, find_cycle
     a = _parse_complex(args.a)
     seed = _parse_complex(args.seed_point)
     # each of up to 200 Newton steps walks the whole period

@@ -219,7 +219,10 @@ class CeilExp(Frozen):
             raise DescriptorError("ceil_exp arg must be coprime ints with den > 0")
         if num < 0:
             raise DescriptorError("ceil_exp needs a nonnegative arg")
-        a = _ramp_arg(num, den, 1)
+        try:
+            a = _ramp_arg(num, den, 1)
+        except DescriptorError:  # the ramp's refusal, named for the entry
+            raise DescriptorError("ceil_exp arg beyond double range") from None
         t = a.growth()
         _set_slot(self, "num", num)
         _set_slot(self, "den", den)

@@ -1,8 +1,8 @@
 """Deterministic invariant suites behind the ``verify`` subcommand.
 
-Each suite returns a machine-readable record with a pass flag and what it
-measured; the model's suites count each case, a relation between interval
-enclosures, as proved, refuted or undecided, and pass only with none refuted.
+Each suite checks the model and returns a record with a pass flag and what it
+measured; those that compare enclosures count each case, a relation between
+them, as proved, refuted or undecided, and pass only with none refuted.
 Randomized suites draw from a seeded generator, so a fixed seed reproduces the
 report byte for byte.  Unattainable tolerances are reported as honest failures
 (the enclosure and its width), never silently widened; a case the budget leaves
@@ -13,7 +13,6 @@ message, while any other error, a refuted witness claim included, fails its suit
 from __future__ import annotations
 
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -29,14 +28,6 @@ from .model import (
     endpoint_lower_bound,
     potential,
     potential_term,
-)
-from .plane import (
-    ESCAPE_RE,
-    Viewport,
-    exp_orbit,
-    find_cycle,
-    render_escape,
-    strip_itinerary,
 )
 from .sequences import (
     ConstTail,
@@ -378,67 +369,6 @@ def suite_extension(cfg: RunConfig) -> dict:
     return _suite("extension", not failures, stopped, checked=done, failures=failures)
 
 
-def suite_plane_real_axis(cfg: RunConfig) -> dict:
-    """Real parameters keep real orbits real; their itineraries are all zero."""
-    failures = []
-    for x in (-2.0, -0.5, 0.25, 0.5, 1.0):
-        orbit = exp_orbit(-1.0, x, 12)
-        if any(p.imag != 0.0 for p in orbit):
-            failures.append({"x": x, "reason": "left the real axis"})
-        itin = strip_itinerary(-1.0, x, 8)
-        if any(s != 0 for s in itin):
-            failures.append({"x": x, "reason": "nonzero strip symbol"})
-    return _suite("plane_real_axis", not failures, failures=failures)
-
-
-def suite_escape_monotonicity(cfg: RunConfig) -> dict:
-    """For a = -1: positive reals increase and escape; negatives fall into the basin."""
-    failures = []
-    for x in (0.5, 1.0, 2.0, 3.5):
-        # the orbit stops at its first point past the escape line
-        orbit = exp_orbit(-1.0, x, 400)
-        escaped = orbit[-1].real > ESCAPE_RE
-        increasing = all(b.real > a.real for a, b in zip(orbit, orbit[1:], strict=False)
-                         if b.real <= ESCAPE_RE)
-        if not escaped or not increasing:
-            failures.append({"x": x, "reason": "positive ray failed to escape"})
-    for x in (-3.0, -1.0, -0.25):
-        w = exp_orbit(-1.0, x, 400)[-1].real
-        if not (-0.05 < w <= 0.0):
-            failures.append({"x": x, "reason": "basin orbit missed the fixed point"})
-    return _suite("escape_monotonicity", not failures, failures=failures)
-
-
-def suite_multiplier_consistency(cfg: RunConfig) -> dict:
-    """|multiplier| equals the product of |e^(z_i)| along the reported cycle."""
-    failures = []
-    for a, period, seed in ((-2.0, 1, -2.0), (-2.0 + 0.3j, 1, -2.0), (-3.0, 2, 0.5)):
-        try:
-            info = find_cycle(a, period, seed)
-        except Exception as e:
-            failures.append({"a": str(a), "period": period, "error": str(e)})
-            continue
-        prod = 1.0
-        for p in info.points:
-            prod *= abs(math.e ** complex(p).real)
-        if abs(abs(info.multiplier) - prod) > 1e-8 * max(1.0, prod):
-            failures.append({"a": str(a), "period": period})
-    return _suite("multiplier_consistency", not failures, failures=failures)
-
-
-def suite_renderer_determinism(cfg: RunConfig) -> dict:
-    """Identical render invocations produce bit-identical images; both are
-    hashed from memory and written to the null device."""
-    viewport = Viewport(-2.0, 4.0, -math.pi, math.pi, 80, 60)
-    s1 = render_escape(-1.0, viewport, 60, os.devnull)
-    s2 = render_escape(-1.0, viewport, 60, os.devnull)
-    passed = (s1.content_hash == s2.content_hash and s1.escaped_pixels > 0
-              and s1.retained_pixels > 0)
-    return _suite("renderer_determinism", passed,
-                  hash=s1.content_hash, escaped=s1.escaped_pixels,
-                  retained=s1.retained_pixels)
-
-
 ALL_SUITES = (
     suite_inverse_growth_strictness,
     suite_sandwich,
@@ -451,10 +381,6 @@ ALL_SUITES = (
     suite_lower_semicontinuity,
     suite_stratum_nesting,
     suite_extension,
-    suite_plane_real_axis,
-    suite_escape_monotonicity,
-    suite_multiplier_consistency,
-    suite_renderer_determinism,
 )
 
 

@@ -523,7 +523,7 @@ def test_rule_outputs_are_pinned(argv, digest, capsys):
 # sha256 of the full `verify --seed 0` report; the inverse-growth strictness
 # suite reports certified lower bounds of its margins, from interval bounds,
 # and the model's suites how many cases each proved, refuted or left undecided
-VERIFY_SEED0_SHA256 = "b00bd9433e60b8d8eb8fe3f1accd6dfdbb32b7f0c2903a4d83975037a207e7ad"
+VERIFY_SEED0_SHA256 = "5c58633ea6ec003d55229acbdaa1123f9ff832d5a964533a3a77a9298d68cb10"
 
 
 def test_verify_seed0_report_is_pinned(capsys):
@@ -537,8 +537,8 @@ def test_verify_seed0_report_is_pinned(capsys):
 # its reason, refuting nothing (exit 0), pinned like seed 0; the ids name the
 # run, so a re-pinned digest keeps the test's name
 @pytest.mark.parametrize("argv, exit_code, digest", [
-    (["--seed", "7"], 0, "5ca2c2a0a40a7f3589b28101db0e0f10d656c0d55acb09133b6964b0a1a03bea"),
-    (["--budget", "1"], 0, "54b0bc56fcfa2bf8438583096f376637b254222f749b1f13845ed23613c8457a"),
+    (["--seed", "7"], 0, "96ceb88958301fbb79b94a77ee53619d23614f8276184d225795955db4417726"),
+    (["--budget", "1"], 0, "0b12a9b3e583d4d9db890aaf9b6ac66cdc004fe0e431445e6871b2a6cdb17b6d"),
 ], ids=["seed7", "budget1"])
 def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
     code, out = run(capsys, "verify", *argv)
@@ -547,7 +547,7 @@ def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
 
 
 def test_verify_writes_no_file(tmp_path, monkeypatch, capsys):
-    # the renderer suite hashes its tiles in memory and writes them to the null device
+    # every suite computes in memory: the run leaves the working directory empty
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "verify", "--seed", "0")
     assert code == 0

@@ -1,9 +1,9 @@
 """The import surface: the model path loads no numpy and no slow stdlib module, and every
 public name resolves.
 
-The plane toolkit and the ``verify`` suites import numpy; ``import
-expbouquet`` and the model subcommands must not pay for it, nor for the stdlib
-modules that once took a quarter of a model command's cold start.
+Only the renderer, ``plane``, imports numpy; ``import expbouquet``, the model
+subcommands, ``cycle`` and ``verify`` must not pay for it, and the model
+subcommands not for the stdlib modules that once took a quarter of their cold start.
 """
 
 import ast
@@ -57,6 +57,15 @@ def test_import_and_model_commands_load_no_numpy():
     loaded = json.loads(out.splitlines()[-1])
     # each command exits 0 and leaves the numpy-backed modules unloaded
     assert loaded == {"import": [], **{argv[0]: [0, []] for argv in MODEL_COMMANDS}}
+
+
+def test_cycle_verify_and_orbits_load_no_numpy():
+    # the cycle search and the model's suites need no renderer, and orbits no numpy
+    commands = [["cycle", "--a", "-2", "--seed-point", "-2"], ["verify", "--budget", "1"]]
+    out = _fresh(_PROBE % {"heavy": HEAVY[:2], "commands": commands})
+    assert json.loads(out.splitlines()[-1]) == {"import": [], "cycle": [0, []], "verify": [0, []]}
+    out = _fresh("import sys, expbouquet.orbits\nprint('numpy' in sys.modules)")
+    assert out.split() == ["False"]
 
 
 def test_import_and_model_commands_add_no_slow_stdlib_module():

@@ -21,18 +21,16 @@ from expbouquet import (
     render_escape,
     strip_itinerary,
 )
+from expbouquet.orbits import ESCAPE_RE, _check_param, classify_multiplier
 from expbouquet.plane import (
-    ESCAPE_RE,
     TRAP_MAX_PERIOD,
     TRAP_MEMO_SIZE,
     _basin_trap,
     _block_pass,
-    _check_param,
     _memo_trap,
     _step,
     _Trap,
     _trap_chain,
-    classify_multiplier,
     escape_times,
 )
 
@@ -69,8 +67,12 @@ def test_param_must_be_finite(a):
         find_cycle(a, 1, 0.0)
 
 
-def test_itinerary_real_orbit_is_zero():
-    assert strip_itinerary(-1.0, 0.5, 5) == [0, 0, 0, 0, 0]
+# a real parameter keeps a real orbit real, so every symbol is 0; each start at
+# a = -1 comes with the length of its itinerary, which an escape cuts short
+@pytest.mark.parametrize("x, symbols", [(-2.0, 8), (-0.5, 8), (0.25, 8), (0.5, 7), (1.0, 4)])
+def test_itinerary_real_orbit_is_zero(x, symbols):
+    assert all(p.imag == 0.0 for p in exp_orbit(-1.0, x, 12))
+    assert strip_itinerary(-1.0, x, 8) == [0] * symbols
 
 
 def test_itinerary_strip_offsets():
@@ -103,12 +105,28 @@ def test_cycle_no_real_fixed_point_at_plus_one():
         find_cycle(1.0, 1, 0.5)
 
 
-def test_cycle_multiplier_matches_orbit_product():
-    info = find_cycle(-2.0 + 0.3j, 1, -2.0)
+@pytest.mark.parametrize("a, period, seed", [(-2.0, 1, -2.0), (-2.0 + 0.3j, 1, -2.0),
+                                             (-3.0, 2, 0.5)])
+def test_cycle_multiplier_matches_orbit_product(a, period, seed):
+    # |multiplier| is the product of |e^(z_i)| along the reported cycle
+    info = find_cycle(a, period, seed)
     prod = 1.0
     for p in info.points:
         prod *= math.exp(p.real)
-    assert abs(abs(info.multiplier) - prod) < 1e-8
+    assert abs(abs(info.multiplier) - prod) < 1e-8 * max(1.0, prod)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.5, -3.0, -1.0, -0.25])
+def test_real_orbits_at_minus_one_escape_or_fall_to_the_fixed_point(x):
+    # positive reals increase until they cross the escape line; negative reals
+    # fall into the basin of the parabolic fixed point 0
+    orbit = exp_orbit(-1.0, x, 400)
+    if x > 0:
+        assert orbit[-1].real > ESCAPE_RE
+        assert all(b.real > a.real for a, b in zip(orbit, orbit[1:], strict=False)
+                   if b.real <= ESCAPE_RE)
+    else:
+        assert -0.05 < orbit[-1].real <= 0.0
 
 
 def test_multiplier_classification_bands():
@@ -124,17 +142,20 @@ def test_escape_times_has_both_phases():
     assert (times < 80).any() and (times == 80).any()
 
 
-def test_render_deterministic_and_well_formed(tmp_path):
-    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 64, 48)
+@pytest.mark.parametrize("width, height", [(64, 48), (80, 60)])
+def test_render_deterministic_and_well_formed(width, height, tmp_path):
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, width, height)
     p1 = tmp_path / "a.ppm"
     p2 = tmp_path / "b.ppm"
     s1 = render_escape(-1.0, v, 60, str(p1))
     s2 = render_escape(-1.0, v, 60, str(p2))
     assert s1.content_hash == s2.content_hash
+    header = f"P6\n{width} {height}\n255\n".encode()
     data = p1.read_bytes()
-    assert data.startswith(b"P6\n64 48\n255\n")
-    assert len(data) == len(b"P6\n64 48\n255\n") + 64 * 48 * 3
-    assert s1.escaped_pixels + s1.retained_pixels == 64 * 48
+    assert data.startswith(header)
+    assert len(data) == len(header) + width * height * 3
+    assert s1.escaped_pixels + s1.retained_pixels == width * height
+    assert s1.escaped_pixels > 0 and s1.retained_pixels > 0
 
 
 def test_render_maps_each_pixel_of_a_tile_with_fewer_pixels_than_times(tmp_path):

@@ -25,14 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from expbouquet.plane import (
-    NoConvergenceError,
-    _basin_trap,
-    _trap_chain,
-    exp_orbit,
-    find_cycle,
-    strip_itinerary,
-)
+from expbouquet.orbits import NoConvergenceError, exp_orbit, find_cycle, strip_itinerary
+from expbouquet.plane import _basin_trap, _trap_chain
 
 GOLDEN = Path(__file__).resolve().parent / "plane_golden.json"
 RENDER_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "render.json"

@@ -282,7 +282,7 @@ OUT_OF_RANGE = [
 # its descriptor was (``test_ramp_arguments_past_double_range_are_descriptor_errors``)
 PARSE_ONLY = [
     ({"prefix": [{"kind": "ceil_exp", "arg": str(BEYOND_DOUBLE)}],
-      "tail": {"kind": "const", "c": 0}}, "linexp argument beyond double range"),
+      "tail": {"kind": "const", "c": 0}}, "ceil_exp arg beyond double range"),
     ({"prefix": [], "tail": {"kind": "linexp", "c": math.inf}}, "bad rational"),
     # a missing required field is named with its kind
     ({"prefix": [{"kind": "floor_tower", "c": 3}], "tail": {"kind": "const", "c": 0}},
@@ -833,14 +833,16 @@ def test_ramp_thinning_gives_up_past_its_crossover_scan():
 
 def test_ramp_arguments_past_double_range_are_descriptor_errors():
     # offset + 1 lies past the largest double: each reader of the ramp argument
-    # there says so as the entry rule does, not with an OverflowError, and so
-    # does a symbolic entry built directly past double range
+    # there says so, not with an OverflowError; the entry there is a symbolic
+    # entry past double range, which names itself as one built directly does
     edge = LinExpTail(1, 1, 2**1024 - 2**970 - 1)
     for read in (lambda: edge.closing_terms(0, 0, 1), lambda: edge.nesting_anchor(0),
-                 lambda: edge.thin(0, 0, 3, 1), lambda: edge.entry_at(0, 1),
-                 lambda: CeilExp(2**1100)):
+                 lambda: edge.thin(0, 0, 3, 1)):
         with pytest.raises(DescriptorError, match="^linexp argument beyond double range$"):
             read()
+    for build in (lambda: edge.entry_at(0, 1), lambda: CeilExp(2**1100)):
+        with pytest.raises(DescriptorError, match="^ceil_exp arg beyond double range$"):
+            build()
 
 
 def test_a_ramp_at_the_top_of_double_range_closes_its_hull():

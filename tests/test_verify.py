@@ -18,7 +18,6 @@ from expbouquet import model, strata, verify
 from expbouquet.cli import RunConfig
 from expbouquet.intervals import Interval, TriBool, growth_net
 from expbouquet.model import BudgetExceededError, NonConvergenceError, endpoint_height_enclosure
-from expbouquet.plane import CycleInfo, NoConvergenceError, RenderSummary
 from expbouquet.sequences import fexp_seq
 
 
@@ -61,21 +60,6 @@ def _witnesses_above_base(seq, n):
     return _REAL_POTENTIAL(seq, n)
 
 
-def _cycle_or_raise():
-    calls = itertools.count()
-
-    def fake(a, period, seed):
-        if next(calls) == 0:
-            raise NoConvergenceError("stand-in failure")
-        return CycleInfo(1, (0j,), 5.0 + 0j, "repelling")  # |e^0| = 1, not 5
-    return fake
-
-
-def _renders():
-    hashes = itertools.count()
-    return lambda *args: RenderSummary(1, 1, str(next(hashes)), "x.ppm")
-
-
 _REAL_WITNESS_FAMILY = verify.witness_family
 _REAL_POTENTIAL = verify.potential
 
@@ -104,11 +88,6 @@ CASES = [
     ("stratum_nesting", {"in_stratum": lambda: lambda alpha, *args: TriBool(alpha.dom == 1)}),
     ("extension", {"in_stratum": lambda: lambda alpha, *args: TriBool(alpha.dom == 0)}),
     ("extension", {"extension_index": lambda: _raise}),
-    ("plane_real_axis", {"exp_orbit": lambda: _cycling([1j]),
-                         "strip_itinerary": lambda: _cycling([1])}),
-    ("escape_monotonicity", {"exp_orbit": lambda: _cycling([complex(1.0)])}),
-    ("multiplier_consistency", {"find_cycle": _cycle_or_raise}),
-    ("renderer_determinism", {"render_escape": _renders}),
 ]
 
 # each breaks its invariant by 1e-7, below the 1e-6 slack these suites once allowed
