@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .intervals import OVERFLOW_GUARD
+from .intervals import OVERFLOW_GUARD, Frozen, _set_slot
 
 # the escape line of every escape time, trap and ``exp_orbit``: e^50 dwarfs
 # any supported |a|, and e^z + a stays finite for Re z at most 50
@@ -80,12 +79,14 @@ def strip_itinerary(a: complex, z: complex, n: int) -> list[int]:
     return [round(w.imag / TWO_PI) for w in exp_orbit(a, z, n - 1)[:n]]
 
 
-@dataclass(frozen=True)
-class CycleInfo:
-    period: int
-    points: tuple[complex, ...]
-    multiplier: complex
-    kind: str  # attracting | parabolic | repelling | indeterminate
+class CycleInfo(Frozen):
+    __slots__ = _fields = ("period", "points", "multiplier", "kind")
+
+    def __init__(self, period: int, points: tuple[complex, ...], multiplier: complex, kind: str):
+        _set_slot(self, "period", period)
+        _set_slot(self, "points", points)
+        _set_slot(self, "multiplier", multiplier)
+        _set_slot(self, "kind", kind)  # attracting | parabolic | repelling | indeterminate
 
     def to_json(self) -> dict:
         return {

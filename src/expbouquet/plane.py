@@ -12,11 +12,10 @@ import hashlib
 import math
 import os
 import stat
-from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import OVERFLOW_GUARD, log1p_down, sum_down
+from .intervals import OVERFLOW_GUARD, Frozen, _set_slot, log1p_down, sum_down
 from .orbits import ESCAPE_RE, PERIOD_TOL, NoConvergenceError, _check_param, _orbit, find_cycle
 
 # the float-error budget of the disk step, derived on ``_image_radius``
@@ -33,36 +32,33 @@ BLOCK_STEPS = 10
 TRAP_MEMO_SIZE = 64  # parameters a whose trap ``escape_times`` keeps
 
 
-@dataclass(frozen=True)
-class Viewport:
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    width_px: int
-    height_px: int
+class Viewport(Frozen):
+    __slots__ = _fields = ("re_min", "re_max", "im_min", "im_max", "width_px", "height_px")
 
-    def __post_init__(self):
+    def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float,
+                 width_px: int, height_px: int):
         # the spans too: linspace over an overflowing span yields NaN pixels
-        spans = (self.re_min, self.re_max, self.im_min, self.im_max,
-                 self.re_max - self.re_min, self.im_max - self.im_min)
+        spans = (re_min, re_max, im_min, im_max, re_max - re_min, im_max - im_min)
         if not all(math.isfinite(v) for v in spans):
             raise ValueError("viewport bounds and spans must be finite")
-        if self.width_px < 1 or self.height_px < 1:
+        if width_px < 1 or height_px < 1:
             raise ValueError("viewport needs at least one pixel per axis")
-        if self.re_min > self.re_max or self.im_min > self.im_max:
+        if re_min > re_max or im_min > im_max:
             raise ValueError("viewport bounds are inverted")
-        if (self.width_px > 1 and self.re_min == self.re_max) or (
-                self.height_px > 1 and self.im_min == self.im_max):
+        if (width_px > 1 and re_min == re_max) or (height_px > 1 and im_min == im_max):
             raise ValueError("degenerate viewport for a multi-pixel axis")
+        for name, value in zip(self._fields, (re_min, re_max, im_min, im_max, width_px, height_px)):
+            _set_slot(self, name, value)
 
 
-@dataclass(frozen=True)
-class RenderSummary:
-    escaped_pixels: int
-    retained_pixels: int
-    content_hash: str
-    path: str
+class RenderSummary(Frozen):
+    __slots__ = _fields = ("escaped_pixels", "retained_pixels", "content_hash", "path")
+
+    def __init__(self, escaped_pixels: int, retained_pixels: int, content_hash: str, path: str):
+        _set_slot(self, "escaped_pixels", escaped_pixels)
+        _set_slot(self, "retained_pixels", retained_pixels)
+        _set_slot(self, "content_hash", content_hash)
+        _set_slot(self, "path", path)
 
     def to_json(self) -> dict:
         return {
@@ -73,13 +69,16 @@ class RenderSummary:
         }
 
 
-@dataclass(frozen=True)
-class _Trap:
+class _Trap(Frozen):
     """Where float orbits of e^z + a provably never cross the escape line: the
     closed half-plane Re z <= ``level`` and the open disks |z - c| < r of a
     certified chain (see ``_basin_trap``), with one test for disks and points."""
-    level: float = -math.inf
-    disks: tuple[tuple[complex, float], ...] = ()
+
+    __slots__ = _fields = ("level", "disks")
+
+    def __init__(self, level: float = -math.inf, disks: tuple[tuple[complex, float], ...] = ()):
+        _set_slot(self, "level", level)
+        _set_slot(self, "disks", disks)
 
     def holds(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Whether each disk D(c, r), a point if r = 0, lies in the trap: if

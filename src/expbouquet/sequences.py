@@ -31,9 +31,9 @@ from .intervals import (
     RigorError,
     _set_slot,
     expm1_down,
+    expm1_up,
     growth_inv_pow,
     growth_net,
-    growth_sub,
     ln1p_sum,
     log1p_up,
     round_down,
@@ -479,8 +479,15 @@ class ConstTail(_BoundedTail):
         lo, hi = 0.0, log1p_up(a.hi) + 1.0
 
         def h_sign(t: float) -> int:
-            iv = growth_sub(Interval.point(t), a) - Interval.point(t)
-            return 1 if iv.certainly_gt(0.0) else -1 if iv.certainly_lt(0.0) else 0
+            # growth_sub(point t, a) - point t, rounded as they round it, on endpoint floats
+            down = sum_down(sum_down(expm1_down(t), -a.hi), -t)
+            up = sum_up(sum_up(e_up := expm1_up(t), -a.lo), -t)
+            up_open = a.lo_open or (e_up == math.inf and t != math.inf)
+            if not (down < up or down == up and not (a.hi_open or up_open)):
+                Interval(down, up, a.hi_open, up_open)  # raises the RigorError that names the pair
+            if down > 0.0 or down == 0.0 and a.hi_open:
+                return 1
+            return -1 if up < 0.0 or up == 0.0 and up_open else 0
 
         if h_sign(hi) <= 0:  # F(hi) saturates for |c| near the double range
             return PeriodicTail(self.pattern).height()

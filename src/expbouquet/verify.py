@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .cli import RunConfig
 from .intervals import Interval, growth_inv_pow, growth_net, sum_down
@@ -32,11 +31,11 @@ from .model import (
 from .sequences import (
     ConstTail,
     ExpTowerTail,
+    LinExpTail,
     PeriodicTail,
     SymbolSeq,
     const_seq,
     fexp_seq,
-    linexp_seq,
 )
 from .strata import AlphaIndex, extension_index, in_stratum, witness_family
 
@@ -45,7 +44,7 @@ from .strata import AlphaIndex, extension_index, in_stratum, witness_family
 # seeded generators
 # ---------------------------------------------------------------------------
 
-_RATES = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+_RATES = ((1, 4), (1, 2), (1, 1), (2, 1), (3, 1))  # ramp rates (num, den), ascending
 
 
 def random_sequence(rng: random.Random) -> SymbolSeq:
@@ -58,7 +57,7 @@ def random_sequence(rng: random.Random) -> SymbolSeq:
         return SymbolSeq(prefix, PeriodicTail(pattern))
     if kind == 2:
         return SymbolSeq(prefix, ExpTowerTail(rng.randint(1, 8)))
-    return linexp_seq(rng.choice(_RATES), prefix)
+    return SymbolSeq(prefix, LinExpTail(*rng.choice(_RATES)))
 
 
 def dominated_pair(rng: random.Random) -> tuple[SymbolSeq, SymbolSeq]:
@@ -84,8 +83,8 @@ def dominated_pair(rng: random.Random) -> tuple[SymbolSeq, SymbolSeq]:
         return (SymbolSeq(small_prefix, ExpTowerTail(cs)),
                 SymbolSeq(big_prefix, ExpTowerTail(cb)))
     rb = rng.choice(_RATES)
-    rs = rng.choice([r for r in _RATES if r <= rb])
-    return linexp_seq(rs, small_prefix), linexp_seq(rb, big_prefix)
+    rs = rng.choice(_RATES[:_RATES.index(rb) + 1])
+    return SymbolSeq(small_prefix, LinExpTail(*rs)), SymbolSeq(big_prefix, LinExpTail(*rb))
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +124,26 @@ def _endpoint(seq: SymbolSeq, cfg: RunConfig) -> ModelPoint:
 def suite_inverse_growth_strictness(cfg: RunConfig) -> dict:
     """Both strict inequalities of the inverse growth map, with certified margins.
 
-    Each margin is a lower bound from the interval enclosures:
+    Each margin is a lower bound from the interval enclosures, a proof when above 0:
     F^-k(t) - F^-(k+1)(t) and F^-k(t - 1) - (F^-k(t) - 1).
     """
     ts = [10.0 ** (x / 39.0 * 2.0) for x in range(40)]  # 40 log-spaced in [1, 100]
-    min_margin_depth = math.inf
-    min_margin_slide = math.inf
+    tally = _tally()
+    min_margin_depth = min_margin_slide = math.inf
     for t in ts:
         for k in range(1, 21):
             a = growth_inv_pow(t, k)
             depth = sum_down(a.lo, -a.ln1p().hi)
             slide = sum_down(sum_down(growth_inv_pow(t - 1.0, k).lo, -a.hi), 1.0)
+            _count(tally, depth > 0.0, False)
+            _count(tally, slide > 0.0, False)
             min_margin_depth = min(min_margin_depth, depth)
             min_margin_slide = min(min_margin_slide, slide)
     passed = min_margin_depth > 1e-9 and min_margin_slide > 1e-9
     return _suite("inverse_growth_strictness", passed,
                   grid="k in [1,20] x 40 log-spaced t in [1,100]",
                   min_margin_depth=min_margin_depth,
-                  min_margin_slide=min_margin_slide)
+                  min_margin_slide=min_margin_slide, **tally)
 
 
 def suite_sandwich(cfg: RunConfig) -> dict:
@@ -323,25 +324,27 @@ def suite_lower_semicontinuity(cfg: RunConfig) -> dict:
 
 
 def suite_stratum_nesting(cfg: RunConfig) -> dict:
-    """Child-stratum membership implies parent membership."""
-    failures = []
+    """Child-stratum membership implies parent membership: proved when the child certainly
+    is not a member or the parent certainly is; a member child's uncertified parent fails."""
+    tally, failures = _tally(), []
     checked = 0
     for c in (3, 5, 10):
         point = _endpoint(fexp_seq(c), cfg)
         for alpha, n in ((AlphaIndex(()), 0), (AlphaIndex((0,)), 2), (AlphaIndex((0, 2)), 3)):
-            child = alpha.child(n)
-            mem_child = in_stratum(child, point, cfg.tolerance, cfg.budget)
+            mem_child = in_stratum(alpha.child(n), point, cfg.tolerance, cfg.budget)
             mem_parent = in_stratum(alpha, point, cfg.tolerance, cfg.budget)
             checked += 1
+            _count(tally, mem_child.is_false or mem_parent.is_true,
+                   mem_child.is_true and mem_parent.is_false)
             if mem_child.is_true and not mem_parent.is_true:
                 failures.append({"c": c, "alpha": alpha.to_json(), "n": n})
-    return _suite("stratum_nesting", not failures, checked=checked, failures=failures)
+    return _suite("stratum_nesting", not failures, checked=checked, failures=failures, **tally)
 
 
 def suite_extension(cfg: RunConfig) -> dict:
-    """Certified members admit a certified extension index."""
+    """Certified members admit a certified extension index; an uncertified base is undecided."""
     rng = random.Random(cfg.seed + 5)
-    failures, stopped = [], []
+    tally, failures, stopped = _tally(), [], []
     done = 0
     attempts = 0
     while done < 25 and attempts < 20 * 25:
@@ -351,22 +354,24 @@ def suite_extension(cfg: RunConfig) -> dict:
         if kind == 0:
             seq = SymbolSeq(prefix, ExpTowerTail(rng.randint(3, 9)))
         else:
-            seq = linexp_seq(rng.choice((1, 2, 3)), prefix)
+            seq = SymbolSeq(prefix, LinExpTail(rng.choice((1, 2, 3))))
         point = _endpoint(seq, cfg)
         alpha = AlphaIndex(())
         if not in_stratum(alpha, point, cfg.tolerance, cfg.budget).is_true:
+            tally["undecided"] += 1
             continue
         done += 1
         try:
             n_ext = extension_index(alpha, point, 0, cfg.tolerance, cfg.budget)
             member = in_stratum(alpha.child(n_ext), point, cfg.tolerance, cfg.budget)
+            _count(tally, member.is_true, member.is_false)
             if not member.is_true:
                 failures.append({"seq": seq.to_json(), "n": n_ext})
         except BudgetExceededError as e:  # not decided within the budget
             stopped.append({"case": seq.to_json(), "reason": str(e)})
         except Exception as e:
             failures.append({"seq": seq.to_json(), "error": str(e)})
-    return _suite("extension", not failures, stopped, checked=done, failures=failures)
+    return _suite("extension", not failures, stopped, checked=done, failures=failures, **tally)
 
 
 ALL_SUITES = (

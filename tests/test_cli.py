@@ -522,8 +522,8 @@ def test_rule_outputs_are_pinned(argv, digest, capsys):
 
 # sha256 of the full `verify --seed 0` report; the inverse-growth strictness
 # suite reports certified lower bounds of its margins, from interval bounds,
-# and the model's suites how many cases each proved, refuted or left undecided
-VERIFY_SEED0_SHA256 = "5c58633ea6ec003d55229acbdaa1123f9ff832d5a964533a3a77a9298d68cb10"
+# and every suite how many cases it proved, refuted or left undecided
+VERIFY_SEED0_SHA256 = "c9a5de2439743be608e7b901f8db4a0cf5f77c94d16e5718463cd48c86f533f8"
 
 
 def test_verify_seed0_report_is_pinned(capsys):
@@ -537,8 +537,8 @@ def test_verify_seed0_report_is_pinned(capsys):
 # its reason, refuting nothing (exit 0), pinned like seed 0; the ids name the
 # run, so a re-pinned digest keeps the test's name
 @pytest.mark.parametrize("argv, exit_code, digest", [
-    (["--seed", "7"], 0, "96ceb88958301fbb79b94a77ee53619d23614f8276184d225795955db4417726"),
-    (["--budget", "1"], 0, "0b12a9b3e583d4d9db890aaf9b6ac66cdc004fe0e431445e6871b2a6cdb17b6d"),
+    (["--seed", "7"], 0, "60d06557a77bd48e4bec94bc82a1d261319028bc4d7ce771ad80f8233c2fb3f3"),
+    (["--budget", "1"], 0, "94b150b3625fac08f5b8f77493b50b60d1adfe45cfa4ebc6dbc0e0bf9db53e83"),
 ], ids=["seed7", "budget1"])
 def test_verify_reports_are_pinned(argv, exit_code, digest, capsys):
     code, out = run(capsys, "verify", *argv)
@@ -746,6 +746,8 @@ def test_verify_report_marks_each_suite(capsys):
     passed = {s["name"]: s["passed"] for s in report["suites"]}
     assert set(passed.values()) == {True} and report["passed"] is True
     details = {s["name"]: s["details"] for s in report["suites"]}
+    # every suite counts its cases proved, refuted or undecided
+    assert all({"proved", "refuted", "undecided"} <= d.keys() for d in details.values())
     assert [details[name]["undecided"] for name in ("witness_claims", "closure_bound",
                                                     "extension")] == [3, 1, 2]
     # extension indices 1, 2 and 5 lie below the distance horizon: the threshold scan stops them

@@ -2,8 +2,8 @@
 public name resolves.
 
 Only the renderer, ``plane``, imports numpy; ``import expbouquet``, the model
-subcommands, ``cycle`` and ``verify`` must not pay for it, and the model
-subcommands not for the stdlib modules that once took a quarter of their cold start.
+subcommands, ``cycle`` and ``verify`` must not pay for it, nor for the stdlib modules
+that once took a quarter of a model subcommand's cold start.
 """
 
 import ast
@@ -19,8 +19,9 @@ import expbouquet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("numpy", "expbouquet.plane", "expbouquet.verify")
-# dataclasses loads inspect, and fractions decimal: the value classes are written out, and a
-# rational is parsed with fractions only for a ramp descriptor, which no model command here has
+# dataclasses loads inspect, and fractions decimal: every value class is written out, and a
+# rational is parsed with fractions only for a ramp descriptor, which no command here has
+# (verify builds its ramps from integer rates)
 SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 
 _PROBE = """
@@ -59,27 +60,42 @@ def test_import_and_model_commands_load_no_numpy():
     assert loaded == {"import": [], **{argv[0]: [0, []] for argv in MODEL_COMMANDS}}
 
 
+LIGHT_COMMANDS = [["cycle", "--a", "-2", "--seed-point", "-2"], ["verify", "--budget", "1"]]
+
+
 def test_cycle_verify_and_orbits_load_no_numpy():
     # the cycle search and the model's suites need no renderer, and orbits no numpy
-    commands = [["cycle", "--a", "-2", "--seed-point", "-2"], ["verify", "--budget", "1"]]
-    out = _fresh(_PROBE % {"heavy": HEAVY[:2], "commands": commands})
+    out = _fresh(_PROBE % {"heavy": HEAVY[:2], "commands": LIGHT_COMMANDS})
     assert json.loads(out.splitlines()[-1]) == {"import": [], "cycle": [0, []], "verify": [0, []]}
     out = _fresh("import sys, expbouquet.orbits\nprint('numpy' in sys.modules)")
     assert out.split() == ["False"]
 
 
-def test_import_and_model_commands_add_no_slow_stdlib_module():
-    # a site hook may load one of them before the package does, so the modules the probe
-    # finds are measured against those of a bare interpreter that imports what the probe does
+def _slow_stdlib_added(commands: list[list[str]]) -> dict:
+    """Each step's exit code, if a command, and the SLOW_STDLIB modules loaded by then.
+
+    A site hook may load one of them before the package does, so the modules the probe
+    finds are measured against those of a bare interpreter that imports what the probe does.
+    """
     bare = _fresh("import contextlib, io, json, sys\n"
                   f"print(json.dumps([m for m in {SLOW_STDLIB!r} if m in sys.modules]))")
     before = set(json.loads(bare.splitlines()[-1]))
-    out = _fresh(_PROBE % {"heavy": SLOW_STDLIB, "commands": MODEL_COMMANDS})
-    loaded = json.loads(out.splitlines()[-1])
-    added = {step: sorted(set(got if step == "import" else got[1]) - before)
-             for step, got in loaded.items()}
-    assert added == {"import": [], **{argv[0]: [] for argv in MODEL_COMMANDS}}
-    assert [loaded[argv[0]][0] for argv in MODEL_COMMANDS] == [0] * len(MODEL_COMMANDS)
+    out = _fresh(_PROBE % {"heavy": SLOW_STDLIB, "commands": commands})
+    return {step: sorted(set(got) - before) if step == "import"
+            else [got[0], sorted(set(got[1]) - before)]
+            for step, got in json.loads(out.splitlines()[-1]).items()}
+
+
+def test_import_and_model_commands_add_no_slow_stdlib_module():
+    added = _slow_stdlib_added(MODEL_COMMANDS)
+    assert added == {"import": [], **{argv[0]: [0, []] for argv in MODEL_COMMANDS}}
+
+
+def test_cycle_and_verify_add_no_slow_stdlib_module():
+    # CycleInfo is written out like the model's value classes, and verify's ramp rates are
+    # integer pairs: neither command loads dataclasses, inspect, fractions or decimal
+    added = _slow_stdlib_added(LIGHT_COMMANDS)
+    assert added == {"import": [], "cycle": [0, []], "verify": [0, []]}
 
 
 def test_plane_submodule_and_lazy_names_load_on_first_use():

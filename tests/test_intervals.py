@@ -32,6 +32,8 @@ from expbouquet import (AlphaIndex, Classification, ExpTowerTail, LinExpTail, Mo
                         PeriodicTail, RunConfig, TriBool, Verdict, WitnessReport, fexp_seq)
 from expbouquet.intervals import Frozen, _int_tower
 from expbouquet.model import _descend
+from expbouquet.orbits import CycleInfo
+from expbouquet.plane import RenderSummary, Viewport, _Trap
 from expbouquet.sequences import CeilExp, ConstTail, FloorPow, IntEntry, SymbolSeq, _TowerRel
 
 finite_floats = st.floats(min_value=-1e300, max_value=1e300,
@@ -437,7 +439,8 @@ def _values() -> list[Frozen]:
             _TowerRel(3, 4, iv), IntEntry(-5), FloorPow(3, 4), CeilExp(801, 2), ConstTail(3),
             PeriodicTail((1, 2)), ExpTowerTail(3, 2), LinExpTail(1, 4, 2), seq,
             AlphaIndex((0, 2)), WitnessReport(3, seq, iv, iv, 0.25, iv, 8), RunConfig(1e-6, 7, 2),
-            iv]
+            iv, Viewport(-1.0, 1.0, -2.0, 2.0, 3, 4), RenderSummary(5, 7, "ab", "t.ppm"),
+            _Trap(-0.5, ((1j, 0.25),)), CycleInfo(2, (0j, 1j), 0.5j, "attracting")]
 
 
 def test_value_classes_compare_hash_print_and_copy_by_their_fields():

@@ -1,7 +1,6 @@
 """Plane dynamics: orbits, itineraries, cycles, the disk step, traps, rendering."""
 
 import cmath
-import dataclasses
 import hashlib
 import math
 import os
@@ -21,7 +20,7 @@ from expbouquet import (
     render_escape,
     strip_itinerary,
 )
-from expbouquet.orbits import ESCAPE_RE, _check_param, classify_multiplier
+from expbouquet.orbits import ESCAPE_RE, CycleInfo, _check_param, classify_multiplier
 from expbouquet.plane import (
     TRAP_MAX_PERIOD,
     TRAP_MEMO_SIZE,
@@ -250,7 +249,7 @@ CYCLE_PARAMS = {1.6 - 2.2j: 2.0, 0.7 - 0.7j: 2.5, 0.2 - 0.2j: 4.0, 0.3 - 0.5j: 4
 
 def _shifted(v, shift):
     """The viewport v moved right by ``shift``."""
-    return dataclasses.replace(v, re_min=v.re_min + shift, re_max=v.re_max + shift)
+    return Viewport(v.re_min + shift, v.re_max + shift, v.im_min, v.im_max, v.width_px, v.height_px)
 
 
 @pytest.mark.parametrize("max_iter", [1, 60, 200])
@@ -615,7 +614,8 @@ def test_trap_chains_carry_their_certificate(a, right, shift, seed, monkeypatch)
 
     def polish(a, period, w):
         info = find_cycle(a, period, w if seed is None else seed)
-        return dataclasses.replace(info, points=tuple(p + shift for p in info.points))
+        return CycleInfo(info.period, tuple(p + shift for p in info.points), info.multiplier,
+                         info.kind)
 
     monkeypatch.setattr(plane, "find_cycle", polish)
     chain = _trap_chain(complex(a))

@@ -3,7 +3,9 @@
 import copy
 import json
 import math
+import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from expbouquet.intervals import (
     Interval,
     growth_inv_pow,
     growth_net,
+    growth_sub,
     log1p_up,
     round_down,
     round_up,
@@ -131,6 +134,46 @@ def test_periodic_height_sweeps_on_endpoints_keep_every_bit():
         got, want = PeriodicTail(pattern).height(), _interval_sweep_height(pattern)
         assert (got.lo.hex(), got.hi.hex(), got.lo_open, got.hi_open) == \
             (want.lo.hex(), want.hi.hex(), want.lo_open, want.hi_open), pattern
+
+
+def _interval_bisection_height(c: int) -> Interval:
+    """A constant tail's height by bisection on F(t) - |c| - t built in Interval arithmetic:
+    two point intervals, one ``growth_sub`` and one difference per step."""
+    a = _int_entry(c).abs_interval()
+    if a.hi == 0.0:
+        return Interval.point(0.0)
+    lo, hi = 0.0, log1p_up(a.hi) + 1.0
+
+    def h_sign(t: float) -> int:
+        iv = growth_sub(Interval.point(t), a) - Interval.point(t)
+        return 1 if iv.certainly_gt(0.0) else -1 if iv.certainly_lt(0.0) else 0
+
+    if h_sign(hi) <= 0:
+        return PeriodicTail((c,)).height()
+    for _ in range(160):
+        mid = 0.5 * (lo + hi)
+        s = h_sign(mid)
+        if s == 0 or mid <= lo or mid >= hi:
+            break
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def test_const_height_bisection_on_endpoints_keeps_every_bit():
+    rng = random.Random(20)
+    largest = int(sys.float_info.max)
+    values = [*range(-300, 301), *(s * 2**k for k in range(1023) for s in (1, -1)),
+              largest, -largest]
+    values += [rng.getrandbits(60) * rng.choice((1, -1)) for _ in range(2000)]
+    assert len(values) == 4649
+    for c in values:
+        got, want = ConstTail(c).height(), _interval_bisection_height(c)
+        assert (got.lo.hex(), got.hi.hex(), got.lo_open, got.hi_open) == \
+            (want.lo.hex(), want.hi.hex(), want.lo_open, want.hi_open), c
+
 
 @pytest.mark.parametrize("seq", [
     const_seq(4, (1, -5)),

@@ -173,3 +173,28 @@ def test_a_refuted_witness_claim_fails_the_suite(suite, monkeypatch):
     assert report["passed"] is False and "undecided_cases" not in details
     assert "error" not in details and {"proved", "refuted", "undecided"} <= details.keys()
     assert {"alpha": [0], "error": "witness height exceeds the base height"} in details["failures"]
+
+
+@pytest.mark.parametrize("parent, counted", [(TriBool.no(), "undecided"),
+                                             (TriBool.yes(), "proved")])
+def test_stratum_nesting_counts_an_unknown_child(parent, counted, monkeypatch):
+    # the suite asks for the child's membership, then the parent's: an unknown child, which
+    # once passed uncounted, decides nothing beside a non-member parent, and a member
+    # parent proves the case whatever the child
+    monkeypatch.setattr(verify, "in_stratum", _cycling(TriBool.unknown(), parent))
+    details = verify.suite_stratum_nesting(RunConfig())["details"]
+    assert details["failures"] == [] and details["checked"] == 9
+    assert {k: details[k] for k in ("proved", "refuted", "undecided")} == {
+        "proved": 0, "refuted": 0, "undecided": 0, counted: 9}
+
+
+def test_extension_counts_an_uncertified_base_undecided(monkeypatch):
+    # a base whose membership is not certified is drawn again; each such draw, once skipped
+    # uncounted, is undecided, and each certified member's child membership is counted
+    monkeypatch.setattr(verify, "in_stratum", _cycling(TriBool.unknown(), TriBool.yes(),
+                                                       TriBool.yes()))
+    monkeypatch.setattr(verify, "extension_index", lambda *args: 1)
+    report = verify.suite_extension(RunConfig())
+    details = report["details"]
+    assert report["passed"] is True and details["checked"] == 25
+    assert (details["proved"], details["refuted"], details["undecided"]) == (25, 0, 25)
