@@ -21,14 +21,13 @@ from .orbits import ESCAPE_RE, PERIOD_TOL, NoConvergenceError, _check_param, _or
 # the float-error budget of the disk step, derived on ``_image_radius``
 TRAP_REL_SLACK = 1e-14
 TRAP_RADIUS_REL = 1e-15
-# orbit steps of the asymptotic value a before polishing its limit cycle
+# the one step budget: the orbit of a before its cycle is polished, disks landing in the trap
 TRAP_ORBIT_STEPS = 200
 # longest attracting cycle that gets a trap chain
 TRAP_MAX_PERIOD = 8
-# levels tried along the orbit of a; side and steps of the blocks carried as disks
+# levels tried along the orbit of a; side of the blocks carried as disks
 TRAP_LEVELS = np.arange(-16.0, 4.0625, 0.125)
 BLOCK_PX = 8
-BLOCK_STEPS = 10
 TRAP_MEMO_SIZE = 64  # parameters a whose trap ``escape_times`` keeps
 
 
@@ -198,9 +197,9 @@ def _basin_trap(a: complex) -> _Trap | None:
     else as its 4u error is below TRAP_REL_SLACK, so the step keeps real part
     <= 0 <= L; L <= ln 10 as |a| <= PARAM_CAP), and the largest of
     TRAP_LEVELS (all below the escape line) whose D(a, rho) ``_disks_land``
-    carries by ``_step`` into a chain disk within TRAP_MAX_PERIOD - 1 steps.
-    A chain with a disk in the half-plane is dropped, as its orbits pass
-    that disk once a period.
+    carries by ``_step`` into a chain disk within TRAP_ORBIT_STEPS steps, the
+    one step budget of the plane.  A chain with a disk in the half-plane is
+    dropped, as its orbits pass that disk once a period.
     """
     chain = _trap_chain(a)
     level = -math.inf
@@ -209,7 +208,7 @@ def _basin_trap(a: complex) -> _Trap | None:
     if chain:
         landed = _disks_land(np.full(TRAP_LEVELS.size, a),
                              _image_radius(TRAP_LEVELS, 1.0, 2.0 * abs(a)),
-                             a, _Trap(disks=chain), TRAP_MAX_PERIOD - 1)
+                             a, _Trap(disks=chain), TRAP_ORBIT_STEPS)
         level = max(level, float(TRAP_LEVELS[landed].max(initial=-math.inf)))
         if any(c.real + r <= level for c, r in chain):
             chain = ()
@@ -224,9 +223,9 @@ def _memo_trap(re: str, im: str) -> _Trap | None:
 
 
 def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap) -> np.ndarray:
-    """The pixels of the grid re x im, flattened row by row, whose block lands in
-    ``trap``: each BLOCK_PX-square block (ragged at the edges) is the disk about
-    its midpoint of radius ``hypot`` of its half-widths, rounded up."""
+    """The pixels of the grid re x im, flattened row by row, whose block lands in ``trap``
+    within TRAP_ORBIT_STEPS steps: each BLOCK_PX-square block (ragged at the edges) is the
+    disk about its midpoint of radius ``hypot`` of its half-widths, rounded up."""
     axes = []
     for axis in (re, im):
         first = axis[::BLOCK_PX]
@@ -236,7 +235,7 @@ def _block_pass(a: complex, re: np.ndarray, im: np.ndarray, trap: _Trap) -> np.n
     (cx, hx), (cy, hy) = axes
     centers = (cx[np.newaxis, :] + 1j * cy[:, np.newaxis]).ravel()
     radii = _up(np.hypot(hx[np.newaxis, :], hy[:, np.newaxis])).ravel()
-    landed = _disks_land(centers, radii, a, trap, BLOCK_STEPS)
+    landed = _disks_land(centers, radii, a, trap, TRAP_ORBIT_STEPS)
     blocks = landed.reshape(cy.size, cx.size).repeat(BLOCK_PX, 0).repeat(BLOCK_PX, 1)
     return blocks[:im.size, :re.size].ravel()
 
@@ -296,13 +295,8 @@ def render_escape(a: complex, viewport: Viewport, max_iter: int, path: str) -> R
     times = escape_times(a, viewport, max_iter)
     escaped = int((times < max_iter).sum())
     retained = int(times.size - escaped)
-    # one RGB gray level per escape time, when there are no more times than
-    # pixels, else per pixel: the same float steps either way; take() copies
-    # whole 3-byte rows, where lut[times] is twice as slow
-    table = max_iter < times.size
-    levels = np.round((np.arange(max_iter + 1) if table else times) * (255.0 / max_iter))
-    gray = np.repeat(levels.astype(np.uint8)[..., np.newaxis], 3, axis=-1)
-    rgb = gray.take(times, axis=0) if table else gray
+    levels = np.round(times * (255.0 / max_iter))
+    rgb = np.repeat(levels.astype(np.uint8)[..., np.newaxis], 3, axis=-1)
     header = f"P6\n{viewport.width_px} {viewport.height_px}\n255\n".encode("ascii")
     # the file and the hash read the RGB array through its buffer: no copy
     digest = hashlib.sha256(header)

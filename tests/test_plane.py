@@ -22,8 +22,8 @@ from expbouquet import (
 )
 from expbouquet.orbits import ESCAPE_RE, CycleInfo, _check_param, classify_multiplier
 from expbouquet.plane import (
-    TRAP_MAX_PERIOD,
     TRAP_MEMO_SIZE,
+    TRAP_ORBIT_STEPS,
     _basin_trap,
     _block_pass,
     _memo_trap,
@@ -158,7 +158,7 @@ def test_render_deterministic_and_well_formed(width, height, tmp_path):
 
 
 def test_render_maps_each_pixel_of_a_tile_with_fewer_pixels_than_times(tmp_path):
-    # 4 pixels and 101 escape times: no gray table, the same bytes
+    # 4 pixels and 101 escape times: each pixel gets the gray level of its own time
     v = Viewport(0.5, 3.9, 0.0, 2.0, 2, 2)
     times = escape_times(-1.0, v, 100).ravel().tolist()
     assert times == [100, 100, 6, 2]
@@ -342,10 +342,10 @@ def test_basin_trap_kinds():
         assert min(abs(center - c) for c in cycle.points) < 1e-12
     trap = _basin_trap(0.3 + 0.2j)
     assert (trap.level, trap.disks) == (-2.875, ())
-    # no disk D(a, e^L) reaches this 2-cycle's chain within TRAP_MAX_PERIOD - 1
-    # steps: the chain alone
+    # the disk D(a, rho) of level -4 reaches this 2-cycle's chain within
+    # TRAP_ORBIT_STEPS steps, that of -3.875 does not: the level beside the chain
     trap = _basin_trap(1.6 - 2.2j)
-    assert trap.level == -math.inf and trap.disks == _trap_chain(1.6 - 2.2j)
+    assert trap.level == -4.0 and trap.disks == _trap_chain(1.6 - 2.2j)
     assert len(trap.disks) == 2
     assert _basin_trap(-0.9 + 0j) is None  # no attracting cycle
 
@@ -391,12 +391,12 @@ def _trap_samples(trap, fracs, angles, depths, heights):
          heights=[0.0] * 16)
 def test_basin_traps_are_forward_invariant(a, fracs, angles, depths, heights):
     # the half-plane of a level from the orbit of a need not map into the
-    # trap: its orbits reach a chain disk within TRAP_MAX_PERIOD steps, and
-    # a dropped disk (inside the half-plane) within p more
+    # trap: its orbits reach a chain disk within TRAP_ORBIT_STEPS steps, its
+    # landing budget, and a dropped disk (inside the half-plane) within p more
     a = complex(a)
     trap = _basin_trap(a)
     if trap is not None:
-        window = TRAP_MAX_PERIOD + max(1, len(_trap_chain(a)))
+        window = TRAP_ORBIT_STEPS + max(1, len(_trap_chain(a)))
         z = _trap_samples(trap, fracs, angles, depths, heights)
         _assert_trap_returns(trap, a, z, window)
 
@@ -415,7 +415,7 @@ def test_trap_chains_are_forward_invariant(a, whole_trap):
     depths = [0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 13.0, 20.0, 30.0, 40.0, 50.0,
               55.0, 60.0]
     heights = [3.5 * k - 26.0 for k in range(16)]
-    trap, window = (_basin_trap(a), TRAP_MAX_PERIOD + len(chain)) if whole_trap else (
+    trap, window = (_basin_trap(a), TRAP_ORBIT_STEPS + len(chain)) if whole_trap else (
         _Trap(disks=chain), 1)
     _assert_trap_returns(trap, a, _trap_samples(trap, fracs, angles, depths, heights), window)
 
@@ -674,6 +674,24 @@ def test_block_pass_retires_most_of_an_attracting_basin():
             retired = _block_pass(a, re, im, _basin_trap(a))
         retained = reference_escape_times(a, v, 100).ravel() == 100
         assert retired.sum() > 0.5 * retained.sum()
+
+
+# pixels reach these small chain disks after about 23 steps, so their blocks and
+# levels land only with the whole orbit budget; each tile, its trap built too,
+# takes some 370,000 trap tests
+@pytest.mark.parametrize("a", [1.6 - 2.2j, 0.7 - 0.7j])
+def test_slow_landing_chains_bound_the_trap_work(a, empty_trap_memo, monkeypatch):
+    tests = []
+
+    def counted(trap, c, r):
+        tests.append(np.size(c))
+        return holds(trap, c, r)
+
+    holds = _Trap.holds
+    monkeypatch.setattr(_Trap, "holds", counted)
+    v = Viewport(-2.0, 4.0, -math.pi, math.pi, 200, 200)
+    assert np.array_equal(escape_times(a, v, 100), reference_escape_times(a, v, 100))
+    assert sum(tests) <= 400_000
 
 
 def test_find_cycle_guards():

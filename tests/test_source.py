@@ -51,7 +51,8 @@ def test_verify_decides_by_intervals_not_midpoints():
     assert mids == [] and margins == []
 
 
-# memos whose work no test counts, so no test needs them empty
+# memos that no test counting tail-rule work needs empty; the one plane test that
+# counts trap work empties the trap memo itself (``empty_trap_memo``)
 UNCOUNTED_MEMOS = (intervals._int_tower, sequences._int_entry, sequences._tower_entry,
                    plane._memo_trap)
 
