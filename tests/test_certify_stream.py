@@ -13,6 +13,7 @@ from expbouquet.intervals import Interval
 from expbouquet.sequences import LinExpTail, SymbolSeq
 
 from conftest import clear_rule_memos
+from workcount import empty_memos, work
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -35,6 +36,17 @@ def test_shared_integer_entries_hit_on_the_first_certify_rounds(tmp_path, empty_
     info = sequences._int_entry.cache_info()
     assert info.hits >= 0.9 * (info.hits + info.misses), info
     assert info.currsize < 100
+
+
+def test_a_witness_query_counts_the_same_work_from_emptied_memos(tmp_path):
+    # the work count's basis, which every speed claim cites, repeats within one process
+    api = workloads.Api(tmp_path)
+    query = workloads.load("certify")["cells"]["witness"]["queries"][0]
+    counts = []
+    for _ in range(2):
+        empty_memos()
+        counts.append(work(workloads.execute, api, query)[1])
+    assert counts[0] == counts[1] > 0
 
 
 def test_certify_pool_does_rational_arithmetic_only_while_parsing(tmp_path):
